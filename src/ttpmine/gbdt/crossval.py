@@ -5,7 +5,7 @@ from __future__ import annotations
 import statistics
 
 from ..metrics import evaluate_relations
-from .ensemble import GbdtTrainingError, TrainConfig, predict, train
+from .ensemble import GbdtTrainingError, TrainConfig, predict_batch, train
 
 
 def assign_folds(report_ids, folds: int) -> dict[str, int]:
@@ -51,7 +51,7 @@ def cross_validate(
             feature_groups=feature_groups,
             layout=layout,
         )
-        predictions = [predict(model, features[i]) for i in test_idx]
+        predictions = predict_batch(model, [features[i] for i in test_idx])
         truth = [labels[i] for i in test_idx]
         report = evaluate_relations(
             truth,

@@ -257,35 +257,57 @@ def train(
 
 
 def predict(model: GbdtEnsemble, fv) -> RelationPrediction:
-    """Per-label probabilities plus the decided label set (positives at
-    the decision threshold, NULL as fallback)."""
+    """One row through `predict_batch`."""
+    return predict_batch(model, [fv])[0]
+
+
+def _check_row(model: GbdtEnsemble, index: int, fv) -> None:
+    where = f"row {index} (report {fv.report_id!r}, pair ({fv.tx}, {fv.ty}))"
     if fv.layout_version != model.layout_version:
         raise ValueError(
-            f"feature layout {fv.layout_version} does not match the model "
-            f"({model.layout_version}); re-extract features or retrain"
+            f"{where}: feature layout {fv.layout_version} does not match the "
+            f"model ({model.layout_version}); re-extract features or retrain"
         )
-    X = fv.values[None, :]
-    probabilities = {
-        label: float(_sigmoid(model.raw_score(label, X))[0]) for label in ALL_LABELS
-    }
-    decided = frozenset(
-        lab
-        for lab in POSITIVE_LABELS
-        if probabilities[lab] >= model.config.decision_threshold
-    )
-    if not decided:
-        decided = frozenset({NULL})
-    return RelationPrediction(
-        tx=fv.tx,
-        ty=fv.ty,
-        probabilities=probabilities,
-        labels=decided,
-        report_id=fv.report_id,
-    )
+    if np.shape(fv.values) != (model.n_features,):
+        raise ValueError(
+            f"{where}: feature vector of shape {np.shape(fv.values)} does not "
+            f"match the model's {model.n_features} features"
+        )
 
 
 def predict_batch(model: GbdtEnsemble, features) -> list[RelationPrediction]:
-    return [predict(model, fv) for fv in features]
+    """Per-label probabilities plus the decided label set (positives at
+    the decision threshold, NULL as fallback) for every row.
+
+    The rows are stacked once and each label's trees walk the whole
+    matrix, so a row scores exactly as it would alone.
+    """
+    rows = list(features)
+    if not rows:
+        return []
+    for index, fv in enumerate(rows):
+        _check_row(model, index, fv)
+    X = np.vstack([fv.values for fv in rows], dtype=np.float64)
+    columns = {
+        label: _sigmoid(model.raw_score(label, X)).tolist() for label in ALL_LABELS
+    }
+    threshold = model.config.decision_threshold
+    predictions = []
+    for index, fv in enumerate(rows):
+        probabilities = {label: columns[label][index] for label in ALL_LABELS}
+        decided = frozenset(
+            lab for lab in POSITIVE_LABELS if probabilities[lab] >= threshold
+        )
+        predictions.append(
+            RelationPrediction(
+                tx=fv.tx,
+                ty=fv.ty,
+                probabilities=probabilities,
+                labels=decided or frozenset({NULL}),
+                report_id=fv.report_id,
+            )
+        )
+    return predictions
 
 
 def ensemble_to_dict(model: GbdtEnsemble) -> dict:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 
-from ttpmine.labels import NULL, SYMMETRIC_LABELS
+from ttpmine.gbdt.ensemble import _sigmoid
+from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 
 def apriori_oracle(x, y) -> list[float]:
@@ -184,3 +185,25 @@ def mine_oracle(predictions: dict, n: int) -> dict[tuple[str, str, str], set[str
                     tx, ty = ty, tx
                 reports_of.setdefault((tx, ty, relation), set()).add(report_id)
     return {key: ids for key, ids in reports_of.items() if len(ids) >= n}
+
+
+def predict_rows_oracle(model, features) -> list[tuple[dict, frozenset]]:
+    """Row-at-a-time scoring: each label's ensemble on a one-row matrix.
+
+    Returns ``(probabilities, labels)`` per row, with positives decided
+    at the model's threshold and NULL as the fallback.
+    """
+    out = []
+    for fv in features:
+        X = fv.values[None, :]
+        probabilities = {
+            label: float(_sigmoid(model.raw_score(label, X))[0])
+            for label in ALL_LABELS
+        }
+        decided = frozenset(
+            lab
+            for lab in POSITIVE_LABELS
+            if probabilities[lab] >= model.config.decision_threshold
+        )
+        out.append((probabilities, decided or frozenset({NULL})))
+    return out

@@ -4,12 +4,13 @@ driven by the bundled miniature corpus."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from helpers import E2E_DIR, e2e_config_dict
+from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict
 from ttpmine import __version__
 from ttpmine.corpus import load_annotations
 from ttpmine.cli import main
@@ -415,8 +416,20 @@ class TestCliChain:
         assert (tmp_path / "out" / "patterns.csv").exists()
 
     def test_console_script_smoke(self):
+        # The entry point runs from the source tree, with no install step.
+        src = str(REPO_ROOT / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         result = subprocess.run(
-            ["ttpmine", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "ttpmine", "--version"],
+            capture_output=True,
+            text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert result.stdout.startswith(f"ttpmine {__version__} ")
+        # The installed console script maps to the same function. Read as
+        # text: tomllib is missing on Python 3.10.
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'ttpmine = "ttpmine.cli:main"' in scripts.splitlines()
