@@ -22,7 +22,6 @@ from .embeddings import EmbeddingParseError, load_word_vectors
 from .features.layout import FEATURE_GROUPS, FeatureLayout
 from .gbdt import TrainConfig
 from .gbdt.ensemble import GbdtTrainingError, predict_batch
-from .gbdt.kernel import BACKEND
 from .labels import NULL
 from .metrics import evaluate_relations
 from .mining import load_category_map
@@ -76,7 +75,7 @@ def _version_string() -> str:
     return (
         f"ttpmine {__version__} "
         f"(feature layout {layout.version}, stopwords {STOPWORDS_VERSION}, "
-        f"categories {data['format_version']}, split kernel {BACKEND})"
+        f"categories {data['format_version']})"
     )
 
 

@@ -1,4 +1,4 @@
-"""Gradient-boosted relation classifier with a swappable split kernel."""
+"""Gradient-boosted relation classifier with histogram split search."""
 
 from .crossval import assign_folds, cross_validate
 from .ensemble import (
@@ -16,8 +16,7 @@ from .ensemble import (
     save_ensemble,
     train,
 )
-from .kernel import BACKEND, available_backends, best_split
-from .tree import fit_tree, predict_tree
+from .tree import bin_columns, fit_tree, predict_tree
 
 __all__ = [
     "ENSEMBLE_FORMAT_VERSION",
@@ -33,11 +32,9 @@ __all__ = [
     "predict_batch",
     "save_ensemble",
     "train",
-    "BACKEND",
-    "available_backends",
-    "best_split",
     "assign_folds",
     "cross_validate",
+    "bin_columns",
     "fit_tree",
     "predict_tree",
 ]

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from .tree import fit_tree, predict_tree, remap_tree_features, tree_max_feature
+from .tree import (
+    bin_columns,
+    fit_tree,
+    predict_tree,
+    remap_tree_features,
+    tree_max_feature,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -227,6 +233,7 @@ def train(
             continue
 
         init = _clamped_log_odds(n_pos / y_sub.size)
+        binned = bin_columns(X_sub)
         score = np.full(y_sub.size, init, dtype=np.float64)
         trees: list[dict] = []
         losses = [_log_loss(y_sub, _sigmoid(score))]
@@ -234,8 +241,8 @@ def train(
             p = _sigmoid(score)
             residuals = y_sub - p
             hessians = p * (1.0 - p)
-            tree = fit_tree(X_sub, residuals, hessians, config.max_depth)
-            score = score + config.learning_rate * predict_tree(tree, X_sub)
+            tree, leaf_values = fit_tree(binned, residuals, hessians, config.max_depth)
+            score = score + config.learning_rate * leaf_values
             loss = _log_loss(y_sub, _sigmoid(score))
             if loss > losses[-1] + _LOSS_TOLERANCE:
                 raise GbdtTrainingError(

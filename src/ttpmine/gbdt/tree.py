@@ -1,20 +1,82 @@
 """Depth-limited regression trees on boosting residuals.
 
-Exact greedy splits via the selected kernel; leaves take clipped
-Newton-step values (sum of residuals over sum of hessians). Nodes are
-plain dicts so trees serialize to JSON as-is: a split is
+Split search is exact greedy over histograms: `bin_columns` gives every
+distinct value of every column its own bin once per label model, and
+each node sums counts and residuals per bin, so a split between two
+adjacent bins is a split between two adjacent distinct values. Leaves
+take clipped Newton-step values (sum of residuals over sum of hessians).
+Nodes are plain dicts so trees serialize to JSON as-is: a split is
 {"feature", "threshold", "left", "right"}, a leaf is {"value"}.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from dataclasses import dataclass
 
-from .kernel import best_split as _default_best_split
+import numpy as np
 
 MIN_GAIN = 1e-12
 LEAF_VALUE_CAP = 10.0
 _HESSIAN_EPS = 1e-16
+# On the split-search grid the residual magnitudes of one tree sum to
+# about 2**51 at most, inside the 2**53 range where float64 holds integers
+# exactly, so every bin sum is the same whatever order it is added in.
+_GRID_BITS = 51
+
+
+@dataclass(frozen=True)
+class BinnedColumns:
+    """A feature matrix as one flat bin space.
+
+    ``codes[i, f]`` is the bin of row i's value in column f. Column f
+    owns bins ``start[f]:start[f + 1]``, one per distinct value in
+    ascending order; ``values[b]`` is bin b's value and ``feature[b]``
+    its column.
+    """
+
+    codes: np.ndarray
+    values: np.ndarray
+    feature: np.ndarray
+    start: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.codes.shape[0]
+
+
+def bin_columns(X: np.ndarray) -> BinnedColumns:
+    """One bin per distinct value of each column of X."""
+    X = np.asarray(X, dtype=np.float64)
+    m, nf = X.shape
+    codes = np.empty((m, nf), dtype=np.intp)
+    values, feature = [], []
+    start = np.zeros(nf + 1, dtype=np.intp)
+    for f in range(nf):
+        uniq, inverse = np.unique(X[:, f], return_inverse=True)
+        codes[:, f] = inverse + start[f]
+        values.append(uniq)
+        feature.append(np.full(uniq.size, f, dtype=np.intp))
+        start[f + 1] = start[f] + uniq.size
+    return BinnedColumns(
+        codes=codes,
+        values=np.concatenate(values) if nf else np.empty(0),
+        feature=np.concatenate(feature) if nf else np.empty(0, dtype=np.intp),
+        start=start,
+    )
+
+
+def grid_residuals(residuals: np.ndarray) -> tuple[np.ndarray, int]:
+    """Residuals rounded to multiples of 2**-shift, returned scaled by
+    2**shift (so as integers held in float64), with shift chosen so that
+    the sum of all their magnitudes stays below 2**53."""
+    residuals = np.asarray(residuals, dtype=np.float64)
+    peak = float(np.abs(residuals).max()) if residuals.size else 0.0
+    if peak == 0.0:
+        return np.zeros_like(residuals), 0
+    _, exponent = math.frexp(peak * residuals.size)
+    shift = _GRID_BITS - exponent
+    return np.rint(np.ldexp(residuals, shift)), shift
 
 
 def _leaf(residuals: np.ndarray, hessians: np.ndarray, idx: np.ndarray) -> dict:
@@ -28,45 +90,86 @@ def _leaf(residuals: np.ndarray, hessians: np.ndarray, idx: np.ndarray) -> dict:
 
 
 def fit_tree(
-    X: np.ndarray,
+    binned: BinnedColumns,
     residuals: np.ndarray,
     hessians: np.ndarray,
     max_depth: int,
-    split_fn=None,
-) -> dict:
-    """Fit one regression tree; feature indices refer to X's columns."""
-    if split_fn is None:
-        split_fn = _default_best_split
-    X = np.ascontiguousarray(X, dtype=np.float64)
+) -> tuple[dict, np.ndarray]:
+    """Fit one regression tree on binned rows; feature indices refer to
+    the binned matrix's columns.
+
+    Returns the tree and each row's leaf value, which equals
+    ``predict_tree(tree, X)`` on the rows that were binned.
+
+    The split maximizes the variance-reduction gain
+    gl²/nl + gr²/nr - g²/n over residuals on the `grid_residuals` grid.
+    Those sums are exact, so partitions that put the same rows on either
+    side get bit-equal gains, and the first maximum wins: lowest feature,
+    then lowest value. A split needs an unscaled gain above MIN_GAIN.
+    """
     residuals = np.asarray(residuals, dtype=np.float64)
     hessians = np.asarray(hessians, dtype=np.float64)
+    grads, shift = grid_residuals(residuals)
+    codes = binned.codes
+    nf = codes.shape[1]
+    n_bins = binned.values.size
+    bin_start = binned.start[binned.feature]
+    out = np.empty(binned.n_rows, dtype=np.float64)
+
+    def leaf(idx: np.ndarray) -> dict:
+        node = _leaf(residuals, hessians, idx)
+        out[idx] = node["value"]
+        return node
 
     def build(idx: np.ndarray, depth: int) -> dict:
-        if depth >= max_depth or idx.size < 2:
-            return _leaf(residuals, hessians, idx)
-        rows = X[idx]
-        order = np.argsort(rows, axis=0, kind="stable")
-        vals = np.asfortranarray(np.take_along_axis(rows, order, axis=0))
-        grads = np.asfortranarray(residuals[idx][order])
-        feat, pos, gain = split_fn(vals, grads)
-        if feat < 0 or gain <= MIN_GAIN:
-            return _leaf(residuals, hessians, idx)
-        a = float(vals[pos, feat])
-        b = float(vals[pos + 1, feat])
+        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+            return leaf(idx)
+        node_codes = codes[idx]
+        flat = node_codes.ravel()
+        count = np.bincount(flat, minlength=n_bins)
+        grad = np.bincount(
+            flat, weights=np.repeat(grads[idx], nf), minlength=n_bins
+        ).astype(np.int64)
+        # Segmented cumsum: running totals restart at each column's first
+        # bin. Integer arithmetic keeps it exact even when the running
+        # total over all columns wraps around.
+        count_cum = np.cumsum(count)
+        grad_cum = np.cumsum(grad)
+        nl = count_cum - (count_cum - count)[bin_start]
+        gl = (grad_cum - (grad_cum - grad)[bin_start]).astype(np.float64)
+        n = idx.size
+        gt = gl[binned.start[1] - 1]
+        nr = n - nl
+        valid = (nl > 0) & (nr > 0) & (count > 0)
+        if not valid.any():
+            return leaf(idx)
+        gain = np.full(n_bins, -np.inf)
+        gl_v, nl_v = gl[valid], nl[valid]
+        gr_v = gt - gl_v
+        gain[valid] = gl_v * gl_v / nl_v + gr_v * gr_v / nr[valid] - gt * gt / float(n)
+        best = int(np.argmax(gain))
+        if np.ldexp(gain[best], -2 * shift) <= MIN_GAIN:
+            return leaf(idx)
+        feat = int(binned.feature[best])
+        end = binned.start[feat + 1]
+        upper = best + 1 + int(np.flatnonzero(count[best + 1 : end])[0])
+        a = float(binned.values[best])
+        b = float(binned.values[upper])
         threshold = (a + b) / 2.0
         if threshold >= b:
             # Adjacent floats can round the midpoint up to b; fall back
-            # to the left value so the partition matches the scan.
+            # to the left value so the partition matches the bins.
             threshold = a
-        mask = rows[:, feat] <= threshold
+        mask = node_codes[:, feat] <= best
         return {
-            "feature": int(feat),
+            "feature": feat,
             "threshold": threshold,
             "left": build(idx[mask], depth + 1),
             "right": build(idx[~mask], depth + 1),
         }
 
-    return build(np.arange(X.shape[0]), 0)
+    tree = build(np.arange(binned.n_rows), 0)
+    return tree, out
 
 
 def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ttpmine.gbdt.ensemble import _sigmoid
+from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
 from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 
@@ -207,3 +210,66 @@ def predict_rows_oracle(model, features) -> list[tuple[dict, frozenset]]:
         )
         out.append((probabilities, decided or frozenset({NULL})))
     return out
+
+
+def exact_split_oracle(X, grads):
+    """Brute-force exact greedy split over every (feature, distinct value)
+    candidate, in (feature, value) order, with the first maximum kept.
+
+    ``grads`` are residuals on the split-search grid (integers held in
+    floats, their magnitudes summing below 2**53), so each partition's
+    plain Python sum is exact. The gain is gl²/nl + gr²/nr - g²/n in the
+    package's operation order. Returns ``(feature, threshold, left_rows,
+    gain)``, the threshold being the midpoint to the next distinct value
+    (the lower value if the midpoint rounds up to the upper one), or
+    None when no column has two distinct values.
+    """
+    g = [float(v) for v in grads]
+    n = len(g)
+    total = sum(g)
+    best = None
+    for f in range(X.shape[1]):
+        column = [float(v) for v in X[:, f]]
+        distinct = sorted(set(column))
+        for lo, hi in zip(distinct, distinct[1:]):
+            left = [i for i in range(n) if column[i] <= lo]
+            gl = sum(g[i] for i in left)
+            gr = total - gl
+            nl, nr = len(left), n - len(left)
+            gain = gl * gl / nl + gr * gr / nr - total * total / n
+            if best is None or gain > best[3]:
+                threshold = (lo + hi) / 2.0
+                if threshold >= hi:
+                    threshold = lo
+                best = (f, threshold, left, gain)
+    return best
+
+
+def exact_tree_oracle(X, residuals, hessians, max_depth: int) -> dict:
+    """Depth-first tree from `exact_split_oracle` at every node.
+
+    Residuals go on the grid once for the whole tree; a node splits only
+    when its unscaled gain exceeds MIN_GAIN. Leaves use the package's
+    leaf rule on the unrounded residuals and hessians, over ascending
+    row indices.
+    """
+    grads, shift = grid_residuals(residuals)
+
+    def build(rows: list[int], depth: int) -> dict:
+        if depth >= max_depth or len(rows) < 2:
+            return _leaf(residuals, hessians, np.array(rows, dtype=np.intp))
+        found = exact_split_oracle(X[rows], grads[rows])
+        if found is None or math.ldexp(found[3], -2 * shift) <= MIN_GAIN:
+            return _leaf(residuals, hessians, np.array(rows, dtype=np.intp))
+        feature, threshold, left, _ = found
+        left_set = set(left)
+        return {
+            "feature": feature,
+            "threshold": threshold,
+            "left": build([rows[i] for i in left], depth + 1),
+            "right": build(
+                [rows[i] for i in range(len(rows)) if i not in left_set], depth + 1
+            ),
+        }
+
+    return build(list(range(X.shape[0])), 0)

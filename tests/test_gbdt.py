@@ -1,16 +1,18 @@
-"""Gradient-boosted relation models: split kernel contract, tree
-fitting, loss monotonicity, determinism, serialization, and the
-backend-equivalence guarantee."""
+"""Gradient-boosted relation models: histogram split search against the
+brute-force oracle, tree fitting, loss monotonicity, determinism and
+serialization."""
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
 
-from helpers import make_fv, tree_features
+from helpers import e2e_config_dict, make_fv, tree_features
+from oracles import exact_split_oracle, exact_tree_oracle
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
@@ -25,119 +27,154 @@ from ttpmine.gbdt.ensemble import (
     save_ensemble,
     train,
 )
-from ttpmine.gbdt.kernel import BACKEND, available_backends, best_split
 from ttpmine.gbdt.tree import (
     LEAF_VALUE_CAP,
+    MIN_GAIN,
+    bin_columns,
     fit_tree,
+    grid_residuals,
     predict_tree,
     remap_tree_features,
     tree_max_feature,
 )
+from ttpmine.corpus import load_annotations
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
+from ttpmine.pipeline import PipelineConfig, labels_for_rows, load_features, run_pipeline
 
 
-def _sorted_columns(X, residuals):
-    """Presorted Fortran (vals, grads) pair the kernel contract expects."""
-    order = np.argsort(X, axis=0, kind="stable")
-    vals = np.asfortranarray(np.take_along_axis(X, order, axis=0))
-    grads = np.asfortranarray(residuals[order])
-    return vals, grads
+def _fit(X, residuals, hessians, max_depth):
+    """fit_tree on freshly binned X, checking its per-row leaf values
+    against predict_tree bit for bit."""
+    X = np.asarray(X, dtype=np.float64)
+    tree, values = fit_tree(bin_columns(X), residuals, hessians, max_depth)
+    np.testing.assert_array_equal(values, predict_tree(tree, X))
+    return tree
 
 
-class TestSplitKernel:
+def _oracle_case(kind, rng):
+    """(X, residuals, hessians) for one oracle comparison case."""
+    m = int(rng.integers(6, 40))
+    if kind == "continuous":
+        X = rng.normal(size=(m, 5))
+    elif kind == "duplicate":
+        base = rng.integers(0, 4, size=(m, 3)).astype(np.float64)
+        X = np.hstack([base, base[:, [2, 0]], base[:, [1]]])
+    elif kind == "mirror":
+        base = rng.integers(0, 3, size=(m, 3)).astype(np.float64)
+        X = np.hstack([base, 1.0 - base[:, ::-1]])
+    else:
+        X = rng.integers(0, 4, size=(m, 5)).astype(np.float64)
+    if kind == "exact_tie":
+        X = np.hstack([X[:, :3], X[:, :1], 1.0 - X[:, 1:2]])
+        r = rng.choice([-0.5, 0.5], size=m)
+    elif kind == "large_residual":
+        # Mostly one sign, so running totals across all columns' bins go
+        # far past 2**53 and only exact arithmetic keeps each column's sums.
+        X = np.hstack([X, 3.0 - X])
+        r = rng.normal(loc=30.0, scale=40.0, size=m)
+    else:
+        r = rng.normal(size=m)
+    return X, r, rng.uniform(0.05, 0.25, size=m)
+
+
+ORACLE_CASES = (
+    "continuous",
+    "small_integer",
+    "duplicate",
+    "mirror",
+    "exact_tie",
+    "large_residual",
+)
+
+
+class TestHistogramSplit:
     def test_two_point_split(self):
-        vals = np.asfortranarray([[0.0], [1.0]])
-        grads = np.asfortranarray([[-0.5], [0.5]])
-        feat, pos, gain = best_split(vals, grads)
-        assert (feat, pos) == (0, 0)
-        # gl^2/1 + gr^2/1 - (gl+gr)^2/2 = .25 + .25 - 0.
-        assert gain == pytest.approx(0.5, abs=1e-15)
+        tree = _fit([[0.0], [1.0]], np.array([-0.5, 0.5]), np.full(2, 0.25), 1)
+        assert (tree["feature"], tree["threshold"]) == (0, 0.5)
 
     def test_no_split_on_constant_column(self):
-        vals = np.asfortranarray([[1.0], [1.0], [1.0]])
-        grads = np.asfortranarray([[1.0], [-1.0], [0.0]])
-        assert best_split(vals, grads) == (-1, -1, 0.0)
+        tree = _fit([[1.0], [1.0], [1.0]], np.array([1.0, -1.0, 0.0]), np.ones(3), 2)
+        assert tree == {"value": 0.0}
 
     def test_degenerate_shapes(self):
-        one = np.asfortranarray([[3.0]])
-        assert best_split(one, one.copy()) == (-1, -1, 0.0)
-        empty = np.zeros((4, 0), order="F")
-        assert best_split(empty, empty.copy()) == (-1, -1, 0.0)
+        assert _fit([[3.0]], np.array([1.0]), np.ones(1), 2) == {"value": 1.0}
+        no_columns = _fit(np.zeros((4, 0)), np.array([1.0, 1.0, 1.0, 1.0]), np.ones(4), 2)
+        assert no_columns == {"value": 1.0}
+        assert _fit(np.zeros((3, 2)), np.zeros(3), np.ones(3), 2) == {"value": 0.0}
 
-    def test_tie_prefers_lowest_feature_then_position(self):
-        # Identical columns: both features give the same best gain; the
-        # first-maximum rule must pick feature 0.
-        col = np.array([[0.0], [1.0], [2.0], [3.0]])
-        grad = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-        vals = np.asfortranarray(np.hstack([col, col]))
-        grads = np.asfortranarray(np.hstack([grad, grad]))
-        feat, pos, _ = best_split(vals, grads)
-        assert feat == 0
-        assert pos == 1
+    def test_tie_prefers_lowest_feature_then_value(self):
+        # Columns 0 and 1 are identical and column 2 mirrors them, and the
+        # residuals are symmetric, so splitting off the first row or the
+        # last gives the same gain in every column. The first maximum must
+        # be feature 0 after value 0.
+        col = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        X = np.column_stack([col, col, 5.0 - col])
+        r = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, -1.0])
+        tree = _fit(X, r, np.full(6, 0.25), 1)
+        assert (tree["feature"], tree["threshold"]) == (0, 0.5)
 
     def test_split_never_lands_between_equal_values(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             m = int(rng.integers(2, 12))
             X = rng.integers(0, 3, size=(m, 3)).astype(np.float64)
-            r = rng.normal(size=m)
-            vals, grads = _sorted_columns(X, r)
-            feat, pos, gain = best_split(vals, grads)
-            if feat >= 0:
-                assert vals[pos, feat] < vals[pos + 1, feat]
-                assert gain > 0 or gain == pytest.approx(0.0, abs=1e-12)
+            tree = _fit(X, rng.normal(size=m), np.full(m, 0.25), 1)
+            if "value" not in tree:
+                column = X[:, tree["feature"]]
+                left = column <= tree["threshold"]
+                assert column[left].max() < column[~left].min()
+
+    def test_min_gain_applies_to_unscaled_gain(self):
+        X = [[0.0], [1.0]]
+        # Gain 2 * r**2: 2e-14 is below MIN_GAIN, 2e-10 is above it.
+        assert "value" in _fit(X, np.array([-1e-7, 1e-7]), np.ones(2), 1)
+        assert "feature" in _fit(X, np.array([-1e-5, 1e-5]), np.ones(2), 1)
+
+    def test_grid_sums_are_exact_integers(self):
+        rng = np.random.default_rng(11)
+        for scale in (1e-300, 1e-3, 1.0, 40.0, 1e300):
+            r = rng.normal(scale=scale, size=257)
+            grads, shift = grid_residuals(r)
+            assert np.array_equal(grads, np.rint(grads))
+            assert math.fsum(np.abs(grads)) < 2.0**53
+            step = math.ldexp(1.0, -shift)
+            assert np.all(np.abs(np.ldexp(grads, -shift) - r) <= step / 2)
+        assert grid_residuals(np.zeros(3))[0].tolist() == [0.0, 0.0, 0.0]
 
 
-class TestBackendEquivalence:
-    def test_compiled_backend_present(self):
-        backends = available_backends()
-        assert "python" in backends
-        assert BACKEND in backends
+class TestExactSplitOracle:
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_root_split_matches_oracle(self, kind):
+        rng = np.random.default_rng(20261018)
+        for _ in range(25):
+            X, r, h = _oracle_case(kind, rng)
+            tree = _fit(X, r, h, 1)
+            grads, shift = grid_residuals(r)
+            found = exact_split_oracle(X, grads)
+            if found is None or math.ldexp(found[3], -2 * shift) <= MIN_GAIN:
+                assert "value" in tree
+                continue
+            feature, threshold, left, _ = found
+            assert (tree["feature"], tree["threshold"]) == (feature, threshold)
+            assert np.flatnonzero(X[:, feature] <= threshold).tolist() == left
 
-    def test_bit_identical_split_choices(self):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("only one split backend built")
-        rng = np.random.default_rng(20260822)
-        for case in range(60):
-            m = int(rng.integers(2, 40))
-            nf = int(rng.integers(1, 8))
-            if case % 3 == 0:
-                X = rng.integers(0, 4, size=(m, nf)).astype(np.float64)
-            else:
-                X = rng.normal(size=(m, nf))
-            r = rng.normal(size=m)
-            vals, grads = _sorted_columns(X, r)
-            results = {
-                name: fn(vals.copy(order="F"), grads.copy(order="F"))
-                for name, fn in backends.items()
-            }
-            (fa, pa, ga), (fb, pb, gb) = results["python"], results[BACKEND]
-            assert (fa, pa) == (fb, pb), case
-            assert ga == gb, case  # exact float equality, not approx
-
-    def test_identical_trees_per_backend(self):
-        backends = available_backends()
-        if len(backends) < 2:
-            pytest.skip("only one split backend built")
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            m = int(rng.integers(4, 30))
-            X = rng.normal(size=(m, 5))
-            r = rng.normal(size=m)
-            h = np.full(m, 0.25)
-            trees = [
-                fit_tree(X, r, h, max_depth=3, split_fn=fn)
-                for fn in backends.values()
-            ]
-            first = json.dumps(trees[0], sort_keys=True)
-            for other in trees[1:]:
-                assert json.dumps(other, sort_keys=True) == first
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_tree_matches_oracle(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(15):
+            X, r, h = _oracle_case(kind, rng)
+            tree = _fit(X, r, h, 3)
+            oracle = exact_tree_oracle(X, r, h, 3)
+            assert tree == oracle
+            unseen = rng.normal(loc=1.5, scale=2.0, size=(20, X.shape[1]))
+            np.testing.assert_array_equal(
+                predict_tree(tree, unseen), predict_tree(oracle, unseen)
+            )
 
 
 class TestFitTree:
     def test_stump_fixture(self):
-        tree = fit_tree(
+        tree = _fit(
             np.array([[0.0], [1.0]]),
             np.array([-0.5, 0.5]),
             np.array([0.25, 0.25]),
@@ -149,7 +186,7 @@ class TestFitTree:
         assert tree["right"] == {"value": 2.0}
 
     def test_depth_zero_is_single_leaf(self):
-        tree = fit_tree(
+        tree = _fit(
             np.array([[0.0], [1.0]]),
             np.array([1.0, 3.0]),
             np.array([0.5, 0.5]),
@@ -158,7 +195,7 @@ class TestFitTree:
         assert tree == {"value": 4.0}  # 4.0 / 1.0
 
     def test_leaf_value_cap(self):
-        tree = fit_tree(
+        tree = _fit(
             np.array([[0.0], [1.0]]),
             np.array([-5.0, 5.0]),
             np.array([0.25, 0.25]),
@@ -168,7 +205,7 @@ class TestFitTree:
         assert tree["right"]["value"] == LEAF_VALUE_CAP
 
     def test_zero_hessian_leaf_is_zero(self):
-        tree = fit_tree(
+        tree = _fit(
             np.array([[0.0]]),
             np.array([3.0]),
             np.array([0.0]),
@@ -177,7 +214,7 @@ class TestFitTree:
         assert tree == {"value": 0.0}
 
     def test_constant_features_make_leaf(self):
-        tree = fit_tree(
+        tree = _fit(
             np.ones((4, 2)),
             np.array([1.0, -1.0, 1.0, -1.0]),
             np.full(4, 0.25),
@@ -191,7 +228,7 @@ class TestFitTree:
             m = int(rng.integers(2, 25))
             X = rng.normal(size=(m, 4))
             r = rng.normal(size=m)
-            tree = fit_tree(X, r, np.full(m, 0.25), max_depth=3)
+            tree = _fit(X, r, np.full(m, 0.25), max_depth=3)
 
             def check(node, rows):
                 if "value" in node:
@@ -326,7 +363,36 @@ class TestDownsampling:
         assert len(rows) == 2
 
 
+@pytest.fixture(scope="module")
+def e2e_training_data(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("e2e")
+    config = e2e_config_dict(out_dir)
+    run_pipeline(PipelineConfig.from_dict(config))
+    rows, _ = load_features(str(out_dir / "features.csv"))
+    labels = labels_for_rows(rows, load_annotations(config["annotations"]))
+    return rows, labels, TrainConfig.from_dict(config["train"])
+
+
 class TestTraining:
+    def test_e2e_fixture_loss_curve_and_determinism(self, e2e_training_data):
+        rows, labels, config = e2e_training_data
+        model, again = (train(rows, labels, config) for _ in range(2))
+        assert json.dumps(ensemble_to_dict(model), sort_keys=True) == json.dumps(
+            ensemble_to_dict(again), sort_keys=True
+        )
+        curves = [lm.loss_curve for lm in model.models.values() if not lm.degenerate]
+        assert curves
+        for curve in curves:
+            assert len(curve) == config.trees + 1
+            assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+    def test_e2e_fixture_leaf_values_match_predict_tree(self, e2e_training_data):
+        rows, labels, _ = e2e_training_data
+        X = np.vstack([fv.values for fv in rows])
+        y = np.array([1.0 if BEFORE in labs else 0.0 for labs in labels])
+        for depth in (1, 3, 6):
+            _fit(X, y - y.mean(), np.full(y.size, 0.25), depth)
+
     def test_loss_non_increasing_on_random_data(self):
         rng = np.random.default_rng(20260822)
         config = TrainConfig(trees=15, max_depth=3, seed=1)

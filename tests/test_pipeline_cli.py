@@ -15,7 +15,6 @@ from ttpmine import __version__
 from ttpmine.corpus import load_annotations
 from ttpmine.cli import main
 from ttpmine.features.layout import FeatureLayout
-from ttpmine.gbdt.kernel import BACKEND
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
@@ -202,7 +201,7 @@ class TestCliChain:
         out = capsys.readouterr().out.strip()
         assert out == (
             f"ttpmine {__version__} (feature layout v1-bins10, stopwords 1, "
-            f"categories 1, split kernel {BACKEND})"
+            f"categories 1)"
         )
 
     def test_corpus_validate_ok(self, cli_dir, capsys):
