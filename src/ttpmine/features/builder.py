@@ -16,7 +16,7 @@ from ..embeddings import WordVectors
 from .apriori import apriori_features
 from .discourse import coref_links, discourse_features
 from .layout import FeatureLayout
-from .markers import DEFAULT_LEXICON, MarkerLexicon, marker_features
+from .markers import DEFAULT_LEXICON, MarkerLexicon, marker_features, marker_table
 from .sentence import sentence_features
 
 
@@ -36,6 +36,32 @@ class PairFeatureVector:
         return (self.tx, self.ty)
 
 
+def _f4_slots(
+    um: UsageMatrix | None, pair: tuple[str, str], bins: int
+) -> tuple[np.ndarray, bool]:
+    tx, ty = pair
+    missing = (
+        um is None
+        or um.cells.shape[0] == 0
+        or tx not in um.techniques
+        or ty not in um.techniques
+    )
+    if missing:
+        return np.zeros(9 + 9 * bins, dtype=np.float64), True
+    return apriori_features(um, pair, bins=bins), False
+
+
+def f4_table(
+    um: UsageMatrix | None, pairs, bins: int = 10
+) -> dict[tuple[str, str], tuple[np.ndarray, bool]]:
+    """Each distinct pair's f4 slots and f4_missing flag.
+
+    F4 depends on the pair and the usage matrix only, never on the
+    report, so one table serves every report in a corpus.
+    """
+    return {pair: _f4_slots(um, pair, bins) for pair in dict.fromkeys(pairs)}
+
+
 def build_feature_vector(
     report: Report,
     pair: tuple[str, str],
@@ -46,12 +72,18 @@ def build_feature_vector(
     bins: int = 10,
     links=None,
     layout: FeatureLayout | None = None,
+    markers: np.ndarray | None = None,
+    f4: tuple[np.ndarray, bool] | None = None,
 ) -> PairFeatureVector:
     """Concatenate [default ++ f1 ++ f2 ++ f3 ++ f4] for one ordered pair.
 
     Sentence sets come from the prediction's threshold hits. A pair
     technique absent from the usage matrix zeroes the f4 slots and sets
     the f4_missing flag instead of failing.
+
+    `links` (the report's coref links), `markers` (its `marker_table`)
+    and `f4` (this pair's `f4_table` entry) take precomputed values;
+    None computes them here.
     """
     if layout is None:
         layout = FeatureLayout(bins=bins)
@@ -62,6 +94,8 @@ def build_feature_vector(
         raise ValueError(f"self-pair ({tx}, {ty}) has no feature vector")
     if links is None:
         links = coref_links(report)
+    if f4 is None:
+        f4 = _f4_slots(um, pair, bins)
 
     tx_sent = report_prediction.hit_sentences.get(tx, ())
     ty_sent = report_prediction.hit_sentences.get(ty, ())
@@ -72,22 +106,12 @@ def build_feature_vector(
     if ty in report_prediction.techniques:
         default[TOP_K_SCORES:] = report_prediction.top_scores[ty]
 
-    f1 = marker_features(report, tx_sent, ty_sent, lexicon)
+    f1 = marker_features(report, tx_sent, ty_sent, lexicon, table=markers)
     f2 = sentence_features(report, tx_sent, ty_sent, wv, links=links)
     f3 = discourse_features(report, tx_sent, ty_sent, links)
+    f4_values, f4_missing = f4
 
-    f4_missing = (
-        um is None
-        or um.cells.shape[0] == 0
-        or tx not in um.techniques
-        or ty not in um.techniques
-    )
-    if f4_missing:
-        f4 = np.zeros(9 + 9 * bins, dtype=np.float64)
-    else:
-        f4 = apriori_features(um, pair, bins=bins)
-
-    values = np.concatenate([default, f1, f2, f3, f4])
+    values = np.concatenate([default, f1, f2, f3, f4_values])
     assert values.shape[0] == layout.total
     return PairFeatureVector(
         report_id=report.report_id,
@@ -95,7 +119,7 @@ def build_feature_vector(
         ty=ty,
         values=values,
         layout_version=layout.version,
-        f4_missing=bool(f4_missing),
+        f4_missing=f4_missing,
     )
 
 
@@ -108,12 +132,21 @@ def build_report_features(
     lexicon: MarkerLexicon = DEFAULT_LEXICON,
     bins: int = 10,
     layout: FeatureLayout | None = None,
+    f4: dict[tuple[str, str], tuple[np.ndarray, bool]] | None = None,
 ) -> list[PairFeatureVector]:
-    """Vectors for every ordered pair in the universe, sharing one coref
-    pass over the report."""
+    """Vectors for every ordered pair in the universe.
+
+    The report's coref links and marker table are built once and shared
+    by every pair. `f4` takes an `f4_table` covering the universe, so a
+    corpus computes it once; None builds one here.
+    """
     if layout is None:
         layout = FeatureLayout(bins=bins)
+    pairs = list(universe)
+    if f4 is None:
+        f4 = f4_table(um, pairs, bins)
     links = coref_links(report)
+    markers = marker_table(report, lexicon)
     return [
         build_feature_vector(
             report,
@@ -125,8 +158,10 @@ def build_report_features(
             bins=bins,
             links=links,
             layout=layout,
+            markers=markers,
+            f4=f4[pair],
         )
-        for pair in universe
+        for pair in pairs
     ]
 
 

@@ -55,8 +55,13 @@ def _noun_like(token: str) -> bool:
     )
 
 
-def _plural_match(a: str, b: str) -> bool:
-    return a == b or a == b + "s" or b == a + "s"
+def _plural_forms(word: str) -> set[str]:
+    """Every word that matches `word` plural-insensitively: itself, with
+    an added "s", and without its final "s"."""
+    forms = {word, word + "s"}
+    if word.endswith("s"):
+        forms.add(word[:-1])
+    return forms
 
 
 def _multiset_jaccard(a, b) -> float:
@@ -93,9 +98,7 @@ def classify_discourse(s1: Sentence, s2: Sentence, coref: bool) -> DiscourseRela
     for p, tok in enumerate(s2.tokens):
         if tok in DEMONSTRATIVES:
             for cand in s2.tokens[p + 1 : p + 3]:
-                if _noun_like(cand) and any(
-                    _plural_match(cand, other) for other in s1_tokens
-                ):
+                if _noun_like(cand) and not _plural_forms(cand).isdisjoint(s1_tokens):
                     return DiscourseRelation.ELABORATION
 
     return DiscourseRelation.MISC
@@ -117,7 +120,11 @@ def coref_links(report: Report) -> frozenset[tuple[int, int]]:
     """
     sentences = report.sentences
     links: set[tuple[int, int]] = set()
+    # Built once per sentence: whether it holds a noun-like token (rule a)
+    # and its set of raw words (rule b).
+    has_noun = [any(_noun_like(t) for t in s.tokens) for s in sentences]
     raw_cache = [_raw_words(s) for s in sentences]
+    word_sets = [set(words) for words in raw_cache]
 
     for j in range(1, len(sentences)):
         window = range(max(0, j - COREF_WINDOW), j)
@@ -125,21 +132,17 @@ def coref_links(report: Report) -> frozenset[tuple[int, int]]:
 
         if any(t in PRONOUNS for t in sj.tokens[:4]):
             for i in reversed(window):
-                if any(_noun_like(t) for t in sentences[i].tokens):
+                if has_noun[i]:
                     links.add((i, j))
                     break
 
-        heads = [
-            nxt
-            for word, nxt in zip(raw_cache[j], raw_cache[j][1:])
-            if word in ("the", "this") and _noun_like(nxt)
-        ]
-        if heads:
+        wanted: set[str] = set()
+        for word, nxt in zip(raw_cache[j], raw_cache[j][1:]):
+            if word in ("the", "this") and _noun_like(nxt):
+                wanted |= _plural_forms(nxt)
+        if wanted:
             for i in window:
-                words_i = raw_cache[i]
-                if any(
-                    _plural_match(head, w) for head in heads for w in words_i
-                ):
+                if not wanted.isdisjoint(word_sets[i]):
                     links.add((i, j))
 
     return frozenset(links)

@@ -16,6 +16,7 @@ Slot enumeration (F1, offsets within the family):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,19 +45,25 @@ class MarkerLexicon:
     overlap_markers: frozenset[str] = OVERLAP_MARKERS
     concurrent_markers: frozenset[str] = CONCURRENT_MARKERS
 
-    @property
+    @cached_property
     def all_markers(self) -> frozenset[str]:
         return self.before_markers | self.overlap_markers | self.concurrent_markers
 
+    @cached_property
+    def relation_index(self) -> dict[str, int]:
+        """Marker token -> relation class. A token listed in several
+        classes maps to the first of before, overlap, concurrent."""
+        index: dict[str, int] = {}
+        for rel, markers in enumerate(
+            (self.before_markers, self.overlap_markers, self.concurrent_markers)
+        ):
+            for token in markers:
+                index.setdefault(token, rel)
+        return index
+
     def relation_of(self, token: str) -> int | None:
         """0 = before, 1 = overlap, 2 = concurrent, None = not a marker."""
-        if token in self.before_markers:
-            return 0
-        if token in self.overlap_markers:
-            return 1
-        if token in self.concurrent_markers:
-            return 2
-        return None
+        return self.relation_index.get(token)
 
 
 DEFAULT_LEXICON = MarkerLexicon()
@@ -64,14 +71,32 @@ DEFAULT_LEXICON = MarkerLexicon()
 F1_SIZE = 20
 
 
+def _counts(tokens, index: dict[str, int]) -> list[int]:
+    counts = [0, 0, 0]
+    for tok in tokens:
+        rel = index.get(tok)
+        if rel is not None:
+            counts[rel] += 1
+    return counts
+
+
 def count_markers(tokens, lexicon: MarkerLexicon = DEFAULT_LEXICON) -> np.ndarray:
     """Per-relation marker occurrence counts (before, overlap, concurrent)."""
-    out = np.zeros(3, dtype=np.float64)
-    for tok in tokens:
-        rel = lexicon.relation_of(tok)
-        if rel is not None:
-            out[rel] += 1
-    return out
+    return np.array(_counts(tokens, lexicon.relation_index), dtype=np.float64)
+
+
+def marker_table(
+    report: Report, lexicon: MarkerLexicon = DEFAULT_LEXICON
+) -> np.ndarray:
+    """``(n_sentences, 3)`` marker counts, one row per sentence index.
+
+    Built once per report and shared by every pair's `marker_features`.
+    """
+    index = lexicon.relation_index
+    table = np.zeros((len(report.sentences), 3), dtype=np.float64)
+    for sent in report.sentences:
+        table[sent.index] = _counts(sent.tokens, index)
+    return table
 
 
 def marker_features(
@@ -79,7 +104,14 @@ def marker_features(
     tx_sentences,
     ty_sentences,
     lexicon: MarkerLexicon = DEFAULT_LEXICON,
+    table: np.ndarray | None = None,
 ) -> np.ndarray:
+    """The 20 F1 slots for one pair's sentence sets.
+
+    `table` takes the report's precomputed `marker_table`; None builds it
+    here. The sums add integer-valued counts, so their order does not
+    change a bit of the result.
+    """
     tx = sorted(set(tx_sentences))
     ty = sorted(set(ty_sentences))
     n = len(report.sentences)
@@ -87,9 +119,7 @@ def marker_features(
         if not 0 <= idx < n:
             raise ValueError(f"sentence index {idx} outside report of {n} sentences")
 
-    per_sentence = np.zeros((n, 3), dtype=np.float64)
-    for sent in report.sentences:
-        per_sentence[sent.index] = count_markers(sent.tokens, lexicon)
+    per_sentence = marker_table(report, lexicon) if table is None else table
 
     out = np.zeros(F1_SIZE, dtype=np.float64)
     if tx:
@@ -105,18 +135,10 @@ def marker_features(
         lo, hi = min(lo, hi), max(lo, hi)
         out[6:9] = per_sentence[lo : hi + 1].sum(axis=0)
 
-        tx_min, tx_max = tx[0], tx[-1]
-        ty_min, ty_max = ty[0], ty[-1]
-        for k in range(n):
-            counts = per_sentence[k]
-            if not counts.any():
-                continue
-            if tx_min < k <= ty_max:
-                for rel in range(3):
-                    out[9 + 2 * rel] += counts[rel]
-            if ty_min < k <= tx_max:
-                for rel in range(3):
-                    out[10 + 2 * rel] += counts[rel]
+        # Sentence k counts tx-first when tx_min < k <= ty_max, ty-first
+        # when ty_min < k <= tx_max; an empty range sums to zeros.
+        out[9:15:2] = per_sentence[tx[0] + 1 : ty[-1] + 1].sum(axis=0)
+        out[10:15:2] = per_sentence[ty[0] + 1 : tx[-1] + 1].sum(axis=0)
 
     if tx:
         out[15] = per_sentence[tx].sum() / len(tx)

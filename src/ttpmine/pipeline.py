@@ -52,6 +52,7 @@ from .embeddings import WordVectors, load_word_vectors
 from .features import FeatureLayout, PairFeatureVector
 from .features.builder import (
     build_report_features,
+    f4_table,
     read_features_csv,
     write_features_csv,
 )
@@ -312,6 +313,14 @@ def load_ctfidf_model(path: str) -> CtfidfModel:
 # ---------------------------------------------------------------------------
 
 
+def _classify(
+    model: CtfidfModel, reports: Sequence[Report], threshold: float, workers: int | None
+) -> list[ReportPrediction]:
+    return _map_reports(
+        reports, lambda r: predict_report(model, r, threshold=threshold), workers
+    )
+
+
 def stage_classify(
     model: CtfidfModel,
     reports: Sequence[Report],
@@ -323,9 +332,7 @@ def stage_classify(
 ) -> list[ReportPrediction]:
     """Run the sentence classifier over every report and write JSONL."""
     ordered = sorted(reports, key=lambda r: r.report_id)
-    predictions = _map_reports(
-        ordered, lambda r: predict_report(model, r, threshold=threshold), workers
-    )
+    predictions = _classify(model, ordered, threshold, workers)
     meta = make_meta("classify", config_hash)
     meta["threshold"] = threshold
     write_jsonl(out_path, meta, (report_prediction_to_dict(p) for p in predictions))
@@ -346,6 +353,7 @@ def stage_features(
     reports: Sequence[Report],
     out_path: str,
     *,
+    predictions: Sequence[ReportPrediction] | None = None,
     vectors: WordVectors | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     bins: int = 10,
@@ -354,17 +362,42 @@ def stage_features(
 ) -> list[PairFeatureVector]:
     """Extract pair feature vectors for every report and write CSV.
 
+    ``predictions`` takes the classify stage's output, one per report;
+    None classifies the reports here. The f4 slots are computed once per
+    pair of the universe, not once per row.
+
     A sidecar ``<out>.layout.json`` records the layout descriptor so
     later stages can validate compatibility.
     """
     layout = FeatureLayout(bins=bins)
     universe = pair_universe(model.class_ids)
+    f4 = f4_table(usage, universe, bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
+    if predictions is None:
+        predictions = _classify(model, ordered, threshold, workers)
+    by_id = {p.report_id: p for p in predictions}
+    for report in ordered:
+        prediction = by_id.get(report.report_id)
+        if prediction is None:
+            raise PipelineError(
+                f"features: no classifier prediction for {report.report_id!r}"
+            )
+        if prediction.threshold != threshold:
+            raise PipelineError(
+                f"features: prediction for report {report.report_id!r} used "
+                f"threshold {prediction.threshold}, not {threshold}"
+            )
 
     def one(report: Report) -> list[PairFeatureVector]:
-        prediction = predict_report(model, report, threshold=threshold)
         return build_report_features(
-            report, prediction, universe, usage, vectors, bins=bins, layout=layout
+            report,
+            by_id[report.report_id],
+            universe,
+            usage,
+            vectors,
+            bins=bins,
+            layout=layout,
+            f4=f4,
         )
 
     per_report = _map_reports(ordered, one, workers)
@@ -544,7 +577,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         raise PipelineError(f"run: no reports found under {config.reports}")
 
     classify_path = os.path.join(out_dir, "classify.jsonl")
-    stage_classify(
+    report_predictions = stage_classify(
         model,
         reports,
         classify_path,
@@ -563,6 +596,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         usage,
         reports,
         features_path,
+        predictions=report_predictions,
         vectors=vectors,
         threshold=config.threshold,
         bins=config.bins,

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from ttpmine.features.discourse import COREF_WINDOW, PRONOUNS, _noun_like, _raw_words
+from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
 from ttpmine.gbdt.ensemble import _sigmoid
 from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
 from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
@@ -273,3 +275,108 @@ def exact_tree_oracle(X, residuals, hessians, max_depth: int) -> dict:
         }
 
     return build(list(range(X.shape[0])), 0)
+
+
+def _count_markers_oracle(tokens, lexicon) -> np.ndarray:
+    out = np.zeros(3, dtype=np.float64)
+    for tok in tokens:
+        if tok in lexicon.before_markers:
+            out[0] += 1
+        elif tok in lexicon.overlap_markers:
+            out[1] += 1
+        elif tok in lexicon.concurrent_markers:
+            out[2] += 1
+    return out
+
+
+def marker_features_oracle(report, tx_sentences, ty_sentences, lexicon=DEFAULT_LEXICON):
+    """The 20 F1 slots by recounting every sentence's markers for the
+    pair, then walking every sentence for the directional slots 9-14."""
+    tx = sorted(set(tx_sentences))
+    ty = sorted(set(ty_sentences))
+    n = len(report.sentences)
+    for idx in (*tx, *ty):
+        if not 0 <= idx < n:
+            raise ValueError(f"sentence index {idx} outside report of {n} sentences")
+
+    per_sentence = np.zeros((n, 3), dtype=np.float64)
+    for sent in report.sentences:
+        per_sentence[sent.index] = _count_markers_oracle(sent.tokens, lexicon)
+
+    out = np.zeros(F1_SIZE, dtype=np.float64)
+    if tx:
+        out[0:3] = per_sentence[tx].sum(axis=0)
+    if ty:
+        out[3:6] = per_sentence[ty].sum(axis=0)
+
+    if tx and ty:
+        lo, hi = min(
+            ((i, j) for i in tx for j in ty),
+            key=lambda p: (abs(p[0] - p[1]), min(p), max(p)),
+        )
+        lo, hi = min(lo, hi), max(lo, hi)
+        out[6:9] = per_sentence[lo : hi + 1].sum(axis=0)
+
+        tx_min, tx_max = tx[0], tx[-1]
+        ty_min, ty_max = ty[0], ty[-1]
+        for k in range(n):
+            counts = per_sentence[k]
+            if not counts.any():
+                continue
+            if tx_min < k <= ty_max:
+                for rel in range(3):
+                    out[9 + 2 * rel] += counts[rel]
+            if ty_min < k <= tx_max:
+                for rel in range(3):
+                    out[10 + 2 * rel] += counts[rel]
+
+    if tx:
+        out[15] = per_sentence[tx].sum() / len(tx)
+    if ty:
+        out[16] = per_sentence[ty].sum() / len(ty)
+
+    both = tx + ty
+    if both:
+        outer_lo, outer_hi = min(both), max(both)
+        if outer_hi - outer_lo > 1:
+            out[17:20] = per_sentence[outer_lo + 1 : outer_hi].sum(axis=0)
+    return out
+
+
+def plural_match_oracle(a: str, b: str) -> bool:
+    """Plural-insensitive equality: equal, or one is the other plus "s"."""
+    return a == b or a == b + "s" or b == a + "s"
+
+
+def coref_links_oracle(report) -> frozenset[tuple[int, int]]:
+    """Coreference links by rescanning the window for every sentence:
+    rule (a) re-tests each candidate sentence for a noun-like token, rule
+    (b) compares every head with every word of every window sentence."""
+    sentences = report.sentences
+    links: set[tuple[int, int]] = set()
+    raw_cache = [_raw_words(s) for s in sentences]
+
+    for j in range(1, len(sentences)):
+        window = range(max(0, j - COREF_WINDOW), j)
+        sj = sentences[j]
+
+        if any(t in PRONOUNS for t in sj.tokens[:4]):
+            for i in reversed(window):
+                if any(_noun_like(t) for t in sentences[i].tokens):
+                    links.add((i, j))
+                    break
+
+        heads = [
+            nxt
+            for word, nxt in zip(raw_cache[j], raw_cache[j][1:])
+            if word in ("the", "this") and _noun_like(nxt)
+        ]
+        if heads:
+            for i in window:
+                words_i = raw_cache[i]
+                if any(
+                    plural_match_oracle(head, w) for head in heads for w in words_i
+                ):
+                    links.add((i, j))
+
+    return frozenset(links)

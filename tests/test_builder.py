@@ -14,6 +14,7 @@ from ttpmine.features.apriori import apriori_features
 from ttpmine.features.builder import (
     build_feature_vector,
     build_report_features,
+    f4_table,
     features_from_csv,
     features_to_csv,
     read_features_csv,
@@ -161,6 +162,24 @@ class TestBuildReportFeatures:
             REPORT, _prediction(techniques=("T1566", "T1204")), universe, um=_um()
         )
         assert [fv.pair for fv in vectors] == universe
+
+    def test_shared_tables_match_per_pair_vectors(self):
+        # One coref pass, marker table and f4 table per report (or per
+        # corpus) must give the vectors each pair gets on its own.
+        rng = np.random.default_rng(20261018)
+        universe = [("T1204", "T1566"), ("T1566", "T1204"), ("T1566", "T9999")]
+        corpus_f4 = f4_table(_um(), universe, bins=10)
+        for case in range(12):
+            report = random_report(rng, f"r{case}", n_sentences=(3, 60))
+            pred = random_prediction(rng, report, "T1566", "T1204")
+            um = _um() if case % 3 else None
+            f4 = corpus_f4 if um is not None and case % 2 else None
+            shared = build_report_features(report, pred, universe, um=um, f4=f4)
+            for fv, pair in zip(shared, universe):
+                alone = build_feature_vector(report, pair, pred, um=um)
+                assert fv.pair == pair
+                assert fv.f4_missing == alone.f4_missing
+                assert fv.values.tobytes() == alone.values.tobytes(), (case, pair)
 
 
 class TestMirrorInvariants:

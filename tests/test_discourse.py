@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from oracles import coref_links_oracle, plural_match_oracle
 from ttpmine.corpus import make_report, segment_sentences
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
     F3_SIZE,
     DiscourseRelation,
+    _plural_forms,
     classify_discourse,
     coref_links,
     discourse_features,
@@ -141,6 +143,80 @@ class TestCorefLinks:
         )
         for i, j in coref_links(report):
             assert 0 <= i < j
+
+
+# Heads and words whose plural-insensitive matches differ: regular
+# plurals, words that end in "s" in the singular, and "ss" endings.
+_PLURAL_WORDS = (
+    "tool", "tools", "toolss", "bus", "buss", "busses", "process", "processes",
+    "proces", "class", "classes", "alias", "aliases", "news", "new", "dns",
+    "loader", "loaders", "s", "ss", "sss",
+)
+_FILLER = ("ran", "quietly", "on", "host", "it", "they", "then", "a", "of")
+
+
+def _coref_report(rng, report_id: str, n: int):
+    lines = []
+    for _ in range(n):
+        words = []
+        for _ in range(int(rng.integers(3, 9))):
+            roll = rng.random()
+            if roll < 0.2:
+                words.append(str(rng.choice(("the", "this", "The", "This"))))
+            elif roll < 0.6:
+                words.append(str(rng.choice(_PLURAL_WORDS)))
+            else:
+                words.append(str(rng.choice(_FILLER)))
+        lines.append(" ".join(words) + ".")
+    return make_report(report_id, "\n".join(lines))
+
+
+class TestCorefOracle:
+    """Set-membership coreference against the pairwise `_plural_match`
+    scan in `tests/oracles.py`."""
+
+    def test_plural_forms_match_pairwise_rule(self):
+        for a in _PLURAL_WORDS:
+            for b in _PLURAL_WORDS:
+                assert (b in _plural_forms(a)) == plural_match_oracle(a, b), (a, b)
+
+    def test_plural_heads_link(self):
+        for text in (
+            "Two tools ran.\nThe tool stopped.",
+            "One tool ran.\nThe tools stopped.",
+            "The bus ran.\nThis buss stopped.",
+            "Two buss ran.\nThe bus stopped.",
+        ):
+            report = make_report("r1", text)
+            assert coref_links(report) == coref_links_oracle(report) == {(0, 1)}, text
+        # Only a final "s" is added or dropped: "es" plurals do not match.
+        report = make_report("r1", "A process ran.\nThe processes stopped.")
+        assert coref_links(report) == coref_links_oracle(report) == frozenset()
+
+    def test_head_ending_in_s_drops_only_its_last_s(self):
+        report = make_report("r1", "The bu ran.\nThe bus stopped.")
+        assert coref_links(report) == coref_links_oracle(report) == {(0, 1)}
+        report = make_report(
+            "r1", "The processe ran.\nA proc stopped.\nThe process ended."
+        )
+        assert coref_links(report) == coref_links_oracle(report) == frozenset()
+
+    def test_random_reports_equal_link_sets(self):
+        rng = np.random.default_rng(20261018)
+        for case in range(40):
+            report = _coref_report(rng, f"c{case}", int(rng.integers(1, 40)))
+            assert coref_links(report) == coref_links_oracle(report), case
+
+    def test_long_report_equal_link_sets(self):
+        rng = np.random.default_rng(3)
+        report = _coref_report(rng, "long", 250)
+        links = coref_links(report)
+        assert len(links) > 50
+        assert links == coref_links_oracle(report)
+
+    def test_single_sentence_report_has_no_links(self):
+        report = make_report("r1", "The tools ran then it stopped.")
+        assert coref_links(report) == coref_links_oracle(report) == frozenset()
 
 
 class TestDiscourseFeatures:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import random_report
+from oracles import marker_features_oracle
 from ttpmine.corpus import make_report, tokenize
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
@@ -12,8 +14,10 @@ from ttpmine.features.markers import (
     DEFAULT_LEXICON,
     F1_SIZE,
     OVERLAP_MARKERS,
+    MarkerLexicon,
     count_markers,
     marker_features,
+    marker_table,
 )
 from ttpmine.stopwords import STOPWORDS
 
@@ -178,3 +182,102 @@ class TestMarkerFeatures:
         # Directional: sentence 1 markers count tx-first; sentence 0's
         # "during" sits at k=0 with tx_min=0, outside tx_min < k.
         assert out[9] == 1.0 and out[13] == 1.0 and out[11] == 0.0
+
+
+def _sample(rng, indices, max_size: int = 6) -> list[int]:
+    indices = list(indices)
+    size = int(rng.integers(0, min(max_size, len(indices)) + 1))
+    return sorted(int(i) for i in rng.choice(indices, size=size, replace=False))
+
+
+def _assert_matches_oracle(report, tx, ty, lexicon=DEFAULT_LEXICON):
+    want = marker_features_oracle(report, tx, ty, lexicon)
+    got = marker_features(report, tx, ty, lexicon)
+    table = marker_table(report, lexicon)
+    shared = marker_features(report, tx, ty, lexicon, table=table)
+    assert got.tobytes() == want.tobytes(), (report.report_id, tx, ty)
+    assert shared.tobytes() == want.tobytes(), (report.report_id, tx, ty)
+
+
+class TestMarkerTableOracle:
+    """The shared per-report table and slice sums against the per-pair
+    recount in `tests/oracles.py`, bit for bit."""
+
+    def test_marker_table_rows(self):
+        report = make_report(
+            "r1", "Then X ran during setup.\nY ran.\nLater Z ran then."
+        )
+        assert marker_table(report).tolist() == [
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0],
+            [2.0, 0.0, 0.0],
+        ]
+
+    def test_long_reports_random_sets(self):
+        rng = np.random.default_rng(20261018)
+        for case in range(12):
+            report = random_report(rng, f"long{case}", n_sentences=(200, 300))
+            n = len(report.sentences)
+            assert marker_table(report).any()
+            for _ in range(10):
+                tx, ty = _sample(rng, range(n)), _sample(rng, range(n))
+                _assert_matches_oracle(report, tx, ty)
+
+    def test_ordered_overlapping_identical_and_empty_sets(self):
+        rng = np.random.default_rng(7)
+        for case in range(20):
+            report = random_report(rng, f"r{case}", n_sentences=(6, 40))
+            n = len(report.sentences)
+            half = n // 2
+            early = _sample(rng, range(half)) or [0]
+            late = _sample(rng, range(half, n)) or [n - 1]
+            shared = _sample(rng, range(n)) or [half]
+            mixed = sorted(set(shared) | set(_sample(rng, range(n))))
+            for tx, ty in (
+                (late, early),  # tx after ty
+                (early, late),
+                (shared, mixed),  # overlapping
+                (mixed, shared),
+                (shared, shared),  # identical
+                ([], shared),
+                (shared, []),
+                ([], []),
+            ):
+                _assert_matches_oracle(report, tx, ty)
+
+    def test_adjacent_and_same_sentence_extremes(self):
+        rng = np.random.default_rng(11)
+        report = random_report(rng, "edges", n_sentences=(30, 30))
+        n = len(report.sentences)
+        for tx, ty in (
+            ([0], [n - 1]),
+            ([n - 1], [0]),
+            ([0], [1]),
+            ([1], [0]),
+            ([0, n - 1], [1, n - 2]),
+            ([5], [5]),
+            (list(range(n)), list(range(n))),
+        ):
+            _assert_matches_oracle(report, tx, ty)
+
+    def test_single_sentence_reports(self):
+        for text in ("Then X ran during setup.", "X ran.", "Later then later."):
+            report = make_report("one", text)
+            assert len(report.sentences) == 1
+            for tx, ty in (([0], [0]), ([0], []), ([], [0]), ([], [])):
+                _assert_matches_oracle(report, tx, ty)
+
+    def test_overlapping_lexicon_keeps_class_priority(self):
+        lexicon = MarkerLexicon(
+            before_markers=frozenset({"then", "during"}),
+            overlap_markers=frozenset({"during", "while"}),
+            concurrent_markers=frozenset({"while", "jointly"}),
+        )
+        assert lexicon.relation_of("during") == 0
+        assert lexicon.relation_of("while") == 1
+        rng = np.random.default_rng(5)
+        for case in range(10):
+            report = random_report(rng, f"lex{case}", n_sentences=(10, 30))
+            n = len(report.sentences)
+            tx, ty = _sample(rng, range(n)), _sample(rng, range(n))
+            _assert_matches_oracle(report, tx, ty, lexicon)

@@ -11,21 +11,25 @@ import sys
 import pytest
 
 from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict
-from ttpmine import __version__
-from ttpmine.corpus import load_annotations
+from ttpmine import __version__, pipeline
+from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
+from ttpmine.ctfidf import predict_report
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
     PipelineError,
     labels_for_rows,
+    load_ctfidf_model,
     load_features,
     load_kb_catalog,
+    load_kb_usage,
     load_relation_model,
     load_relation_predictions,
     read_jsonl,
     run_pipeline,
+    stage_features,
     stage_predict,
 )
 
@@ -140,6 +144,57 @@ class TestRunPipeline:
         assert PipelineConfig.from_dict(data).config_hash() == config.config_hash()
         data["min_support"] = 3
         assert PipelineConfig.from_dict(data).config_hash() != config.config_hash()
+
+
+class TestClassifyOnce:
+    def test_run_pipeline_classifies_each_report_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(model, report, **kwargs):
+            calls.append(report.report_id)
+            return predict_report(model, report, **kwargs)
+
+        monkeypatch.setattr(pipeline, "predict_report", counting)
+        summary = run_pipeline(PipelineConfig.from_dict(e2e_config_dict(tmp_path)))
+        assert len(calls) == summary["n_reports"]
+        assert len(set(calls)) == summary["n_reports"]
+
+    def test_features_from_classify_stage_match_standalone(
+        self, pipeline_out, tmp_path
+    ):
+        # The features stage given the classify stage's predictions writes
+        # the same bytes as the features stage classifying on its own.
+        summary, out_dir, config = pipeline_out
+        kb = out_dir / "kb"
+        out = tmp_path / "features.csv"
+        stage_features(
+            load_ctfidf_model(str(kb / "ctfidf.json")),
+            load_kb_usage(str(kb)),
+            load_reports(REPORTS),
+            str(out),
+            threshold=config.threshold,
+            bins=config.bins,
+            config_hash=summary["config_hash"],
+        )
+        assert out.read_bytes() == (out_dir / "features.csv").read_bytes()
+        assert (tmp_path / "features.csv.layout.json").read_bytes() == (
+            out_dir / "features.csv.layout.json"
+        ).read_bytes()
+
+    def test_features_rejects_predictions_that_do_not_fit(self, pipeline_out, tmp_path):
+        _, out_dir, _ = pipeline_out
+        kb = out_dir / "kb"
+        model = load_ctfidf_model(str(kb / "ctfidf.json"))
+        usage = load_kb_usage(str(kb))
+        reports = load_reports(REPORTS)
+        predictions = [predict_report(model, r, threshold=0.95) for r in reports]
+        out = str(tmp_path / "features.csv")
+        with pytest.raises(PipelineError, match="no classifier prediction for 'r01'"):
+            stage_features(model, usage, reports, out, predictions=predictions[1:])
+        with pytest.raises(PipelineError, match="threshold 0.95, not 0.9"):
+            stage_features(
+                model, usage, reports, out, predictions=predictions, threshold=0.9
+            )
 
 
 @pytest.fixture(scope="module")
