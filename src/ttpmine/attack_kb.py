@@ -321,7 +321,7 @@ def usage_to_dict(matrix: UsageMatrix) -> dict:
         "format_version": CATALOG_FORMAT_VERSION,
         "actors": list(matrix.actors),
         "techniques": list(matrix.techniques),
-        "cells": matrix.cells.astype(int).tolist(),
+        "cells": matrix.cells.tolist(),
         "skipped_unknown": matrix.skipped_unknown,
     }
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -100,35 +101,43 @@ def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
     )
 
 
-def _raw_scores(model: CtfidfModel, tokens) -> np.ndarray:
-    x = np.zeros(len(model.vocab), dtype=np.float64)
-    for tok in tokens:
-        j = model.vocab.get(tok)
-        if j is not None:
-            x[j] += 1.0
-    xn = np.linalg.norm(x)
-    if xn == 0.0:
-        return np.zeros(len(model.class_ids), dtype=np.float64)
-    dots = model.class_vectors @ x
-    denom = model._row_norms * xn
-    out = np.zeros_like(dots)
-    np.divide(dots, denom, out=out, where=denom > 0)
-    return out
+def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
+    """Max-normalized cosine scores of each token sequence against each
+    class, as a ``(len(token_lists), classes)`` matrix.
 
-
-def _normalize(raw: np.ndarray) -> np.ndarray:
-    top = raw.max() if raw.size else 0.0
-    if top <= 0.0:
-        return np.zeros_like(raw)
-    return raw / top
+    The term counts only span the columns of the vocabulary that occur in
+    `token_lists`, in vocabulary order, so one matrix product scores every
+    list. Counts are integers, so each row's sum of squares, and hence its
+    norm, is exact. A row with no in-vocabulary token, or whose maximum
+    cosine is not positive, is all zeros.
+    """
+    n_rows = len(token_lists)
+    scores = np.zeros((n_rows, len(model.class_ids)), dtype=np.float64)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_rows)
+    ids = np.fromiter(
+        map(model.vocab.get, chain.from_iterable(token_lists), repeat(-1)),
+        dtype=np.intp,
+        count=int(lengths.sum()),
+    )
+    known = ids >= 0
+    if not known.any() or not model.class_ids:
+        return scores
+    cols, term = np.unique(ids[known], return_inverse=True)
+    rows = np.repeat(np.arange(n_rows), lengths)[known]
+    counts = np.bincount(rows * cols.size + term, minlength=n_rows * cols.size)
+    counts = counts.reshape(n_rows, cols.size).astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+    dots = counts @ model.class_vectors[:, cols].T
+    denom = norms[:, None] * model._row_norms[None, :]
+    np.divide(dots, denom, out=scores, where=denom > 0)
+    top = scores.max(axis=1, keepdims=True)
+    return np.divide(scores, top, out=np.zeros_like(scores), where=top > 0)
 
 
 def predict_sentence(model: CtfidfModel, sentence_tokens) -> SentencePrediction:
     """Max-normalized cosine scores per class; all zeros when nothing matches."""
-    scores = _normalize(_raw_scores(model, sentence_tokens))
-    return SentencePrediction(
-        scores={cid: float(s) for cid, s in zip(model.class_ids, scores)}
-    )
+    scores = score_sentences(model, [list(sentence_tokens)])[0]
+    return SentencePrediction(scores=dict(zip(model.class_ids, scores.tolist())))
 
 
 def predict_report(
@@ -139,28 +148,20 @@ def predict_report(
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
-    n_sent = len(report.sentences)
-    matrix = np.zeros((n_sent, len(model.class_ids)), dtype=np.float64)
-    for i, sentence in enumerate(report.sentences):
-        matrix[i] = _normalize(_raw_scores(model, sentence.tokens))
-
-    top_scores: dict[str, tuple[float, ...]] = {}
-    hit_sentences: dict[str, tuple[int, ...]] = {}
-    detected = []
-    for k, cid in enumerate(model.class_ids):
-        col = matrix[:, k]
-        best = np.sort(col)[::-1][:TOP_K_SCORES]
-        padded = np.zeros(TOP_K_SCORES, dtype=np.float64)
-        padded[: best.size] = best
-        top_scores[cid] = tuple(float(v) for v in padded)
-        hits = tuple(int(i) for i in np.nonzero(col >= threshold)[0])
-        if hits:
-            detected.append(cid)
-            hit_sentences[cid] = hits
+    matrix = score_sentences(model, [s.tokens for s in report.sentences])
+    top = np.zeros((TOP_K_SCORES, len(model.class_ids)), dtype=np.float64)
+    best = np.sort(matrix, axis=0)[::-1][:TOP_K_SCORES]
+    top[: best.shape[0]] = best
+    top_scores = {cid: tuple(col) for cid, col in zip(model.class_ids, top.T.tolist())}
+    hit = matrix >= threshold
+    hit_sentences = {
+        model.class_ids[k]: tuple(np.flatnonzero(hit[:, k]).tolist())
+        for k in np.flatnonzero(hit.any(axis=0))
+    }
     return ReportPrediction(
         report_id=report.report_id,
         threshold=threshold,
-        techniques=frozenset(detected),
+        techniques=frozenset(hit_sentences),
         top_scores=top_scores,
         hit_sentences=hit_sentences,
     )

@@ -160,8 +160,11 @@ def discourse_features(report: Report, tx_sentences, ty_sentences, links) -> np.
         return (i in tx and j in ty) or (i in ty and j in tx)
 
     link_set = set(links)
-    for k in range(len(report.sentences) - 1):
-        if straddles(k, k + 1):
+    # Both sentences of a straddling pair (k, k+1) are in tx or ty, so
+    # only the pairs starting at one of those sentences need testing.
+    last = len(report.sentences) - 1
+    for k in sorted(tx | ty):
+        if 0 <= k < last and straddles(k, k + 1):
             rel = classify_discourse(
                 report.sentences[k], report.sentences[k + 1], (k, k + 1) in link_set
             )

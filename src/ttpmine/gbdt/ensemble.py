@@ -191,7 +191,7 @@ def train(
         raise GbdtTrainingError(f"mixed layout versions: {sorted(versions)}")
     layout_version = versions.pop()
 
-    X = np.vstack([fv.values for fv in features]).astype(np.float64)
+    X = np.vstack([fv.values for fv in features], dtype=np.float64)
     _validate_features(X)
 
     if feature_groups is not None:

@@ -161,6 +161,9 @@ def fit_tree(
             # to the left value so the partition matches the bins.
             threshold = a
         mask = node_codes[:, feat] <= best
+        # The node's (rows, columns) codes are the largest temporary; free
+        # them before the children allocate their own.
+        del node_codes, flat
         return {
             "feature": feat,
             "threshold": threshold,

@@ -65,6 +65,8 @@ from .mining import CategoryMap, categorize, export, load_category_map, mine
 logger = logging.getLogger(__name__)
 
 _JSON_KW = {"sort_keys": True, "separators": (",", ":")}
+# `json.dumps(value, **_JSON_KW)` without building an encoder per call.
+_encode = json.JSONEncoder(**_JSON_KW).encode
 
 
 class PipelineError(Exception):
@@ -152,8 +154,38 @@ def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -
 
 def write_json(path: str, payload: Mapping) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, **_JSON_KW)
+        _stream_json(fh, payload)
         fh.write("\n")
+
+
+def _stream_json(fh, value) -> None:
+    """Write the bytes of ``json.dumps(value, **_JSON_KW)``, a piece at a time.
+
+    ``json.dump`` always runs the pure-Python encoder, and one
+    ``json.dumps`` of a large payload holds the whole text in memory.
+    Instead, dicts are written key by key in sorted order and lists whose
+    first item is a container item by item; every other value goes through
+    the C encoder in one call. A dict with a non-``str`` key is encoded
+    whole, because the encoder sorts such keys before converting them.
+    """
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        sep = "{"
+        for key in sorted(value):
+            fh.write(sep + _encode(key) + ":")
+            _stream_json(fh, value[key])
+            sep = ","
+        fh.write("}")
+    elif isinstance(value, (list, tuple)) and value and isinstance(
+        value[0], (dict, list, tuple)
+    ):
+        sep = "["
+        for item in value:
+            fh.write(sep)
+            _stream_json(fh, item)
+            sep = ","
+        fh.write("]")
+    else:
+        fh.write(_encode(value))
 
 
 def read_json(path: str, what: str) -> dict:

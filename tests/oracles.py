@@ -11,7 +11,16 @@ import math
 
 import numpy as np
 
-from ttpmine.features.discourse import COREF_WINDOW, PRONOUNS, _noun_like, _raw_words
+from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
+from ttpmine.features.discourse import (
+    COREF_WINDOW,
+    DISCOURSE_ORDER,
+    F3_SIZE,
+    PRONOUNS,
+    _noun_like,
+    _raw_words,
+    classify_discourse,
+)
 from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
 from ttpmine.gbdt.ensemble import _sigmoid
 from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
@@ -380,3 +389,78 @@ def coref_links_oracle(report) -> frozenset[tuple[int, int]]:
                     links.add((i, j))
 
     return frozenset(links)
+
+
+def _sentence_scores_oracle(model, class_norms, tokens) -> np.ndarray:
+    """One sentence's max-normalized cosines from a dense vocabulary-length
+    count vector; all zeros when it has no in-vocabulary token."""
+    x = np.zeros(len(model.vocab), dtype=np.float64)
+    for tok in tokens:
+        j = model.vocab.get(tok)
+        if j is not None:
+            x[j] += 1.0
+    xn = np.linalg.norm(x)
+    if xn == 0.0:
+        return np.zeros(len(model.class_ids), dtype=np.float64)
+    dots = model.class_vectors @ x
+    denom = class_norms * xn
+    raw = np.zeros_like(dots)
+    np.divide(dots, denom, out=raw, where=denom > 0)
+    top = raw.max() if raw.size else 0.0
+    if top <= 0.0:
+        return np.zeros_like(raw)
+    return raw / top
+
+
+def predict_report_oracle(model, report, threshold) -> tuple[np.ndarray, ReportPrediction]:
+    """Sentence-at-a-time scoring and per-class aggregation.
+
+    Returns the ``(sentences, classes)`` score matrix and the prediction
+    built from it column by column.
+    """
+    class_norms = np.linalg.norm(model.class_vectors, axis=1)
+    matrix = np.zeros((len(report.sentences), len(model.class_ids)), dtype=np.float64)
+    for i, sentence in enumerate(report.sentences):
+        matrix[i] = _sentence_scores_oracle(model, class_norms, sentence.tokens)
+
+    top_scores = {}
+    hit_sentences = {}
+    for k, cid in enumerate(model.class_ids):
+        col = matrix[:, k]
+        best = sorted(col.tolist(), reverse=True)[:TOP_K_SCORES]
+        top_scores[cid] = tuple(best + [0.0] * (TOP_K_SCORES - len(best)))
+        hits = tuple(i for i, v in enumerate(col.tolist()) if v >= threshold)
+        if hits:
+            hit_sentences[cid] = hits
+    prediction = ReportPrediction(
+        report_id=report.report_id,
+        threshold=threshold,
+        techniques=frozenset(hit_sentences),
+        top_scores=top_scores,
+        hit_sentences=hit_sentences,
+    )
+    return matrix, prediction
+
+
+def discourse_features_oracle(report, tx_sentences, ty_sentences, links) -> np.ndarray:
+    """F3 from a walk over every adjacent sentence pair of the report and
+    every coreference link, keeping those that straddle tx and ty."""
+    tx = set(tx_sentences)
+    ty = set(ty_sentences)
+    slot = {rel: k for k, rel in enumerate(DISCOURSE_ORDER)}
+    out = np.zeros(F3_SIZE, dtype=np.float64)
+
+    def straddles(i: int, j: int) -> bool:
+        return (i in tx and j in ty) or (i in ty and j in tx)
+
+    for k in range(len(report.sentences) - 1):
+        if straddles(k, k + 1):
+            rel = classify_discourse(
+                report.sentences[k], report.sentences[k + 1], (k, k + 1) in links
+            )
+            out[slot[rel]] += 1
+    for i, j in links:
+        if straddles(i, j):
+            rel = classify_discourse(report.sentences[i], report.sentences[j], True)
+            out[5 + slot[rel]] += 1
+    return out

@@ -8,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import E2E_DIR
+from oracles import predict_report_oracle
 from ttpmine.attack_kb import ActionDataset
-from ttpmine.corpus import make_report
+from ttpmine.corpus import load_reports, make_report
 from ttpmine.ctfidf import (
     DEFAULT_THRESHOLD,
     TOP_K_SCORES,
@@ -21,8 +23,10 @@ from ttpmine.ctfidf import (
     predict_report,
     predict_sentence,
     save_model,
+    score_sentences,
     train_ctfidf,
 )
+from ttpmine.pipeline import stage_kb
 
 
 def _dataset(examples):
@@ -233,3 +237,164 @@ class TestSerialization:
         again = model_from_dict(model_to_dict(model))
         assert np.array_equal(again.class_vectors, model.class_vectors)
         assert again.avg_tokens_per_class == model.avg_tokens_per_class
+
+
+def _assert_bit_equal(model, report, threshold=DEFAULT_THRESHOLD):
+    """The batched scores equal the sentence-at-a-time oracle bit for bit,
+    and so does the prediction built from them."""
+    expected_matrix, expected = predict_report_oracle(model, report, threshold)
+    matrix = score_sentences(model, [s.tokens for s in report.sentences])
+    assert matrix.shape == expected_matrix.shape
+    assert matrix.tobytes() == expected_matrix.tobytes(), report.report_id
+    assert predict_report(model, report, threshold) == expected
+    return expected
+
+
+_SMALL_WORDS = tuple(f"w{j}" for j in range(24))
+_OOV_WORDS = ("zzq", "qqz", "xxv")
+
+
+def _dyadic_model(rng, n_classes=6):
+    """Sparse class weights that are multiples of 1/8 below 4, so every
+    product and partial sum of a dot product is exact: whatever order a
+    BLAS kernel adds the terms in, the cosines come out bit for bit the
+    same, and bit-equality checks the batching rather than the order."""
+    weights = rng.integers(1, 32, size=(n_classes, len(_SMALL_WORDS))) / 8.0
+    weights[rng.random(weights.shape) < 0.6] = 0.0
+    weights[np.arange(n_classes), rng.integers(0, len(_SMALL_WORDS), n_classes)] = 1.0
+    return CtfidfModel(
+        vocab={w: j for j, w in enumerate(_SMALL_WORDS)},
+        class_ids=tuple(f"T{k:02d}" for k in range(n_classes)),
+        class_vectors=weights,
+        avg_tokens_per_class=4.0,
+    )
+
+
+def _trained_small_model(rng, n_classes=6):
+    examples = []
+    for k in range(n_classes):
+        for _ in range(int(rng.integers(2, 5))):
+            words = rng.choice(_SMALL_WORDS, size=int(rng.integers(2, 7)))
+            examples.append((" ".join(str(w) for w in words), {f"T{k:02d}"}))
+    return train_ctfidf(_dataset(examples))
+
+
+def _assert_within_rounding(model, report):
+    """Scores within 1e-12 of the oracle; the same detections unless some
+    score lies within 1e-9 of the threshold. Returns whether the
+    detections were compared."""
+    expected_matrix, expected = predict_report_oracle(model, report, DEFAULT_THRESHOLD)
+    matrix = score_sentences(model, [s.tokens for s in report.sentences])
+    assert matrix.shape == expected_matrix.shape
+    if not matrix.size:
+        return False
+    assert np.abs(matrix - expected_matrix).max() <= 1e-12, report.report_id
+    if np.abs(expected_matrix - DEFAULT_THRESHOLD).min() < 1e-9:
+        return False
+    prediction = predict_report(model, report)
+    assert prediction.techniques == expected.techniques
+    assert prediction.hit_sentences == expected.hit_sentences
+    return True
+
+
+def _random_text(rng, words, n_sentences, oov_rate=0.2):
+    lines = []
+    for _ in range(n_sentences):
+        picked = [
+            str(rng.choice(_OOV_WORDS if rng.random() < oov_rate else words))
+            for _ in range(int(rng.integers(1, 12)))
+        ]
+        lines.append(" ".join(picked) + ".")
+    return "\n".join(lines)
+
+
+class TestBatchScoringOracle:
+    """Whole-report scoring against `predict_report_oracle`, which scores
+    one sentence at a time from a dense vocabulary-length vector."""
+
+    def test_e2e_fixture_bit_equal(self, tmp_path):
+        model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(tmp_path))
+        reports = load_reports(E2E_DIR / "reports")
+        detected = set()
+        for report in reports:
+            detected |= _assert_bit_equal(model, report).techniques
+        assert detected
+
+    def test_seeded_small_vocabulary_reports_bit_equal(self):
+        rng = np.random.default_rng(20261018)
+        hits = 0
+        for case in range(30):
+            model = _dyadic_model(rng)
+            report = make_report(
+                f"s{case}",
+                _random_text(rng, _SMALL_WORDS, int(rng.integers(1, 60)), oov_rate=0.3),
+            )
+            for threshold in (0.5, DEFAULT_THRESHOLD, 1.0):
+                hits += len(_assert_bit_equal(model, report, threshold).techniques)
+        assert hits > 0
+
+    def test_trained_small_models_within_rounding(self):
+        # Trained weights are not exact: a dense matrix-vector product and
+        # the batched matrix product may add a sentence's terms in a
+        # different order (or fused), which moves a cosine by an ulp.
+        rng = np.random.default_rng(77)
+        compared = 0
+        for case in range(30):
+            model = _trained_small_model(rng)
+            report = make_report(
+                f"t{case}",
+                _random_text(rng, _SMALL_WORDS, int(rng.integers(1, 60)), oov_rate=0.3),
+            )
+            compared += _assert_within_rounding(model, report)
+        assert compared >= 25
+
+    def test_large_random_model_within_rounding(self):
+        rng = np.random.default_rng(5000)
+        n_classes, n_terms = 200, 5000
+        weights = rng.random((n_classes, n_terms))
+        weights[rng.random((n_classes, n_terms)) < 0.9] = 0.0
+        model = CtfidfModel(
+            vocab={f"t{j}": j for j in range(n_terms)},
+            class_ids=tuple(f"T{k:03d}" for k in range(n_classes)),
+            class_vectors=weights,
+            avg_tokens_per_class=10.0,
+        )
+        words = tuple(model.vocab)
+        compared = sum(
+            _assert_within_rounding(
+                model, make_report(f"L{case}", _random_text(rng, words, 30))
+            )
+            for case in range(6)
+        )
+        assert compared >= 5
+
+    def test_report_without_vocabulary_tokens_scores_zero(self):
+        model = train_ctfidf(DISJOINT)
+        report = make_report("r1", "Zzq qqz.\nXxv zzq xxv.\n")
+        prediction = _assert_bit_equal(model, report)
+        matrix = score_sentences(model, [s.tokens for s in report.sentences])
+        assert matrix.shape == (2, 2) and not matrix.any()
+        assert prediction.techniques == frozenset()
+        assert prediction.hit_sentences == {}
+        assert set(prediction.top_scores.values()) == {(0.0,) * TOP_K_SCORES}
+
+    def test_report_without_sentences(self):
+        model = train_ctfidf(DISJOINT)
+        report = make_report("r1", "")
+        assert report.sentences == ()
+        assert score_sentences(model, []).shape == (0, 2)
+        prediction = _assert_bit_equal(model, report)
+        assert prediction.techniques == frozenset()
+
+    def test_zero_norm_sentence_row_is_zero_among_scored_rows(self):
+        model = _hand_model()
+        matrix = score_sentences(model, [["alpha"], [], ["gamma"], ["beta", "beta"]])
+        assert matrix.tolist() == [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+
+    def test_sentence_prediction_is_one_row_of_the_batch(self):
+        model = train_ctfidf(DISJOINT)
+        lists = [["lure", "subnet"], ["ports"], [], ["zzz", "lure", "lure"]]
+        matrix = score_sentences(model, lists)
+        for tokens, row in zip(lists, matrix):
+            scores = predict_sentence(model, iter(tokens)).scores
+            assert list(scores.values()) == row.tolist()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import coref_links_oracle, plural_match_oracle
+from oracles import coref_links_oracle, discourse_features_oracle, plural_match_oracle
 from ttpmine.corpus import make_report, segment_sentences
 from ttpmine.features.discourse import (
     COREF_WINDOW,
@@ -262,3 +262,50 @@ class TestDiscourseFeatures:
         out = discourse_features(report, [0], [2], links)
         assert out[:5].sum() == 0.0  # not adjacent
         assert out[5:].sum() == 1.0
+
+
+def _assert_f3_matches_oracle(report, tx, ty, links):
+    got = discourse_features(report, tx, ty, links)
+    want = discourse_features_oracle(report, tx, ty, links)
+    assert got.tobytes() == want.tobytes(), (report.report_id, tx, ty)
+    return want
+
+
+class TestDiscourseOracle:
+    """F3 from the adjacent pairs that touch tx or ty, against the walk
+    over every adjacent pair in `tests/oracles.py`."""
+
+    def test_seeded_reports_equal_vectors(self):
+        rng = np.random.default_rng(20261019)
+        adjacent = 0
+        for case in range(60):
+            n = int(rng.integers(1, 40))
+            report = _coref_report(rng, f"d{case}", n)
+            links = coref_links(report)
+            for _ in range(6):
+                tx = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
+                ty = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
+                adjacent += _assert_f3_matches_oracle(report, tx, ty, links)[:5].sum()
+        assert adjacent > 50
+
+    def test_first_and_last_sentence(self):
+        rng = np.random.default_rng(11)
+        report = _coref_report(rng, "edges", 12)
+        links = coref_links(report)
+        last = len(report.sentences) - 1
+        for tx, ty in (
+            ([0], [1]), ([1], [0]), ([last], [last - 1]), ([last - 1], [last]),
+            ([0], [last]), ([0, last], [1, last - 1]), ([0, 1], [0, 1]),
+        ):
+            _assert_f3_matches_oracle(report, tx, ty, links)
+
+    def test_single_sentence_and_empty_sets(self):
+        report = make_report("one", "The tool ran then it stopped.")
+        assert len(report.sentences) == 1
+        for tx, ty in (([0], [0]), ([0], []), ([], [0]), ([], [])):
+            out = _assert_f3_matches_oracle(report, tx, ty, coref_links(report))
+            assert not out.any()
+        report = _coref_report(np.random.default_rng(5), "empty", 20)
+        links = coref_links(report)
+        for tx, ty in (([], []), ([3], []), ([], [3])):
+            assert not _assert_f3_matches_oracle(report, tx, ty, links).any()
