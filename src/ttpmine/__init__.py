@@ -13,7 +13,6 @@ from .attack_kb import (
     TechniqueRecord,
     UsageMatrix,
     build_action_dataset,
-    build_usage_matrix,
     parse_stix,
 )
 from .corpus import (
@@ -50,7 +49,6 @@ __all__ = [
     "TechniqueRecord",
     "UsageMatrix",
     "build_action_dataset",
-    "build_usage_matrix",
     "parse_stix",
     "PairUniverse",
     "RelationAnnotation",

@@ -129,15 +129,16 @@ def _pattern_map(objects: list[dict]) -> dict[str, tuple[str, str]]:
     return out
 
 
-def parse_stix(bundle_bytes: bytes) -> TechniqueCatalog:
-    """Parse a STIX 2.x bundle into a technique catalog.
+def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
+    """Parse a STIX 2.x bundle into a technique catalog and its usage matrix.
 
     Revoked and deprecated objects are excluded; sub-techniques fold
     into their parent (id prefix rule), with the parent keeping its own
     name and inheriting the sub's procedure examples. Procedure-example
     sentences come from the descriptions of `uses` relationships whose
     source is an intrusion-set/malware/tool/campaign, split by the
-    corpus segmenter, in bundle order.
+    corpus segmenter, in bundle order. The bundle is decoded once; the
+    usage matrix (`_usage_matrix`) comes from the same objects.
     """
     objects = _load_bundle(bundle_bytes)
     patterns = _pattern_map(objects)
@@ -183,10 +184,15 @@ def parse_stix(bundle_bytes: bytes) -> TechniqueCatalog:
         )
         for tid in sorted(names)
     )
-    return TechniqueCatalog(techniques=records, version=version)
+    catalog = TechniqueCatalog(techniques=records, version=version)
+    return catalog, _usage_matrix(objects, patterns, catalog)
 
 
-def build_usage_matrix(bundle_bytes: bytes, catalog: TechniqueCatalog) -> UsageMatrix:
+def _usage_matrix(
+    objects: list[dict],
+    patterns: dict[str, tuple[str, str]],
+    catalog: TechniqueCatalog,
+) -> UsageMatrix:
     """Binary actor-by-technique usage matrix from `uses` relationships.
 
     Rows are actors (groups, software, campaigns) with at least one
@@ -194,9 +200,6 @@ def build_usage_matrix(bundle_bytes: bytes, catalog: TechniqueCatalog) -> UsageM
     catalog techniques. Relationships whose technique cannot be resolved
     in the catalog are skipped and counted, not fatal.
     """
-    objects = _load_bundle(bundle_bytes)
-    patterns = _pattern_map(objects)
-
     actor_ids: dict[str, str] = {}
     for obj in objects:
         if _is_excluded(obj):

@@ -8,7 +8,6 @@ identical inputs yields byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -36,6 +35,7 @@ from .pipeline import (
     load_relation_model,
     load_relation_predictions,
     make_meta,
+    provenance_hash,
     run_pipeline,
     stage_classify,
     stage_features,
@@ -88,11 +88,6 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def _args_hash(payload: dict) -> str:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 def _split_csv(value: str | None) -> list[str] | None:
     if value is None:
         return None
@@ -108,10 +103,10 @@ def _split_csv(value: str | None) -> list[str] | None:
 
 
 def cmd_kb_build(args) -> int:
-    chash = _args_hash(
+    chash = provenance_hash(
         {"stix": args.stix, "out": args.out, "min_examples": args.min_examples}
     )
-    model = stage_kb(
+    _, _, model = stage_kb(
         args.stix, args.out, min_examples=args.min_examples, config_hash=chash
     )
     print(
@@ -146,7 +141,7 @@ def cmd_corpus_validate(args) -> int:
 def cmd_classify(args) -> int:
     model = load_ctfidf_model(args.model)
     reports = load_reports(args.reports)
-    chash = _args_hash(
+    chash = provenance_hash(
         {
             "model": args.model,
             "reports": args.reports,
@@ -158,7 +153,6 @@ def cmd_classify(args) -> int:
         reports,
         args.out,
         threshold=args.threshold,
-        workers=args.workers,
         config_hash=chash,
     )
     detected = sum(len(p.techniques) for p in predictions)
@@ -175,7 +169,7 @@ def cmd_features(args) -> int:
     usage = load_kb_usage(args.kb)
     vectors = load_word_vectors(args.vectors) if args.vectors else None
     reports = load_reports(args.reports)
-    chash = _args_hash(
+    chash = provenance_hash(
         {
             "reports": args.reports,
             "kb": args.kb,
@@ -193,7 +187,6 @@ def cmd_features(args) -> int:
         vectors=vectors,
         threshold=args.threshold,
         bins=args.bins,
-        workers=args.workers,
         config_hash=chash,
     )
     layout = FeatureLayout(bins=args.bins)
@@ -229,7 +222,7 @@ def cmd_train_relations(args) -> int:
                 f"unknown feature groups: {', '.join(unknown)} "
                 f"(expected subset of {', '.join(FEATURE_GROUPS)})"
             )
-    chash = _args_hash(
+    chash = provenance_hash(
         {
             "features": args.features,
             "annotations": args.annotations,
@@ -264,7 +257,7 @@ def cmd_eval(args) -> int:
         [p.labels for p in predictions],
         [p.probabilities for p in predictions],
     )
-    chash = _args_hash(
+    chash = provenance_hash(
         {
             "model": args.model,
             "features": args.features,
@@ -286,7 +279,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = load_relation_model(args.model)
     rows, layout = load_features(args.features)
-    chash = _args_hash({"model": args.model, "features": args.features})
+    chash = provenance_hash({"model": args.model, "features": args.features})
     predictions = stage_predict(model, rows, layout, args.out, config_hash=chash)
     positive = sum(1 for p in predictions if p.labels != frozenset({NULL}))
     print(
@@ -303,7 +296,7 @@ def cmd_mine(args) -> int:
     unknown = sorted(set(formats) - {"csv", "json", "dot"})
     if unknown:
         raise PipelineError(f"unknown export formats: {', '.join(unknown)}")
-    chash = _args_hash(
+    chash = provenance_hash(
         {
             "predictions": args.predictions,
             "min_support": args.min_support,
@@ -333,7 +326,6 @@ def cmd_run(args) -> int:
         "threshold": args.threshold,
         "bins": args.bins,
         "min_support": args.min_support,
-        "workers": args.workers,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_THRESHOLD,
         help=f"sentence detection threshold (default {DEFAULT_THRESHOLD})",
     )
-    p.add_argument("--workers", type=int, help="thread pool size")
     p.add_argument("--out", required=True, help="output JSONL path")
     p.set_defaults(func=cmd_classify)
 
@@ -414,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--bins", type=int, default=10, help="histogram bins per measure (default 10)"
     )
-    p.add_argument("--workers", type=int, help="thread pool size")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_features)
 
@@ -470,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, help="override config threshold")
     p.add_argument("--bins", type=int, help="override config bins")
     p.add_argument("--min-support", type=int, help="override config min_support")
-    p.add_argument("--workers", type=int, help="override config workers")
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -9,10 +9,8 @@ downstream; this is the built-in provider.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain, repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -190,13 +188,3 @@ def model_from_dict(data: dict) -> CtfidfModel:
         class_vectors=weights,
         avg_tokens_per_class=float(data["avg_tokens_per_class"]),
     )
-
-
-def save_model(model: CtfidfModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8"
-    )
-
-
-def load_model(path: str | Path) -> CtfidfModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -10,10 +10,8 @@ from .ensemble import (
     TrainConfig,
     ensemble_from_dict,
     ensemble_to_dict,
-    load_ensemble,
     predict,
     predict_batch,
-    save_ensemble,
     train,
 )
 from .tree import bin_columns, fit_tree, predict_tree
@@ -27,10 +25,8 @@ __all__ = [
     "TrainConfig",
     "ensemble_from_dict",
     "ensemble_to_dict",
-    "load_ensemble",
     "predict",
     "predict_batch",
-    "save_ensemble",
     "train",
     "assign_folds",
     "cross_validate",

@@ -10,10 +10,8 @@ non-increasing every round.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -356,13 +354,3 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
         config=config,
         n_features=n_features,
     )
-
-
-def save_ensemble(model: GbdtEnsemble, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(ensemble_to_dict(model), sort_keys=True), encoding="utf-8"
-    )
-
-
-def load_ensemble(path: str | Path) -> GbdtEnsemble:
-    return ensemble_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -1,10 +1,11 @@
 """Pipeline orchestration: stage functions and artifact I/O.
 
-Each stage reads prior artifacts from disk and writes its own, so any
-stage can be re-run standalone. Artifacts embed the tool version, the
-configuration hash, and (where applicable) the feature layout version;
-a stage refuses to consume an artifact whose layout version differs
-from its own.
+Every stage writes its artifacts. The CLI commands read prior artifacts
+from disk, so any stage can be re-run standalone; ``run_pipeline``
+passes each stage's objects on in memory and still writes every
+artifact. Artifacts embed the tool version, the configuration hash, and
+(where applicable) the feature layout version; a stage refuses to
+consume an artifact whose layout version differs from its own.
 
 Artifact formats:
 
@@ -22,7 +23,6 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -31,7 +31,6 @@ from .attack_kb import (
     TechniqueCatalog,
     UsageMatrix,
     build_action_dataset,
-    build_usage_matrix,
     catalog_from_dict,
     catalog_to_dict,
     parse_stix,
@@ -91,7 +90,6 @@ class PipelineConfig:
     min_examples: int = 20
     bins: int = 10
     min_support: int = 2
-    workers: int | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def to_dict(self) -> dict:
@@ -106,7 +104,6 @@ class PipelineConfig:
             "min_examples": self.min_examples,
             "bins": self.bins,
             "min_support": self.min_support,
-            "workers": self.workers,
             "train": self.train.to_dict(),
         }
 
@@ -123,7 +120,6 @@ class PipelineConfig:
             "min_examples",
             "bins",
             "min_support",
-            "workers",
             "train",
         }
         unknown = sorted(set(data) - known)
@@ -135,8 +131,13 @@ class PipelineConfig:
         return cls(train=cfg, **kwargs)
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), **_JSON_KW)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return provenance_hash(self.to_dict())
+
+
+def provenance_hash(payload: Mapping) -> str:
+    """The ``config_hash`` of an artifact's meta block: sha256 of the
+    payload's sorted, compact JSON, cut to 16 hex digits."""
+    return hashlib.sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
 def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -> dict:
@@ -262,18 +263,6 @@ def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
     )
 
 
-def _map_reports(reports: Sequence[Report], fn, workers: int | None):
-    """Apply ``fn`` to every report, optionally in a thread pool.
-
-    Results come back in report order regardless of completion order,
-    keeping artifacts deterministic.
-    """
-    if workers is not None and workers > 1 and len(reports) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, reports))
-    return [fn(report) for report in reports]
-
-
 # ---------------------------------------------------------------------------
 # Stage: kb
 # ---------------------------------------------------------------------------
@@ -285,19 +274,19 @@ def stage_kb(
     *,
     min_examples: int = 20,
     config_hash: str = "",
-) -> CtfidfModel:
+) -> tuple[TechniqueCatalog, UsageMatrix, CtfidfModel]:
     """Parse a STIX bundle and train the sentence classifier.
 
     Writes ``catalog.json``, ``usage.json``, and ``ctfidf.json`` into
-    ``out_dir`` and returns the trained classifier.
+    ``out_dir`` and returns the catalog, the usage matrix and the
+    trained classifier.
     """
     if not os.path.exists(stix_path):
         raise PipelineError(f"kb: STIX bundle not found: {stix_path}")
     with open(stix_path, "rb") as fh:
         bundle_bytes = fh.read()
     os.makedirs(out_dir, exist_ok=True)
-    catalog = parse_stix(bundle_bytes)
-    usage = build_usage_matrix(bundle_bytes, catalog)
+    catalog, usage = parse_stix(bundle_bytes)
     logger.info(
         "kb: %d techniques, %d actors", len(catalog.techniques), len(usage.actors)
     )
@@ -322,7 +311,7 @@ def stage_kb(
         os.path.join(out_dir, "ctfidf.json"),
         {"meta": meta, "model": model_to_dict(model)},
     )
-    return model
+    return catalog, usage, model
 
 
 def load_kb_catalog(kb_dir: str) -> TechniqueCatalog:
@@ -346,11 +335,9 @@ def load_ctfidf_model(path: str) -> CtfidfModel:
 
 
 def _classify(
-    model: CtfidfModel, reports: Sequence[Report], threshold: float, workers: int | None
+    model: CtfidfModel, reports: Sequence[Report], threshold: float
 ) -> list[ReportPrediction]:
-    return _map_reports(
-        reports, lambda r: predict_report(model, r, threshold=threshold), workers
-    )
+    return [predict_report(model, r, threshold=threshold) for r in reports]
 
 
 def stage_classify(
@@ -359,12 +346,11 @@ def stage_classify(
     out_path: str,
     *,
     threshold: float = DEFAULT_THRESHOLD,
-    workers: int | None = None,
     config_hash: str = "",
 ) -> list[ReportPrediction]:
     """Run the sentence classifier over every report and write JSONL."""
     ordered = sorted(reports, key=lambda r: r.report_id)
-    predictions = _classify(model, ordered, threshold, workers)
+    predictions = _classify(model, ordered, threshold)
     meta = make_meta("classify", config_hash)
     meta["threshold"] = threshold
     write_jsonl(out_path, meta, (report_prediction_to_dict(p) for p in predictions))
@@ -389,7 +375,6 @@ def stage_features(
     vectors: WordVectors | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     bins: int = 10,
-    workers: int | None = None,
     config_hash: str = "",
 ) -> list[PairFeatureVector]:
     """Extract pair feature vectors for every report and write CSV.
@@ -406,7 +391,7 @@ def stage_features(
     f4 = f4_table(usage, universe, bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
     if predictions is None:
-        predictions = _classify(model, ordered, threshold, workers)
+        predictions = _classify(model, ordered, threshold)
     by_id = {p.report_id: p for p in predictions}
     for report in ordered:
         prediction = by_id.get(report.report_id)
@@ -420,22 +405,20 @@ def stage_features(
                 f"threshold {prediction.threshold}, not {threshold}"
             )
 
-    def one(report: Report) -> list[PairFeatureVector]:
-        return build_report_features(
-            report,
-            by_id[report.report_id],
-            universe,
-            usage,
-            vectors,
-            bins=bins,
-            layout=layout,
-            f4=f4,
-        )
-
-    per_report = _map_reports(ordered, one, workers)
     rows: list[PairFeatureVector] = []
-    for chunk in per_report:
-        rows.extend(chunk)
+    for report in ordered:
+        rows.extend(
+            build_report_features(
+                report,
+                by_id[report.report_id],
+                universe,
+                usage,
+                vectors,
+                bins=bins,
+                layout=layout,
+                f4=f4,
+            )
+        )
     write_features_csv(rows, layout, out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
     meta["threshold"] = threshold
@@ -600,10 +583,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     kb_dir = os.path.join(out_dir, "kb")
 
-    model = stage_kb(
+    catalog, usage, model = stage_kb(
         config.stix, kb_dir, min_examples=config.min_examples, config_hash=chash
     )
-    usage = load_kb_usage(kb_dir)
     reports = load_reports(config.reports)
     if not reports:
         raise PipelineError(f"run: no reports found under {config.reports}")
@@ -614,7 +596,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         reports,
         classify_path,
         threshold=config.threshold,
-        workers=config.workers,
         config_hash=chash,
     )
 
@@ -632,12 +613,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
         vectors=vectors,
         threshold=config.threshold,
         bins=config.bins,
-        workers=config.workers,
         config_hash=chash,
     )
     layout = FeatureLayout(bins=config.bins)
 
-    catalog = load_kb_catalog(kb_dir)
     annotations = load_annotations(config.annotations, catalog=catalog)
     labels = labels_for_rows(rows, annotations)
 

@@ -11,7 +11,6 @@ from ttpmine.attack_kb import (
     EmptyCatalogError,
     StixParseError,
     build_action_dataset,
-    build_usage_matrix,
     catalog_from_dict,
     catalog_to_dict,
     parse_stix,
@@ -22,7 +21,7 @@ from ttpmine.attack_kb import (
 
 class TestParseStix:
     def test_basic_catalog_sorted_by_id(self):
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(
                 attack_pattern("T1204", "User Execution"),
                 attack_pattern("T1046", "Network Service Discovery"),
@@ -35,14 +34,14 @@ class TestParseStix:
         assert "T1046" in catalog and "T9999" not in catalog
 
     def test_version_unknown_without_collection_object(self):
-        catalog = parse_stix(bundle(attack_pattern("T1566", "Phishing")))
+        catalog, _ = parse_stix(bundle(attack_pattern("T1566", "Phishing")))
         assert catalog.version == "unknown"
 
     def test_subtechnique_folds_into_parent(self):
         group = actor("G0001")
         parent = attack_pattern("T1566", "Phishing")
         sub = attack_pattern("T1566.002", "Spearphishing Link")
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(
                 parent,
                 sub,
@@ -58,12 +57,12 @@ class TestParseStix:
         assert "The group sent malicious mail." in record.procedure_examples
 
     def test_orphan_subtechnique_names_parent_id(self):
-        catalog = parse_stix(bundle(attack_pattern("T1566.002", "Spearphishing Link")))
+        catalog, _ = parse_stix(bundle(attack_pattern("T1566.002", "Spearphishing Link")))
         assert catalog.technique_ids == ("T1566",)
         assert catalog.get("T1566").name == "Spearphishing Link"
 
     def test_revoked_and_deprecated_excluded(self):
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(
                 attack_pattern("T1001", "Old", revoked=True),
                 attack_pattern("T1002", "Older", deprecated=True),
@@ -83,7 +82,7 @@ class TestParseStix:
     def test_revoked_relationship_contributes_nothing(self):
         group = actor("G0001")
         tech = attack_pattern("T1566", "Phishing")
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(tech, group, uses(group, tech, "Stale text.", revoked=True))
         )
         assert catalog.get("T1566").procedure_examples == ()
@@ -91,7 +90,7 @@ class TestParseStix:
     def test_descriptions_split_into_sentences(self):
         group = actor("G0001")
         tech = attack_pattern("T1566", "Phishing")
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(tech, group, uses(group, tech, "First act. Second act."))
         )
         assert catalog.get("T1566").procedure_examples == (
@@ -102,7 +101,7 @@ class TestParseStix:
     def test_non_actor_relationship_ignored(self):
         tech_a = attack_pattern("T1566", "Phishing")
         tech_b = attack_pattern("T1204", "User Execution")
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(tech_a, tech_b, uses(tech_a, tech_b, "Not an actor source."))
         )
         assert catalog.get("T1204").procedure_examples == ()
@@ -135,10 +134,9 @@ class TestUsageMatrix:
             uses(group_a, execution),
             uses(group_b, execution),
         )
-        catalog = parse_stix(data)
-        um = build_usage_matrix(data, catalog)
+        catalog, um = parse_stix(data)
         assert um.actors == ("G0001", "G0002")
-        assert um.techniques == ("T1204", "T1566")
+        assert um.techniques == ("T1204", "T1566") == catalog.technique_ids
         # Column order follows the sorted catalog: T1204 first, T1566 second.
         assert np.array_equal(um.cells, np.array([[1, 1], [1, 0]], dtype=np.int8))
         assert um.cells[0, um.technique_index("T1566")] == 1
@@ -152,7 +150,7 @@ class TestUsageMatrix:
         sub = attack_pattern("T1566.002", "Spearphishing Link")
         group = actor("G0001")
         data = bundle(parent, sub, group, uses(group, sub))
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         assert um.cells[0, um.technique_index("T1566")] == 1
 
     def test_unresolvable_target_skipped_and_counted(self):
@@ -160,7 +158,7 @@ class TestUsageMatrix:
         group = actor("G0001")
         ghost = {"id": "attack-pattern--ghost"}
         data = bundle(tech, group, uses(group, tech), uses(group, ghost))
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         assert um.skipped_unknown == 1
         assert um.cells.sum() == 1
 
@@ -169,7 +167,7 @@ class TestUsageMatrix:
         group_a = actor("G0001")
         group_b = actor("G0002")
         data = bundle(tech, group_a, group_b, uses(group_a, tech))
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         assert um.actors == ("G0001",)
 
     def test_software_and_campaign_actors_count(self):
@@ -180,7 +178,7 @@ class TestUsageMatrix:
         data = bundle(
             tech, mal, camp, tool, uses(mal, tech), uses(camp, tech), uses(tool, tech)
         )
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         assert um.actors == ("C0001", "S0001", "S0002")
 
     def test_revoked_actor_excluded(self):
@@ -188,7 +186,7 @@ class TestUsageMatrix:
         group = actor("G0001")
         group["revoked"] = True
         data = bundle(tech, group, uses(group, tech))
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         assert um.actors == ()
         assert um.cells.shape == (0, 1)
 
@@ -203,7 +201,7 @@ class TestActionDataset:
             objects.append(group)
             for sentence in sentences:
                 objects.append(uses(group, tech, sentence))
-        return parse_stix(bundle(*objects))
+        return parse_stix(bundle(*objects))[0]
 
     def test_threshold_filters_sparse_techniques(self):
         catalog = self._catalog(
@@ -278,7 +276,7 @@ class TestRoundTrips:
     def test_catalog_round_trip(self):
         group = actor("G0001")
         tech = attack_pattern("T1566", "Phishing")
-        catalog = parse_stix(
+        catalog, _ = parse_stix(
             bundle(tech, group, uses(group, tech, "One act."), collection_version="17.1")
         )
         again = catalog_from_dict(catalog_to_dict(catalog))
@@ -288,7 +286,7 @@ class TestRoundTrips:
         tech = attack_pattern("T1566", "Phishing")
         group = actor("G0001")
         data = bundle(tech, group, uses(group, tech))
-        um = build_usage_matrix(data, parse_stix(data))
+        _, um = parse_stix(data)
         again = usage_from_dict(usage_to_dict(um))
         assert again.actors == um.actors
         assert again.techniques == um.techniques

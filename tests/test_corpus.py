@@ -210,7 +210,7 @@ class TestAnnotations:
 
         from ttpmine.attack_kb import parse_stix
 
-        catalog = parse_stix(bundle(attack_pattern("T1566", "Phishing")))
+        catalog, _ = parse_stix(bundle(attack_pattern("T1566", "Phishing")))
         path = _write_lines(
             tmp_path / "ann.jsonl",
             ['{"report_id": "r1", "tx": "T1566", "ty": "T9999", "labels": ["BEFORE"]}'],

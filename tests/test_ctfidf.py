@@ -17,16 +17,14 @@ from ttpmine.ctfidf import (
     TOP_K_SCORES,
     CtfidfModel,
     TrainingError,
-    load_model,
     model_from_dict,
     model_to_dict,
     predict_report,
     predict_sentence,
-    save_model,
     score_sentences,
     train_ctfidf,
 )
-from ttpmine.pipeline import stage_kb
+from ttpmine.pipeline import load_ctfidf_model, stage_kb
 
 
 def _dataset(examples):
@@ -220,10 +218,11 @@ class TestReportPrediction:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
+        # A bare model dict, without the pipeline's meta wrapper, still loads.
         model = train_ctfidf(DISJOINT)
         path = tmp_path / "model.json"
-        save_model(model, path)
-        again = load_model(path)
+        path.write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
+        again = load_ctfidf_model(str(path))
         tokens = ["lure", "subnet", "ports"]
         assert (
             predict_sentence(again, tokens).scores
@@ -313,7 +312,7 @@ class TestBatchScoringOracle:
     one sentence at a time from a dense vocabulary-length vector."""
 
     def test_e2e_fixture_bit_equal(self, tmp_path):
-        model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(tmp_path))
+        _, _, model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(tmp_path))
         reports = load_reports(E2E_DIR / "reports")
         detected = set()
         for report in reports:

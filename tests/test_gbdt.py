@@ -21,10 +21,8 @@ from ttpmine.gbdt.ensemble import (
     _downsample_rows,
     ensemble_from_dict,
     ensemble_to_dict,
-    load_ensemble,
     predict,
     predict_batch,
-    save_ensemble,
     train,
 )
 from ttpmine.gbdt.tree import (
@@ -39,7 +37,13 @@ from ttpmine.gbdt.tree import (
 )
 from ttpmine.corpus import load_annotations
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
-from ttpmine.pipeline import PipelineConfig, labels_for_rows, load_features, run_pipeline
+from ttpmine.pipeline import (
+    PipelineConfig,
+    labels_for_rows,
+    load_features,
+    load_relation_model,
+    run_pipeline,
+)
 
 
 def _fit(X, residuals, hessians, max_depth):
@@ -563,10 +567,11 @@ class TestPredictAndSerialize:
             predict(model, stray)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
+        # A bare model dict, without the pipeline's meta wrapper, still loads.
         model, features = self._model_and_features()
         path = tmp_path / "model.json"
-        save_ensemble(model, path)
-        loaded = load_ensemble(path)
+        path.write_text(json.dumps(ensemble_to_dict(model)), encoding="utf-8")
+        loaded = load_relation_model(str(path))
         assert isinstance(loaded, GbdtEnsemble)
         assert loaded.layout_version == model.layout_version
         assert loaded.config == model.config

@@ -3,15 +3,17 @@ driven by the bundled miniature corpus."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict
-from ttpmine import __version__, pipeline
+from ttpmine import __version__, attack_kb, pipeline
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import predict_report
@@ -27,9 +29,11 @@ from ttpmine.pipeline import (
     load_kb_usage,
     load_relation_model,
     load_relation_predictions,
+    provenance_hash,
     read_jsonl,
     run_pipeline,
     stage_features,
+    stage_kb,
     stage_predict,
 )
 
@@ -195,6 +199,105 @@ class TestClassifyOnce:
             stage_features(
                 model, usage, reports, out, predictions=predictions, threshold=0.9
             )
+
+
+class TestKbOnce:
+    """The kb stage decodes the bundle once and hands on what it built;
+    `run_pipeline` reads none of the kb artifacts back."""
+
+    def _count_bundle_loads(self, monkeypatch) -> list[int]:
+        calls = []
+        original = attack_kb._load_bundle
+
+        def counting(bundle_bytes):
+            calls.append(len(bundle_bytes))
+            return original(bundle_bytes)
+
+        monkeypatch.setattr(attack_kb, "_load_bundle", counting)
+        return calls
+
+    def test_stage_kb_decodes_bundle_once(self, tmp_path, monkeypatch):
+        calls = self._count_bundle_loads(monkeypatch)
+        stage_kb(STIX, str(tmp_path))
+        assert len(calls) == 1
+
+    def test_run_pipeline_reads_no_kb_artifact(self, tmp_path, monkeypatch):
+        calls = self._count_bundle_loads(monkeypatch)
+        read = []
+        original = pipeline.read_json
+
+        def recording(path, what):
+            read.append(os.path.basename(path))
+            return original(path, what)
+
+        monkeypatch.setattr(pipeline, "read_json", recording)
+        run_pipeline(PipelineConfig.from_dict(e2e_config_dict(tmp_path)))
+        assert len(calls) == 1
+        assert "catalog.json" not in read
+        assert "usage.json" not in read
+        assert (tmp_path / "kb" / "catalog.json").exists()
+        assert (tmp_path / "kb" / "usage.json").exists()
+
+    def test_in_memory_kb_equals_artifacts(self, tmp_path):
+        catalog, usage, model = stage_kb(STIX, str(tmp_path))
+        assert catalog == load_kb_catalog(str(tmp_path))
+        again = load_kb_usage(str(tmp_path))
+        assert usage.actors == again.actors
+        assert usage.techniques == again.techniques
+        assert usage.skipped_unknown == again.skipped_unknown
+        assert usage.cells.dtype == again.cells.dtype
+        assert np.array_equal(usage.cells, again.cells)
+        loaded = load_ctfidf_model(str(tmp_path / "ctfidf.json"))
+        assert loaded.class_ids == model.class_ids
+        assert np.array_equal(loaded.class_vectors, model.class_vectors)
+
+
+class TestNoWorkersKnob:
+    """The thread pool is gone; an old `workers` setting is an error, not
+    a silent no-op."""
+
+    def test_config_key_rejected(self, tmp_path):
+        data = dict(e2e_config_dict(tmp_path), workers=2)
+        with pytest.raises(PipelineError, match="^unknown config keys: workers$"):
+            PipelineConfig.from_dict(data)
+
+    def test_run_with_workers_config_exits_1(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        data = dict(e2e_config_dict(tmp_path / "out"), workers=2)
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["ttpmine run: error: unknown config keys: workers"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--model", "m.json", "--reports", REPORTS, "--out", "o"],
+            ["features", "--reports", REPORTS, "--kb", "kb", "--out", "o"],
+            ["run", "--config", "c.json"],
+        ],
+        ids=["classify", "features", "run"],
+    )
+    def test_workers_flag_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_provenance_hash_formula():
+    # Both the CLI commands and `PipelineConfig` hash this way; artifacts'
+    # meta blocks depend on the exact value.
+    def oracle(payload):
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    payload = {"z": [1, 2.5, None], "a": {"é": "ü", "b": True}, "m": "x"}
+    assert provenance_hash(payload) == oracle(payload)
+    config = PipelineConfig(stix="s.json", reports="r")
+    assert config.config_hash() == oracle(config.to_dict())
+    assert len(config.to_dict()) == 11
 
 
 @pytest.fixture(scope="module")
