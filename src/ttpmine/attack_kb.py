@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import segment_sentences
+from .corpus import split_sentences
 
 logger = logging.getLogger(__name__)
 
@@ -137,8 +137,9 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     name and inheriting the sub's procedure examples. Procedure-example
     sentences come from the descriptions of `uses` relationships whose
     source is an intrusion-set/malware/tool/campaign, split by the
-    corpus segmenter, in bundle order. The bundle is decoded once; the
-    usage matrix (`_usage_matrix`) comes from the same objects.
+    corpus sentence splitter (`split_sentences`, no tokenizing), in
+    bundle order. The bundle is decoded once; the usage matrix
+    (`_usage_matrix`) comes from the same objects.
     """
     objects = _load_bundle(bundle_bytes)
     patterns = _pattern_map(objects)
@@ -169,8 +170,7 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
             continue
         description = obj.get("description") or ""
         tid = target[0]
-        for sentence in segment_sentences(description):
-            examples[tid].append(sentence.text)
+        examples[tid].extend(split_sentences(description))
 
     version = "unknown"
     for obj in objects:

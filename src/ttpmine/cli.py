@@ -27,6 +27,7 @@ from .mining import load_category_map
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    count_unrowed_annotations,
     labels_for_rows,
     load_ctfidf_model,
     load_features,
@@ -202,11 +203,11 @@ def _load_labeled_rows(features_path: str, annotations_path: str, kb: str | None
     catalog = load_kb_catalog(kb) if kb else None
     annotations = load_annotations(annotations_path, catalog=catalog)
     labels = labels_for_rows(rows, annotations)
-    return rows, layout, labels
+    return rows, layout, labels, count_unrowed_annotations(rows, annotations)
 
 
 def cmd_train_relations(args) -> int:
-    rows, layout, labels = _load_labeled_rows(
+    rows, layout, labels, n_unrowed = _load_labeled_rows(
         args.features, args.annotations, args.kb
     )
     if args.train_config:
@@ -239,13 +240,18 @@ def cmd_train_relations(args) -> int:
         feature_groups=groups,
         config_hash=chash,
     )
-    print(f"train-relations: {len(rows)} rows ({layout.version}) -> {args.out}")
+    print(
+        f"train-relations: {len(rows)} rows ({layout.version}), {n_unrowed} "
+        f"annotated relations without a row -> {args.out}"
+    )
     return 0
 
 
 def cmd_eval(args) -> int:
     model = load_relation_model(args.model)
-    rows, layout, truth = _load_labeled_rows(args.features, args.annotations, args.kb)
+    rows, layout, truth, n_unrowed = _load_labeled_rows(
+        args.features, args.annotations, args.kb
+    )
     if model.layout_version != layout.version:
         raise PipelineError(
             f"model layout {model.layout_version!r} does not match features "
@@ -267,10 +273,16 @@ def cmd_eval(args) -> int:
     payload = {
         "meta": make_meta("eval", chash, layout_version=layout.version),
         "metrics": report.to_dict(),
+        # Annotated relations with no feature row are not scored as
+        # misses: there is no row to score. They are counted here.
+        "n_unrowed_annotations": n_unrowed,
     }
     if args.out:
         write_json(args.out, payload)
-        print(f"eval: {len(rows)} rows -> {args.out}")
+        print(
+            f"eval: {len(rows)} rows, {n_unrowed} annotated relations "
+            f"without a row -> {args.out}"
+        )
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     return 0

@@ -1,5 +1,7 @@
 """Report corpus handling: sentence segmentation, tokenization, relation
-annotations and the ordered technique-pair universe.
+annotations and the ordered technique-pair universe. A report's universe
+is the ordered pairs of the techniques detected in it; pairs outside it
+get no feature row.
 
 Reports are immutable after load; distinct reports can be processed
 concurrently with no shared mutable state.
@@ -88,15 +90,15 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def segment_sentences(text: str) -> list[Sentence]:
-    """Split text into sentences with document-order indices.
+def split_sentences(text: str) -> list[str]:
+    """Split text into sentence strings, in document order.
 
     Newlines are hard boundaries (list items become sentences); inside a
     line the split needs terminal punctuation followed by whitespace and
     an uppercase letter, so dots inside tokens survive. Interior
     whitespace is collapsed to single spaces; empty pieces are dropped.
     """
-    sentences: list[Sentence] = []
+    pieces: list[str] = []
     for line in text.split("\n"):
         line = line.strip()
         if not line:
@@ -104,14 +106,17 @@ def segment_sentences(text: str) -> list[Sentence]:
         for piece in _BOUNDARY.split(line):
             piece = " ".join(piece.split())
             if piece:
-                sentences.append(
-                    Sentence(
-                        index=len(sentences),
-                        text=piece,
-                        tokens=tuple(tokenize(piece)),
-                    )
-                )
-    return sentences
+                pieces.append(piece)
+    return pieces
+
+
+def segment_sentences(text: str) -> list[Sentence]:
+    """`split_sentences`, each piece tokenized, with document-order
+    indices."""
+    return [
+        Sentence(index=i, text=piece, tokens=tuple(tokenize(piece)))
+        for i, piece in enumerate(split_sentences(text))
+    ]
 
 
 def make_report(
@@ -146,7 +151,11 @@ def load_reports(directory: str | Path) -> list[Report]:
 
 def pair_universe(techniques) -> PairUniverse:
     """All ordered pairs over the technique set, diagonal excluded,
-    lexicographic order. Fewer than 2 techniques gives an empty universe."""
+    lexicographic order. Fewer than 2 techniques gives an empty universe.
+
+    Over a report's detected techniques (`ReportPrediction.techniques`)
+    this is the report's pair universe, the pairs the features stage
+    builds rows for."""
     ordered = sorted(set(techniques))
     if len(ordered) < 2:
         return PairUniverse(pairs=())

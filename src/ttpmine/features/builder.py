@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..attack_kb import UsageMatrix
-from ..corpus import Report
+from ..corpus import Report, pair_universe
 from ..ctfidf import ReportPrediction, TOP_K_SCORES
 from ..embeddings import WordVectors
 from .apriori import apriori_features
@@ -126,7 +126,6 @@ def build_feature_vector(
 def build_report_features(
     report: Report,
     report_prediction: ReportPrediction,
-    universe,
     um: UsageMatrix | None,
     wv: WordVectors | None = None,
     lexicon: MarkerLexicon = DEFAULT_LEXICON,
@@ -134,15 +133,18 @@ def build_report_features(
     layout: FeatureLayout | None = None,
     f4: dict[tuple[str, str], tuple[np.ndarray, bool]] | None = None,
 ) -> list[PairFeatureVector]:
-    """Vectors for every ordered pair in the universe.
+    """Vectors for every ordered pair of the report's detected techniques.
 
-    The report's coref links and marker table are built once and shared
-    by every pair. `f4` takes an `f4_table` covering the universe, so a
-    corpus computes it once; None builds one here.
+    The pairs are `pair_universe(report_prediction.techniques)`, in its
+    lexicographic order; a report with fewer than two detected
+    techniques has no rows. The report's coref links and marker table
+    are built once and shared by every pair. `f4` takes an `f4_table`
+    covering those pairs, so a corpus computes it once; None builds one
+    here.
     """
     if layout is None:
         layout = FeatureLayout(bins=bins)
-    pairs = list(universe)
+    pairs = pair_universe(report_prediction.techniques).pairs
     if f4 is None:
         f4 = f4_table(um, pairs, bins)
     links = coref_links(report)

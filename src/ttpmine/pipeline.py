@@ -379,16 +379,18 @@ def stage_features(
 ) -> list[PairFeatureVector]:
     """Extract pair feature vectors for every report and write CSV.
 
+    A report's rows are the ordered pairs of the techniques its
+    prediction detected (see ``build_report_features``); a pair the
+    classifier did not detect in a report gets no row there.
     ``predictions`` takes the classify stage's output, one per report;
     None classifies the reports here. The f4 slots are computed once per
-    pair of the universe, not once per row.
+    pair of the universe (the union of the reports' pairs), not once per
+    row.
 
     A sidecar ``<out>.layout.json`` records the layout descriptor so
     later stages can validate compatibility.
     """
     layout = FeatureLayout(bins=bins)
-    universe = pair_universe(model.class_ids)
-    f4 = f4_table(usage, universe, bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
     if predictions is None:
         predictions = _classify(model, ordered, threshold)
@@ -405,13 +407,21 @@ def stage_features(
                 f"threshold {prediction.threshold}, not {threshold}"
             )
 
+    f4 = f4_table(
+        usage,
+        (
+            pair
+            for report in ordered
+            for pair in pair_universe(by_id[report.report_id].techniques)
+        ),
+        bins,
+    )
     rows: list[PairFeatureVector] = []
     for report in ordered:
         rows.extend(
             build_report_features(
                 report,
                 by_id[report.report_id],
-                universe,
                 usage,
                 vectors,
                 bins=bins,
@@ -465,6 +475,19 @@ def labels_for_rows(rows: Sequence[PairFeatureVector], annotations) -> list[froz
         explicit[(ann.report_id, ann.tx, ann.ty)] = ann.labels
     null_only = frozenset({NULL})
     return [explicit.get((row.report_id, row.tx, row.ty), null_only) for row in rows]
+
+
+def count_unrowed_annotations(rows: Sequence[PairFeatureVector], annotations) -> int:
+    """Annotated pairs with a temporal relation (labels other than
+    ``{NULL}``) that have no feature row: the classifier did not detect
+    both techniques in the report, or the report is not in the corpus.
+    No row means the pair is not trained on, scored or mined."""
+    rowed = {(row.report_id, row.tx, row.ty) for row in rows}
+    return sum(
+        1
+        for ann in annotations
+        if NULL not in ann.labels and (ann.report_id, ann.tx, ann.ty) not in rowed
+    )
 
 
 def stage_train(
@@ -619,6 +642,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     annotations = load_annotations(config.annotations, catalog=catalog)
     labels = labels_for_rows(rows, annotations)
+    n_unrowed = count_unrowed_annotations(rows, annotations)
+    if n_unrowed:
+        logger.warning(
+            "train-relations: %d annotated relations have no feature row "
+            "(a technique of the pair was not detected)",
+            n_unrowed,
+        )
 
     model_path = os.path.join(out_dir, "relations.json")
     ensemble = stage_train(
@@ -657,5 +687,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "patterns": patterns_path,
         "n_reports": len(reports),
         "n_pairs": len(rows),
+        "n_unrowed_annotations": n_unrowed,
         "n_patterns": len(patterns),
     }

@@ -117,14 +117,15 @@ def random_report(rng: np.random.Generator, report_id: str,
     return make_report(report_id, "\n".join(lines))
 
 
-def random_prediction(rng: np.random.Generator, report, tx: str, ty: str,
+def random_prediction(rng: np.random.Generator, report, *tids: str,
                       threshold: float = 0.95) -> ReportPrediction:
-    """Random but well-formed technique detections for a pair of ids."""
+    """Random but well-formed technique detections for the given ids;
+    each is detected with probability 0.85."""
     n = len(report.sentences)
     techniques = []
     top_scores = {}
     hit_sentences = {}
-    for tid in (tx, ty):
+    for tid in tids:
         scores = np.zeros(TOP_K_SCORES, dtype=np.float64)
         if rng.random() < 0.85 and n > 0:
             k = int(rng.integers(1, min(3, n) + 1))
@@ -164,3 +165,100 @@ def tree_features(node: dict) -> set[int]:
         | tree_features(node["left"])
         | tree_features(node["right"])
     )
+
+
+def _pseudo_words(rng: np.random.Generator, n: int, taken: set[str]) -> list[str]:
+    """``n`` fresh pseudo-words of three consonant-vowel syllables; none is
+    an English stopword or a temporal marker."""
+    out: list[str] = []
+    while len(out) < n:
+        word = "".join(
+            str(rng.choice(list("bdfgklmnprstvz"))) + str(rng.choice(list("aeiou")))
+            for _ in range(3)
+        )
+        if word not in taken:
+            taken.add(word)
+            out.append(word)
+    return out
+
+
+# A planted relation's label and the word that opens its second sentence.
+_PLANTED = (("BEFORE", "Then"), ("SIMULTANEOUS_OVERLAP", "During"),
+            ("CONCURRENT", "Simultaneously"))
+
+
+def write_many_class_corpus(root: Path, seed: int, techniques: int = 40) -> dict:
+    """Write a seeded corpus with ``techniques`` classifier classes under
+    ``root`` and return a pipeline config dict for it.
+
+    Every technique has a private vocabulary and 20 procedure examples
+    (5 from each of 4 of 8 actors), so the classifier keeps all of them.
+    Each of 20 reports mentions 6 techniques, one sentence each, among
+    20 filler sentences. Three relations over disjoint technique pairs,
+    one of each label, are each planted (the second sentence led by the
+    label's marker) and annotated in two consecutive reports.
+    """
+    reports, per_report, support, filler = 20, 6, 2, 20
+    rng = np.random.default_rng(seed)
+    taken: set[str] = set()
+    tids = [f"T{7000 + k}" for k in range(techniques)]
+    pools = {tid: _pseudo_words(rng, 12, taken) for tid in tids}
+    filler_words = _pseudo_words(rng, 120, taken)
+
+    def sentence(pool, lead="The"):
+        words = rng.choice(pool, size=int(rng.integers(4, 7)), replace=False)
+        return f"{lead} {' '.join(str(w) for w in words)}."
+
+    patterns_objs = {tid: attack_pattern(tid, f"Technique {tid}") for tid in tids}
+    actors = [actor(f"G{8000 + a}") for a in range(8)]
+    rels = []
+    for tid in tids:
+        for a in sorted(rng.choice(len(actors), size=4, replace=False)):
+            rels.extend(
+                uses(actors[a], patterns_objs[tid], sentence(pools[tid]))
+                for _ in range(5)
+            )
+    root = Path(root)
+    (root / "reports").mkdir(parents=True, exist_ok=True)
+    (root / "stix.json").write_bytes(
+        bundle(*patterns_objs.values(), *actors, *rels)
+    )
+
+    order = [str(t) for t in rng.permutation(tids)]
+    planted = [
+        (order[2 * p], order[2 * p + 1], label, lead)
+        for p, (label, lead) in enumerate(_PLANTED)
+    ]
+    annotations = []
+    for r in range(reports):
+        rid = f"r{r:02d}"
+        hosted = [t for p, t in enumerate(planted) if p * support <= r < (p + 1) * support]
+        mentioned = {tid for tx, ty, _, _ in hosted for tid in (tx, ty)}
+        others = [t for t in order if t not in mentioned]
+        extra = rng.choice(others, size=per_report - len(mentioned), replace=False)
+        blocks = [
+            [sentence(pools[tx]), sentence(pools[ty], lead)] for tx, ty, _, lead in hosted
+        ]
+        blocks += [[sentence(pools[str(t)])] for t in extra]
+        blocks += [[sentence(filler_words)] for _ in range(filler)]
+        lines = [line for k in rng.permutation(len(blocks)) for line in blocks[k]]
+        (root / "reports" / f"{rid}.txt").write_text(
+            "\n".join(lines) + "\n", encoding="utf-8"
+        )
+        annotations += [
+            {"report_id": rid, "tx": tx, "ty": ty, "labels": [label]}
+            for tx, ty, label, _ in hosted
+        ]
+    (root / "annotations.jsonl").write_text(
+        "".join(json.dumps(a, sort_keys=True) + "\n" for a in annotations),
+        encoding="utf-8",
+    )
+    return {
+        "stix": str(root / "stix.json"),
+        "reports": str(root / "reports"),
+        "annotations": str(root / "annotations.jsonl"),
+        "out_dir": str(root / "out"),
+        "min_support": 2,
+        "train": {"trees": 30, "max_depth": 3, "seed": 0,
+                  "negative_downsample_ratio": 20.0},
+    }

@@ -21,6 +21,7 @@ from ttpmine.features.discourse import (
     _raw_words,
     classify_discourse,
 )
+from ttpmine.features.builder import build_feature_vector
 from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
 from ttpmine.gbdt.ensemble import _sigmoid
 from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
@@ -464,3 +465,23 @@ def discourse_features_oracle(report, tx_sentences, ty_sentences, links) -> np.n
             rel = classify_discourse(report.sentences[i], report.sentences[j], True)
             out[5 + slot[rel]] += 1
     return out
+
+
+def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=None,
+                              bins: int = 10) -> list:
+    """Feature rows over the all-class pair universe: every ordered pair
+    of classifier classes in every report, detected or not. Reports go in
+    id order and pairs in lexicographic order; each vector is built on
+    its own by `build_feature_vector`, with no per-report or per-corpus
+    table shared between pairs."""
+    by_id = {p.report_id: p for p in predictions}
+    ids = sorted(set(class_ids))
+    return [
+        build_feature_vector(
+            report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins
+        )
+        for report in sorted(reports, key=lambda r: r.report_id)
+        for tx in ids
+        for ty in ids
+        if tx != ty
+    ]

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_prediction, random_report
 from ttpmine.attack_kb import UsageMatrix
-from ttpmine.corpus import make_report
+from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
 from ttpmine.features.apriori import apriori_features
 from ttpmine.features.builder import (
@@ -159,23 +159,45 @@ class TestBuildReportFeatures:
     def test_pair_universe_order(self):
         universe = [("T1204", "T1566"), ("T1566", "T1204")]
         vectors = build_report_features(
-            REPORT, _prediction(techniques=("T1566", "T1204")), universe, um=_um()
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=_um()
         )
         assert [fv.pair for fv in vectors] == universe
+
+    def test_rows_only_for_detected_techniques(self):
+        # The universe is the prediction's detected techniques: an id
+        # with top scores but no detection gets no row, and fewer than
+        # two detections give none at all.
+        top = {"T1046": (0.9, 0.0, 0.0, 0.0, 0.0)}
+        vectors = build_report_features(
+            REPORT,
+            _prediction(techniques=("T1566", "T1204", "T1560"), top=top),
+            um=_um(),
+        )
+        assert [fv.pair for fv in vectors] == [
+            ("T1204", "T1560"),
+            ("T1204", "T1566"),
+            ("T1560", "T1204"),
+            ("T1560", "T1566"),
+            ("T1566", "T1204"),
+            ("T1566", "T1560"),
+        ]
+        one = _prediction(techniques=("T1566",), top=top)
+        assert build_report_features(REPORT, one, um=_um()) == []
 
     def test_shared_tables_match_per_pair_vectors(self):
         # One coref pass, marker table and f4 table per report (or per
         # corpus) must give the vectors each pair gets on its own.
         rng = np.random.default_rng(20261018)
-        universe = [("T1204", "T1566"), ("T1566", "T1204"), ("T1566", "T9999")]
-        corpus_f4 = f4_table(_um(), universe, bins=10)
+        corpus_f4 = f4_table(_um(), pair_universe(["T1204", "T1566", "T9999"]), bins=10)
         for case in range(12):
             report = random_report(rng, f"r{case}", n_sentences=(3, 60))
-            pred = random_prediction(rng, report, "T1566", "T1204")
+            pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
             um = _um() if case % 3 else None
             f4 = corpus_f4 if um is not None and case % 2 else None
-            shared = build_report_features(report, pred, universe, um=um, f4=f4)
-            for fv, pair in zip(shared, universe):
+            shared = build_report_features(report, pred, um=um, f4=f4)
+            pairs = list(pair_universe(pred.techniques))
+            assert [fv.pair for fv in shared] == pairs
+            for fv, pair in zip(shared, pairs):
                 alone = build_feature_vector(report, pair, pred, um=um)
                 assert fv.pair == pair
                 assert fv.f4_missing == alone.f4_missing

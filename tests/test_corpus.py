@@ -13,6 +13,7 @@ from ttpmine.corpus import (
     make_report,
     pair_universe,
     segment_sentences,
+    split_sentences,
     tokenize,
 )
 from ttpmine.labels import BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
@@ -83,6 +84,14 @@ class TestSegmentation:
 
     def test_question_and_exclamation_terminate(self):
         assert len(segment_sentences("Did it run? It did! It kept going.")) == 3
+
+    def test_split_sentences_is_segmentation_without_tokens(self):
+        text = (
+            "The attacker dropped Updater.vbs quietly. Later cmd.exe ran.\n"
+            "\n  first   item  \nDid it run? It did! it e.g. kept going."
+        )
+        assert split_sentences(text) == [s.text for s in segment_sentences(text)]
+        assert split_sentences("") == split_sentences(" \n\n ") == []
 
 
 class TestReports:

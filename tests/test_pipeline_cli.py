@@ -56,7 +56,7 @@ class TestRunPipeline:
     def test_summary_counts(self, pipeline_out):
         summary, _, _ = pipeline_out
         assert summary["n_reports"] == 5
-        assert summary["n_pairs"] == 60
+        assert summary["n_pairs"] == 18
         assert summary["n_patterns"] == 1
 
     def test_artifacts_written(self, pipeline_out):
@@ -103,7 +103,7 @@ class TestRunPipeline:
     def test_features_round_trip_and_labels(self, pipeline_out):
         _, out_dir, _ = pipeline_out
         rows, layout = load_features(str(out_dir / "features.csv"))
-        assert len(rows) == 60
+        assert len(rows) == 18
         assert layout.version == "v1-bins10"
         catalog = load_kb_catalog(str(out_dir / "kb"))
         annotations = load_annotations(ANNOTATIONS, catalog=catalog)
@@ -114,12 +114,12 @@ class TestRunPipeline:
             if labs == frozenset({BEFORE})
         ]
         assert sorted(before_rows) == ["r01", "r02", "r03"]
-        assert labels.count(frozenset({NULL})) == 57
+        assert labels.count(frozenset({NULL})) == 15
 
     def test_predictions_artifact(self, pipeline_out):
         _, out_dir, _ = pipeline_out
         predictions = load_relation_predictions(str(out_dir / "predictions.jsonl"))
-        assert len(predictions) == 60
+        assert len(predictions) == 18
         positives = {
             (p.report_id, p.tx, p.ty) for p in predictions if BEFORE in p.labels
         }

@@ -79,7 +79,7 @@ def _assert_matches_oracle(model, features):
 class TestOracle:
     def test_e2e_fixture_rows(self, e2e_model):
         model, rows, _ = e2e_model
-        assert len(rows) == 60
+        assert len(rows) == 18
         batch = _assert_matches_oracle(model, rows)
         assert any(BEFORE in p.labels for p in batch)
 
