@@ -9,11 +9,16 @@ from .ensemble import GbdtTrainingError, TrainConfig, predict_batch, train
 
 
 def assign_folds(report_ids, folds: int) -> dict[str, int]:
-    """Deterministic round-robin assignment over sorted report ids."""
+    """Deterministic round-robin assignment over sorted report ids.
+
+    The ids come from feature rows, and a report with fewer than two
+    detected techniques has no rows, so it takes no part in the folds.
+    """
     ordered = sorted(set(report_ids))
     if len(ordered) < folds:
         raise GbdtTrainingError(
-            f"{len(ordered)} reports cannot fill {folds} folds"
+            f"{len(ordered)} reports with feature rows cannot fill {folds} "
+            "folds (a report with fewer than two detected techniques has no rows)"
         )
     return {rid: k % folds for k, rid in enumerate(ordered)}
 

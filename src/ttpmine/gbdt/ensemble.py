@@ -83,6 +83,10 @@ class LabelModel:
     trees: list[dict]
     degenerate: bool = False
     loss_curve: list[float] = field(default_factory=list)
+    # Training rows after downsampling and the positives among them; set
+    # by `train`, not serialized.
+    n_rows: int = 0
+    n_positives: int = 0
 
 
 @dataclass
@@ -176,7 +180,8 @@ def train(
     `features` is a list of PairFeatureVector with one shared layout;
     `labels` the aligned label sets. `feature_groups` restricts split
     candidates to those layout groups (default slots always active);
-    trees store global slot indices either way.
+    trees store global slot indices either way. The stacked matrix is
+    binned once, and each label model fits on its rows of that binning.
     """
     if not features:
         raise GbdtTrainingError("no training vectors")
@@ -203,6 +208,14 @@ def train(
     else:
         active = np.arange(X.shape[1])
 
+    # One binning for every label model, over the active columns that
+    # vary: a column constant over the whole matrix can never split. The
+    # kept columns stay in ascending order, so the lowest-feature tie rule
+    # holds and `columns` maps tree features back to global slots.
+    X_active = X[:, active]
+    columns = active[(X_active != X_active[:1]).any(axis=0)]
+    binned = bin_columns(X[:, columns])
+
     models: dict[str, LabelModel] = {}
     for label_index, label in enumerate(ALL_LABELS):
         y = np.array([1.0 if label in labs else 0.0 for labs in labels])
@@ -211,7 +224,6 @@ def train(
         else:
             rows = np.arange(len(labels))
         y_sub = y[rows]
-        X_sub = X[np.ix_(rows, active)]
 
         n_pos = int(y_sub.sum())
         if n_pos == 0 or n_pos == y_sub.size:
@@ -227,30 +239,40 @@ def train(
                 init_score=_clamped_log_odds(rate),
                 trees=[],
                 degenerate=True,
+                n_rows=int(y_sub.size),
+                n_positives=n_pos,
             )
             continue
 
         init = _clamped_log_odds(n_pos / y_sub.size)
-        binned = bin_columns(X_sub)
+        label_binned = binned.take(rows)
         score = np.full(y_sub.size, init, dtype=np.float64)
+        p = _sigmoid(score)
         trees: list[dict] = []
-        losses = [_log_loss(y_sub, _sigmoid(score))]
+        losses = [_log_loss(y_sub, p)]
         for _ in range(config.trees):
-            p = _sigmoid(score)
             residuals = y_sub - p
             hessians = p * (1.0 - p)
-            tree, leaf_values = fit_tree(binned, residuals, hessians, config.max_depth)
+            tree, leaf_values = fit_tree(
+                label_binned, residuals, hessians, config.max_depth
+            )
             score = score + config.learning_rate * leaf_values
-            loss = _log_loss(y_sub, _sigmoid(score))
+            p = _sigmoid(score)
+            loss = _log_loss(y_sub, p)
             if loss > losses[-1] + _LOSS_TOLERANCE:
                 raise GbdtTrainingError(
                     f"label {label}: training loss increased "
                     f"({losses[-1]:.12f} -> {loss:.12f}) at round {len(trees) + 1}"
                 )
             losses.append(loss)
-            trees.append(remap_tree_features(tree, active))
+            trees.append(remap_tree_features(tree, columns))
         models[label] = LabelModel(
-            label=label, init_score=init, trees=trees, loss_curve=losses
+            label=label,
+            init_score=init,
+            trees=trees,
+            loss_curve=losses,
+            n_rows=int(y_sub.size),
+            n_positives=n_pos,
         )
 
     return GbdtEnsemble(

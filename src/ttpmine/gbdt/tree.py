@@ -1,10 +1,14 @@
 """Depth-limited regression trees on boosting residuals.
 
 Split search is exact greedy over histograms: `bin_columns` gives every
-distinct value of every column its own bin once per label model, and
-each node sums counts and residuals per bin, so a split between two
-adjacent bins is a split between two adjacent distinct values. Leaves
-take clipped Newton-step values (sum of residuals over sum of hessians).
+distinct value of every column its own bin, once per training matrix,
+and each node sums counts and residuals per bin, so a split between two
+adjacent bins with rows is a split between two adjacent distinct values
+of the node. A label model fits on a row subset of that binning; bins
+its rows never use stay empty and never split. Only the smaller child of
+a split is histogrammed: the larger child's histograms are the parent's
+minus the smaller's, exact because both are integers. Leaves take
+clipped Newton-step values (sum of residuals over sum of hessians).
 Nodes are plain dicts so trees serialize to JSON as-is: a split is
 {"feature", "threshold", "left", "right"}, a leaf is {"value"}.
 """
@@ -12,7 +16,7 @@ Nodes are plain dicts so trees serialize to JSON as-is: a split is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +47,10 @@ class BinnedColumns:
     @property
     def n_rows(self) -> int:
         return self.codes.shape[0]
+
+    def take(self, rows: np.ndarray) -> "BinnedColumns":
+        """The same bins over a subset of rows, in the given order."""
+        return replace(self, codes=self.codes[rows])
 
 
 def bin_columns(X: np.ndarray) -> BinnedColumns:
@@ -85,8 +93,7 @@ def _leaf(residuals: np.ndarray, hessians: np.ndarray, idx: np.ndarray) -> dict:
         value = 0.0
     else:
         value = float(residuals[idx].sum()) / s_h
-    value = float(np.clip(value, -LEAF_VALUE_CAP, LEAF_VALUE_CAP))
-    return {"value": value}
+    return {"value": min(max(value, -LEAF_VALUE_CAP), LEAF_VALUE_CAP)}
 
 
 def fit_tree(
@@ -121,26 +128,33 @@ def fit_tree(
         out[idx] = node["value"]
         return node
 
-    def build(idx: np.ndarray, depth: int) -> dict:
-        if depth >= max_depth or idx.size < 2 or n_bins == 0:
-            return leaf(idx)
-        node_codes = codes[idx]
-        flat = node_codes.ravel()
+    def histogram(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row count and grid-residual sum per bin, both as integers."""
+        flat = codes[idx].ravel()
         count = np.bincount(flat, minlength=n_bins)
         grad = np.bincount(
             flat, weights=np.repeat(grads[idx], nf), minlength=n_bins
         ).astype(np.int64)
+        return count, grad
+
+    def build(
+        idx: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None
+    ) -> dict:
+        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+            return leaf(idx)
+        count, grad = hist if hist is not None else histogram(idx)
         # Segmented cumsum: running totals restart at each column's first
         # bin. Integer arithmetic keeps it exact even when the running
         # total over all columns wraps around.
-        count_cum = np.cumsum(count)
-        grad_cum = np.cumsum(grad)
+        count_cum = count.cumsum()
+        grad_cum = grad.cumsum()
         nl = count_cum - (count_cum - count)[bin_start]
         gl = (grad_cum - (grad_cum - grad)[bin_start]).astype(np.float64)
         n = idx.size
         gt = gl[binned.start[1] - 1]
         nr = n - nl
-        valid = (nl > 0) & (nr > 0) & (count > 0)
+        # A bin with rows has nl > 0 too.
+        valid = (count > 0) & (nr > 0)
         if not valid.any():
             return leaf(idx)
         gain = np.full(n_bins, -np.inf)
@@ -160,18 +174,24 @@ def fit_tree(
             # Adjacent floats can round the midpoint up to b; fall back
             # to the left value so the partition matches the bins.
             threshold = a
-        mask = node_codes[:, feat] <= best
-        # The node's (rows, columns) codes are the largest temporary; free
-        # them before the children allocate their own.
-        del node_codes, flat
+        mask = codes[idx, feat] <= best
+        left, right = idx[mask], idx[~mask]
+        hist_left = hist_right = None
+        if depth + 1 < max_depth:
+            # The children split further: histogram the smaller one and
+            # take the larger as the parent minus it.
+            small_is_left = left.size <= right.size
+            small = histogram(left if small_is_left else right)
+            large = (count - small[0], grad - small[1])
+            hist_left, hist_right = (small, large) if small_is_left else (large, small)
         return {
             "feature": feat,
             "threshold": threshold,
-            "left": build(idx[mask], depth + 1),
-            "right": build(idx[~mask], depth + 1),
+            "left": build(left, depth + 1, hist_left),
+            "right": build(right, depth + 1, hist_right),
         }
 
-    tree = build(np.arange(binned.n_rows), 0)
+    tree = build(np.arange(binned.n_rows), 0, None)
     return tree, out
 
 

@@ -505,6 +505,18 @@ def stage_train(
     ensemble = train_ensemble(
         rows, labels, config, feature_groups=feature_groups, layout=layout
     )
+    for label, lm in ensemble.models.items():
+        curve = lm.loss_curve
+        logger.info(
+            "train-relations: label %s: %d trees, %d rows (%d positive), "
+            "degenerate=%s, loss %s",
+            label,
+            len(lm.trees),
+            lm.n_rows,
+            lm.n_positives,
+            lm.degenerate,
+            f"{curve[0]:.6g} -> {curve[-1]:.6g}" if curve else "n/a",
+        )
     meta = make_meta("train-relations", config_hash, layout_version=layout.version)
     write_json(out_path, {"meta": meta, "model": ensemble_to_dict(ensemble)})
     logger.info("train-relations: wrote model to %s", out_path)

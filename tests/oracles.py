@@ -23,8 +23,15 @@ from ttpmine.features.discourse import (
 )
 from ttpmine.features.builder import build_feature_vector
 from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
-from ttpmine.gbdt.ensemble import _sigmoid
-from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
+from ttpmine.gbdt.ensemble import (
+    GbdtEnsemble,
+    LabelModel,
+    _clamped_log_odds,
+    _downsample_rows,
+    _log_loss,
+    _sigmoid,
+)
+from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals, remap_tree_features
 from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 
@@ -485,3 +492,119 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
         for ty in ids
         if tx != ty
     ]
+
+
+def _per_label_tree(X, residuals, hessians, max_depth: int):
+    """One histogram tree on X binned on its own: every column gets one
+    bin per distinct value from `np.unique`, and every node builds its
+    count and residual histograms from its own rows. Returns the tree and
+    each row's leaf value."""
+    m, nf = X.shape
+    codes = np.empty((m, nf), dtype=np.intp)
+    values, feature, start = [], [], [0]
+    for f in range(nf):
+        uniq, inverse = np.unique(X[:, f], return_inverse=True)
+        codes[:, f] = inverse + start[-1]
+        values.extend(float(v) for v in uniq)
+        feature.extend([f] * uniq.size)
+        start.append(start[-1] + uniq.size)
+    n_bins = len(values)
+    bin_start = np.array([start[f] for f in feature], dtype=np.intp)
+    grads, shift = grid_residuals(residuals)
+    out = np.empty(m, dtype=np.float64)
+
+    def leaf(idx):
+        node = _leaf(residuals, hessians, idx)
+        out[idx] = node["value"]
+        return node
+
+    def build(idx, depth):
+        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+            return leaf(idx)
+        flat = codes[idx].ravel()
+        count = np.bincount(flat, minlength=n_bins)
+        grad = np.bincount(
+            flat, weights=np.repeat(grads[idx], nf), minlength=n_bins
+        ).astype(np.int64)
+        count_cum, grad_cum = np.cumsum(count), np.cumsum(grad)
+        nl = count_cum - (count_cum - count)[bin_start]
+        gl = (grad_cum - (grad_cum - grad)[bin_start]).astype(np.float64)
+        n = idx.size
+        gt = gl[start[1] - 1]
+        nr = n - nl
+        valid = (nl > 0) & (nr > 0) & (count > 0)
+        if not valid.any():
+            return leaf(idx)
+        gain = np.full(n_bins, -np.inf)
+        gl_v, nl_v = gl[valid], nl[valid]
+        gr_v = gt - gl_v
+        gain[valid] = gl_v * gl_v / nl_v + gr_v * gr_v / nr[valid] - gt * gt / float(n)
+        best = int(np.argmax(gain))
+        if np.ldexp(gain[best], -2 * shift) <= MIN_GAIN:
+            return leaf(idx)
+        feat = feature[best]
+        upper = best + 1 + int(np.flatnonzero(count[best + 1 : start[feat + 1]])[0])
+        a, b = values[best], values[upper]
+        threshold = (a + b) / 2.0
+        if threshold >= b:
+            threshold = a
+        mask = codes[idx, feat] <= best
+        return {
+            "feature": feat,
+            "threshold": threshold,
+            "left": build(idx[mask], depth + 1),
+            "right": build(idx[~mask], depth + 1),
+        }
+
+    return build(np.arange(m), 0), out
+
+
+def per_label_train_oracle(features, labels, config, feature_groups=None,
+                           layout=None) -> GbdtEnsemble:
+    """The four label models trained one label at a time: each label
+    slices its downsampled rows and active columns out of the stacked
+    matrix and bins that slice on its own (`_per_label_tree`), with no
+    column dropped up front and no histogram derived from another.
+    Rounds follow the package's logistic boosting loop."""
+    X = np.vstack([fv.values for fv in features], dtype=np.float64)
+    if feature_groups is None:
+        active = np.arange(X.shape[1])
+    else:
+        active = np.flatnonzero(layout.mask(feature_groups))
+    models = {}
+    for label_index, label in enumerate(ALL_LABELS):
+        y = np.array([1.0 if label in labs else 0.0 for labs in labels])
+        if label in POSITIVE_LABELS:
+            rows = _downsample_rows(label_index, labels, y, config)
+        else:
+            rows = np.arange(len(labels))
+        y_sub = y[rows]
+        X_sub = X[np.ix_(rows, active)]
+        n_pos = int(y_sub.sum())
+        if n_pos == 0 or n_pos == y_sub.size:
+            rate = n_pos / y_sub.size if y_sub.size else 0.0
+            models[label] = LabelModel(
+                label=label, init_score=_clamped_log_odds(rate), trees=[], degenerate=True
+            )
+            continue
+        init = _clamped_log_odds(n_pos / y_sub.size)
+        score = np.full(y_sub.size, init, dtype=np.float64)
+        trees = []
+        losses = [_log_loss(y_sub, _sigmoid(score))]
+        for _ in range(config.trees):
+            p = _sigmoid(score)
+            tree, leaf_values = _per_label_tree(
+                X_sub, y_sub - p, p * (1.0 - p), config.max_depth
+            )
+            score = score + config.learning_rate * leaf_values
+            losses.append(_log_loss(y_sub, _sigmoid(score)))
+            trees.append(remap_tree_features(tree, active))
+        models[label] = LabelModel(
+            label=label, init_score=init, trees=trees, loss_curve=losses
+        )
+    return GbdtEnsemble(
+        models=models,
+        layout_version=features[0].layout_version,
+        config=config,
+        n_features=X.shape[1],
+    )

@@ -6,10 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_fv
+from helpers import e2e_config_dict, make_fv
+from ttpmine.corpus import load_annotations
 from ttpmine.gbdt.crossval import assign_folds, cross_validate
 from ttpmine.gbdt.ensemble import GbdtTrainingError, TrainConfig
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
+from ttpmine.pipeline import PipelineConfig, labels_for_rows, load_features, run_pipeline
 
 
 class TestAssignFolds:
@@ -104,3 +106,22 @@ class TestCrossValidate:
         a = cross_validate(features, labels, config, folds=4, ks=(3,))
         b = cross_validate(features, labels, config, folds=4, ks=(3,))
         assert a == b
+
+
+def test_e2e_fixture_folds_over_reports_with_rows(tmp_path):
+    # The fixture has five reports, but r05 detects one technique and so
+    # has no pair rows: only four reports can be dealt into folds.
+    config = e2e_config_dict(tmp_path)
+    run_pipeline(PipelineConfig.from_dict(config))
+    rows, _ = load_features(str(tmp_path / "features.csv"))
+    labels = labels_for_rows(rows, load_annotations(config["annotations"]))
+    train_config = TrainConfig.from_dict(config["train"])
+    assert sorted({fv.report_id for fv in rows}) == ["r01", "r02", "r03", "r04"]
+    with pytest.raises(
+        GbdtTrainingError,
+        match=r"^4 reports with feature rows cannot fill 5 folds \(a report with "
+        r"fewer than two detected techniques has no rows\)$",
+    ):
+        cross_validate(rows, labels, train_config, folds=5)
+    result = cross_validate(rows, labels, train_config, folds=4)
+    assert len(result["folds"]) == 4

@@ -4,6 +4,7 @@ serialization."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import e2e_config_dict, make_fv, tree_features
-from oracles import exact_split_oracle, exact_tree_oracle
+from oracles import exact_split_oracle, exact_tree_oracle, per_label_train_oracle
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
@@ -43,6 +44,7 @@ from ttpmine.pipeline import (
     load_features,
     load_relation_model,
     run_pipeline,
+    stage_train,
 )
 
 
@@ -174,6 +176,19 @@ class TestExactSplitOracle:
             np.testing.assert_array_equal(
                 predict_tree(tree, unseen), predict_tree(oracle, unseen)
             )
+
+    @pytest.mark.parametrize("kind", ORACLE_CASES)
+    def test_row_subset_of_full_binning_matches_oracle(self, kind):
+        # A label model fits on its rows of a binning of the whole matrix:
+        # bins only the other rows use must change no split or threshold.
+        rng = np.random.default_rng(11)
+        for _ in range(15):
+            X, r, h = _oracle_case(kind, rng)
+            size = int(rng.integers(2, X.shape[0]))
+            rows = np.sort(rng.choice(X.shape[0], size=size, replace=False))
+            tree, values = fit_tree(bin_columns(X).take(rows), r[rows], h[rows], 3)
+            assert tree == exact_tree_oracle(X[rows], r[rows], h[rows], 3)
+            np.testing.assert_array_equal(values, predict_tree(tree, X[rows]))
 
 
 class TestFitTree:
@@ -368,10 +383,17 @@ class TestDownsampling:
 
 
 @pytest.fixture(scope="module")
-def e2e_training_data(tmp_path_factory):
+def e2e_run(tmp_path_factory):
+    """The bundled e2e pipeline run: its output directory and config."""
     out_dir = tmp_path_factory.mktemp("e2e")
     config = e2e_config_dict(out_dir)
     run_pipeline(PipelineConfig.from_dict(config))
+    return out_dir, config
+
+
+@pytest.fixture(scope="module")
+def e2e_training_data(e2e_run):
+    out_dir, config = e2e_run
     rows, _ = load_features(str(out_dir / "features.csv"))
     labels = labels_for_rows(rows, load_annotations(config["annotations"]))
     return rows, labels, TrainConfig.from_dict(config["train"])
@@ -603,3 +625,174 @@ class TestPredictAndSerialize:
         ]
         with pytest.raises(ValueError, match="beyond the layout"):
             ensemble_from_dict(data)
+
+
+def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
+    """Rows shaped like the `run-train` workload's: 120 pair vectors of
+    the 152-slot layout, about a third of the slots constant and the rest
+    small counts, flags or tied scores, mostly NULL-only rows, and a few
+    rows of each given relation (some carrying two)."""
+    rng = np.random.default_rng(seed)
+    layout = FeatureLayout(bins=10)
+    n_rows, n_slots = 120, layout.total
+    X = np.empty((n_rows, n_slots))
+    kinds = rng.integers(1, 4, size=n_slots)
+    for slot, kind in enumerate(kinds):
+        if slot % 3 == 0:
+            X[:, slot] = float(rng.integers(0, 3))
+        elif kind == 1:
+            X[:, slot] = rng.poisson(0.6, size=n_rows)
+        elif kind == 2:
+            X[:, slot] = rng.random(n_rows) < rng.uniform(0.05, 0.5)
+        else:
+            X[:, slot] = np.round(rng.random(n_rows), 1)
+    label_sets = []
+    for k in range(n_rows):
+        draw = rng.random()
+        if draw < 0.3 and labels:
+            picked = {labels[int(rng.integers(len(labels)))]}
+            if rng.random() < 0.15:
+                picked.add(labels[int(rng.integers(len(labels)))])
+            X[k, int(rng.integers(1, 40)) * 3 + 1] += 1.0
+            label_sets.append(frozenset(picked))
+        else:
+            label_sets.append(frozenset({NULL}))
+    features = [
+        make_fv(X[k], report_id=f"r{k // 20}", layout_version=layout.version)
+        for k in range(n_rows)
+    ]
+    return layout, features, label_sets
+
+
+def _assert_matches_per_label_oracle(features, labels, config, **groups):
+    model = train(features, labels, config, **groups)
+    oracle = per_label_train_oracle(features, labels, config, **groups)
+    assert json.dumps(ensemble_to_dict(model), sort_keys=True) == json.dumps(
+        ensemble_to_dict(oracle), sort_keys=True
+    )
+    for label in ALL_LABELS:
+        assert model.models[label].loss_curve == oracle.models[label].loss_curve
+    return model
+
+
+class TestPerLabelOracle:
+    """`train` bins the matrix once over its varying columns and derives
+    sibling histograms by subtraction; `per_label_train_oracle` bins each
+    label's rows on their own and histograms every node. Models and loss
+    curves must be bit-equal."""
+
+    RUN_TRAIN = TrainConfig(trees=30, max_depth=3, negative_downsample_ratio=20.0)
+
+    def test_e2e_fixture(self, e2e_training_data):
+        rows, labels, config = e2e_training_data
+        _assert_matches_per_label_oracle(rows, labels, config)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [20.0, 1.5])
+    def test_run_train_shaped(self, seed, ratio):
+        _, features, labels = _run_train_shaped(seed)
+        config = TrainConfig(trees=30, max_depth=3, negative_downsample_ratio=ratio)
+        model = _assert_matches_per_label_oracle(features, labels, config)
+        assert all(not lm.degenerate for lm in model.models.values())
+
+    def test_feature_groups_mask(self):
+        layout, features, labels = _run_train_shaped(4)
+        _assert_matches_per_label_oracle(
+            features, labels, self.RUN_TRAIN, feature_groups=("f1", "f4"), layout=layout
+        )
+
+    def test_degenerate_labels(self):
+        _, features, labels = _run_train_shaped(5, labels=(BEFORE,))
+        model = _assert_matches_per_label_oracle(features, labels, self.RUN_TRAIN)
+        assert model.models[CONCURRENT].degenerate
+        assert not model.models[BEFORE].degenerate
+
+    def test_all_constant_matrix(self):
+        _, features, labels = _run_train_shaped(6)
+        constant = [make_fv(np.arange(152.0), layout_version=fv.layout_version)
+                    for fv in features]
+        model = _assert_matches_per_label_oracle(constant, labels, self.RUN_TRAIN)
+        trees = [t for lm in model.models.values() for t in lm.trees]
+        assert trees and all("value" in t for t in trees)
+
+    def test_single_row(self):
+        features = [make_fv(np.arange(6.0))]
+        model = _assert_matches_per_label_oracle(
+            features, [frozenset({BEFORE})], self.RUN_TRAIN
+        )
+        assert all(lm.degenerate for lm in model.models.values())
+
+    def test_column_constant_only_in_one_labels_rows(self):
+        # Slot 0 is the one signal for NULL over the whole matrix, but
+        # BEFORE's downsampled rows all hold the same value there.
+        rng = np.random.default_rng(8)
+        n = 60
+        y_before = np.zeros(n)
+        y_before[:6] = 1.0
+        labels = [frozenset({BEFORE})] * 6 + [frozenset({NULL})] * (n - 6)
+        config = TrainConfig(trees=10, max_depth=3, negative_downsample_ratio=2.0)
+        rows = _downsample_rows(0, labels, y_before, config)
+        X = np.round(rng.random((n, 4)), 1)
+        X[:, 0] = 1.0
+        outside = np.setdiff1d(np.arange(n), rows)
+        X[outside[: outside.size // 2], 0] = 0.0
+        assert np.unique(X[rows, 0]).size == 1 < np.unique(X[:, 0]).size
+        features = [make_fv(X[k]) for k in range(n)]
+        model = _assert_matches_per_label_oracle(features, labels, config)
+        assert any(0 in tree_features(t) for t in model.models[NULL].trees)
+        assert all(0 not in tree_features(t) for t in model.models[BEFORE].trees)
+
+
+class TestTrainedModelPin:
+    """Digests of the e2e fixture's trained model and predictions, taken
+    before the single binning and histogram subtraction went in (numpy
+    2.4, Python 3.11, x86-64). A change that moves any tree, leaf or
+    probability fails here; such a change must update the pin on
+    purpose and say why."""
+
+    MODEL_SHA256 = "e4ee6bcc953173ca40ca872a0862b98a1efd83e9ad74b04fcaefa13268ea885b"
+    PREDICTIONS_SHA256 = "2b96c4d7c262329ef599c7aa2e37ef8bea6d6d1f7abc56bfe84e344518cb6802"
+
+    def test_model_digest(self, e2e_run):
+        out_dir, _ = e2e_run
+        model = load_relation_model(str(out_dir / "relations.json"))
+        payload = json.dumps(ensemble_to_dict(model), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == self.MODEL_SHA256
+
+    def test_predictions_digest(self, e2e_run):
+        out_dir, _ = e2e_run
+        lines = (out_dir / "predictions.jsonl").read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b'{"meta":')
+        digest = hashlib.sha256(b"".join(lines[1:])).hexdigest()
+        assert digest == self.PREDICTIONS_SHA256
+
+
+def test_stage_train_logs_each_label_model(e2e_run, tmp_path, caplog):
+    out_dir, config = e2e_run
+    rows, layout = load_features(str(out_dir / "features.csv"))
+    labels = labels_for_rows(rows, load_annotations(config["annotations"]))
+    train_config = TrainConfig.from_dict(config["train"])
+    with caplog.at_level(logging.INFO, logger="ttpmine.pipeline"):
+        model = stage_train(
+            rows, layout, labels, str(tmp_path / "relations.json"),
+            train_config=train_config,
+        )
+    lines = [r.getMessage() for r in caplog.records if ": label " in r.getMessage()]
+    assert len(lines) == len(ALL_LABELS)
+    before = model.models[BEFORE]
+    curve = before.loss_curve
+    assert (
+        f"train-relations: label BEFORE: {train_config.trees} trees, "
+        f"{before.n_rows} rows ({before.n_positives} positive), degenerate=False, "
+        f"loss {curve[0]:.6g} -> {curve[-1]:.6g}"
+    ) in lines
+    assert (before.n_rows, before.n_positives) == (18, 3)
+    assert (
+        "train-relations: label CONCURRENT: 0 trees, 3 rows (0 positive), "
+        "degenerate=True, loss n/a"
+    ) in lines
+    # The counts are log-only: the model file is the one `run` wrote.
+    written = json.loads((tmp_path / "relations.json").read_text(encoding="utf-8"))
+    assert written["model"] == json.loads(
+        (out_dir / "relations.json").read_text(encoding="utf-8")
+    )["model"]
