@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +21,9 @@ from .corpus import split_sentences
 logger = logging.getLogger(__name__)
 
 CATALOG_FORMAT_VERSION = "1"
+# "2": `usage.json` lists each actor's technique columns ("uses"); "1"
+# stored every cell of the dense matrix and is no longer read.
+USAGE_FORMAT_VERSION = "2"
 
 # STIX object id prefixes that count as actors in the usage matrix.
 _ACTOR_PREFIXES = ("intrusion-set--", "malware--", "tool--", "campaign--")
@@ -230,15 +235,24 @@ def _usage_matrix(
     actors = tuple(sorted(used))
     techniques = catalog.technique_ids
     col = {tid: k for k, tid in enumerate(techniques)}
-    cells = np.zeros((len(actors), len(techniques)), dtype=np.int8)
-    for r, actor in enumerate(actors):
-        for tid in used[actor]:
-            cells[r, col[tid]] = 1
+    cells = _cells(
+        [[col[tid] for tid in used[actor]] for actor in actors], len(techniques)
+    )
     if skipped:
         logger.warning("usage matrix: skipped %d relationships with unknown techniques", skipped)
     return UsageMatrix(
         actors=actors, techniques=techniques, cells=cells, skipped_unknown=skipped
     )
+
+
+def _cells(uses: Sequence[Sequence[int]], n_techniques: int) -> np.ndarray:
+    """Dense 0/1 int8 cells with one row per entry of `uses`, set at the
+    columns that entry lists, in one fancy assignment."""
+    counts = np.fromiter(map(len, uses), dtype=np.intp, count=len(uses))
+    cols = np.fromiter(chain.from_iterable(uses), dtype=np.intp, count=int(counts.sum()))
+    cells = np.zeros((len(uses), n_techniques), dtype=np.int8)
+    cells[np.repeat(np.arange(len(uses)), counts), cols] = 1
+    return cells
 
 
 def build_action_dataset(
@@ -320,19 +334,58 @@ def catalog_from_dict(data: dict) -> TechniqueCatalog:
 
 
 def usage_to_dict(matrix: UsageMatrix) -> dict:
+    """The matrix as its uses: for each actor, aligned with `actors`, the
+    ascending column indices into `techniques` that it uses."""
     return {
-        "format_version": CATALOG_FORMAT_VERSION,
+        "format_version": USAGE_FORMAT_VERSION,
         "actors": list(matrix.actors),
         "techniques": list(matrix.techniques),
-        "cells": matrix.cells.tolist(),
+        "uses": [np.flatnonzero(row).tolist() for row in matrix.cells],
         "skipped_unknown": matrix.skipped_unknown,
     }
 
 
-def usage_from_dict(data: dict) -> UsageMatrix:
+def usage_from_dict(data: Mapping) -> UsageMatrix:
+    """Rebuild a `usage_to_dict` matrix.
+
+    Raises ValueError for the dense format "1", another format, or uses
+    that do not fit the actors and techniques: a list count other than
+    one per actor, an index that is not an integer or is out of range,
+    or an index listed twice for one actor.
+    """
+    version = data.get("format_version")
+    if version == "1":
+        raise ValueError(
+            "usage format 1 (the dense matrix) is no longer read; "
+            "rerun `ttpmine kb build`"
+        )
+    if version != USAGE_FORMAT_VERSION:
+        raise ValueError(
+            f"usage format {version!r} is not {USAGE_FORMAT_VERSION!r}"
+        )
+    try:
+        actors, techniques, uses = data["actors"], data["techniques"], data["uses"]
+    except KeyError as exc:
+        raise ValueError(f"usage has no {exc} key") from None
+    if (
+        not isinstance(uses, list)
+        or len(uses) != len(actors)
+        or not all(isinstance(u, list) for u in uses)
+    ):
+        raise ValueError(f"'uses' must hold one list per actor ({len(actors)})")
+    flat = list(chain.from_iterable(uses))
+    if not set(map(type, flat)) <= {int}:
+        raise ValueError("'uses' holds a technique index that is not an integer")
+    if flat and not (min(flat) >= 0 and max(flat) < len(techniques)):
+        raise ValueError(
+            f"'uses' holds a technique index outside 0..{len(techniques) - 1}"
+        )
+    cells = _cells(uses, len(techniques))
+    if np.count_nonzero(cells) != len(flat):
+        raise ValueError("'uses' lists a technique index twice for one actor")
     return UsageMatrix(
-        actors=tuple(data["actors"]),
-        techniques=tuple(data["techniques"]),
-        cells=np.asarray(data["cells"], dtype=np.int8),
+        actors=tuple(actors),
+        techniques=tuple(techniques),
+        cells=cells,
         skipped_unknown=int(data.get("skipped_unknown", 0)),
     )

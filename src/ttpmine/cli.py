@@ -27,6 +27,7 @@ from .mining import load_category_map
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    count_f4_missing,
     count_unrowed_annotations,
     labels_for_rows,
     load_ctfidf_model,
@@ -35,6 +36,7 @@ from .pipeline import (
     load_kb_usage,
     load_relation_model,
     load_relation_predictions,
+    load_report_predictions,
     make_meta,
     provenance_hash,
     run_pipeline,
@@ -44,6 +46,7 @@ from .pipeline import (
     stage_mine,
     stage_predict,
     stage_train,
+    usage_counts,
     write_json,
 )
 from .stopwords import STOPWORDS_VERSION
@@ -107,12 +110,15 @@ def cmd_kb_build(args) -> int:
     chash = provenance_hash(
         {"stix": args.stix, "out": args.out, "min_examples": args.min_examples}
     )
-    _, _, model = stage_kb(
+    _, usage, model = stage_kb(
         args.stix, args.out, min_examples=args.min_examples, config_hash=chash
     )
+    counts = usage_counts(usage)
     print(
-        f"kb: {len(model.class_ids)} classifier classes; wrote catalog.json, "
-        f"usage.json, ctfidf.json to {args.out}"
+        f"kb: {len(model.class_ids)} classifier classes, "
+        f"{counts['n_actors']} actors, {counts['n_uses']} uses "
+        f"({counts['n_skipped_uses']} skipped: unknown technique); "
+        f"wrote catalog.json, usage.json, ctfidf.json to {args.out}"
     )
     return 0
 
@@ -165,8 +171,13 @@ def cmd_classify(args) -> int:
 
 
 def cmd_features(args) -> int:
-    model_path = args.model or os.path.join(args.kb, "ctfidf.json")
-    model = load_ctfidf_model(model_path)
+    if args.predictions:
+        model, predictions = None, load_report_predictions(args.predictions)
+        source = {"predictions": args.predictions}
+    else:
+        model_path = args.model or os.path.join(args.kb, "ctfidf.json")
+        model, predictions = load_ctfidf_model(model_path), None
+        source = {"model": model_path}
     usage = load_kb_usage(args.kb)
     vectors = load_word_vectors(args.vectors) if args.vectors else None
     reports = load_reports(args.reports)
@@ -174,26 +185,33 @@ def cmd_features(args) -> int:
         {
             "reports": args.reports,
             "kb": args.kb,
-            "model": model_path,
+            **source,
             "vectors": args.vectors,
             "threshold": args.threshold,
             "bins": args.bins,
         }
     )
-    rows = stage_features(
-        model,
-        usage,
-        reports,
-        args.out,
-        vectors=vectors,
-        threshold=args.threshold,
-        bins=args.bins,
-        config_hash=chash,
-    )
+    try:
+        rows = stage_features(
+            model,
+            usage,
+            reports,
+            args.out,
+            predictions=predictions,
+            vectors=vectors,
+            threshold=args.threshold,
+            bins=args.bins,
+            config_hash=chash,
+        )
+    except PipelineError as exc:
+        if predictions is None:
+            raise
+        raise PipelineError(f"{args.predictions}: {exc}") from exc
     layout = FeatureLayout(bins=args.bins)
     print(
         f"features: {len(rows)} pair vectors x {layout.total} slots "
-        f"({layout.version}) -> {args.out}"
+        f"({layout.version}), {count_f4_missing(rows)} with f4_missing "
+        f"-> {args.out}"
     )
     return 0
 
@@ -404,8 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="pair feature extraction")
     p.add_argument("--reports", required=True, help="directory of report .txt files")
     p.add_argument("--kb", required=True, help="kb directory from `kb build`")
-    p.add_argument(
+    detections = p.add_mutually_exclusive_group()
+    detections.add_argument(
         "--model", help="ctfidf model JSON (default <kb>/ctfidf.json)"
+    )
+    detections.add_argument(
+        "--predictions",
+        help="classify.jsonl from `classify`, used instead of classifying again",
     )
     p.add_argument("--vectors", help="word vector text file for similarity features")
     p.add_argument(

@@ -187,7 +187,7 @@ def features_to_csv(vectors, layout: FeatureLayout) -> str:
                 fv.tx,
                 fv.ty,
                 int(fv.f4_missing),
-                *(repr(float(v)) for v in fv.values),
+                *map(repr, fv.values.tolist()),
             ]
         )
     return buf.getvalue()

@@ -26,6 +26,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .attack_kb import (
     TechniqueCatalog,
@@ -243,6 +245,18 @@ def report_prediction_to_dict(p: ReportPrediction) -> dict:
     }
 
 
+def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
+    return ReportPrediction(
+        report_id=data["report_id"],
+        threshold=float(data["threshold"]),
+        techniques=frozenset(data["techniques"]),
+        top_scores={
+            cid: tuple(map(float, v)) for cid, v in data["top_scores"].items()
+        },
+        hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
+    )
+
+
 def relation_prediction_to_dict(p: RelationPrediction) -> dict:
     return {
         "report_id": p.report_id,
@@ -287,8 +301,13 @@ def stage_kb(
         bundle_bytes = fh.read()
     os.makedirs(out_dir, exist_ok=True)
     catalog, usage = parse_stix(bundle_bytes)
+    counts = usage_counts(usage)
     logger.info(
-        "kb: %d techniques, %d actors", len(catalog.techniques), len(usage.actors)
+        "kb: %d techniques, %d actors, %d uses (%d skipped: unknown technique)",
+        len(catalog.techniques),
+        counts["n_actors"],
+        counts["n_uses"],
+        counts["n_skipped_uses"],
     )
     dataset = build_action_dataset(catalog, min_examples=min_examples)
     logger.info(
@@ -314,14 +333,31 @@ def stage_kb(
     return catalog, usage, model
 
 
+def usage_counts(usage: UsageMatrix) -> dict:
+    """The actors and uses the usage matrix kept, and the `uses`
+    relationships it skipped because their technique is not in the
+    catalog."""
+    # count_nonzero, not sum: an int8 sum casts through a 64 KiB buffer,
+    # which at the end of a run raises the peak RSS.
+    return {
+        "n_actors": len(usage.actors),
+        "n_uses": int(np.count_nonzero(usage.cells)),
+        "n_skipped_uses": usage.skipped_unknown,
+    }
+
+
 def load_kb_catalog(kb_dir: str) -> TechniqueCatalog:
     payload = read_json(os.path.join(kb_dir, "catalog.json"), "kb catalog")
     return catalog_from_dict(payload.get("catalog", payload))
 
 
 def load_kb_usage(kb_dir: str) -> UsageMatrix:
-    payload = read_json(os.path.join(kb_dir, "usage.json"), "kb usage")
-    return usage_from_dict(payload.get("usage", payload))
+    path = os.path.join(kb_dir, "usage.json")
+    payload = read_json(path, "kb usage")
+    try:
+        return usage_from_dict(payload.get("usage", payload))
+    except ValueError as exc:
+        raise PipelineError(f"kb usage artifact {path}: {exc}") from exc
 
 
 def load_ctfidf_model(path: str) -> CtfidfModel:
@@ -360,13 +396,22 @@ def stage_classify(
     return predictions
 
 
+def load_report_predictions(path: str) -> list[ReportPrediction]:
+    """The report predictions of a ``classify.jsonl``."""
+    _, records = read_jsonl(path)
+    try:
+        return [report_prediction_from_dict(r) for r in records]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PipelineError(f"{path}: malformed report prediction: {exc!r}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Stage: features
 # ---------------------------------------------------------------------------
 
 
 def stage_features(
-    model: CtfidfModel,
+    model: CtfidfModel | None,
     usage: UsageMatrix | None,
     reports: Sequence[Report],
     out_path: str,
@@ -383,9 +428,9 @@ def stage_features(
     prediction detected (see ``build_report_features``); a pair the
     classifier did not detect in a report gets no row there.
     ``predictions`` takes the classify stage's output, one per report;
-    None classifies the reports here. The f4 slots are computed once per
-    pair of the universe (the union of the reports' pairs), not once per
-    row.
+    None classifies the reports here with ``model``. The f4 slots are
+    computed once per pair of the universe (the union of the reports'
+    pairs), not once per row.
 
     A sidecar ``<out>.layout.json`` records the layout descriptor so
     later stages can validate compatibility.
@@ -434,12 +479,19 @@ def stage_features(
     meta["threshold"] = threshold
     write_json(out_path + ".layout.json", {"meta": meta, "layout": layout.descriptor()})
     logger.info(
-        "features: wrote %d pair vectors (%d slots) to %s",
+        "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s",
         len(rows),
         layout.total,
+        count_f4_missing(rows),
         out_path,
     )
     return rows
+
+
+def count_f4_missing(rows: Sequence[PairFeatureVector]) -> int:
+    """Rows whose f4 slots are zero because a technique of the pair is
+    not in the usage matrix (or there is no matrix)."""
+    return sum(row.f4_missing for row in rows)
 
 
 def load_features(path: str) -> tuple[list[PairFeatureVector], FeatureLayout]:
@@ -700,5 +752,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "n_reports": len(reports),
         "n_pairs": len(rows),
         "n_unrowed_annotations": n_unrowed,
+        "n_f4_missing": count_f4_missing(rows),
         "n_patterns": len(patterns),
+        **usage_counts(usage),
     }

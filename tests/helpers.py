@@ -77,6 +77,43 @@ def bundle(*objects: dict, collection_version: str | None = None) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
+def usage_bundle(seed: int, actors: int = 150, techniques: int = 60) -> bytes:
+    """A seeded bundle with many actors of every kind and about 5% of
+    actor-technique cells used, plus what the usage matrix must skip or
+    fold: sub-technique targets, revoked or deprecated techniques,
+    revoked relationships and actors, targets missing from the bundle,
+    repeated uses, an actor with no external id, and non-actor sources."""
+    rng = np.random.default_rng(seed)
+    kinds = ("intrusion-set", "malware", "tool", "campaign")
+    techs = [attack_pattern(f"T{3000 + k}", f"Technique {k}") for k in range(techniques)]
+    subs = [attack_pattern(f"T{3000 + k}.00{k % 3 + 1}", f"Sub {k}")
+            for k in range(0, techniques, 4)]
+    dropped = [
+        attack_pattern(f"T{5000 + k}", f"Gone {k}", revoked=k % 2 == 0,
+                       deprecated=k % 2 == 1)
+        for k in range(6)
+    ]
+    ghosts = [{"id": f"attack-pattern--ghost-{k}"} for k in range(4)]
+    people = [actor(f"A{1000 + k}", kind=kinds[k % 4]) for k in range(actors)]
+    people[0]["external_references"] = []
+    people[1]["revoked"] = True
+    targets = techs + subs + dropped + ghosts
+    p = np.full(len(targets), 0.05)
+    p[len(techs):] = 0.02
+    rels = [
+        uses(a, t, revoked=bool(rng.random() < 0.05))
+        for a in people
+        for t, hit in zip(targets, rng.random(len(targets)) < p)
+        if hit
+    ]
+    rels += [
+        uses(people[k], techs[k % techniques]) for k in range(0, actors, 7) for _ in "ab"
+    ]
+    rels += [uses(techs[0], techs[1]), uses(people[2], people[3])]
+    order = rng.permutation(len(rels))
+    return bundle(*techs, *subs, *dropped, *people, *(rels[k] for k in order))
+
+
 def make_fv(values, report_id: str = "r1", tx: str = "TA", ty: str = "TB",
             layout_version: str = "test-layout",
             f4_missing: bool = False) -> PairFeatureVector:

@@ -7,10 +7,20 @@ formulations so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
+from ttpmine.attack_kb import (
+    _ACTOR_PREFIXES,
+    UsageMatrix,
+    _external_id,
+    _is_excluded,
+    _load_bundle,
+    _pattern_map,
+    parse_stix,
+)
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.features.discourse import (
     COREF_WINDOW,
@@ -608,3 +618,65 @@ def per_label_train_oracle(features, labels, config, feature_groups=None,
         config=config,
         n_features=X.shape[1],
     )
+
+
+def dense_usage_to_dict(matrix: UsageMatrix) -> dict:
+    """The dense usage layout (format "1"): every cell, as nested lists."""
+    return {
+        "format_version": "1",
+        "actors": list(matrix.actors),
+        "techniques": list(matrix.techniques),
+        "cells": matrix.cells.tolist(),
+        "skipped_unknown": matrix.skipped_unknown,
+    }
+
+
+def dense_usage_from_dict(data: dict) -> UsageMatrix:
+    return UsageMatrix(
+        actors=tuple(data["actors"]),
+        techniques=tuple(data["techniques"]),
+        cells=np.asarray(data["cells"], dtype=np.int8),
+        skipped_unknown=int(data.get("skipped_unknown", 0)),
+    )
+
+
+def dense_usage_oracle(bundle_bytes: bytes) -> UsageMatrix:
+    """A bundle's usage matrix built one cell at a time, then passed
+    through the dense layout as JSON text and read back.
+
+    Rows are the actors with at least one resolvable technique, in
+    actor-id order; a `uses` relationship whose attack-pattern target is
+    not in the catalog is skipped and counted.
+    """
+    objects = _load_bundle(bundle_bytes)
+    patterns = _pattern_map(objects)
+    catalog, _ = parse_stix(bundle_bytes)
+    actor_ids = {}
+    for obj in objects:
+        stix_id = str(obj.get("id", ""))
+        if not _is_excluded(obj) and stix_id.startswith(_ACTOR_PREFIXES):
+            actor_ids[stix_id] = _external_id(obj) or stix_id
+    used: dict[str, set[str]] = {}
+    skipped = 0
+    for obj in objects:
+        if obj.get("type") != "relationship" or _is_excluded(obj):
+            continue
+        if obj.get("relationship_type") != "uses" or obj.get("source_ref") not in actor_ids:
+            continue
+        if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
+            continue
+        target = patterns.get(obj.get("target_ref"))
+        if target is None or target[0] not in catalog:
+            skipped += 1
+            continue
+        used.setdefault(actor_ids[obj["source_ref"]], set()).add(target[0])
+    actors = tuple(sorted(used))
+    techniques = catalog.technique_ids
+    cells = np.zeros((len(actors), len(techniques)), dtype=np.int8)
+    for r, actor in enumerate(actors):
+        for tid in used[actor]:
+            cells[r, techniques.index(tid)] = 1
+    matrix = UsageMatrix(
+        actors=actors, techniques=techniques, cells=cells, skipped_unknown=skipped
+    )
+    return dense_usage_from_dict(json.loads(json.dumps(dense_usage_to_dict(matrix))))

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
-from helpers import actor, attack_pattern, bundle, uses
+from helpers import E2E_DIR, actor, attack_pattern, bundle, usage_bundle, uses
+from oracles import dense_usage_oracle, dense_usage_to_dict
 
 from ttpmine.attack_kb import (
+    USAGE_FORMAT_VERSION,
     ActionDataset,
+    UsageMatrix,
     EmptyCatalogError,
     StixParseError,
     build_action_dataset,
@@ -17,6 +23,7 @@ from ttpmine.attack_kb import (
     usage_from_dict,
     usage_to_dict,
 )
+from ttpmine.pipeline import PipelineError, load_kb_usage, write_json
 
 
 class TestParseStix:
@@ -301,3 +308,160 @@ class TestRoundTrips:
             min_examples=1,
         )
         assert dataset.min_examples == 1
+
+
+def _edge_bundle() -> bytes:
+    """Uses that the matrix must fold, skip or count: a sub-technique
+    and its parent used by one actor, revoked and deprecated techniques,
+    a revoked relationship, a target missing from the bundle, a revoked
+    actor, a non-actor source and a repeated use."""
+    parent = attack_pattern("T1566", "Phishing")
+    sub = attack_pattern("T1566.002", "Spearphishing Link")
+    orphan_sub = attack_pattern("T1059.001", "PowerShell")
+    other = attack_pattern("T1204", "User Execution")
+    revoked = attack_pattern("T1001", "Old", revoked=True)
+    deprecated = attack_pattern("T1002", "Older", deprecated=True)
+    ghost = {"id": "attack-pattern--ghost"}
+    group = actor("G0001")
+    malware = actor("S0001", kind="malware")
+    tool = actor("S0002", kind="tool")
+    gone = actor("G0002")
+    gone["revoked"] = True
+    return bundle(
+        parent, sub, orphan_sub, other, revoked, deprecated, group, malware, tool, gone,
+        uses(group, sub), uses(group, parent), uses(group, parent),
+        uses(group, revoked), uses(group, deprecated), uses(group, ghost),
+        uses(malware, orphan_sub), uses(malware, other, revoked=True),
+        uses(tool, ghost), uses(tool, other), uses(gone, other),
+        uses(parent, other),
+    )
+
+
+USAGE_BUNDLES = {
+    "e2e": lambda: (E2E_DIR / "stix_bundle.json").read_bytes(),
+    "seeded-0": lambda: usage_bundle(0),
+    "seeded-1": lambda: usage_bundle(1),
+    "seeded-2": lambda: usage_bundle(2, actors=400, techniques=120),
+    "edges": _edge_bundle,
+}
+
+
+def _assert_same_usage(got, want):
+    assert got.actors == want.actors
+    assert got.techniques == want.techniques
+    assert got.skipped_unknown == want.skipped_unknown
+    assert got.cells.dtype == want.cells.dtype == np.int8
+    assert np.array_equal(got.cells, want.cells)
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_BUNDLES))
+class TestUsageAgainstDenseOracle:
+    """The matrix built in one assignment and stored as its uses equals
+    the matrix built one cell at a time and stored as every cell."""
+
+    def test_parse_matches_oracle(self, name):
+        data = USAGE_BUNDLES[name]()
+        _, um = parse_stix(data)
+        _assert_same_usage(um, dense_usage_oracle(data))
+
+    def test_round_trip_through_json(self, name):
+        _, um = parse_stix(USAGE_BUNDLES[name]())
+        as_dict = usage_to_dict(um)
+        assert as_dict["format_version"] == USAGE_FORMAT_VERSION == "2"
+        assert "cells" not in as_dict
+        assert [len(u) for u in as_dict["uses"]] == um.cells.sum(axis=1).tolist()
+        assert all(u == sorted(set(u)) for u in as_dict["uses"])
+        again = usage_from_dict(json.loads(json.dumps(as_dict)))
+        _assert_same_usage(again, um)
+
+
+def test_edge_bundle_folds_and_skips():
+    _, um = parse_stix(_edge_bundle())
+    assert um.actors == ("G0001", "S0001", "S0002")
+    assert um.techniques == ("T1059", "T1204", "T1566")
+    assert um.cells.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    # revoked, deprecated and missing targets: G0001 x3, S0002 x1.
+    assert um.skipped_unknown == 4
+
+
+def test_round_trip_keeps_an_actor_without_uses():
+    matrix = UsageMatrix(
+        actors=("A", "B"),
+        techniques=("T1", "T2", "T3"),
+        cells=np.array([[0, 0, 0], [1, 0, 1]], dtype=np.int8),
+        skipped_unknown=2,
+    )
+    um = usage_from_dict(usage_to_dict(matrix))
+    assert um.cells.tolist() == [[0, 0, 0], [1, 0, 1]]
+    assert um.skipped_unknown == 2
+
+
+class TestUsageFileRejections:
+    """`load_kb_usage` fails with one PipelineError naming the file for a
+    dense (format 1) file or uses that do not fit the matrix."""
+
+    def _write(self, tmp_path, usage: dict):
+        write_json(str(tmp_path / "usage.json"), {"meta": {}, "usage": usage})
+
+    def _fails(self, tmp_path, match: str):
+        path = re.escape(str(tmp_path / "usage.json"))
+        with pytest.raises(PipelineError, match=f"^kb usage artifact {path}: .*{match}"):
+            load_kb_usage(str(tmp_path))
+
+    def _valid(self) -> dict:
+        _, um = parse_stix(_edge_bundle())
+        return usage_to_dict(um)
+
+    def test_valid_file_loads(self, tmp_path):
+        self._write(tmp_path, self._valid())
+        _assert_same_usage(load_kb_usage(str(tmp_path)), parse_stix(_edge_bundle())[1])
+
+    def test_dense_format_1_asks_for_kb_build(self, tmp_path):
+        self._write(tmp_path, dense_usage_to_dict(parse_stix(_edge_bundle())[1]))
+        self._fails(tmp_path, re.escape("format 1 (the dense matrix) is no longer read; "
+                                        "rerun `ttpmine kb build`"))
+
+    @pytest.mark.parametrize("version", ["3", None, 2])
+    def test_other_format_rejected(self, tmp_path, version):
+        data = self._valid()
+        data["format_version"] = version
+        self._write(tmp_path, data)
+        self._fails(tmp_path, "usage format .* is not '2'")
+
+    @pytest.mark.parametrize("key", ["actors", "techniques", "uses"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        data = self._valid()
+        del data[key]
+        self._write(tmp_path, data)
+        self._fails(tmp_path, f"usage has no '{key}' key")
+
+    @pytest.mark.parametrize(
+        "uses",
+        [[[2], [0]], [[2], [0], [1], []], {"G0001": [2]}, [[2], [0], 1]],
+        ids=["too-few", "too-many", "not-a-list", "entry-not-a-list"],
+    )
+    def test_length_mismatch_rejected(self, tmp_path, uses):
+        data = self._valid()
+        data["uses"] = uses
+        self._write(tmp_path, data)
+        self._fails(tmp_path, re.escape("'uses' must hold one list per actor (3)"))
+
+    @pytest.mark.parametrize("bad", [3, -1, 99])
+    def test_out_of_range_index_rejected(self, tmp_path, bad):
+        data = self._valid()
+        data["uses"][1] = [0, bad]
+        self._write(tmp_path, data)
+        self._fails(tmp_path, re.escape("technique index outside 0..2"))
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", True, None, [1]])
+    def test_non_integer_index_rejected(self, tmp_path, bad):
+        data = self._valid()
+        data["uses"][1] = [0, bad]
+        self._write(tmp_path, data)
+        self._fails(tmp_path, "technique index that is not an integer")
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        data = self._valid()
+        data["uses"][0] = [2, 2]
+        self._write(tmp_path, data)
+        self._fails(tmp_path, "lists a technique index twice for one actor")

@@ -270,6 +270,24 @@ class TestCsvRoundTrip:
             assert fv.f4_missing == rt.f4_missing
             assert np.array_equal(fv.values, rt.values)
 
+    def test_values_written_as_float_repr(self):
+        # Each value is written as `repr` of the Python float, as when it
+        # was formatted one numpy scalar at a time.
+        layout = FeatureLayout(bins=10)
+        vectors = self._vectors()
+        edge = vectors[-1].values.copy()
+        edge[:6] = (-0.0, 5e-324, 1e300, 2.0**53 + 2, np.nextafter(1.0, 2.0), -1 / 3)
+        vectors.append(type(vectors[0])(
+            report_id="ry", tx="T1204", ty="T1566", values=edge,
+            layout_version=layout.version,
+        ))
+        lines = features_to_csv(vectors, layout).splitlines()[1:]
+        assert len(lines) == len(vectors)
+        for line, fv in zip(lines, vectors):
+            expected = [fv.report_id, fv.tx, fv.ty, str(int(fv.f4_missing))]
+            expected += [repr(float(v)) for v in fv.values]
+            assert line == ",".join(expected)
+
     def test_header_names_layout(self):
         layout = FeatureLayout(bins=10)
         header = features_to_csv([], layout).splitlines()[0]

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict
-from ttpmine import __version__, attack_kb, pipeline
+from ttpmine import __version__, attack_kb, cli, pipeline
+from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import predict_report
@@ -29,12 +30,16 @@ from ttpmine.pipeline import (
     load_kb_usage,
     load_relation_model,
     load_relation_predictions,
+    load_report_predictions,
     provenance_hash,
     read_jsonl,
+    report_prediction_from_dict,
+    report_prediction_to_dict,
     run_pipeline,
     stage_features,
     stage_kb,
     stage_predict,
+    write_json,
 )
 
 PLANTED = "T1566,T1204,BEFORE,3,r01;r02;r03,Baiting towards malicious execution"
@@ -590,3 +595,156 @@ class TestCliChain:
         pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
         scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
         assert 'ttpmine = "ttpmine.cli:main"' in scripts.splitlines()
+
+
+def _features_argv(cli_dir, out, *extra):
+    return [
+        "features",
+        "--reports", REPORTS,
+        "--kb", str(cli_dir / "kb"),
+        "--out", str(out),
+        *extra,
+    ]
+
+
+class TestFeaturesFromClassifyOutput:
+    """`features --predictions` takes the detections `classify` wrote
+    instead of classifying every report again."""
+
+    def test_report_prediction_round_trip(self, cli_dir):
+        model = load_ctfidf_model(str(cli_dir / "kb" / "ctfidf.json"))
+        for report in load_reports(REPORTS):
+            p = predict_report(model, report, threshold=0.95)
+            text = json.dumps(report_prediction_to_dict(p))
+            assert report_prediction_from_dict(json.loads(text)) == p
+
+    def test_features_match_reclassifying_path(self, cli_dir, tmp_path, monkeypatch):
+        def no_model(path):
+            raise AssertionError(f"model loaded: {path}")
+
+        monkeypatch.setattr(cli, "load_ctfidf_model", no_model)
+        out = tmp_path / "features.csv"
+        predictions = str(cli_dir / "classify.jsonl")
+        assert main(_features_argv(cli_dir, out, "--predictions", predictions)) == 0
+        assert out.read_bytes() == (cli_dir / "features.csv").read_bytes()
+        mine = json.loads((tmp_path / "features.csv.layout.json").read_text())
+        theirs = json.loads((cli_dir / "features.csv.layout.json").read_text())
+        assert mine["layout"] == theirs["layout"]
+        # Only the provenance differs: the detections came from a file.
+        assert mine["meta"]["config_hash"] != theirs["meta"]["config_hash"]
+        del mine["meta"]["config_hash"], theirs["meta"]["config_hash"]
+        assert mine == theirs
+
+    def test_wrong_threshold_names_file(self, cli_dir, tmp_path, capsys):
+        predictions = str(cli_dir / "classify.jsonl")
+        argv = _features_argv(
+            cli_dir, tmp_path / "f.csv", "--predictions", predictions, "--threshold", "0.9"
+        )
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ttpmine features: error: {predictions}: features: prediction for "
+            "report 'r01' used threshold 0.95, not 0.9"
+        ]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_report_without_prediction_names_file(self, cli_dir, tmp_path, capsys):
+        lines = (cli_dir / "classify.jsonl").read_text().splitlines(keepends=True)
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(
+            "".join(line for line in lines if '"report_id":"r03"' not in line)
+        )
+        assert len(partial.read_text().splitlines()) == len(lines) - 1
+        argv = _features_argv(cli_dir, tmp_path / "f.csv", "--predictions", str(partial))
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"ttpmine features: error: {partial}: features: no classifier "
+            "prediction for 'r03'"
+        ]
+
+    def test_malformed_record_names_file(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"report_id": "r01", "threshold": 0.95}\n')
+        argv = _features_argv(cli_dir, tmp_path / "f.csv", "--predictions", str(bad))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"ttpmine features: error: {bad}: malformed report prediction" in err
+
+    def test_load_report_predictions_skips_meta_line(self, cli_dir):
+        loaded = load_report_predictions(str(cli_dir / "classify.jsonl"))
+        assert [p.report_id for p in loaded] == ["r01", "r02", "r03", "r04", "r05"]
+
+    def test_model_and_predictions_are_exclusive(self, cli_dir, tmp_path, capsys):
+        argv = _features_argv(
+            cli_dir, tmp_path / "f.csv",
+            "--predictions", str(cli_dir / "classify.jsonl"),
+            "--model", str(cli_dir / "kb" / "ctfidf.json"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+class TestSkipCounts:
+    """`kb build`, `features` and the `run` summary count the uses the
+    usage matrix kept and skipped and the rows whose f4 slots are zeroed;
+    no artifact carries these counts."""
+
+    def test_run_summary(self, pipeline_out):
+        summary, out_dir, _ = pipeline_out
+        assert summary["n_actors"] == 3
+        assert summary["n_uses"] == 7
+        assert summary["n_skipped_uses"] == 0
+        assert summary["n_f4_missing"] == 0
+        for path in out_dir.rglob("*"):
+            if path.is_file():
+                text = path.read_text(encoding="utf-8")
+                for key in ("n_actors", "n_uses", "n_skipped_uses", "n_f4_missing"):
+                    assert key not in text, (path, key)
+
+    def test_kb_build_prints_counts(self, tmp_path, capsys):
+        bundle = json.loads((E2E_DIR / "stix_bundle.json").read_text())
+        source = next(
+            o["id"] for o in bundle["objects"] if o["type"] == "intrusion-set"
+        )
+        bundle["objects"].append(
+            {
+                "type": "relationship",
+                "id": "relationship--ghost",
+                "relationship_type": "uses",
+                "source_ref": source,
+                "target_ref": "attack-pattern--ghost",
+            }
+        )
+        stix = tmp_path / "stix.json"
+        stix.write_text(json.dumps(bundle), encoding="utf-8")
+        assert main(["kb", "build", "--stix", STIX, "--out", str(tmp_path / "a")]) == 0
+        assert main(["kb", "build", "--stix", str(stix), "--out", str(tmp_path / "b")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "3 actors, 7 uses (0 skipped: unknown technique)" in out[0]
+        assert "3 actors, 7 uses (1 skipped: unknown technique)" in out[1]
+
+    def test_features_prints_f4_missing_rows(self, cli_dir, tmp_path, capsys):
+        usage = load_kb_usage(str(cli_dir / "kb"))
+        assert main(_features_argv(cli_dir, tmp_path / "all.csv")) == 0
+        # A usage matrix without T1204: every row with T1204 loses F4.
+        keep = [k for k, tid in enumerate(usage.techniques) if tid != "T1204"]
+        kb = tmp_path / "kb"
+        kb.mkdir()
+        (kb / "ctfidf.json").write_bytes((cli_dir / "kb" / "ctfidf.json").read_bytes())
+        narrowed = UsageMatrix(
+            actors=usage.actors,
+            techniques=tuple(usage.techniques[k] for k in keep),
+            cells=usage.cells[:, keep],
+        )
+        write_json(str(kb / "usage.json"), {"usage": usage_to_dict(narrowed)})
+        argv = ["features", "--reports", REPORTS, "--kb", str(kb),
+                "--out", str(tmp_path / "narrow.csv")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        rows, _ = load_features(str(tmp_path / "narrow.csv"))
+        expected = sum(1 for r in rows if "T1204" in (r.tx, r.ty))
+        assert expected > 0
+        assert sum(r.f4_missing for r in rows) == expected
+        assert ", 0 with f4_missing ->" in out[0]
+        assert f", {expected} with f4_missing ->" in out[1]
