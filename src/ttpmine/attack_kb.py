@@ -143,45 +143,53 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     sentences come from the descriptions of `uses` relationships whose
     source is an intrusion-set/malware/tool/campaign, split by the
     corpus sentence splitter (`split_sentences`, no tokenizing), in
-    bundle order. The bundle is decoded once; the usage matrix
-    (`_usage_matrix`) comes from the same objects.
+    bundle order. The bundle is decoded once and its objects walked
+    once; the procedure examples and the usage matrix (`_usage_matrix`)
+    both come from the `uses` relationships that walk collects.
     """
     objects = _load_bundle(bundle_bytes)
-    patterns = _pattern_map(objects)
+    pattern_objects: list[dict] = []
+    actor_objects: list[dict] = []
+    relationships: list[dict] = []
+    version = None
+    for obj in objects:
+        kind = obj.get("type")
+        if kind == "x-mitre-collection" and version is None:
+            if obj.get("x_mitre_version"):
+                version = str(obj["x_mitre_version"])
+        if kind == "attack-pattern":
+            # Excluded ones too: `_pattern_map` drops them.
+            pattern_objects.append(obj)
+        if _is_excluded(obj):
+            continue
+        if str(obj.get("id", "")).startswith(_ACTOR_PREFIXES):
+            actor_objects.append(obj)
+        if (
+            kind == "relationship"
+            and obj.get("relationship_type") == "uses"
+            and str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES)
+        ):
+            relationships.append(obj)
+
+    patterns = _pattern_map(pattern_objects)
     if not patterns:
         raise EmptyCatalogError("bundle contains no usable attack-pattern objects")
 
     names: dict[str, str] = {}
-    for obj in objects:
-        stix_id = obj["id"] if obj.get("type") == "attack-pattern" else None
-        if stix_id not in patterns:
+    for obj in pattern_objects:
+        if obj["id"] not in patterns:
             continue
-        tid, name = patterns[stix_id]
+        tid, name = patterns[obj["id"]]
         is_parent = "." not in (_external_id(obj) or ".")
         # A parent object's own name wins; otherwise first sub seen names it.
         if is_parent or tid not in names:
             names[tid] = name
 
     examples: dict[str, list[str]] = {tid: [] for tid in names}
-    for obj in objects:
-        if obj.get("type") != "relationship" or _is_excluded(obj):
-            continue
-        if obj.get("relationship_type") != "uses":
-            continue
-        if not str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES):
-            continue
+    for obj in relationships:
         target = patterns.get(obj.get("target_ref"))
-        if target is None:
-            continue
-        description = obj.get("description") or ""
-        tid = target[0]
-        examples[tid].extend(split_sentences(description))
-
-    version = "unknown"
-    for obj in objects:
-        if obj.get("type") == "x-mitre-collection" and obj.get("x_mitre_version"):
-            version = str(obj["x_mitre_version"])
-            break
+        if target is not None:
+            examples[target[0]].extend(split_sentences(obj.get("description") or ""))
 
     records = tuple(
         TechniqueRecord(
@@ -189,38 +197,36 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
         )
         for tid in sorted(names)
     )
-    catalog = TechniqueCatalog(techniques=records, version=version)
-    return catalog, _usage_matrix(objects, patterns, catalog)
+    catalog = TechniqueCatalog(techniques=records, version=version or "unknown")
+    return catalog, _usage_matrix(relationships, actor_objects, patterns, catalog)
 
 
 def _usage_matrix(
-    objects: list[dict],
+    relationships: list[dict],
+    actor_objects: list[dict],
     patterns: dict[str, tuple[str, str]],
     catalog: TechniqueCatalog,
 ) -> UsageMatrix:
     """Binary actor-by-technique usage matrix from `uses` relationships.
 
+    `relationships` are the bundle's unexcluded `uses` relationships
+    from an actor-prefixed source and `actor_objects` its unexcluded
+    objects with an actor-prefixed id, both in bundle order. A
+    relationship counts when its source is one of those actors and its
+    target an attack pattern.
     Rows are actors (groups, software, campaigns) with at least one
     resolvable technique, in lexicographic actor-id order; columns are
     catalog techniques. Relationships whose technique cannot be resolved
     in the catalog are skipped and counted, not fatal.
     """
     actor_ids: dict[str, str] = {}
-    for obj in objects:
-        if _is_excluded(obj):
-            continue
+    for obj in actor_objects:
         stix_id = str(obj.get("id", ""))
-        if not stix_id.startswith(_ACTOR_PREFIXES):
-            continue
         actor_ids[stix_id] = _external_id(obj) or stix_id
 
     used: dict[str, set[str]] = {}
     skipped = 0
-    for obj in objects:
-        if obj.get("type") != "relationship" or _is_excluded(obj):
-            continue
-        if obj.get("relationship_type") != "uses":
-            continue
+    for obj in relationships:
         source = obj.get("source_ref")
         if source not in actor_ids:
             continue

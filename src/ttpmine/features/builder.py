@@ -81,9 +81,10 @@ def build_feature_vector(
     technique absent from the usage matrix zeroes the f4 slots and sets
     the f4_missing flag instead of failing.
 
-    `links` (the report's coref links), `markers` (its `marker_table`)
-    and `f4` (this pair's `f4_table` entry) take precomputed values;
-    None computes them here.
+    `links` (coref links among a set of the report's sentences that
+    holds the pair's hit sentences), `markers` (its `marker_table`) and
+    `f4` (this pair's `f4_table` entry) take precomputed values; None
+    computes them here, links among the pair's hit sentences only.
     """
     if layout is None:
         layout = FeatureLayout(bins=bins)
@@ -92,13 +93,13 @@ def build_feature_vector(
     tx, ty = pair
     if tx == ty:
         raise ValueError(f"self-pair ({tx}, {ty}) has no feature vector")
-    if links is None:
-        links = coref_links(report)
     if f4 is None:
         f4 = _f4_slots(um, pair, bins)
 
     tx_sent = report_prediction.hit_sentences.get(tx, ())
     ty_sent = report_prediction.hit_sentences.get(ty, ())
+    if links is None:
+        links = coref_links(report, (*tx_sent, *ty_sent))
 
     default = np.zeros(2 * TOP_K_SCORES, dtype=np.float64)
     if tx in report_prediction.techniques:
@@ -123,6 +124,17 @@ def build_feature_vector(
     )
 
 
+def coref_sentences(report_prediction: ReportPrediction) -> frozenset[int]:
+    """The sentences `build_report_features` computes coref links among:
+    every hit sentence of the report's detected techniques, or none when
+    fewer than two were detected (the report has no rows)."""
+    techniques = report_prediction.techniques
+    if len(techniques) < 2:
+        return frozenset()
+    hits = report_prediction.hit_sentences
+    return frozenset(i for tid in techniques for i in hits.get(tid, ()))
+
+
 def build_report_features(
     report: Report,
     report_prediction: ReportPrediction,
@@ -138,16 +150,21 @@ def build_report_features(
     The pairs are `pair_universe(report_prediction.techniques)`, in its
     lexicographic order; a report with fewer than two detected
     techniques has no rows. The report's coref links and marker table
-    are built once and shared by every pair. `f4` takes an `f4_table`
-    covering those pairs, so a corpus computes it once; None builds one
-    here.
+    are built once and shared by every pair. The links are computed
+    only among `coref_sentences(report_prediction)`: every feature
+    reads only links between a pair's own hit sentences, so the rows
+    equal those built from the whole report's links. `f4` takes an
+    `f4_table` covering those pairs, so a corpus computes it once; None
+    builds one here.
     """
     if layout is None:
         layout = FeatureLayout(bins=bins)
     pairs = pair_universe(report_prediction.techniques).pairs
+    if not pairs:
+        return []
     if f4 is None:
         f4 = f4_table(um, pairs, bins)
-    links = coref_links(report)
+    links = coref_links(report, coref_sentences(report_prediction))
     markers = marker_table(report, lexicon)
     return [
         build_feature_vector(

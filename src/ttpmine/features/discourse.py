@@ -8,6 +8,7 @@ coreference links with j - i <= 3.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from enum import Enum
 
 import numpy as np
@@ -110,39 +111,64 @@ def _raw_words(sentence: Sentence) -> list[str]:
     return _WORDS.findall(sentence.text.lower())
 
 
-def coref_links(report: Report) -> frozenset[tuple[int, int]]:
+def coref_links(
+    report: Report, among: Iterable[int] | None = None
+) -> frozenset[tuple[int, int]]:
     """Heuristic coreference links (i, j), i < j, within a 3-sentence window.
 
     Rule (a): sentence j opens with a pronoun (first 4 tokens), linked to
     the nearest preceding sentence holding a noun-like token. Rule (b):
     sentence j has a definite reference "the X"/"this X" whose X occurs
     (plural-insensitively) in sentence i.
+
+    `among` keeps only the links whose two sentences are both in it (any
+    order, repeats allowed); None means every sentence. Only those
+    sentences are read as j, and as i in rule (b). Rule (a) still walks
+    back to the nearest noun-holding sentence: when that one is outside
+    `among`, j gets no rule (a) link, never a farther one. Raises
+    ValueError for an index outside the report.
     """
     sentences = report.sentences
+    n = len(sentences)
+    if among is None:
+        order = range(n)
+    else:
+        order = sorted(set(among))
+        for idx in order:
+            if not 0 <= idx < n:
+                raise ValueError(
+                    f"sentence index {idx} outside report of {n} sentences"
+                )
+    kept = set(order)
     links: set[tuple[int, int]] = set()
-    # Built once per sentence: whether it holds a noun-like token (rule a)
-    # and its set of raw words (rule b).
-    has_noun = [any(_noun_like(t) for t in s.tokens) for s in sentences]
-    raw_cache = [_raw_words(s) for s in sentences]
-    word_sets = [set(words) for words in raw_cache]
+    # Whether a sentence holds a noun-like token (rule a), filled for the
+    # window sentences walked; the raw word set of each kept sentence
+    # (rule b), filled as j passes it, since a kept i < j came first.
+    has_noun: dict[int, bool] = {}
+    word_sets: dict[int, set[str]] = {}
 
-    for j in range(1, len(sentences)):
+    for j in order:
         window = range(max(0, j - COREF_WINDOW), j)
         sj = sentences[j]
 
         if any(t in PRONOUNS for t in sj.tokens[:4]):
             for i in reversed(window):
+                if i not in has_noun:
+                    has_noun[i] = any(_noun_like(t) for t in sentences[i].tokens)
                 if has_noun[i]:
-                    links.add((i, j))
+                    if i in kept:
+                        links.add((i, j))
                     break
 
+        words = _raw_words(sj)
+        word_sets[j] = set(words)
         wanted: set[str] = set()
-        for word, nxt in zip(raw_cache[j], raw_cache[j][1:]):
+        for word, nxt in zip(words, words[1:]):
             if word in ("the", "this") and _noun_like(nxt):
                 wanted |= _plural_forms(nxt)
         if wanted:
             for i in window:
-                if not wanted.isdisjoint(word_sets[i]):
+                if i in kept and not wanted.isdisjoint(word_sets[i]):
                     links.add((i, j))
 
     return frozenset(links)

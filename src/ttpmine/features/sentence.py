@@ -40,8 +40,9 @@ def sentence_features(
     """13 reals: 9 adjacency counts (d = -4..4), same-sentence count,
     mean cosine, max cosine, straddling coreference-link count.
 
-    `links` takes precomputed coref links for the report; None computes
-    them here.
+    `links` takes precomputed coref links among a set of the report's
+    sentences that holds tx and ty; None computes them here, among tx
+    and ty only.
     """
     tx = sorted(set(tx_sentences))
     ty = sorted(set(ty_sentences))
@@ -65,9 +66,9 @@ def sentence_features(
         out[10] = float(np.mean(sims))
         out[11] = float(np.max(sims))
 
-    if links is None:
-        links = coref_links(report)
     tx_set, ty_set = set(tx), set(ty)
+    if links is None:
+        links = coref_links(report, tx_set | ty_set)
     out[12] = sum(
         1
         for (i, j) in links

@@ -53,6 +53,7 @@ from .embeddings import WordVectors, load_word_vectors
 from .features import FeatureLayout, PairFeatureVector
 from .features.builder import (
     build_report_features,
+    coref_sentences,
     f4_table,
     read_features_csv,
     write_features_csv,
@@ -479,13 +480,22 @@ def stage_features(
     meta["threshold"] = threshold
     write_json(out_path + ".layout.json", {"meta": meta, "layout": layout.descriptor()})
     logger.info(
-        "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s",
+        "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s; "
+        "coreference over %d hit sentences of %d",
         len(rows),
         layout.total,
         count_f4_missing(rows),
         out_path,
+        count_hit_sentences(by_id[report.report_id] for report in ordered),
+        sum(len(report.sentences) for report in ordered),
     )
     return rows
+
+
+def count_hit_sentences(predictions: Iterable[ReportPrediction]) -> int:
+    """The sentences the features stage computes coreference links among:
+    each report's `coref_sentences`."""
+    return sum(len(coref_sentences(p)) for p in predictions)
 
 
 def count_f4_missing(rows: Sequence[PairFeatureVector]) -> int:
@@ -750,6 +760,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "predictions": predictions_path,
         "patterns": patterns_path,
         "n_reports": len(reports),
+        "n_sentences": sum(len(report.sentences) for report in reports),
+        "n_hit_sentences": count_hit_sentences(report_predictions),
         "n_pairs": len(rows),
         "n_unrowed_annotations": n_unrowed,
         "n_f4_missing": count_f4_missing(rows),

@@ -22,6 +22,7 @@ from ttpmine.attack_kb import (
     parse_stix,
 )
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
+from ttpmine.stopwords import STOPWORDS
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -370,6 +371,33 @@ def marker_features_oracle(report, tx_sentences, ty_sentences, lexicon=DEFAULT_L
     return out
 
 
+_TOKEN_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789._-")
+_EDGE_CHARS = frozenset("._-")
+
+
+def tokenize_oracle(text: str) -> list[str]:
+    """Tokens by walking the text one character at a time: each character
+    is lowercased on its own, a run of [a-z0-9._-] characters is a
+    candidate, its edge ".", "_" and "-" are trimmed one at a time, and an
+    empty or stopword result is dropped."""
+    out: list[str] = []
+    run: list[str] = []
+    for ch in [c for original in text for c in original.lower()] + [" "]:
+        if ch in _TOKEN_CHARS:
+            run.append(ch)
+            continue
+        lo, hi = 0, len(run)
+        while lo < hi and run[lo] in _EDGE_CHARS:
+            lo += 1
+        while hi > lo and run[hi - 1] in _EDGE_CHARS:
+            hi -= 1
+        token = "".join(run[lo:hi])
+        if token and token not in STOPWORDS:
+            out.append(token)
+        run = []
+    return out
+
+
 def plural_match_oracle(a: str, b: str) -> bool:
     """Plural-insensitive equality: equal, or one is the other plus "s"."""
     return a == b or a == b + "s" or b == a + "s"
@@ -489,13 +517,15 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
     """Feature rows over the all-class pair universe: every ordered pair
     of classifier classes in every report, detected or not. Reports go in
     id order and pairs in lexicographic order; each vector is built on
-    its own by `build_feature_vector`, with no per-report or per-corpus
-    table shared between pairs."""
+    its own by `build_feature_vector` from the whole report's links
+    (`coref_links_oracle`), with no other per-report or per-corpus table
+    shared between pairs."""
     by_id = {p.report_id: p for p in predictions}
     ids = sorted(set(class_ids))
     return [
         build_feature_vector(
-            report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins
+            report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins,
+            links=coref_links_oracle(report),
         )
         for report in sorted(reports, key=lambda r: r.report_id)
         for tx in ids

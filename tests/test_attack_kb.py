@@ -113,6 +113,40 @@ class TestParseStix:
         )
         assert catalog.get("T1204").procedure_examples == ()
 
+    def test_examples_and_usage_filter_one_walk_apart(self):
+        # A procedure example needs only an actor-kind source id; a usage
+        # cell also needs that actor in the bundle and not excluded. The
+        # relationships come before the objects they name, and the first
+        # collection object gives the version.
+        tech = attack_pattern("T1566", "Phishing")
+        group, absent, revoked = actor("G0001"), actor("G0002"), actor("G0003")
+        revoked["revoked"] = True
+        data = bundle(
+            uses(group, tech, "Used by a listed actor."),
+            uses(absent, tech, "Used by an absent actor."),
+            uses(revoked, tech, "Used by a revoked actor."),
+            uses(group, {"id": "attack-pattern--ghost"}, "Unknown target."),
+            {
+                "type": "x-mitre-collection",
+                "id": "x-mitre-collection--later",
+                "x_mitre_version": "2",
+            },
+            tech,
+            group,
+            revoked,
+            collection_version="1",
+        )
+        catalog, um = parse_stix(data)
+        assert catalog.version == "1"
+        assert catalog.get("T1566").procedure_examples == (
+            "Used by a listed actor.",
+            "Used by an absent actor.",
+            "Used by a revoked actor.",
+        )
+        assert um.actors == ("G0001",)
+        assert um.cells.tolist() == [[1]]
+        assert um.skipped_unknown == 1
+
     def test_malformed_json_raises(self):
         with pytest.raises(StixParseError, match="malformed"):
             parse_stix(b"{not json")

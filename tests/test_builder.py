@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_prediction, random_report
+from oracles import coref_links_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
@@ -202,6 +203,30 @@ class TestBuildReportFeatures:
                 assert fv.pair == pair
                 assert fv.f4_missing == alone.f4_missing
                 assert fv.values.tobytes() == alone.values.tobytes(), (case, pair)
+
+
+    def test_rows_equal_rows_from_whole_report_links(self):
+        # Links among the hit sentences only must give the rows that the
+        # whole report's links give, coref-reading slots included.
+        layout = FeatureLayout(bins=10)
+        coref_slots = [
+            k for k, name in enumerate(layout.names)
+            if name == "f2.coref" or name.startswith("f3.coref_")
+        ]
+        rng = np.random.default_rng(20261022)
+        read = 0
+        for case in range(40):
+            report = random_report(rng, f"r{case}", n_sentences=(3, 40))
+            pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
+            rows = build_report_features(report, pred, um=_um())
+            whole = coref_links_oracle(report)
+            for fv in rows:
+                want = build_feature_vector(
+                    report, fv.pair, pred, um=_um(), links=whole
+                )
+                assert fv.values.tobytes() == want.values.tobytes(), (case, fv.pair)
+                read += int(fv.values[coref_slots].sum())
+        assert read > 20
 
 
 class TestMirrorInvariants:

@@ -3,8 +3,10 @@ annotation loading."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from oracles import tokenize_oracle
 from ttpmine.corpus import (
     AnnotationError,
     CorpusError,
@@ -48,6 +50,55 @@ class TestTokenize:
     def test_empty_and_symbol_only(self):
         assert tokenize("") == []
         assert tokenize("!!! ??? ...") == []
+
+
+# Characters that separate tokens or turn into token characters only
+# after lowercasing: accented letters, dotted capital I (lowercases to
+# "i" plus a combining dot), the Kelvin sign (lowercases to ASCII "k"),
+# final sigma, a ligature, full-width and Arabic-Indic digits, no-break
+# and zero-width spaces.
+_NON_ASCII = "éÜïßİ\u212aΣσﬁＡ٣\u00a0\u200b→"
+_ALPHABET = "aZt9._-! ()'\"" + _NON_ASCII
+
+
+class TestTokenizeOracle:
+    """`tokenize` against the character-by-character walk in
+    `tests/oracles.py`."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Ünïcode café naïve straße",
+            "İstanbul İS a \u212aELVIN test",
+            "ΑΣ ΣΑ σ-loader ﬁle ＡＢＣ ٣rd",
+            "no\u00a0break zero\u200bwidth arrow→token",
+            "... -_- ._. - _ . --.__ a.-_ .-the-.",
+            "(the) -The- _and_ .of. 'is' «the» the... [a] {in}",
+            "THE.exe the-loader _a_b_ it's",
+        ],
+    )
+    def test_named_texts(self, text):
+        assert tokenize(text) == tokenize_oracle(text)
+
+    def test_edge_only_tokens_and_wrapped_stopwords_drop(self):
+        assert tokenize_oracle("... -_- ._.") == tokenize("... -_- ._.") == []
+        assert tokenize_oracle("(the) -The- _and_ .of.") == []
+        assert tokenize_oracle("İstanbul") == tokenize("İstanbul") == ["stanbul"]
+        assert tokenize_oracle("\u212aey") == tokenize("\u212aey") == ["key"]
+
+    def test_seeded_random_texts(self):
+        rng = np.random.default_rng(20261024)
+        words = ("the", "of", "loader", "v3.5", "cmd.exe", "and", "a")
+        for case in range(300):
+            parts = []
+            for _ in range(int(rng.integers(0, 12))):
+                if rng.random() < 0.3:
+                    parts.append(str(rng.choice(words)))
+                else:
+                    k = int(rng.integers(1, 8))
+                    parts.append("".join(rng.choice(list(_ALPHABET), size=k)))
+            text = "".join(parts)
+            assert tokenize(text) == tokenize_oracle(text), (case, text)
 
 
 class TestSegmentation:

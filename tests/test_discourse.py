@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from helpers import E2E_DIR
 from oracles import coref_links_oracle, discourse_features_oracle, plural_match_oracle
-from ttpmine.corpus import make_report, segment_sentences
+from ttpmine.corpus import load_reports, make_report, segment_sentences
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -217,6 +219,91 @@ class TestCorefOracle:
     def test_single_sentence_report_has_no_links(self):
         report = make_report("r1", "The tools ran then it stopped.")
         assert coref_links(report) == coref_links_oracle(report) == frozenset()
+
+
+def _links_among(whole, among):
+    kept = set(among)
+    return frozenset((i, j) for i, j in whole if i in kept and j in kept)
+
+
+def _subsets(rng, n: int, count: int):
+    """Random index lists of every density, in random order with repeats,
+    and runs of consecutive sentences."""
+    for _ in range(count):
+        size = int(rng.integers(0, n + 1))
+        yield [int(i) for i in rng.choice(n, size=size)]
+        start = int(rng.integers(0, n))
+        yield list(range(start, min(n, start + int(rng.integers(1, 8)))))
+
+
+class TestCorefAmong:
+    """`coref_links(report, among)` against the oracle's whole-report
+    links filtered to `among`."""
+
+    def test_e2e_fixture_reports(self):
+        rng = np.random.default_rng(20261020)
+        # The fixture's reports hold no links; the seeded reports below do.
+        reports = load_reports(E2E_DIR / "reports")
+        for report in reports:
+            n = len(report.sentences)
+            whole = coref_links_oracle(report)
+            assert coref_links(report) == coref_links(report, range(n)) == whole
+            for among in _subsets(rng, n, 20):
+                assert coref_links(report, among) == _links_among(whole, among), (
+                    report.report_id, among,
+                )
+
+    def test_seeded_long_reports(self):
+        rng = np.random.default_rng(20261021)
+        found = 0
+        for case in range(3):
+            report = _coref_report(rng, f"long{case}", 250)
+            whole = coref_links_oracle(report)
+            for among in _subsets(rng, 250, 150):
+                want = _links_among(whole, among)
+                assert coref_links(report, among) == want, (case, sorted(set(among)))
+                found += len(want)
+        assert found > 500
+
+    def test_nearest_noun_outside_among_gives_no_link(self):
+        # Rule (a) links "It" to sentence 1, the nearest one with a noun;
+        # without sentence 1 it must not fall back to sentence 0.
+        report = make_report(
+            "r1", "The dropper wrote a file.\nThe loader ran.\nIt executed."
+        )
+        assert coref_links(report) == coref_links_oracle(report) == {(1, 2)}
+        assert coref_links(report, [0, 2]) == frozenset()
+        assert coref_links(report, [1, 2]) == {(1, 2)}
+
+    def test_among_holding_sentence_zero(self):
+        report = make_report(
+            "r1", "The dropper wrote a file. It executed the payload. Quiet held."
+        )
+        assert coref_links(report, [0, 1]) == {(0, 1)}
+        assert coref_links(report, [0]) == frozenset()
+        assert coref_links(report, [0, 2]) == frozenset()
+
+    def test_unsorted_and_repeated_indices(self):
+        rng = np.random.default_rng(8)
+        report = _coref_report(rng, "order", 30)
+        want = _links_among(coref_links_oracle(report), range(0, 30, 2))
+        assert want
+        shuffled = [int(i) for i in rng.permutation(np.arange(0, 30, 2))]
+        assert coref_links(report, shuffled + shuffled[:5]) == want
+        assert coref_links(report, tuple(reversed(shuffled))) == want
+
+    def test_empty_among(self):
+        report = _coref_report(np.random.default_rng(9), "empty", 20)
+        assert coref_links(report)
+        assert coref_links(report, []) == coref_links(report, set()) == frozenset()
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    def test_index_outside_report_raises(self, bad):
+        report = _coref_report(np.random.default_rng(10), "bad", 5)
+        with pytest.raises(
+            ValueError, match=rf"^sentence index {bad} outside report of 5 sentences$"
+        ):
+            coref_links(report, [0, bad, 2])
 
 
 class TestDiscourseFeatures:

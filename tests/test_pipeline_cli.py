@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -748,3 +749,36 @@ class TestSkipCounts:
         assert sum(r.f4_missing for r in rows) == expected
         assert ", 0 with f4_missing ->" in out[0]
         assert f", {expected} with f4_missing ->" in out[1]
+
+
+class TestCoreferenceSentenceCount:
+    """The features stage logs, and the `run` summary returns, the hit
+    sentences coreference was computed over beside the corpus sentence
+    count; no artifact carries them."""
+
+    def test_run_summary(self, pipeline_out):
+        summary, out_dir, _ = pipeline_out
+        predictions = load_report_predictions(str(out_dir / "classify.jsonl"))
+        expected = sum(
+            len({i for tid in p.techniques for i in p.hit_sentences[tid]})
+            for p in predictions
+            if len(p.techniques) >= 2
+        )
+        assert summary["n_sentences"] == 20
+        assert summary["n_hit_sentences"] == expected == 9
+        for path in out_dir.rglob("*"):
+            if path.is_file():
+                text = path.read_text(encoding="utf-8")
+                for key in ("n_sentences", "n_hit_sentences", "hit sentences"):
+                    assert key not in text, (path, key)
+
+    def test_features_info_line(self, cli_dir, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="ttpmine.pipeline"):
+            assert main(_features_argv(cli_dir, tmp_path / "f.csv")) == 0
+        lines = [
+            r.getMessage()
+            for r in caplog.records
+            if r.getMessage().startswith("features:")
+        ]
+        assert len(lines) == 1
+        assert lines[0].endswith("; coreference over 9 hit sentences of 20")

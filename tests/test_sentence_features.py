@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import random_report
+from oracles import coref_links_oracle
 from ttpmine.corpus import make_report
 from ttpmine.embeddings import WordVectors
 from ttpmine.features.sentence import (
@@ -110,3 +112,21 @@ class TestSentenceFeatures:
     def test_empty_sides_all_zero(self):
         out = sentence_features(_blank_report(3), [], [1], links=frozenset())
         assert np.array_equal(out, np.zeros(F2_SIZE))
+
+    def test_links_computed_among_the_pair_match_whole_report(self):
+        # links=None computes links among tx and ty only; the straddle
+        # count must equal the one from the whole report's links.
+        rng = np.random.default_rng(20261023)
+        counted = 0
+        for case in range(30):
+            report = random_report(rng, f"r{case}", n_sentences=(3, 30))
+            whole = coref_links_oracle(report)
+            n = len(report.sentences)
+            for _ in range(5):
+                tx = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
+                ty = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
+                got = sentence_features(report, tx, ty)
+                want = sentence_features(report, tx, ty, links=whole)
+                assert got.tobytes() == want.tobytes(), (case, tx, ty)
+                counted += want[12]
+        assert counted > 10
