@@ -216,8 +216,9 @@ def _usage_matrix(
     target an attack pattern.
     Rows are actors (groups, software, campaigns) with at least one
     resolvable technique, in lexicographic actor-id order; columns are
-    catalog techniques. Relationships whose technique cannot be resolved
-    in the catalog are skipped and counted, not fatal.
+    catalog techniques. Relationships whose target is missing from
+    `patterns` are skipped and counted, not fatal; the catalog is built
+    from every entry of `patterns`, so any other target resolves in it.
     """
     actor_ids: dict[str, str] = {}
     for obj in actor_objects:
@@ -233,7 +234,7 @@ def _usage_matrix(
         if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
             continue
         target = patterns.get(obj.get("target_ref"))
-        if target is None or target[0] not in catalog:
+        if target is None:
             skipped += 1
             continue
         used.setdefault(actor_ids[source], set()).add(target[0])

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 
 from .labels import ALL_LABELS, NULL, SYMMETRIC_LABELS
@@ -72,7 +74,15 @@ class PairUniverse:
 # (Updater.vbs, rundll32.exe, 3.5) never match.
 _BOUNDARY = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
 
-_NON_TOKEN = re.compile(r"[^a-z0-9._-]+")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]+")
+# Every ASCII character outside [a-z0-9._-] and "\n" becomes a space.
+_BLANK_ASCII = str.maketrans(
+    {
+        c: " "
+        for c in range(128)
+        if chr(c) not in "abcdefghijklmnopqrstuvwxyz0123456789._-\n"
+    }
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -82,12 +92,41 @@ def tokenize(text: str) -> list[str]:
     ones kept (filenames, versions). Stopwords are dropped after
     stripping, so "-The-" and "The" behave the same.
     """
-    out = []
-    for raw in _NON_TOKEN.split(text.lower()):
-        tok = raw.strip("._-")
-        if tok and tok not in STOPWORDS:
-            out.append(tok)
-    return out
+    return list(next(tokenize_texts([text])))
+
+
+def tokenize_texts(texts: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """`tokenize` of each text, in order, from one pass over all of them.
+
+    The texts are joined with "\\n" and lowercased once, before anything
+    is blanked, because lowercasing turns some non-ASCII characters into
+    ASCII ones (the Kelvin sign becomes "k"). Non-ASCII characters left
+    after that become spaces, then so does every ASCII character outside
+    [a-z0-9._-] except "\\n", and each line is split into its tokens.
+    The token tuples are made as they are consumed, so a caller that only
+    counts them never holds them all.
+    """
+    joined = "\n".join(texts)
+    one_line_each = joined.count("\n") == len(texts) - 1
+    text = joined.lower()
+    if not text.isascii():
+        text = _NON_ASCII.sub(" ", text)
+    lines = (
+        tuple(
+            filterfalse(
+                STOPWORDS.__contains__,
+                filter(None, map(str.strip, line.split(), repeat("._-"))),
+            )
+        )
+        for line in text.translate(_BLANK_ASCII).split("\n")
+    )
+    if one_line_each:
+        return lines
+    # Some text holds "\n" and so spans several lines (or there is none).
+    return (
+        tuple(chain.from_iterable(islice(lines, original.count("\n") + 1)))
+        for original in texts
+    )
 
 
 def split_sentences(text: str) -> list[str]:
@@ -111,11 +150,12 @@ def split_sentences(text: str) -> list[str]:
 
 
 def segment_sentences(text: str) -> list[Sentence]:
-    """`split_sentences`, each piece tokenized, with document-order
-    indices."""
+    """`split_sentences`, the pieces tokenized together in one pass, with
+    document-order indices."""
+    pieces = split_sentences(text)
     return [
-        Sentence(index=i, text=piece, tokens=tuple(tokenize(piece)))
-        for i, piece in enumerate(split_sentences(text))
+        Sentence(index=i, text=piece, tokens=tokens)
+        for i, (piece, tokens) in enumerate(zip(pieces, tokenize_texts(pieces)))
     ]
 
 

@@ -15,7 +15,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .attack_kb import ActionDataset
-from .corpus import Report, tokenize
+from .corpus import Report, tokenize_texts
 
 CTFIDF_FORMAT_VERSION = "1"
 
@@ -70,8 +70,8 @@ def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
     class_ids = tuple(dataset.techniques)
     class_index = {cid: k for k, cid in enumerate(class_ids)}
     counts: list[dict[str, int]] = [dict() for _ in class_ids]
-    for sentence, labels in dataset.examples:
-        tokens = tokenize(sentence)
+    token_lists = tokenize_texts([sentence for sentence, _ in dataset.examples])
+    for (_, labels), tokens in zip(dataset.examples, token_lists):
         for cid in labels:
             bucket = counts[class_index[cid]]
             for tok in tokens:

@@ -7,6 +7,8 @@ formulations so agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
@@ -32,7 +34,7 @@ from ttpmine.features.discourse import (
     _raw_words,
     classify_discourse,
 )
-from ttpmine.features.builder import build_feature_vector
+from ttpmine.features.builder import _META_COLUMNS, build_feature_vector
 from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
@@ -396,6 +398,20 @@ def tokenize_oracle(text: str) -> list[str]:
             out.append(token)
         run = []
     return out
+
+
+def features_to_csv_oracle(vectors, layout) -> str:
+    """The features CSV written one row at a time through `csv.writer`,
+    every value formatted by its own `repr`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*_META_COLUMNS, *layout.names])
+    for fv in vectors:
+        writer.writerow(
+            [fv.report_id, fv.tx, fv.ty, int(fv.f4_missing)]
+            + [repr(float(v)) for v in fv.values]
+        )
+    return buf.getvalue()
 
 
 def plural_match_oracle(a: str, b: str) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import random_prediction, random_report
-from oracles import coref_links_oracle
+from oracles import coref_links_oracle, features_to_csv_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
@@ -312,6 +312,31 @@ class TestCsvRoundTrip:
             expected = [fv.report_id, fv.tx, fv.ty, str(int(fv.f4_missing))]
             expected += [repr(float(v)) for v in fv.values]
             assert line == ",".join(expected)
+
+    def test_bytes_equal_per_cell_writer(self):
+        # Each distinct value is formatted once: values that compare equal
+        # but differ in bits (-0.0 and 0.0, NaNs) must keep their own repr,
+        # and report ids that need quoting are quoted as csv.writer does.
+        layout = FeatureLayout(bins=10)
+        base = self._vectors()
+        awkward = np.array(
+            [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+             1e16, 0.1 + 0.2, 0.3, 1e-17, 2.0**53 + 2, -1 / 3],
+        )
+        ids = ("r,1", 'say "hi"', "multi\nline", "cr\rid", "", " lead", "plain")
+        vectors = []
+        for k, report_id in enumerate(ids):
+            values = np.roll(np.resize(awkward, base[0].values.size), k)
+            vectors.append(type(base[0])(
+                report_id=report_id, tx="T1566", ty="T,1204", values=values,
+                layout_version=layout.version, f4_missing=bool(k % 2),
+            ))
+        vectors += base
+        assert features_to_csv(vectors, layout) == features_to_csv_oracle(vectors, layout)
+        assert features_to_csv(vectors[:1], layout) == features_to_csv_oracle(vectors[:1], layout)
+        # More rows than one block of the writer.
+        many = [vectors[k % len(vectors)] for k in range(150)]
+        assert features_to_csv(many, layout) == features_to_csv_oracle(many, layout)
 
     def test_header_names_layout(self):
         layout = FeatureLayout(bins=10)

@@ -17,6 +17,7 @@ from ttpmine.corpus import (
     segment_sentences,
     split_sentences,
     tokenize,
+    tokenize_texts,
 )
 from ttpmine.labels import BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 
@@ -99,6 +100,72 @@ class TestTokenizeOracle:
                     parts.append("".join(rng.choice(list(_ALPHABET), size=k)))
             text = "".join(parts)
             assert tokenize(text) == tokenize_oracle(text), (case, text)
+
+
+# Pieces of multi-line texts: every kind of line break and space, the
+# characters that change class when lowercased, full-width and
+# Arabic-Indic digits, edge-only runs, separators inside a token,
+# stopwords wrapped in punctuation, and a sentence boundary.
+_LINE_PIECES = (
+    "\r\n", "\n", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ",
+    "\u00a0", "\u200b", "\u212aey", "\u0130S", "\u03c3\u03c2", "\u03a3",
+    "\ufb01le", "\uff11\uff12", "\u0663\u0664", "._-", "-_", "a.-b", "x_.y",
+    "(the)", "-The-", "_and_", ". Then", "cmd.exe", "v3.5", "Loader", "é",
+)
+
+
+def _multiline_texts(seed: int, n: int = 300) -> list[str]:
+    rng = np.random.default_rng(seed)
+    return [
+        "".join(rng.choice(_LINE_PIECES, size=int(rng.integers(0, 40))))
+        for _ in range(n)
+    ]
+
+
+class TestTokenizeReports:
+    """Each sentence of a report, tokenized in one pass with the rest of
+    its report, against the oracle on that sentence alone."""
+
+    def test_make_report_sentences(self):
+        for case, text in enumerate(_multiline_texts(20261101)):
+            report = make_report("r", text)
+            assert [s.text for s in report.sentences] == split_sentences(text)
+            for sentence in report.sentences:
+                assert list(sentence.tokens) == tokenize_oracle(sentence.text), (
+                    case,
+                    sentence.text,
+                )
+
+    def test_load_reports_sentences(self, tmp_path):
+        texts = _multiline_texts(20261102)
+        for k, text in enumerate(texts):
+            (tmp_path / f"r{k:03d}.txt").write_text(text, encoding="utf-8")
+        reports = load_reports(tmp_path)
+        assert len(reports) == len(texts)
+        for report in reports:
+            for sentence in report.sentences:
+                assert list(sentence.tokens) == tokenize_oracle(sentence.text), (
+                    report.report_id,
+                    sentence.text,
+                )
+
+    def test_text_with_newlines_is_one_list(self):
+        texts = _multiline_texts(20261103)
+        for text in texts:
+            assert tokenize(text) == tokenize_oracle(text), text
+        assert tokenize("one\ntwo\n\nthe three") == ["one", "two", "three"]
+
+    def test_tokenize_texts_keeps_one_list_per_text(self):
+        texts = _multiline_texts(20261104, n=50)
+        assert any("\n" in text for text in texts)
+        expected = [tuple(tokenize_oracle(text)) for text in texts]
+        assert list(tokenize_texts(texts)) == expected
+        single_line = [" ".join(text.split()) for text in texts]
+        assert list(tokenize_texts(single_line)) == [
+            tuple(tokenize_oracle(text)) for text in single_line
+        ]
+        assert list(tokenize_texts([])) == []
+        assert list(tokenize_texts(["", "a\nb", ""])) == [(), ("b",), ()]
 
 
 class TestSegmentation:
