@@ -36,7 +36,7 @@ from .ctfidf import (
     train_ctfidf,
 )
 from .embeddings import WordVectors, cosine, load_word_vectors, sentence_vector
-from .features import FeatureLayout, PairFeatureVector, build_feature_vector
+from .features import FeatureLayout, FeatureRows
 from .gbdt import GbdtEnsemble, RelationPrediction, TrainConfig, cross_validate
 from .labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from .metrics import MetricReport, cohen_kappa, lrap, macro_prf, ndcg, precision_at_k
@@ -71,8 +71,7 @@ __all__ = [
     "load_word_vectors",
     "sentence_vector",
     "FeatureLayout",
-    "PairFeatureVector",
-    "build_feature_vector",
+    "FeatureRows",
     "GbdtEnsemble",
     "RelationPrediction",
     "TrainConfig",

@@ -2,8 +2,8 @@
 
 from .apriori import METRIC_NAMES, METRIC_RANGES, apriori_features, pair_measures
 from .builder import (
-    PairFeatureVector,
-    build_feature_vector,
+    FeatureRows,
+    PairKey,
     build_report_features,
     features_from_csv,
     features_to_csv,
@@ -33,8 +33,8 @@ __all__ = [
     "METRIC_RANGES",
     "apriori_features",
     "pair_measures",
-    "PairFeatureVector",
-    "build_feature_vector",
+    "FeatureRows",
+    "PairKey",
     "build_report_features",
     "features_from_csv",
     "features_to_csv",

@@ -10,7 +10,6 @@ from .ensemble import (
     TrainConfig,
     ensemble_from_dict,
     ensemble_to_dict,
-    predict,
     predict_batch,
     train,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "TrainConfig",
     "ensemble_from_dict",
     "ensemble_to_dict",
-    "predict",
     "predict_batch",
     "train",
     "assign_folds",

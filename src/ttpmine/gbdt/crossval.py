@@ -32,31 +32,31 @@ def cross_validate(
     layout=None,
     ks=(50, 100),
 ) -> dict:
-    """Partition at the report level (all pairs of a report share a
-    fold), train on the complement, evaluate each fold, and aggregate by
-    the median across folds."""
+    """Partition the rows of a `FeatureRows` at the report level (all
+    pairs of a report share a fold), train on the complement, evaluate
+    each fold, and aggregate by the median across folds."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     if len(features) != len(labels):
         raise ValueError(f"{len(features)} vectors vs {len(labels)} label sets")
-    fold_of = assign_folds((fv.report_id for fv in features), folds)
+    fold_of = assign_folds((key.report_id for key in features), folds)
 
     fold_reports = []
     for fold in range(folds):
         train_idx = [
-            i for i, fv in enumerate(features) if fold_of[fv.report_id] != fold
+            i for i, key in enumerate(features) if fold_of[key.report_id] != fold
         ]
         test_idx = [
-            i for i, fv in enumerate(features) if fold_of[fv.report_id] == fold
+            i for i, key in enumerate(features) if fold_of[key.report_id] == fold
         ]
         model = train(
-            [features[i] for i in train_idx],
+            features.take(train_idx),
             [labels[i] for i in train_idx],
             config,
             feature_groups=feature_groups,
             layout=layout,
         )
-        predictions = predict_batch(model, [features[i] for i in test_idx])
+        predictions = predict_batch(model, features.take(test_idx))
         truth = [labels[i] for i in test_idx]
         report = evaluate_relations(
             truth,

@@ -177,24 +177,20 @@ def train(
 ) -> GbdtEnsemble:
     """Fit the four one-vs-rest label models.
 
-    `features` is a list of PairFeatureVector with one shared layout;
-    `labels` the aligned label sets. `feature_groups` restricts split
-    candidates to those layout groups (default slots always active);
-    trees store global slot indices either way. The stacked matrix is
-    binned once, and each label model fits on its rows of that binning.
+    `features` is a `FeatureRows`; `labels` the aligned label sets.
+    `feature_groups` restricts split candidates to those layout groups
+    (default slots always active); trees store global slot indices
+    either way. The matrix is binned once, and each label model fits on
+    its rows of that binning.
     """
-    if not features:
+    if not len(features):
         raise GbdtTrainingError("no training vectors")
     if len(features) != len(labels):
         raise GbdtTrainingError(
             f"{len(features)} vectors vs {len(labels)} label sets"
         )
-    versions = {fv.layout_version for fv in features}
-    if len(versions) != 1:
-        raise GbdtTrainingError(f"mixed layout versions: {sorted(versions)}")
-    layout_version = versions.pop()
-
-    X = np.vstack([fv.values for fv in features], dtype=np.float64)
+    layout_version = features.layout_version
+    X = features.values
     _validate_features(X)
 
     if feature_groups is not None:
@@ -283,55 +279,44 @@ def train(
     )
 
 
-def predict(model: GbdtEnsemble, fv) -> RelationPrediction:
-    """One row through `predict_batch`."""
-    return predict_batch(model, [fv])[0]
-
-
-def _check_row(model: GbdtEnsemble, index: int, fv) -> None:
-    where = f"row {index} (report {fv.report_id!r}, pair ({fv.tx}, {fv.ty}))"
-    if fv.layout_version != model.layout_version:
-        raise ValueError(
-            f"{where}: feature layout {fv.layout_version} does not match the "
-            f"model ({model.layout_version}); re-extract features or retrain"
-        )
-    if np.shape(fv.values) != (model.n_features,):
-        raise ValueError(
-            f"{where}: feature vector of shape {np.shape(fv.values)} does not "
-            f"match the model's {model.n_features} features"
-        )
-
-
 def predict_batch(model: GbdtEnsemble, features) -> list[RelationPrediction]:
     """Per-label probabilities plus the decided label set (positives at
-    the decision threshold, NULL as fallback) for every row.
+    the decision threshold, NULL as fallback) for every row of a
+    `FeatureRows`.
 
-    The rows are stacked once and each label's trees walk the whole
-    matrix, so a row scores exactly as it would alone.
+    Each label's trees walk the whole matrix, so a row scores exactly as
+    it would alone.
     """
-    rows = list(features)
-    if not rows:
+    if not len(features):
         return []
-    for index, fv in enumerate(rows):
-        _check_row(model, index, fv)
-    X = np.vstack([fv.values for fv in rows], dtype=np.float64)
+    if features.layout_version != model.layout_version:
+        raise ValueError(
+            f"feature layout {features.layout_version} does not match the "
+            f"model ({model.layout_version}); re-extract features or retrain"
+        )
+    X = features.values
+    if X.shape[1] != model.n_features:
+        raise ValueError(
+            f"feature matrix of {X.shape[1]} columns does not match the "
+            f"model's {model.n_features} features"
+        )
     columns = {
         label: _sigmoid(model.raw_score(label, X)).tolist() for label in ALL_LABELS
     }
     threshold = model.config.decision_threshold
     predictions = []
-    for index, fv in enumerate(rows):
+    for index, (report_id, tx, ty) in enumerate(features.keys):
         probabilities = {label: columns[label][index] for label in ALL_LABELS}
         decided = frozenset(
             lab for lab in POSITIVE_LABELS if probabilities[lab] >= threshold
         )
         predictions.append(
             RelationPrediction(
-                tx=fv.tx,
-                ty=fv.ty,
+                tx=tx,
+                ty=ty,
                 probabilities=probabilities,
                 labels=decided or frozenset({NULL}),
-                report_id=fv.report_id,
+                report_id=report_id,
             )
         )
     return predictions

@@ -50,7 +50,7 @@ from .ctfidf import (
     train_ctfidf,
 )
 from .embeddings import WordVectors, load_word_vectors
-from .features import FeatureLayout, PairFeatureVector
+from .features import FeatureLayout, FeatureRows
 from .features.builder import (
     build_report_features,
     coref_sentences,
@@ -422,8 +422,8 @@ def stage_features(
     threshold: float = DEFAULT_THRESHOLD,
     bins: int = 10,
     config_hash: str = "",
-) -> list[PairFeatureVector]:
-    """Extract pair feature vectors for every report and write CSV.
+) -> FeatureRows:
+    """Extract the pair-feature rows of every report and write CSV.
 
     A report's rows are the ordered pairs of the techniques its
     prediction detected (see ``build_report_features``); a pair the
@@ -431,7 +431,8 @@ def stage_features(
     ``predictions`` takes the classify stage's output, one per report;
     None classifies the reports here with ``model``. The f4 slots are
     computed once per pair of the universe (the union of the reports'
-    pairs), not once per row.
+    pairs), not once per row. Each report's block of rows is copied
+    into one corpus matrix as soon as it is built.
 
     A sidecar ``<out>.layout.json`` records the layout descriptor so
     later stages can validate compatibility.
@@ -453,28 +454,20 @@ def stage_features(
                 f"threshold {prediction.threshold}, not {threshold}"
             )
 
-    f4 = f4_table(
-        usage,
-        (
-            pair
-            for report in ordered
-            for pair in pair_universe(by_id[report.report_id].techniques)
-        ),
-        bins,
-    )
-    rows: list[PairFeatureVector] = []
+    universes = [pair_universe(by_id[r.report_id].techniques) for r in ordered]
+    f4 = f4_table(usage, (pair for u in universes for pair in u), bins)
+    n_rows = sum(map(len, universes))
+    values = np.empty((n_rows, layout.total), dtype=np.float64)
+    f4_missing = np.empty(n_rows, dtype=bool)
+    keys = []
     for report in ordered:
-        rows.extend(
-            build_report_features(
-                report,
-                by_id[report.report_id],
-                usage,
-                vectors,
-                bins=bins,
-                layout=layout,
-                f4=f4,
-            )
+        block = build_report_features(
+            report, by_id[report.report_id], usage, vectors, layout=layout, f4=f4
         )
+        values[len(keys) : len(keys) + len(block)] = block.values
+        f4_missing[len(keys) : len(keys) + len(block)] = block.f4_missing
+        keys += block.keys
+    rows = FeatureRows(keys, values, f4_missing, layout.version)
     write_features_csv(rows, layout, out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
     meta["threshold"] = threshold
@@ -498,14 +491,15 @@ def count_hit_sentences(predictions: Iterable[ReportPrediction]) -> int:
     return sum(len(coref_sentences(p)) for p in predictions)
 
 
-def count_f4_missing(rows: Sequence[PairFeatureVector]) -> int:
+def count_f4_missing(rows: FeatureRows) -> int:
     """Rows whose f4 slots are zero because a technique of the pair is
     not in the usage matrix (or there is no matrix)."""
-    return sum(row.f4_missing for row in rows)
+    return int(np.count_nonzero(rows.f4_missing))
 
 
-def load_features(path: str) -> tuple[list[PairFeatureVector], FeatureLayout]:
-    """Load a feature CSV plus its sidecar layout descriptor."""
+def load_features(path: str) -> tuple[FeatureRows, FeatureLayout]:
+    """Load a feature CSV plus its sidecar layout descriptor. A CSV that
+    does not fit the layout fails with its path and line."""
     if not os.path.exists(path):
         raise PipelineError(f"features artifact not found: {path}")
     sidecar = read_json(path + ".layout.json", "features sidecar")
@@ -518,7 +512,10 @@ def load_features(path: str) -> tuple[list[PairFeatureVector], FeatureLayout]:
             "features sidecar layout version "
             f"{descriptor['layout_version']!r} does not match {layout.version!r}"
         )
-    rows = read_features_csv(path, layout)
+    try:
+        rows = read_features_csv(path, layout)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
     return rows, layout
 
 
@@ -527,7 +524,7 @@ def load_features(path: str) -> tuple[list[PairFeatureVector], FeatureLayout]:
 # ---------------------------------------------------------------------------
 
 
-def labels_for_rows(rows: Sequence[PairFeatureVector], annotations) -> list[frozenset[str]]:
+def labels_for_rows(rows: FeatureRows, annotations) -> list[frozenset[str]]:
     """Resolve the label set for each feature row.
 
     Pairs without an explicit annotation are implicit ``{NULL}``.
@@ -536,15 +533,15 @@ def labels_for_rows(rows: Sequence[PairFeatureVector], annotations) -> list[froz
     for ann in annotations:
         explicit[(ann.report_id, ann.tx, ann.ty)] = ann.labels
     null_only = frozenset({NULL})
-    return [explicit.get((row.report_id, row.tx, row.ty), null_only) for row in rows]
+    return [explicit.get(key, null_only) for key in rows]
 
 
-def count_unrowed_annotations(rows: Sequence[PairFeatureVector], annotations) -> int:
+def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
     """Annotated pairs with a temporal relation (labels other than
     ``{NULL}``) that have no feature row: the classifier did not detect
     both techniques in the report, or the report is not in the corpus.
     No row means the pair is not trained on, scored or mined."""
-    rowed = {(row.report_id, row.tx, row.ty) for row in rows}
+    rowed = set(rows)
     return sum(
         1
         for ann in annotations
@@ -553,7 +550,7 @@ def count_unrowed_annotations(rows: Sequence[PairFeatureVector], annotations) ->
 
 
 def stage_train(
-    rows: Sequence[PairFeatureVector],
+    rows: FeatureRows,
     layout: FeatureLayout,
     labels: Sequence[frozenset[str]],
     out_path: str,
@@ -597,7 +594,7 @@ def load_relation_model(path: str) -> GbdtEnsemble:
 
 def stage_predict(
     ensemble: GbdtEnsemble,
-    rows: Sequence[PairFeatureVector],
+    rows: FeatureRows,
     layout: FeatureLayout,
     out_path: str,
     *,

@@ -1,5 +1,5 @@
 """Shared builders for hand-assembled STIX bundles, reports, predictions
-and feature vectors used across the test modules."""
+and feature rows used across the test modules."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from ttpmine.corpus import make_report
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
-from ttpmine.features.builder import PairFeatureVector
+from ttpmine.features.builder import FeatureRows, PairKey
 
 E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
@@ -114,16 +114,22 @@ def usage_bundle(seed: int, actors: int = 150, techniques: int = 60) -> bytes:
     return bundle(*techs, *subs, *dropped, *people, *(rels[k] for k in order))
 
 
-def make_fv(values, report_id: str = "r1", tx: str = "TA", ty: str = "TB",
-            layout_version: str = "test-layout",
-            f4_missing: bool = False) -> PairFeatureVector:
-    return PairFeatureVector(
-        report_id=report_id,
-        tx=tx,
-        ty=ty,
-        values=np.asarray(values, dtype=np.float64),
+def make_rows(values, report_ids="r1", tx="TA", ty="TB",
+              layout_version: str = "test-layout", f4_missing=False) -> FeatureRows:
+    """A `FeatureRows` from a (rows, slots) array. `report_ids`, `tx`,
+    `ty` and `f4_missing` each take one value for every row or a
+    sequence with one per row."""
+    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    n = values.shape[0]
+
+    def per_row(v):
+        return [v] * n if isinstance(v, (str, bool)) else list(v)
+
+    return FeatureRows(
+        keys=[PairKey(*key) for key in zip(per_row(report_ids), per_row(tx), per_row(ty))],
+        values=values,
+        f4_missing=per_row(f4_missing),
         layout_version=layout_version,
-        f4_missing=f4_missing,
     )
 
 
@@ -155,9 +161,11 @@ def random_report(rng: np.random.Generator, report_id: str,
 
 
 def random_prediction(rng: np.random.Generator, report, *tids: str,
-                      threshold: float = 0.95) -> ReportPrediction:
+                      threshold: float = 0.95,
+                      n_hits: tuple[int, int] = (1, 3)) -> ReportPrediction:
     """Random but well-formed technique detections for the given ids;
-    each is detected with probability 0.85."""
+    each is detected with probability 0.85, in `n_hits` (lowest,
+    highest) sentences, at most the report's."""
     n = len(report.sentences)
     techniques = []
     top_scores = {}
@@ -165,7 +173,7 @@ def random_prediction(rng: np.random.Generator, report, *tids: str,
     for tid in tids:
         scores = np.zeros(TOP_K_SCORES, dtype=np.float64)
         if rng.random() < 0.85 and n > 0:
-            k = int(rng.integers(1, min(3, n) + 1))
+            k = int(rng.integers(min(n_hits[0], n), min(n_hits[1], n) + 1))
             hits = sorted(
                 int(i) for i in rng.choice(n, size=k, replace=False)
             )

@@ -25,6 +25,7 @@ from ttpmine.attack_kb import (
 )
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.stopwords import STOPWORDS
+from ttpmine.features.apriori import apriori_features
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -33,9 +34,12 @@ from ttpmine.features.discourse import (
     _noun_like,
     _raw_words,
     classify_discourse,
+    discourse_features,
 )
-from ttpmine.features.builder import _META_COLUMNS, build_feature_vector
-from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE
+from ttpmine.features.builder import _META_COLUMNS, FeatureRows, PairKey
+from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE, marker_features
+from ttpmine.features.sentence import sentence_features
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
     LabelModel,
@@ -229,8 +233,8 @@ def predict_rows_oracle(model, features) -> list[tuple[dict, frozenset]]:
     at the model's threshold and NULL as the fallback.
     """
     out = []
-    for fv in features:
-        X = fv.values[None, :]
+    for values in features.values:
+        X = values[None, :]
         probabilities = {
             label: float(_sigmoid(model.raw_score(label, X))[0])
             for label in ALL_LABELS
@@ -400,17 +404,14 @@ def tokenize_oracle(text: str) -> list[str]:
     return out
 
 
-def features_to_csv_oracle(vectors, layout) -> str:
+def features_to_csv_oracle(rows, layout) -> str:
     """The features CSV written one row at a time through `csv.writer`,
     every value formatted by its own `repr`."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*_META_COLUMNS, *layout.names])
-    for fv in vectors:
-        writer.writerow(
-            [fv.report_id, fv.tx, fv.ty, int(fv.f4_missing)]
-            + [repr(float(v)) for v in fv.values]
-        )
+    for key, missing, values in zip(rows.keys, rows.f4_missing, rows.values):
+        writer.writerow([*key, int(missing)] + [repr(float(v)) for v in values])
     return buf.getvalue()
 
 
@@ -528,26 +529,70 @@ def discourse_features_oracle(report, tx_sentences, ty_sentences, links) -> np.n
     return out
 
 
+def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
+                       lexicon=DEFAULT_LEXICON, bins: int = 10) -> tuple[np.ndarray, bool]:
+    """One ordered pair's vector [default ++ f1 ++ f2 ++ f3 ++ f4] and
+    its f4_missing flag, built on its own from nothing shared with other
+    pairs: the whole report's links (`coref_links_oracle`), the report's
+    marker counts, and the pair's own f4 slots.
+
+    The default slots of a technique the prediction did not detect are
+    zero. A pair technique absent from the usage matrix (or no matrix,
+    or one without actors) zeroes the f4 slots and sets the flag.
+    """
+    tx, ty = pair
+    if tx == ty:
+        raise ValueError(f"self-pair ({tx}, {ty}) has no feature vector")
+    tx_sent = report_prediction.hit_sentences.get(tx, ())
+    ty_sent = report_prediction.hit_sentences.get(ty, ())
+    links = coref_links_oracle(report)
+
+    default = np.zeros(2 * TOP_K_SCORES, dtype=np.float64)
+    if tx in report_prediction.techniques:
+        default[:TOP_K_SCORES] = report_prediction.top_scores[tx]
+    if ty in report_prediction.techniques:
+        default[TOP_K_SCORES:] = report_prediction.top_scores[ty]
+
+    missing = (
+        um is None
+        or um.cells.shape[0] == 0
+        or tx not in um.techniques
+        or ty not in um.techniques
+    )
+    f4 = np.zeros(9 + 9 * bins) if missing else apriori_features(um, pair, bins=bins)
+    values = np.concatenate([
+        default,
+        marker_features(report, tx_sent, ty_sent, lexicon),
+        sentence_features(report, tx_sent, ty_sent, wv, links=links),
+        discourse_features(report, tx_sent, ty_sent, links),
+        f4,
+    ])
+    return values, missing
+
+
 def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=None,
-                              bins: int = 10) -> list:
+                              bins: int = 10) -> FeatureRows:
     """Feature rows over the all-class pair universe: every ordered pair
     of classifier classes in every report, detected or not. Reports go in
-    id order and pairs in lexicographic order; each vector is built on
-    its own by `build_feature_vector` from the whole report's links
-    (`coref_links_oracle`), with no other per-report or per-corpus table
-    shared between pairs."""
+    id order and pairs in lexicographic order; each row is built on its
+    own by `pair_vector_oracle`."""
     by_id = {p.report_id: p for p in predictions}
     ids = sorted(set(class_ids))
-    return [
-        build_feature_vector(
-            report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins,
-            links=coref_links_oracle(report),
-        )
-        for report in sorted(reports, key=lambda r: r.report_id)
-        for tx in ids
-        for ty in ids
-        if tx != ty
-    ]
+    layout = FeatureLayout(bins=bins)
+    keys, values, f4_missing = [], [], []
+    for report in sorted(reports, key=lambda r: r.report_id):
+        for tx in ids:
+            for ty in ids:
+                if tx != ty:
+                    row, missing = pair_vector_oracle(
+                        report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins
+                    )
+                    keys.append(PairKey(report.report_id, tx, ty))
+                    values.append(row)
+                    f4_missing.append(missing)
+    return FeatureRows(
+        keys, np.reshape(values, (len(keys), layout.total)), f4_missing, layout.version
+    )
 
 
 def _per_label_tree(X, residuals, hessians, max_depth: int):
@@ -622,7 +667,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None,
     matrix and bins that slice on its own (`_per_label_tree`), with no
     column dropped up front and no histogram derived from another.
     Rounds follow the package's logistic boosting loop."""
-    X = np.vstack([fv.values for fv in features], dtype=np.float64)
+    X = features.values
     if feature_groups is None:
         active = np.arange(X.shape[1])
     else:
@@ -660,7 +705,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None,
         )
     return GbdtEnsemble(
         models=models,
-        layout_version=features[0].layout_version,
+        layout_version=features.layout_version,
         config=config,
         n_features=X.shape[1],
     )

@@ -16,13 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_fv, random_prediction, random_report
+from helpers import e2e_config_dict, make_rows, random_prediction, random_report
 from oracles import (
     apriori_oracle,
     lrap_oracle,
     macro_p_at_k_oracle,
     mine_oracle,
     ndcg_oracle,
+    pair_vector_oracle,
 )
 from test_markers import (
     EXPECTED_BEFORE,
@@ -43,7 +44,7 @@ from ttpmine.ctfidf import (
     train_ctfidf,
 )
 from ttpmine.features.apriori import pair_measures
-from ttpmine.features.builder import build_feature_vector
+from ttpmine.features.builder import build_report_features
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
@@ -305,23 +306,20 @@ def test_criterion_5_sentence_classifier_learnability():
 
 
 def _random_gbdt_data(rng, n_rows, n_features=12):
-    features, labels = [], []
-    for k in range(n_rows):
-        features.append(make_fv(rng.normal(size=n_features), report_id=f"r{k:02d}"))
+    values, labels = [], []
+    for _ in range(n_rows):
+        values.append(rng.normal(size=n_features))
         positives = frozenset(lab for lab in POSITIVE_LABELS if rng.random() < 0.3)
         labels.append(positives or frozenset({NULL}))
-    return features, labels
+    return make_rows(values, report_ids=[f"r{k:02d}" for k in range(n_rows)]), labels
 
 
 def _separable_gbdt_data(n_per_side=16):
-    features, labels = [], []
-    for k in range(2 * n_per_side):
-        values = np.zeros(8)
-        positive = k < n_per_side
-        values[1] = 1.0 if positive else 0.0
-        features.append(make_fv(values, report_id=f"r{k:02d}"))
-        labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
-    return features, labels
+    values = np.zeros((2 * n_per_side, 8))
+    values[:n_per_side, 1] = 1.0
+    labels = [frozenset({BEFORE})] * n_per_side + [frozenset({NULL})] * n_per_side
+    ids = [f"r{k:02d}" for k in range(2 * n_per_side)]
+    return make_rows(values, report_ids=ids), labels
 
 
 def test_criterion_6_gbdt_training_contract():
@@ -424,32 +422,42 @@ def test_criterion_8_feature_layout_contract():
         layout = FeatureLayout(bins=bins)
         assert layout.total == expected_total
         assert len(layout.names) == expected_total
-        fv = build_feature_vector(
+        rows = build_report_features(report, prediction, um=None, layout=layout)
+        assert rows.values.shape == (len(rows), expected_total)
+        values, _ = pair_vector_oracle(
             report, ("T1566", "T1204"), prediction, um=None, bins=bins
         )
-        assert fv.values.shape == (expected_total,)
+        assert values.shape == (expected_total,)
     assert FeatureLayout(bins=10).total == 152
 
+    # On the oracle's vectors for both directions of a pair, and on the
+    # rows `build_report_features` builds for every detected pair.
     rng = np.random.default_rng(108)
     layout = FeatureLayout(bins=10)
     spec = layout.mirror_spec
+    production_pairs = 0
     for case in range(50):
         rand_report = random_report(rng, f"r{case:02d}")
-        pred = random_prediction(rng, rand_report, "T1566", "T1204")
-        fwd = build_feature_vector(
-            rand_report, ("T1566", "T1204"), pred, um=None
-        ).values
-        rev = build_feature_vector(
-            rand_report, ("T1204", "T1566"), pred, um=None
-        ).values
-        for a, b in spec["swap"]:
-            assert rev[a] == fwd[b] and rev[b] == fwd[a]
-        for e in spec["equal"]:
-            assert rev[e] == fwd[e]
+        pred = random_prediction(rng, rand_report, "T1566", "T1204", "T1560")
+        fwd, _ = pair_vector_oracle(rand_report, ("T1566", "T1204"), pred, um=None)
+        rev, _ = pair_vector_oracle(rand_report, ("T1204", "T1566"), pred, um=None)
+        mirrored = [(fwd, rev)]
+        rows = build_report_features(rand_report, pred, um=None)
+        at = {key: k for k, key in enumerate(rows)}
+        for (rid, tx, ty), k in at.items():
+            mirrored.append((rows.values[k], rows.values[at[(rid, ty, tx)]]))
+            production_pairs += 1
+        for fwd, rev in mirrored:
+            for a, b in spec["swap"]:
+                assert rev[a] == fwd[b] and rev[b] == fwd[a]
+            for e in spec["equal"]:
+                assert rev[e] == fwd[e]
+    assert production_pairs > 100
 
     print(
         "PASS criterion 8: vector length equals the descriptor total for "
-        "bins 5/10/20 (152 at 10); mirror invariants hold on 50 random reports"
+        "bins 5/10/20 (152 at 10); mirror invariants hold on 50 random "
+        f"reports, per pair and on {production_pairs} built rows"
     )
 
 

@@ -1,19 +1,19 @@
-"""Pair feature-vector assembly and the CSV round trip, including the
-mirror invariants between (tx,ty) and (ty,tx) vectors."""
+"""Pair feature rows built a report at a time against the per-pair
+oracle, the CSV round trip, and the mirror invariants between (tx,ty)
+and (ty,tx) rows."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from helpers import random_prediction, random_report
-from oracles import coref_links_oracle, features_to_csv_oracle
+from helpers import make_rows, random_prediction, random_report
+from oracles import coref_links_oracle, features_to_csv_oracle, pair_vector_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
 from ttpmine.features.apriori import apriori_features
 from ttpmine.features.builder import (
-    build_feature_vector,
     build_report_features,
     f4_table,
     features_from_csv,
@@ -22,6 +22,7 @@ from ttpmine.features.builder import (
     write_features_csv,
 )
 from ttpmine.features.layout import FeatureLayout
+from ttpmine.pipeline import stage_features
 
 
 def _prediction(report_id="r1", techniques=(), top=None, hits=None, threshold=0.95):
@@ -49,18 +50,58 @@ def _um():
 REPORT = make_report("r1", "A phishing email arrived.\nThen the user ran it.\n")
 
 
-class TestBuildFeatureVector:
-    def test_shape_and_stamp(self):
-        fv = build_feature_vector(
-            REPORT,
-            ("T1566", "T1204"),
-            _prediction(techniques=("T1566", "T1204")),
-            um=None,
+def _row(rows, tx, ty):
+    """The values and f4_missing flag of one pair's row."""
+    index = [(key.tx, key.ty) for key in rows].index((tx, ty))
+    return rows.values[index], bool(rows.f4_missing[index])
+
+
+def _assert_rows_match_oracle(rows, reports, predictions, um):
+    """Every row equals `pair_vector_oracle`'s vector for its pair, bit
+    for bit, and the rows are each report's detected pairs in order."""
+    reports = {r.report_id: r for r in reports}
+    predictions = {p.report_id: p for p in predictions}
+    assert list(rows) == [
+        (rid, tx, ty)
+        for rid in sorted(reports)
+        for tx, ty in pair_universe(predictions[rid].techniques)
+    ]
+    for key, values, missing in zip(rows, rows.values, rows.f4_missing):
+        want, want_missing = pair_vector_oracle(
+            reports[key.report_id], (key.tx, key.ty), predictions[key.report_id], um
         )
-        assert fv.values.shape == (152,)
-        assert fv.layout_version == "v1-bins10"
-        assert fv.report_id == "r1"
-        assert fv.pair == ("T1566", "T1204")
+        assert bool(missing) == want_missing, key
+        assert values.tobytes() == want.tobytes(), key
+
+
+def _assert_mirror_invariants(rows, layout):
+    """Each (tx,ty) row and the (ty,tx) row of the same report relate as
+    the layout's mirror specification says. Returns the pairs checked."""
+    spec = layout.mirror_spec
+    index = {key: k for k, key in enumerate(rows)}
+    checked = 0
+    for (rid, tx, ty), k in index.items():
+        fwd, rev = rows.values[k], rows.values[index[(rid, ty, tx)]]
+        for a, b in spec["swap"]:
+            assert rev[a] == fwd[b], (rid, tx, ty, layout.names[a])
+            assert rev[b] == fwd[a], (rid, tx, ty, layout.names[a])
+        for e in spec["equal"]:
+            assert rev[e] == fwd[e], (rid, tx, ty, layout.names[e])
+        checked += 1
+    return checked
+
+
+class TestBuildFeatureVector:
+    """The slots of single rows of `build_report_features`."""
+
+    def test_shape_and_stamp(self):
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=None
+        )
+        assert rows.values.shape == (2, 152)
+        assert rows.layout_version == "v1-bins10"
+        assert [key.report_id for key in rows] == ["r1", "r1"]
+        assert len(rows) == 2
 
     def test_default_slots_from_top_scores(self):
         pred = _prediction(
@@ -70,11 +111,13 @@ class TestBuildFeatureVector:
                 "T1204": (0.97, 0.0, 0.0, 0.0, 0.0),
             },
         )
-        fv = build_feature_vector(REPORT, ("T1566", "T1204"), pred, um=None)
-        np.testing.assert_array_equal(fv.values[:5], [1.0, 0.8, 0.1, 0.0, 0.0])
-        np.testing.assert_array_equal(fv.values[5:10], [0.97, 0.0, 0.0, 0.0, 0.0])
+        values, _ = _row(build_report_features(REPORT, pred, um=None), "T1566", "T1204")
+        np.testing.assert_array_equal(values[:5], [1.0, 0.8, 0.1, 0.0, 0.0])
+        np.testing.assert_array_equal(values[5:10], [0.97, 0.0, 0.0, 0.0, 0.0])
 
     def test_undetected_technique_zero_default(self):
+        # Reports build rows for detected pairs only; the per-pair oracle
+        # that the all-class rows come from zeroes an undetected side.
         pred = _prediction(
             techniques=("T1566",),
             top={
@@ -83,9 +126,10 @@ class TestBuildFeatureVector:
                 "T1204": (0.9, 0.2, 0.0, 0.0, 0.0),
             },
         )
-        fv = build_feature_vector(REPORT, ("T1566", "T1204"), pred, um=None)
-        assert fv.values[0] == 1.0
-        np.testing.assert_array_equal(fv.values[5:10], np.zeros(5))
+        assert len(build_report_features(REPORT, pred, um=None)) == 0
+        values, _ = pair_vector_oracle(REPORT, ("T1566", "T1204"), pred, um=None)
+        assert values[0] == 1.0
+        np.testing.assert_array_equal(values[5:10], np.zeros(5))
 
     def test_f1_f2_from_hit_sentences(self):
         layout = FeatureLayout(bins=10)
@@ -93,36 +137,36 @@ class TestBuildFeatureVector:
             techniques=("T1566", "T1204"),
             hits={"T1566": (0,), "T1204": (1,)},
         )
-        fv = build_feature_vector(REPORT, ("T1566", "T1204"), pred, um=None)
+        values, _ = _row(build_report_features(REPORT, pred, um=None), "T1566", "T1204")
         # "then" opens sentence 1: a before-marker on the ty side.
-        assert fv.values[layout.index("f1.ty_before")] == 1.0
-        assert fv.values[layout.index("f2.adj_0")] == 1.0
+        assert values[layout.index("f1.ty_before")] == 1.0
+        assert values[layout.index("f2.adj_0")] == 1.0
 
     def test_f4_slots_and_flag(self):
-        fv = build_feature_vector(
-            REPORT,
-            ("T1566", "T1204"),
-            _prediction(techniques=("T1566", "T1204")),
-            um=_um(),
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=_um()
         )
-        assert fv.f4_missing is False
+        values, missing = _row(rows, "T1566", "T1204")
+        assert missing is False
         np.testing.assert_array_equal(
-            fv.values[53:], apriori_features(_um(), ("T1566", "T1204"), bins=10)
+            values[53:], apriori_features(_um(), ("T1566", "T1204"), bins=10)
         )
 
     def test_f4_missing_without_matrix(self):
-        fv = build_feature_vector(
-            REPORT, ("T1566", "T1204"), _prediction(), um=None
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=None
         )
-        assert fv.f4_missing is True
-        assert fv.values[53:].sum() == 0.0
+        assert rows.f4_missing.tolist() == [True, True]
+        assert rows.values[:, 53:].sum() == 0.0
 
     def test_f4_missing_unknown_technique(self):
-        fv = build_feature_vector(
-            REPORT, ("T1566", "T9999"), _prediction(), um=_um()
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204", "T9999")), um=_um()
         )
-        assert fv.f4_missing is True
-        assert fv.values[53:].sum() == 0.0
+        for tx, ty in pair_universe(["T1566", "T1204", "T9999"]):
+            values, missing = _row(rows, tx, ty)
+            assert missing is ("T9999" in (tx, ty)), (tx, ty)
+            assert (values[53:].sum() == 0.0) == missing
 
     def test_f4_missing_empty_matrix(self):
         um = UsageMatrix(
@@ -130,51 +174,49 @@ class TestBuildFeatureVector:
             techniques=("T1204", "T1566"),
             cells=np.zeros((0, 2), dtype=np.int8),
         )
-        fv = build_feature_vector(REPORT, ("T1566", "T1204"), _prediction(), um=um)
-        assert fv.f4_missing is True
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=um
+        )
+        assert rows.f4_missing.all()
 
     def test_self_pair_rejected(self):
-        with pytest.raises(ValueError, match="self-pair"):
-            build_feature_vector(REPORT, ("T1566", "T1566"), _prediction(), um=None)
-
-    def test_layout_bins_mismatch(self):
-        with pytest.raises(ValueError, match="bins"):
-            build_feature_vector(
-                REPORT,
-                ("T1566", "T1204"),
-                _prediction(),
-                um=None,
-                bins=5,
-                layout=FeatureLayout(bins=10),
-            )
+        # The pair universe holds no self-pair, so no row ever is one.
+        rows = build_report_features(
+            REPORT, _prediction(techniques=("T1566", "T1204", "T1560")), um=None
+        )
+        assert len(rows) == 6
+        assert all(key.tx != key.ty for key in rows)
 
     def test_custom_bins(self):
-        fv = build_feature_vector(
-            REPORT, ("T1566", "T1204"), _prediction(), um=_um(), bins=5
+        rows = build_report_features(
+            REPORT,
+            _prediction(techniques=("T1566", "T1204")),
+            um=_um(),
+            layout=FeatureLayout(bins=5),
         )
-        assert fv.values.shape == (107,)
-        assert fv.layout_version == "v1-bins5"
+        assert rows.values.shape == (2, 107)
+        assert rows.layout_version == "v1-bins5"
 
 
 class TestBuildReportFeatures:
     def test_pair_universe_order(self):
         universe = [("T1204", "T1566"), ("T1566", "T1204")]
-        vectors = build_report_features(
+        rows = build_report_features(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=_um()
         )
-        assert [fv.pair for fv in vectors] == universe
+        assert [(key.tx, key.ty) for key in rows] == universe
 
     def test_rows_only_for_detected_techniques(self):
         # The universe is the prediction's detected techniques: an id
         # with top scores but no detection gets no row, and fewer than
         # two detections give none at all.
         top = {"T1046": (0.9, 0.0, 0.0, 0.0, 0.0)}
-        vectors = build_report_features(
+        rows = build_report_features(
             REPORT,
             _prediction(techniques=("T1566", "T1204", "T1560"), top=top),
             um=_um(),
         )
-        assert [fv.pair for fv in vectors] == [
+        assert [(key.tx, key.ty) for key in rows] == [
             ("T1204", "T1560"),
             ("T1204", "T1566"),
             ("T1560", "T1204"),
@@ -183,7 +225,9 @@ class TestBuildReportFeatures:
             ("T1566", "T1560"),
         ]
         one = _prediction(techniques=("T1566",), top=top)
-        assert build_report_features(REPORT, one, um=_um()) == []
+        empty = build_report_features(REPORT, one, um=_um())
+        assert len(empty) == 0
+        assert empty.values.shape == (0, 152)
 
     def test_shared_tables_match_per_pair_vectors(self):
         # One coref pass, marker table and f4 table per report (or per
@@ -195,15 +239,8 @@ class TestBuildReportFeatures:
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
             um = _um() if case % 3 else None
             f4 = corpus_f4 if um is not None and case % 2 else None
-            shared = build_report_features(report, pred, um=um, f4=f4)
-            pairs = list(pair_universe(pred.techniques))
-            assert [fv.pair for fv in shared] == pairs
-            for fv, pair in zip(shared, pairs):
-                alone = build_feature_vector(report, pair, pred, um=um)
-                assert fv.pair == pair
-                assert fv.f4_missing == alone.f4_missing
-                assert fv.values.tobytes() == alone.values.tobytes(), (case, pair)
-
+            rows = build_report_features(report, pred, um=um, f4=f4)
+            _assert_rows_match_oracle(rows, [report], [pred], um)
 
     def test_rows_equal_rows_from_whole_report_links(self):
         # Links among the hit sentences only must give the rows that the
@@ -219,98 +256,116 @@ class TestBuildReportFeatures:
             report = random_report(rng, f"r{case}", n_sentences=(3, 40))
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
             rows = build_report_features(report, pred, um=_um())
-            whole = coref_links_oracle(report)
-            for fv in rows:
-                want = build_feature_vector(
-                    report, fv.pair, pred, um=_um(), links=whole
-                )
-                assert fv.values.tobytes() == want.values.tobytes(), (case, fv.pair)
-                read += int(fv.values[coref_slots].sum())
+            _assert_rows_match_oracle(rows, [report], [pred], _um())
+            read += int(rows.values[:, coref_slots].sum())
         assert read > 20
+
+
+class TestStageFeaturesOracle:
+    """The corpus matrix `stage_features` returns against
+    `pair_vector_oracle`, on long seeded reports whose rows read
+    coreference links and temporal markers."""
+
+    @pytest.mark.parametrize("with_usage", [True, False])
+    def test_long_reports(self, tmp_path, with_usage):
+        layout = FeatureLayout(bins=10)
+        rng = np.random.default_rng(20261030)
+        tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
+        reports = [
+            random_report(rng, f"r{k}", n_sentences=(250, 250)) for k in range(4)
+        ]
+        predictions = [
+            random_prediction(rng, r, *tids, n_hits=(8, 30)) for r in reports
+        ]
+        um = _um() if with_usage else None
+        rows = stage_features(
+            None, um, reports, str(tmp_path / "f.csv"), predictions=predictions
+        )
+        assert all(coref_links_oracle(r) for r in reports)
+        assert len(rows) > 40
+        _assert_rows_match_oracle(rows, reports, predictions, um)
+        coref = [
+            k for k, name in enumerate(layout.names)
+            if name == "f2.coref" or name.startswith("f3.coref_")
+        ]
+        assert rows.values[:, coref].sum() > 0
+        assert rows.values[:, layout.group_slices["f1"]].sum() > 0
+        assert _assert_mirror_invariants(rows, layout) == len(rows)
 
 
 class TestMirrorInvariants:
     def test_random_reports(self):
         rng = np.random.default_rng(20260822)
         layout = FeatureLayout(bins=10)
-        spec = layout.mirror_spec
         um = _um()
+        checked = 0
         for case in range(50):
             report = random_report(rng, f"r{case:02d}")
             pred = random_prediction(rng, report, "T1566", "T1204")
             use_um = um if case % 2 == 0 else None
-            fwd = build_feature_vector(
-                report, ("T1566", "T1204"), pred, um=use_um
-            ).values
-            rev = build_feature_vector(
-                report, ("T1204", "T1566"), pred, um=use_um
-            ).values
-            for a, b in spec["swap"]:
-                assert rev[a] == fwd[b], (case, layout.names[a])
-                assert rev[b] == fwd[a], (case, layout.names[a])
-            for e in spec["equal"]:
-                assert rev[e] == fwd[e], (case, layout.names[e])
+            checked += _assert_mirror_invariants(
+                build_report_features(report, pred, um=use_um), layout
+            )
+        assert checked > 40
+
+
+def _empty(layout):
+    return make_rows(np.empty((0, layout.total)), layout_version=layout.version)
 
 
 class TestCsvRoundTrip:
-    def _vectors(self):
+    def _rows(self):
         rng = np.random.default_rng(3)
-        out = []
+        values, f4_missing = [], []
         for k in range(4):
             report = random_report(rng, f"r{k}")
             pred = random_prediction(rng, report, "T1566", "T1204")
-            out.append(
-                build_feature_vector(
-                    report,
-                    ("T1566", "T1204"),
-                    pred,
-                    um=_um() if k % 2 else None,
-                )
+            row, missing = pair_vector_oracle(
+                report, ("T1566", "T1204"), pred, um=_um() if k % 2 else None
             )
+            values.append(row)
+            f4_missing.append(missing)
         # Exercise awkward float values through repr round-tripping.
-        noisy = out[0].values.copy()
+        noisy = values[0].copy()
         noisy[10] = 0.1 + 0.2
         noisy[11] = 1e-17
         noisy[12] = 123456.789012345
-        out.append(
-            type(out[0])(
-                report_id="rx",
-                tx="T1566",
-                ty="T1204",
-                values=noisy,
-                layout_version=out[0].layout_version,
-                f4_missing=True,
-            )
+        values.append(noisy)
+        f4_missing.append(True)
+        return make_rows(
+            values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204",
+            layout_version="v1-bins10", f4_missing=f4_missing,
         )
-        return out
 
     def test_bit_exact_round_trip(self):
         layout = FeatureLayout(bins=10)
-        vectors = self._vectors()
-        text = features_to_csv(vectors, layout)
-        back = features_from_csv(text, layout)
-        assert len(back) == len(vectors)
-        for fv, rt in zip(vectors, back):
-            assert (fv.report_id, fv.tx, fv.ty) == (rt.report_id, rt.tx, rt.ty)
-            assert fv.f4_missing == rt.f4_missing
-            assert np.array_equal(fv.values, rt.values)
+        rows = self._rows()
+        back = features_from_csv(features_to_csv(rows, layout), layout)
+        assert back.keys == rows.keys
+        assert back.f4_missing.tolist() == rows.f4_missing.tolist()
+        assert back.values.tobytes() == rows.values.tobytes()
+        assert back.layout_version == layout.version
 
     def test_values_written_as_float_repr(self):
         # Each value is written as `repr` of the Python float, as when it
         # was formatted one numpy scalar at a time.
         layout = FeatureLayout(bins=10)
-        vectors = self._vectors()
-        edge = vectors[-1].values.copy()
+        rows = self._rows()
+        edge = rows.values[-1].copy()
         edge[:6] = (-0.0, 5e-324, 1e300, 2.0**53 + 2, np.nextafter(1.0, 2.0), -1 / 3)
-        vectors.append(type(vectors[0])(
-            report_id="ry", tx="T1204", ty="T1566", values=edge,
+        rows = make_rows(
+            np.vstack([rows.values, edge]),
+            report_ids=[key.report_id for key in rows] + ["ry"],
+            tx=[key.tx for key in rows] + ["T1204"],
+            ty=[key.ty for key in rows] + ["T1566"],
             layout_version=layout.version,
-        ))
-        lines = features_to_csv(vectors, layout).splitlines()[1:]
-        assert len(lines) == len(vectors)
-        for line, fv in zip(lines, vectors):
-            expected = [fv.report_id, fv.tx, fv.ty, str(int(fv.f4_missing))]
-            expected += [repr(float(v)) for v in fv.values]
+            f4_missing=rows.f4_missing.tolist() + [False],
+        )
+        lines = features_to_csv(rows, layout).splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, key, missing, values in zip(lines, rows, rows.f4_missing, rows.values):
+            expected = [*key, str(int(missing))]
+            expected += [repr(float(v)) for v in values]
             assert line == ",".join(expected)
 
     def test_bytes_equal_per_cell_writer(self):
@@ -318,49 +373,99 @@ class TestCsvRoundTrip:
         # but differ in bits (-0.0 and 0.0, NaNs) must keep their own repr,
         # and report ids that need quoting are quoted as csv.writer does.
         layout = FeatureLayout(bins=10)
-        base = self._vectors()
+        base = self._rows()
         awkward = np.array(
             [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
              1e16, 0.1 + 0.2, 0.3, 1e-17, 2.0**53 + 2, -1 / 3],
         )
         ids = ("r,1", 'say "hi"', "multi\nline", "cr\rid", "", " lead", "plain")
-        vectors = []
-        for k, report_id in enumerate(ids):
-            values = np.roll(np.resize(awkward, base[0].values.size), k)
-            vectors.append(type(base[0])(
-                report_id=report_id, tx="T1566", ty="T,1204", values=values,
-                layout_version=layout.version, f4_missing=bool(k % 2),
-            ))
-        vectors += base
-        assert features_to_csv(vectors, layout) == features_to_csv_oracle(vectors, layout)
-        assert features_to_csv(vectors[:1], layout) == features_to_csv_oracle(vectors[:1], layout)
+        rolled = [np.roll(np.resize(awkward, layout.total), k) for k in range(len(ids))]
+        rows = make_rows(
+            np.vstack([*rolled, base.values]),
+            report_ids=[*ids, *(key.report_id for key in base)],
+            tx="T1566",
+            ty=["T,1204"] * len(ids) + ["T1204"] * len(base),
+            layout_version=layout.version,
+            f4_missing=[bool(k % 2) for k in range(len(ids))] + base.f4_missing.tolist(),
+        )
+        assert features_to_csv(rows, layout) == features_to_csv_oracle(rows, layout)
+        first = rows.take([0])
+        assert features_to_csv(first, layout) == features_to_csv_oracle(first, layout)
         # More rows than one block of the writer.
-        many = [vectors[k % len(vectors)] for k in range(150)]
+        many = rows.take([k % len(rows) for k in range(150)])
         assert features_to_csv(many, layout) == features_to_csv_oracle(many, layout)
 
     def test_header_names_layout(self):
         layout = FeatureLayout(bins=10)
-        header = features_to_csv([], layout).splitlines()[0]
+        header = features_to_csv(_empty(layout), layout).splitlines()[0]
         cols = header.split(",")
         assert cols[:4] == ["report_id", "tx", "ty", "f4_missing"]
         assert cols[4] == "default.tx_top1"
         assert len(cols) == 4 + 152
 
     def test_header_mismatch_rejected(self):
-        text = features_to_csv([], FeatureLayout(bins=5))
+        layout = FeatureLayout(bins=5)
+        text = features_to_csv(_empty(layout), layout)
         with pytest.raises(ValueError, match="re-run the features stage"):
             features_from_csv(text, FeatureLayout(bins=10))
 
     def test_layout_version_mismatch_on_write(self):
-        vectors = self._vectors()
         with pytest.raises(ValueError, match="layout"):
-            features_to_csv(vectors, FeatureLayout(bins=5))
+            features_to_csv(self._rows(), FeatureLayout(bins=5))
 
     def test_file_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
-        vectors = self._vectors()
+        rows = self._rows()
         path = tmp_path / "features.csv"
-        write_features_csv(vectors, layout, path)
+        write_features_csv(rows, layout, path)
         back = read_features_csv(path, layout)
-        for fv, rt in zip(vectors, back):
-            assert np.array_equal(fv.values, rt.values)
+        assert back.keys == rows.keys
+        assert back.values.tobytes() == rows.values.tobytes()
+
+
+class TestCsvBadRows:
+    """A row that does not fit the layout fails with one error naming
+    the file (or `<text>`) and the line."""
+
+    def _lines(self):
+        layout = FeatureLayout(bins=10)
+        rows = TestCsvRoundTrip()._rows()
+        return layout, features_to_csv(rows, layout).splitlines(keepends=True)
+
+    def _read(self, tmp_path, lines):
+        path = tmp_path / "features.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path, read_features_csv(path, FeatureLayout(bins=10))
+
+    def test_wrong_column_count(self, tmp_path):
+        _, lines = self._lines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+        with pytest.raises(ValueError, match=r"features\.csv:4: 155 columns, expected 156$"):
+            self._read(tmp_path, lines)
+        lines[3] = lines[3][:-1] + ",0.0,0.0\n"
+        with pytest.raises(ValueError, match=r"features\.csv:4: 157 columns, expected 156$"):
+            self._read(tmp_path, lines)
+
+    def test_flag_other_than_0_or_1(self, tmp_path):
+        _, lines = self._lines()
+        for flag in ("7", "", "true", "01"):
+            cells = lines[2].split(",")
+            cells[3] = flag
+            bad = [*lines[:2], ",".join(cells), *lines[3:]]
+            with pytest.raises(ValueError, match=rf"features\.csv:3: f4_missing is '{flag}', not 0 or 1$"):
+                self._read(tmp_path, bad)
+
+    def test_unparsable_value(self, tmp_path):
+        layout, lines = self._lines()
+        cells = lines[5].split(",")
+        cells[4 + layout.index("f2.coref")] = "abc"
+        lines[5] = ",".join(cells)
+        with pytest.raises(ValueError, match=r"features\.csv:6: could not convert string to float: 'abc'$"):
+            self._read(tmp_path, lines)
+        with pytest.raises(ValueError, match=r"^<text>:6: "):
+            features_from_csv("".join(lines), layout)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        layout, lines = self._lines()
+        path, rows = self._read(tmp_path, [lines[0], "\n", *lines[1:], "\n"])
+        assert rows.values.tobytes() == TestCsvRoundTrip()._rows().values.tobytes()

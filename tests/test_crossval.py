@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_fv
+from helpers import e2e_config_dict, make_rows
 from ttpmine.corpus import load_annotations
 from ttpmine.gbdt.crossval import assign_folds, cross_validate
 from ttpmine.gbdt.ensemble import GbdtTrainingError, TrainConfig
@@ -41,15 +41,19 @@ def _learnable_corpus(n_reports=12, noise=0.01, seed=6):
     its own feature slot, so every fold can score it."""
     rng = np.random.default_rng(seed)
     signal_slot = {BEFORE: 1, SIMULTANEOUS_OVERLAP: 2, CONCURRENT: 3}
-    features, labels = [], []
-    for k in range(n_reports):
-        rid = f"r{k:02d}"
+    values, labels = [], []
+    for _ in range(n_reports):
         for label in ALL_LABELS:
-            values = rng.normal(scale=noise, size=6)
+            row = rng.normal(scale=noise, size=6)
             if label in signal_slot:
-                values[signal_slot[label]] += 1.0
-            features.append(make_fv(values, report_id=rid, tx="TA", ty=f"TB{label[:2]}"))
+                row[signal_slot[label]] += 1.0
+            values.append(row)
             labels.append(frozenset({label}))
+    features = make_rows(
+        values,
+        report_ids=[f"r{k:02d}" for k in range(n_reports) for _ in ALL_LABELS],
+        ty=[f"TB{label[:2]}" for _ in range(n_reports) for label in ALL_LABELS],
+    )
     return features, labels
 
 
@@ -116,7 +120,7 @@ def test_e2e_fixture_folds_over_reports_with_rows(tmp_path):
     rows, _ = load_features(str(tmp_path / "features.csv"))
     labels = labels_for_rows(rows, load_annotations(config["annotations"]))
     train_config = TrainConfig.from_dict(config["train"])
-    assert sorted({fv.report_id for fv in rows}) == ["r01", "r02", "r03", "r04"]
+    assert sorted({key.report_id for key in rows}) == ["r01", "r02", "r03", "r04"]
     with pytest.raises(
         GbdtTrainingError,
         match=r"^4 reports with feature rows cannot fill 5 folds \(a report with "

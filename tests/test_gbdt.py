@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_fv, tree_features
+from helpers import e2e_config_dict, make_rows, tree_features
 from oracles import exact_split_oracle, exact_tree_oracle, per_label_train_oracle
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import (
@@ -22,7 +22,6 @@ from ttpmine.gbdt.ensemble import (
     _downsample_rows,
     ensemble_from_dict,
     ensemble_to_dict,
-    predict,
     predict_batch,
     train,
 )
@@ -316,24 +315,20 @@ class TestTrainConfig:
 
 
 def _separable_data(n_per_side=12, n_features=8, signal_slot=1):
-    features, labels = [], []
-    for k in range(2 * n_per_side):
-        values = np.zeros(n_features)
-        positive = k < n_per_side
-        values[signal_slot] = 1.0 if positive else 0.0
-        features.append(make_fv(values, report_id=f"r{k:02d}"))
-        labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
-    return features, labels
+    values = np.zeros((2 * n_per_side, n_features))
+    values[:n_per_side, signal_slot] = 1.0
+    labels = [frozenset({BEFORE})] * n_per_side + [frozenset({NULL})] * n_per_side
+    ids = [f"r{k:02d}" for k in range(2 * n_per_side)]
+    return make_rows(values, report_ids=ids), labels
 
 
 def _random_training_data(rng, n_rows, n_features):
-    features, labels = [], []
-    for k in range(n_rows):
-        values = rng.normal(size=n_features)
-        features.append(make_fv(values, report_id=f"r{k:02d}"))
+    values, labels = [], []
+    for _ in range(n_rows):
+        values.append(rng.normal(size=n_features))
         positives = frozenset(lab for lab in ALL_LABELS[:3] if rng.random() < 0.3)
         labels.append(positives or frozenset({NULL}))
-    return features, labels
+    return make_rows(values, report_ids=[f"r{k:02d}" for k in range(n_rows)]), labels
 
 
 class TestDownsampling:
@@ -414,7 +409,7 @@ class TestTraining:
 
     def test_e2e_fixture_leaf_values_match_predict_tree(self, e2e_training_data):
         rows, labels, _ = e2e_training_data
-        X = np.vstack([fv.values for fv in rows])
+        X = rows.values
         y = np.array([1.0 if BEFORE in labs else 0.0 for labs in labels])
         for depth in (1, 3, 6):
             _fit(X, y - y.mean(), np.full(y.size, 0.25), depth)
@@ -467,21 +462,17 @@ class TestTraining:
         assert lm.trees == []
         assert lm.init_score == pytest.approx(np.log(1e-6 / (1 - 1e-6)))
         assert any("no positives" in r.message for r in caplog.records)
-        pred = predict(model, features[0])
+        pred = predict_batch(model, features.take([0]))[0]
         assert pred.probabilities[CONCURRENT] == pytest.approx(1e-6, rel=1e-3)
         assert CONCURRENT not in pred.labels
 
     def test_single_stump_monotone_in_signal(self):
-        features, labels = [], []
-        for x0 in range(10):
-            values = np.zeros(4)
-            values[0] = float(x0)
-            features.append(make_fv(values, report_id=f"r{x0}"))
-            labels.append(frozenset({BEFORE}) if x0 >= 5 else frozenset({NULL}))
+        values = np.zeros((10, 4))
+        values[:, 0] = np.arange(10.0)
+        features = make_rows(values, report_ids=[f"r{x0}" for x0 in range(10)])
+        labels = [frozenset({BEFORE}) if x0 >= 5 else frozenset({NULL}) for x0 in range(10)]
         model = train(features, labels, TrainConfig(trees=1, max_depth=1))
-        probs = [
-            predict(model, fv).probabilities[BEFORE] for fv in features
-        ]
+        probs = [p.probabilities[BEFORE] for p in predict_batch(model, features)]
         assert all(b >= a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > probs[0]
 
@@ -491,17 +482,10 @@ class TestTraining:
             train([], [], TrainConfig(trees=2))
         with pytest.raises(GbdtTrainingError, match="vectors vs"):
             train(features, labels[:-1], TrainConfig(trees=2))
-        mixed = features[:-1] + [
-            make_fv(np.zeros(8), layout_version="other-layout")
-        ]
-        with pytest.raises(GbdtTrainingError, match="mixed layout versions"):
-            train(mixed, labels, TrainConfig(trees=2))
 
     def test_nan_feature_named_by_position(self):
         features, labels = _separable_data(n_per_side=3)
-        bad = np.zeros(8)
-        bad[3] = np.nan
-        features[1] = make_fv(bad, report_id="rbad")
+        features.values[1, 3] = np.nan
         with pytest.raises(GbdtTrainingError, match="row 1, slot 3"):
             train(features, labels, TrainConfig(trees=2))
 
@@ -509,18 +493,17 @@ class TestTraining:
 class TestFeatureGroups:
     def _grouped_data(self, rng):
         layout = FeatureLayout(bins=10)
-        features, labels = [], []
+        values, labels = [], []
         for k in range(24):
-            values = rng.normal(scale=0.01, size=layout.total)
+            row = rng.normal(scale=0.01, size=layout.total)
             positive = k % 2 == 0
             signal = 1.0 if positive else 0.0
-            values[60] = signal  # an f4 slot
-            values[12] = signal  # an f1 slot
-            features.append(
-                make_fv(values, report_id=f"r{k:02d}", layout_version=layout.version)
-            )
+            row[60] = signal  # an f4 slot
+            row[12] = signal  # an f1 slot
+            values.append(row)
             labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
-        return layout, features, labels
+        ids = [f"r{k:02d}" for k in range(24)]
+        return layout, make_rows(values, report_ids=ids, layout_version=layout.version), labels
 
     def test_split_candidates_restricted_to_mask(self):
         rng = np.random.default_rng(2)
@@ -571,22 +554,21 @@ class TestPredictAndSerialize:
 
     def test_predict_metadata(self):
         model, features = self._model_and_features()
-        pred = predict(model, features[0])
-        assert pred.pair == (features[0].tx, features[0].ty)
-        assert pred.report_id == features[0].report_id
+        pred = predict_batch(model, features.take([0]))[0]
+        assert (pred.report_id, pred.tx, pred.ty) == features.keys[0]
         assert set(pred.probabilities) == set(ALL_LABELS)
         assert all(0.0 <= p <= 1.0 for p in pred.probabilities.values())
 
     def test_null_fallback_when_nothing_decided(self):
         model, features = self._model_and_features()
-        pred = predict(model, features[-1])  # a NULL-side row
+        pred = predict_batch(model, features.take([-1]))[0]  # a NULL-side row
         assert pred.labels == frozenset({NULL})
 
     def test_layout_mismatch_rejected(self):
         model, _ = self._model_and_features()
-        stray = make_fv(np.zeros(8), layout_version="v1-bins5")
+        stray = make_rows(np.zeros(8), layout_version="v1-bins5")
         with pytest.raises(ValueError, match="re-extract features or retrain"):
-            predict(model, stray)
+            predict_batch(model, stray)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         # A bare model dict, without the pipeline's meta wrapper, still loads.
@@ -597,9 +579,8 @@ class TestPredictAndSerialize:
         assert isinstance(loaded, GbdtEnsemble)
         assert loaded.layout_version == model.layout_version
         assert loaded.config == model.config
-        for fv in features[:6]:
-            a = predict(model, fv)
-            b = predict(loaded, fv)
+        first = features.take(range(6))
+        for a, b in zip(predict_batch(model, first), predict_batch(loaded, first)):
             assert a.labels == b.labels
             for lab in ALL_LABELS:
                 assert a.probabilities[lab] == b.probabilities[lab]
@@ -657,11 +638,8 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
             label_sets.append(frozenset(picked))
         else:
             label_sets.append(frozenset({NULL}))
-    features = [
-        make_fv(X[k], report_id=f"r{k // 20}", layout_version=layout.version)
-        for k in range(n_rows)
-    ]
-    return layout, features, label_sets
+    ids = [f"r{k // 20}" for k in range(n_rows)]
+    return layout, make_rows(X, report_ids=ids, layout_version=layout.version), label_sets
 
 
 def _assert_matches_per_label_oracle(features, labels, config, **groups):
@@ -709,14 +687,16 @@ class TestPerLabelOracle:
 
     def test_all_constant_matrix(self):
         _, features, labels = _run_train_shaped(6)
-        constant = [make_fv(np.arange(152.0), layout_version=fv.layout_version)
-                    for fv in features]
+        constant = make_rows(
+            np.tile(np.arange(152.0), (len(features), 1)),
+            layout_version=features.layout_version,
+        )
         model = _assert_matches_per_label_oracle(constant, labels, self.RUN_TRAIN)
         trees = [t for lm in model.models.values() for t in lm.trees]
         assert trees and all("value" in t for t in trees)
 
     def test_single_row(self):
-        features = [make_fv(np.arange(6.0))]
+        features = make_rows(np.arange(6.0))
         model = _assert_matches_per_label_oracle(
             features, [frozenset({BEFORE})], self.RUN_TRAIN
         )
@@ -737,7 +717,7 @@ class TestPerLabelOracle:
         outside = np.setdiff1d(np.arange(n), rows)
         X[outside[: outside.size // 2], 0] = 0.0
         assert np.unique(X[rows, 0]).size == 1 < np.unique(X[:, 0]).size
-        features = [make_fv(X[k]) for k in range(n)]
+        features = make_rows(X)
         model = _assert_matches_per_label_oracle(features, labels, config)
         assert any(0 in tree_features(t) for t in model.models[NULL].trees)
         assert all(0 not in tree_features(t) for t in model.models[BEFORE].trees)

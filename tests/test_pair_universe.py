@@ -45,15 +45,13 @@ def e2e_kb(tmp_path_factory):
 
 def _assert_detected_rows_of_oracle(rows, oracle, predictions):
     found = {p.report_id: p.techniques for p in predictions}
-    expected = [
-        fv for fv in oracle if {fv.tx, fv.ty} <= found[fv.report_id]
-    ]
-    assert [(fv.report_id, fv.tx, fv.ty) for fv in rows] == [
-        (fv.report_id, fv.tx, fv.ty) for fv in expected
-    ]
-    for got, want in zip(rows, expected):
-        assert got.f4_missing == want.f4_missing
-        assert got.values.tobytes() == want.values.tobytes(), got.pair
+    expected = oracle.take(
+        [k for k, key in enumerate(oracle) if {key.tx, key.ty} <= found[key.report_id]]
+    )
+    assert rows.keys == expected.keys
+    assert rows.f4_missing.tolist() == expected.f4_missing.tolist()
+    for key, got, want in zip(rows, rows.values, expected.values):
+        assert got.tobytes() == want.tobytes(), key
 
 
 class TestFullUniverseOracle:

@@ -598,6 +598,55 @@ class TestCliChain:
         assert 'ttpmine = "ttpmine.cli:main"' in scripts.splitlines()
 
 
+class TestBadFeaturesCsv:
+    """A features CSV row that does not fit the layout stops `predict` and
+    `train-relations` with exit 1 and one error naming the file and line."""
+
+    def _corrupt(self, cli_dir, tmp_path, line, edit):
+        path = tmp_path / "features.csv"
+        lines = (cli_dir / "features.csv").read_text(encoding="utf-8").splitlines(True)
+        cells = lines[line - 1].rstrip("\n").split(",")
+        lines[line - 1] = ",".join(edit(cells)) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        sidecar = (cli_dir / "features.csv.layout.json").read_bytes()
+        (tmp_path / "features.csv.layout.json").write_bytes(sidecar)
+        return path
+
+    def _assert_fails(self, cli_dir, tmp_path, path, message, capsys):
+        argvs = {
+            "predict": ["--model", str(cli_dir / "relations.json")],
+            "train-relations": ["--annotations", ANNOTATIONS],
+        }
+        for command, extra in argvs.items():
+            argv = [command, "--features", str(path), *extra,
+                    "--out", str(tmp_path / "out.json")]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"ttpmine {command}: error: {path}:{message}\n"
+        with pytest.raises(PipelineError, match=f"^{path}:"):
+            load_features(str(path))
+
+    def test_row_one_value_short(self, cli_dir, tmp_path, capsys):
+        path = self._corrupt(cli_dir, tmp_path, 5, lambda cells: cells[:-1])
+        self._assert_fails(cli_dir, tmp_path, path, "5: 155 columns, expected 156", capsys)
+
+    def test_flag_other_than_0_or_1(self, cli_dir, tmp_path, capsys):
+        path = self._corrupt(
+            cli_dir, tmp_path, 2, lambda cells: [*cells[:3], "7", *cells[4:]]
+        )
+        self._assert_fails(
+            cli_dir, tmp_path, path, "2: f4_missing is '7', not 0 or 1", capsys
+        )
+
+    def test_non_numeric_value(self, cli_dir, tmp_path, capsys):
+        path = self._corrupt(
+            cli_dir, tmp_path, 19, lambda cells: [*cells[:20], "x1", *cells[21:]]
+        )
+        self._assert_fails(
+            cli_dir, tmp_path, path, "19: could not convert string to float: 'x1'", capsys
+        )
+
+
 def _features_argv(cli_dir, out, *extra):
     return [
         "features",
@@ -744,9 +793,9 @@ class TestSkipCounts:
         assert main(argv) == 0
         out = capsys.readouterr().out.splitlines()
         rows, _ = load_features(str(tmp_path / "narrow.csv"))
-        expected = sum(1 for r in rows if "T1204" in (r.tx, r.ty))
+        expected = sum(1 for key in rows if "T1204" in (key.tx, key.ty))
         assert expected > 0
-        assert sum(r.f4_missing for r in rows) == expected
+        assert rows.f4_missing.sum() == expected
         assert ", 0 with f4_missing ->" in out[0]
         assert f", {expected} with f4_missing ->" in out[1]
 

@@ -1,12 +1,13 @@
 """Batch relation prediction: bit-equal agreement with row-at-a-time
-scoring, empty input, and one clear error naming the first bad row."""
+scoring, empty input, and one clear error for a matrix that does not
+fit the model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_fv
+from helpers import e2e_config_dict, make_rows
 from oracles import predict_rows_oracle
 from ttpmine.gbdt.ensemble import TrainConfig, predict_batch, train
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
@@ -33,21 +34,20 @@ def multi_report_model():
     """Eight reports of six pairs each; CONCURRENT never occurs, so its
     model is degenerate (zero trees)."""
     rng = np.random.default_rng(20261017)
-    features, labels = [], []
+    values, labels = [], []
     for r in range(8):
         for k in range(6):
-            features.append(
-                make_fv(
-                    rng.normal(size=10),
-                    report_id=f"r{r:02d}",
-                    tx=f"T{k}",
-                    ty=f"T{(k + 1) % 6}",
-                )
-            )
+            values.append(rng.normal(size=10))
             positives = frozenset(
                 lab for lab in (BEFORE, SIMULTANEOUS_OVERLAP) if rng.random() < 0.3
             )
             labels.append(positives or frozenset({NULL}))
+    features = make_rows(
+        values,
+        report_ids=[f"r{r:02d}" for r in range(8) for _ in range(6)],
+        tx=[f"T{k}" for _ in range(8) for k in range(6)],
+        ty=[f"T{(k + 1) % 6}" for _ in range(8) for k in range(6)],
+    )
     model = train(features, labels, TrainConfig(trees=15, max_depth=3, seed=3))
     return model, features
 
@@ -66,8 +66,8 @@ def _assert_matches_oracle(model, features):
     batch = predict_batch(model, features)
     oracle = predict_rows_oracle(model, features)
     assert len(batch) == len(oracle) == len(features)
-    for pred, fv, (probabilities, labels) in zip(batch, features, oracle):
-        assert (pred.report_id, pred.tx, pred.ty) == (fv.report_id, fv.tx, fv.ty)
+    for pred, key, (probabilities, labels) in zip(batch, features, oracle):
+        assert (pred.report_id, pred.tx, pred.ty) == key
         assert pred.labels == labels
         assert list(pred.probabilities) == list(ALL_LABELS)
         assert {k: v.hex() for k, v in pred.probabilities.items()} == {
@@ -101,22 +101,23 @@ class TestOracle:
             for tree in lm.trees:
                 for feature, threshold in _splits(tree):
                     for value in (threshold, np.nextafter(threshold, np.inf)):
-                        values = features[len(probes) % len(features)].values.copy()
+                        values = features.values[len(probes) % len(features)].copy()
                         values[feature] = value
-                        probes.append(make_fv(values, report_id=f"p{len(probes)}"))
+                        probes.append(values)
         assert len(probes) > 100
-        _assert_matches_oracle(model, probes)
+        ids = [f"p{k}" for k in range(len(probes))]
+        _assert_matches_oracle(model, make_rows(probes, report_ids=ids))
 
 
 class TestEmptyInput:
     def test_empty_batch(self, multi_report_model):
-        model, _ = multi_report_model
-        assert predict_batch(model, []) == []
+        model, features = multi_report_model
+        assert predict_batch(model, features.take([])) == []
 
     def test_stage_predict_zero_rows_writes_meta_only(self, e2e_model, tmp_path):
-        model, _, layout = e2e_model
+        model, rows, layout = e2e_model
         path = tmp_path / "predictions.jsonl"
-        assert stage_predict(model, [], layout, str(path)) == []
+        assert stage_predict(model, rows.take([]), layout, str(path)) == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"
@@ -124,39 +125,20 @@ class TestEmptyInput:
 
 
 class TestBadRows:
-    def _batch_with(self, features, bad_rows):
-        """Eight good rows with bad ones swapped in at the given slots."""
-        batch = list(features[:8])
-        for slot, fv in bad_rows.items():
-            batch[slot] = fv
-        return batch
-
-    def test_layout_mismatch_names_first_bad_row(self, multi_report_model):
+    def test_layout_mismatch_rejected(self, multi_report_model):
         model, features = multi_report_model
-        batch = self._batch_with(
-            features,
-            {
-                3: make_fv(np.zeros(10), report_id="rbad", tx="TX", ty="TY",
-                           layout_version="v1-bins5"),
-                5: make_fv(np.zeros(10), report_id="rlater",
-                           layout_version="v1-bins5"),
-            },
-        )
+        stray = make_rows(features.values, layout_version="v1-bins5")
         with pytest.raises(ValueError) as err:
-            predict_batch(model, batch)
-        message = str(err.value)
-        assert message.startswith("row 3 (report 'rbad', pair (TX, TY)): ")
-        assert "v1-bins5" in message
-        assert "re-extract features or retrain" in message
-        assert "rlater" not in message
+            predict_batch(model, stray)
+        assert str(err.value) == (
+            "feature layout v1-bins5 does not match the model (test-layout); "
+            "re-extract features or retrain"
+        )
 
-    def test_wrong_length_names_row(self, multi_report_model):
+    def test_wrong_width_rejected(self, multi_report_model):
         model, features = multi_report_model
-        batch = self._batch_with(
-            features, {4: make_fv(np.zeros(9), report_id="rshort", tx="TX", ty="TY")}
-        )
         with pytest.raises(ValueError) as err:
-            predict_batch(model, batch)
-        message = str(err.value)
-        assert message.startswith("row 4 (report 'rshort', pair (TX, TY)): ")
-        assert "model's 10 features" in message
+            predict_batch(model, make_rows(features.values[:, :9]))
+        assert str(err.value) == (
+            "feature matrix of 9 columns does not match the model's 10 features"
+        )
