@@ -27,6 +27,7 @@ from .mining import load_category_map
 from .pipeline import (
     PipelineConfig,
     PipelineError,
+    _classify,
     count_f4_missing,
     count_unrowed_annotations,
     labels_for_rows,
@@ -176,11 +177,13 @@ def cmd_features(args) -> int:
         source = {"predictions": args.predictions}
     else:
         model_path = args.model or os.path.join(args.kb, "ctfidf.json")
-        model, predictions = load_ctfidf_model(model_path), None
+        model = load_ctfidf_model(model_path)
         source = {"model": model_path}
     usage = load_kb_usage(args.kb)
     vectors = load_word_vectors(args.vectors) if args.vectors else None
     reports = load_reports(args.reports)
+    if model is not None:
+        predictions = _classify(model, reports, args.threshold)
     chash = provenance_hash(
         {
             "reports": args.reports,
@@ -193,39 +196,37 @@ def cmd_features(args) -> int:
     )
     try:
         rows = stage_features(
-            model,
             usage,
             reports,
+            predictions,
             args.out,
-            predictions=predictions,
             vectors=vectors,
             threshold=args.threshold,
             bins=args.bins,
             config_hash=chash,
         )
     except PipelineError as exc:
-        if predictions is None:
+        if not args.predictions:
             raise
         raise PipelineError(f"{args.predictions}: {exc}") from exc
-    layout = FeatureLayout(bins=args.bins)
     print(
-        f"features: {len(rows)} pair vectors x {layout.total} slots "
-        f"({layout.version}), {count_f4_missing(rows)} with f4_missing "
+        f"features: {len(rows)} pair vectors x {rows.layout.total} slots "
+        f"({rows.layout.version}), {count_f4_missing(rows)} with f4_missing "
         f"-> {args.out}"
     )
     return 0
 
 
 def _load_labeled_rows(features_path: str, annotations_path: str, kb: str | None):
-    rows, layout = load_features(features_path)
+    rows = load_features(features_path)
     catalog = load_kb_catalog(kb) if kb else None
     annotations = load_annotations(annotations_path, catalog=catalog)
     labels = labels_for_rows(rows, annotations)
-    return rows, layout, labels, count_unrowed_annotations(rows, annotations)
+    return rows, labels, count_unrowed_annotations(rows, annotations)
 
 
 def cmd_train_relations(args) -> int:
-    rows, layout, labels, n_unrowed = _load_labeled_rows(
+    rows, labels, n_unrowed = _load_labeled_rows(
         args.features, args.annotations, args.kb
     )
     if args.train_config:
@@ -251,7 +252,6 @@ def cmd_train_relations(args) -> int:
     )
     stage_train(
         rows,
-        layout,
         labels,
         args.out,
         train_config=train_config,
@@ -259,7 +259,7 @@ def cmd_train_relations(args) -> int:
         config_hash=chash,
     )
     print(
-        f"train-relations: {len(rows)} rows ({layout.version}), {n_unrowed} "
+        f"train-relations: {len(rows)} rows ({rows.layout.version}), {n_unrowed} "
         f"annotated relations without a row -> {args.out}"
     )
     return 0
@@ -267,14 +267,9 @@ def cmd_train_relations(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_relation_model(args.model)
-    rows, layout, truth, n_unrowed = _load_labeled_rows(
+    rows, truth, n_unrowed = _load_labeled_rows(
         args.features, args.annotations, args.kb
     )
-    if model.layout_version != layout.version:
-        raise PipelineError(
-            f"model layout {model.layout_version!r} does not match features "
-            f"({layout.version!r}); re-extract features or retrain"
-        )
     predictions = predict_batch(model, rows)
     report = evaluate_relations(
         truth,
@@ -289,7 +284,7 @@ def cmd_eval(args) -> int:
         }
     )
     payload = {
-        "meta": make_meta("eval", chash, layout_version=layout.version),
+        "meta": make_meta("eval", chash, layout_version=rows.layout.version),
         "metrics": report.to_dict(),
         # Annotated relations with no feature row are not scored as
         # misses: there is no row to score. They are counted here.
@@ -308,9 +303,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_relation_model(args.model)
-    rows, layout = load_features(args.features)
+    rows = load_features(args.features)
     chash = provenance_hash({"model": args.model, "features": args.features})
-    predictions = stage_predict(model, rows, layout, args.out, config_hash=chash)
+    predictions = stage_predict(model, rows, args.out, config_hash=chash)
     positive = sum(1 for p in predictions if p.labels != frozenset({NULL}))
     print(
         f"predict: {len(predictions)} pairs, {positive} with a temporal relation "

@@ -33,25 +33,25 @@ class FeatureRows:
     """Pair-feature rows, held as one matrix.
 
     Row i is the ordered pair `keys[i]` of report `keys[i].report_id`;
-    `values[i]` holds its slots under the layout `layout_version`, and
-    `f4_missing[i]` is True when its f4 slots are zero because a
-    technique of the pair is not in the usage matrix (or there is no
-    matrix). `len()` is the row count and iterating yields the keys.
+    `values[i]` holds its slots under `layout`, and `f4_missing[i]` is
+    True when its f4 slots are zero because a technique of the pair is
+    not in the usage matrix (or there is no matrix). `len()` is the row
+    count and iterating yields the keys.
     """
 
     keys: list[PairKey]
     values: np.ndarray
     f4_missing: np.ndarray
-    layout_version: str
+    layout: FeatureLayout
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         object.__setattr__(self, "f4_missing", np.asarray(self.f4_missing, dtype=bool))
         n = len(self.keys)
-        if self.values.ndim != 2 or self.values.shape[0] != n or self.f4_missing.shape != (n,):
+        if self.values.shape != (n, self.layout.total) or self.f4_missing.shape != (n,):
             raise ValueError(
-                f"{n} keys do not fit values of shape {self.values.shape} "
-                f"and f4_missing of shape {self.f4_missing.shape}"
+                f"{n} keys of layout {self.layout.version} do not fit values of "
+                f"shape {self.values.shape} and f4_missing of shape {self.f4_missing.shape}"
             )
 
     def __len__(self) -> int:
@@ -67,7 +67,7 @@ class FeatureRows:
             keys=[self.keys[i] for i in idx.tolist()],
             values=self.values[idx],
             f4_missing=self.f4_missing[idx],
-            layout_version=self.layout_version,
+            layout=self.layout,
         )
 
 
@@ -152,7 +152,7 @@ def build_report_features(
         keys=[PairKey(report.report_id, tx, ty) for tx, ty in pairs],
         values=values,
         f4_missing=f4_missing,
-        layout_version=layout.version,
+        layout=layout,
     )
 
 
@@ -165,24 +165,23 @@ _CSV_BLOCK_ROWS = 64
 
 def _csv_field(value: str) -> str:
     """`value` as `csv.writer` writes it as one field of a row, quoted if
-    it needs to be."""
+    it needs to be. A "\r" needs quotes too, though rows end at "\n":
+    the reader ends an unquoted field there."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((value, ""))
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow((value, ""))
+    return buf.getvalue()[:-3]
 
 
-def features_to_csv(rows: FeatureRows, layout: FeatureLayout) -> str:
-    """CSV with one header row naming every slot; floats via repr so a
-    read-back is bit-exact.
+def features_to_csv(rows: FeatureRows) -> str:
+    """CSV with one header row naming every slot of `rows.layout`; floats
+    via repr so a read-back is bit-exact.
 
     Rows share few distinct values, so each block of rows formats each
     of its distinct values once. Values are told apart by their bits:
     -0.0 and 0.0 keep their own repr. Report and technique ids are
-    quoted as `csv.writer` quotes them."""
-    if rows.layout_version != layout.version:
-        raise ValueError(f"rows layout {rows.layout_version} != {layout.version}")
+    quoted as `_csv_field` quotes them."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([*_META_COLUMNS, *layout.names])
+    csv.writer(buf, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
     names = {name for key in rows for name in key}
     quoted = dict(zip(names, map(_csv_field, names)))
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
@@ -204,8 +203,8 @@ def features_to_csv(rows: FeatureRows, layout: FeatureLayout) -> str:
     return buf.getvalue()
 
 
-def write_features_csv(rows: FeatureRows, layout: FeatureLayout, path: str | Path) -> None:
-    Path(path).write_text(features_to_csv(rows, layout), encoding="utf-8")
+def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
+    Path(path).write_text(features_to_csv(rows), encoding="utf-8")
 
 
 def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> FeatureRows:
@@ -242,7 +241,7 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
             raise ValueError(f"{where}: {exc}") from None
         keys.append(PairKey(report_id, tx, ty))
         f4_missing.append(missing == "1")
-    return FeatureRows(keys, values[: len(keys)], f4_missing, layout.version)
+    return FeatureRows(keys, values[: len(keys)], f4_missing, layout)
 
 
 def features_from_csv(text: str, layout: FeatureLayout) -> FeatureRows:
@@ -250,4 +249,6 @@ def features_from_csv(text: str, layout: FeatureLayout) -> FeatureRows:
 
 
 def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
-    return _parse_features_csv(Path(path).read_text(encoding="utf-8"), layout, str(path))
+    # newline="" keeps a quoted "\r" in an id as it was written.
+    with open(path, encoding="utf-8", newline="") as fh:
+        return _parse_features_csv(fh.read(), layout, str(path))

@@ -29,7 +29,6 @@ def cross_validate(
     config: TrainConfig,
     folds: int = 5,
     feature_groups=None,
-    layout=None,
     ks=(50, 100),
 ) -> dict:
     """Partition the rows of a `FeatureRows` at the report level (all
@@ -54,7 +53,6 @@ def cross_validate(
             [labels[i] for i in train_idx],
             config,
             feature_groups=feature_groups,
-            layout=layout,
         )
         predictions = predict_batch(model, features.take(test_idx))
         truth = [labels[i] for i in test_idx]

@@ -11,7 +11,7 @@ non-increasing every round.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,14 +62,7 @@ class TrainConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "trees": self.trees,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "negative_downsample_ratio": self.negative_downsample_ratio,
-            "seed": self.seed,
-            "decision_threshold": self.decision_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -173,15 +166,14 @@ def train(
     labels,
     config: TrainConfig,
     feature_groups=None,
-    layout=None,
 ) -> GbdtEnsemble:
     """Fit the four one-vs-rest label models.
 
     `features` is a `FeatureRows`; `labels` the aligned label sets.
-    `feature_groups` restricts split candidates to those layout groups
-    (default slots always active); trees store global slot indices
-    either way. The matrix is binned once, and each label model fits on
-    its rows of that binning.
+    `feature_groups` restricts split candidates to those groups of the
+    rows' layout (default slots always active); trees store global slot
+    indices either way. The matrix is binned once, and each label model
+    fits on its rows of that binning.
     """
     if not len(features):
         raise GbdtTrainingError("no training vectors")
@@ -189,18 +181,11 @@ def train(
         raise GbdtTrainingError(
             f"{len(features)} vectors vs {len(labels)} label sets"
         )
-    layout_version = features.layout_version
     X = features.values
     _validate_features(X)
 
     if feature_groups is not None:
-        if layout is None:
-            raise GbdtTrainingError("feature_groups needs the layout")
-        if layout.version != layout_version:
-            raise GbdtTrainingError(
-                f"layout {layout.version} does not match vectors ({layout_version})"
-            )
-        active = np.flatnonzero(layout.mask(feature_groups))
+        active = np.flatnonzero(features.layout.mask(feature_groups))
     else:
         active = np.arange(X.shape[1])
 
@@ -273,7 +258,7 @@ def train(
 
     return GbdtEnsemble(
         models=models,
-        layout_version=layout_version,
+        layout_version=features.layout.version,
         config=config,
         n_features=X.shape[1],
     )
@@ -285,21 +270,19 @@ def predict_batch(model: GbdtEnsemble, features) -> list[RelationPrediction]:
     `FeatureRows`.
 
     Each label's trees walk the whole matrix, so a row scores exactly as
-    it would alone.
+    it would alone. Rows of another layout than the model's are refused,
+    as is a model whose feature count is not its layout's.
     """
+    layout = features.layout
+    if (layout.version, layout.total) != (model.layout_version, model.n_features):
+        raise ValueError(
+            f"feature layout {layout.version} ({layout.total} slots) does not "
+            f"match the model ({model.layout_version}, {model.n_features} "
+            "features); re-extract features or retrain"
+        )
     if not len(features):
         return []
-    if features.layout_version != model.layout_version:
-        raise ValueError(
-            f"feature layout {features.layout_version} does not match the "
-            f"model ({model.layout_version}); re-extract features or retrain"
-        )
     X = features.values
-    if X.shape[1] != model.n_features:
-        raise ValueError(
-            f"feature matrix of {X.shape[1]} columns does not match the "
-            f"model's {model.n_features} features"
-        )
     columns = {
         label: _sigmoid(model.raw_score(label, X)).tolist() for label in ALL_LABELS
     }

@@ -1,11 +1,16 @@
 """Pipeline orchestration: stage functions and artifact I/O.
 
-Every stage writes its artifacts. The CLI commands read prior artifacts
-from disk, so any stage can be re-run standalone; ``run_pipeline``
-passes each stage's objects on in memory and still writes every
-artifact. Artifacts embed the tool version, the configuration hash, and
-(where applicable) the feature layout version; a stage refuses to
-consume an artifact whose layout version differs from its own.
+Every stage writes its artifacts and returns what it built, and the
+next stage takes that as it is: ``run_pipeline`` passes each stage's
+objects on in memory and still writes every artifact, while the CLI
+commands read prior artifacts from disk, so any stage can be re-run
+standalone. Feature rows carry their layout, so no stage takes a layout
+beside them. Artifacts embed the tool version, the configuration hash,
+and (where applicable) the feature layout version. Two checks guard the
+layout: ``load_features`` checks a features CSV against its sidecar,
+and ``predict_batch`` refuses rows whose layout is not the model's.
+Every artifact reader fails with one ``PipelineError`` that names the
+file (and, in a JSONL artifact, the line).
 
 Artifact formats:
 
@@ -23,8 +28,8 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,36 +101,11 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def to_dict(self) -> dict:
-        return {
-            "stix": self.stix,
-            "reports": self.reports,
-            "annotations": self.annotations,
-            "vectors": self.vectors,
-            "categories": self.categories,
-            "out_dir": self.out_dir,
-            "threshold": self.threshold,
-            "min_examples": self.min_examples,
-            "bins": self.bins,
-            "min_support": self.min_support,
-            "train": self.train.to_dict(),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        known = {
-            "stix",
-            "reports",
-            "annotations",
-            "vectors",
-            "categories",
-            "out_dir",
-            "threshold",
-            "min_examples",
-            "bins",
-            "min_support",
-            "train",
-        }
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(data)
@@ -192,48 +172,66 @@ def _stream_json(fh, value) -> None:
         fh.write(_encode(value))
 
 
-def read_json(path: str, what: str) -> dict:
+def _decoded(decode: Callable, value, path: str, what: str):
+    """``decode(value)``, for a ``value`` read from the artifact at ``path``.
+
+    Whatever decoding a malformed artifact raises (bad JSON, a wrong
+    type, a missing key, a bad value) becomes one PipelineError that
+    names the file and ``what`` was being read.
+    """
+    try:
+        return decode(value)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise PipelineError(
+            f"{path}: malformed {what}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def read_json(path: str, what: str, decode: Callable):
+    """The JSON artifact at ``path``, passed through ``decode``."""
     if not os.path.exists(path):
         raise PipelineError(f"{what} artifact not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = _decoded(json.load, fh, path, what)
+    return _decoded(decode, payload, path, what)
 
 
 def write_jsonl(path: str, meta: Mapping, records: Iterable[Mapping]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"meta": meta}, **_JSON_KW) + "\n")
+        fh.write(_encode({"meta": meta}) + "\n")
         for record in records:
-            fh.write(json.dumps(record, **_JSON_KW) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
-def read_jsonl(path: str) -> tuple[dict, list[dict]]:
-    """Read a JSONL artifact, returning ``(meta, records)``.
+def read_jsonl(
+    path: str, what: str = "record", decode: Callable | None = None
+) -> tuple[dict, list]:
+    """Read a JSONL artifact, returning ``(meta, records)``, each record
+    passed through ``decode`` if given.
 
     The meta line is optional so hand-built files also load.
     """
     if not os.path.exists(path):
         raise PipelineError(f"artifact not found: {path}")
     meta: dict = {}
-    records: list[dict] = []
+    records: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PipelineError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            where = f"{what} on line {lineno}"
+            obj = _decoded(json.loads, line, path, where)
             if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}:
                 meta = obj["meta"]
                 continue
-            records.append(obj)
+            records.append(obj if decode is None else _decoded(decode, obj, path, where))
     return meta, records
 
 
-def _unwrap_model(payload: Mapping) -> Mapping:
-    """Accept both ``{"meta": ..., "model": {...}}`` and bare model dicts."""
-    return payload["model"] if "model" in payload else payload
+def _unwrap(payload: Mapping, key: str):
+    """Accept both ``{"meta": ..., key: {...}}`` and the bare ``{...}``."""
+    return payload[key] if key in payload else payload
 
 
 def report_prediction_to_dict(p: ReportPrediction) -> dict:
@@ -348,22 +346,27 @@ def usage_counts(usage: UsageMatrix) -> dict:
 
 
 def load_kb_catalog(kb_dir: str) -> TechniqueCatalog:
-    payload = read_json(os.path.join(kb_dir, "catalog.json"), "kb catalog")
-    return catalog_from_dict(payload.get("catalog", payload))
+    return read_json(
+        os.path.join(kb_dir, "catalog.json"),
+        "kb catalog",
+        lambda payload: catalog_from_dict(_unwrap(payload, "catalog")),
+    )
 
 
 def load_kb_usage(kb_dir: str) -> UsageMatrix:
-    path = os.path.join(kb_dir, "usage.json")
-    payload = read_json(path, "kb usage")
-    try:
-        return usage_from_dict(payload.get("usage", payload))
-    except ValueError as exc:
-        raise PipelineError(f"kb usage artifact {path}: {exc}") from exc
+    return read_json(
+        os.path.join(kb_dir, "usage.json"),
+        "kb usage",
+        lambda payload: usage_from_dict(_unwrap(payload, "usage")),
+    )
 
 
 def load_ctfidf_model(path: str) -> CtfidfModel:
-    payload = read_json(path, "classifier model")
-    return model_from_dict(_unwrap_model(payload))
+    return read_json(
+        path,
+        "classifier model",
+        lambda payload: model_from_dict(_unwrap(payload, "model")),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +402,7 @@ def stage_classify(
 
 def load_report_predictions(path: str) -> list[ReportPrediction]:
     """The report predictions of a ``classify.jsonl``."""
-    _, records = read_jsonl(path)
-    try:
-        return [report_prediction_from_dict(r) for r in records]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise PipelineError(f"{path}: malformed report prediction: {exc!r}") from exc
+    return read_jsonl(path, "report prediction", report_prediction_from_dict)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +411,11 @@ def load_report_predictions(path: str) -> list[ReportPrediction]:
 
 
 def stage_features(
-    model: CtfidfModel | None,
     usage: UsageMatrix | None,
     reports: Sequence[Report],
+    predictions: Sequence[ReportPrediction],
     out_path: str,
     *,
-    predictions: Sequence[ReportPrediction] | None = None,
     vectors: WordVectors | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     bins: int = 10,
@@ -428,8 +426,8 @@ def stage_features(
     A report's rows are the ordered pairs of the techniques its
     prediction detected (see ``build_report_features``); a pair the
     classifier did not detect in a report gets no row there.
-    ``predictions`` takes the classify stage's output, one per report;
-    None classifies the reports here with ``model``. The f4 slots are
+    ``predictions`` takes the classify stage's output, one per report,
+    made at ``threshold``. The f4 slots are
     computed once per pair of the universe (the union of the reports'
     pairs), not once per row. Each report's block of rows is copied
     into one corpus matrix as soon as it is built.
@@ -439,8 +437,6 @@ def stage_features(
     """
     layout = FeatureLayout(bins=bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
-    if predictions is None:
-        predictions = _classify(model, ordered, threshold)
     by_id = {p.report_id: p for p in predictions}
     for report in ordered:
         prediction = by_id.get(report.report_id)
@@ -467,8 +463,8 @@ def stage_features(
         values[len(keys) : len(keys) + len(block)] = block.values
         f4_missing[len(keys) : len(keys) + len(block)] = block.f4_missing
         keys += block.keys
-    rows = FeatureRows(keys, values, f4_missing, layout.version)
-    write_features_csv(rows, layout, out_path)
+    rows = FeatureRows(keys, values, f4_missing, layout)
+    write_features_csv(rows, path=out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
     meta["threshold"] = threshold
     write_json(out_path + ".layout.json", {"meta": meta, "layout": layout.descriptor()})
@@ -497,26 +493,28 @@ def count_f4_missing(rows: FeatureRows) -> int:
     return int(np.count_nonzero(rows.f4_missing))
 
 
-def load_features(path: str) -> tuple[FeatureRows, FeatureLayout]:
-    """Load a feature CSV plus its sidecar layout descriptor. A CSV that
-    does not fit the layout fails with its path and line."""
-    if not os.path.exists(path):
-        raise PipelineError(f"features artifact not found: {path}")
-    sidecar = read_json(path + ".layout.json", "features sidecar")
-    descriptor = sidecar.get("layout", {})
-    if "bins" not in descriptor or "layout_version" not in descriptor:
-        raise PipelineError(f"features sidecar is malformed: {path}.layout.json")
+def _sidecar_layout(sidecar: Mapping) -> FeatureLayout:
+    """The layout a features sidecar describes."""
+    descriptor = sidecar["layout"]
     layout = FeatureLayout(bins=int(descriptor["bins"]))
     if layout.version != descriptor["layout_version"]:
-        raise PipelineError(
-            "features sidecar layout version "
-            f"{descriptor['layout_version']!r} does not match {layout.version!r}"
+        raise ValueError(
+            f"layout version {descriptor['layout_version']!r} does not match "
+            f"its bins ({layout.version!r})"
         )
+    return layout
+
+
+def load_features(path: str) -> FeatureRows:
+    """Load a feature CSV under the layout its sidecar describes. A CSV
+    that does not fit that layout fails with its path and line."""
+    if not os.path.exists(path):
+        raise PipelineError(f"features artifact not found: {path}")
+    layout = read_json(path + ".layout.json", "features sidecar", _sidecar_layout)
     try:
-        rows = read_features_csv(path, layout)
+        return read_features_csv(path, layout)
     except ValueError as exc:
         raise PipelineError(str(exc)) from exc
-    return rows, layout
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +549,6 @@ def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
 
 def stage_train(
     rows: FeatureRows,
-    layout: FeatureLayout,
     labels: Sequence[frozenset[str]],
     out_path: str,
     *,
@@ -561,9 +558,7 @@ def stage_train(
 ) -> GbdtEnsemble:
     """Train the temporal relation classifier and write the model JSON."""
     config = train_config or TrainConfig()
-    ensemble = train_ensemble(
-        rows, labels, config, feature_groups=feature_groups, layout=layout
-    )
+    ensemble = train_ensemble(rows, labels, config, feature_groups=feature_groups)
     for label, lm in ensemble.models.items():
         curve = lm.loss_curve
         logger.info(
@@ -576,15 +571,18 @@ def stage_train(
             lm.degenerate,
             f"{curve[0]:.6g} -> {curve[-1]:.6g}" if curve else "n/a",
         )
-    meta = make_meta("train-relations", config_hash, layout_version=layout.version)
+    meta = make_meta("train-relations", config_hash, layout_version=rows.layout.version)
     write_json(out_path, {"meta": meta, "model": ensemble_to_dict(ensemble)})
     logger.info("train-relations: wrote model to %s", out_path)
     return ensemble
 
 
 def load_relation_model(path: str) -> GbdtEnsemble:
-    payload = read_json(path, "relation model")
-    return ensemble_from_dict(_unwrap_model(payload))
+    return read_json(
+        path,
+        "relation model",
+        lambda payload: ensemble_from_dict(_unwrap(payload, "model")),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,28 +593,20 @@ def load_relation_model(path: str) -> GbdtEnsemble:
 def stage_predict(
     ensemble: GbdtEnsemble,
     rows: FeatureRows,
-    layout: FeatureLayout,
     out_path: str,
     *,
     config_hash: str = "",
 ) -> list[RelationPrediction]:
     """Predict temporal relations for every feature row and write JSONL."""
-    if ensemble.layout_version != layout.version:
-        raise PipelineError(
-            f"model layout version {ensemble.layout_version!r} does not match "
-            f"feature layout {layout.version!r}; re-extract features with "
-            "matching bins or retrain the model"
-        )
     predictions = predict_batch(ensemble, rows)
-    meta = make_meta("predict", config_hash, layout_version=layout.version)
+    meta = make_meta("predict", config_hash, layout_version=rows.layout.version)
     write_jsonl(out_path, meta, (relation_prediction_to_dict(p) for p in predictions))
     logger.info("predict: wrote %d pair predictions to %s", len(predictions), out_path)
     return predictions
 
 
 def load_relation_predictions(path: str) -> list[RelationPrediction]:
-    _, records = read_jsonl(path)
-    return [relation_prediction_from_dict(r) for r in records]
+    return read_jsonl(path, "relation prediction", relation_prediction_from_dict)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +689,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     features_path = os.path.join(out_dir, "features.csv")
     rows = stage_features(
-        model,
         usage,
         reports,
+        report_predictions,
         features_path,
-        predictions=report_predictions,
         vectors=vectors,
         threshold=config.threshold,
         bins=config.bins,
         config_hash=chash,
     )
-    layout = FeatureLayout(bins=config.bins)
 
     annotations = load_annotations(config.annotations, catalog=catalog)
     labels = labels_for_rows(rows, annotations)
@@ -724,7 +712,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     model_path = os.path.join(out_dir, "relations.json")
     ensemble = stage_train(
         rows,
-        layout,
         labels,
         model_path,
         train_config=config.train,
@@ -732,9 +719,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     )
 
     predictions_path = os.path.join(out_dir, "predictions.jsonl")
-    predictions = stage_predict(
-        ensemble, rows, layout, predictions_path, config_hash=chash
-    )
+    predictions = stage_predict(ensemble, rows, predictions_path, config_hash=chash)
 
     category_map = None
     if config.categories is not None:

@@ -12,6 +12,7 @@ import numpy as np
 from ttpmine.corpus import make_report
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.features.builder import FeatureRows, PairKey
+from ttpmine.features.layout import FeatureLayout
 
 E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
@@ -115,12 +116,17 @@ def usage_bundle(seed: int, actors: int = 150, techniques: int = 60) -> bytes:
 
 
 def make_rows(values, report_ids="r1", tx="TA", ty="TB",
-              layout_version: str = "test-layout", f4_missing=False) -> FeatureRows:
-    """A `FeatureRows` from a (rows, slots) array. `report_ids`, `tx`,
-    `ty` and `f4_missing` each take one value for every row or a
-    sequence with one per row."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    n = values.shape[0]
+              layout: FeatureLayout = FeatureLayout(bins=1), f4_missing=False) -> FeatureRows:
+    """A `FeatureRows` of `layout` from a (rows, slots) array. Rows with
+    fewer slots than the layout are padded with zeros on the right; a
+    column constant over every row never splits, so a model trains on
+    the padded rows as on the narrow ones. `report_ids`, `tx`, `ty` and
+    `f4_missing` each take one value for every row or a sequence with
+    one per row."""
+    narrow = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    n = narrow.shape[0]
+    values = np.zeros((n, layout.total))
+    values[:, : narrow.shape[1]] = narrow
 
     def per_row(v):
         return [v] * n if isinstance(v, (str, bool)) else list(v)
@@ -129,7 +135,7 @@ def make_rows(values, report_ids="r1", tx="TA", ty="TB",
         keys=[PairKey(*key) for key in zip(per_row(report_ids), per_row(tx), per_row(ty))],
         values=values,
         f4_missing=per_row(f4_missing),
-        layout_version=layout_version,
+        layout=layout,
     )
 
 

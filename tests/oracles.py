@@ -404,15 +404,21 @@ def tokenize_oracle(text: str) -> list[str]:
     return out
 
 
-def features_to_csv_oracle(rows, layout) -> str:
+def features_to_csv_oracle(rows) -> str:
     """The features CSV written one row at a time through `csv.writer`,
-    every value formatted by its own `repr`."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*_META_COLUMNS, *layout.names])
+    every value formatted by its own `repr`. The writer ends each row at
+    "\r\n", so it quotes a field that holds a "\r" as well as one that
+    holds a "\n"; the row then ends at "\n" alone."""
+
+    def line(fields) -> str:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(fields)
+        return buf.getvalue()[:-2] + "\n"
+
+    out = [line([*_META_COLUMNS, *rows.layout.names])]
     for key, missing, values in zip(rows.keys, rows.f4_missing, rows.values):
-        writer.writerow([*key, int(missing)] + [repr(float(v)) for v in values])
-    return buf.getvalue()
+        out.append(line([*key, int(missing)] + [repr(float(v)) for v in values]))
+    return "".join(out)
 
 
 def plural_match_oracle(a: str, b: str) -> bool:
@@ -591,7 +597,7 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
                     values.append(row)
                     f4_missing.append(missing)
     return FeatureRows(
-        keys, np.reshape(values, (len(keys), layout.total)), f4_missing, layout.version
+        keys, np.reshape(values, (len(keys), layout.total)), f4_missing, layout
     )
 
 
@@ -660,8 +666,7 @@ def _per_label_tree(X, residuals, hessians, max_depth: int):
     return build(np.arange(m), 0), out
 
 
-def per_label_train_oracle(features, labels, config, feature_groups=None,
-                           layout=None) -> GbdtEnsemble:
+def per_label_train_oracle(features, labels, config, feature_groups=None) -> GbdtEnsemble:
     """The four label models trained one label at a time: each label
     slices its downsampled rows and active columns out of the stacked
     matrix and bins that slice on its own (`_per_label_tree`), with no
@@ -671,7 +676,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None,
     if feature_groups is None:
         active = np.arange(X.shape[1])
     else:
-        active = np.flatnonzero(layout.mask(feature_groups))
+        active = np.flatnonzero(features.layout.mask(feature_groups))
     models = {}
     for label_index, label in enumerate(ALL_LABELS):
         y = np.array([1.0 if label in labs else 0.0 for labs in labels])
@@ -705,7 +710,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None,
         )
     return GbdtEnsemble(
         models=models,
-        layout_version=features.layout_version,
+        layout_version=features.layout.version,
         config=config,
         n_features=X.shape[1],
     )

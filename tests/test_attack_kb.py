@@ -439,7 +439,7 @@ class TestUsageFileRejections:
 
     def _fails(self, tmp_path, match: str):
         path = re.escape(str(tmp_path / "usage.json"))
-        with pytest.raises(PipelineError, match=f"^kb usage artifact {path}: .*{match}"):
+        with pytest.raises(PipelineError, match=f"^{path}: malformed kb usage: .*{match}"):
             load_kb_usage(str(tmp_path))
 
     def _valid(self) -> dict:

@@ -99,7 +99,7 @@ class TestBuildFeatureVector:
             REPORT, _prediction(techniques=("T1566", "T1204")), um=None
         )
         assert rows.values.shape == (2, 152)
-        assert rows.layout_version == "v1-bins10"
+        assert rows.layout == FeatureLayout(bins=10)
         assert [key.report_id for key in rows] == ["r1", "r1"]
         assert len(rows) == 2
 
@@ -195,7 +195,7 @@ class TestBuildFeatureVector:
             layout=FeatureLayout(bins=5),
         )
         assert rows.values.shape == (2, 107)
-        assert rows.layout_version == "v1-bins5"
+        assert rows.layout == FeatureLayout(bins=5)
 
 
 class TestBuildReportFeatures:
@@ -278,9 +278,7 @@ class TestStageFeaturesOracle:
             random_prediction(rng, r, *tids, n_hits=(8, 30)) for r in reports
         ]
         um = _um() if with_usage else None
-        rows = stage_features(
-            None, um, reports, str(tmp_path / "f.csv"), predictions=predictions
-        )
+        rows = stage_features(um, reports, predictions, str(tmp_path / "f.csv"))
         assert all(coref_links_oracle(r) for r in reports)
         assert len(rows) > 40
         _assert_rows_match_oracle(rows, reports, predictions, um)
@@ -310,7 +308,7 @@ class TestMirrorInvariants:
 
 
 def _empty(layout):
-    return make_rows(np.empty((0, layout.total)), layout_version=layout.version)
+    return make_rows(np.empty((0, layout.total)), layout=layout)
 
 
 class TestCsvRoundTrip:
@@ -334,17 +332,42 @@ class TestCsvRoundTrip:
         f4_missing.append(True)
         return make_rows(
             values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204",
-            layout_version="v1-bins10", f4_missing=f4_missing,
+            layout=FeatureLayout(bins=10), f4_missing=f4_missing,
         )
 
     def test_bit_exact_round_trip(self):
         layout = FeatureLayout(bins=10)
         rows = self._rows()
-        back = features_from_csv(features_to_csv(rows, layout), layout)
+        back = features_from_csv(features_to_csv(rows), layout)
         assert back.keys == rows.keys
         assert back.f4_missing.tolist() == rows.f4_missing.tolist()
         assert back.values.tobytes() == rows.values.tobytes()
-        assert back.layout_version == layout.version
+        assert back.layout == layout
+
+    def test_carriage_return_in_ids_round_trips(self, tmp_path):
+        # The reader ends an unquoted field at a "\r", so the writer
+        # quotes ids that hold one; every other id keeps its bytes.
+        base = self._rows()
+        rows = make_rows(
+            base.values,
+            report_ids=["cr\rid", "r1", "r2", "r3", "rx"],
+            tx=["T1566", "T\r1566", "T1566", "T1566", "\r"],
+            ty=["T1204", "T1204", "T1204\r", "T1204", "\r\n"],
+            layout=base.layout,
+            f4_missing=base.f4_missing,
+        )
+        text = features_to_csv(rows)
+        lines = text.split("\n")
+        assert lines[1].startswith('"cr\rid",T1566,T1204,')
+        assert lines[2].startswith('r1,"T\r1566",T1204,')
+        assert lines[3].startswith('r2,T1566,"T1204\r",')
+        assert lines[4] == features_to_csv(base).split("\n")[4]
+        path = tmp_path / "features.csv"
+        write_features_csv(rows, path=path)
+        for back in (features_from_csv(text, base.layout), read_features_csv(path, base.layout)):
+            assert back.keys == rows.keys
+            assert back.f4_missing.tolist() == rows.f4_missing.tolist()
+            assert back.values.tobytes() == rows.values.tobytes()
 
     def test_values_written_as_float_repr(self):
         # Each value is written as `repr` of the Python float, as when it
@@ -358,10 +381,10 @@ class TestCsvRoundTrip:
             report_ids=[key.report_id for key in rows] + ["ry"],
             tx=[key.tx for key in rows] + ["T1204"],
             ty=[key.ty for key in rows] + ["T1566"],
-            layout_version=layout.version,
+            layout=layout,
             f4_missing=rows.f4_missing.tolist() + [False],
         )
-        lines = features_to_csv(rows, layout).splitlines()[1:]
+        lines = features_to_csv(rows).splitlines()[1:]
         assert len(lines) == len(rows)
         for line, key, missing, values in zip(lines, rows, rows.f4_missing, rows.values):
             expected = [*key, str(int(missing))]
@@ -385,19 +408,19 @@ class TestCsvRoundTrip:
             report_ids=[*ids, *(key.report_id for key in base)],
             tx="T1566",
             ty=["T,1204"] * len(ids) + ["T1204"] * len(base),
-            layout_version=layout.version,
+            layout=layout,
             f4_missing=[bool(k % 2) for k in range(len(ids))] + base.f4_missing.tolist(),
         )
-        assert features_to_csv(rows, layout) == features_to_csv_oracle(rows, layout)
+        assert features_to_csv(rows) == features_to_csv_oracle(rows)
         first = rows.take([0])
-        assert features_to_csv(first, layout) == features_to_csv_oracle(first, layout)
+        assert features_to_csv(first) == features_to_csv_oracle(first)
         # More rows than one block of the writer.
         many = rows.take([k % len(rows) for k in range(150)])
-        assert features_to_csv(many, layout) == features_to_csv_oracle(many, layout)
+        assert features_to_csv(many) == features_to_csv_oracle(many)
 
     def test_header_names_layout(self):
         layout = FeatureLayout(bins=10)
-        header = features_to_csv(_empty(layout), layout).splitlines()[0]
+        header = features_to_csv(_empty(layout)).splitlines()[0]
         cols = header.split(",")
         assert cols[:4] == ["report_id", "tx", "ty", "f4_missing"]
         assert cols[4] == "default.tx_top1"
@@ -405,19 +428,15 @@ class TestCsvRoundTrip:
 
     def test_header_mismatch_rejected(self):
         layout = FeatureLayout(bins=5)
-        text = features_to_csv(_empty(layout), layout)
+        text = features_to_csv(_empty(layout))
         with pytest.raises(ValueError, match="re-run the features stage"):
             features_from_csv(text, FeatureLayout(bins=10))
-
-    def test_layout_version_mismatch_on_write(self):
-        with pytest.raises(ValueError, match="layout"):
-            features_to_csv(self._rows(), FeatureLayout(bins=5))
 
     def test_file_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
         rows = self._rows()
         path = tmp_path / "features.csv"
-        write_features_csv(rows, layout, path)
+        write_features_csv(rows, path)
         back = read_features_csv(path, layout)
         assert back.keys == rows.keys
         assert back.values.tobytes() == rows.values.tobytes()
@@ -430,7 +449,7 @@ class TestCsvBadRows:
     def _lines(self):
         layout = FeatureLayout(bins=10)
         rows = TestCsvRoundTrip()._rows()
-        return layout, features_to_csv(rows, layout).splitlines(keepends=True)
+        return layout, features_to_csv(rows).splitlines(keepends=True)
 
     def _read(self, tmp_path, lines):
         path = tmp_path / "features.csv"

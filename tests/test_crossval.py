@@ -117,7 +117,7 @@ def test_e2e_fixture_folds_over_reports_with_rows(tmp_path):
     # has no pair rows: only four reports can be dealt into folds.
     config = e2e_config_dict(tmp_path)
     run_pipeline(PipelineConfig.from_dict(config))
-    rows, _ = load_features(str(tmp_path / "features.csv"))
+    rows = load_features(str(tmp_path / "features.csv"))
     labels = labels_for_rows(rows, load_annotations(config["annotations"]))
     train_config = TrainConfig.from_dict(config["train"])
     assert sorted({key.report_id for key in rows}) == ["r01", "r02", "r03", "r04"]

@@ -389,7 +389,7 @@ def e2e_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def e2e_training_data(e2e_run):
     out_dir, config = e2e_run
-    rows, _ = load_features(str(out_dir / "features.csv"))
+    rows = load_features(str(out_dir / "features.csv"))
     labels = labels_for_rows(rows, load_annotations(config["annotations"]))
     return rows, labels, TrainConfig.from_dict(config["train"])
 
@@ -503,19 +503,18 @@ class TestFeatureGroups:
             values.append(row)
             labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
         ids = [f"r{k:02d}" for k in range(24)]
-        return layout, make_rows(values, report_ids=ids, layout_version=layout.version), labels
+        return make_rows(values, report_ids=ids, layout=layout), labels
 
     def test_split_candidates_restricted_to_mask(self):
         rng = np.random.default_rng(2)
-        layout, features, labels = self._grouped_data(rng)
+        features, labels = self._grouped_data(rng)
         model = train(
             features,
             labels,
             TrainConfig(trees=8, max_depth=2),
             feature_groups=("f4",),
-            layout=layout,
         )
-        allowed = set(np.flatnonzero(layout.mask(["f4"])).tolist())
+        allowed = set(np.flatnonzero(features.layout.mask(["f4"])).tolist())
         used = set()
         for lm in model.models.values():
             for tree in lm.trees:
@@ -526,24 +525,6 @@ class TestFeatureGroups:
         # proving the local-to-global remap happened.
         assert max(used) >= 53
         assert 12 not in used
-
-    def test_feature_groups_without_layout(self):
-        rng = np.random.default_rng(2)
-        _, features, labels = self._grouped_data(rng)
-        with pytest.raises(GbdtTrainingError, match="needs the layout"):
-            train(features, labels, TrainConfig(trees=2), feature_groups=("f1",))
-
-    def test_layout_version_mismatch(self):
-        rng = np.random.default_rng(2)
-        _, features, labels = self._grouped_data(rng)
-        with pytest.raises(GbdtTrainingError, match="does not match"):
-            train(
-                features,
-                labels,
-                TrainConfig(trees=2),
-                feature_groups=("f1",),
-                layout=FeatureLayout(bins=5),
-            )
 
 
 class TestPredictAndSerialize:
@@ -566,7 +547,7 @@ class TestPredictAndSerialize:
 
     def test_layout_mismatch_rejected(self):
         model, _ = self._model_and_features()
-        stray = make_rows(np.zeros(8), layout_version="v1-bins5")
+        stray = make_rows(np.zeros(8), layout=FeatureLayout(bins=5))
         with pytest.raises(ValueError, match="re-extract features or retrain"):
             predict_batch(model, stray)
 
@@ -589,8 +570,8 @@ class TestPredictAndSerialize:
         model, _ = self._model_and_features()
         data = ensemble_to_dict(model)
         assert data["format_version"] == "1"
-        assert data["layout_version"] == "test-layout"
-        assert data["n_features"] == 8
+        assert data["layout_version"] == "v1-bins1"
+        assert data["n_features"] == 71
         assert set(data["labels"]) == set(ALL_LABELS)
 
     def test_tree_beyond_layout_rejected(self):
@@ -639,7 +620,7 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
         else:
             label_sets.append(frozenset({NULL}))
     ids = [f"r{k // 20}" for k in range(n_rows)]
-    return layout, make_rows(X, report_ids=ids, layout_version=layout.version), label_sets
+    return make_rows(X, report_ids=ids, layout=layout), label_sets
 
 
 def _assert_matches_per_label_oracle(features, labels, config, **groups):
@@ -668,28 +649,28 @@ class TestPerLabelOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("ratio", [20.0, 1.5])
     def test_run_train_shaped(self, seed, ratio):
-        _, features, labels = _run_train_shaped(seed)
+        features, labels = _run_train_shaped(seed)
         config = TrainConfig(trees=30, max_depth=3, negative_downsample_ratio=ratio)
         model = _assert_matches_per_label_oracle(features, labels, config)
         assert all(not lm.degenerate for lm in model.models.values())
 
     def test_feature_groups_mask(self):
-        layout, features, labels = _run_train_shaped(4)
+        features, labels = _run_train_shaped(4)
         _assert_matches_per_label_oracle(
-            features, labels, self.RUN_TRAIN, feature_groups=("f1", "f4"), layout=layout
+            features, labels, self.RUN_TRAIN, feature_groups=("f1", "f4")
         )
 
     def test_degenerate_labels(self):
-        _, features, labels = _run_train_shaped(5, labels=(BEFORE,))
+        features, labels = _run_train_shaped(5, labels=(BEFORE,))
         model = _assert_matches_per_label_oracle(features, labels, self.RUN_TRAIN)
         assert model.models[CONCURRENT].degenerate
         assert not model.models[BEFORE].degenerate
 
     def test_all_constant_matrix(self):
-        _, features, labels = _run_train_shaped(6)
+        features, labels = _run_train_shaped(6)
         constant = make_rows(
             np.tile(np.arange(152.0), (len(features), 1)),
-            layout_version=features.layout_version,
+            layout=features.layout,
         )
         model = _assert_matches_per_label_oracle(constant, labels, self.RUN_TRAIN)
         trees = [t for lm in model.models.values() for t in lm.trees]
@@ -749,12 +730,12 @@ class TestTrainedModelPin:
 
 def test_stage_train_logs_each_label_model(e2e_run, tmp_path, caplog):
     out_dir, config = e2e_run
-    rows, layout = load_features(str(out_dir / "features.csv"))
+    rows = load_features(str(out_dir / "features.csv"))
     labels = labels_for_rows(rows, load_annotations(config["annotations"]))
     train_config = TrainConfig.from_dict(config["train"])
     with caplog.at_level(logging.INFO, logger="ttpmine.pipeline"):
         model = stage_train(
-            rows, layout, labels, str(tmp_path / "relations.json"),
+            rows, labels, str(tmp_path / "relations.json"),
             train_config=train_config,
         )
     lines = [r.getMessage() for r in caplog.records if ": label " in r.getMessage()]

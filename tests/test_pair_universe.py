@@ -59,9 +59,7 @@ class TestFullUniverseOracle:
         model, usage = e2e_kb
         reports = load_reports(E2E_DIR / "reports")
         predictions = stage_classify(model, reports, str(tmp_path / "c.jsonl"))
-        rows = stage_features(
-            model, usage, reports, str(tmp_path / "f.csv"), predictions=predictions
-        )
+        rows = stage_features(usage, reports, predictions, str(tmp_path / "f.csv"))
         oracle = full_universe_rows_oracle(reports, predictions, model.class_ids, usage)
         assert len(oracle) == 60
         assert len(rows) == 18
@@ -78,13 +76,7 @@ class TestFullUniverseOracle:
         predictions = [
             random_prediction(rng, r, *model.class_ids) for r in reports
         ]
-        rows = stage_features(
-            model,
-            usage,
-            reports,
-            str(tmp_path / "f.csv"),
-            predictions=predictions,
-        )
+        rows = stage_features(usage, reports, predictions, str(tmp_path / "f.csv"))
         oracle = full_universe_rows_oracle(reports, predictions, model.class_ids, usage)
         assert 0 < len(rows) < len(oracle)
         _assert_detected_rows_of_oracle(rows, oracle, predictions)

@@ -19,7 +19,7 @@ from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import predict_report
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features import FeatureLayout, FeatureRows
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
@@ -108,9 +108,9 @@ class TestRunPipeline:
 
     def test_features_round_trip_and_labels(self, pipeline_out):
         _, out_dir, _ = pipeline_out
-        rows, layout = load_features(str(out_dir / "features.csv"))
+        rows = load_features(str(out_dir / "features.csv"))
         assert len(rows) == 18
-        assert layout.version == "v1-bins10"
+        assert rows.layout.version == "v1-bins10"
         catalog = load_kb_catalog(str(out_dir / "kb"))
         annotations = load_annotations(ANNOTATIONS, catalog=catalog)
         labels = labels_for_rows(rows, annotations)
@@ -135,18 +135,32 @@ class TestRunPipeline:
             ("r03", "T1566", "T1204"),
         }
 
-    def test_predict_layout_guard(self, pipeline_out):
+    def test_predict_layout_guard(self, pipeline_out, tmp_path):
+        # `predict_batch` refuses rows of another layout than the model's,
+        # so the predict stage writes nothing.
         _, out_dir, _ = pipeline_out
-        rows, _ = load_features(str(out_dir / "features.csv"))
+        rows = load_features(str(out_dir / "features.csv"))
+        coarse = FeatureRows(
+            rows.keys, np.zeros((len(rows), 107)), rows.f4_missing, FeatureLayout(bins=5)
+        )
         model = load_relation_model(str(out_dir / "relations.json"))
-        with pytest.raises(PipelineError, match="does not match"):
-            stage_predict(model, rows, FeatureLayout(bins=5), str(out_dir / "x.jsonl"))
+        with pytest.raises(ValueError, match="v1-bins5 .* does not match the model"):
+            stage_predict(model, coarse, str(tmp_path / "x.jsonl"))
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_config_validation(self):
         with pytest.raises(PipelineError, match="unknown config keys"):
             PipelineConfig.from_dict({"min_count": 2})
         with pytest.raises(PipelineError, match="config.stix is required"):
             run_pipeline(PipelineConfig(reports="x", annotations="y"))
+
+    def test_e2e_config_hash_pinned(self):
+        # Every artifact's meta carries this hash; a change to how the
+        # config is turned into a dict would move it.
+        data = json.loads((E2E_DIR / "config.json").read_text(encoding="utf-8"))
+        config = PipelineConfig.from_dict(data)
+        assert config.config_hash() == "e812b53bec5eda02"
+        assert PipelineConfig().config_hash() == "50f936c5e91cc479"
 
     def test_config_hash_sensitivity(self, pipeline_out):
         _, _, config = pipeline_out
@@ -173,23 +187,25 @@ class TestClassifyOnce:
         self, pipeline_out, tmp_path
     ):
         # The features stage given the classify stage's predictions writes
-        # the same bytes as the features stage classifying on its own.
-        summary, out_dir, config = pipeline_out
-        kb = out_dir / "kb"
+        # the same bytes as the standalone `features` command, which
+        # classifies the reports itself.
+        _, out_dir, config = pipeline_out
         out = tmp_path / "features.csv"
-        stage_features(
-            load_ctfidf_model(str(kb / "ctfidf.json")),
-            load_kb_usage(str(kb)),
-            load_reports(REPORTS),
-            str(out),
-            threshold=config.threshold,
-            bins=config.bins,
-            config_hash=summary["config_hash"],
-        )
+        argv = [
+            "features",
+            "--reports", REPORTS,
+            "--kb", str(out_dir / "kb"),
+            "--threshold", repr(config.threshold),
+            "--bins", str(config.bins),
+            "--out", str(out),
+        ]
+        assert main(argv) == 0
         assert out.read_bytes() == (out_dir / "features.csv").read_bytes()
-        assert (tmp_path / "features.csv.layout.json").read_bytes() == (
-            out_dir / "features.csv.layout.json"
-        ).read_bytes()
+        mine = json.loads((tmp_path / "features.csv.layout.json").read_text())
+        theirs = json.loads((out_dir / "features.csv.layout.json").read_text())
+        # Only the provenance differs: the command hashes its own arguments.
+        del mine["meta"]["config_hash"], theirs["meta"]["config_hash"]
+        assert mine == theirs
 
     def test_features_rejects_predictions_that_do_not_fit(self, pipeline_out, tmp_path):
         _, out_dir, _ = pipeline_out
@@ -200,11 +216,9 @@ class TestClassifyOnce:
         predictions = [predict_report(model, r, threshold=0.95) for r in reports]
         out = str(tmp_path / "features.csv")
         with pytest.raises(PipelineError, match="no classifier prediction for 'r01'"):
-            stage_features(model, usage, reports, out, predictions=predictions[1:])
+            stage_features(usage, reports, predictions[1:], out)
         with pytest.raises(PipelineError, match="threshold 0.95, not 0.9"):
-            stage_features(
-                model, usage, reports, out, predictions=predictions, threshold=0.9
-            )
+            stage_features(usage, reports, predictions, out, threshold=0.9)
 
 
 class TestKbOnce:
@@ -232,9 +246,9 @@ class TestKbOnce:
         read = []
         original = pipeline.read_json
 
-        def recording(path, what):
+        def recording(path, *args):
             read.append(os.path.basename(path))
-            return original(path, what)
+            return original(path, *args)
 
         monkeypatch.setattr(pipeline, "read_json", recording)
         run_pipeline(PipelineConfig.from_dict(e2e_config_dict(tmp_path)))
@@ -647,6 +661,78 @@ class TestBadFeaturesCsv:
         )
 
 
+class TestMalformedArtifacts:
+    """An artifact that does not decode stops the command with exit 1 and
+    one error line naming the file (and, in JSONL, the line); no
+    traceback."""
+
+    def _assert_fails(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ttpmine {argv[0]}: error: {message}"), err
+
+    def _predict(self, cli_dir, tmp_path, model):
+        return ["predict", "--model", str(model),
+                "--features", str(cli_dir / "features.csv"),
+                "--out", str(tmp_path / "p.jsonl")]
+
+    def _model(self, cli_dir):
+        return json.loads((cli_dir / "relations.json").read_text(encoding="utf-8"))
+
+    def test_model_json_syntax(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "relations.json"
+        bad.write_text('{"meta": {}, "model": {"a" 1}}', encoding="utf-8")
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: JSONDecodeError: Expecting ':' delimiter",
+            capsys,
+        )
+
+    def test_model_without_config(self, cli_dir, tmp_path, capsys):
+        payload = self._model(cli_dir)
+        del payload["model"]["config"]
+        bad = tmp_path / "relations.json"
+        write_json(str(bad), payload)
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: KeyError: 'config'",
+            capsys,
+        )
+
+    def test_model_is_a_list(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "relations.json"
+        bad.write_text(json.dumps([self._model(cli_dir)["model"]]), encoding="utf-8")
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: TypeError: ",
+            capsys,
+        )
+
+    def test_sidecar_is_a_list(self, cli_dir, tmp_path, capsys):
+        features = tmp_path / "features.csv"
+        features.write_bytes((cli_dir / "features.csv").read_bytes())
+        sidecar = tmp_path / "features.csv.layout.json"
+        sidecar.write_text("[]", encoding="utf-8")
+        argv = ["predict", "--model", str(cli_dir / "relations.json"),
+                "--features", str(features), "--out", str(tmp_path / "p.jsonl")]
+        self._assert_fails(
+            argv, f"{sidecar}: malformed features sidecar: TypeError: ", capsys
+        )
+
+    def test_prediction_without_ty(self, cli_dir, tmp_path, capsys):
+        lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        del record["ty"]
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "predictions.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["mine", "--predictions", str(bad), "--out", str(tmp_path / "p.csv")]
+        self._assert_fails(
+            argv, f"{bad}: malformed relation prediction on line 3: KeyError: 'ty'", capsys
+        )
+
+
 def _features_argv(cli_dir, out, *extra):
     return [
         "features",
@@ -792,7 +878,7 @@ class TestSkipCounts:
                 "--out", str(tmp_path / "narrow.csv")]
         assert main(argv) == 0
         out = capsys.readouterr().out.splitlines()
-        rows, _ = load_features(str(tmp_path / "narrow.csv"))
+        rows = load_features(str(tmp_path / "narrow.csv"))
         expected = sum(1 for key in rows if "T1204" in (key.tx, key.ty))
         assert expected > 0
         assert rows.f4_missing.sum() == expected

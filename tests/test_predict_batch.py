@@ -4,11 +4,14 @@ fit the model."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import e2e_config_dict, make_rows
 from oracles import predict_rows_oracle
+from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import TrainConfig, predict_batch, train
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import (
@@ -25,8 +28,8 @@ from ttpmine.pipeline import (
 def e2e_model(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("e2e")
     run_pipeline(PipelineConfig.from_dict(e2e_config_dict(out_dir)))
-    rows, layout = load_features(str(out_dir / "features.csv"))
-    return load_relation_model(str(out_dir / "relations.json")), rows, layout
+    rows = load_features(str(out_dir / "features.csv"))
+    return load_relation_model(str(out_dir / "relations.json")), rows
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +81,7 @@ def _assert_matches_oracle(model, features):
 
 class TestOracle:
     def test_e2e_fixture_rows(self, e2e_model):
-        model, rows, _ = e2e_model
+        model, rows = e2e_model
         assert len(rows) == 18
         batch = _assert_matches_oracle(model, rows)
         assert any(BEFORE in p.labels for p in batch)
@@ -115,9 +118,9 @@ class TestEmptyInput:
         assert predict_batch(model, features.take([])) == []
 
     def test_stage_predict_zero_rows_writes_meta_only(self, e2e_model, tmp_path):
-        model, rows, layout = e2e_model
+        model, rows = e2e_model
         path = tmp_path / "predictions.jsonl"
-        assert stage_predict(model, rows.take([]), layout, str(path)) == []
+        assert stage_predict(model, rows.take([]), str(path)) == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"
@@ -127,18 +130,22 @@ class TestEmptyInput:
 class TestBadRows:
     def test_layout_mismatch_rejected(self, multi_report_model):
         model, features = multi_report_model
-        stray = make_rows(features.values, layout_version="v1-bins5")
-        with pytest.raises(ValueError) as err:
-            predict_batch(model, stray)
-        assert str(err.value) == (
-            "feature layout v1-bins5 does not match the model (test-layout); "
-            "re-extract features or retrain"
-        )
+        stray = make_rows(features.values, layout=FeatureLayout(bins=5))
+        for rows in (stray, stray.take([])):
+            with pytest.raises(ValueError) as err:
+                predict_batch(model, rows)
+            assert str(err.value) == (
+                "feature layout v1-bins5 (107 slots) does not match the model "
+                "(v1-bins1, 71 features); re-extract features or retrain"
+            )
 
     def test_wrong_width_rejected(self, multi_report_model):
+        # Rows carry their layout, so only a model whose feature count is
+        # not its layout's can differ from them in width.
         model, features = multi_report_model
         with pytest.raises(ValueError) as err:
-            predict_batch(model, make_rows(features.values[:, :9]))
+            predict_batch(dataclasses.replace(model, n_features=10), features)
         assert str(err.value) == (
-            "feature matrix of 9 columns does not match the model's 10 features"
+            "feature layout v1-bins1 (71 slots) does not match the model "
+            "(v1-bins1, 10 features); re-extract features or retrain"
         )

@@ -1,5 +1,6 @@
 """`write_json` streams an artifact piece by piece; its bytes must be those
-of one `json.dump` with the artifact settings."""
+of one `json.dump` with the artifact settings. `write_jsonl` reuses one
+encoder; each of its lines must be the `json.dumps` of its value."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttpmine import pipeline
-from ttpmine.pipeline import write_json
+from ttpmine.pipeline import write_json, write_jsonl
 
 _SCALARS = (
     st.none()
@@ -61,3 +62,20 @@ class TestWriteJson:
         assert path.read_bytes() == (
             json.dumps(payload, **pipeline._JSON_KW) + "\n"
         ).encode("utf-8")
+
+
+class TestWriteJsonl:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        meta=st.dictionaries(st.text(max_size=6), _VALUES, max_size=4),
+        records=st.lists(st.dictionaries(st.text(max_size=6), _VALUES, max_size=4), max_size=5),
+    )
+    def test_lines_equal_json_dumps(self, json_dir, meta, records):
+        path = json_dir / "records.jsonl"
+        write_jsonl(str(path), meta, iter(records))
+        expected = [{"meta": meta}, *records]
+        lines = path.read_bytes().split(b"\n")
+        assert lines[-1] == b""
+        assert len(lines) == len(expected) + 1
+        for line, value in zip(lines, expected):
+            assert line == json.dumps(value, **pipeline._JSON_KW).encode("utf-8")
