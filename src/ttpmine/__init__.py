@@ -16,7 +16,6 @@ from .attack_kb import (
     parse_stix,
 )
 from .corpus import (
-    PairUniverse,
     RelationAnnotation,
     Report,
     Sentence,
@@ -50,7 +49,6 @@ __all__ = [
     "UsageMatrix",
     "build_action_dataset",
     "parse_stix",
-    "PairUniverse",
     "RelationAnnotation",
     "Report",
     "Sentence",

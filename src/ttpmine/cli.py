@@ -40,6 +40,7 @@ from .pipeline import (
     load_report_predictions,
     make_meta,
     provenance_hash,
+    read_json,
     run_pipeline,
     stage_classify,
     stage_features,
@@ -229,11 +230,9 @@ def cmd_train_relations(args) -> int:
     rows, labels, n_unrowed = _load_labeled_rows(
         args.features, args.annotations, args.kb
     )
+    train_config = TrainConfig()
     if args.train_config:
-        with open(args.train_config, "r", encoding="utf-8") as fh:
-            train_config = TrainConfig.from_dict(json.load(fh))
-    else:
-        train_config = TrainConfig()
+        train_config = read_json(args.train_config, "train config", TrainConfig.from_dict)
     groups = _split_csv(args.feature_groups)
     if groups is not None:
         unknown = sorted(set(groups) - set(FEATURE_GROUPS))
@@ -344,18 +343,21 @@ def cmd_mine(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
     overrides = {
-        "out_dir": args.out_dir,
-        "threshold": args.threshold,
-        "bins": args.bins,
-        "min_support": args.min_support,
+        key: value
+        for key, value in (
+            ("out_dir", args.out_dir),
+            ("threshold", args.threshold),
+            ("bins", args.bins),
+            ("min_support", args.min_support),
+        )
+        if value is not None
     }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    config = PipelineConfig.from_dict(data)
+    config = read_json(
+        args.config,
+        "pipeline config",
+        lambda data: PipelineConfig.from_dict({**data, **overrides}),
+    )
     summary = run_pipeline(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

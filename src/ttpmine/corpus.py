@@ -58,17 +58,6 @@ class RelationAnnotation:
         return (self.tx, self.ty)
 
 
-@dataclass(frozen=True)
-class PairUniverse:
-    pairs: tuple[tuple[str, str], ...]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 # Sentence boundary: terminal punctuation, then whitespace, then an
 # uppercase letter. Interior dots with no following whitespace
 # (Updater.vbs, rundll32.exe, 3.5) never match.
@@ -189,7 +178,7 @@ def load_reports(directory: str | Path) -> list[Report]:
     return reports
 
 
-def pair_universe(techniques) -> PairUniverse:
+def pair_universe(techniques) -> tuple[tuple[str, str], ...]:
     """All ordered pairs over the technique set, diagonal excluded,
     lexicographic order. Fewer than 2 techniques gives an empty universe.
 
@@ -197,12 +186,7 @@ def pair_universe(techniques) -> PairUniverse:
     this is the report's pair universe, the pairs the features stage
     builds rows for."""
     ordered = sorted(set(techniques))
-    if len(ordered) < 2:
-        return PairUniverse(pairs=())
-    pairs = tuple(
-        (tx, ty) for tx in ordered for ty in ordered if tx != ty
-    )
-    return PairUniverse(pairs=pairs)
+    return tuple((tx, ty) for tx in ordered for ty in ordered if tx != ty)
 
 
 def _check_labels(labels: frozenset[str], where: str) -> None:

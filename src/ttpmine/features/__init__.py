@@ -1,6 +1,6 @@
 """Feature extraction for ordered technique pairs."""
 
-from .apriori import METRIC_NAMES, METRIC_RANGES, apriori_features, pair_measures
+from .apriori import METRIC_NAMES, METRIC_RANGES, pair_measures
 from .builder import (
     FeatureRows,
     PairKey,
@@ -20,10 +20,8 @@ from .layout import FEATURE_GROUPS, FeatureLayout
 from .markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
-    DEFAULT_LEXICON,
-    MarkerLexicon,
+    MARKERS,
     OVERLAP_MARKERS,
-    count_markers,
     marker_features,
 )
 from .sentence import adjacency_gap, sentence_features
@@ -31,7 +29,6 @@ from .sentence import adjacency_gap, sentence_features
 __all__ = [
     "METRIC_NAMES",
     "METRIC_RANGES",
-    "apriori_features",
     "pair_measures",
     "FeatureRows",
     "PairKey",
@@ -48,10 +45,8 @@ __all__ = [
     "FeatureLayout",
     "BEFORE_MARKERS",
     "CONCURRENT_MARKERS",
-    "DEFAULT_LEXICON",
-    "MarkerLexicon",
+    "MARKERS",
     "OVERLAP_MARKERS",
-    "count_markers",
     "marker_features",
     "adjacency_gap",
     "sentence_features",

@@ -1,8 +1,9 @@
 """Association-rule interestingness measures over the binary usage matrix.
 
-Nine measures per ordered technique pair, each with a pinned value for
-its degenerate cases so tree learners always see finite numbers, plus a
-per-measure one-hot embedding over equal-width bins of the clamped range.
+Nine measures per ordered technique pair, computed from the pair's
+actor counts, each with a pinned value for its degenerate cases so tree
+learners always see finite numbers, plus a per-measure one-hot embedding
+over equal-width bins of the clamped range (see `features.builder.f4_table`).
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ..attack_kb import UsageMatrix
 
 METRIC_NAMES: tuple[str, ...] = (
     "support",
@@ -43,23 +42,21 @@ METRIC_RANGES: dict[str, tuple[float, float]] = {
 }
 
 
-def pair_measures(x_col: np.ndarray, y_col: np.ndarray) -> np.ndarray:
-    """The nine measures from two aligned binary columns.
+def pair_measures(n: int, cx: int, cy: int, cxy: int) -> np.ndarray:
+    """The nine measures of the rule x -> y over `n` actors, `cx` of
+    which use x, `cy` use y and `cxy` use both.
 
     Degenerate rules: zero-denominator conditionals are 0; PMI is 0 when
     P(x)P(y)=0 and -20 when the pair never co-occurs; conviction caps at
     100 when confidence is 1; phi is 0 when any marginal is 0 or 1.
     """
-    x = np.asarray(x_col, dtype=np.float64)
-    y = np.asarray(y_col, dtype=np.float64)
-    n = x.size
     if n == 0:
         raise ValueError("usage matrix has no rows")
 
-    px = float(x.sum()) / n
-    py = float(y.sum()) / n
-    pxy = float((x * y).sum()) / n
-    p_nx_ny = float(((1 - x) * (1 - y)).sum()) / n
+    px = cx / n
+    py = cy / n
+    pxy = cxy / n
+    p_nx_ny = (n - cx - cy + cxy) / n
 
     support = pxy
     confidence = pxy / px if px > 0 else 0.0
@@ -114,23 +111,3 @@ def bin_index(value: float, name: str, bins: int) -> int:
         return bins - 1
     return int((v - lo) / (hi - lo) * bins)
 
-
-def apriori_features(um: UsageMatrix, pair: tuple[str, str], bins: int = 10) -> np.ndarray:
-    """9 raw measures followed by 9 one-hot blocks of `bins` slots each."""
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    tx, ty = pair
-    try:
-        ix = um.techniques.index(tx)
-        iy = um.techniques.index(ty)
-    except ValueError as exc:
-        raise ValueError(f"technique not in usage matrix: {exc}") from exc
-    if um.cells.shape[0] == 0:
-        raise ValueError("usage matrix has no rows")
-
-    raw = pair_measures(um.cells[:, ix], um.cells[:, iy])
-    out = np.zeros(9 + 9 * bins, dtype=np.float64)
-    out[:9] = raw
-    for m, name in enumerate(METRIC_NAMES):
-        out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
-    return out

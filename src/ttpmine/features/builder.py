@@ -14,11 +14,11 @@ import numpy as np
 from ..attack_kb import UsageMatrix
 from ..corpus import Report, pair_universe
 from ..ctfidf import ReportPrediction
-from ..embeddings import WordVectors
-from .apriori import apriori_features
+from ..embeddings import WordVectors, sentence_vector
+from .apriori import METRIC_NAMES, bin_index, pair_measures
 from .discourse import coref_links, discourse_features
 from .layout import FeatureLayout
-from .markers import DEFAULT_LEXICON, MarkerLexicon, marker_features, marker_table
+from .markers import marker_features, marker_table
 from .sentence import sentence_features
 
 
@@ -72,27 +72,45 @@ class FeatureRows:
 
 
 def f4_table(
-    um: UsageMatrix | None, pairs, bins: int = 10
+    um: UsageMatrix | None, pairs, bins: int
 ) -> dict[tuple[str, str], tuple[np.ndarray, bool]]:
     """Each distinct pair's f4 slots and f4_missing flag.
 
     A pair with a technique absent from the usage matrix (or no matrix,
     or one without actors) gets zeroed slots and the flag instead of
     failing. F4 depends on the pair and the usage matrix only, never on
-    the report, so one table serves every report in a corpus.
+    the report, so one table serves every report in a corpus. Every
+    actor count comes from one integer product of the pairs' known
+    technique columns; the measures are exact functions of those counts.
     """
-    known = set(um.techniques) if um is not None and um.cells.shape[0] else set()
     missing = (np.zeros(9 + 9 * bins, dtype=np.float64), True)
-    return {
-        pair: (apriori_features(um, pair, bins=bins), False)
-        if pair[0] in known and pair[1] in known
-        else missing
-        for pair in dict.fromkeys(pairs)
-    }
+    if um is None or um.cells.shape[0] == 0:
+        return dict.fromkeys(pairs, missing)
+    pairs = dict.fromkeys(pairs)
+    column = {tid: k for k, tid in enumerate(um.techniques)}
+    known = sorted({tid for pair in pairs for tid in pair if tid in column})
+    at = {tid: k for k, tid in enumerate(known)}
+    # int64: an int8 product would overflow at 128 actors.
+    cells = um.cells[:, [column[tid] for tid in known]].astype(np.int64)
+    # counts[i][j]: actors using both techniques i and j; counts[i][i]: using i.
+    counts = (cells.T @ cells).tolist()
+    table = {}
+    for pair in pairs:
+        i, j = at.get(pair[0]), at.get(pair[1])
+        if i is None or j is None:
+            table[pair] = missing
+            continue
+        raw = pair_measures(cells.shape[0], counts[i][i], counts[j][j], counts[i][j])
+        out = np.zeros(9 + 9 * bins, dtype=np.float64)
+        out[:9] = raw
+        for m, name in enumerate(METRIC_NAMES):
+            out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
+        table[pair] = (out, False)
+    return table
 
 
 def coref_sentences(report_prediction: ReportPrediction) -> frozenset[int]:
-    """The sentences `build_report_features` computes coref links among:
+    """The sentences `build_report_features` builds its tables over:
     every hit sentence of the report's detected techniques, or none when
     fewer than two were detected (the report has no rows)."""
     techniques = report_prediction.techniques
@@ -105,11 +123,10 @@ def coref_sentences(report_prediction: ReportPrediction) -> frozenset[int]:
 def build_report_features(
     report: Report,
     report_prediction: ReportPrediction,
-    um: UsageMatrix | None,
-    wv: WordVectors | None = None,
-    lexicon: MarkerLexicon = DEFAULT_LEXICON,
-    layout: FeatureLayout | None = None,
-    f4: dict[tuple[str, str], tuple[np.ndarray, bool]] | None = None,
+    *,
+    wv: WordVectors | None,
+    layout: FeatureLayout,
+    f4: dict[tuple[str, str], tuple[np.ndarray, bool]],
 ) -> FeatureRows:
     """Rows for every ordered pair of the report's detected techniques:
     [default ++ f1 ++ f2 ++ f3 ++ f4], filled into one block.
@@ -117,23 +134,26 @@ def build_report_features(
     The pairs are `pair_universe(report_prediction.techniques)`, in its
     lexicographic order; a report with fewer than two detected
     techniques has no rows. Sentence sets come from the prediction's
-    threshold hits. The report's coref links and marker table are built
-    once and shared by every pair. The links are computed only among
-    `coref_sentences(report_prediction)`: every feature reads only links
-    between a pair's own hit sentences, so the rows equal those built
-    from the whole report's links. `f4` takes an `f4_table` covering
-    those pairs, so a corpus computes it once; None builds one here.
+    threshold hits. The report's tables are built here, once, and read
+    by every pair: its marker table, its coref links and, with word
+    vectors, each hit sentence's pooled vector. The links are computed
+    only among `coref_sentences(report_prediction)`: every feature reads
+    only links between a pair's own hit sentences, so the rows equal
+    those built from the whole report's links. `coref_links` raises
+    ValueError for a hit sentence outside the report, the one range
+    check for every family. `f4` is an `f4_table` covering those pairs,
+    computed once for a corpus.
     """
-    if layout is None:
-        layout = FeatureLayout()
-    pairs = pair_universe(report_prediction.techniques).pairs
+    pairs = pair_universe(report_prediction.techniques)
     values = np.empty((len(pairs), layout.total), dtype=np.float64)
     f4_missing = np.empty(len(pairs), dtype=bool)
     if pairs:
-        if f4 is None:
-            f4 = f4_table(um, pairs, layout.bins)
-        links = coref_links(report, coref_sentences(report_prediction))
-        markers = marker_table(report, lexicon)
+        among = coref_sentences(report_prediction)
+        links = coref_links(report, among)
+        markers = marker_table(report)
+        vectors = None
+        if wv is not None:
+            vectors = {i: sentence_vector(wv, report.sentences[i].tokens) for i in among}
         hits = report_prediction.hit_sentences
         top = report_prediction.top_scores
         group = layout.group_slices
@@ -142,10 +162,8 @@ def build_report_features(
             tx_sent, ty_sent = hits.get(tx, ()), hits.get(ty, ())
             out = values[row]
             out[group["default"]] = (*top[tx], *top[ty])
-            out[group["f1"]] = marker_features(
-                report, tx_sent, ty_sent, lexicon, table=markers
-            )
-            out[group["f2"]] = sentence_features(report, tx_sent, ty_sent, wv, links=links)
+            out[group["f1"]] = marker_features(markers, tx_sent, ty_sent)
+            out[group["f2"]] = sentence_features(tx_sent, ty_sent, links, vectors)
             out[group["f3"]] = discourse_features(report, tx_sent, ty_sent, links)
             out[group["f4"]], f4_missing[row] = f4[pair]
     return FeatureRows(
@@ -157,7 +175,7 @@ def build_report_features(
 
 
 _META_COLUMNS = ("report_id", "tx", "ty", "f4_missing")
-# `features_to_csv` formats this many rows at a time. Formatting all 480
+# `_write_csv` formats this many rows at a time. Formatting all 480
 # rows of an `apply-long` run at once raised the process's peak RSS by
 # about 3 MiB; blocks of 64 rows leave it where the per-cell writer had it.
 _CSV_BLOCK_ROWS = 64
@@ -172,16 +190,16 @@ def _csv_field(value: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def features_to_csv(rows: FeatureRows) -> str:
-    """CSV with one header row naming every slot of `rows.layout`; floats
-    via repr so a read-back is bit-exact.
+def _write_csv(rows: FeatureRows, out) -> None:
+    """Write to the text stream `out` the CSV of `rows`, with one header
+    row naming every slot of `rows.layout`; floats via repr so a
+    read-back is bit-exact.
 
     Rows share few distinct values, so each block of rows formats each
     of its distinct values once. Values are told apart by their bits:
     -0.0 and 0.0 keep their own repr. Report and technique ids are
     quoted as `_csv_field` quotes them."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
+    csv.writer(out, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
     names = {name for key in rows for name in key}
     quoted = dict(zip(names, map(_csv_field, names)))
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
@@ -196,15 +214,25 @@ def features_to_csv(rows: FeatureRows) -> str:
             rows.f4_missing[block].tolist(),
             table[inverse.reshape(values.shape)].tolist(),
         ):
-            buf.write(
+            out.write(
                 f"{quoted[report_id]},{quoted[tx]},{quoted[ty]},"
                 f"{int(missing)},{','.join(row)}\n"
             )
+
+
+def features_to_csv(rows: FeatureRows) -> str:
+    """The features CSV of `rows` as text (see `_write_csv`)."""
+    buf = io.StringIO()
+    _write_csv(rows, buf)
     return buf.getvalue()
 
 
 def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
-    Path(path).write_text(features_to_csv(rows), encoding="utf-8")
+    """Write the features CSV of `rows` to `path` as it is formatted, so
+    the whole text is never held in memory: holding it raised the
+    `apply-long` run's peak RSS by about 0.6 MiB."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_csv(rows, fh)
 
 
 def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> FeatureRows:

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from ..corpus import Report, Sentence
-from .markers import DEFAULT_LEXICON
+from .markers import BEFORE_MARKERS, MARKERS
 
 
 class DiscourseRelation(Enum):
@@ -49,7 +49,7 @@ _WORDS = re.compile(r"[a-z0-9._-]+")
 def _noun_like(token: str) -> bool:
     return (
         len(token) >= 3
-        and token not in DEFAULT_LEXICON.all_markers
+        and token not in MARKERS
         and token not in PRONOUNS
         and token not in DEMONSTRATIVES
         and token not in CONDITIONAL_WORDS
@@ -85,7 +85,7 @@ def classify_discourse(s1: Sentence, s2: Sentence, coref: bool) -> DiscourseRela
     if (set(s1.tokens) | set(s2.tokens)) & CONDITIONAL_WORDS:
         return DiscourseRelation.IF_ELSE
 
-    if any(t in DEFAULT_LEXICON.before_markers for t in s2.tokens[:3]):
+    if any(t in BEFORE_MARKERS for t in s2.tokens[:3]):
         return DiscourseRelation.NEXT
 
     if _multiset_jaccard(s1.tokens, s2.tokens) >= 0.6:
@@ -137,7 +137,8 @@ def coref_links(
         for idx in order:
             if not 0 <= idx < n:
                 raise ValueError(
-                    f"sentence index {idx} outside report of {n} sentences"
+                    f"sentence index {idx} outside report {report.report_id!r} "
+                    f"of {n} sentences"
                 )
     kept = set(order)
     links: set[tuple[int, int]] = set()

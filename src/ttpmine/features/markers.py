@@ -15,9 +15,6 @@ Slot enumeration (F1, offsets within the family):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from ..corpus import Report
@@ -38,89 +35,45 @@ CONCURRENT_MARKERS: frozenset[str] = frozenset(
     {"concurrent", "concurrently", "contemporary", "simultaneous", "simultaneously"}
 )
 
+MARKERS: frozenset[str] = BEFORE_MARKERS | OVERLAP_MARKERS | CONCURRENT_MARKERS
 
-@dataclass(frozen=True)
-class MarkerLexicon:
-    before_markers: frozenset[str] = BEFORE_MARKERS
-    overlap_markers: frozenset[str] = OVERLAP_MARKERS
-    concurrent_markers: frozenset[str] = CONCURRENT_MARKERS
-
-    @cached_property
-    def all_markers(self) -> frozenset[str]:
-        return self.before_markers | self.overlap_markers | self.concurrent_markers
-
-    @cached_property
-    def relation_index(self) -> dict[str, int]:
-        """Marker token -> relation class. A token listed in several
-        classes maps to the first of before, overlap, concurrent."""
-        index: dict[str, int] = {}
-        for rel, markers in enumerate(
-            (self.before_markers, self.overlap_markers, self.concurrent_markers)
-        ):
-            for token in markers:
-                index.setdefault(token, rel)
-        return index
-
-    def relation_of(self, token: str) -> int | None:
-        """0 = before, 1 = overlap, 2 = concurrent, None = not a marker."""
-        return self.relation_index.get(token)
-
-
-DEFAULT_LEXICON = MarkerLexicon()
+# Marker token -> relation class: 0 = before, 1 = overlap, 2 = concurrent.
+# The three sets are disjoint, so each marker has one class.
+MARKER_RELATION: dict[str, int] = {
+    token: rel
+    for rel, markers in enumerate((BEFORE_MARKERS, OVERLAP_MARKERS, CONCURRENT_MARKERS))
+    for token in markers
+}
 
 F1_SIZE = 20
 
 
-def _counts(tokens, index: dict[str, int]) -> list[int]:
-    counts = [0, 0, 0]
-    for tok in tokens:
-        rel = index.get(tok)
-        if rel is not None:
-            counts[rel] += 1
-    return counts
-
-
-def count_markers(tokens, lexicon: MarkerLexicon = DEFAULT_LEXICON) -> np.ndarray:
-    """Per-relation marker occurrence counts (before, overlap, concurrent)."""
-    return np.array(_counts(tokens, lexicon.relation_index), dtype=np.float64)
-
-
-def marker_table(
-    report: Report, lexicon: MarkerLexicon = DEFAULT_LEXICON
-) -> np.ndarray:
-    """``(n_sentences, 3)`` marker counts, one row per sentence index.
+def marker_table(report: Report) -> np.ndarray:
+    """``(n_sentences, 3)`` marker counts, one row per sentence index,
+    from one `bincount` over every marker token of the report.
 
     Built once per report and shared by every pair's `marker_features`.
     """
-    index = lexicon.relation_index
-    table = np.zeros((len(report.sentences), 3), dtype=np.float64)
-    for sent in report.sentences:
-        table[sent.index] = _counts(sent.tokens, index)
-    return table
+    relation = MARKER_RELATION.get
+    cells = [
+        3 * sent.index + rel
+        for sent in report.sentences
+        for rel in map(relation, sent.tokens)
+        if rel is not None
+    ]
+    n = len(report.sentences)
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=3 * n)
+    return counts.reshape(n, 3).astype(np.float64)
 
 
-def marker_features(
-    report: Report,
-    tx_sentences,
-    ty_sentences,
-    lexicon: MarkerLexicon = DEFAULT_LEXICON,
-    table: np.ndarray | None = None,
-) -> np.ndarray:
-    """The 20 F1 slots for one pair's sentence sets.
-
-    `table` takes the report's precomputed `marker_table`; None builds it
-    here. The sums add integer-valued counts, so their order does not
+def marker_features(per_sentence: np.ndarray, tx_sentences, ty_sentences) -> np.ndarray:
+    """The 20 F1 slots for one pair's sentence sets, read from the
+    report's `marker_table`. The sentence indices must be inside the
+    report. The sums add integer-valued counts, so their order does not
     change a bit of the result.
     """
     tx = sorted(set(tx_sentences))
     ty = sorted(set(ty_sentences))
-    n = len(report.sentences)
-    for idx in (*tx, *ty):
-        if not 0 <= idx < n:
-            raise ValueError(f"sentence index {idx} outside report of {n} sentences")
-
-    per_sentence = marker_table(report, lexicon) if table is None else table
-
     out = np.zeros(F1_SIZE, dtype=np.float64)
     if tx:
         out[0:3] = per_sentence[tx].sum(axis=0)

@@ -5,9 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..corpus import Report
-from ..embeddings import WordVectors, cosine, sentence_vector
-from .discourse import coref_links
+from ..embeddings import cosine
 
 F2_SIZE = 13
 
@@ -30,19 +28,14 @@ def adjacency_gap(i: int, j: int) -> int | None:
     return d if -4 <= d <= 4 else None
 
 
-def sentence_features(
-    report: Report,
-    tx_sentences,
-    ty_sentences,
-    wv: WordVectors | None = None,
-    links=None,
-) -> np.ndarray:
+def sentence_features(tx_sentences, ty_sentences, links, vectors) -> np.ndarray:
     """13 reals: 9 adjacency counts (d = -4..4), same-sentence count,
     mean cosine, max cosine, straddling coreference-link count.
 
-    `links` takes precomputed coref links among a set of the report's
-    sentences that holds tx and ty; None computes them here, among tx
-    and ty only.
+    `links` holds the report's coref links among a set of sentences that
+    holds tx and ty. `vectors` maps each of those sentences to its pooled
+    word vector (`sentence_vector`); None, without word vectors, leaves
+    the two cosine slots at zero.
     """
     tx = sorted(set(tx_sentences))
     ty = sorted(set(ty_sentences))
@@ -55,20 +48,14 @@ def sentence_features(
             if d is not None:
                 out[slot_of[d]] += 1
 
-    out[9] = len(set(tx) & set(ty))
+    tx_set, ty_set = set(tx), set(ty)
+    out[9] = len(tx_set & ty_set)
 
-    if wv is not None and tx and ty:
-        vectors = {
-            idx: sentence_vector(wv, report.sentences[idx].tokens)
-            for idx in set(tx) | set(ty)
-        }
+    if vectors is not None and tx and ty:
         sims = [cosine(vectors[i], vectors[j]) for i in tx for j in ty]
         out[10] = float(np.mean(sims))
         out[11] = float(np.max(sims))
 
-    tx_set, ty_set = set(tx), set(ty)
-    if links is None:
-        links = coref_links(report, tx_set | ty_set)
     out[12] = sum(
         1
         for (i, j) in links

@@ -11,7 +11,8 @@ non-increasing every round.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +37,21 @@ class GbdtTrainingError(ValueError):
     """Raised for invalid training inputs or a broken loss contract."""
 
 
+def check_field_types(config) -> None:
+    """Raise ValueError for a field of the dataclass instance `config`
+    whose value is not of the field's annotated type. An int passes for
+    a float; a bool passes for no field."""
+    hints = typing.get_type_hints(type(config))
+    for f in fields(config):
+        allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
+        if float in allowed:
+            allowed += (int,)
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            names = " or ".join(t.__name__ for t in allowed)
+            raise ValueError(f"{f.name} must be {names}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     trees: int = 200
@@ -46,6 +62,7 @@ class TrainConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.trees < 1:
             raise ValueError(f"trees must be >= 1, got {self.trees}")
         if self.max_depth < 1:
@@ -66,7 +83,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .attack_kb import (
 from .corpus import Report, load_annotations, load_reports, pair_universe
 from .ctfidf import (
     DEFAULT_THRESHOLD,
+    TOP_K_SCORES,
     CtfidfModel,
     ReportPrediction,
     model_from_dict,
@@ -64,7 +65,12 @@ from .features.builder import (
     write_features_csv,
 )
 from .gbdt import GbdtEnsemble, RelationPrediction, TrainConfig
-from .gbdt.ensemble import ensemble_from_dict, ensemble_to_dict, predict_batch
+from .gbdt.ensemble import (
+    check_field_types,
+    ensemble_from_dict,
+    ensemble_to_dict,
+    predict_batch,
+)
 from .gbdt.ensemble import train as train_ensemble
 from .labels import NULL
 from .mining import CategoryMap, categorize, export, load_category_map, mine
@@ -100,6 +106,9 @@ class PipelineConfig:
     min_support: int = 2
     train: TrainConfig = field(default_factory=TrainConfig)
 
+    def __post_init__(self):
+        check_field_types(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -109,9 +118,9 @@ class PipelineConfig:
         if unknown:
             raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(data)
-        train = kwargs.pop("train", None)
-        cfg = TrainConfig.from_dict(train) if isinstance(train, Mapping) else TrainConfig()
-        return cls(train=cfg, **kwargs)
+        if isinstance(kwargs.get("train"), Mapping):
+            kwargs["train"] = TrainConfig.from_dict(kwargs["train"])
+        return cls(**kwargs)
 
     def config_hash(self) -> str:
         return provenance_hash(self.to_dict())
@@ -138,59 +147,29 @@ def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -
 
 def write_json(path: str, payload: Mapping) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        _stream_json(fh, payload)
-        fh.write("\n")
-
-
-def _stream_json(fh, value) -> None:
-    """Write the bytes of ``json.dumps(value, **_JSON_KW)``, a piece at a time.
-
-    ``json.dump`` always runs the pure-Python encoder, and one
-    ``json.dumps`` of a large payload holds the whole text in memory.
-    Instead, dicts are written key by key in sorted order and lists whose
-    first item is a container item by item; every other value goes through
-    the C encoder in one call. A dict with a non-``str`` key is encoded
-    whole, because the encoder sorts such keys before converting them.
-    """
-    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
-        sep = "{"
-        for key in sorted(value):
-            fh.write(sep + _encode(key) + ":")
-            _stream_json(fh, value[key])
-            sep = ","
-        fh.write("}")
-    elif isinstance(value, (list, tuple)) and value and isinstance(
-        value[0], (dict, list, tuple)
-    ):
-        sep = "["
-        for item in value:
-            fh.write(sep)
-            _stream_json(fh, item)
-            sep = ","
-        fh.write("]")
-    else:
-        fh.write(_encode(value))
+        fh.write(_encode(payload) + "\n")
 
 
 def _decoded(decode: Callable, value, path: str, what: str):
     """``decode(value)``, for a ``value`` read from the artifact at ``path``.
 
-    Whatever decoding a malformed artifact raises (bad JSON, a wrong
-    type, a missing key, a bad value) becomes one PipelineError that
-    names the file and ``what`` was being read.
+    Whatever decoding a malformed artifact or config file raises (bad
+    JSON, a wrong type, a missing key, a bad value) becomes one
+    PipelineError that names the file and ``what`` was being read.
     """
     try:
         return decode(value)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, PipelineError) as exc:
         raise PipelineError(
             f"{path}: malformed {what}: {type(exc).__name__}: {exc}"
         ) from exc
 
 
 def read_json(path: str, what: str, decode: Callable):
-    """The JSON artifact at ``path``, passed through ``decode``."""
+    """The JSON artifact or config file at ``path``, passed through
+    ``decode``."""
     if not os.path.exists(path):
-        raise PipelineError(f"{what} artifact not found: {path}")
+        raise PipelineError(f"{what} not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         payload = _decoded(json.load, fh, path, what)
     return _decoded(decode, payload, path, what)
@@ -245,7 +224,10 @@ def report_prediction_to_dict(p: ReportPrediction) -> dict:
 
 
 def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
-    return ReportPrediction(
+    """A `ReportPrediction` record. ValueError unless its detected
+    techniques are its `hit_sentences` keys, its hits are integer
+    sentence indices and each technique has `TOP_K_SCORES` top scores."""
+    prediction = ReportPrediction(
         report_id=data["report_id"],
         threshold=float(data["threshold"]),
         techniques=frozenset(data["techniques"]),
@@ -254,6 +236,19 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
         },
         hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
     )
+    techniques = prediction.techniques
+    where = f"report {prediction.report_id!r}"
+    if techniques != set(prediction.hit_sentences):
+        raise ValueError(
+            f"{where}: techniques {sorted(techniques)} are not the "
+            f"hit_sentences keys {sorted(prediction.hit_sentences)}"
+        )
+    if not all(type(i) is int for hits in prediction.hit_sentences.values() for i in hits):
+        raise ValueError(f"{where}: hit_sentences must hold integer sentence indices")
+    for tid in sorted(techniques):
+        if len(prediction.top_scores.get(tid, ())) != TOP_K_SCORES:
+            raise ValueError(f"{where}: {tid} needs {TOP_K_SCORES} top_scores")
+    return prediction
 
 
 def relation_prediction_to_dict(p: RelationPrediction) -> dict:
@@ -427,9 +422,10 @@ def stage_features(
     prediction detected (see ``build_report_features``); a pair the
     classifier did not detect in a report gets no row there.
     ``predictions`` takes the classify stage's output, one per report,
-    made at ``threshold``. The f4 slots are
-    computed once per pair of the universe (the union of the reports'
-    pairs), not once per row. Each report's block of rows is copied
+    made at ``threshold``; a hit sentence outside its report fails with
+    one PipelineError naming the report. The f4 slots are computed once
+    per pair of the universe (the union of the reports' pairs), not once
+    per row. Each report's block of rows is copied
     into one corpus matrix as soon as it is built.
 
     A sidecar ``<out>.layout.json`` records the layout descriptor so
@@ -457,9 +453,12 @@ def stage_features(
     f4_missing = np.empty(n_rows, dtype=bool)
     keys = []
     for report in ordered:
-        block = build_report_features(
-            report, by_id[report.report_id], usage, vectors, layout=layout, f4=f4
-        )
+        try:
+            block = build_report_features(
+                report, by_id[report.report_id], wv=vectors, layout=layout, f4=f4
+            )
+        except ValueError as exc:  # a hit sentence outside the report
+            raise PipelineError(f"features: {exc}") from exc
         values[len(keys) : len(keys) + len(block)] = block.values
         f4_missing[len(keys) : len(keys) + len(block)] = block.f4_missing
         keys += block.keys

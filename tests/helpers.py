@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ttpmine.corpus import make_report
+from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
-from ttpmine.features.builder import FeatureRows, PairKey
+from ttpmine.embeddings import WordVectors
+from ttpmine.features.builder import FeatureRows, PairKey, build_report_features, f4_table
 from ttpmine.features.layout import FeatureLayout
 
 E2E_DIR = Path(__file__).parent / "data" / "e2e"
@@ -139,6 +140,18 @@ def make_rows(values, report_ids="r1", tx="TA", ty="TB",
     )
 
 
+def report_rows(report, prediction, um=None, wv=None, bins: int = 10) -> FeatureRows:
+    """`build_report_features` on one report, with the layout of `bins`
+    and the f4 table of the report's own pairs."""
+    return build_report_features(
+        report,
+        prediction,
+        wv=wv,
+        layout=FeatureLayout(bins=bins),
+        f4=f4_table(um, pair_universe(prediction.techniques), bins),
+    )
+
+
 # Word pool for random reports: nouns, verbs, markers, connectives and
 # referring words so every feature family sees live inputs.
 _NOUNS = [
@@ -150,6 +163,15 @@ _EXTRAS = [
     "then", "later", "during", "while", "simultaneously", "concurrently",
     "if", "otherwise", "it", "they", "this", "that", "meanwhile", "quietly",
 ]
+
+
+def random_word_vectors(rng: np.random.Generator, dim: int = 6) -> WordVectors:
+    """Seeded vectors for the random reports' nouns and verbs; their
+    markers and connectives are out of vocabulary, so some sentences
+    pool to the zero vector."""
+    return WordVectors(
+        dim=dim, table={word: rng.normal(size=dim) for word in _NOUNS + _VERBS}
+    )
 
 
 def random_report(rng: np.random.Generator, report_id: str,

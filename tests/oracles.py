@@ -25,7 +25,13 @@ from ttpmine.attack_kb import (
 )
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.stopwords import STOPWORDS
-from ttpmine.features.apriori import apriori_features
+from ttpmine.embeddings import cosine, sentence_vector
+from ttpmine.features.apriori import (
+    CONVICTION_CAP,
+    METRIC_NAMES,
+    PMI_FLOOR,
+    bin_index,
+)
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -34,12 +40,16 @@ from ttpmine.features.discourse import (
     _noun_like,
     _raw_words,
     classify_discourse,
-    discourse_features,
 )
 from ttpmine.features.builder import _META_COLUMNS, FeatureRows, PairKey
 from ttpmine.features.layout import FeatureLayout
-from ttpmine.features.markers import DEFAULT_LEXICON, F1_SIZE, marker_features
-from ttpmine.features.sentence import sentence_features
+from ttpmine.features.markers import (
+    BEFORE_MARKERS,
+    CONCURRENT_MARKERS,
+    F1_SIZE,
+    OVERLAP_MARKERS,
+)
+from ttpmine.features.sentence import F2_SIZE
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
     LabelModel,
@@ -311,19 +321,19 @@ def exact_tree_oracle(X, residuals, hessians, max_depth: int) -> dict:
     return build(list(range(X.shape[0])), 0)
 
 
-def _count_markers_oracle(tokens, lexicon) -> np.ndarray:
+def _count_markers_oracle(tokens) -> np.ndarray:
     out = np.zeros(3, dtype=np.float64)
     for tok in tokens:
-        if tok in lexicon.before_markers:
+        if tok in BEFORE_MARKERS:
             out[0] += 1
-        elif tok in lexicon.overlap_markers:
+        elif tok in OVERLAP_MARKERS:
             out[1] += 1
-        elif tok in lexicon.concurrent_markers:
+        elif tok in CONCURRENT_MARKERS:
             out[2] += 1
     return out
 
 
-def marker_features_oracle(report, tx_sentences, ty_sentences, lexicon=DEFAULT_LEXICON):
+def marker_features_oracle(report, tx_sentences, ty_sentences):
     """The 20 F1 slots by recounting every sentence's markers for the
     pair, then walking every sentence for the directional slots 9-14."""
     tx = sorted(set(tx_sentences))
@@ -335,7 +345,7 @@ def marker_features_oracle(report, tx_sentences, ty_sentences, lexicon=DEFAULT_L
 
     per_sentence = np.zeros((n, 3), dtype=np.float64)
     for sent in report.sentences:
-        per_sentence[sent.index] = _count_markers_oracle(sent.tokens, lexicon)
+        per_sentence[sent.index] = _count_markers_oracle(sent.tokens)
 
     out = np.zeros(F1_SIZE, dtype=np.float64)
     if tx:
@@ -535,12 +545,97 @@ def discourse_features_oracle(report, tx_sentences, ty_sentences, links) -> np.n
     return out
 
 
+def column_measures_oracle(x_col, y_col) -> np.ndarray:
+    """The nine association measures from two aligned binary usage
+    columns, each probability a float column sum over n: the column form
+    that the count table replaced, with the same formulas in the same
+    operation order, so the two agree bit for bit."""
+    x = np.asarray(x_col, dtype=np.float64)
+    y = np.asarray(y_col, dtype=np.float64)
+    n = x.size
+    px = float(x.sum()) / n
+    py = float(y.sum()) / n
+    pxy = float((x * y).sum()) / n
+    p_nx_ny = float(((1 - x) * (1 - y)).sum()) / n
+
+    confidence = pxy / px if px > 0 else 0.0
+    if px * py == 0.0:
+        pmi = 0.0
+    elif pxy == 0.0:
+        pmi = PMI_FLOOR
+    else:
+        pmi = math.log2(pxy / (px * py))
+    if px in (0.0, 1.0) or py in (0.0, 1.0):
+        phi = 0.0
+    else:
+        phi = (pxy - px * py) / math.sqrt(px * py * (1 - px) * (1 - py))
+    denom = px + py - pxy
+    jaccard = pxy / denom if denom > 0 else 0.0
+    p_nx_given_ny = p_nx_ny / (1 - py) if py < 1.0 else 0.0
+    causal_confidence = 0.5 * (confidence + p_nx_given_ny)
+    conviction = CONVICTION_CAP if confidence >= 1.0 else (1 - py) / (1 - confidence)
+    return np.array(
+        [pxy, confidence, pmi, phi, pxy + p_nx_ny, jaccard, causal_confidence,
+         conviction, confidence - py],
+        dtype=np.float64,
+    )
+
+
+def f4_oracle(um, pair, bins: int = 10) -> np.ndarray:
+    """One known pair's f4 slots from its two usage columns: the nine
+    `column_measures_oracle` values, then one hot slot per measure."""
+    tx, ty = pair
+    raw = column_measures_oracle(
+        um.cells[:, um.techniques.index(tx)], um.cells[:, um.techniques.index(ty)]
+    )
+    out = np.zeros(9 + 9 * bins, dtype=np.float64)
+    out[:9] = raw
+    for m, name in enumerate(METRIC_NAMES):
+        out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
+    return out
+
+
+def sentence_features_oracle(report, tx_sentences, ty_sentences, links, wv=None) -> np.ndarray:
+    """F2 from every (tx, ty) sentence pair on its own: the signed gap
+    by cases, each side's pooled vector recomputed for every pair, and
+    every link tested for straddling."""
+    tx = sorted(set(tx_sentences))
+    ty = sorted(set(ty_sentences))
+    out = np.zeros(F2_SIZE, dtype=np.float64)
+    for i in tx:
+        for j in ty:
+            # Slots 0-3 hold ty 4..1 sentences before tx, slots 4-8 ty
+            # 1..5 sentences after it.
+            if 1 <= i - j <= 4:
+                out[4 - (i - j)] += 1
+            elif 1 <= j - i <= 5:
+                out[3 + (j - i)] += 1
+    out[9] = sum(1 for i in tx if i in ty)
+    if wv is not None and tx and ty:
+        sims = [
+            cosine(
+                sentence_vector(wv, report.sentences[i].tokens),
+                sentence_vector(wv, report.sentences[j].tokens),
+            )
+            for i in tx
+            for j in ty
+        ]
+        out[10] = float(np.mean(sims))
+        out[11] = float(np.max(sims))
+    out[12] = sum(
+        1 for i, j in links if (i in tx and j in ty) or (i in ty and j in tx)
+    )
+    return out
+
+
 def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
-                       lexicon=DEFAULT_LEXICON, bins: int = 10) -> tuple[np.ndarray, bool]:
+                       bins: int = 10) -> tuple[np.ndarray, bool]:
     """One ordered pair's vector [default ++ f1 ++ f2 ++ f3 ++ f4] and
     its f4_missing flag, built on its own from nothing shared with other
-    pairs: the whole report's links (`coref_links_oracle`), the report's
-    marker counts, and the pair's own f4 slots.
+    pairs and from no production feature family: the whole report's
+    links (`coref_links_oracle`), `marker_features_oracle`,
+    `sentence_features_oracle`, `discourse_features_oracle` and the
+    pair's own `f4_oracle` slots.
 
     The default slots of a technique the prediction did not detect are
     zero. A pair technique absent from the usage matrix (or no matrix,
@@ -565,12 +660,12 @@ def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
         or tx not in um.techniques
         or ty not in um.techniques
     )
-    f4 = np.zeros(9 + 9 * bins) if missing else apriori_features(um, pair, bins=bins)
+    f4 = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
     values = np.concatenate([
         default,
-        marker_features(report, tx_sent, ty_sent, lexicon),
-        sentence_features(report, tx_sent, ty_sent, wv, links=links),
-        discourse_features(report, tx_sent, ty_sent, links),
+        marker_features_oracle(report, tx_sent, ty_sent),
+        sentence_features_oracle(report, tx_sent, ty_sent, links, wv),
+        discourse_features_oracle(report, tx_sent, ty_sent, links),
         f4,
     ])
     return values, missing

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_rows, random_prediction, random_report
+from helpers import e2e_config_dict, make_rows, random_prediction, random_report, report_rows
 from oracles import (
     apriori_oracle,
     lrap_oracle,
@@ -34,6 +34,7 @@ from test_markers import (
 from ttpmine.attack_kb import (
     TechniqueCatalog,
     TechniqueRecord,
+    UsageMatrix,
     build_action_dataset,
 )
 from ttpmine.corpus import make_report, tokenize
@@ -43,15 +44,14 @@ from ttpmine.ctfidf import (
     predict_sentence,
     train_ctfidf,
 )
-from ttpmine.features.apriori import pair_measures
-from ttpmine.features.builder import build_report_features
+from ttpmine.features.builder import f4_table
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
-    DEFAULT_LEXICON,
+    MARKER_RELATION,
     OVERLAP_MARKERS,
-    count_markers,
+    marker_table,
 )
 from ttpmine.gbdt.ensemble import (
     RelationPrediction,
@@ -89,20 +89,20 @@ def test_criterion_1_association_measures_match_counting_oracle():
         cols = rng.choice(n_cols, size=2, replace=False)
         x, y = cells[:, int(cols[0])], cells[:, int(cols[1])]
         np.testing.assert_allclose(
-            pair_measures(x, y), apriori_oracle(x, y), rtol=0, atol=1e-9
+            _f4_measures(x, y), apriori_oracle(x, y), rtol=0, atol=1e-9
         )
         checked += 1
     assert checked == 200
 
     # Degenerate pinning: never-co-occurring, absent antecedent,
     # certain rule, saturated marginal.
-    disjoint = pair_measures(np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1]))
+    disjoint = _f4_measures(np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1]))
     assert disjoint[2] == -20.0
-    absent = pair_measures(np.zeros(3), np.array([1, 0, 1]))
+    absent = _f4_measures(np.zeros(3), np.array([1, 0, 1]))
     assert absent[1] == 0.0 and absent[2] == 0.0 and absent[3] == 0.0
-    certain = pair_measures(np.array([1, 0, 0]), np.array([1, 1, 0]))
+    certain = _f4_measures(np.array([1, 0, 0]), np.array([1, 1, 0]))
     assert certain[7] == 100.0
-    saturated = pair_measures(np.ones(2), np.array([1, 0]))
+    saturated = _f4_measures(np.ones(2), np.array([1, 0]))
     assert saturated[3] == 0.0
 
     elapsed = time.perf_counter() - start
@@ -111,6 +111,15 @@ def test_criterion_1_association_measures_match_counting_oracle():
         "PASS criterion 1: 9 association measures match the counting oracle "
         f"on 200 random matrices within 1e-9 ({elapsed:.2f}s < 10s)"
     )
+
+
+def _f4_measures(x, y) -> np.ndarray:
+    """The nine measures `f4_table` gives the pair (x, y) of a usage
+    matrix holding the two binary columns."""
+    cells = np.column_stack([x, y]).astype(np.int8)
+    um = UsageMatrix(actors=tuple(f"G{k}" for k in range(len(cells))),
+                     techniques=("TX", "TY"), cells=cells)
+    return f4_table(um, [("TX", "TY")], 10)[("TX", "TY")][0][:9]
 
 
 def test_criterion_2_ranking_metrics_match_brute_force():
@@ -158,20 +167,20 @@ def test_criterion_3_marker_lexicon_exact():
     detected = set()
     false_positives = set()
     for word in sorted(all_markers) + list(NEAR_MISSES):
-        tokens = tokenize(f"Analysts observed {word} activity.")
-        assert word in tokens, word
-        hits = count_markers(tokens)
+        text = f"Analysts observed {word} activity."
+        assert word in tokenize(text), word
+        hits = marker_table(make_report("probe", text))
         if hits.sum() > 0:
             (detected if word in all_markers else false_positives).add(word)
     assert detected == all_markers  # zero false negatives
     assert false_positives == set()
 
     for word in BEFORE_MARKERS:
-        assert DEFAULT_LEXICON.relation_of(word) == 0
+        assert MARKER_RELATION[word] == 0
     for word in OVERLAP_MARKERS:
-        assert DEFAULT_LEXICON.relation_of(word) == 1
+        assert MARKER_RELATION[word] == 1
     for word in CONCURRENT_MARKERS:
-        assert DEFAULT_LEXICON.relation_of(word) == 2
+        assert MARKER_RELATION[word] == 2
 
     print(
         "PASS criterion 3: 26-entry marker lexicon (16+5+5) detected with "
@@ -422,7 +431,7 @@ def test_criterion_8_feature_layout_contract():
         layout = FeatureLayout(bins=bins)
         assert layout.total == expected_total
         assert len(layout.names) == expected_total
-        rows = build_report_features(report, prediction, um=None, layout=layout)
+        rows = report_rows(report, prediction, um=None, bins=bins)
         assert rows.values.shape == (len(rows), expected_total)
         values, _ = pair_vector_oracle(
             report, ("T1566", "T1204"), prediction, um=None, bins=bins
@@ -442,7 +451,7 @@ def test_criterion_8_feature_layout_contract():
         fwd, _ = pair_vector_oracle(rand_report, ("T1566", "T1204"), pred, um=None)
         rev, _ = pair_vector_oracle(rand_report, ("T1204", "T1566"), pred, um=None)
         mirrored = [(fwd, rev)]
-        rows = build_report_features(rand_report, pred, um=None)
+        rows = report_rows(rand_report, pred, um=None)
         at = {key: k for k, key in enumerate(rows)}
         for (rid, tx, ty), k in at.items():
             mirrored.append((rows.values[k], rows.values[at[(rid, ty, tx)]]))

@@ -1,5 +1,6 @@
 """Association-measure values, degenerate pinning, binning, and the F4
-feature block, checked against an independent counting oracle."""
+table, checked against an independent counting oracle and against the
+column-sum reference bit for bit."""
 
 from __future__ import annotations
 
@@ -8,22 +9,26 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apriori_oracle
+from oracles import apriori_oracle, f4_oracle
 from ttpmine.attack_kb import UsageMatrix
+from ttpmine.corpus import pair_universe
 from ttpmine.features.apriori import (
     CONVICTION_CAP,
     METRIC_NAMES,
     METRIC_RANGES,
     PMI_CEIL,
     PMI_FLOOR,
-    apriori_features,
     bin_index,
     pair_measures,
 )
+from ttpmine.features.builder import f4_table
 
 
-def _arr(bits):
-    return np.array(bits, dtype=np.int8)
+def _measures(x_bits, y_bits):
+    """`pair_measures` of two binary columns, from their counts."""
+    x = np.asarray(x_bits, dtype=np.int64)
+    y = np.asarray(y_bits, dtype=np.int64)
+    return pair_measures(x.size, int(x.sum()), int(y.sum()), int((x * y).sum()))
 
 
 class TestPairMeasures:
@@ -47,7 +52,7 @@ class TestPairMeasures:
     def test_balanced_fixture(self):
         # n=4, nx=ny=2, nxy=1, n_neither=1: every measure lands on a
         # round rational.
-        got = pair_measures(_arr([1, 1, 0, 0]), _arr([0, 1, 1, 0]))
+        got = _measures(([1, 1, 0, 0]), ([0, 1, 1, 0]))
         expected = [
             0.25,  # support = 1/4
             0.5,  # confidence = (1/4)/(1/2)
@@ -62,7 +67,7 @@ class TestPairMeasures:
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_disjoint_pair_floors_pmi(self):
-        got = pair_measures(_arr([1, 1, 0, 0]), _arr([0, 0, 1, 1]))
+        got = _measures(([1, 1, 0, 0]), ([0, 0, 1, 1]))
         assert got[0] == 0.0
         assert got[1] == 0.0
         assert got[2] == PMI_FLOOR
@@ -71,7 +76,7 @@ class TestPairMeasures:
         assert got[8] == -0.5
 
     def test_absent_antecedent_pins_conditionals(self):
-        got = pair_measures(_arr([0, 0, 0]), _arr([1, 0, 1]))
+        got = _measures(([0, 0, 0]), ([1, 0, 1]))
         assert got[1] == 0.0  # confidence with px = 0
         assert got[2] == 0.0  # pmi with px*py = 0
         assert got[3] == 0.0  # phi with a 0 marginal
@@ -81,7 +86,7 @@ class TestPairMeasures:
         assert got[7] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_perfect_confidence_caps_conviction(self):
-        got = pair_measures(_arr([1, 0, 0]), _arr([1, 1, 0]))
+        got = _measures(([1, 0, 0]), ([1, 1, 0]))
         assert got[1] == 1.0
         assert got[7] == CONVICTION_CAP
         assert got[2] == pytest.approx(math.log2(1.5), abs=1e-12)
@@ -89,20 +94,20 @@ class TestPairMeasures:
         assert got[6] == 1.0  # both halves perfect
 
     def test_saturated_marginal_pins_phi(self):
-        got = pair_measures(_arr([1, 1]), _arr([1, 0]))
+        got = _measures(([1, 1]), ([1, 0]))
         assert got[3] == 0.0
         assert got[2] == 0.0  # log2(.5/.5)
         assert got[7] == 1.0
 
     def test_saturated_consequent(self):
-        got = pair_measures(_arr([1, 0]), _arr([1, 1]))
+        got = _measures(([1, 0]), ([1, 1]))
         assert got[3] == 0.0
         assert got[7] == CONVICTION_CAP  # confidence 1 via py = 1
         assert got[6] == 0.5  # p(~x|~y) pinned to 0 when py = 1
 
     def test_empty_columns_rejected(self):
         with pytest.raises(ValueError, match="no rows"):
-            pair_measures(_arr([]), _arr([]))
+            _measures(([]), ([]))
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(20260822)
@@ -110,7 +115,7 @@ class TestPairMeasures:
             n = int(rng.integers(1, 51))
             x = rng.integers(0, 2, size=n)
             y = rng.integers(0, 2, size=n)
-            got = pair_measures(x, y)
+            got = _measures(x, y)
             want = apriori_oracle(x, y)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
@@ -118,7 +123,7 @@ class TestPairMeasures:
         rng = np.random.default_rng(7)
         for _ in range(40):
             n = int(rng.integers(1, 30))
-            got = pair_measures(rng.integers(0, 2, size=n), rng.integers(0, 2, size=n))
+            got = _measures(rng.integers(0, 2, size=n), rng.integers(0, 2, size=n))
             for k, name in enumerate(METRIC_NAMES):
                 lo, hi = METRIC_RANGES[name]
                 assert lo <= got[k] <= hi, name
@@ -167,19 +172,26 @@ def _matrix():
     )
 
 
+def _f4(um, pair, bins=10):
+    """One pair's f4 slots from `f4_table`."""
+    slots, missing = f4_table(um, [pair], bins)[pair]
+    assert missing is False
+    return slots
+
+
 class TestAprioriFeatures:
     def test_layout_and_one_hot(self):
         for bins in (5, 10, 20):
-            out = apriori_features(_matrix(), ("T1003", "T1078"), bins=bins)
+            out = _f4(_matrix(), ("T1003", "T1078"), bins=bins)
             assert out.shape == (9 + 9 * bins,)
-            raw = pair_measures(_arr([1, 1, 0, 0]), _arr([0, 1, 1, 0]))
+            raw = _measures([1, 1, 0, 0], [0, 1, 1, 0])
             np.testing.assert_array_equal(out[:9], raw)
             for m in range(9):
                 block = out[9 + m * bins : 9 + (m + 1) * bins]
                 assert block.sum() == 1.0
 
     def test_hot_slot_positions(self):
-        out = apriori_features(_matrix(), ("T1003", "T1078"), bins=10)
+        out = _f4(_matrix(), ("T1003", "T1078"), bins=10)
         # support 0.25 -> bin 2, confidence 0.5 -> bin 5, pmi 0 -> bin 5.
         assert out[9 + 2] == 1.0
         assert out[9 + 10 + 5] == 1.0
@@ -191,25 +203,43 @@ class TestAprioriFeatures:
             techniques=("T1003", "T1078"),
             cells=np.array([[1, 1], [0, 1], [0, 0]], dtype=np.int8),
         )
-        fwd = apriori_features(um, ("T1003", "T1078"), bins=10)
-        rev = apriori_features(um, ("T1078", "T1003"), bins=10)
+        fwd = _f4(um, ("T1003", "T1078"), bins=10)
+        rev = _f4(um, ("T1078", "T1003"), bins=10)
         assert fwd[1] == 1.0  # conf(T1003 -> T1078)
         assert rev[1] == 0.5  # conf(T1078 -> T1003)
         assert fwd[0] == rev[0]  # support is symmetric
 
-    def test_unknown_technique(self):
-        with pytest.raises(ValueError, match="not in usage matrix"):
-            apriori_features(_matrix(), ("T1003", "T9999"), bins=10)
 
-    def test_empty_matrix(self):
-        um = UsageMatrix(
-            actors=(),
-            techniques=("T1003", "T1078"),
-            cells=np.zeros((0, 2), dtype=np.int8),
-        )
-        with pytest.raises(ValueError, match="no rows"):
-            apriori_features(um, ("T1003", "T1078"), bins=10)
+class TestF4TableReference:
+    """The count-table F4 against the column-sum reference in
+    `tests/oracles.py`, bit for bit."""
 
-    def test_bad_bins(self):
-        with pytest.raises(ValueError, match="bins"):
-            apriori_features(_matrix(), ("T1003", "T1078"), bins=0)
+    @pytest.mark.parametrize("actors", [1, 2, 127, 128, 300, 805])
+    @pytest.mark.parametrize("bins", [1, 10])
+    def test_seeded_matrices(self, actors, bins):
+        rng = np.random.default_rng(actors * 31 + bins)
+        k = 12
+        cells = (rng.random((actors, k)) < rng.uniform(0.05, 0.95, size=k)).astype(np.int8)
+        cells[:, 0] = 0  # used by no actor
+        cells[:, 1] = 1  # used by every actor
+        cells[:, 2] = cells[:, 3]  # two identical columns
+        techniques = tuple(f"T{1000 + j}" for j in range(k))
+        um = UsageMatrix(actors=tuple(f"G{a:04d}" for a in range(actors)),
+                         techniques=techniques, cells=cells)
+        # Half of the matrix's techniques, two unknown ids, pairs in any order.
+        ids = [*rng.permutation(techniques)[: k // 2 + 3].tolist(), "T9998", "T9999"]
+        pairs = pair_universe(ids)
+        table = f4_table(um, [pairs[i] for i in rng.permutation(len(pairs))], bins)
+        assert set(table) == set(pairs)
+        for pair, (slots, missing) in table.items():
+            assert missing is ("T9998" in pair or "T9999" in pair), pair
+            want = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
+            assert slots.tobytes() == want.tobytes(), pair
+
+    def test_counts_past_int8(self):
+        # 200 actors all use both techniques: an int8 product would wrap.
+        um = UsageMatrix(actors=tuple(f"G{a:04d}" for a in range(200)),
+                         techniques=("T1", "T2"), cells=np.ones((200, 2), dtype=np.int8))
+        slots = _f4(um, ("T1", "T2"))
+        assert slots[0] == 1.0 and slots[1] == 1.0
+        assert slots.tobytes() == f4_oracle(um, ("T1", "T2")).tobytes()

@@ -7,12 +7,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import make_rows, random_prediction, random_report
-from oracles import coref_links_oracle, features_to_csv_oracle, pair_vector_oracle
+from helpers import (
+    make_rows,
+    random_prediction,
+    random_report,
+    random_word_vectors,
+    report_rows,
+)
+from oracles import coref_links_oracle, f4_oracle, features_to_csv_oracle, pair_vector_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
-from ttpmine.features.apriori import apriori_features
 from ttpmine.features.builder import (
     build_report_features,
     f4_table,
@@ -56,7 +61,7 @@ def _row(rows, tx, ty):
     return rows.values[index], bool(rows.f4_missing[index])
 
 
-def _assert_rows_match_oracle(rows, reports, predictions, um):
+def _assert_rows_match_oracle(rows, reports, predictions, um, wv=None):
     """Every row equals `pair_vector_oracle`'s vector for its pair, bit
     for bit, and the rows are each report's detected pairs in order."""
     reports = {r.report_id: r for r in reports}
@@ -68,7 +73,7 @@ def _assert_rows_match_oracle(rows, reports, predictions, um):
     ]
     for key, values, missing in zip(rows, rows.values, rows.f4_missing):
         want, want_missing = pair_vector_oracle(
-            reports[key.report_id], (key.tx, key.ty), predictions[key.report_id], um
+            reports[key.report_id], (key.tx, key.ty), predictions[key.report_id], um, wv
         )
         assert bool(missing) == want_missing, key
         assert values.tobytes() == want.tobytes(), key
@@ -95,7 +100,7 @@ class TestBuildFeatureVector:
     """The slots of single rows of `build_report_features`."""
 
     def test_shape_and_stamp(self):
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=None
         )
         assert rows.values.shape == (2, 152)
@@ -111,7 +116,7 @@ class TestBuildFeatureVector:
                 "T1204": (0.97, 0.0, 0.0, 0.0, 0.0),
             },
         )
-        values, _ = _row(build_report_features(REPORT, pred, um=None), "T1566", "T1204")
+        values, _ = _row(report_rows(REPORT, pred, um=None), "T1566", "T1204")
         np.testing.assert_array_equal(values[:5], [1.0, 0.8, 0.1, 0.0, 0.0])
         np.testing.assert_array_equal(values[5:10], [0.97, 0.0, 0.0, 0.0, 0.0])
 
@@ -126,7 +131,7 @@ class TestBuildFeatureVector:
                 "T1204": (0.9, 0.2, 0.0, 0.0, 0.0),
             },
         )
-        assert len(build_report_features(REPORT, pred, um=None)) == 0
+        assert len(report_rows(REPORT, pred, um=None)) == 0
         values, _ = pair_vector_oracle(REPORT, ("T1566", "T1204"), pred, um=None)
         assert values[0] == 1.0
         np.testing.assert_array_equal(values[5:10], np.zeros(5))
@@ -137,30 +142,30 @@ class TestBuildFeatureVector:
             techniques=("T1566", "T1204"),
             hits={"T1566": (0,), "T1204": (1,)},
         )
-        values, _ = _row(build_report_features(REPORT, pred, um=None), "T1566", "T1204")
+        values, _ = _row(report_rows(REPORT, pred, um=None), "T1566", "T1204")
         # "then" opens sentence 1: a before-marker on the ty side.
         assert values[layout.index("f1.ty_before")] == 1.0
         assert values[layout.index("f2.adj_0")] == 1.0
 
     def test_f4_slots_and_flag(self):
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=_um()
         )
         values, missing = _row(rows, "T1566", "T1204")
         assert missing is False
         np.testing.assert_array_equal(
-            values[53:], apriori_features(_um(), ("T1566", "T1204"), bins=10)
+            values[53:], f4_oracle(_um(), ("T1566", "T1204"), bins=10)
         )
 
     def test_f4_missing_without_matrix(self):
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=None
         )
         assert rows.f4_missing.tolist() == [True, True]
         assert rows.values[:, 53:].sum() == 0.0
 
     def test_f4_missing_unknown_technique(self):
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204", "T9999")), um=_um()
         )
         for tx, ty in pair_universe(["T1566", "T1204", "T9999"]):
@@ -174,26 +179,21 @@ class TestBuildFeatureVector:
             techniques=("T1204", "T1566"),
             cells=np.zeros((0, 2), dtype=np.int8),
         )
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=um
         )
         assert rows.f4_missing.all()
 
     def test_self_pair_rejected(self):
         # The pair universe holds no self-pair, so no row ever is one.
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204", "T1560")), um=None
         )
         assert len(rows) == 6
         assert all(key.tx != key.ty for key in rows)
 
     def test_custom_bins(self):
-        rows = build_report_features(
-            REPORT,
-            _prediction(techniques=("T1566", "T1204")),
-            um=_um(),
-            layout=FeatureLayout(bins=5),
-        )
+        rows = report_rows(REPORT, _prediction(techniques=("T1566", "T1204")), um=_um(), bins=5)
         assert rows.values.shape == (2, 107)
         assert rows.layout == FeatureLayout(bins=5)
 
@@ -201,7 +201,7 @@ class TestBuildFeatureVector:
 class TestBuildReportFeatures:
     def test_pair_universe_order(self):
         universe = [("T1204", "T1566"), ("T1566", "T1204")]
-        rows = build_report_features(
+        rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=_um()
         )
         assert [(key.tx, key.ty) for key in rows] == universe
@@ -211,7 +211,7 @@ class TestBuildReportFeatures:
         # with top scores but no detection gets no row, and fewer than
         # two detections give none at all.
         top = {"T1046": (0.9, 0.0, 0.0, 0.0, 0.0)}
-        rows = build_report_features(
+        rows = report_rows(
             REPORT,
             _prediction(techniques=("T1566", "T1204", "T1560"), top=top),
             um=_um(),
@@ -225,22 +225,27 @@ class TestBuildReportFeatures:
             ("T1566", "T1560"),
         ]
         one = _prediction(techniques=("T1566",), top=top)
-        empty = build_report_features(REPORT, one, um=_um())
+        empty = report_rows(REPORT, one, um=_um())
         assert len(empty) == 0
         assert empty.values.shape == (0, 152)
 
     def test_shared_tables_match_per_pair_vectors(self):
-        # One coref pass, marker table and f4 table per report (or per
-        # corpus) must give the vectors each pair gets on its own.
+        # One coref pass, marker table, pooled-vector table and f4 table
+        # per report (or f4 per corpus) must give the vectors each pair
+        # gets on its own.
         rng = np.random.default_rng(20261018)
+        layout = FeatureLayout(bins=10)
         corpus_f4 = f4_table(_um(), pair_universe(["T1204", "T1566", "T9999"]), bins=10)
         for case in range(12):
             report = random_report(rng, f"r{case}", n_sentences=(3, 60))
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
             um = _um() if case % 3 else None
-            f4 = corpus_f4 if um is not None and case % 2 else None
-            rows = build_report_features(report, pred, um=um, f4=f4)
-            _assert_rows_match_oracle(rows, [report], [pred], um)
+            wv = random_word_vectors(rng) if case % 4 else None
+            if um is not None and case % 2:
+                rows = build_report_features(report, pred, wv=wv, layout=layout, f4=corpus_f4)
+            else:
+                rows = report_rows(report, pred, um=um, wv=wv)
+            _assert_rows_match_oracle(rows, [report], [pred], um, wv)
 
     def test_rows_equal_rows_from_whole_report_links(self):
         # Links among the hit sentences only must give the rows that the
@@ -255,7 +260,7 @@ class TestBuildReportFeatures:
         for case in range(40):
             report = random_report(rng, f"r{case}", n_sentences=(3, 40))
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
-            rows = build_report_features(report, pred, um=_um())
+            rows = report_rows(report, pred, um=_um())
             _assert_rows_match_oracle(rows, [report], [pred], _um())
             read += int(rows.values[:, coref_slots].sum())
         assert read > 20
@@ -291,6 +296,27 @@ class TestStageFeaturesOracle:
         assert _assert_mirror_invariants(rows, layout) == len(rows)
 
 
+    def test_long_reports_with_word_vectors(self, tmp_path):
+        # The matrix path's cosine slots read each hit sentence's pooled
+        # vector, built once per report; the oracle pools again per pair.
+        layout = FeatureLayout(bins=10)
+        rng = np.random.default_rng(20261031)
+        tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
+        reports = [
+            random_report(rng, f"r{k}", n_sentences=(120, 120)) for k in range(3)
+        ]
+        predictions = [
+            random_prediction(rng, r, *tids, n_hits=(4, 12)) for r in reports
+        ]
+        wv = random_word_vectors(rng)
+        rows = stage_features(_um(), reports, predictions, str(tmp_path / "f.csv"),
+                              vectors=wv)
+        assert len(rows) > 20
+        _assert_rows_match_oracle(rows, reports, predictions, _um(), wv)
+        sims = rows.values[:, [layout.index("f2.sim_mean"), layout.index("f2.sim_max")]]
+        assert np.count_nonzero(sims) > len(rows)
+
+
 class TestMirrorInvariants:
     def test_random_reports(self):
         rng = np.random.default_rng(20260822)
@@ -302,7 +328,7 @@ class TestMirrorInvariants:
             pred = random_prediction(rng, report, "T1566", "T1204")
             use_um = um if case % 2 == 0 else None
             checked += _assert_mirror_invariants(
-                build_report_features(report, pred, um=use_um), layout
+                report_rows(report, pred, um=use_um), layout
             )
         assert checked > 40
 
@@ -437,6 +463,7 @@ class TestCsvRoundTrip:
         rows = self._rows()
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
+        assert path.read_bytes() == features_to_csv(rows).encode("utf-8")
         back = read_features_csv(path, layout)
         assert back.keys == rows.keys
         assert back.values.tobytes() == rows.values.tobytes()

@@ -301,7 +301,8 @@ class TestCorefAmong:
     def test_index_outside_report_raises(self, bad):
         report = _coref_report(np.random.default_rng(10), "bad", 5)
         with pytest.raises(
-            ValueError, match=rf"^sentence index {bad} outside report of 5 sentences$"
+            ValueError,
+            match=rf"^sentence index {bad} outside report 'bad' of 5 sentences$",
         ):
             coref_links(report, [0, bad, 2])
 

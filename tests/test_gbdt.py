@@ -311,7 +311,8 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         config = TrainConfig(trees=30, max_depth=2, seed=7)
         assert TrainConfig.from_dict(config.to_dict()) == config
-        assert TrainConfig.from_dict({**config.to_dict(), "extra": 1}) == config
+        with pytest.raises(ValueError, match="^unknown train config keys: extra$"):
+            TrainConfig.from_dict({**config.to_dict(), "extra": 1})
 
 
 def _separable_data(n_per_side=12, n_features=8, signal_slot=1):

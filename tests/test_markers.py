@@ -2,20 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import random_report
+from helpers import random_prediction, random_report, report_rows
 from oracles import marker_features_oracle
 from ttpmine.corpus import make_report, tokenize
+from ttpmine.features.discourse import DiscourseRelation, _noun_like, classify_discourse
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
-    DEFAULT_LEXICON,
     F1_SIZE,
+    MARKER_RELATION,
+    MARKERS,
     OVERLAP_MARKERS,
-    MarkerLexicon,
-    count_markers,
     marker_features,
     marker_table,
 )
@@ -60,54 +62,74 @@ class TestLexicon:
         assert len(CONCURRENT_MARKERS) == 5
 
     def test_classes_disjoint_and_total_26(self):
-        assert len(DEFAULT_LEXICON.all_markers) == 26
+        assert len(MARKERS) == 26
         assert not BEFORE_MARKERS & OVERLAP_MARKERS
         assert not BEFORE_MARKERS & CONCURRENT_MARKERS
         assert not OVERLAP_MARKERS & CONCURRENT_MARKERS
+        assert MARKERS == BEFORE_MARKERS | OVERLAP_MARKERS | CONCURRENT_MARKERS
+        assert set(MARKER_RELATION) == MARKERS
 
     def test_relation_of_mapping(self):
-        assert DEFAULT_LEXICON.relation_of("then") == 0
-        assert DEFAULT_LEXICON.relation_of("during") == 1
-        assert DEFAULT_LEXICON.relation_of("simultaneously") == 2
-        assert DEFAULT_LEXICON.relation_of("payload") is None
+        assert MARKER_RELATION["then"] == 0
+        assert MARKER_RELATION["during"] == 1
+        assert MARKER_RELATION["simultaneously"] == 2
+        assert "payload" not in MARKER_RELATION
 
     def test_markers_survive_tokenization(self):
         # A marker dropped by the stopword list could never be counted.
-        assert not DEFAULT_LEXICON.all_markers & STOPWORDS
+        assert not MARKERS & STOPWORDS
 
     def test_probe_corpus_no_false_results(self):
         assert len(NEAR_MISSES) == 50
         assert len(set(NEAR_MISSES)) == 50
-        probe_text = " ".join([*sorted(DEFAULT_LEXICON.all_markers), *NEAR_MISSES])
+        probe_text = " ".join([*sorted(MARKERS), *NEAR_MISSES])
         tokens = tokenize(probe_text)
-        detected = {t for t in tokens if DEFAULT_LEXICON.relation_of(t) is not None}
-        missed = DEFAULT_LEXICON.all_markers - set(tokens)
-        false_positives = detected - DEFAULT_LEXICON.all_markers
-        false_negatives = DEFAULT_LEXICON.all_markers - detected
+        detected = {t for t in tokens if t in MARKER_RELATION}
+        missed = MARKERS - set(tokens)
+        false_positives = detected - MARKERS
+        false_negatives = MARKERS - detected
         assert missed == set()
         assert false_positives == set()
         assert false_negatives == set()
-        assert detected == DEFAULT_LEXICON.all_markers
-        near_hits = {t for t in NEAR_MISSES if DEFAULT_LEXICON.relation_of(t) is not None}
+        assert detected == MARKERS
+        near_hits = {t for t in NEAR_MISSES if t in MARKER_RELATION}
         assert near_hits == set()
+
+    def test_f1_and_discourse_rules_read_one_list(self):
+        # Each marker opening a sentence counts in its own F1 class, is
+        # never noun-like, and makes the pair NEXT exactly when it is a
+        # before marker.
+        for rel, markers in enumerate((BEFORE_MARKERS, OVERLAP_MARKERS, CONCURRENT_MARKERS)):
+            for word in sorted(markers):
+                report = make_report("r1", f"Payload dropped.\n{word.title()} loader executed.")
+                counts = [0.0, 0.0, 0.0]
+                counts[rel] = 1.0
+                assert marker_table(report).tolist() == [[0.0, 0.0, 0.0], counts], word
+                assert not _noun_like(word)
+                relation = classify_discourse(*report.sentences, coref=False)
+                assert (relation is DiscourseRelation.NEXT) == (rel == 0), word
+
+
+def _one_sentence_counts(text: str) -> list[float]:
+    return marker_table(make_report("r1", text)).tolist()[0]
 
 
 class TestCountMarkers:
     def test_counts_by_relation(self):
-        counts = count_markers(["then", "later", "during", "simultaneously"])
-        assert counts.tolist() == [2.0, 1.0, 1.0]
+        counts = _one_sentence_counts("Then later during simultaneously.")
+        assert counts == [2.0, 1.0, 1.0]
 
     def test_duplicates_counted(self):
-        assert count_markers(["then", "then"]).tolist() == [2.0, 0.0, 0.0]
+        assert _one_sentence_counts("Then then.") == [2.0, 0.0, 0.0]
 
     def test_no_markers(self):
-        assert count_markers(["payload", "ran"]).tolist() == [0.0, 0.0, 0.0]
+        assert _one_sentence_counts("Payload ran.") == [0.0, 0.0, 0.0]
 
 
 class TestMarkerFeatures:
     def test_then_in_second_sentence_slots(self):
         report = make_report("r1", "X ran. Then Y ran.")
-        out = marker_features(report, [0], [1])
+        out = marker_features(marker_table(report), [0], [1])
         assert out.shape == (F1_SIZE,)
         assert out[0:3].tolist() == [0.0, 0.0, 0.0]  # tx-sentence counts
         assert out[3:6].tolist() == [1.0, 0.0, 0.0]  # ty-sentence counts
@@ -119,7 +141,7 @@ class TestMarkerFeatures:
 
     def test_mirrored_pair_swaps_sides(self):
         report = make_report("r1", "X ran. Then Y ran.")
-        out = marker_features(report, [1], [0])
+        out = marker_features(marker_table(report), [1], [0])
         assert out[0:3].tolist() == [1.0, 0.0, 0.0]
         assert out[3:6].tolist() == [0.0, 0.0, 0.0]
         assert out[6:9].tolist() == [1.0, 0.0, 0.0]  # span unchanged
@@ -127,7 +149,7 @@ class TestMarkerFeatures:
 
     def test_same_sentence_pair(self):
         report = make_report("r1", "Then X and Y ran at once.")
-        out = marker_features(report, [0], [0])
+        out = marker_features(marker_table(report), [0], [0])
         assert out[0:3].tolist() == [1.0, 0.0, 0.0]
         assert out[3:6].tolist() == [1.0, 0.0, 0.0]
         assert out[6:9].tolist() == [1.0, 0.0, 0.0]
@@ -140,7 +162,7 @@ class TestMarkerFeatures:
             "X started.\nMeanwhile traffic flowed during gaps.\n"
             "Scans ran while logging.\nY finished later.",
         )
-        out = marker_features(report, [0], [3])
+        out = marker_features(marker_table(report), [0], [3])
         # Interior sentences 1 and 2 hold one overlap marker each; the
         # endpoint "later" in sentence 3 is excluded from the extent.
         assert out[17:20].tolist() == [0.0, 2.0, 0.0]
@@ -154,30 +176,34 @@ class TestMarkerFeatures:
         )
         # tx sentences 0 and 2, ty sentence 3: nearest pair is (2, 3), so
         # the span skips the filler and the far tx sentence.
-        out = marker_features(report, [0, 2], [3])
+        out = marker_features(marker_table(report), [0, 2], [3])
         assert out[6:9].tolist() == [1.0, 0.0, 0.0]
 
     def test_density_averages_over_sentences(self):
         report = make_report("r1", "Then X ran. Y later worked before dusk.")
-        out = marker_features(report, [0, 1], [1])
+        out = marker_features(marker_table(report), [0, 1], [1])
         assert out[15] == pytest.approx(1.5)
         assert out[16] == pytest.approx(2.0)
 
     def test_empty_sides_zero(self):
         report = make_report("r1", "Then X ran.")
-        out = marker_features(report, [], [])
+        out = marker_features(marker_table(report), [], [])
         assert np.array_equal(out, np.zeros(F1_SIZE))
 
     def test_index_out_of_range_rejected(self):
+        # The builder checks every hit sentence once, for all families.
         report = make_report("r1", "X ran.")
-        with pytest.raises(ValueError, match="outside"):
-            marker_features(report, [0], [5])
+        prediction = random_prediction(np.random.default_rng(0), report, "T1", "T2")
+        bad = dataclasses.replace(prediction, techniques=frozenset({"T1", "T2"}),
+                                  hit_sentences={"T1": (0,), "T2": (5,)})
+        with pytest.raises(ValueError, match="^sentence index 5 outside report 'r1'"):
+            report_rows(report, bad)
 
     def test_multiple_relations_in_span(self):
         report = make_report(
             "r1", "X ran during setup. Then Y ran simultaneously."
         )
-        out = marker_features(report, [0], [1])
+        out = marker_features(marker_table(report), [0], [1])
         assert out[6:9].tolist() == [1.0, 1.0, 1.0]
         # Directional: sentence 1 markers count tx-first; sentence 0's
         # "during" sits at k=0 with tx_min=0, outside tx_min < k.
@@ -190,13 +216,10 @@ def _sample(rng, indices, max_size: int = 6) -> list[int]:
     return sorted(int(i) for i in rng.choice(indices, size=size, replace=False))
 
 
-def _assert_matches_oracle(report, tx, ty, lexicon=DEFAULT_LEXICON):
-    want = marker_features_oracle(report, tx, ty, lexicon)
-    got = marker_features(report, tx, ty, lexicon)
-    table = marker_table(report, lexicon)
-    shared = marker_features(report, tx, ty, lexicon, table=table)
+def _assert_matches_oracle(report, tx, ty):
+    want = marker_features_oracle(report, tx, ty)
+    got = marker_features(marker_table(report), tx, ty)
     assert got.tobytes() == want.tobytes(), (report.report_id, tx, ty)
-    assert shared.tobytes() == want.tobytes(), (report.report_id, tx, ty)
 
 
 class TestMarkerTableOracle:
@@ -266,18 +289,3 @@ class TestMarkerTableOracle:
             assert len(report.sentences) == 1
             for tx, ty in (([0], [0]), ([0], []), ([], [0]), ([], [])):
                 _assert_matches_oracle(report, tx, ty)
-
-    def test_overlapping_lexicon_keeps_class_priority(self):
-        lexicon = MarkerLexicon(
-            before_markers=frozenset({"then", "during"}),
-            overlap_markers=frozenset({"during", "while"}),
-            concurrent_markers=frozenset({"while", "jointly"}),
-        )
-        assert lexicon.relation_of("during") == 0
-        assert lexicon.relation_of("while") == 1
-        rng = np.random.default_rng(5)
-        for case in range(10):
-            report = random_report(rng, f"lex{case}", n_sentences=(10, 30))
-            n = len(report.sentences)
-            tx, ty = _sample(rng, range(n)), _sample(rng, range(n))
-            _assert_matches_oracle(report, tx, ty, lexicon)

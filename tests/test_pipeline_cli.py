@@ -20,6 +20,7 @@ from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import predict_report
 from ttpmine.features import FeatureLayout, FeatureRows
+from ttpmine.gbdt import TrainConfig
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
@@ -287,7 +288,10 @@ class TestNoWorkersKnob:
         config_path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == ["ttpmine run: error: unknown config keys: workers"]
+        assert err.splitlines() == [
+            f"ttpmine run: error: {config_path}: malformed pipeline config: "
+            "PipelineError: unknown config keys: workers"
+        ]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -819,6 +823,159 @@ class TestFeaturesFromClassifyOutput:
             main(argv)
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
+
+
+class TestMalformedClassifyOutput:
+    """A `classify.jsonl` record that does not fit the features stage
+    fails `features --predictions` with one error naming the file and
+    the line or the report; no traceback."""
+
+    def _fails(self, cli_dir, tmp_path, capsys, edit) -> str:
+        lines = (cli_dir / "classify.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        assert record["report_id"] == "r01" and len(record["techniques"]) >= 2
+        edit(record)
+        lines[1] = json.dumps(record)
+        bad = tmp_path / "classify.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        assert main(_features_argv(cli_dir, out, "--predictions", str(bad))) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not out.exists()
+        return err.replace(str(bad), "<file>").rstrip("\n")
+
+    def test_technique_without_top_scores(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            del record["top_scores"][record["techniques"][0]]
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err.startswith(
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            "ValueError: report 'r01': T"
+        ) and err.endswith(" needs 5 top_scores"), err
+
+    def test_top_scores_of_two_values(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            record["top_scores"][record["techniques"][-1]] = [1.0, 0.5]
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err.startswith(
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            "ValueError: report 'r01': T"
+        ) and err.endswith(" needs 5 top_scores"), err
+
+    def test_techniques_not_the_hit_keys(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            del record["hit_sentences"][record["techniques"][0]]
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err.startswith(
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            "ValueError: report 'r01': techniques ["
+        ) and " are not the hit_sentences keys " in err, err
+
+    def test_hit_that_is_not_an_index(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            record["hit_sentences"][record["techniques"][0]].append(1.5)
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err == (
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            "ValueError: report 'r01': hit_sentences must hold integer sentence indices"
+        )
+
+    def test_hit_past_the_report_end(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            record["hit_sentences"][record["techniques"][0]].append(99)
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err == (
+            "ttpmine features: error: <file>: features: sentence index 99 "
+            "outside report 'r01' of 4 sentences"
+        )
+
+
+class TestBadConfigFiles:
+    """A config file that does not parse or does not fit its dataclass
+    stops `run` and `train-relations` with exit 1 and one error line
+    naming the file; no traceback, and nothing silently defaulted."""
+
+    def _run(self, tmp_path, capsys, text) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+        return err.replace(str(path), "<file>").rstrip("\n")
+
+    def _train(self, cli_dir, tmp_path, capsys, text) -> str:
+        path = tmp_path / "train.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["train-relations", "--features", str(cli_dir / "features.csv"),
+                "--annotations", ANNOTATIONS, "--train-config", str(path),
+                "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not (tmp_path / "m.json").exists()
+        return err.replace(str(path), "<file>").rstrip("\n")
+
+    def _config(self, tmp_path, **changes) -> str:
+        return json.dumps({**e2e_config_dict(tmp_path / "out"), **changes})
+
+    def test_run_config_json_syntax(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, '{"stix": "x" "y"}') == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "JSONDecodeError: Expecting ',' delimiter: line 1 column 14 (char 13)"
+        )
+
+    def test_train_config_json_syntax(self, cli_dir, tmp_path, capsys):
+        assert self._train(cli_dir, tmp_path, capsys, '{"trees" 5}') == (
+            "ttpmine train-relations: error: <file>: malformed train config: "
+            "JSONDecodeError: Expecting ':' delimiter: line 1 column 10 (char 9)"
+        )
+
+    def test_train_config_wrong_type(self, cli_dir, tmp_path, capsys):
+        assert self._train(cli_dir, tmp_path, capsys, '{"trees": "a"}') == (
+            "ttpmine train-relations: error: <file>: malformed train config: "
+            "ValueError: trees must be int, got 'a'"
+        )
+
+    def test_train_config_unknown_key(self, cli_dir, tmp_path, capsys):
+        assert self._train(cli_dir, tmp_path, capsys, '{"tress": 5}') == (
+            "ttpmine train-relations: error: <file>: malformed train config: "
+            "ValueError: unknown train config keys: tress"
+        )
+
+    def test_run_config_wrong_type(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, self._config(tmp_path, bins="a")) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "ValueError: bins must be int, got 'a'"
+        )
+        train = {**e2e_config_dict(tmp_path)["train"], "trees": "a"}
+        assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "ValueError: trees must be int, got 'a'"
+        )
+
+    def test_run_config_train_not_an_object(self, tmp_path, capsys):
+        assert self._run(tmp_path, capsys, self._config(tmp_path, train=5)) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "ValueError: train must be TrainConfig, got 5"
+        )
+
+    def test_run_config_unknown_train_key(self, tmp_path, capsys):
+        train = {**e2e_config_dict(tmp_path)["train"], "tress": 5}
+        assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "ValueError: unknown train config keys: tress"
+        )
+
+    def test_bools_and_floats_for_ints_rejected(self):
+        with pytest.raises(ValueError, match="^min_support must be int, got True$"):
+            PipelineConfig(min_support=True)
+        with pytest.raises(ValueError, match="^max_depth must be int, got 2.5$"):
+            TrainConfig(max_depth=2.5)
+        assert TrainConfig(learning_rate=1).learning_rate == 1
 
 
 class TestSkipCounts:

@@ -1,6 +1,7 @@
-"""`write_json` streams an artifact piece by piece; its bytes must be those
-of one `json.dump` with the artifact settings. `write_jsonl` reuses one
-encoder; each of its lines must be the `json.dumps` of its value."""
+"""`write_json` encodes an artifact in one call of the module's reusable
+encoder; its bytes must be those of one `json.dump` with the artifact
+settings. `write_jsonl` reuses the same encoder; each of its lines must
+be the `json.dumps` of its value."""
 
 from __future__ import annotations
 
@@ -41,12 +42,12 @@ class TestWriteJson:
     @settings(max_examples=100, deadline=None)
     @given(payload=st.dictionaries(st.text(max_size=6), _VALUES, max_size=6))
     def test_bytes_equal_json_dump(self, json_dir, payload):
-        write_json(str(json_dir / "streamed.json"), payload)
+        write_json(str(json_dir / "written.json"), payload)
         with open(json_dir / "dumped.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, **pipeline._JSON_KW)
             fh.write("\n")
-        streamed = (json_dir / "streamed.json").read_bytes()
-        assert streamed == (json_dir / "dumped.json").read_bytes()
+        written = (json_dir / "written.json").read_bytes()
+        assert written == (json_dir / "dumped.json").read_bytes()
 
     def test_edge_values(self, tmp_path):
         payload = {
