@@ -29,9 +29,8 @@ from .corpus import (
 from .ctfidf import (
     CtfidfModel,
     ReportPrediction,
-    SentencePrediction,
     predict_report,
-    predict_sentence,
+    score_sentences,
     train_ctfidf,
 )
 from .embeddings import WordVectors, cosine, load_word_vectors, sentence_vector
@@ -60,9 +59,8 @@ __all__ = [
     "tokenize",
     "CtfidfModel",
     "ReportPrediction",
-    "SentencePrediction",
     "predict_report",
-    "predict_sentence",
+    "score_sentences",
     "train_ctfidf",
     "WordVectors",
     "cosine",

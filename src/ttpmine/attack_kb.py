@@ -77,9 +77,6 @@ class UsageMatrix:
     cells: np.ndarray  # shape (len(actors), len(techniques)), values 0/1
     skipped_unknown: int = 0
 
-    def technique_index(self, technique_id: str) -> int:
-        return self.techniques.index(technique_id)
-
 
 @dataclass(frozen=True)
 class ActionDataset:
@@ -329,6 +326,10 @@ def catalog_to_dict(catalog: TechniqueCatalog) -> dict:
 
 
 def catalog_from_dict(data: dict) -> TechniqueCatalog:
+    """Rebuild a `catalog_to_dict` catalog; ValueError for another format."""
+    version = data["format_version"]
+    if version != CATALOG_FORMAT_VERSION:
+        raise ValueError(f"catalog format {version!r} is not {CATALOG_FORMAT_VERSION!r}")
     records = tuple(
         TechniqueRecord(
             id=t["id"],

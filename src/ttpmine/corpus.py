@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 
@@ -39,8 +39,6 @@ class Sentence:
 class Report:
     report_id: str
     sentences: tuple[Sentence, ...]
-    source_uri: str | None = None
-    provenance: str | None = None
 
 
 @dataclass(frozen=True)
@@ -148,18 +146,8 @@ def segment_sentences(text: str) -> list[Sentence]:
     ]
 
 
-def make_report(
-    report_id: str,
-    text: str,
-    source_uri: str | None = None,
-    provenance: str | None = None,
-) -> Report:
-    return Report(
-        report_id=report_id,
-        sentences=tuple(segment_sentences(text)),
-        source_uri=source_uri,
-        provenance=provenance,
-    )
+def make_report(report_id: str, text: str) -> Report:
+    return Report(report_id=report_id, sentences=tuple(segment_sentences(text)))
 
 
 def load_reports(directory: str | Path) -> list[Report]:

@@ -40,11 +40,6 @@ class CtfidfModel:
 
 
 @dataclass(frozen=True)
-class SentencePrediction:
-    scores: dict[str, float]
-
-
-@dataclass(frozen=True)
 class ReportPrediction:
     report_id: str
     threshold: float
@@ -132,12 +127,6 @@ def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
     return np.divide(scores, top, out=np.zeros_like(scores), where=top > 0)
 
 
-def predict_sentence(model: CtfidfModel, sentence_tokens) -> SentencePrediction:
-    """Max-normalized cosine scores per class; all zeros when nothing matches."""
-    scores = score_sentences(model, [list(sentence_tokens)])[0]
-    return SentencePrediction(scores=dict(zip(model.class_ids, scores.tolist())))
-
-
 def predict_report(
     model: CtfidfModel, report: Report, threshold: float = DEFAULT_THRESHOLD
 ) -> ReportPrediction:
@@ -177,6 +166,10 @@ def model_to_dict(model: CtfidfModel) -> dict:
 
 
 def model_from_dict(data: dict) -> CtfidfModel:
+    """Rebuild a `model_to_dict` model; ValueError for another format."""
+    version = data["format_version"]
+    if version != CTFIDF_FORMAT_VERSION:
+        raise ValueError(f"classifier format {version!r} is not {CTFIDF_FORMAT_VERSION!r}")
     vocab = {tok: j for j, tok in enumerate(data["vocab"])}
     class_ids = tuple(data["class_ids"])
     weights = np.asarray(data["weights"], dtype=np.float64).reshape(

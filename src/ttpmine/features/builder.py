@@ -33,26 +33,30 @@ class FeatureRows:
     """Pair-feature rows, held as one matrix.
 
     Row i is the ordered pair `keys[i]` of report `keys[i].report_id`;
-    `values[i]` holds its slots under `layout`, and `f4_missing[i]` is
-    True when its f4 slots are zero because a technique of the pair is
-    not in the usage matrix (or there is no matrix). `len()` is the row
-    count and iterating yields the keys.
+    `values[i]` holds its slots under `layout`. `len()` is the row count
+    and iterating yields the keys.
     """
 
     keys: list[PairKey]
     values: np.ndarray
-    f4_missing: np.ndarray
     layout: FeatureLayout
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        object.__setattr__(self, "f4_missing", np.asarray(self.f4_missing, dtype=bool))
         n = len(self.keys)
-        if self.values.shape != (n, self.layout.total) or self.f4_missing.shape != (n,):
+        if self.values.shape != (n, self.layout.total):
             raise ValueError(
                 f"{n} keys of layout {self.layout.version} do not fit values of "
-                f"shape {self.values.shape} and f4_missing of shape {self.f4_missing.shape}"
+                f"shape {self.values.shape}"
             )
+
+    @property
+    def f4_missing(self) -> np.ndarray:
+        """Per row, True when its f4 slots are zero because a technique of
+        the pair is not in the usage matrix (or the matrix has no actors).
+        A measured pair has one hot bin per measure, so these are exactly
+        the rows whose f4 bin slots are all zero."""
+        return ~self.values[:, _f4_bin_slots(self.layout)].any(axis=1)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -66,28 +70,31 @@ class FeatureRows:
         return FeatureRows(
             keys=[self.keys[i] for i in idx.tolist()],
             values=self.values[idx],
-            f4_missing=self.f4_missing[idx],
             layout=self.layout,
         )
 
 
-def f4_table(
-    um: UsageMatrix | None, pairs, bins: int
-) -> dict[tuple[str, str], tuple[np.ndarray, bool]]:
-    """Each distinct pair's f4 slots and f4_missing flag.
+def _f4_bin_slots(layout: FeatureLayout) -> slice:
+    """The f4 one-hot bin slots of `layout`: every f4 slot after the raw
+    measures."""
+    f4 = layout.group_slices["f4"]
+    return slice(f4.start + len(METRIC_NAMES), f4.stop)
 
-    A pair with a technique absent from the usage matrix (or no matrix,
-    or one without actors) gets zeroed slots and the flag instead of
-    failing. F4 depends on the pair and the usage matrix only, never on
-    the report, so one table serves every report in a corpus. Every
-    actor count comes from one integer product of the pairs' known
-    technique columns; the measures are exact functions of those counts.
+
+def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndarray]:
+    """Each distinct pair's f4 slots.
+
+    A pair with a technique absent from the usage matrix (or any pair,
+    when the matrix has no actors) gets zeroed slots instead of failing.
+    F4 depends on the pair and the usage matrix only, never on the
+    report, so one table serves every report in a corpus. Every actor
+    count comes from one integer product of the pairs' known technique
+    columns; the measures are exact functions of those counts.
     """
-    missing = (np.zeros(9 + 9 * bins, dtype=np.float64), True)
-    if um is None or um.cells.shape[0] == 0:
-        return dict.fromkeys(pairs, missing)
+    missing = np.zeros(9 + 9 * bins, dtype=np.float64)
     pairs = dict.fromkeys(pairs)
-    column = {tid: k for k, tid in enumerate(um.techniques)}
+    # Without actors there is nothing to measure: every technique is unknown.
+    column = {tid: k for k, tid in enumerate(um.techniques)} if um.cells.shape[0] else {}
     known = sorted({tid for pair in pairs for tid in pair if tid in column})
     at = {tid: k for k, tid in enumerate(known)}
     # int64: an int8 product would overflow at 128 actors.
@@ -105,7 +112,7 @@ def f4_table(
         out[:9] = raw
         for m, name in enumerate(METRIC_NAMES):
             out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
-        table[pair] = (out, False)
+        table[pair] = out
     return table
 
 
@@ -126,7 +133,7 @@ def build_report_features(
     *,
     wv: WordVectors | None,
     layout: FeatureLayout,
-    f4: dict[tuple[str, str], tuple[np.ndarray, bool]],
+    f4: dict[tuple[str, str], np.ndarray],
 ) -> FeatureRows:
     """Rows for every ordered pair of the report's detected techniques:
     [default ++ f1 ++ f2 ++ f3 ++ f4], filled into one block.
@@ -146,7 +153,6 @@ def build_report_features(
     """
     pairs = pair_universe(report_prediction.techniques)
     values = np.empty((len(pairs), layout.total), dtype=np.float64)
-    f4_missing = np.empty(len(pairs), dtype=bool)
     if pairs:
         among = coref_sentences(report_prediction)
         links = coref_links(report, among)
@@ -165,11 +171,10 @@ def build_report_features(
             out[group["f1"]] = marker_features(markers, tx_sent, ty_sent)
             out[group["f2"]] = sentence_features(tx_sent, ty_sent, links, vectors)
             out[group["f3"]] = discourse_features(report, tx_sent, ty_sent, links)
-            out[group["f4"]], f4_missing[row] = f4[pair]
+            out[group["f4"]] = f4[pair]
     return FeatureRows(
         keys=[PairKey(report.report_id, tx, ty) for tx, ty in pairs],
         values=values,
-        f4_missing=f4_missing,
         layout=layout,
     )
 
@@ -202,6 +207,7 @@ def _write_csv(rows: FeatureRows, out) -> None:
     csv.writer(out, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
     names = {name for key in rows for name in key}
     quoted = dict(zip(names, map(_csv_field, names)))
+    f4_missing = rows.f4_missing.tolist()
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
         values = rows.values[block]
@@ -211,7 +217,7 @@ def _write_csv(rows: FeatureRows, out) -> None:
         table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
         for (report_id, tx, ty), missing, row in zip(
             rows.keys[block],
-            rows.f4_missing[block].tolist(),
+            f4_missing[block],
             table[inverse.reshape(values.shape)].tolist(),
         ):
             out.write(
@@ -238,7 +244,9 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
 def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> FeatureRows:
     """The rows of a features CSV. Each bad row raises one ValueError
     naming `source:line`: a wrong column count, an f4_missing flag other
-    than 0 or 1, or a slot value that is not a float."""
+    than 0 or 1, a slot value that is not a float, or an f4_missing flag
+    that disagrees with the row's f4 bin slots (see
+    `FeatureRows.f4_missing`)."""
     # Lines end at "\n" alone, as in the file. Split lines keep one byte a
     # character, where a StringIO of the text would hold four.
     reader = csv.reader(line + "\n" for line in text.split("\n"))
@@ -253,7 +261,8 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
     # Every row ends at a newline but perhaps the last, so the file has
     # at most this many rows; the unused tail of the block is never touched.
     values = np.empty((text.count("\n"), layout.total), dtype=np.float64)
-    keys, f4_missing = [], []
+    keys = []
+    f4_bins = _f4_bin_slots(layout)
     for row in reader:
         if not row:
             continue
@@ -264,12 +273,17 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
         if missing not in ("0", "1"):
             raise ValueError(f"{where}: f4_missing is {missing!r}, not 0 or 1")
         try:
-            values[len(keys)] = list(map(float, row[4:]))
+            slots = list(map(float, row[4:]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        if (missing == "1") == any(slots[f4_bins]):
+            raise ValueError(
+                f"{where}: f4_missing is {missing}, but the f4 bin slots "
+                + ("hold a hot bin" if missing == "1" else "are all zero")
+            )
+        values[len(keys)] = slots
         keys.append(PairKey(report_id, tx, ty))
-        f4_missing.append(missing == "1")
-    return FeatureRows(keys, values[: len(keys)], f4_missing, layout)
+    return FeatureRows(keys, values[: len(keys)], layout)
 
 
 def features_from_csv(text: str, layout: FeatureLayout) -> FeatureRows:

@@ -111,35 +111,31 @@ def _raw_words(sentence: Sentence) -> list[str]:
     return _WORDS.findall(sentence.text.lower())
 
 
-def coref_links(
-    report: Report, among: Iterable[int] | None = None
-) -> frozenset[tuple[int, int]]:
-    """Heuristic coreference links (i, j), i < j, within a 3-sentence window.
+def coref_links(report: Report, among: Iterable[int]) -> frozenset[tuple[int, int]]:
+    """Heuristic coreference links (i, j), i < j, within a 3-sentence window,
+    among the sentences `among`.
 
     Rule (a): sentence j opens with a pronoun (first 4 tokens), linked to
     the nearest preceding sentence holding a noun-like token. Rule (b):
     sentence j has a definite reference "the X"/"this X" whose X occurs
     (plural-insensitively) in sentence i.
 
-    `among` keeps only the links whose two sentences are both in it (any
-    order, repeats allowed); None means every sentence. Only those
-    sentences are read as j, and as i in rule (b). Rule (a) still walks
-    back to the nearest noun-holding sentence: when that one is outside
-    `among`, j gets no rule (a) link, never a farther one. Raises
-    ValueError for an index outside the report.
+    Only the links whose two sentences are both in `among` (any order,
+    repeats allowed) are kept; `range(len(report.sentences))` gives every
+    link of the report. Only those sentences are read as j, and as i in
+    rule (b). Rule (a) still walks back to the nearest noun-holding
+    sentence: when that one is outside `among`, j gets no rule (a) link,
+    never a farther one. Raises ValueError for an index outside the report.
     """
     sentences = report.sentences
     n = len(sentences)
-    if among is None:
-        order = range(n)
-    else:
-        order = sorted(set(among))
-        for idx in order:
-            if not 0 <= idx < n:
-                raise ValueError(
-                    f"sentence index {idx} outside report {report.report_id!r} "
-                    f"of {n} sentences"
-                )
+    order = sorted(set(among))
+    for idx in order:
+        if not 0 <= idx < n:
+            raise ValueError(
+                f"sentence index {idx} outside report {report.report_id!r} "
+                f"of {n} sentences"
+            )
     kept = set(order)
     links: set[tuple[int, int]] = set()
     # Whether a sentence holds a noun-like token (rule a), filled for the

@@ -4,8 +4,8 @@ One layout version covers every pair of every report under a given
 configuration; the version string changes exactly when the slot list
 does (the bin count is part of it). Slot order:
 
-  default (10)  top-5 sentence scores for tx, then for ty; zeros when
-                the technique was not detected in the report
+  default (10)  top-5 sentence scores for tx, then for ty (a row's two
+                techniques are always detected in its report)
   f1 (20)       time-signal features, see features.markers
   f2 (13)       adjacency/same-sentence/similarity/coref, see features.sentence
   f3 (10)       discourse-relation counts, see features.discourse

@@ -17,13 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from .tree import (
-    bin_columns,
-    fit_tree,
-    predict_tree,
-    remap_tree_features,
-    tree_max_feature,
-)
+from .tree import bin_columns, fit_tree, predict_tree, tree_max_feature
 
 logger = logging.getLogger(__name__)
 
@@ -158,27 +152,22 @@ def _validate_features(X: np.ndarray) -> None:
 
 def _downsample_rows(
     label_index: int,
-    label_sets,
+    null_only: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
 ) -> np.ndarray:
-    """Row indices for one positive label's model: every non-NULL-only
-    row, plus a deterministic sample of NULL-only rows capped at
-    ratio * positive count."""
-    null_only = np.array(
-        [i for i, labs in enumerate(label_sets) if set(labs) == {NULL}], dtype=np.int64
-    )
-    rest = np.array(
-        [i for i, labs in enumerate(label_sets) if set(labs) != {NULL}], dtype=np.int64
-    )
+    """Row indices for one positive label's model: every row that is not
+    NULL-only (`null_only` False), plus a deterministic sample of the
+    NULL-only rows capped at ratio * positive count of `y`."""
+    null_rows = np.flatnonzero(null_only)
     cap = int(config.negative_downsample_ratio * int(y.sum()))
-    if null_only.size <= cap:
-        keep_null = null_only
+    if null_rows.size <= cap:
+        keep_null = null_rows
     else:
         rng = np.random.default_rng((config.seed, label_index))
-        picked = rng.permutation(null_only.size)[:cap]
-        keep_null = null_only[np.sort(picked)]
-    return np.sort(np.concatenate([rest, keep_null]))
+        picked = rng.permutation(null_rows.size)[:cap]
+        keep_null = null_rows[np.sort(picked)]
+    return np.sort(np.concatenate([np.flatnonzero(~null_only), keep_null]))
 
 
 def train(
@@ -212,16 +201,22 @@ def train(
     # One binning for every label model, over the active columns that
     # vary: a column constant over the whole matrix can never split. The
     # kept columns stay in ascending order, so the lowest-feature tie rule
-    # holds and `columns` maps tree features back to global slots.
+    # holds.
     X_active = X[:, active]
-    columns = active[(X_active != X_active[:1]).any(axis=0)]
-    binned = bin_columns(X[:, columns])
+    binned = bin_columns(X, active[(X_active != X_active[:1]).any(axis=0)])
+    # Each row's label set is read once: whether it holds each label, and
+    # whether it is NULL alone (the rows a positive label downsamples).
+    flags = np.array(
+        [[label in labs for label in ALL_LABELS] + [set(labs) == {NULL}] for labs in labels],
+        dtype=bool,
+    ).reshape(len(labels), len(ALL_LABELS) + 1)
+    null_only = flags[:, -1]
 
     models: dict[str, LabelModel] = {}
     for label_index, label in enumerate(ALL_LABELS):
-        y = np.array([1.0 if label in labs else 0.0 for labs in labels])
+        y = flags[:, label_index].astype(np.float64)
         if label in POSITIVE_LABELS:
-            rows = _downsample_rows(label_index, labels, y, config)
+            rows = _downsample_rows(label_index, null_only, y, config)
         else:
             rows = np.arange(len(labels))
         y_sub = y[rows]
@@ -266,7 +261,7 @@ def train(
                     f"({losses[-1]:.12f} -> {loss:.12f}) at round {len(trees) + 1}"
                 )
             losses.append(loss)
-            trees.append(remap_tree_features(tree, columns))
+            trees.append(tree)
         models[label] = LabelModel(
             label=label,
             init_score=init,
@@ -343,6 +338,11 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
 
 
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
+    """Rebuild an `ensemble_to_dict` model; ValueError for another format
+    or a tree feature beyond `n_features`."""
+    version = data["format_version"]
+    if version != ENSEMBLE_FORMAT_VERSION:
+        raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
     config = TrainConfig.from_dict(data["config"])
     models = {
         label: LabelModel(

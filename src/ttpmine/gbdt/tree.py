@@ -31,18 +31,19 @@ _GRID_BITS = 51
 
 @dataclass(frozen=True)
 class BinnedColumns:
-    """A feature matrix as one flat bin space.
+    """Columns of a feature matrix as one flat bin space.
 
-    ``codes[i, f]`` is the bin of row i's value in column f. Column f
-    owns bins ``start[f]:start[f + 1]``, one per distinct value in
-    ascending order; ``values[b]`` is bin b's value and ``feature[b]``
-    its column.
+    ``codes[i, f]`` is the bin of row i's value in binned column f, which
+    is column ``slots[f]`` of the matrix. Column f owns bins
+    ``start[f]:start[f + 1]``, one per distinct value in ascending order;
+    ``values[b]`` is bin b's value and ``feature[b]`` its binned column.
     """
 
     codes: np.ndarray
     values: np.ndarray
     feature: np.ndarray
     start: np.ndarray
+    slots: np.ndarray
 
     @property
     def n_rows(self) -> int:
@@ -53,9 +54,11 @@ class BinnedColumns:
         return replace(self, codes=self.codes[rows])
 
 
-def bin_columns(X: np.ndarray) -> BinnedColumns:
-    """One bin per distinct value of each column of X."""
-    X = np.asarray(X, dtype=np.float64)
+def bin_columns(X: np.ndarray, columns) -> BinnedColumns:
+    """One bin per distinct value of each of the columns `columns` of X,
+    taken in the order given."""
+    slots = np.asarray(columns, dtype=np.intp)
+    X = np.asarray(X, dtype=np.float64)[:, slots]
     m, nf = X.shape
     codes = np.empty((m, nf), dtype=np.intp)
     values, feature = [], []
@@ -71,6 +74,7 @@ def bin_columns(X: np.ndarray) -> BinnedColumns:
         values=np.concatenate(values) if nf else np.empty(0),
         feature=np.concatenate(feature) if nf else np.empty(0, dtype=np.intp),
         start=start,
+        slots=slots,
     )
 
 
@@ -102,11 +106,11 @@ def fit_tree(
     hessians: np.ndarray,
     max_depth: int,
 ) -> tuple[dict, np.ndarray]:
-    """Fit one regression tree on binned rows; feature indices refer to
-    the binned matrix's columns.
+    """Fit one regression tree on binned rows; each split's feature is
+    the slot (`BinnedColumns.slots`) of the column it splits.
 
     Returns the tree and each row's leaf value, which equals
-    ``predict_tree(tree, X)`` on the rows that were binned.
+    ``predict_tree(tree, X)`` on the rows of X that were binned.
 
     The split maximizes the variance-reduction gain
     gl²/nl + gr²/nr - g²/n over residuals on the `grid_residuals` grid.
@@ -185,7 +189,7 @@ def fit_tree(
             large = (count - small[0], grad - small[1])
             hist_left, hist_right = (small, large) if small_is_left else (large, small)
         return {
-            "feature": feat,
+            "feature": int(binned.slots[feat]),
             "threshold": threshold,
             "left": build(left, depth + 1, hist_left),
             "right": build(right, depth + 1, hist_right),
@@ -210,18 +214,6 @@ def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:
 
     walk(node, np.arange(X.shape[0]))
     return out
-
-
-def remap_tree_features(node: dict, mapping: np.ndarray) -> dict:
-    """Rewrite local (masked) feature indices to global slot indices."""
-    if "value" in node:
-        return node
-    return {
-        "feature": int(mapping[node["feature"]]),
-        "threshold": node["threshold"],
-        "left": remap_tree_features(node["left"], mapping),
-        "right": remap_tree_features(node["right"], mapping),
-    }
 
 
 def tree_max_feature(node: dict) -> int:

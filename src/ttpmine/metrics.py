@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .labels import ALL_LABELS, POSITIVE_LABELS
 
@@ -190,15 +190,8 @@ def cohen_kappa(a, b) -> float:
 def evaluate_relations(truth, pred_sets, prob, ks=(50, 100), labels=ALL_LABELS) -> MetricReport:
     """Full relation-classification metric report: macro P/R/F from the
     decided label sets plus ranking metrics from the probabilities."""
-    base = macro_prf(truth, pred_sets, labels=labels)
-    return MetricReport(
-        per_label=base.per_label,
-        macro_precision=base.macro_precision,
-        macro_recall=base.macro_recall,
-        macro_f1=base.macro_f1,
-        macro_positive_precision=base.macro_positive_precision,
-        macro_positive_recall=base.macro_positive_recall,
-        macro_positive_f1=base.macro_positive_f1,
+    return replace(
+        macro_prf(truth, pred_sets, labels=labels),
         p_at_k={k: macro_p_at_k(truth, prob, k, labels=labels) for k in ks},
         lrap=lrap(truth, prob),
         ndcg=ndcg(truth, prob),

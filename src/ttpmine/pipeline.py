@@ -108,6 +108,11 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if not 0.0 < self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+        for name in ("min_examples", "bins", "min_support"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -406,7 +411,7 @@ def load_report_predictions(path: str) -> list[ReportPrediction]:
 
 
 def stage_features(
-    usage: UsageMatrix | None,
+    usage: UsageMatrix,
     reports: Sequence[Report],
     predictions: Sequence[ReportPrediction],
     out_path: str,
@@ -450,7 +455,6 @@ def stage_features(
     f4 = f4_table(usage, (pair for u in universes for pair in u), bins)
     n_rows = sum(map(len, universes))
     values = np.empty((n_rows, layout.total), dtype=np.float64)
-    f4_missing = np.empty(n_rows, dtype=bool)
     keys = []
     for report in ordered:
         try:
@@ -460,9 +464,8 @@ def stage_features(
         except ValueError as exc:  # a hit sentence outside the report
             raise PipelineError(f"features: {exc}") from exc
         values[len(keys) : len(keys) + len(block)] = block.values
-        f4_missing[len(keys) : len(keys) + len(block)] = block.f4_missing
         keys += block.keys
-    rows = FeatureRows(keys, values, f4_missing, layout)
+    rows = FeatureRows(keys, values, layout)
     write_features_csv(rows, path=out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
     meta["threshold"] = threshold
@@ -488,7 +491,7 @@ def count_hit_sentences(predictions: Iterable[ReportPrediction]) -> int:
 
 def count_f4_missing(rows: FeatureRows) -> int:
     """Rows whose f4 slots are zero because a technique of the pair is
-    not in the usage matrix (or there is no matrix)."""
+    not in the usage matrix (or the matrix has no actors)."""
     return int(np.count_nonzero(rows.f4_missing))
 
 

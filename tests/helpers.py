@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.embeddings import WordVectors
@@ -19,6 +20,9 @@ E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
 
 _rel_ids = itertools.count()
+
+# A usage matrix without actors or techniques: every pair's f4 slots are zero.
+EMPTY_USAGE = UsageMatrix(actors=(), techniques=(), cells=np.zeros((0, 0), dtype=np.int8))
 
 
 def attack_pattern(ext_id: str, name: str, *, revoked: bool = False,
@@ -117,30 +121,28 @@ def usage_bundle(seed: int, actors: int = 150, techniques: int = 60) -> bytes:
 
 
 def make_rows(values, report_ids="r1", tx="TA", ty="TB",
-              layout: FeatureLayout = FeatureLayout(bins=1), f4_missing=False) -> FeatureRows:
+              layout: FeatureLayout = FeatureLayout(bins=1)) -> FeatureRows:
     """A `FeatureRows` of `layout` from a (rows, slots) array. Rows with
     fewer slots than the layout are padded with zeros on the right; a
     column constant over every row never splits, so a model trains on
-    the padded rows as on the narrow ones. `report_ids`, `tx`, `ty` and
-    `f4_missing` each take one value for every row or a sequence with
-    one per row."""
+    the padded rows as on the narrow ones. `report_ids`, `tx` and `ty`
+    each take one value for every row or a sequence with one per row."""
     narrow = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n = narrow.shape[0]
     values = np.zeros((n, layout.total))
     values[:, : narrow.shape[1]] = narrow
 
     def per_row(v):
-        return [v] * n if isinstance(v, (str, bool)) else list(v)
+        return [v] * n if isinstance(v, str) else list(v)
 
     return FeatureRows(
         keys=[PairKey(*key) for key in zip(per_row(report_ids), per_row(tx), per_row(ty))],
         values=values,
-        f4_missing=per_row(f4_missing),
         layout=layout,
     )
 
 
-def report_rows(report, prediction, um=None, wv=None, bins: int = 10) -> FeatureRows:
+def report_rows(report, prediction, um=EMPTY_USAGE, wv=None, bins: int = 10) -> FeatureRows:
     """`build_report_features` on one report, with the layout of `bins`
     and the f4 table of the report's own pairs."""
     return build_report_features(

@@ -58,7 +58,7 @@ from ttpmine.gbdt.ensemble import (
     _log_loss,
     _sigmoid,
 )
-from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals, remap_tree_features
+from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
 from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 
@@ -680,20 +680,17 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
     by_id = {p.report_id: p for p in predictions}
     ids = sorted(set(class_ids))
     layout = FeatureLayout(bins=bins)
-    keys, values, f4_missing = [], [], []
+    keys, values = [], []
     for report in sorted(reports, key=lambda r: r.report_id):
         for tx in ids:
             for ty in ids:
                 if tx != ty:
-                    row, missing = pair_vector_oracle(
+                    row, _ = pair_vector_oracle(
                         report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins
                     )
                     keys.append(PairKey(report.report_id, tx, ty))
                     values.append(row)
-                    f4_missing.append(missing)
-    return FeatureRows(
-        keys, np.reshape(values, (len(keys), layout.total)), f4_missing, layout
-    )
+    return FeatureRows(keys, np.reshape(values, (len(keys), layout.total)), layout)
 
 
 def _per_label_tree(X, residuals, hessians, max_depth: int):
@@ -761,6 +758,18 @@ def _per_label_tree(X, residuals, hessians, max_depth: int):
     return build(np.arange(m), 0), out
 
 
+def _remap_tree(node: dict, mapping) -> dict:
+    """`node` with each split's feature `f` rewritten to `mapping[f]`."""
+    if "value" in node:
+        return node
+    return {
+        "feature": int(mapping[node["feature"]]),
+        "threshold": node["threshold"],
+        "left": _remap_tree(node["left"], mapping),
+        "right": _remap_tree(node["right"], mapping),
+    }
+
+
 def per_label_train_oracle(features, labels, config, feature_groups=None) -> GbdtEnsemble:
     """The four label models trained one label at a time: each label
     slices its downsampled rows and active columns out of the stacked
@@ -776,7 +785,8 @@ def per_label_train_oracle(features, labels, config, feature_groups=None) -> Gbd
     for label_index, label in enumerate(ALL_LABELS):
         y = np.array([1.0 if label in labs else 0.0 for labs in labels])
         if label in POSITIVE_LABELS:
-            rows = _downsample_rows(label_index, labels, y, config)
+            null_only = np.array([set(labs) == {NULL} for labs in labels], dtype=bool)
+            rows = _downsample_rows(label_index, null_only, y, config)
         else:
             rows = np.arange(len(labels))
         y_sub = y[rows]
@@ -799,7 +809,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None) -> Gbd
             )
             score = score + config.learning_rate * leaf_values
             losses.append(_log_loss(y_sub, _sigmoid(score)))
-            trees.append(remap_tree_features(tree, active))
+            trees.append(_remap_tree(tree, active))
         models[label] = LabelModel(
             label=label, init_score=init, trees=trees, loss_curve=losses
         )

@@ -16,7 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_rows, random_prediction, random_report, report_rows
+from helpers import (
+    EMPTY_USAGE,
+    e2e_config_dict,
+    make_rows,
+    random_prediction,
+    random_report,
+    report_rows,
+)
 from oracles import (
     apriori_oracle,
     lrap_oracle,
@@ -41,7 +48,7 @@ from ttpmine.corpus import make_report, tokenize
 from ttpmine.ctfidf import (
     DEFAULT_THRESHOLD,
     predict_report,
-    predict_sentence,
+    score_sentences,
     train_ctfidf,
 )
 from ttpmine.features.builder import f4_table
@@ -119,7 +126,7 @@ def _f4_measures(x, y) -> np.ndarray:
     cells = np.column_stack([x, y]).astype(np.int8)
     um = UsageMatrix(actors=tuple(f"G{k}" for k in range(len(cells))),
                      techniques=("TX", "TY"), cells=cells)
-    return f4_table(um, [("TX", "TY")], 10)[("TX", "TY")][0][:9]
+    return f4_table(um, [("TX", "TY")], 10)[("TX", "TY")][:9]
 
 
 def test_criterion_2_ranking_metrics_match_brute_force():
@@ -278,7 +285,9 @@ def test_criterion_5_sentence_classifier_learnability():
     fn = {cid: 0 for cid in class_ids}
     for cid in class_ids:
         for text in held_out[cid]:
-            scores = predict_sentence(model, tokenize(text)).scores
+            scores = dict(
+                zip(model.class_ids, score_sentences(model, [tokenize(text)])[0].tolist())
+            )
             predicted = max(scores, key=lambda c: (scores[c], c))
             if predicted == cid:
                 tp[cid] += 1
@@ -431,10 +440,10 @@ def test_criterion_8_feature_layout_contract():
         layout = FeatureLayout(bins=bins)
         assert layout.total == expected_total
         assert len(layout.names) == expected_total
-        rows = report_rows(report, prediction, um=None, bins=bins)
+        rows = report_rows(report, prediction, um=EMPTY_USAGE, bins=bins)
         assert rows.values.shape == (len(rows), expected_total)
         values, _ = pair_vector_oracle(
-            report, ("T1566", "T1204"), prediction, um=None, bins=bins
+            report, ("T1566", "T1204"), prediction, um=EMPTY_USAGE, bins=bins
         )
         assert values.shape == (expected_total,)
     assert FeatureLayout(bins=10).total == 152
@@ -448,10 +457,10 @@ def test_criterion_8_feature_layout_contract():
     for case in range(50):
         rand_report = random_report(rng, f"r{case:02d}")
         pred = random_prediction(rng, rand_report, "T1566", "T1204", "T1560")
-        fwd, _ = pair_vector_oracle(rand_report, ("T1566", "T1204"), pred, um=None)
-        rev, _ = pair_vector_oracle(rand_report, ("T1204", "T1566"), pred, um=None)
+        fwd, _ = pair_vector_oracle(rand_report, ("T1566", "T1204"), pred, um=EMPTY_USAGE)
+        rev, _ = pair_vector_oracle(rand_report, ("T1204", "T1566"), pred, um=EMPTY_USAGE)
         mirrored = [(fwd, rev)]
-        rows = report_rows(rand_report, pred, um=None)
+        rows = report_rows(rand_report, pred, um=EMPTY_USAGE)
         at = {key: k for k, key in enumerate(rows)}
         for (rid, tx, ty), k in at.items():
             mirrored.append((rows.values[k], rows.values[at[(rid, ty, tx)]]))

@@ -173,9 +173,9 @@ def _matrix():
 
 
 def _f4(um, pair, bins=10):
-    """One pair's f4 slots from `f4_table`."""
-    slots, missing = f4_table(um, [pair], bins)[pair]
-    assert missing is False
+    """One measured pair's f4 slots from `f4_table`."""
+    slots = f4_table(um, [pair], bins)[pair]
+    assert np.count_nonzero(slots[9:]) == 9
     return slots
 
 
@@ -231,8 +231,10 @@ class TestF4TableReference:
         pairs = pair_universe(ids)
         table = f4_table(um, [pairs[i] for i in rng.permutation(len(pairs))], bins)
         assert set(table) == set(pairs)
-        for pair, (slots, missing) in table.items():
-            assert missing is ("T9998" in pair or "T9999" in pair), pair
+        for pair, slots in table.items():
+            missing = "T9998" in pair or "T9999" in pair
+            # One hot bin per measure, or none: what `FeatureRows.f4_missing` reads.
+            assert np.count_nonzero(slots[9:]) == (0 if missing else 9), pair
             want = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
             assert slots.tobytes() == want.tobytes(), pair
 

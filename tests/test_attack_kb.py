@@ -180,10 +180,10 @@ class TestUsageMatrix:
         assert um.techniques == ("T1204", "T1566") == catalog.technique_ids
         # Column order follows the sorted catalog: T1204 first, T1566 second.
         assert np.array_equal(um.cells, np.array([[1, 1], [1, 0]], dtype=np.int8))
-        assert um.cells[0, um.technique_index("T1566")] == 1
-        assert um.cells[0, um.technique_index("T1204")] == 1
-        assert um.cells[1, um.technique_index("T1566")] == 0
-        assert um.cells[1, um.technique_index("T1204")] == 1
+        assert um.cells[0, um.techniques.index("T1566")] == 1
+        assert um.cells[0, um.techniques.index("T1204")] == 1
+        assert um.cells[1, um.techniques.index("T1566")] == 0
+        assert um.cells[1, um.techniques.index("T1204")] == 1
         assert um.skipped_unknown == 0
 
     def test_subtechnique_usage_sets_parent_column(self):
@@ -192,7 +192,7 @@ class TestUsageMatrix:
         group = actor("G0001")
         data = bundle(parent, sub, group, uses(group, sub))
         _, um = parse_stix(data)
-        assert um.cells[0, um.technique_index("T1566")] == 1
+        assert um.cells[0, um.techniques.index("T1566")] == 1
 
     def test_unresolvable_target_skipped_and_counted(self):
         tech = attack_pattern("T1566", "Phishing")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    EMPTY_USAGE,
     make_rows,
     random_prediction,
     random_report,
@@ -101,7 +102,7 @@ class TestBuildFeatureVector:
 
     def test_shape_and_stamp(self):
         rows = report_rows(
-            REPORT, _prediction(techniques=("T1566", "T1204")), um=None
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=EMPTY_USAGE
         )
         assert rows.values.shape == (2, 152)
         assert rows.layout == FeatureLayout(bins=10)
@@ -116,7 +117,7 @@ class TestBuildFeatureVector:
                 "T1204": (0.97, 0.0, 0.0, 0.0, 0.0),
             },
         )
-        values, _ = _row(report_rows(REPORT, pred, um=None), "T1566", "T1204")
+        values, _ = _row(report_rows(REPORT, pred, um=EMPTY_USAGE), "T1566", "T1204")
         np.testing.assert_array_equal(values[:5], [1.0, 0.8, 0.1, 0.0, 0.0])
         np.testing.assert_array_equal(values[5:10], [0.97, 0.0, 0.0, 0.0, 0.0])
 
@@ -131,8 +132,8 @@ class TestBuildFeatureVector:
                 "T1204": (0.9, 0.2, 0.0, 0.0, 0.0),
             },
         )
-        assert len(report_rows(REPORT, pred, um=None)) == 0
-        values, _ = pair_vector_oracle(REPORT, ("T1566", "T1204"), pred, um=None)
+        assert len(report_rows(REPORT, pred, um=EMPTY_USAGE)) == 0
+        values, _ = pair_vector_oracle(REPORT, ("T1566", "T1204"), pred, um=EMPTY_USAGE)
         assert values[0] == 1.0
         np.testing.assert_array_equal(values[5:10], np.zeros(5))
 
@@ -142,7 +143,7 @@ class TestBuildFeatureVector:
             techniques=("T1566", "T1204"),
             hits={"T1566": (0,), "T1204": (1,)},
         )
-        values, _ = _row(report_rows(REPORT, pred, um=None), "T1566", "T1204")
+        values, _ = _row(report_rows(REPORT, pred, um=EMPTY_USAGE), "T1566", "T1204")
         # "then" opens sentence 1: a before-marker on the ty side.
         assert values[layout.index("f1.ty_before")] == 1.0
         assert values[layout.index("f2.adj_0")] == 1.0
@@ -158,8 +159,9 @@ class TestBuildFeatureVector:
         )
 
     def test_f4_missing_without_matrix(self):
+        # A matrix with neither actors nor techniques.
         rows = report_rows(
-            REPORT, _prediction(techniques=("T1566", "T1204")), um=None
+            REPORT, _prediction(techniques=("T1566", "T1204")), um=EMPTY_USAGE
         )
         assert rows.f4_missing.tolist() == [True, True]
         assert rows.values[:, 53:].sum() == 0.0
@@ -187,7 +189,7 @@ class TestBuildFeatureVector:
     def test_self_pair_rejected(self):
         # The pair universe holds no self-pair, so no row ever is one.
         rows = report_rows(
-            REPORT, _prediction(techniques=("T1566", "T1204", "T1560")), um=None
+            REPORT, _prediction(techniques=("T1566", "T1204", "T1560")), um=EMPTY_USAGE
         )
         assert len(rows) == 6
         assert all(key.tx != key.ty for key in rows)
@@ -239,9 +241,9 @@ class TestBuildReportFeatures:
         for case in range(12):
             report = random_report(rng, f"r{case}", n_sentences=(3, 60))
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
-            um = _um() if case % 3 else None
+            um = _um() if case % 3 else EMPTY_USAGE
             wv = random_word_vectors(rng) if case % 4 else None
-            if um is not None and case % 2:
+            if case % 3 and case % 2:
                 rows = build_report_features(report, pred, wv=wv, layout=layout, f4=corpus_f4)
             else:
                 rows = report_rows(report, pred, um=um, wv=wv)
@@ -282,7 +284,7 @@ class TestStageFeaturesOracle:
         predictions = [
             random_prediction(rng, r, *tids, n_hits=(8, 30)) for r in reports
         ]
-        um = _um() if with_usage else None
+        um = _um() if with_usage else EMPTY_USAGE
         rows = stage_features(um, reports, predictions, str(tmp_path / "f.csv"))
         assert all(coref_links_oracle(r) for r in reports)
         assert len(rows) > 40
@@ -326,7 +328,7 @@ class TestMirrorInvariants:
         for case in range(50):
             report = random_report(rng, f"r{case:02d}")
             pred = random_prediction(rng, report, "T1566", "T1204")
-            use_um = um if case % 2 == 0 else None
+            use_um = um if case % 2 == 0 else EMPTY_USAGE
             checked += _assert_mirror_invariants(
                 report_rows(report, pred, um=use_um), layout
             )
@@ -340,25 +342,23 @@ def _empty(layout):
 class TestCsvRoundTrip:
     def _rows(self):
         rng = np.random.default_rng(3)
-        values, f4_missing = [], []
+        values = []
         for k in range(4):
             report = random_report(rng, f"r{k}")
             pred = random_prediction(rng, report, "T1566", "T1204")
-            row, missing = pair_vector_oracle(
-                report, ("T1566", "T1204"), pred, um=_um() if k % 2 else None
+            row, _ = pair_vector_oracle(
+                report, ("T1566", "T1204"), pred, um=_um() if k % 2 else EMPTY_USAGE
             )
             values.append(row)
-            f4_missing.append(missing)
         # Exercise awkward float values through repr round-tripping.
         noisy = values[0].copy()
         noisy[10] = 0.1 + 0.2
         noisy[11] = 1e-17
         noisy[12] = 123456.789012345
         values.append(noisy)
-        f4_missing.append(True)
         return make_rows(
             values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204",
-            layout=FeatureLayout(bins=10), f4_missing=f4_missing,
+            layout=FeatureLayout(bins=10),
         )
 
     def test_bit_exact_round_trip(self):
@@ -380,7 +380,6 @@ class TestCsvRoundTrip:
             tx=["T1566", "T\r1566", "T1566", "T1566", "\r"],
             ty=["T1204", "T1204", "T1204\r", "T1204", "\r\n"],
             layout=base.layout,
-            f4_missing=base.f4_missing,
         )
         text = features_to_csv(rows)
         lines = text.split("\n")
@@ -408,7 +407,6 @@ class TestCsvRoundTrip:
             tx=[key.tx for key in rows] + ["T1204"],
             ty=[key.ty for key in rows] + ["T1566"],
             layout=layout,
-            f4_missing=rows.f4_missing.tolist() + [False],
         )
         lines = features_to_csv(rows).splitlines()[1:]
         assert len(lines) == len(rows)
@@ -435,7 +433,6 @@ class TestCsvRoundTrip:
             tx="T1566",
             ty=["T,1204"] * len(ids) + ["T1204"] * len(base),
             layout=layout,
-            f4_missing=[bool(k % 2) for k in range(len(ids))] + base.f4_missing.tolist(),
         )
         assert features_to_csv(rows) == features_to_csv_oracle(rows)
         first = rows.take([0])
@@ -499,6 +496,21 @@ class TestCsvBadRows:
             cells[3] = flag
             bad = [*lines[:2], ",".join(cells), *lines[3:]]
             with pytest.raises(ValueError, match=rf"features\.csv:3: f4_missing is '{flag}', not 0 or 1$"):
+                self._read(tmp_path, bad)
+
+    def test_flag_disagrees_with_f4_bins(self, tmp_path):
+        # Rows r0 (line 2) and r1 (line 3): a pair without and one with
+        # f4 measures.
+        _, lines = self._lines()
+        assert [line.split(",")[3] for line in lines[1:3]] == ["1", "0"]
+        for line, flag, why in ((1, "0", "are all zero"), (2, "1", "hold a hot bin")):
+            cells = lines[line].split(",")
+            cells[3] = flag
+            bad = [*lines[:line], ",".join(cells), *lines[line + 1 :]]
+            with pytest.raises(
+                ValueError,
+                match=rf"features\.csv:{line + 1}: f4_missing is {flag}, but the f4 bin slots {why}$",
+            ):
                 self._read(tmp_path, bad)
 
     def test_unparsable_value(self, tmp_path):

@@ -225,11 +225,6 @@ class TestReports:
         with pytest.raises(CorpusError, match="not found"):
             load_reports(tmp_path / "nope")
 
-    def test_make_report_carries_metadata(self):
-        report = make_report("r9", "Something ran.", source_uri="file:r9")
-        assert report.report_id == "r9"
-        assert report.source_uri == "file:r9"
-
 
 class TestPairUniverse:
     def test_ordered_pairs_without_diagonal(self):

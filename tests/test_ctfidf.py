@@ -20,7 +20,6 @@ from ttpmine.ctfidf import (
     model_from_dict,
     model_to_dict,
     predict_report,
-    predict_sentence,
     score_sentences,
     train_ctfidf,
 )
@@ -115,29 +114,34 @@ class TestTraining:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _scores(model, tokens) -> dict[str, float]:
+    """One token list's scores per class, from `score_sentences`."""
+    return dict(zip(model.class_ids, score_sentences(model, [tokens])[0].tolist()))
+
+
 class TestSentencePrediction:
     def test_pure_class_sentence_scores_one(self):
         model = train_ctfidf(DISJOINT)
-        scores = predict_sentence(model, ["spearphishing", "lure"]).scores
+        scores = _scores(model, ["spearphishing", "lure"])
         assert scores["T1"] == 1.0
         assert scores["T2"] == 0.0
 
     def test_empty_and_oov_score_zero(self):
         model = train_ctfidf(DISJOINT)
-        assert set(predict_sentence(model, []).scores.values()) == {0.0}
-        assert set(predict_sentence(model, ["zzz"]).scores.values()) == {0.0}
+        assert set(_scores(model, []).values()) == {0.0}
+        assert set(_scores(model, ["zzz"]).values()) == {0.0}
 
     def test_mixed_sentence_top_class_exactly_one(self):
         model = train_ctfidf(DISJOINT)
         tokens = ["lure", "lure", "attachment", "subnet"]
-        scores = predict_sentence(model, tokens).scores
+        scores = _scores(model, tokens)
         assert scores["T1"] == 1.0
         assert 0.0 < scores["T2"] < 1.0
 
     def test_scores_within_unit_interval(self):
         model = train_ctfidf(DISJOINT)
         for tokens in (["lure"], ["subnet", "lure"], ["ports", "sweep", "lure"]):
-            scores = predict_sentence(model, tokens).scores
+            scores = _scores(model, tokens)
             assert all(0.0 <= v <= 1.0 for v in scores.values())
             assert max(scores.values()) == 1.0
 
@@ -225,8 +229,8 @@ class TestSerialization:
         again = load_ctfidf_model(str(path))
         tokens = ["lure", "subnet", "ports"]
         assert (
-            predict_sentence(again, tokens).scores
-            == predict_sentence(model, tokens).scores
+            _scores(again, tokens)
+            == _scores(model, tokens)
         )
         assert again.class_ids == model.class_ids
         assert again.vocab == model.vocab
@@ -395,5 +399,5 @@ class TestBatchScoringOracle:
         lists = [["lure", "subnet"], ["ports"], [], ["zzz", "lure", "lure"]]
         matrix = score_sentences(model, lists)
         for tokens, row in zip(lists, matrix):
-            scores = predict_sentence(model, iter(tokens)).scores
+            scores = _scores(model, tokens)
             assert list(scores.values()) == row.tolist()

@@ -91,24 +91,29 @@ class TestCascade:
         )
 
 
+def _every_link(report):
+    """`coref_links` among every sentence of the report."""
+    return coref_links(report, range(len(report.sentences)))
+
+
 class TestCorefLinks:
     def test_opening_pronoun_links_to_nearest_noun(self):
         report = make_report(
             "r1", "The dropper wrote a file. It executed the payload."
         )
-        assert (0, 1) in coref_links(report)
+        assert (0, 1) in _every_link(report)
 
     def test_definite_reference_links(self):
         report = make_report(
             "r1", "A macro launched the stager. The macro deleted itself."
         )
-        assert (0, 1) in coref_links(report)
+        assert (0, 1) in _every_link(report)
 
     def test_definite_reference_plural_insensitive(self):
         report = make_report(
             "r1", "Several beacons connected out. The beacon list grew."
         )
-        assert (0, 1) in coref_links(report)
+        assert (0, 1) in _every_link(report)
 
     def test_window_limit_enforced(self):
         report = make_report(
@@ -119,7 +124,7 @@ class TestCorefLinks:
             "Quiet held.\n"
             "The beacon reconnected.",
         )
-        links = coref_links(report)
+        links = _every_link(report)
         assert (0, 4) not in links
         assert all(j - i <= COREF_WINDOW for i, j in links)
 
@@ -127,7 +132,7 @@ class TestCorefLinks:
         report = make_report(
             "r1", "A beacon connected out. Analysts reviewed logs."
         )
-        assert coref_links(report) == frozenset()
+        assert _every_link(report) == frozenset()
 
     def test_pronoun_beyond_first_four_tokens_ignored(self):
         report = make_report(
@@ -135,7 +140,7 @@ class TestCorefLinks:
             "The loader fetched a module. Defenders later confirmed analysts "
             "had flagged it.",
         )
-        links = coref_links(report)
+        links = _every_link(report)
         assert (0, 1) not in links
 
     def test_links_are_forward_ordered(self):
@@ -143,7 +148,7 @@ class TestCorefLinks:
             "r1",
             "The implant slept. It woke at nine. The implant then phoned home.",
         )
-        for i, j in coref_links(report):
+        for i, j in _every_link(report):
             assert 0 <= i < j
 
 
@@ -190,35 +195,35 @@ class TestCorefOracle:
             "Two buss ran.\nThe bus stopped.",
         ):
             report = make_report("r1", text)
-            assert coref_links(report) == coref_links_oracle(report) == {(0, 1)}, text
+            assert _every_link(report) == coref_links_oracle(report) == {(0, 1)}, text
         # Only a final "s" is added or dropped: "es" plurals do not match.
         report = make_report("r1", "A process ran.\nThe processes stopped.")
-        assert coref_links(report) == coref_links_oracle(report) == frozenset()
+        assert _every_link(report) == coref_links_oracle(report) == frozenset()
 
     def test_head_ending_in_s_drops_only_its_last_s(self):
         report = make_report("r1", "The bu ran.\nThe bus stopped.")
-        assert coref_links(report) == coref_links_oracle(report) == {(0, 1)}
+        assert _every_link(report) == coref_links_oracle(report) == {(0, 1)}
         report = make_report(
             "r1", "The processe ran.\nA proc stopped.\nThe process ended."
         )
-        assert coref_links(report) == coref_links_oracle(report) == frozenset()
+        assert _every_link(report) == coref_links_oracle(report) == frozenset()
 
     def test_random_reports_equal_link_sets(self):
         rng = np.random.default_rng(20261018)
         for case in range(40):
             report = _coref_report(rng, f"c{case}", int(rng.integers(1, 40)))
-            assert coref_links(report) == coref_links_oracle(report), case
+            assert _every_link(report) == coref_links_oracle(report), case
 
     def test_long_report_equal_link_sets(self):
         rng = np.random.default_rng(3)
         report = _coref_report(rng, "long", 250)
-        links = coref_links(report)
+        links = _every_link(report)
         assert len(links) > 50
         assert links == coref_links_oracle(report)
 
     def test_single_sentence_report_has_no_links(self):
         report = make_report("r1", "The tools ran then it stopped.")
-        assert coref_links(report) == coref_links_oracle(report) == frozenset()
+        assert _every_link(report) == coref_links_oracle(report) == frozenset()
 
 
 def _links_among(whole, among):
@@ -247,7 +252,7 @@ class TestCorefAmong:
         for report in reports:
             n = len(report.sentences)
             whole = coref_links_oracle(report)
-            assert coref_links(report) == coref_links(report, range(n)) == whole
+            assert coref_links(report, range(n)) == whole
             for among in _subsets(rng, n, 20):
                 assert coref_links(report, among) == _links_among(whole, among), (
                     report.report_id, among,
@@ -271,7 +276,7 @@ class TestCorefAmong:
         report = make_report(
             "r1", "The dropper wrote a file.\nThe loader ran.\nIt executed."
         )
-        assert coref_links(report) == coref_links_oracle(report) == {(1, 2)}
+        assert _every_link(report) == coref_links_oracle(report) == {(1, 2)}
         assert coref_links(report, [0, 2]) == frozenset()
         assert coref_links(report, [1, 2]) == {(1, 2)}
 
@@ -294,7 +299,7 @@ class TestCorefAmong:
 
     def test_empty_among(self):
         report = _coref_report(np.random.default_rng(9), "empty", 20)
-        assert coref_links(report)
+        assert _every_link(report)
         assert coref_links(report, []) == coref_links(report, set()) == frozenset()
 
     @pytest.mark.parametrize("bad", [-1, 5, 99])
@@ -312,7 +317,7 @@ class TestDiscourseFeatures:
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        links = coref_links(report)
+        links = _every_link(report)
         assert (0, 1) in links
         out = discourse_features(report, [0], [1], links)
         assert out.shape == (F3_SIZE,)
@@ -326,14 +331,14 @@ class TestDiscourseFeatures:
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        out = discourse_features(report, [0], [], coref_links(report))
+        out = discourse_features(report, [0], [], _every_link(report))
         assert np.array_equal(out, np.zeros(F3_SIZE))
 
     def test_reversed_direction_still_straddles(self):
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        links = coref_links(report)
+        links = _every_link(report)
         forward = discourse_features(report, [0], [1], links)
         backward = discourse_features(report, [1], [0], links)
         assert np.array_equal(forward, backward)
@@ -345,7 +350,7 @@ class TestDiscourseFeatures:
             "Separate activity continued.\n"
             "The mirror host answered slowly.",
         )
-        links = coref_links(report)
+        links = _every_link(report)
         assert (0, 2) in links
         out = discourse_features(report, [0], [2], links)
         assert out[:5].sum() == 0.0  # not adjacent
@@ -369,7 +374,7 @@ class TestDiscourseOracle:
         for case in range(60):
             n = int(rng.integers(1, 40))
             report = _coref_report(rng, f"d{case}", n)
-            links = coref_links(report)
+            links = _every_link(report)
             for _ in range(6):
                 tx = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
                 ty = [int(i) for i in rng.choice(n, size=int(rng.integers(0, 4)))]
@@ -379,7 +384,7 @@ class TestDiscourseOracle:
     def test_first_and_last_sentence(self):
         rng = np.random.default_rng(11)
         report = _coref_report(rng, "edges", 12)
-        links = coref_links(report)
+        links = _every_link(report)
         last = len(report.sentences) - 1
         for tx, ty in (
             ([0], [1]), ([1], [0]), ([last], [last - 1]), ([last - 1], [last]),
@@ -391,9 +396,9 @@ class TestDiscourseOracle:
         report = make_report("one", "The tool ran then it stopped.")
         assert len(report.sentences) == 1
         for tx, ty in (([0], [0]), ([0], []), ([], [0]), ([], [])):
-            out = _assert_f3_matches_oracle(report, tx, ty, coref_links(report))
+            out = _assert_f3_matches_oracle(report, tx, ty, _every_link(report))
             assert not out.any()
         report = _coref_report(np.random.default_rng(5), "empty", 20)
-        links = coref_links(report)
+        links = _every_link(report)
         for tx, ty in (([], []), ([3], []), ([], [3])):
             assert not _assert_f3_matches_oracle(report, tx, ty, links).any()

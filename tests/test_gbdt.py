@@ -32,7 +32,6 @@ from ttpmine.gbdt.tree import (
     fit_tree,
     grid_residuals,
     predict_tree,
-    remap_tree_features,
     tree_max_feature,
 )
 from ttpmine.corpus import load_annotations
@@ -51,7 +50,9 @@ def _fit(X, residuals, hessians, max_depth):
     """fit_tree on freshly binned X, checking its per-row leaf values
     against predict_tree bit for bit."""
     X = np.asarray(X, dtype=np.float64)
-    tree, values = fit_tree(bin_columns(X), residuals, hessians, max_depth)
+    tree, values = fit_tree(
+        bin_columns(X, np.arange(X.shape[1])), residuals, hessians, max_depth
+    )
     np.testing.assert_array_equal(values, predict_tree(tree, X))
     return tree
 
@@ -185,7 +186,8 @@ class TestExactSplitOracle:
             X, r, h = _oracle_case(kind, rng)
             size = int(rng.integers(2, X.shape[0]))
             rows = np.sort(rng.choice(X.shape[0], size=size, replace=False))
-            tree, values = fit_tree(bin_columns(X).take(rows), r[rows], h[rows], 3)
+            binned = bin_columns(X, np.arange(X.shape[1]))
+            tree, values = fit_tree(binned.take(rows), r[rows], h[rows], 3)
             assert tree == exact_tree_oracle(X[rows], r[rows], h[rows], 3)
             np.testing.assert_array_equal(values, predict_tree(tree, X[rows]))
 
@@ -269,18 +271,21 @@ class TestFitTree:
         X = np.array([[9.0, 0.0], [9.0, 1.0], [9.0, 0.5]])
         np.testing.assert_array_equal(predict_tree(tree, X), [-1.0, 3.0, -1.0])
 
-    def test_remap_and_max_feature(self):
-        tree = {
-            "feature": 0,
-            "threshold": 0.5,
-            "left": {"value": -1.0},
-            "right": {"feature": 2, "threshold": 1.0, "left": {"value": 0.0}, "right": {"value": 1.0}},
-        }
-        mapping = np.array([10, 40, 53])
-        remapped = remap_tree_features(tree, mapping)
-        assert remapped["feature"] == 10
-        assert remapped["right"]["feature"] == 53
-        assert tree_max_feature(remapped) == 53
+    def test_splits_name_binned_slots_and_max_feature(self):
+        # Binning only slots 10, 40 and 53 of a wider matrix: each split
+        # names its slot, and the tree evaluates on the whole matrix.
+        rng = np.random.default_rng(12)
+        X = np.round(rng.random((40, 60)), 1)
+        residuals = X[:, 53] - X[:, 10] + 0.5 * X[:, 40] - X[:, 7]
+        binned = bin_columns(X, [10, 40, 53])
+        tree, values = fit_tree(binned, residuals, np.full(40, 0.25), 3)
+        local, _ = fit_tree(
+            bin_columns(X[:, [10, 40, 53]], np.arange(3)), residuals, np.full(40, 0.25), 3
+        )
+        assert tree_features(tree) == {[10, 40, 53][f] for f in tree_features(local)}
+        assert tree_features(tree) >= {10, 53}
+        np.testing.assert_array_equal(values, predict_tree(tree, X))
+        assert tree_max_feature(tree) == max(tree_features(tree))
         assert tree_max_feature({"value": 1.0}) == -1
 
 
@@ -332,6 +337,10 @@ def _random_training_data(rng, n_rows, n_features):
     return make_rows(values, report_ids=[f"r{k:02d}" for k in range(n_rows)]), labels
 
 
+def _null_only(labels) -> np.ndarray:
+    return np.array([set(labs) == {NULL} for labs in labels], dtype=bool)
+
+
 class TestDownsampling:
     LABELS = [
         frozenset({NULL}),
@@ -346,8 +355,8 @@ class TestDownsampling:
     def test_cap_and_determinism(self):
         y = np.array([1.0 if BEFORE in labs else 0.0 for labs in self.LABELS])
         config = TrainConfig(negative_downsample_ratio=1.0, seed=3)
-        rows = _downsample_rows(0, self.LABELS, y, config)
-        again = _downsample_rows(0, self.LABELS, y, config)
+        rows = _downsample_rows(0, _null_only(self.LABELS), y, config)
+        again = _downsample_rows(0, _null_only(self.LABELS), y, config)
         np.testing.assert_array_equal(rows, again)
         assert {2, 4} <= set(rows.tolist())  # positives always kept
         # 2 positives at ratio 1.0 keep at most 2 of the 5 NULL-only rows.
@@ -356,7 +365,7 @@ class TestDownsampling:
 
     def test_generous_ratio_keeps_everything(self):
         y = np.array([1.0 if BEFORE in labs else 0.0 for labs in self.LABELS])
-        rows = _downsample_rows(0, self.LABELS, y, TrainConfig())
+        rows = _downsample_rows(0, _null_only(self.LABELS), y, TrainConfig())
         np.testing.assert_array_equal(rows, np.arange(len(self.LABELS)))
 
     def test_label_index_changes_sample(self):
@@ -364,8 +373,8 @@ class TestDownsampling:
         y = np.zeros(41)
         y[40] = 1.0
         config = TrainConfig(negative_downsample_ratio=5.0, seed=0)
-        a = _downsample_rows(0, labels, y, config)
-        b = _downsample_rows(1, labels, y, config)
+        a = _downsample_rows(0, _null_only(labels), y, config)
+        b = _downsample_rows(1, _null_only(labels), y, config)
         assert len(a) == len(b) == 6
         assert not np.array_equal(a, b)
 
@@ -373,7 +382,7 @@ class TestDownsampling:
         labels = [frozenset({NULL})] * 30 + [frozenset({BEFORE, SIMULTANEOUS_OVERLAP})]
         y = np.zeros(31)
         y[30] = 1.0
-        rows = _downsample_rows(0, labels, y, TrainConfig(negative_downsample_ratio=1.0))
+        rows = _downsample_rows(0, _null_only(labels), y, TrainConfig(negative_downsample_ratio=1.0))
         assert 30 in rows.tolist()
         assert len(rows) == 2
 
@@ -693,7 +702,7 @@ class TestPerLabelOracle:
         y_before[:6] = 1.0
         labels = [frozenset({BEFORE})] * 6 + [frozenset({NULL})] * (n - 6)
         config = TrainConfig(trees=10, max_depth=3, negative_downsample_ratio=2.0)
-        rows = _downsample_rows(0, labels, y_before, config)
+        rows = _downsample_rows(0, _null_only(labels), y_before, config)
         X = np.round(rng.random((n, 4)), 1)
         X[:, 0] = 1.0
         outside = np.setdiff1d(np.arange(n), rows)

@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     E2E_DIR,
+    EMPTY_USAGE,
     e2e_config_dict,
     random_prediction,
     random_report,
@@ -68,7 +69,7 @@ class TestFullUniverseOracle:
     @pytest.mark.parametrize("with_usage", [True, False])
     def test_seeded_reports(self, e2e_kb, tmp_path, with_usage):
         model, usage = e2e_kb
-        usage = usage if with_usage else None
+        usage = usage if with_usage else EMPTY_USAGE
         rng = np.random.default_rng(20261019)
         reports = [
             random_report(rng, f"s{k:02d}", n_sentences=(3, 30)) for k in range(10)

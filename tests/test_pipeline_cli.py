@@ -142,7 +142,7 @@ class TestRunPipeline:
         _, out_dir, _ = pipeline_out
         rows = load_features(str(out_dir / "features.csv"))
         coarse = FeatureRows(
-            rows.keys, np.zeros((len(rows), 107)), rows.f4_missing, FeatureLayout(bins=5)
+            rows.keys, np.zeros((len(rows), 107)), FeatureLayout(bins=5)
         )
         model = load_relation_model(str(out_dir / "relations.json"))
         with pytest.raises(ValueError, match="v1-bins5 .* does not match the model"):
@@ -724,6 +724,45 @@ class TestMalformedArtifacts:
             argv, f"{sidecar}: malformed features sidecar: TypeError: ", capsys
         )
 
+    def _format_2(self, source, dest, wrapper):
+        """`source` with its payload's format_version rewritten to "2"."""
+        payload = json.loads(source.read_text(encoding="utf-8"))
+        payload[wrapper]["format_version"] = "2"
+        write_json(str(dest), payload)
+
+    def test_model_of_another_format(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "relations.json"
+        self._format_2(cli_dir / "relations.json", bad, "model")
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: ValueError: ensemble format '2' is not '1'\n",
+            capsys,
+        )
+
+    def test_classifier_of_another_format(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "ctfidf.json"
+        self._format_2(cli_dir / "kb" / "ctfidf.json", bad, "model")
+        argv = ["classify", "--model", str(bad), "--reports", REPORTS,
+                "--out", str(tmp_path / "c.jsonl")]
+        self._assert_fails(
+            argv,
+            f"{bad}: malformed classifier model: ValueError: classifier format '2' is not '1'\n",
+            capsys,
+        )
+
+    def test_catalog_of_another_format(self, cli_dir, tmp_path, capsys):
+        kb = tmp_path / "kb"
+        kb.mkdir()
+        bad = kb / "catalog.json"
+        self._format_2(cli_dir / "kb" / "catalog.json", bad, "catalog")
+        argv = ["corpus", "validate", "--reports", REPORTS,
+                "--annotations", ANNOTATIONS, "--kb", str(kb)]
+        self._assert_fails(
+            argv,
+            f"{bad}: malformed kb catalog: ValueError: catalog format '2' is not '1'\n",
+            capsys,
+        )
+
     def test_prediction_without_ty(self, cli_dir, tmp_path, capsys):
         lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
@@ -955,6 +994,22 @@ class TestBadConfigFiles:
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
             "ValueError: trees must be int, got 'a'"
+        )
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("threshold", 0, "threshold must be in (0, 1], got 0"),
+            ("threshold", 1.5, "threshold must be in (0, 1], got 1.5"),
+            ("min_examples", 0, "min_examples must be >= 1, got 0"),
+            ("bins", 0, "bins must be >= 1, got 0"),
+            ("min_support", -1, "min_support must be >= 1, got -1"),
+        ],
+    )
+    def test_run_config_out_of_range(self, tmp_path, capsys, field, value, message):
+        # Refused before any stage runs: `_run` checks no output exists.
+        assert self._run(tmp_path, capsys, self._config(tmp_path, **{field: value})) == (
+            f"ttpmine run: error: <file>: malformed pipeline config: ValueError: {message}"
         )
 
     def test_run_config_train_not_an_object(self, tmp_path, capsys):
