@@ -94,6 +94,28 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
+def _positive_int(value: str) -> int:
+    """Argparse type for a count: an int of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _threshold(value: str) -> float:
+    """Argparse type for a detection threshold: a float in (0, 1]."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not 0.0 < number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {number}")
+    return number
+
+
 def _split_csv(value: str | None) -> list[str] | None:
     if value is None:
         return None
@@ -390,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="output directory for kb artifacts")
     b.add_argument(
         "--min-examples",
-        type=int,
+        type=_positive_int,
         default=20,
         help="minimum procedure examples per technique class (default 20)",
     )
@@ -409,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", required=True, help="directory of report .txt files")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_threshold,
         default=DEFAULT_THRESHOLD,
         help=f"sentence detection threshold (default {DEFAULT_THRESHOLD})",
     )
@@ -430,12 +452,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", help="word vector text file for similarity features")
     p.add_argument(
         "--threshold",
-        type=float,
+        type=_threshold,
         default=DEFAULT_THRESHOLD,
         help=f"sentence detection threshold (default {DEFAULT_THRESHOLD})",
     )
     p.add_argument(
-        "--bins", type=int, default=10, help="histogram bins per measure (default 10)"
+        "--bins",
+        type=_positive_int,
+        default=10,
+        help="histogram bins per measure (default 10)",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_features)
@@ -472,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True, help="prediction JSONL")
     p.add_argument(
         "--min-support",
-        type=int,
+        type=_positive_int,
         default=2,
         help="minimum distinct reports per pattern (default 2)",
     )
@@ -489,9 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out-dir", help="override config out_dir")
-    p.add_argument("--threshold", type=float, help="override config threshold")
-    p.add_argument("--bins", type=int, help="override config bins")
-    p.add_argument("--min-support", type=int, help="override config min_support")
+    p.add_argument("--threshold", type=_threshold, help="override config threshold")
+    p.add_argument("--bins", type=_positive_int, help="override config bins")
+    p.add_argument(
+        "--min-support", type=_positive_int, help="override config min_support"
+    )
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -15,6 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 from .labels import ALL_LABELS, NULL, SYMMETRIC_LABELS
 from .stopwords import STOPWORDS
@@ -28,8 +29,15 @@ class AnnotationError(ValueError):
     """Raised for invalid relation annotation lines."""
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
+    """One sentence of a report: its position, its text with whitespace
+    collapsed, and its tokens.
+
+    A named tuple, so it is immutable and cheap to build. The ``index``
+    field shadows ``tuple.index``: ``sentence.index`` is the position in
+    the report, never the tuple method.
+    """
+
     index: int
     text: str
     tokens: tuple[str, ...]
@@ -56,13 +64,18 @@ class RelationAnnotation:
         return (self.tx, self.ty)
 
 
-# Sentence boundary: terminal punctuation, then whitespace, then an
-# uppercase letter. Interior dots with no following whitespace
-# (Updater.vbs, rundll32.exe, 3.5) never match.
-_BOUNDARY = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
+# Sentence boundary inside a line: terminal punctuation, then a run of
+# whitespace other than "\n", then an uppercase letter; the match is the
+# run. Interior dots with no following whitespace (Updater.vbs,
+# rundll32.exe, 3.5) never match. The pattern starts with the run's first
+# character, not with the lookbehind, so the regex engine only tries a
+# match at whitespace instead of at every position.
+_BOUNDARY = re.compile(r"[^\S\n](?<=[.!?][^\S\n])[^\S\n]*(?=[A-Z])")
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]+")
 # Every ASCII character outside [a-z0-9._-] and "\n" becomes a space.
+# Every mapping is one character to one character, which keeps
+# str.translate on its fast path.
 _BLANK_ASCII = str.maketrans(
     {
         c: " "
@@ -70,6 +83,10 @@ _BLANK_ASCII = str.maketrans(
         if chr(c) not in "abcdefghijklmnopqrstuvwxyz0123456789._-\n"
     }
 )
+# Marks a line end in the token stream. It is a token of its own, because
+# str.split does not split on it, and it cannot come from the text,
+# because _BLANK_ASCII blanks every "\x00" first.
+_LINE_END = "\x00"
 
 
 def tokenize(text: str) -> list[str]:
@@ -89,24 +106,22 @@ def tokenize_texts(texts: Sequence[str]) -> Iterator[tuple[str, ...]]:
     is blanked, because lowercasing turns some non-ASCII characters into
     ASCII ones (the Kelvin sign becomes "k"). Non-ASCII characters left
     after that become spaces, then so does every ASCII character outside
-    [a-z0-9._-] except "\\n", and each line is split into its tokens.
-    The token tuples are made as they are consumed, so a caller that only
-    counts them never holds them all.
+    [a-z0-9._-], and each "\\n" becomes a line-end token. The edge strip
+    and the empty and stopword filters then run once over the whole token
+    stream, and the kept tokens are regrouped at the line ends. All kept
+    tokens are held at once; only the per-line tuples are made as they
+    are consumed.
     """
     joined = "\n".join(texts)
     one_line_each = joined.count("\n") == len(texts) - 1
     text = joined.lower()
     if not text.isascii():
         text = _NON_ASCII.sub(" ", text)
-    lines = (
-        tuple(
-            filterfalse(
-                STOPWORDS.__contains__,
-                filter(None, map(str.strip, line.split(), repeat("._-"))),
-            )
-        )
-        for line in text.translate(_BLANK_ASCII).split("\n")
+    words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
+    kept = filterfalse(
+        STOPWORDS.__contains__, filter(None, map(str.strip, words, repeat("._-")))
     )
+    lines = map(tuple, map(str.split, " ".join(kept).split(_LINE_END)))
     if one_line_each:
         return lines
     # Some text holds "\n" and so spans several lines (or there is none).
@@ -123,43 +138,35 @@ def split_sentences(text: str) -> list[str]:
     line the split needs terminal punctuation followed by whitespace and
     an uppercase letter, so dots inside tokens survive. Interior
     whitespace is collapsed to single spaces; empty pieces are dropped.
+    Each in-line boundary becomes a "\\n" in one substitution over the
+    whole text, so one split gives every piece.
     """
-    pieces: list[str] = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        for piece in _BOUNDARY.split(line):
-            piece = " ".join(piece.split())
-            if piece:
-                pieces.append(piece)
-    return pieces
+    lines = _BOUNDARY.sub("\n", text).split("\n")
+    return list(filter(None, map(" ".join, map(str.split, lines))))
 
 
-def segment_sentences(text: str) -> list[Sentence]:
+def segment_sentences(text: str) -> tuple[Sentence, ...]:
     """`split_sentences`, the pieces tokenized together in one pass, with
     document-order indices."""
     pieces = split_sentences(text)
-    return [
-        Sentence(index=i, text=piece, tokens=tokens)
-        for i, (piece, tokens) in enumerate(zip(pieces, tokenize_texts(pieces)))
-    ]
+    return tuple(map(Sentence, range(len(pieces)), pieces, tokenize_texts(pieces)))
 
 
 def make_report(report_id: str, text: str) -> Report:
-    return Report(report_id=report_id, sentences=tuple(segment_sentences(text)))
+    return Report(report_id=report_id, sentences=segment_sentences(text))
 
 
 def load_reports(directory: str | Path) -> list[Report]:
     """Load one report per ``*.txt`` file (filename stem = report id),
-    sorted by id."""
+    sorted by id. Files are read as UTF-8; a byte order mark at the start
+    is dropped, so it never reaches the first sentence."""
     root = Path(directory)
     if not root.is_dir():
         raise CorpusError(f"report directory not found: {root}")
     reports = []
     for path in sorted(root.glob("*.txt")):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot read report file {path}: {exc}") from exc
         reports.append(make_report(path.stem, text))

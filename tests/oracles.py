@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 
@@ -412,6 +413,34 @@ def tokenize_oracle(text: str) -> list[str]:
             out.append(token)
         run = []
     return out
+
+
+# The in-line sentence boundary of the line-at-a-time splitter.
+_BOUNDARY_ORACLE = re.compile(r"(?<=[.!?])\s+(?=[A-Z])")
+
+
+def split_sentences_oracle(text: str) -> list[str]:
+    """Sentence strings one line at a time: each line is stripped, split
+    at every in-line boundary, and each piece's whitespace collapsed."""
+    pieces: list[str] = []
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        for piece in _BOUNDARY_ORACLE.split(line):
+            piece = " ".join(piece.split())
+            if piece:
+                pieces.append(piece)
+    return pieces
+
+
+def report_sentences_oracle(text: str) -> list[tuple[int, str, tuple[str, ...]]]:
+    """(index, text, tokens) of each sentence, each sentence split by the
+    line-at-a-time splitter and tokenized on its own."""
+    return [
+        (i, piece, tuple(tokenize_oracle(piece)))
+        for i, piece in enumerate(split_sentences_oracle(text))
+    ]
 
 
 def features_to_csv_oracle(rows) -> str:

@@ -6,10 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import tokenize_oracle
+from helpers import E2E_DIR
+from oracles import report_sentences_oracle, split_sentences_oracle, tokenize_oracle
 from ttpmine.corpus import (
     AnnotationError,
     CorpusError,
+    Sentence,
     load_annotations,
     load_reports,
     make_report,
@@ -19,6 +21,7 @@ from ttpmine.corpus import (
     tokenize,
     tokenize_texts,
 )
+from ttpmine.features.discourse import _BULLET
 from ttpmine.labels import BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 
 
@@ -212,6 +215,98 @@ class TestSegmentation:
         assert split_sentences("") == split_sentences(" \n\n ") == []
 
 
+# Terminal punctuation, letters of both cases, digits, and every kind of
+# whitespace: "\n" and "\r\n" line breaks, and spaces and separators
+# that str.split and the regex "\s" both treat as whitespace.
+_SPLIT_ALPHABET = (
+    ".", "!", "?", "a", "e", "x", "A", "T", "Z", "3", "0",
+    " ", "\n", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+    "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+)
+
+
+def _report_text(rng, n_sentences: int) -> str:
+    """A report written as `n_sentences` sentences: most start with a
+    capital and end in terminal punctuation, some hold dotted tokens and
+    abbreviations, and they are joined by runs of assorted whitespace or
+    by line breaks. A sentence with no terminal punctuation, or one that
+    starts with a list marker inside a line, runs on into the next."""
+    words = ("loader", "ran", "e.g.", "Updater.vbs", "3.5", "Mb", "the", "cmd.exe")
+    seps = (" ", "  ", "\t", "\xa0", "\u3000 ", "\n", "\r\n", "\n\n  \n", " \x85")
+    parts = []
+    for _ in range(n_sentences):
+        body = " ".join(rng.choice(words, size=int(rng.integers(1, 8))))
+        parts.append(str(rng.choice(("The", "Then", "It", "- Next", "2."))) + " " + body)
+        parts.append(str(rng.choice((".", "!", "?", "", ". "))))
+        parts.append(str(rng.choice(seps)))
+    return "".join(parts)
+
+
+class TestSegmentationOracle:
+    """`split_sentences` against the line-at-a-time splitter in
+    `tests/oracles.py`."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "It ran e.g. the usual loader.",
+            "The file was 3.5 Mb. It ran.",
+            "The macro created Updater.vbs. Then it ran.",
+            "It ran.\nThen it stopped!\nDid it?\n",
+            "It ran.\r\nThen it stopped.  \r\n",
+            "",
+            "\n\n",
+            " \t\n\xa0\u3000\n\x0b\x0c\r\n",
+            "first\n   \n\tsecond  line\n\u2028\nthird.",
+            "It ran.\u2028Then it stopped.\x85Later It ended.\u3000Done",
+            "Stop.\x1c\x1dGo! \x1e\x1fNow? \xa0 Ok",
+        ],
+    )
+    def test_named_texts(self, text):
+        assert split_sentences(text) == split_sentences_oracle(text)
+
+    def test_seeded_random_texts(self):
+        rng = np.random.default_rng(20261105)
+        for case in range(2000):
+            size = int(rng.integers(0, 60))
+            text = "".join(rng.choice(_SPLIT_ALPHABET, size=size))
+            assert split_sentences(text) == split_sentences_oracle(text), (case, text)
+
+    @staticmethod
+    def _assert_loaded_match_oracle(directory):
+        reports = load_reports(directory)
+        paths = sorted(directory.glob("*.txt"))
+        assert [r.report_id for r in reports] == [p.stem for p in paths]
+        for report, path in zip(reports, paths):
+            expected = report_sentences_oracle(path.read_text(encoding="utf-8"))
+            got = [(s.index, s.text, s.tokens) for s in report.sentences]
+            assert got == expected, report.report_id
+
+    def test_load_reports_e2e(self):
+        self._assert_loaded_match_oracle(E2E_DIR / "reports")
+
+    def test_load_reports_seeded_long(self, tmp_path):
+        rng = np.random.default_rng(20261106)
+        for k in range(8):
+            text = _report_text(rng, 250)
+            (tmp_path / f"r{k}.txt").write_text(text, encoding="utf-8", newline="")
+        reports = load_reports(tmp_path)
+        # Some of the 250 written sentences run on into the next one.
+        assert all(150 < len(r.sentences) <= 250 for r in reports)
+        self._assert_loaded_match_oracle(tmp_path)
+
+
+class TestSentence:
+    def test_fields(self):
+        assert Sentence._fields == ("index", "text", "tokens")
+
+    def test_fields_are_read_only(self):
+        sentence = make_report("r", "It ran.").sentences[0]
+        for name in Sentence._fields:
+            with pytest.raises(AttributeError):
+                setattr(sentence, name, None)
+
+
 class TestReports:
     def test_load_reports_sorted_by_stem(self, tmp_path):
         (tmp_path / "b.txt").write_text("Beta report.", encoding="utf-8")
@@ -220,6 +315,16 @@ class TestReports:
         reports = load_reports(tmp_path)
         assert [r.report_id for r in reports] == ["a", "b"]
         assert reports[0].sentences[0].text == "Alpha report."
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        text = "- First step ran.\n- Second step ran.\n"
+        (tmp_path / "r.txt").write_bytes("\ufeff".encode() + text.encode())
+        (report,) = load_reports(tmp_path)
+        assert [s.text for s in report.sentences] == [
+            "- First step ran.",
+            "- Second step ran.",
+        ]
+        assert all(_BULLET.match(s.text) for s in report.sentences)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):

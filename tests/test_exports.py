@@ -29,3 +29,10 @@ def test_exported_names_resolve(package):
 )
 def test_retired_names_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_sentence_still_exported():
+    ttpmine = importlib.import_module("ttpmine")
+    corpus = importlib.import_module("ttpmine.corpus")
+    assert "Sentence" in ttpmine.__all__
+    assert ttpmine.Sentence is corpus.Sentence

@@ -310,6 +310,61 @@ class TestNoWorkersKnob:
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+class TestNumberArguments:
+    """A count below 1 or a threshold outside (0, 1] is a usage error
+    that names the option. It stops the command before any input is
+    read or any output directory is made."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["kb", "build", "--stix", STIX, "--out", "{out}", "--min-examples", "0"],
+             "argument --min-examples: must be >= 1, got 0"),
+            (["kb", "build", "--stix", STIX, "--out", "{out}", "--min-examples", "x"],
+             "argument --min-examples: invalid int value: 'x'"),
+            (["classify", "--model", "m.json", "--reports", REPORTS,
+              "--out", "{out}/c.jsonl", "--threshold", "0"],
+             "argument --threshold: must be in (0, 1], got 0.0"),
+            (["features", "--reports", REPORTS, "--kb", "kb",
+              "--out", "{out}/f.csv", "--bins", "0"],
+             "argument --bins: must be >= 1, got 0"),
+            (["features", "--reports", REPORTS, "--kb", "kb",
+              "--out", "{out}/f.csv", "--threshold", "1.5"],
+             "argument --threshold: must be in (0, 1], got 1.5"),
+            (["features", "--reports", REPORTS, "--kb", "kb",
+              "--out", "{out}/f.csv", "--threshold", "nan"],
+             "argument --threshold: must be in (0, 1], got nan"),
+            (["mine", "--predictions", "p.jsonl", "--out", "{out}/m.csv",
+              "--min-support", "-1"],
+             "argument --min-support: must be >= 1, got -1"),
+            (["run", "--config", "{config}", "--out-dir", "{out}", "--bins", "0"],
+             "argument --bins: must be >= 1, got 0"),
+            (["run", "--config", "{config}", "--out-dir", "{out}",
+              "--min-support", "0"],
+             "argument --min-support: must be >= 1, got 0"),
+            (["run", "--config", "{config}", "--out-dir", "{out}",
+              "--threshold", "2"],
+             "argument --threshold: must be in (0, 1], got 2.0"),
+        ],
+    )
+    def test_bad_number_is_usage_error(self, argv, message, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(e2e_config_dict(tmp_path / "out")), encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        argv = [arg.format(out=out, config=config) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bounds_are_accepted(self):
+        assert cli._positive_int("1") == 1
+        assert cli._threshold("1") == 1.0
+
+
 def test_provenance_hash_formula():
     # Both the CLI commands and `PipelineConfig` hash this way; artifacts'
     # meta blocks depend on the exact value.
