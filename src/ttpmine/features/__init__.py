@@ -14,7 +14,6 @@ from .discourse import (
     DiscourseRelation,
     classify_discourse,
     coref_links,
-    discourse_features,
 )
 from .layout import FEATURE_GROUPS, FeatureLayout
 from .markers import (
@@ -22,9 +21,7 @@ from .markers import (
     CONCURRENT_MARKERS,
     MARKERS,
     OVERLAP_MARKERS,
-    marker_features,
 )
-from .sentence import adjacency_gap, sentence_features
 
 __all__ = [
     "METRIC_NAMES",
@@ -40,14 +37,10 @@ __all__ = [
     "DiscourseRelation",
     "classify_discourse",
     "coref_links",
-    "discourse_features",
     "FEATURE_GROUPS",
     "FeatureLayout",
     "BEFORE_MARKERS",
     "CONCURRENT_MARKERS",
     "MARKERS",
     "OVERLAP_MARKERS",
-    "marker_features",
-    "adjacency_gap",
-    "sentence_features",
 ]

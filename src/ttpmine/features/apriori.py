@@ -104,10 +104,12 @@ def pair_measures(n: int, cx: int, cy: int, cxy: int) -> np.ndarray:
     )
 
 
-def bin_index(value: float, name: str, bins: int) -> int:
-    lo, hi = METRIC_RANGES[name]
-    v = min(max(value, lo), hi)
-    if v >= hi:
-        return bins - 1
-    return int((v - lo) / (hi - lo) * bins)
-
+def bin_measures(raw: np.ndarray, bins: int) -> np.ndarray:
+    """The equal-width bin, 0 to `bins - 1`, of each value of a
+    `(pairs, 9)` array of measures (`METRIC_NAMES` order) over its
+    clamped range. The bin is clamped too: a value at or just below the
+    range's end can scale to `bins` (phi 0.9999999999999999 plus 1
+    rounds to 2.0), and would else spill into the next measure."""
+    lo, hi = np.array([METRIC_RANGES[name] for name in METRIC_NAMES], dtype=np.float64).T
+    v = np.minimum(np.maximum(raw, lo), hi)
+    return np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)

@@ -14,12 +14,12 @@ import numpy as np
 from ..attack_kb import UsageMatrix
 from ..corpus import Report, pair_universe
 from ..ctfidf import ReportPrediction
-from ..embeddings import WordVectors, sentence_vector
-from .apriori import METRIC_NAMES, bin_index, pair_measures
-from .discourse import coref_links, discourse_features
+from ..embeddings import WordVectors, cosine, sentence_vector
+from .apriori import METRIC_NAMES, bin_measures, pair_measures
+from .discourse import DISCOURSE_ORDER, F3_SIZE, classify_discourse, coref_links
 from .layout import FeatureLayout
-from .markers import marker_features, marker_table
-from .sentence import sentence_features
+from .markers import F1_SIZE, marker_table
+from .sentence import ADJACENCY_GAPS, F2_SIZE
 
 
 class PairKey(NamedTuple):
@@ -89,9 +89,9 @@ def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndar
     F4 depends on the pair and the usage matrix only, never on the
     report, so one table serves every report in a corpus. Every actor
     count comes from one integer product of the pairs' known technique
-    columns; the measures are exact functions of those counts.
+    columns; the measures are exact functions of those counts, and all
+    measured pairs are binned at once.
     """
-    missing = np.zeros(9 + 9 * bins, dtype=np.float64)
     pairs = dict.fromkeys(pairs)
     # Without actors there is nothing to measure: every technique is unknown.
     column = {tid: k for k, tid in enumerate(um.techniques)} if um.cells.shape[0] else {}
@@ -101,18 +101,16 @@ def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndar
     cells = um.cells[:, [column[tid] for tid in known]].astype(np.int64)
     # counts[i][j]: actors using both techniques i and j; counts[i][i]: using i.
     counts = (cells.T @ cells).tolist()
-    table = {}
-    for pair in pairs:
-        i, j = at.get(pair[0]), at.get(pair[1])
-        if i is None or j is None:
-            table[pair] = missing
-            continue
-        raw = pair_measures(cells.shape[0], counts[i][i], counts[j][j], counts[i][j])
-        out = np.zeros(9 + 9 * bins, dtype=np.float64)
-        out[:9] = raw
-        for m, name in enumerate(METRIC_NAMES):
-            out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
-        table[pair] = out
+    measured = [pair for pair in pairs if pair[0] in at and pair[1] in at]
+    raw = np.empty((len(measured), len(METRIC_NAMES)), dtype=np.float64)
+    for row, (i, j) in enumerate((at[tx], at[ty]) for tx, ty in measured):
+        raw[row] = pair_measures(cells.shape[0], counts[i][i], counts[j][j], counts[i][j])
+    slots = np.zeros((len(measured), len(METRIC_NAMES) * (1 + bins)), dtype=np.float64)
+    slots[:, : len(METRIC_NAMES)] = raw
+    slots[np.arange(len(measured))[:, None],
+          len(METRIC_NAMES) + bins * np.arange(len(METRIC_NAMES)) + bin_measures(raw, bins)] = 1.0
+    table = dict.fromkeys(pairs, np.zeros(slots.shape[1], dtype=np.float64))
+    table.update(zip(measured, slots))
     return table
 
 
@@ -127,6 +125,97 @@ def coref_sentences(report_prediction: ReportPrediction) -> frozenset[int]:
     return frozenset(i for tid in techniques for i in hits.get(tid, ()))
 
 
+def _range_sums(prefix: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Per cell, the table rows `start..stop-1` summed, from the table's
+    prefix sums (a zero row, then running totals); zero where `stop <=
+    start`, whatever the bounds are there."""
+    last = len(prefix) - 1
+    sums = prefix[np.clip(stop, 0, last)] - prefix[np.clip(start, 0, last)]
+    sums[stop <= start] = 0
+    return sums
+
+
+def _f1(hot: np.ndarray, markers: np.ndarray) -> np.ndarray:
+    """The (k, k, 20) F1 slots (see `features.markers`) of every pair of
+    rows of `hot`, from the report's `marker_table`."""
+    k, n = hot.shape
+    hit, pos = hot > 0, np.arange(n)
+    prefix = np.zeros((n + 1, 3), dtype=markers.dtype)
+    np.cumsum(markers, axis=0, out=prefix[1:])
+    # Per row and sentence s: the last hit at or before s and the first
+    # at or after it, -1 and n where none. A row without hits has first
+    # hit n and last -1, so every range needing both rows' hits is empty.
+    before = np.maximum.accumulate(np.where(hit, pos, -1), axis=1)
+    after = np.minimum.accumulate(np.where(hit, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    first = after.min(axis=1, initial=n)[:, None]
+    last = before.max(axis=1, initial=-1)[:, None]
+    # The nearest (i, j), i a hit of row a and j of row b, by (|i - j|,
+    # min, max) has j next to i among b's hits. The key |i - j| * (n +
+    # 1) + min(i, j) orders as the tuple does; max is min + |i - j|.
+    none = (n + 1) ** 2
+    key = np.minimum(
+        np.where(hit[:, None] & (before >= 0), (pos - before) * (n + 1) + before, none),
+        np.where(hit[:, None] & (after < n), (after - pos) * (n + 1) + pos, none),
+    ).min(axis=-1, initial=none)
+    lo = key % (n + 1)
+
+    side = hot @ markers
+    out = np.empty((k, k, F1_SIZE), dtype=np.float64)
+    out[..., 0:3] = side[:, None]
+    out[..., 3:6] = side[None, :]
+    out[..., 6:9] = _range_sums(prefix, lo, np.where(key < none, lo + key // (n + 1) + 1, 0))
+    # Sentence s counts tx-first when tx's first hit < s <= ty's last
+    # hit, ty-first when ty's first hit < s <= tx's last hit.
+    out[..., 9:15:2] = _range_sums(prefix, first + 1, last.T + 1)
+    out[..., 10:15:2] = _range_sums(prefix, first.T + 1, last + 1)
+    density = (hot @ markers.sum(axis=1)) / np.maximum(hot.sum(axis=1), 1.0)
+    out[..., 15] = density[:, None]
+    out[..., 16] = density[None, :]
+    out[..., 17:20] = _range_sums(prefix, np.minimum(first, first.T) + 1, np.maximum(last, last.T))
+    return out
+
+
+def _f2(hot: np.ndarray, coref: np.ndarray) -> np.ndarray:
+    """The (k, k, 13) F2 slots (see `features.sentence`) of every pair of
+    rows of `hot`, cosines left zero; `coref` is each pair's count of
+    straddling links."""
+    k, n = hot.shape
+    out = np.zeros((k, k, F2_SIZE), dtype=hot.dtype)
+    for slot, gap in enumerate(ADJACENCY_GAPS):
+        # Gap d >= 0: ty's sentence d + 1 after tx's; d < 0: -d before it.
+        shift = gap + 1 if gap >= 0 else -gap
+        if shift < n:
+            counts = hot[:, : n - shift] @ hot[:, shift:].T
+            out[..., slot] = counts if gap >= 0 else counts.T
+    out[..., 9] = hot @ hot.T
+    out[..., 12] = coref
+    return out
+
+
+def _f3(hot: np.ndarray, report: Report, among, links) -> np.ndarray:
+    """The (k, k, 10) F3 slots (see `features.discourse`) of every pair
+    of rows of `hot`. Each adjacent sentence pair within `among` and each
+    link is classified once, then counted in its relation's slot for the
+    pairs it straddles: one sentence a hit of row a, the other of row b."""
+    sentences, linked = report.sentences, set(links)
+    adjacent = [(i, i + 1) for i in sorted(among) if i + 1 in among]
+    relations = [
+        classify_discourse(sentences[i], sentences[j], (i, j) in linked) for i, j in adjacent
+    ] + [classify_discourse(sentences[i], sentences[j], True) for i, j in links]
+    # Adjacent pairs fill the first five slots, links the last five.
+    slots = [DISCOURSE_ORDER.index(rel) for rel in relations]
+    slots[len(adjacent):] = [slot + len(DISCOURSE_ORDER) for slot in slots[len(adjacent):]]
+    weight = np.zeros((len(slots), F3_SIZE), dtype=hot.dtype)
+    weight[np.arange(len(slots)), slots] = 1
+    first, second = np.array(adjacent + links, dtype=np.intp).reshape(-1, 2).T
+    x, y = hot[:, first], hot[:, second]
+    # A sentence pair whose two sentences are hits of both rows would
+    # count in both directions; subtract it once.
+    one_way = np.einsum("ai,bi,is->abs", x, y, weight)
+    both = x * y
+    return one_way + one_way.transpose(1, 0, 2) - np.einsum("ai,bi,is->abs", both, both, weight)
+
+
 def build_report_features(
     report: Report,
     report_prediction: ReportPrediction,
@@ -138,45 +227,57 @@ def build_report_features(
     """Rows for every ordered pair of the report's detected techniques:
     [default ++ f1 ++ f2 ++ f3 ++ f4], filled into one block.
 
-    The pairs are `pair_universe(report_prediction.techniques)`, in its
-    lexicographic order; a report with fewer than two detected
-    techniques has no rows. Sentence sets come from the prediction's
-    threshold hits. The report's tables are built here, once, and read
-    by every pair: its marker table, its coref links and, with word
-    vectors, each hit sentence's pooled vector. The links are computed
-    only among `coref_sentences(report_prediction)`: every feature reads
-    only links between a pair's own hit sentences, so the rows equal
-    those built from the whole report's links. `coref_links` raises
-    ValueError for a hit sentence outside the report, the one range
-    check for every family. `f4` is an `f4_table` covering those pairs,
-    computed once for a corpus.
+    The pairs are `pair_universe(report_prediction.techniques)`; fewer
+    than two detected techniques give no rows. Each family is built for
+    all pairs at once from one 0/1 matrix of the sorted techniques by
+    the report's sentences (the threshold hits), as (k, k, slots) arrays
+    whose off-diagonal cells, row-major, are the pairs in universe
+    order. Every count is a sum of small integers, exact in any order.
+    Coref links are computed once, only among `coref_sentences`, as no
+    feature reads a link outside a pair's hit sentences; `coref_links`
+    raises ValueError for a hit outside the report, the one range check.
+    `f4` is an `f4_table` covering the pairs, computed once for a corpus.
     """
     pairs = pair_universe(report_prediction.techniques)
+    keys = [PairKey(report.report_id, tx, ty) for tx, ty in pairs]
     values = np.empty((len(pairs), layout.total), dtype=np.float64)
-    if pairs:
-        among = coref_sentences(report_prediction)
-        links = coref_links(report, among)
-        markers = marker_table(report)
-        vectors = None
-        if wv is not None:
-            vectors = {i: sentence_vector(wv, report.sentences[i].tokens) for i in among}
-        hits = report_prediction.hit_sentences
-        top = report_prediction.top_scores
-        group = layout.group_slices
-        for row, pair in enumerate(pairs):
-            tx, ty = pair
-            tx_sent, ty_sent = hits.get(tx, ()), hits.get(ty, ())
-            out = values[row]
-            out[group["default"]] = (*top[tx], *top[ty])
-            out[group["f1"]] = marker_features(markers, tx_sent, ty_sent)
-            out[group["f2"]] = sentence_features(tx_sent, ty_sent, links, vectors)
-            out[group["f3"]] = discourse_features(report, tx_sent, ty_sent, links)
-            out[group["f4"]] = f4[pair]
-    return FeatureRows(
-        keys=[PairKey(report.report_id, tx, ty) for tx, ty in pairs],
-        values=values,
-        layout=layout,
-    )
+    if not pairs:
+        return FeatureRows(keys, values, layout)
+    among = coref_sentences(report_prediction)
+    links = sorted(coref_links(report, among))
+    techniques = sorted(report_prediction.techniques)
+    hits = [sorted(set(report_prediction.hit_sentences.get(tid, ()))) for tid in techniques]
+    # Integer products are exact and make no BLAS call: the first
+    # float64 matmul of a process raises its peak RSS by about 0.25 MiB.
+    hot = np.zeros((len(techniques), len(report.sentences)), dtype=np.int64)
+    for row, sentences in enumerate(hits):
+        hot[row, sentences] = 1
+    # Off-diagonal cells, row-major: the pairs in universe order.
+    cells = ~np.eye(len(techniques), dtype=bool)
+    tx, ty = np.nonzero(cells)
+    top = np.array([report_prediction.top_scores[tid] for tid in techniques], dtype=np.float64)
+    f3 = _f3(hot, report, among, links)
+
+    group = layout.group_slices
+    values[:, group["default"]] = np.hstack([top[tx], top[ty]])
+    values[:, group["f1"]] = _f1(hot, marker_table(report))[cells]
+    # Each link has one relation, so f3's coref block sums to the
+    # pair's straddling links.
+    values[:, group["f2"]] = _f2(hot, f3[..., len(DISCOURSE_ORDER):].sum(axis=-1))[cells]
+    values[:, group["f3"]] = f3[cells]
+    values[:, group["f4"]] = list(map(f4.__getitem__, pairs))
+    if wv is not None:
+        order = sorted(among)
+        vectors = [sentence_vector(wv, report.sentences[i].tokens) for i in order]
+        cosines = np.array([[cosine(u, v) for v in vectors] for u in vectors])
+        at = [np.searchsorted(order, sentences) for sentences in hits]
+        f2 = values[:, group["f2"]]
+        for row, (a, b) in enumerate(zip(tx.tolist(), ty.tolist())):
+            if at[a].size and at[b].size:
+                sims = cosines[np.ix_(at[a], at[b])].ravel()
+                f2[row, 10] = float(np.mean(sims))
+                f2[row, 11] = float(np.max(sims))
+    return FeatureRows(keys, values, layout)
 
 
 _META_COLUMNS = ("report_id", "tx", "ty", "f4_missing")

@@ -11,8 +11,6 @@ import re
 from collections.abc import Iterable
 from enum import Enum
 
-import numpy as np
-
 from ..corpus import Report, Sentence
 from .markers import BEFORE_MARKERS, MARKERS
 
@@ -169,32 +167,3 @@ def coref_links(report: Report, among: Iterable[int]) -> frozenset[tuple[int, in
                     links.add((i, j))
 
     return frozenset(links)
-
-
-def discourse_features(report: Report, tx_sentences, ty_sentences, links) -> np.ndarray:
-    """10 counts: discourse relations over adjacent straddling sentence
-    pairs (first 5 slots) and over coreferenced straddling pairs (last 5)."""
-    tx = set(tx_sentences)
-    ty = set(ty_sentences)
-    slot = {rel: k for k, rel in enumerate(DISCOURSE_ORDER)}
-    out = np.zeros(F3_SIZE, dtype=np.float64)
-
-    def straddles(i: int, j: int) -> bool:
-        return (i in tx and j in ty) or (i in ty and j in tx)
-
-    link_set = set(links)
-    # Both sentences of a straddling pair (k, k+1) are in tx or ty, so
-    # only the pairs starting at one of those sentences need testing.
-    last = len(report.sentences) - 1
-    for k in sorted(tx | ty):
-        if 0 <= k < last and straddles(k, k + 1):
-            rel = classify_discourse(
-                report.sentences[k], report.sentences[k + 1], (k, k + 1) in link_set
-            )
-            out[slot[rel]] += 1
-
-    for i, j in sorted(link_set):
-        if straddles(i, j):
-            rel = classify_discourse(report.sentences[i], report.sentences[j], True)
-            out[5 + slot[rel]] += 1
-    return out

@@ -49,10 +49,10 @@ F1_SIZE = 20
 
 
 def marker_table(report: Report) -> np.ndarray:
-    """``(n_sentences, 3)`` marker counts, one row per sentence index,
-    from one `bincount` over every marker token of the report.
+    """``(n_sentences, 3)`` integer marker counts, one row per sentence
+    index, from one `bincount` over every marker token of the report.
 
-    Built once per report and shared by every pair's `marker_features`.
+    Built once per report and read by every pair's F1 slots.
     """
     relation = MARKER_RELATION.get
     cells = [
@@ -63,44 +63,4 @@ def marker_table(report: Report) -> np.ndarray:
     ]
     n = len(report.sentences)
     counts = np.bincount(np.array(cells, dtype=np.intp), minlength=3 * n)
-    return counts.reshape(n, 3).astype(np.float64)
-
-
-def marker_features(per_sentence: np.ndarray, tx_sentences, ty_sentences) -> np.ndarray:
-    """The 20 F1 slots for one pair's sentence sets, read from the
-    report's `marker_table`. The sentence indices must be inside the
-    report. The sums add integer-valued counts, so their order does not
-    change a bit of the result.
-    """
-    tx = sorted(set(tx_sentences))
-    ty = sorted(set(ty_sentences))
-    out = np.zeros(F1_SIZE, dtype=np.float64)
-    if tx:
-        out[0:3] = per_sentence[tx].sum(axis=0)
-    if ty:
-        out[3:6] = per_sentence[ty].sum(axis=0)
-
-    if tx and ty:
-        lo, hi = min(
-            ((i, j) for i in tx for j in ty),
-            key=lambda p: (abs(p[0] - p[1]), min(p), max(p)),
-        )
-        lo, hi = min(lo, hi), max(lo, hi)
-        out[6:9] = per_sentence[lo : hi + 1].sum(axis=0)
-
-        # Sentence k counts tx-first when tx_min < k <= ty_max, ty-first
-        # when ty_min < k <= tx_max; an empty range sums to zeros.
-        out[9:15:2] = per_sentence[tx[0] + 1 : ty[-1] + 1].sum(axis=0)
-        out[10:15:2] = per_sentence[ty[0] + 1 : tx[-1] + 1].sum(axis=0)
-
-    if tx:
-        out[15] = per_sentence[tx].sum() / len(tx)
-    if ty:
-        out[16] = per_sentence[ty].sum() / len(ty)
-
-    both = tx + ty
-    if both:
-        outer_lo, outer_hi = min(both), max(both)
-        if outer_hi - outer_lo > 1:
-            out[17:20] = per_sentence[outer_lo + 1 : outer_hi].sum(axis=0)
-    return out
+    return counts.reshape(n, 3)

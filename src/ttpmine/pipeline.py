@@ -230,8 +230,9 @@ def report_prediction_to_dict(p: ReportPrediction) -> dict:
 
 def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
     """A `ReportPrediction` record. ValueError unless its detected
-    techniques are its `hit_sentences` keys, its hits are integer
-    sentence indices and each technique has `TOP_K_SCORES` top scores."""
+    techniques are its `hit_sentences` keys, each with a hit (detection
+    needs one), its hits are integer sentence indices and each technique
+    has `TOP_K_SCORES` top scores."""
     prediction = ReportPrediction(
         report_id=data["report_id"],
         threshold=float(data["threshold"]),
@@ -251,6 +252,8 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
     if not all(type(i) is int for hits in prediction.hit_sentences.values() for i in hits):
         raise ValueError(f"{where}: hit_sentences must hold integer sentence indices")
     for tid in sorted(techniques):
+        if not prediction.hit_sentences[tid]:
+            raise ValueError(f"{where}: detected technique {tid} has no hit sentences")
         if len(prediction.top_scores.get(tid, ())) != TOP_K_SCORES:
             raise ValueError(f"{where}: {tid} needs {TOP_K_SCORES} top_scores")
     return prediction
@@ -292,8 +295,10 @@ def stage_kb(
 
     Writes ``catalog.json``, ``usage.json``, and ``ctfidf.json`` into
     ``out_dir`` and returns the catalog, the usage matrix and the
-    trained classifier.
+    trained classifier. A bad ``min_examples`` fails before any of it.
     """
+    if min_examples < 1:
+        raise ValueError(f"min_examples must be >= 1, got {min_examples}")
     if not os.path.exists(stix_path):
         raise PipelineError(f"kb: STIX bundle not found: {stix_path}")
     with open(stix_path, "rb") as fh:

@@ -154,6 +154,23 @@ def report_rows(report, prediction, um=EMPTY_USAGE, wv=None, bins: int = 10) -> 
     )
 
 
+def pair_row(report, tx_hits, ty_hits, wv=None) -> np.ndarray:
+    """The (TX, TY) row that `build_report_features` builds for `report`
+    when TX is detected in the sentences `tx_hits` and TY in `ty_hits`
+    (either may be empty, and may repeat or be unsorted); read its slots
+    by name through `FeatureLayout.index`."""
+    prediction = ReportPrediction(
+        report_id=report.report_id,
+        threshold=0.95,
+        techniques=frozenset({"TX", "TY"}),
+        top_scores={tid: (1.0,) + (0.0,) * (TOP_K_SCORES - 1) for tid in ("TX", "TY")},
+        hit_sentences={"TX": tuple(tx_hits), "TY": tuple(ty_hits)},
+    )
+    rows = report_rows(report, prediction, wv=wv)
+    assert rows.keys[0] == (report.report_id, "TX", "TY")
+    return rows.values[0]
+
+
 # Word pool for random reports: nouns, verbs, markers, connectives and
 # referring words so every feature family sees live inputs.
 _NOUNS = [

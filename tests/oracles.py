@@ -30,8 +30,8 @@ from ttpmine.embeddings import cosine, sentence_vector
 from ttpmine.features.apriori import (
     CONVICTION_CAP,
     METRIC_NAMES,
+    METRIC_RANGES,
     PMI_FLOOR,
-    bin_index,
 )
 from ttpmine.features.discourse import (
     COREF_WINDOW,
@@ -610,6 +610,15 @@ def column_measures_oracle(x_col, y_col) -> np.ndarray:
     )
 
 
+def bin_oracle(value: float, name: str, bins: int) -> int:
+    """The equal-width bin of one measure's value over its clamped range,
+    scalar by scalar: the last bin takes the range's end and anything
+    that scales to `bins` once rounded."""
+    lo, hi = METRIC_RANGES[name]
+    v = min(max(value, lo), hi)
+    return min(int((v - lo) / (hi - lo) * bins), bins - 1)
+
+
 def f4_oracle(um, pair, bins: int = 10) -> np.ndarray:
     """One known pair's f4 slots from its two usage columns: the nine
     `column_measures_oracle` values, then one hot slot per measure."""
@@ -620,7 +629,7 @@ def f4_oracle(um, pair, bins: int = 10) -> np.ndarray:
     out = np.zeros(9 + 9 * bins, dtype=np.float64)
     out[:9] = raw
     for m, name in enumerate(METRIC_NAMES):
-        out[9 + m * bins + bin_index(float(raw[m]), name, bins)] = 1.0
+        out[9 + m * bins + bin_oracle(float(raw[m]), name, bins)] = 1.0
     return out
 
 

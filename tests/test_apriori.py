@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apriori_oracle, f4_oracle
+from oracles import apriori_oracle, bin_oracle, f4_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import pair_universe
 from ttpmine.features.apriori import (
@@ -18,7 +18,7 @@ from ttpmine.features.apriori import (
     METRIC_RANGES,
     PMI_CEIL,
     PMI_FLOOR,
-    bin_index,
+    bin_measures,
     pair_measures,
 )
 from ttpmine.features.builder import f4_table
@@ -129,6 +129,14 @@ class TestPairMeasures:
                 assert lo <= got[k] <= hi, name
 
 
+def bin_index(value: float, name: str, bins: int) -> int:
+    """The bin `bin_measures` gives one measure's value."""
+    raw = np.zeros((1, len(METRIC_NAMES)))
+    m = METRIC_NAMES.index(name)
+    raw[0, m] = value
+    return int(bin_measures(raw, bins)[0, m])
+
+
 class TestBinIndex:
     def test_unit_range_midpoint(self):
         assert bin_index(0.5, "support", 10) == 5
@@ -162,6 +170,34 @@ class TestBinIndex:
     def test_five_bins(self):
         assert bin_index(0.5, "support", 5) == 2
         assert bin_index(0.99, "support", 5) == 4
+
+    def test_value_rounding_up_to_range_end_is_last_bin(self):
+        # phi of two techniques used by exactly the same actors: adding 1
+        # rounds to 2.0, so the value scales to 10.
+        phi = 0.9999999999999999
+        assert phi < 1.0 and (phi + 1.0) / 2.0 * 10 == 10.0
+        assert bin_index(phi, "phi", 10) == 9
+        assert bin_oracle(phi, "phi", 10) == 9
+
+    @pytest.mark.parametrize("bins", [1, 3, 7, 10, 20])
+    def test_matches_scalar_oracle(self, bins):
+        rng = np.random.default_rng(bins)
+        low = np.array([METRIC_RANGES[name][0] for name in METRIC_NAMES])
+        high = np.array([METRIC_RANGES[name][1] for name in METRIC_NAMES])
+        # Every bin edge and its neighbours, values inside and outside
+        # the ranges, and -0.0.
+        edges = low + (high - low) * np.arange(bins + 1)[:, None] / bins
+        raw = np.vstack([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            low + (high - low) * rng.uniform(-0.5, 1.5, size=(200, len(METRIC_NAMES))),
+            np.full((1, len(METRIC_NAMES)), -0.0),
+        ])
+        got = bin_measures(raw, bins)
+        assert ((got >= 0) & (got < bins)).all()
+        for row, bins_row in zip(raw.tolist(), got.tolist()):
+            assert bins_row == [bin_oracle(v, name, bins) for v, name in zip(row, METRIC_NAMES)]
 
 
 def _matrix():
@@ -237,6 +273,29 @@ class TestF4TableReference:
             assert np.count_nonzero(slots[9:]) == (0 if missing else 9), pair
             want = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
             assert slots.tobytes() == want.tobytes(), pair
+
+    def test_one_hot_bin_per_measure_for_all_counts(self):
+        # Every (n <= 60, cx, cy, cxy): column X<c> is used by actors
+        # 0..c-1 and column Y<s>_<c> by actors s..s+c-1, so the pair
+        # (X<cx>, Y<cx-cxy>_<cy>) has those counts.
+        bins = 10
+        for n in range(1, 61):
+            actor = np.arange(n)
+            spans = {f"X{c}": (0, c) for c in range(n + 1)}
+            spans.update({f"Y{s}_{c}": (s, c) for s in range(n + 1) for c in range(n + 1 - s)})
+            cells = np.array([(s <= actor) & (actor < s + c) for s, c in spans.values()])
+            um = UsageMatrix(actors=tuple(f"G{a}" for a in range(n)), techniques=tuple(spans),
+                             cells=cells.T.astype(np.int8))
+            pairs = [
+                (f"X{cx}", f"Y{cx - cxy}_{cy}")
+                for cx in range(n + 1)
+                for cy in range(n + 1)
+                for cxy in range(max(0, cx + cy - n), min(cx, cy) + 1)
+            ]
+            table = f4_table(um, pairs, bins)
+            hot = np.array(list(map(table.__getitem__, pairs)))[:, 9:]
+            per_measure = hot.reshape(len(pairs), 9, bins).sum(axis=2)
+            assert (per_measure == 1.0).all(), n
 
     def test_counts_past_int8(self):
         # 200 actors all use both techniques: an int8 product would wrap.

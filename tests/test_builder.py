@@ -268,6 +268,60 @@ class TestBuildReportFeatures:
         assert read > 20
 
 
+def _planted_coref_report(rng, report_id: str, n: int):
+    """A report of planted coreference runs: a noun sentence, then one
+    opening "This malware ..." (a pronoun link back to it) that also
+    names "the <noun>" again, then another "the <noun>" reference, each
+    run cut short at random and followed by filler."""
+    lines = []
+    while len(lines) < n:
+        noun = str(rng.choice(["beacon", "loader", "implant", "payload", "archive"]))
+        run = [
+            f"The operators staged a {noun} file quietly.",
+            f"This malware then copied the {noun} file home.",
+            f"Analysts found the {noun} file later.",
+        ]
+        lines += run[: int(rng.integers(1, 4))]
+        lines += ["Unrelated filler text appeared meanwhile."] * int(rng.integers(0, 3))
+    return make_report(report_id, "\n".join(lines[:n]))
+
+
+class TestPlantedCoreference:
+    """Rows of reports whose hit sentences hold coreference links, so the
+    coref-reading slots are live (the e2e fixture has no link), against
+    `pair_vector_oracle` bit for bit."""
+
+    def test_coref_slots_match_oracle(self):
+        layout = FeatureLayout(bins=10)
+        f2_coref = layout.index("f2.coref")
+        f3_coref = [k for k, name in enumerate(layout.names) if name.startswith("f3.coref_")]
+        rng = np.random.default_rng(20261019)
+        tids = ("T1204", "T1560", "T1566")
+        read = np.zeros(len(f3_coref))
+        linked_rows = 0
+        for case in range(10):
+            n = int(rng.integers(6, 40))
+            report = _planted_coref_report(rng, f"p{case}", n)
+            assert coref_links_oracle(report)
+            # Unsorted hits with repeats; one technique always hits the
+            # last sentence.
+            hits = {
+                tid: tuple(int(i) for i in rng.choice(n, size=int(rng.integers(1, 8))))
+                for tid in tids
+            }
+            hits[tids[case % 3]] += (n - 1, n - 1)
+            pred = _prediction(report_id=report.report_id, techniques=tids, hits=hits)
+            for wv in (None, random_word_vectors(rng)):
+                rows = report_rows(report, pred, um=_um(), wv=wv)
+                _assert_rows_match_oracle(rows, [report], [pred], _um(), wv)
+            read += rows.values[:, f3_coref].sum(axis=0)
+            linked_rows += np.count_nonzero(rows.values[:, f2_coref])
+        # NEXT ("then" opens the "This malware" sentence), ELABORATION and
+        # LIST links are all read, by many rows.
+        assert np.count_nonzero(read) >= 3 and read.sum() > 20, read
+        assert linked_rows > 15
+
+
 class TestStageFeaturesOracle:
     """The corpus matrix `stage_features` returns against
     `pair_vector_oracle`, on long seeded reports whose rows read

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import E2E_DIR
+from helpers import E2E_DIR, pair_row
 from oracles import coref_links_oracle, discourse_features_oracle, plural_match_oracle
 from ttpmine.corpus import load_reports, make_report, segment_sentences
 from ttpmine.features.discourse import (
@@ -16,8 +16,16 @@ from ttpmine.features.discourse import (
     _plural_forms,
     classify_discourse,
     coref_links,
-    discourse_features,
 )
+from ttpmine.features.layout import FeatureLayout
+
+F3 = FeatureLayout(bins=10).group_slices["f3"]
+
+
+def _f3(report, tx, ty) -> np.ndarray:
+    """The F3 slots of the (tx, ty) row: the adjacent block, then the
+    coref block, each in `DISCOURSE_ORDER`."""
+    return pair_row(report, tx, ty)[F3]
 
 
 def _pair(text):
@@ -317,30 +325,30 @@ class TestDiscourseFeatures:
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        links = _every_link(report)
-        assert (0, 1) in links
-        out = discourse_features(report, [0], [1], links)
-        assert out.shape == (F3_SIZE,)
-        # Adjacent straddling pair classifies NEXT (slot 0); the same pair
-        # is also a coref link, classified NEXT again in the coref block.
-        assert out[0] == 1.0
-        assert out[5] == 1.0
-        assert out.sum() == 2.0
+        assert (0, 1) in _every_link(report)
+        layout = FeatureLayout(bins=10)
+        row = pair_row(report, [0], [1])
+        assert row[F3].shape == (F3_SIZE,)
+        # Adjacent straddling pair classifies NEXT; the same pair is also
+        # a coref link, classified NEXT again in the coref block.
+        assert row[layout.index("f3.adj_next")] == 1.0
+        assert row[layout.index("f3.coref_next")] == 1.0
+        assert row[F3].sum() == 2.0
 
     def test_non_straddling_pairs_ignored(self):
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        out = discourse_features(report, [0], [], _every_link(report))
-        assert np.array_equal(out, np.zeros(F3_SIZE))
+        assert _every_link(report)
+        assert np.array_equal(_f3(report, [0], []), np.zeros(F3_SIZE))
 
     def test_reversed_direction_still_straddles(self):
         report = make_report(
             "r1", "The implant collected files. Then it sent everything."
         )
-        links = _every_link(report)
-        forward = discourse_features(report, [0], [1], links)
-        backward = discourse_features(report, [1], [0], links)
+        forward = _f3(report, [0], [1])
+        backward = _f3(report, [1], [0])
+        assert forward.any()
         assert np.array_equal(forward, backward)
 
     def test_distant_coref_pair_counts_in_coref_block_only(self):
@@ -350,23 +358,26 @@ class TestDiscourseFeatures:
             "Separate activity continued.\n"
             "The mirror host answered slowly.",
         )
-        links = _every_link(report)
-        assert (0, 2) in links
-        out = discourse_features(report, [0], [2], links)
-        assert out[:5].sum() == 0.0  # not adjacent
-        assert out[5:].sum() == 1.0
+        assert (0, 2) in _every_link(report)
+        layout = FeatureLayout(bins=10)
+        row = pair_row(report, [0], [2])
+        adjacent = [layout.index(f"f3.adj_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
+        coref = [layout.index(f"f3.coref_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
+        assert row[adjacent].sum() == 0.0  # not adjacent
+        assert row[coref].sum() == 1.0
 
 
 def _assert_f3_matches_oracle(report, tx, ty, links):
-    got = discourse_features(report, tx, ty, links)
+    got = _f3(report, tx, ty)
     want = discourse_features_oracle(report, tx, ty, links)
     assert got.tobytes() == want.tobytes(), (report.report_id, tx, ty)
     return want
 
 
 class TestDiscourseOracle:
-    """F3 from the adjacent pairs that touch tx or ty, against the walk
-    over every adjacent pair in `tests/oracles.py`."""
+    """The F3 slots of built rows, from the report's links among its hit
+    sentences, against the walk over every adjacent pair and every link
+    of the whole report in `tests/oracles.py`."""
 
     def test_seeded_reports_equal_vectors(self):
         rng = np.random.default_rng(20261019)

@@ -25,6 +25,15 @@ def test_exported_names_resolve(package):
         ("ttpmine.ctfidf", "predict_sentence"),
         ("ttpmine.ctfidf", "SentencePrediction"),
         ("ttpmine.gbdt.tree", "remap_tree_features"),
+        ("ttpmine.features", "marker_features"),
+        ("ttpmine.features", "sentence_features"),
+        ("ttpmine.features", "adjacency_gap"),
+        ("ttpmine.features", "discourse_features"),
+        ("ttpmine.features.markers", "marker_features"),
+        ("ttpmine.features.sentence", "sentence_features"),
+        ("ttpmine.features.sentence", "adjacency_gap"),
+        ("ttpmine.features.discourse", "discourse_features"),
+        ("ttpmine.features.apriori", "bin_index"),
     ],
 )
 def test_retired_names_gone(module, name):

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import random_prediction, random_report, report_rows
+from helpers import pair_row, random_prediction, random_report, report_rows
 from oracles import marker_features_oracle
 from ttpmine.corpus import make_report, tokenize
 from ttpmine.features.discourse import DiscourseRelation, _noun_like, classify_discourse
@@ -18,9 +18,9 @@ from ttpmine.features.markers import (
     MARKER_RELATION,
     MARKERS,
     OVERLAP_MARKERS,
-    marker_features,
     marker_table,
 )
+from ttpmine.features.layout import FeatureLayout
 from ttpmine.stopwords import STOPWORDS
 
 EXPECTED_BEFORE = frozenset(
@@ -126,35 +126,51 @@ class TestCountMarkers:
         assert _one_sentence_counts("Payload ran.") == [0.0, 0.0, 0.0]
 
 
+LAYOUT = FeatureLayout(bins=10)
+F1 = LAYOUT.group_slices["f1"]
+
+
+def _f1(report, tx, ty) -> dict[str, float]:
+    """The F1 slots of the (tx, ty) row, by name without the "f1." prefix."""
+    row = pair_row(report, tx, ty)
+    return {name[3:]: row[LAYOUT.index(name)] for name in LAYOUT.names[F1]}
+
+
+def _counts(out, prefix) -> list[float]:
+    """The before, overlap and concurrent slots `<prefix>_<relation>`."""
+    return [out[f"{prefix}_{rel}"] for rel in ("before", "overlap", "concurrent")]
+
+
 class TestMarkerFeatures:
     def test_then_in_second_sentence_slots(self):
         report = make_report("r1", "X ran. Then Y ran.")
-        out = marker_features(marker_table(report), [0], [1])
-        assert out.shape == (F1_SIZE,)
-        assert out[0:3].tolist() == [0.0, 0.0, 0.0]  # tx-sentence counts
-        assert out[3:6].tolist() == [1.0, 0.0, 0.0]  # ty-sentence counts
-        assert out[6:9].tolist() == [1.0, 0.0, 0.0]  # span counts
-        assert out[9] == 1.0  # before marker, tx-first
-        assert out[10] == 0.0  # before marker, ty-first
-        assert out[15] == 0.0 and out[16] == 1.0  # densities
-        assert out[17:20].tolist() == [0.0, 0.0, 0.0]  # no interior extent
+        out = _f1(report, [0], [1])
+        assert len(out) == F1_SIZE
+        assert _counts(out, "tx") == [0.0, 0.0, 0.0]  # tx-sentence counts
+        assert _counts(out, "ty") == [1.0, 0.0, 0.0]  # ty-sentence counts
+        assert _counts(out, "span") == [1.0, 0.0, 0.0]  # span counts
+        assert out["dir_before_tx_first"] == 1.0
+        assert out["dir_before_ty_first"] == 0.0
+        assert out["density_tx"] == 0.0 and out["density_ty"] == 1.0
+        assert _counts(out, "extent") == [0.0, 0.0, 0.0]  # no interior extent
 
     def test_mirrored_pair_swaps_sides(self):
         report = make_report("r1", "X ran. Then Y ran.")
-        out = marker_features(marker_table(report), [1], [0])
-        assert out[0:3].tolist() == [1.0, 0.0, 0.0]
-        assert out[3:6].tolist() == [0.0, 0.0, 0.0]
-        assert out[6:9].tolist() == [1.0, 0.0, 0.0]  # span unchanged
-        assert out[9] == 0.0 and out[10] == 1.0  # direction flips
+        out = _f1(report, [1], [0])
+        assert _counts(out, "tx") == [1.0, 0.0, 0.0]
+        assert _counts(out, "ty") == [0.0, 0.0, 0.0]
+        assert _counts(out, "span") == [1.0, 0.0, 0.0]  # span unchanged
+        # Direction flips.
+        assert out["dir_before_tx_first"] == 0.0 and out["dir_before_ty_first"] == 1.0
 
     def test_same_sentence_pair(self):
         report = make_report("r1", "Then X and Y ran at once.")
-        out = marker_features(marker_table(report), [0], [0])
-        assert out[0:3].tolist() == [1.0, 0.0, 0.0]
-        assert out[3:6].tolist() == [1.0, 0.0, 0.0]
-        assert out[6:9].tolist() == [1.0, 0.0, 0.0]
-        assert out[9] == 0.0 and out[10] == 0.0
-        assert out[15] == 1.0 and out[16] == 1.0
+        out = _f1(report, [0], [0])
+        assert _counts(out, "tx") == [1.0, 0.0, 0.0]
+        assert _counts(out, "ty") == [1.0, 0.0, 0.0]
+        assert _counts(out, "span") == [1.0, 0.0, 0.0]
+        assert out["dir_before_tx_first"] == 0.0 and out["dir_before_ty_first"] == 0.0
+        assert out["density_tx"] == 1.0 and out["density_ty"] == 1.0
 
     def test_extent_counts_interior_only(self):
         report = make_report(
@@ -162,12 +178,12 @@ class TestMarkerFeatures:
             "X started.\nMeanwhile traffic flowed during gaps.\n"
             "Scans ran while logging.\nY finished later.",
         )
-        out = marker_features(marker_table(report), [0], [3])
+        out = _f1(report, [0], [3])
         # Interior sentences 1 and 2 hold one overlap marker each; the
         # endpoint "later" in sentence 3 is excluded from the extent.
-        assert out[17:20].tolist() == [0.0, 2.0, 0.0]
+        assert _counts(out, "extent") == [0.0, 2.0, 0.0]
         # ty sentence still counts its own marker.
-        assert out[3:6].tolist() == [1.0, 0.0, 0.0]
+        assert _counts(out, "ty") == [1.0, 0.0, 0.0]
 
     def test_nearest_pair_defines_span(self):
         report = make_report(
@@ -176,19 +192,19 @@ class TestMarkerFeatures:
         )
         # tx sentences 0 and 2, ty sentence 3: nearest pair is (2, 3), so
         # the span skips the filler and the far tx sentence.
-        out = marker_features(marker_table(report), [0, 2], [3])
-        assert out[6:9].tolist() == [1.0, 0.0, 0.0]
+        out = _f1(report, [0, 2], [3])
+        assert _counts(out, "span") == [1.0, 0.0, 0.0]
 
     def test_density_averages_over_sentences(self):
         report = make_report("r1", "Then X ran. Y later worked before dusk.")
-        out = marker_features(marker_table(report), [0, 1], [1])
-        assert out[15] == pytest.approx(1.5)
-        assert out[16] == pytest.approx(2.0)
+        out = _f1(report, [0, 1], [1])
+        assert out["density_tx"] == pytest.approx(1.5)
+        assert out["density_ty"] == pytest.approx(2.0)
 
     def test_empty_sides_zero(self):
         report = make_report("r1", "Then X ran.")
-        out = marker_features(marker_table(report), [], [])
-        assert np.array_equal(out, np.zeros(F1_SIZE))
+        out = _f1(report, [], [])
+        assert list(out.values()) == [0.0] * F1_SIZE
 
     def test_index_out_of_range_rejected(self):
         # The builder checks every hit sentence once, for all families.
@@ -203,11 +219,13 @@ class TestMarkerFeatures:
         report = make_report(
             "r1", "X ran during setup. Then Y ran simultaneously."
         )
-        out = marker_features(marker_table(report), [0], [1])
-        assert out[6:9].tolist() == [1.0, 1.0, 1.0]
+        out = _f1(report, [0], [1])
+        assert _counts(out, "span") == [1.0, 1.0, 1.0]
         # Directional: sentence 1 markers count tx-first; sentence 0's
         # "during" sits at k=0 with tx_min=0, outside tx_min < k.
-        assert out[9] == 1.0 and out[13] == 1.0 and out[11] == 0.0
+        assert out["dir_before_tx_first"] == 1.0
+        assert out["dir_concurrent_tx_first"] == 1.0
+        assert out["dir_overlap_tx_first"] == 0.0
 
 
 def _sample(rng, indices, max_size: int = 6) -> list[int]:
@@ -218,13 +236,13 @@ def _sample(rng, indices, max_size: int = 6) -> list[int]:
 
 def _assert_matches_oracle(report, tx, ty):
     want = marker_features_oracle(report, tx, ty)
-    got = marker_features(marker_table(report), tx, ty)
+    got = pair_row(report, tx, ty)[F1]
     assert got.tobytes() == want.tobytes(), (report.report_id, tx, ty)
 
 
 class TestMarkerTableOracle:
-    """The shared per-report table and slice sums against the per-pair
-    recount in `tests/oracles.py`, bit for bit."""
+    """The shared per-report table and the F1 slots of built rows against
+    the per-pair recount in `tests/oracles.py`, bit for bit."""
 
     def test_marker_table_rows(self):
         report = make_report(

@@ -242,6 +242,14 @@ class TestKbOnce:
         stage_kb(STIX, str(tmp_path))
         assert len(calls) == 1
 
+    def test_stage_kb_checks_min_examples_first(self, tmp_path, monkeypatch):
+        calls = self._count_bundle_loads(monkeypatch)
+        out = tmp_path / "kb"
+        with pytest.raises(ValueError, match="^min_examples must be >= 1, got 0$"):
+            stage_kb(STIX, str(out), min_examples=0)
+        assert not out.exists()
+        assert calls == []
+
     def test_run_pipeline_reads_no_kb_artifact(self, tmp_path, monkeypatch):
         calls = self._count_bundle_loads(monkeypatch)
         read = []
@@ -967,6 +975,16 @@ class TestMalformedClassifyOutput:
             "ttpmine features: error: <file>: malformed report prediction on line 2: "
             "ValueError: report 'r01': techniques ["
         ) and " are not the hit_sentences keys " in err, err
+
+    def test_detected_technique_without_hits(self, cli_dir, tmp_path, capsys):
+        def edit(record):
+            record["hit_sentences"][record["techniques"][0]] = []
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err.startswith(
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            "ValueError: report 'r01': detected technique T"
+        ) and err.endswith(" has no hit sentences"), err
 
     def test_hit_that_is_not_an_index(self, cli_dir, tmp_path, capsys):
         def edit(record):
