@@ -151,12 +151,16 @@ def _f1(hot: np.ndarray, markers: np.ndarray) -> np.ndarray:
     last = before.max(axis=1, initial=-1)[:, None]
     # The nearest (i, j), i a hit of row a and j of row b, by (|i - j|,
     # min, max) has j next to i among b's hits. The key |i - j| * (n +
-    # 1) + min(i, j) orders as the tuple does; max is min + |i - j|.
+    # 1) + min(i, j) orders as the tuple does; max is min + |i - j|. It
+    # is taken at each hit of row a, then its minimum over a's hits.
     none = (n + 1) ** 2
-    key = np.minimum(
-        np.where(hit[:, None] & (before >= 0), (pos - before) * (n + 1) + before, none),
-        np.where(hit[:, None] & (after < n), (after - pos) * (n + 1) + pos, none),
-    ).min(axis=-1, initial=none)
+    rows, at = np.nonzero(hit)
+    b_before, b_after = before[:, at], after[:, at]
+    key = np.full((k, k), none)
+    np.minimum.at(key, rows, np.minimum(
+        np.where(b_before >= 0, (at - b_before) * (n + 1) + b_before, none),
+        np.where(b_after < n, (b_after - at) * (n + 1) + at, none),
+    ).T)
     lo = key % (n + 1)
 
     side = hot @ markers
@@ -195,24 +199,24 @@ def _f2(hot: np.ndarray, coref: np.ndarray) -> np.ndarray:
 def _f3(hot: np.ndarray, report: Report, among, links) -> np.ndarray:
     """The (k, k, 10) F3 slots (see `features.discourse`) of every pair
     of rows of `hot`. Each adjacent sentence pair within `among` and each
-    link is classified once, then counted in its relation's slot for the
-    pairs it straddles: one sentence a hit of row a, the other of row b."""
+    link that two rows straddle (one sentence a hit of row a, the other
+    of row b) is classified once and counted for the pairs straddling it."""
     sentences, linked = report.sentences, set(links)
-    adjacent = [(i, i + 1) for i in sorted(among) if i + 1 in among]
-    relations = [
-        classify_discourse(sentences[i], sentences[j], (i, j) in linked) for i, j in adjacent
-    ] + [classify_discourse(sentences[i], sentences[j], True) for i, j in links]
-    # Adjacent pairs fill the first five slots, links the last five.
-    slots = [DISCOURSE_ORDER.index(rel) for rel in relations]
-    slots[len(adjacent):] = [slot + len(DISCOURSE_ORDER) for slot in slots[len(adjacent):]]
-    weight = np.zeros((len(slots), F3_SIZE), dtype=hot.dtype)
-    weight[np.arange(len(slots)), slots] = 1
-    first, second = np.array(adjacent + links, dtype=np.intp).reshape(-1, 2).T
+    pairs = [(i, i + 1) for i in sorted(among) if i + 1 in among] + links
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     x, y = hot[:, first], hot[:, second]
+    both = x * y
+    weight = np.zeros((len(pairs), F3_SIZE), dtype=hot.dtype)
+    # Only sentence pairs that two different rows straddle are classified:
+    # the row pairs over their two sentences, less those with a == b.
+    for at in np.flatnonzero(x.sum(axis=0) * y.sum(axis=0) > both.sum(axis=0)).tolist():
+        (i, j), is_link = pairs[at], at >= len(pairs) - len(links)
+        rel = classify_discourse(sentences[i], sentences[j], is_link or (i, j) in linked)
+        # Adjacent pairs fill the first five slots, links the last five.
+        weight[at, DISCOURSE_ORDER.index(rel) + len(DISCOURSE_ORDER) * is_link] = 1
     # A sentence pair whose two sentences are hits of both rows would
     # count in both directions; subtract it once.
     one_way = np.einsum("ai,bi,is->abs", x, y, weight)
-    both = x * y
     return one_way + one_way.transpose(1, 0, 2) - np.einsum("ai,bi,is->abs", both, both, weight)
 
 
@@ -246,12 +250,11 @@ def build_report_features(
     among = coref_sentences(report_prediction)
     links = sorted(coref_links(report, among))
     techniques = sorted(report_prediction.techniques)
-    hits = [sorted(set(report_prediction.hit_sentences.get(tid, ()))) for tid in techniques]
     # Integer products are exact and make no BLAS call: the first
     # float64 matmul of a process raises its peak RSS by about 0.25 MiB.
     hot = np.zeros((len(techniques), len(report.sentences)), dtype=np.int64)
-    for row, sentences in enumerate(hits):
-        hot[row, sentences] = 1
+    for row, tid in enumerate(techniques):
+        hot[row, list(report_prediction.hit_sentences.get(tid, ()))] = 1
     # Off-diagonal cells, row-major: the pairs in universe order.
     cells = ~np.eye(len(techniques), dtype=bool)
     tx, ty = np.nonzero(cells)
@@ -267,14 +270,18 @@ def build_report_features(
     values[:, group["f3"]] = f3[cells]
     values[:, group["f4"]] = list(map(f4.__getitem__, pairs))
     if wv is not None:
-        order = sorted(among)
-        vectors = [sentence_vector(wv, report.sentences[i].tokens) for i in order]
-        cosines = np.array([[cosine(u, v) for v in vectors] for u in vectors])
-        at = [np.searchsorted(order, sentences) for sentences in hits]
+        order = np.flatnonzero(hot.any(axis=0))
+        vectors = [sentence_vector(wv, report.sentences[i].tokens) for i in order.tolist()]
+        # Each cosine a pair reads (two rows straddle it) is computed once
+        # and mirrored: `cosine` is symmetric bit for bit.
+        used, cosines = hot[:, order], np.zeros((len(order), len(order)))
+        counts = used.sum(axis=0)
+        for i, j in np.argwhere(np.triu(np.outer(counts, counts) > used.T @ used)).tolist():
+            cosines[i, j] = cosines[j, i] = cosine(vectors[i], vectors[j])
         f2 = values[:, group["f2"]]
         for row, (a, b) in enumerate(zip(tx.tolist(), ty.tolist())):
-            if at[a].size and at[b].size:
-                sims = cosines[np.ix_(at[a], at[b])].ravel()
+            sims = cosines[np.ix_(used[a] > 0, used[b] > 0)].ravel()
+            if sims.size:
                 f2[row, 10] = float(np.mean(sims))
                 f2[row, 11] = float(np.max(sims))
     return FeatureRows(keys, values, layout)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -73,23 +74,13 @@ class FeatureLayout:
 
     @property
     def total(self) -> int:
-        return DEFAULT_SIZE + F1_SIZE + F2_SIZE + F3_SIZE + 9 + 9 * self.bins
+        return self.group_slices["f4"].stop
 
     @cached_property
     def group_slices(self) -> dict[str, slice]:
-        sizes = {
-            "default": DEFAULT_SIZE,
-            "f1": F1_SIZE,
-            "f2": F2_SIZE,
-            "f3": F3_SIZE,
-            "f4": 9 + 9 * self.bins,
-        }
-        out = {}
-        start = 0
-        for group in FEATURE_GROUPS:
-            out[group] = slice(start, start + sizes[group])
-            start += sizes[group]
-        return out
+        sizes = (DEFAULT_SIZE, F1_SIZE, F2_SIZE, F3_SIZE, 9 + 9 * self.bins)
+        bounds = zip(FEATURE_GROUPS, sizes, accumulate(sizes))
+        return {group: slice(stop - size, stop) for group, size, stop in bounds}
 
     def mask(self, groups) -> np.ndarray:
         """Boolean slot mask for a feature-subset configuration; the

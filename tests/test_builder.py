@@ -322,6 +322,74 @@ class TestPlantedCoreference:
         assert linked_rows > 15
 
 
+class TestWorkPerReport:
+    """A report's build does no work that no row reads, and none twice:
+    each cosine and each discourse relation that some pair reads is
+    computed once, and no temporary grows with pairs times sentences."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import ttpmine.features.builder as builder
+
+        calls = []
+        real = getattr(builder, name)
+        monkeypatch.setattr(builder, name, lambda *args: calls.append(args) or real(*args))
+        return calls
+
+    def test_each_read_cosine_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        report = random_report(rng, "w", n_sentences=(12, 12))
+        hits = {"TA": (2, 0, 1, 2), "TB": (2, 5, 6), "TC": (9,)}
+        pred = _prediction(report_id="w", techniques=hits, hits=hits)
+        calls = self._count(monkeypatch, "cosine")
+        rows = report_rows(report, pred, wv=random_word_vectors(rng))
+        # Sentence pairs {i, j} with i a hit of one technique and j of
+        # another; sentence 2, a hit of two, pairs with itself. The six
+        # rows read 30 (i, j) cosines, 14 of them distinct.
+        read = {
+            tuple(sorted((i, j)))
+            for a in hits for b in hits if a != b for i in hits[a] for j in hits[b]
+        }
+        assert len(calls) == len(read) == 14
+        assert rows.values[:, FeatureLayout().index("f2.sim_max")].all()
+
+    def test_only_straddled_sentence_pairs_classified(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        report = _planted_coref_report(rng, "d", 12)
+        # TA hits a run of five sentences; of the adjacent pairs among the
+        # hits, only (4, 5) has its two sentences hit by TA and TB.
+        hits = {"TA": (0, 1, 2, 3, 4), "TB": (5, 8)}
+        pred = _prediction(report_id="d", techniques=hits, hits=hits)
+        calls = self._count(monkeypatch, "classify_discourse")
+        report_rows(report, pred)
+        straddled_links = [
+            (i, j) for i, j in coref_links_oracle(report)
+            if (i in hits["TA"]) != (j in hits["TA"]) and {i, j} <= {0, 1, 2, 3, 4, 5, 8}
+        ]
+        assert straddled_links
+        assert len(calls) == 1 + len(straddled_links)
+
+    def test_peak_memory_grows_with_techniques_times_sentences(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(7)
+        n, k = 2000, 40
+        report = random_report(rng, "m", n_sentences=(n, n))
+        hits = {f"T{1000 + a}": tuple(int(i) for i in rng.choice(n, size=25)) for a in range(k)}
+        pred = _prediction(report_id="m", techniques=hits, hits=hits)
+        f4 = f4_table(EMPTY_USAGE, pair_universe(hits), 10)
+        tracemalloc.start()
+        try:
+            rows = build_report_features(report, pred, wv=None, layout=FeatureLayout(), f4=f4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == k * (k - 1)
+        # The 1,560 rows take 1.9 MiB; one int64 (k, k, n) array would
+        # take 24 MiB.
+        assert peak < 16 * 2**20, peak
+
+
 class TestStageFeaturesOracle:
     """The corpus matrix `stage_features` returns against
     `pair_vector_oracle`, on long seeded reports whose rows read
