@@ -23,7 +23,6 @@ from .gbdt import TrainConfig
 from .gbdt.ensemble import GbdtTrainingError, predict_batch
 from .labels import NULL
 from .metrics import evaluate_relations
-from .mining import load_category_map
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -31,6 +30,7 @@ from .pipeline import (
     count_f4_missing,
     count_unrowed_annotations,
     labels_for_rows,
+    load_categories,
     load_ctfidf_model,
     load_features,
     load_kb_catalog,
@@ -337,7 +337,7 @@ def cmd_predict(args) -> int:
 
 def cmd_mine(args) -> int:
     predictions = load_relation_predictions(args.predictions)
-    category_map = load_category_map(args.categories) if args.categories else None
+    category_map = load_categories(args.categories) if args.categories else None
     formats = _split_csv(args.format) or ["csv", "json", "dot"]
     unknown = sorted(set(formats) - {"csv", "json", "dot"})
     if unknown:

@@ -13,9 +13,11 @@ import json
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice, repeat
+from itertools import compress, filterfalse, repeat
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .labels import ALL_LABELS, NULL, SYMMETRIC_LABELS
 from .stopwords import STOPWORDS
@@ -45,8 +47,64 @@ class Sentence(NamedTuple):
 
 @dataclass(frozen=True)
 class Report:
+    """A loaded report: its sentence lines and one token stream.
+
+    ``lines`` holds each sentence as it was split from the text, its
+    whitespace not yet collapsed. ``tokens`` holds every kept token of the
+    report in order, and sentence ``i``'s tokens are
+    ``tokens[bounds[i]:bounds[i + 1]]``. Whole-report passes (scoring,
+    marker counts) read the stream; ``sentences`` gives the sentences one
+    at a time.
+    """
+
     report_id: str
-    sentences: tuple[Sentence, ...]
+    lines: tuple[str, ...]
+    tokens: tuple[str, ...]
+    bounds: tuple[int, ...]
+
+    @property
+    def sentences(self) -> ReportSentences:
+        return ReportSentences(self)
+
+    def token_sentences(self) -> np.ndarray:
+        """The sentence index of each token of ``tokens``."""
+        return np.repeat(np.arange(len(self.lines)), np.diff(self.bounds))
+
+
+class ReportSentences(Sequence):
+    """A report's sentences as a read-only sequence of `Sentence`.
+
+    ``len()`` builds nothing. Each item is built when it is read: its text
+    is the line with whitespace collapsed, its tokens the line's span of
+    the report's token stream. It compares equal to the tuple of its
+    items.
+    """
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: Report):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.lines)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        report = self._report
+        i = range(len(report.lines))[index]
+        tokens = report.tokens[report.bounds[i] : report.bounds[i + 1]]
+        return Sentence(i, " ".join(report.lines[i].split()), tokens)
+
+    def __iter__(self) -> Iterator[Sentence]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, ReportSentences)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -64,13 +122,17 @@ class RelationAnnotation:
         return (self.tx, self.ty)
 
 
-# Sentence boundary inside a line: terminal punctuation, then a run of
-# whitespace other than "\n", then an uppercase letter; the match is the
-# run. Interior dots with no following whitespace (Updater.vbs,
-# rundll32.exe, 3.5) never match. The pattern starts with the run's first
-# character, not with the lookbehind, so the regex engine only tries a
-# match at whitespace instead of at every position.
-_BOUNDARY = re.compile(r"[^\S\n](?<=[.!?][^\S\n])[^\S\n]*(?=[A-Z])")
+# Sentence boundaries inside a line, one pattern per terminal mark: the
+# mark, then a run of whitespace other than "\n", then an uppercase
+# letter. Each match becomes the mark and "\n". Interior dots with no
+# following whitespace (Updater.vbs, rundll32.exe, 3.5) never match. A
+# pattern that starts with a literal character lets the regex engine skip
+# to that character, and a literal replacement keeps `re.sub` in C; one
+# pattern over all three marks needs a group reference in its
+# replacement, whose expansion costs more per call than two more passes.
+_BOUNDARIES = tuple(
+    (re.compile(rf"\{mark}[^\S\n]+(?=[A-Z])"), mark + "\n") for mark in ".!?"
+)
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]+")
 # Every ASCII character outside [a-z0-9._-] and "\n" becomes a space.
@@ -89,6 +151,44 @@ _BLANK_ASCII = str.maketrans(
 _LINE_END = "\x00"
 
 
+def _token_stream(lines: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The kept tokens of all `lines` (none holding "\n") as one stream,
+    and the bounds of each line's tokens in it: line ``i`` has
+    ``tokens[bounds[i]:bounds[i + 1]]``.
+
+    The lines are joined with "\n" and lowercased once, before anything
+    is blanked, because lowercasing turns some non-ASCII characters into
+    ASCII ones (the Kelvin sign becomes "k"). Non-ASCII characters left
+    after that become spaces, then so does every ASCII character outside
+    [a-z0-9._-], and each "\n" becomes a line-end token. The edge strip
+    and the empty and stopword filters run once over the whole stream.
+    Each line end is then found with one C-level `list.index` scan from
+    the one before, and one `compress` drops them all, so the work grows
+    linearly with the tokens however many lines there are.
+    """
+    if not lines:
+        return (), (0,)
+    text = "\n".join(lines).lower()
+    if not text.isascii():
+        text = _NON_ASCII.sub(" ", text)
+    words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
+    kept = list(
+        filterfalse(
+            STOPWORDS.__contains__, filter(None, map(str.strip, words, repeat("._-")))
+        )
+    )
+    keep = [True] * len(kept)
+    bounds, at = [0], -1
+    for ended in range(len(lines) - 1):
+        at = kept.index(_LINE_END, at + 1)
+        keep[at] = False
+        # The next line starts where its line end stood, less the line
+        # ends dropped before it.
+        bounds.append(at - ended)
+    bounds.append(len(kept) - len(lines) + 1)
+    return tuple(compress(kept, keep)), tuple(bounds)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on anything outside [a-z0-9._-].
 
@@ -100,35 +200,20 @@ def tokenize(text: str) -> list[str]:
 
 
 def tokenize_texts(texts: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """`tokenize` of each text, in order, from one pass over all of them.
+    """`tokenize` of each text, in order, from one token stream over all
+    of them (a "\n" inside a text only separates tokens)."""
+    tokens, bounds = _token_stream(list(map(str.replace, texts, repeat("\n"), repeat(" "))))
+    return map(tokens.__getitem__, map(slice, bounds, bounds[1:]))
 
-    The texts are joined with "\\n" and lowercased once, before anything
-    is blanked, because lowercasing turns some non-ASCII characters into
-    ASCII ones (the Kelvin sign becomes "k"). Non-ASCII characters left
-    after that become spaces, then so does every ASCII character outside
-    [a-z0-9._-], and each "\\n" becomes a line-end token. The edge strip
-    and the empty and stopword filters then run once over the whole token
-    stream, and the kept tokens are regrouped at the line ends. All kept
-    tokens are held at once; only the per-line tuples are made as they
-    are consumed.
-    """
-    joined = "\n".join(texts)
-    one_line_each = joined.count("\n") == len(texts) - 1
-    text = joined.lower()
-    if not text.isascii():
-        text = _NON_ASCII.sub(" ", text)
-    words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
-    kept = filterfalse(
-        STOPWORDS.__contains__, filter(None, map(str.strip, words, repeat("._-")))
-    )
-    lines = map(tuple, map(str.split, " ".join(kept).split(_LINE_END)))
-    if one_line_each:
-        return lines
-    # Some text holds "\n" and so spans several lines (or there is none).
-    return (
-        tuple(chain.from_iterable(islice(lines, original.count("\n") + 1)))
-        for original in texts
-    )
+
+def _pieces(text: str) -> list[str]:
+    """`text` split at every sentence boundary, in document order: each
+    in-line boundary becomes "\n" (one substitution over the whole text
+    per terminal mark), then one split at "\n" gives every piece. Pieces
+    that are empty or all whitespace are not sentences."""
+    for boundary, mark_and_newline in _BOUNDARIES:
+        text = boundary.sub(mark_and_newline, text)
+    return text.split("\n")
 
 
 def split_sentences(text: str) -> list[str]:
@@ -138,22 +223,22 @@ def split_sentences(text: str) -> list[str]:
     line the split needs terminal punctuation followed by whitespace and
     an uppercase letter, so dots inside tokens survive. Interior
     whitespace is collapsed to single spaces; empty pieces are dropped.
-    Each in-line boundary becomes a "\\n" in one substitution over the
-    whole text, so one split gives every piece.
     """
-    lines = _BOUNDARY.sub("\n", text).split("\n")
-    return list(filter(None, map(" ".join, map(str.split, lines))))
-
-
-def segment_sentences(text: str) -> tuple[Sentence, ...]:
-    """`split_sentences`, the pieces tokenized together in one pass, with
-    document-order indices."""
-    pieces = split_sentences(text)
-    return tuple(map(Sentence, range(len(pieces)), pieces, tokenize_texts(pieces)))
+    return list(filter(None, map(" ".join, map(str.split, _pieces(text)))))
 
 
 def make_report(report_id: str, text: str) -> Report:
-    return Report(report_id=report_id, sentences=segment_sentences(text))
+    """The report of `text`: its sentence lines and their tokens, from
+    one token stream over the whole report. No `Sentence` is built."""
+    lines = tuple(filterfalse(str.isspace, filter(None, _pieces(text))))
+    tokens, bounds = _token_stream(lines)
+    return Report(report_id, lines, tokens, bounds)
+
+
+def segment_sentences(text: str) -> tuple[Sentence, ...]:
+    """The `Sentence`s of `text`, with document-order indices: the
+    sentences of `make_report`, all built."""
+    return tuple(make_report("", text).sentences)
 
 
 def load_reports(directory: str | Path) -> list[Report]:

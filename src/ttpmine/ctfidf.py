@@ -96,28 +96,35 @@ def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
 
 def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
     """Max-normalized cosine scores of each token sequence against each
-    class, as a ``(len(token_lists), classes)`` matrix.
-
-    The term counts only span the columns of the vocabulary that occur in
-    `token_lists`, in vocabulary order, so one matrix product scores every
-    list. Counts are integers, so each row's sum of squares, and hence its
-    norm, is exact. A row with no in-vocabulary token, or whose maximum
-    cosine is not positive, is all zeros.
-    """
+    class, as a ``(len(token_lists), classes)`` matrix: `_score_stream`
+    of the sequences chained into one stream."""
     n_rows = len(token_lists)
-    scores = np.zeros((n_rows, len(model.class_ids)), dtype=np.float64)
     lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_rows)
+    rows = np.repeat(np.arange(n_rows), lengths)
+    return _score_stream(model, list(chain.from_iterable(token_lists)), rows, n_rows)
+
+
+def _score_stream(model: CtfidfModel, tokens, rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """Max-normalized cosine scores of each of `n_rows` sentences against
+    each class, as a ``(n_rows, classes)`` matrix, from the token stream
+    `tokens` and the sentence of each token, `rows`.
+
+    Every token is looked up in the vocabulary in one pass. The term
+    counts only span the columns of the vocabulary that occur in the
+    stream, in vocabulary order, so one matrix product scores every
+    sentence. Counts are integers, so each row's sum of squares, and
+    hence its norm, is exact. A row with no in-vocabulary token, or whose
+    maximum cosine is not positive, is all zeros.
+    """
+    scores = np.zeros((n_rows, len(model.class_ids)), dtype=np.float64)
     ids = np.fromiter(
-        map(model.vocab.get, chain.from_iterable(token_lists), repeat(-1)),
-        dtype=np.intp,
-        count=int(lengths.sum()),
+        map(model.vocab.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
     )
     known = ids >= 0
     if not known.any() or not model.class_ids:
         return scores
     cols, term = np.unique(ids[known], return_inverse=True)
-    rows = np.repeat(np.arange(n_rows), lengths)[known]
-    counts = np.bincount(rows * cols.size + term, minlength=n_rows * cols.size)
+    counts = np.bincount(rows[known] * cols.size + term, minlength=n_rows * cols.size)
     counts = counts.reshape(n_rows, cols.size).astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
     dots = counts @ model.class_vectors[:, cols].T
@@ -131,11 +138,14 @@ def predict_report(
     model: CtfidfModel, report: Report, threshold: float = DEFAULT_THRESHOLD
 ) -> ReportPrediction:
     """Report-level aggregation: a technique is present iff at least one
-    sentence scores >= threshold for it."""
+    sentence scores >= threshold for it. The sentences are scored from
+    the report's token stream; no `Sentence` is built."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
-    matrix = score_sentences(model, [s.tokens for s in report.sentences])
+    matrix = _score_stream(
+        model, report.tokens, report.token_sentences(), len(report.lines)
+    )
     top = np.zeros((TOP_K_SCORES, len(model.class_ids)), dtype=np.float64)
     best = np.sort(matrix, axis=0)[::-1][:TOP_K_SCORES]
     top[: best.shape[0]] = best

@@ -28,9 +28,17 @@ def load_word_vectors(path: str | Path) -> WordVectors:
     """Read "V D" header then V rows of "token v1 .. vD".
 
     Duplicate tokens keep the first occurrence. Any arity mismatch
-    (header, row width, row count) raises with the 1-based line number.
+    (header, row width, row count) raises with the 1-based line number,
+    and a file that is not UTF-8 with its path.
     """
     path = Path(path)
+    try:
+        return _read_word_vectors(path)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_word_vectors(path: Path) -> WordVectors:
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()

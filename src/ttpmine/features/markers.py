@@ -15,6 +15,8 @@ Slot enumeration (F1, offsets within the family):
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from ..corpus import Report
@@ -50,17 +52,16 @@ F1_SIZE = 20
 
 def marker_table(report: Report) -> np.ndarray:
     """``(n_sentences, 3)`` integer marker counts, one row per sentence
-    index, from one `bincount` over every marker token of the report.
+    index, from one pass over the report's token stream and one
+    `bincount` over its marker tokens.
 
     Built once per report and read by every pair's F1 slots.
     """
-    relation = MARKER_RELATION.get
-    cells = [
-        3 * sent.index + rel
-        for sent in report.sentences
-        for rel in map(relation, sent.tokens)
-        if rel is not None
-    ]
-    n = len(report.sentences)
-    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=3 * n)
-    return counts.reshape(n, 3)
+    tokens = report.tokens
+    relation = np.fromiter(
+        map(MARKER_RELATION.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
+    )
+    found = relation >= 0
+    n = len(report.lines)
+    cells = 3 * report.token_sentences()[found] + relation[found]
+    return np.bincount(cells, minlength=3 * n).reshape(n, 3)

@@ -8,7 +8,6 @@ import io
 import json
 from dataclasses import dataclass, replace
 from importlib import resources
-from pathlib import Path
 
 from .labels import NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
@@ -88,16 +87,24 @@ def categorize(patterns, category_map: CategoryMap) -> list[TemporalPattern]:
     ]
 
 
-def load_category_map(path: str | Path | None = None) -> CategoryMap:
-    """Load a category map; None loads the one shipped with the package."""
-    if path is None:
-        text = (
-            resources.files("ttpmine").joinpath("data/pattern_categories.json")
-        ).read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    data = json.loads(text)
-    categories = tuple(data["categories"])
+def load_category_map() -> CategoryMap:
+    """The category map shipped with the package. A map file of one's
+    own is read with `ttpmine.pipeline.load_categories`."""
+    text = (
+        resources.files("ttpmine").joinpath("data/pattern_categories.json")
+    ).read_text(encoding="utf-8")
+    return category_map_from_dict(json.loads(text))
+
+
+def category_map_from_dict(data) -> CategoryMap:
+    """The `CategoryMap` of a decoded category map file: ``categories``,
+    the closed list, and ``patterns``, rows of tx, ty, relation and
+    category. ValueError for an entry that breaks the map's rules;
+    KeyError or TypeError for one of the wrong shape."""
+    categories = data["categories"]
+    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
+        raise ValueError(f"categories must be a list of strings, got {categories!r}")
+    categories = tuple(categories)
     closed = set(categories)
     entries: dict[tuple[str, str, str], str] = {}
     for row in data["patterns"]:

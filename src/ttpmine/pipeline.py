@@ -73,7 +73,14 @@ from .gbdt.ensemble import (
 )
 from .gbdt.ensemble import train as train_ensemble
 from .labels import NULL
-from .mining import CategoryMap, categorize, export, load_category_map, mine
+from .mining import (
+    CategoryMap,
+    categorize,
+    category_map_from_dict,
+    export,
+    load_category_map,
+    mine,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -621,6 +628,12 @@ def load_relation_predictions(path: str) -> list[RelationPrediction]:
 # ---------------------------------------------------------------------------
 
 
+def load_categories(path: str) -> CategoryMap:
+    """The category map file at ``path``; one PipelineError naming the
+    file if it does not decode or breaks the map's rules."""
+    return read_json(path, "category map", category_map_from_dict)
+
+
 def stage_mine(
     predictions: Sequence[RelationPrediction],
     out_path: str,
@@ -669,6 +682,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for name in ("stix", "reports", "annotations"):
         if getattr(config, name) is None:
             raise PipelineError(f"run: config.{name} is required")
+    # The side inputs are read first, so a bad one fails the run before
+    # it writes anything.
+    vectors = None
+    if config.vectors is not None:
+        vectors = load_word_vectors(config.vectors)
+    category_map = None
+    if config.categories is not None:
+        category_map = load_categories(config.categories)
     chash = config.config_hash()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -689,10 +710,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         threshold=config.threshold,
         config_hash=chash,
     )
-
-    vectors = None
-    if config.vectors is not None:
-        vectors = load_word_vectors(config.vectors)
 
     features_path = os.path.join(out_dir, "features.csv")
     rows = stage_features(
@@ -728,9 +745,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     predictions_path = os.path.join(out_dir, "predictions.jsonl")
     predictions = stage_predict(ensemble, rows, predictions_path, config_hash=chash)
 
-    category_map = None
-    if config.categories is not None:
-        category_map = load_category_map(config.categories)
     patterns_path = os.path.join(out_dir, "patterns.csv")
     patterns = stage_mine(
         predictions,

@@ -3,11 +3,20 @@ annotation loading."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from helpers import E2E_DIR
-from oracles import report_sentences_oracle, split_sentences_oracle, tokenize_oracle
+from oracles import (
+    _count_markers_oracle,
+    predict_report_oracle,
+    report_sentences_oracle,
+    split_sentences_oracle,
+    tokenize_oracle,
+)
+from ttpmine import corpus
 from ttpmine.corpus import (
     AnnotationError,
     CorpusError,
@@ -21,7 +30,9 @@ from ttpmine.corpus import (
     tokenize,
     tokenize_texts,
 )
+from ttpmine.ctfidf import CtfidfModel, predict_report
 from ttpmine.features.discourse import _BULLET
+from ttpmine.features.markers import marker_table
 from ttpmine.labels import BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 
 
@@ -278,7 +289,7 @@ class TestSegmentationOracle:
         paths = sorted(directory.glob("*.txt"))
         assert [r.report_id for r in reports] == [p.stem for p in paths]
         for report, path in zip(reports, paths):
-            expected = report_sentences_oracle(path.read_text(encoding="utf-8"))
+            expected = report_sentences_oracle(path.read_text(encoding="utf-8-sig"))
             got = [(s.index, s.text, s.tokens) for s in report.sentences]
             assert got == expected, report.report_id
 
@@ -294,6 +305,137 @@ class TestSegmentationOracle:
         # Some of the 250 written sentences run on into the next one.
         assert all(150 < len(r.sentences) <= 250 for r in reports)
         self._assert_loaded_match_oracle(tmp_path)
+
+    def test_load_reports_seeded_odd_texts(self, tmp_path):
+        # Byte order marks, non-ASCII letters and digits, every kind of
+        # whitespace, lines with no token, and temporal markers.
+        for k, text in enumerate(_stream_texts(20261107, n=60)):
+            (tmp_path / f"r{k:02d}.txt").write_text(text, encoding="utf-8", newline="")
+        self._assert_loaded_match_oracle(tmp_path)
+
+
+# Pieces of the token stream tests' texts: those of `_LINE_PIECES`, a byte
+# order mark (dropped only at the start of a file), runs with no token,
+# in-line sentence boundaries and temporal markers of each class.
+_STREAM_PIECES = _LINE_PIECES + (
+    "\ufeff", "\u3000", "\u2009", "\u202f", "\u1680", "\x1d", "\x1e", "\x1f",
+    "!!!", " -- ", ". It", "? The", "! Later",
+    "then", "while", "during", "simultaneously", "the", "w1", "w2", "w3",
+)
+
+
+def _stream_texts(seed: int, n: int) -> list[str]:
+    rng = np.random.default_rng(seed)
+    texts = []
+    for _ in range(n):
+        body = "".join(rng.choice(_STREAM_PIECES, size=int(rng.integers(0, 80))))
+        texts.append(("\ufeff" if rng.random() < 0.3 else "") + body)
+    return texts
+
+
+def _oracle_report(report_id: str, text: str):
+    """What `predict_report_oracle` reads of a report, its sentences from
+    the line-at-a-time splitter and tokenized one at a time."""
+    sentences = [Sentence(*fields) for fields in report_sentences_oracle(text)]
+    return SimpleNamespace(report_id=report_id, sentences=sentences)
+
+
+def _stream_model(reports, n_classes: int = 5) -> CtfidfModel:
+    """Dyadic class weights (every product and partial sum is exact, so
+    any summation order gives the same bits) over most of the reports'
+    tokens; the rest stay out of the vocabulary."""
+    rng = np.random.default_rng(7)
+    words = sorted({t for report in reports for t in report.tokens})
+    vocab = {w: j for j, w in enumerate(w for w in words if rng.random() < 0.8)}
+    weights = rng.integers(1, 32, size=(n_classes, len(vocab))) / 8.0
+    weights[rng.random(weights.shape) < 0.6] = 0.0
+    return CtfidfModel(
+        vocab=vocab,
+        class_ids=tuple(f"T{k}" for k in range(n_classes)),
+        class_vectors=weights,
+        avg_tokens_per_class=4.0,
+    )
+
+
+class TestTokenStream:
+    """A report holds its sentence lines and one token stream; its
+    sentences, scores and marker counts equal those of the sentences
+    split and tokenized one at a time."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        rng = np.random.default_rng(20261108)
+        e2e = sorted((E2E_DIR / "reports").glob("*.txt"))
+        return (
+            _stream_texts(20261109, n=200)
+            + [_report_text(rng, 250) for _ in range(4)]
+            + [path.read_text(encoding="utf-8") for path in e2e]
+        )
+
+    def test_sentences_equal_oracle(self, texts):
+        for case, text in enumerate(texts):
+            report = make_report("r", text)
+            expected = [Sentence(*fields) for fields in report_sentences_oracle(text)]
+            assert len(report.sentences) == len(report.lines) == len(expected)
+            assert list(report.sentences) == expected, case
+            assert report.sentences == tuple(expected)
+            assert report.tokens == tuple(t for s in expected for t in s.tokens)
+            if expected:
+                assert report.sentences[-1] == expected[-1]
+                assert report.sentences[1:3] == tuple(expected[1:3])
+
+    def test_sentence_index_out_of_range(self):
+        report = make_report("r", "One ran. Two ran.")
+        with pytest.raises(IndexError):
+            report.sentences[2]
+        assert report.sentences[-2].text == "One ran."
+
+    def test_predict_report_equals_oracle(self, texts):
+        reports = [make_report(f"r{k}", text) for k, text in enumerate(texts)]
+        model = _stream_model(reports)
+        detected = 0
+        for report, text in zip(reports, texts):
+            for threshold in (0.5, 1.0):
+                _, expected = predict_report_oracle(
+                    model, _oracle_report(report.report_id, text), threshold
+                )
+                assert predict_report(model, report, threshold) == expected, report.report_id
+                detected += len(expected.techniques)
+        assert detected
+
+    def test_marker_table_equals_oracle(self, texts):
+        counted = 0
+        for text in texts:
+            table = marker_table(make_report("r", text))
+            expected = [
+                _count_markers_oracle(tokens) for _, _, tokens in report_sentences_oracle(text)
+            ]
+            assert table.shape == (len(expected), 3)
+            assert table.tolist() == [row.tolist() for row in expected]
+            counted += int(table.sum())
+        assert counted
+
+    def test_load_classify_and_count_build_no_sentence(self, tmp_path, monkeypatch):
+        for k, text in enumerate(_stream_texts(20261110, n=20)):
+            (tmp_path / f"r{k:02d}.txt").write_text(text, encoding="utf-8", newline="")
+        built = []
+
+        def counting_sentence(*args):
+            built.append(args[0])
+            return Sentence(*args)
+
+        monkeypatch.setattr(corpus, "Sentence", counting_sentence)
+        reports = load_reports(tmp_path)
+        assert sum(len(report.sentences) for report in reports) > 100
+        assert built == []
+        model = _stream_model(reports)
+        for report in reports:
+            predict_report(model, report, 0.5)
+            marker_table(report)
+        assert built == []
+        # Reading a sentence builds it, and only it.
+        assert reports[0].sentences[0].index == 0
+        assert built == [0]
 
 
 class TestSentence:

@@ -30,6 +30,7 @@ from ttpmine.mining import (
     mine,
     patterns_from_csv,
 )
+from ttpmine.pipeline import PipelineError, load_categories
 
 
 def _pred(tx, ty, labels, report_id=""):
@@ -264,8 +265,8 @@ class TestCategoryMapValidation:
                 ],
             },
         )
-        with pytest.raises(ValueError, match="invalid relation"):
-            load_category_map(path)
+        with pytest.raises(PipelineError, match="invalid relation"):
+            load_categories(str(path))
 
     def test_non_canonical_symmetric_entry(self, tmp_path):
         path = self._write(
@@ -282,8 +283,8 @@ class TestCategoryMapValidation:
                 ],
             },
         )
-        with pytest.raises(ValueError, match="not canonically ordered"):
-            load_category_map(path)
+        with pytest.raises(PipelineError, match="not canonically ordered"):
+            load_categories(str(path))
 
     def test_unknown_category(self, tmp_path):
         path = self._write(
@@ -295,16 +296,16 @@ class TestCategoryMapValidation:
                 ],
             },
         )
-        with pytest.raises(ValueError, match="not in the closed list"):
-            load_category_map(path)
+        with pytest.raises(PipelineError, match="not in the closed list"):
+            load_categories(str(path))
 
     def test_duplicate_entry(self, tmp_path):
         row = {"tx": "T1", "ty": "T2", "relation": BEFORE, "category": "c"}
         path = self._write(
             tmp_path, {"categories": ["c"], "patterns": [row, dict(row)]}
         )
-        with pytest.raises(ValueError, match="duplicate"):
-            load_category_map(path)
+        with pytest.raises(PipelineError, match="duplicate"):
+            load_categories(str(path))
 
 
 PATTERNS = [

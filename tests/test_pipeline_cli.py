@@ -839,6 +839,89 @@ class TestMalformedArtifacts:
         )
 
 
+
+class TestMalformedCategoryMap:
+    """A category map that does not decode or breaks the map's rules
+    stops `mine` with exit 1 and one error line naming the file; `run`
+    reads the map before any stage and writes nothing."""
+
+    ROW = {"tx": "T1566", "ty": "T1204", "relation": "BEFORE", "category": "c"}
+
+    def _mine(self, cli_dir, tmp_path, capsys, text) -> str:
+        path = tmp_path / "categories.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["mine", "--predictions", str(cli_dir / "predictions.jsonl"),
+                "--categories", str(path), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not (tmp_path / "p.csv").exists()
+        return err.replace(str(path), "<file>").rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"categories": ["c"]}, "KeyError: 'patterns'"),
+            ({"categories": ["c"], "patterns": [
+                {k: v for k, v in ROW.items() if k != "category"}]},
+             "KeyError: 'category'"),
+            ([ROW], "TypeError: list indices must be integers or slices, not str"),
+            ({"categories": "c", "patterns": [ROW]},
+             "ValueError: categories must be a list of strings, got 'c'"),
+            ({"categories": ["c"], "patterns": [{**ROW, "category": "z"}]},
+             "ValueError: category 'z' not in the closed list"),
+            ({"categories": ["c"], "patterns": [{**ROW, "relation": "NULL"}]},
+             "ValueError: category map has invalid relation 'NULL'"),
+        ],
+    )
+    def test_mine_names_the_file(self, cli_dir, tmp_path, capsys, data, message):
+        assert self._mine(cli_dir, tmp_path, capsys, json.dumps(data)) == (
+            f"ttpmine mine: error: <file>: malformed category map: {message}"
+        )
+
+    def test_mine_json_syntax(self, cli_dir, tmp_path, capsys):
+        assert self._mine(cli_dir, tmp_path, capsys, '{"categories" []}') == (
+            "ttpmine mine: error: <file>: malformed category map: "
+            "JSONDecodeError: Expecting ':' delimiter: line 1 column 15 (char 14)"
+        )
+
+    def test_mine_missing_file(self, cli_dir, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        argv = ["mine", "--predictions", str(cli_dir / "predictions.jsonl"),
+                "--categories", str(missing), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"ttpmine mine: error: category map not found: {missing}\n"
+        )
+
+    def _run(self, tmp_path, capsys, **changes) -> str:
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**e2e_config_dict(tmp_path / "out"), **changes}), encoding="utf-8"
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        # Nothing is written: no kb/, no classify or prediction output.
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+        return err.rstrip("\n")
+
+    def test_run_reads_the_map_before_any_stage(self, tmp_path, capsys):
+        bad = tmp_path / "categories.json"
+        bad.write_text(json.dumps({"categories": ["c"]}), encoding="utf-8")
+        assert self._run(tmp_path, capsys, categories=str(bad)) == (
+            f"ttpmine run: error: {bad}: malformed category map: KeyError: 'patterns'"
+        )
+
+    def test_run_reads_the_vectors_before_any_stage(self, tmp_path, capsys):
+        bad = tmp_path / "vectors.txt"
+        bad.write_bytes(b"1 2\n\xff 1 0\n")
+        err = self._run(tmp_path, capsys, vectors=str(bad))
+        assert err.startswith(f"ttpmine run: error: {bad}: not UTF-8 text: "), err
+        bad.write_text("2 2\na 1 0\n", encoding="utf-8")
+        assert self._run(tmp_path, capsys, vectors=str(bad)) == (
+            "ttpmine run: error: vectors.txt: header declares 2 rows, file has 1"
+        )
+
+
 def _features_argv(cli_dir, out, *extra):
     return [
         "features",
