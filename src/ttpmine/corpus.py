@@ -96,9 +96,6 @@ class ReportSentences(Sequence):
         tokens = report.tokens[report.bounds[i] : report.bounds[i + 1]]
         return Sentence(i, " ".join(report.lines[i].split()), tokens)
 
-    def __iter__(self) -> Iterator[Sentence]:
-        return map(self.__getitem__, range(len(self)))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (tuple, ReportSentences)):
             return tuple(self) == tuple(other)
