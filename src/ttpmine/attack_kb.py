@@ -82,7 +82,6 @@ class UsageMatrix:
 class ActionDataset:
     examples: tuple[tuple[str, frozenset[str]], ...]
     techniques: tuple[str, ...]
-    min_examples: int
 
 
 def _load_bundle(bundle_bytes: bytes) -> list[dict]:
@@ -262,10 +261,9 @@ def _cells(uses: Sequence[Sequence[int]], n_techniques: int) -> np.ndarray:
 def build_action_dataset(
     catalog: TechniqueCatalog,
     min_examples: int = 20,
-    extra=None,
 ) -> ActionDataset:
-    """Merge procedure examples with extra manual mappings and filter out
-    techniques with fewer than min_examples examples.
+    """The catalog's procedure examples, without the techniques that have
+    fewer than min_examples examples.
 
     Examples are keyed by exact sentence text, labels unioned. The
     count filter is a single pass over pre-drop counts, so raising
@@ -281,17 +279,6 @@ def build_action_dataset(
                 continue
             merged.setdefault(sentence, set()).add(rec.id)
 
-    if extra:
-        unknown = sorted(
-            {tid for _, labels in extra for tid in labels if tid not in catalog}
-        )
-        if unknown:
-            raise ValueError(f"extra mappings reference unknown techniques: {unknown}")
-        for sentence, labels in extra:
-            if not sentence.strip() or not labels:
-                continue
-            merged.setdefault(sentence, set()).update(labels)
-
     counts: dict[str, int] = {}
     for labels in merged.values():
         for tid in labels:
@@ -303,11 +290,7 @@ def build_action_dataset(
         for sentence, labels in merged.items()
         if labels & retained
     )
-    return ActionDataset(
-        examples=examples,
-        techniques=tuple(sorted(retained)),
-        min_examples=min_examples,
-    )
+    return ActionDataset(examples=examples, techniques=tuple(sorted(retained)))
 
 
 def catalog_to_dict(catalog: TechniqueCatalog) -> dict:

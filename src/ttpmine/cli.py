@@ -256,13 +256,6 @@ def cmd_train_relations(args) -> int:
     if args.train_config:
         train_config = read_json(args.train_config, "train config", TrainConfig.from_dict)
     groups = _split_csv(args.feature_groups)
-    if groups is not None:
-        unknown = sorted(set(groups) - set(FEATURE_GROUPS))
-        if unknown:
-            raise PipelineError(
-                f"unknown feature groups: {', '.join(unknown)} "
-                f"(expected subset of {', '.join(FEATURE_GROUPS)})"
-            )
     chash = provenance_hash(
         {
             "features": args.features,

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .labels import ALL_LABELS, NULL, SYMMETRIC_LABELS
+from .labels import NULL, SYMMETRIC_LABELS, label_set_problem
 from .stopwords import STOPWORDS
 
 
@@ -76,8 +76,7 @@ class ReportSentences(Sequence):
 
     ``len()`` builds nothing. Each item is built when it is read: its text
     is the line with whitespace collapsed, its tokens the line's span of
-    the report's token stream. It compares equal to the tuple of its
-    items.
+    the report's token stream.
     """
 
     __slots__ = ("_report",)
@@ -88,20 +87,11 @@ class ReportSentences(Sequence):
     def __len__(self) -> int:
         return len(self._report.lines)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
+    def __getitem__(self, index: int) -> Sentence:
         report = self._report
         i = range(len(report.lines))[index]
         tokens = report.tokens[report.bounds[i] : report.bounds[i + 1]]
         return Sentence(i, " ".join(report.lines[i].split()), tokens)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, ReportSentences)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -110,9 +100,6 @@ class RelationAnnotation:
     tx: str
     ty: str
     labels: frozenset[str]
-    # True when the loader materialized this label via symmetric closure
-    # rather than reading it from the file.
-    auto_mirrored: bool = False
 
     @property
     def pair(self) -> tuple[str, str]:
@@ -246,7 +233,7 @@ def load_reports(directory: str | Path) -> list[Report]:
     if not root.is_dir():
         raise CorpusError(f"report directory not found: {root}")
     reports = []
-    for path in sorted(root.glob("*.txt")):
+    for path in sorted(root.glob("*.txt"), key=lambda path: path.stem):
         try:
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
@@ -267,13 +254,9 @@ def pair_universe(techniques) -> tuple[tuple[str, str], ...]:
 
 
 def _check_labels(labels: frozenset[str], where: str) -> None:
-    unknown = labels - set(ALL_LABELS)
-    if unknown:
-        raise AnnotationError(f"{where}: unknown relation labels {sorted(unknown)}")
-    if not labels:
-        raise AnnotationError(f"{where}: empty label set")
-    if NULL in labels and len(labels) > 1:
-        raise AnnotationError(f"{where}: NULL must be the sole label")
+    problem = label_set_problem(labels)
+    if problem:
+        raise AnnotationError(f"{where}: {problem}")
 
 
 def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]:
@@ -284,8 +267,8 @@ def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]
     catalog is supplied, technique ids must resolve in it. Duplicate
     (report, tx, ty) lines are merged by label union. Symmetric labels
     (CONCURRENT, SIMULTANEOUS_OVERLAP) are closed under pair mirroring:
-    missing mirrors are added with auto_mirrored=True; a mirror already
-    pinned to NULL is a contradiction and rejected.
+    missing mirrors are added; a mirror already pinned to NULL is a
+    contradiction and rejected.
     """
     path = Path(path)
     merged: dict[tuple[str, str, str], set[str]] = {}
@@ -327,14 +310,12 @@ def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]
         combined.update(labels)
         _check_labels(frozenset(combined), where)
 
-    flagged: set[tuple[str, str, str]] = set()
     for (report_id, tx, ty), labels in sorted(merged.items()):
         for lab in sorted(labels & SYMMETRIC_LABELS):
             mirror_key = (report_id, ty, tx)
             mirror = merged.get(mirror_key)
             if mirror is None:
                 merged[mirror_key] = {lab}
-                flagged.add(mirror_key)
             elif lab not in mirror:
                 if mirror == {NULL}:
                     raise AnnotationError(
@@ -342,15 +323,8 @@ def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]
                         f"mirror carries symmetric label {lab}"
                     )
                 mirror.add(lab)
-                flagged.add(mirror_key)
 
     return [
-        RelationAnnotation(
-            report_id=report_id,
-            tx=tx,
-            ty=ty,
-            labels=frozenset(labels),
-            auto_mirrored=(report_id, tx, ty) in flagged,
-        )
+        RelationAnnotation(report_id, tx, ty, frozenset(labels))
         for (report_id, tx, ty), labels in sorted(merged.items())
     ]

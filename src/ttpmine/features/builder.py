@@ -17,9 +17,8 @@ from ..ctfidf import ReportPrediction
 from ..embeddings import WordVectors, cosine, sentence_vector
 from .apriori import METRIC_NAMES, bin_measures, pair_measures
 from .discourse import DISCOURSE_ORDER, F3_SIZE, classify_discourse, coref_links
-from .layout import FeatureLayout
+from .layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
 from .markers import F1_SIZE, marker_table
-from .sentence import ADJACENCY_GAPS, F2_SIZE
 
 
 class PairKey(NamedTuple):
@@ -180,7 +179,7 @@ def _f1(hot: np.ndarray, markers: np.ndarray) -> np.ndarray:
 
 
 def _f2(hot: np.ndarray, coref: np.ndarray) -> np.ndarray:
-    """The (k, k, 13) F2 slots (see `features.sentence`) of every pair of
+    """The (k, k, 13) F2 slots (see `layout.F2_SIZE`) of every pair of
     rows of `hot`, cosines left zero; `coref` is each pair's count of
     straddling links."""
     k, n = hot.shape

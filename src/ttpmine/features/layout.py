@@ -7,7 +7,7 @@ does (the bin count is part of it). Slot order:
   default (10)  top-5 sentence scores for tx, then for ty (a row's two
                 techniques are always detected in its report)
   f1 (20)       time-signal features, see features.markers
-  f2 (13)       adjacency/same-sentence/similarity/coref, see features.sentence
+  f2 (13)       adjacency/same-sentence/similarity/coref, see F2_SIZE
   f3 (10)       discourse-relation counts, see features.discourse
   f4 (9+9*B)    association measures and their one-hot bins
 
@@ -30,10 +30,21 @@ import numpy as np
 from .apriori import METRIC_NAMES
 from .discourse import DISCOURSE_ORDER, F3_SIZE
 from .markers import F1_SIZE
-from .sentence import ADJACENCY_GAPS, F2_SIZE
 
 DEFAULT_SIZE = 10
 DEFAULT_BINS = 10
+
+# F2, the sentence-level family. Slots: 0-8 (tx, ty) sentence pairs per
+# gap of ADJACENCY_GAPS; 9 shared sentences; 10-11 mean and max cosine
+# over (tx, ty) sentence pairs (zero without word vectors); 12 links
+# between a tx- and a ty-sentence.
+F2_SIZE = 13
+
+# Signed adjacency gaps, slot order. d=0 means the ty-sentence directly
+# follows the tx-sentence (j = i+1), d=1 one sentence between (j = i+2);
+# d=-1 means the ty-sentence comes directly before the tx-sentence
+# (j = i-1), so forward gaps reach 5 sentences and backward gaps 4.
+ADJACENCY_GAPS: tuple[int, ...] = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 
 _RELATION_SHORT = ("before", "overlap", "concurrent")
 
@@ -85,9 +96,12 @@ class FeatureLayout:
     def mask(self, groups) -> np.ndarray:
         """Boolean slot mask for a feature-subset configuration; the
         default slots are always included."""
-        unknown = set(groups) - set(FEATURE_GROUPS)
+        unknown = sorted(set(groups) - set(FEATURE_GROUPS))
         if unknown:
-            raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+            raise ValueError(
+                f"unknown feature groups: {', '.join(unknown)} "
+                f"(expected subset of {', '.join(FEATURE_GROUPS)})"
+            )
         keep = np.zeros(self.total, dtype=bool)
         keep[self.group_slices["default"]] = True
         for group in groups:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from .tree import bin_columns, fit_tree, predict_tree, tree_max_feature
+from .tree import bin_columns, check_tree, fit_tree, predict_tree
 
 logger = logging.getLogger(__name__)
 
@@ -339,7 +339,7 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
 
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     """Rebuild an `ensemble_to_dict` model; ValueError for another format
-    or a tree feature beyond `n_features`."""
+    or a tree that `check_tree` rejects over `n_features`."""
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
@@ -356,8 +356,7 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     n_features = int(data["n_features"])
     for lm in models.values():
         for tree in lm.trees:
-            if tree_max_feature(tree) >= n_features:
-                raise ValueError("tree references a feature beyond the layout")
+            check_tree(tree, n_features)
     return GbdtEnsemble(
         models=models,
         layout_version=data["layout_version"],

@@ -216,11 +216,32 @@ def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def tree_max_feature(node: dict) -> int:
-    if "value" in node:
-        return -1
-    return max(
-        node["feature"],
-        tree_max_feature(node["left"]),
-        tree_max_feature(node["right"]),
-    )
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def check_tree(node, n_features: int) -> None:
+    """ValueError unless ``node`` is a tree over ``n_features`` columns:
+    each leaf exactly ``{"value": v}`` and each split exactly
+    ``{"feature": f, "threshold": t, "left": ..., "right": ...}``, with
+    ``v`` and ``t`` finite numbers and ``f`` an int in [0, n_features)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        keys = node.keys() if isinstance(node, dict) else None
+        if keys == {"value"}:
+            if not _finite(node["value"]):
+                raise ValueError(f"leaf value {node['value']!r} is not a finite number")
+        elif keys == {"feature", "threshold", "left", "right"}:
+            feature = node["feature"]
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(
+                    f"split feature {feature!r} is not an int in [0, {n_features})"
+                )
+            if not _finite(node["threshold"]):
+                raise ValueError(
+                    f"split threshold {node['threshold']!r} is not a finite number"
+                )
+            stack += (node["left"], node["right"])
+        else:
+            raise ValueError(f"tree node {node!r:.80} is neither a leaf nor a split")

@@ -11,7 +11,6 @@ from importlib import resources
 
 from .labels import NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
-CATEGORY_DATA_VERSION = "1"
 UNCATEGORIZED = "uncategorized"
 
 

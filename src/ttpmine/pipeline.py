@@ -14,10 +14,11 @@ file (and, in a JSONL artifact, the line).
 
 Artifact formats:
 
-* JSON artifacts carry a top-level ``"meta"`` object; model payloads
-  sit under ``"model"`` (bare model files are also accepted on read).
+* JSON artifacts carry a top-level ``"meta"`` object beside their
+  payload: the kb catalog under ``"catalog"``, the usage matrix under
+  ``"usage"`` and each model under ``"model"``.
 * JSONL artifacts start with a single meta line ``{"meta": {...}}``
-  followed by one record per line.
+  followed by one record per line; a file without it does not load.
 * The feature CSV has no inline meta; a sidecar ``<out>.layout.json``
   carries the layout descriptor plus the meta block.
 """
@@ -72,7 +73,7 @@ from .gbdt.ensemble import (
     predict_batch,
 )
 from .gbdt.ensemble import train as train_ensemble
-from .labels import NULL
+from .labels import ALL_LABELS, NULL, label_set_problem
 from .mining import (
     CategoryMap,
     categorize,
@@ -198,31 +199,22 @@ def read_jsonl(
     path: str, what: str = "record", decode: Callable | None = None
 ) -> tuple[dict, list]:
     """Read a JSONL artifact, returning ``(meta, records)``, each record
-    passed through ``decode`` if given.
-
-    The meta line is optional so hand-built files also load.
-    """
+    passed through ``decode`` if given. Line 1 must be the meta line."""
     if not os.path.exists(path):
         raise PipelineError(f"artifact not found: {path}")
-    meta: dict = {}
     records: list = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        head = _decoded(json.loads, fh.readline(), path, "meta on line 1")
+        if not (isinstance(head, dict) and set(head) == {"meta"}):
+            raise PipelineError(f'{path}: line 1 is not the {{"meta": ...}} line')
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             where = f"{what} on line {lineno}"
             obj = _decoded(json.loads, line, path, where)
-            if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"}:
-                meta = obj["meta"]
-                continue
             records.append(obj if decode is None else _decoded(decode, obj, path, where))
-    return meta, records
-
-
-def _unwrap(payload: Mapping, key: str):
-    """Accept both ``{"meta": ..., key: {...}}`` and the bare ``{...}``."""
-    return payload[key] if key in payload else payload
+    return head["meta"], records
 
 
 def report_prediction_to_dict(p: ReportPrediction) -> dict:
@@ -277,13 +269,26 @@ def relation_prediction_to_dict(p: RelationPrediction) -> dict:
 
 
 def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
-    return RelationPrediction(
+    """A `RelationPrediction` record. ValueError unless its probabilities
+    are keyed by exactly `ALL_LABELS` and its labels are a label set
+    (see `label_set_problem`); KeyError without a report id."""
+    prediction = RelationPrediction(
         tx=data["tx"],
         ty=data["ty"],
         probabilities={k: float(v) for k, v in data["probabilities"].items()},
         labels=frozenset(data["labels"]),
-        report_id=data.get("report_id", ""),
+        report_id=data["report_id"],
     )
+    where = f"report {prediction.report_id!r} pair ({prediction.tx}, {prediction.ty})"
+    if set(prediction.probabilities) != set(ALL_LABELS):
+        raise ValueError(
+            f"{where}: probabilities {sorted(prediction.probabilities)} are not "
+            f"keyed by {sorted(ALL_LABELS)}"
+        )
+    problem = label_set_problem(prediction.labels)
+    if problem:
+        raise ValueError(f"{where}: {problem}")
+    return prediction
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +366,7 @@ def load_kb_catalog(kb_dir: str) -> TechniqueCatalog:
     return read_json(
         os.path.join(kb_dir, "catalog.json"),
         "kb catalog",
-        lambda payload: catalog_from_dict(_unwrap(payload, "catalog")),
+        lambda payload: catalog_from_dict(payload["catalog"]),
     )
 
 
@@ -369,7 +374,7 @@ def load_kb_usage(kb_dir: str) -> UsageMatrix:
     return read_json(
         os.path.join(kb_dir, "usage.json"),
         "kb usage",
-        lambda payload: usage_from_dict(_unwrap(payload, "usage")),
+        lambda payload: usage_from_dict(payload["usage"]),
     )
 
 
@@ -377,7 +382,7 @@ def load_ctfidf_model(path: str) -> CtfidfModel:
     return read_json(
         path,
         "classifier model",
-        lambda payload: model_from_dict(_unwrap(payload, "model")),
+        lambda payload: model_from_dict(payload["model"]),
     )
 
 
@@ -595,7 +600,7 @@ def load_relation_model(path: str) -> GbdtEnsemble:
     return read_json(
         path,
         "relation model",
-        lambda payload: ensemble_from_dict(_unwrap(payload, "model")),
+        lambda payload: ensemble_from_dict(payload["model"]),
     )
 
 
@@ -677,11 +682,18 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     Returns a summary dict of artifact paths and headline counts. The
     relation model is trained from ``config.annotations``; the run
-    fails early if a required input is missing.
+    fails before it writes anything if a required input is missing.
     """
-    for name in ("stix", "reports", "annotations"):
-        if getattr(config, name) is None:
+    for name, exists in (
+        ("stix", os.path.isfile),
+        ("reports", os.path.isdir),
+        ("annotations", os.path.isfile),
+    ):
+        path = getattr(config, name)
+        if path is None:
             raise PipelineError(f"run: config.{name} is required")
+        if not exists(path):
+            raise PipelineError(f"run: {name} not found: {path}")
     # The side inputs are read first, so a bad one fails the run before
     # it writes anything.
     vectors = None

@@ -43,14 +43,13 @@ from ttpmine.features.discourse import (
     classify_discourse,
 )
 from ttpmine.features.builder import _META_COLUMNS, FeatureRows, PairKey
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import F2_SIZE, FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
     F1_SIZE,
     OVERLAP_MARKERS,
 )
-from ttpmine.features.sentence import F2_SIZE
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
     LabelModel,

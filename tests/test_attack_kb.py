@@ -266,21 +266,6 @@ class TestActionDataset:
         by_sentence = dict(dataset.examples)
         assert by_sentence["Shared sentence ran."] == frozenset({"T1001", "T1002"})
 
-    def test_extra_mappings_merge(self):
-        catalog = self._catalog({"T1001": ["Native example ran."]})
-        dataset = build_action_dataset(
-            catalog,
-            min_examples=2,
-            extra=[("Manual example ran.", {"T1001"})],
-        )
-        assert dataset.techniques == ("T1001",)
-        assert len(dataset.examples) == 2
-
-    def test_extra_unknown_technique_rejected(self):
-        catalog = self._catalog({"T1001": ["Example ran."]})
-        with pytest.raises(ValueError, match="T9999"):
-            build_action_dataset(catalog, extra=[("Ghost.", {"T9999"})])
-
     def test_min_examples_must_be_positive(self):
         catalog = self._catalog({"T1001": ["Example ran."]})
         with pytest.raises(ValueError, match="min_examples"):
@@ -339,9 +324,8 @@ class TestRoundTrips:
         dataset = ActionDataset(
             examples=(("Example ran.", frozenset({"T1"})),),
             techniques=("T1",),
-            min_examples=1,
         )
-        assert dataset.min_examples == 1
+        assert dataset.techniques == ("T1",)
 
 
 def _edge_bundle() -> bytes:

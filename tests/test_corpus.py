@@ -378,11 +378,10 @@ class TestTokenStream:
             expected = [Sentence(*fields) for fields in report_sentences_oracle(text)]
             assert len(report.sentences) == len(report.lines) == len(expected)
             assert list(report.sentences) == expected, case
-            assert report.sentences == tuple(expected)
+            assert tuple(report.sentences) == tuple(expected)
             assert report.tokens == tuple(t for s in expected for t in s.tokens)
             if expected:
                 assert report.sentences[-1] == expected[-1]
-                assert report.sentences[1:3] == tuple(expected[1:3])
 
     def test_sentence_index_out_of_range(self):
         report = make_report("r", "One ran. Two ran.")
@@ -468,6 +467,12 @@ class TestReports:
         ]
         assert all(_BULLET.match(s.text) for s in report.sentences)
 
+    def test_sorted_by_report_id(self, tmp_path):
+        # By file name "r1-x.txt" sorts before "r1.txt"; by id "r1" comes first.
+        for name in ("r1-x", "r1", "r0"):
+            (tmp_path / f"{name}.txt").write_text("One step ran.\n", encoding="utf-8")
+        assert [r.report_id for r in load_reports(tmp_path)] == ["r0", "r1", "r1-x"]
+
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             load_reports(tmp_path / "nope")
@@ -509,7 +514,6 @@ class TestAnnotations:
         assert len(rows) == 1
         assert rows[0].pair == ("T1", "T2")
         assert rows[0].labels == frozenset({BEFORE})
-        assert not rows[0].auto_mirrored
 
     def test_duplicate_lines_merge_labels(self, tmp_path):
         path = _write_lines(
@@ -594,8 +598,6 @@ class TestAnnotations:
         )
         rows = {r.pair: r for r in load_annotations(path)}
         assert rows[("T2", "T1")].labels == frozenset({CONCURRENT})
-        assert rows[("T2", "T1")].auto_mirrored
-        assert not rows[("T1", "T2")].auto_mirrored
 
     def test_symmetric_label_joins_existing_mirror(self, tmp_path):
         path = _write_lines(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ttpmine.ctfidf import (
     score_sentences,
     train_ctfidf,
 )
-from ttpmine.pipeline import load_ctfidf_model, stage_kb
+from ttpmine.pipeline import PipelineError, load_ctfidf_model, stage_kb
 
 
 def _dataset(examples):
@@ -31,7 +32,6 @@ def _dataset(examples):
     return ActionDataset(
         examples=tuple((s, frozenset(labels)) for s, labels in examples),
         techniques=techniques,
-        min_examples=1,
     )
 
 
@@ -95,7 +95,7 @@ class TestTraining:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError, match="empty"):
-            train_ctfidf(ActionDataset(examples=(), techniques=(), min_examples=1))
+            train_ctfidf(ActionDataset(examples=(), techniques=()))
 
     def test_class_with_only_stopwords_rejected(self):
         with pytest.raises(TrainingError, match="T2"):
@@ -222,10 +222,11 @@ class TestReportPrediction:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
-        # A bare model dict, without the pipeline's meta wrapper, still loads.
         model = train_ctfidf(DISJOINT)
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(model)), encoding="utf-8")
+        path.write_text(
+            json.dumps({"meta": {}, "model": model_to_dict(model)}), encoding="utf-8"
+        )
         again = load_ctfidf_model(str(path))
         tokens = ["lure", "subnet", "ports"]
         assert (
@@ -234,6 +235,13 @@ class TestSerialization:
         )
         assert again.class_ids == model.class_ids
         assert again.vocab == model.vocab
+
+    def test_bare_model_names_file(self, tmp_path):
+        # A model dict without the pipeline's meta wrapper does not load.
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(train_ctfidf(DISJOINT))), encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: malformed .*KeyError: 'model'"):
+            load_ctfidf_model(str(path))
 
     def test_dict_round_trip_exact_weights(self):
         model = train_ctfidf(DISJOINT)
@@ -384,7 +392,7 @@ class TestBatchScoringOracle:
     def test_report_without_sentences(self):
         model = train_ctfidf(DISJOINT)
         report = make_report("r1", "")
-        assert report.sentences == ()
+        assert tuple(report.sentences) == ()
         assert score_sentences(model, []).shape == (0, 2)
         prediction = _assert_bit_equal(model, report)
         assert prediction.techniques == frozenset()

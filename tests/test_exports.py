@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -30,14 +31,17 @@ def test_exported_names_resolve(package):
         ("ttpmine.features", "adjacency_gap"),
         ("ttpmine.features", "discourse_features"),
         ("ttpmine.features.markers", "marker_features"),
-        ("ttpmine.features.sentence", "sentence_features"),
-        ("ttpmine.features.sentence", "adjacency_gap"),
         ("ttpmine.features.discourse", "discourse_features"),
         ("ttpmine.features.apriori", "bin_index"),
     ],
 )
 def test_retired_names_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_retired_module_gone():
+    # Its F2 constants live in ttpmine.features.layout.
+    assert importlib.util.find_spec("ttpmine.features.sentence") is None
 
 
 def test_sentence_still_exported():

@@ -8,6 +8,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,12 +33,12 @@ from ttpmine.gbdt.tree import (
     fit_tree,
     grid_residuals,
     predict_tree,
-    tree_max_feature,
 )
 from ttpmine.corpus import load_annotations
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import (
     PipelineConfig,
+    PipelineError,
     labels_for_rows,
     load_features,
     load_relation_model,
@@ -285,8 +286,6 @@ class TestFitTree:
         assert tree_features(tree) == {[10, 40, 53][f] for f in tree_features(local)}
         assert tree_features(tree) >= {10, 53}
         np.testing.assert_array_equal(values, predict_tree(tree, X))
-        assert tree_max_feature(tree) == max(tree_features(tree))
-        assert tree_max_feature({"value": 1.0}) == -1
 
 
 class TestTrainConfig:
@@ -562,10 +561,11 @@ class TestPredictAndSerialize:
             predict_batch(model, stray)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
-        # A bare model dict, without the pipeline's meta wrapper, still loads.
         model, features = self._model_and_features()
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(ensemble_to_dict(model)), encoding="utf-8")
+        path.write_text(
+            json.dumps({"meta": {}, "model": ensemble_to_dict(model)}), encoding="utf-8"
+        )
         loaded = load_relation_model(str(path))
         assert isinstance(loaded, GbdtEnsemble)
         assert loaded.layout_version == model.layout_version
@@ -575,6 +575,14 @@ class TestPredictAndSerialize:
             assert a.labels == b.labels
             for lab in ALL_LABELS:
                 assert a.probabilities[lab] == b.probabilities[lab]
+
+    def test_bare_model_names_file(self, tmp_path):
+        # A model dict without the pipeline's meta wrapper does not load.
+        model, _ = self._model_and_features()
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(ensemble_to_dict(model)), encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: malformed .*KeyError: 'model'"):
+            load_relation_model(str(path))
 
     def test_serialized_format_fields(self):
         model, _ = self._model_and_features()
@@ -595,7 +603,44 @@ class TestPredictAndSerialize:
                 "right": {"value": 0.0},
             }
         ]
-        with pytest.raises(ValueError, match="beyond the layout"):
+        with pytest.raises(ValueError, match=r"feature 99 is not an int in \[0, 71\)"):
+            ensemble_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"value": "x"}, "leaf value 'x' is not a finite number"),
+            ({"value": float("nan")}, "leaf value nan is not a finite number"),
+            ({"value": True}, "leaf value True is not a finite number"),
+            ({"value": 0.0, "feature": 1}, "neither a leaf nor a split"),
+            ([0.0], "neither a leaf nor a split"),
+            (
+                {"feature": 1, "threshold": None, "left": {"value": 0.0}, "right": {"value": 0.0}},
+                "split threshold None is not a finite number",
+            ),
+            (
+                {"feature": 1.0, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
+                r"split feature 1.0 is not an int in \[0, 71\)",
+            ),
+            (
+                {"feature": -1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
+                r"split feature -1 is not an int",
+            ),
+            (
+                {"feature": 1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": "x"}},
+                "leaf value 'x' is not a finite number",
+            ),
+            (
+                {"feature": 1, "threshold": 0.5, "left": {"value": 0.0}},
+                "neither a leaf nor a split",
+            ),
+        ],
+    )
+    def test_malformed_tree_rejected(self, tree, message):
+        model, _ = self._model_and_features()
+        data = ensemble_to_dict(model)
+        data["labels"][BEFORE]["trees"] = [tree]
+        with pytest.raises(ValueError, match=message):
             ensemble_from_dict(data)
 
 

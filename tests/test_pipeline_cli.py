@@ -638,7 +638,11 @@ class TestCliChain:
             ]
         )
         assert rc == 1
-        assert "unknown feature groups: f9" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "ttpmine train-relations: error: unknown feature groups: f9 "
+            "(expected subset of default, f1, f2, f3, f4)\n"
+        )
+        assert not (tmp_path / "m.json").exists()
 
     def test_run_with_overrides(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -826,17 +830,81 @@ class TestMalformedArtifacts:
             capsys,
         )
 
-    def test_prediction_without_ty(self, cli_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"value": "x"}, "leaf value 'x' is not a finite number"),
+            (
+                {"feature": 0, "threshold": None, "left": {"value": 0.0}, "right": {"value": 0.0}},
+                "split threshold None is not a finite number",
+            ),
+        ],
+    )
+    def test_model_with_bad_tree(self, cli_dir, tmp_path, capsys, tree, message):
+        payload = self._model(cli_dir)
+        payload["model"]["labels"][BEFORE]["trees"][0] = tree
+        bad = tmp_path / "relations.json"
+        write_json(str(bad), payload)
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: ValueError: {message}\n",
+            capsys,
+        )
+
+    def _mine(self, cli_dir, tmp_path, edit) -> tuple[list, str, dict]:
+        """`mine` over the chain's predictions with the record on line 3
+        passed through `edit`: its argv, the file and the record."""
         lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[2])
-        del record["ty"]
+        edit(record)
         lines[2] = json.dumps(record)
         bad = tmp_path / "predictions.jsonl"
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        argv = ["mine", "--predictions", str(bad), "--out", str(tmp_path / "p.csv")]
+        return ["mine", "--predictions", str(bad), "--out", str(tmp_path / "p.csv")], bad, record
+
+    def test_prediction_without_ty(self, cli_dir, tmp_path, capsys):
+        argv, bad, _ = self._mine(cli_dir, tmp_path, lambda r: r.pop("ty"))
         self._assert_fails(
             argv, f"{bad}: malformed relation prediction on line 3: KeyError: 'ty'", capsys
         )
+
+    def test_prediction_without_report_id(self, cli_dir, tmp_path, capsys):
+        # Without a report id, every such record would count as one report.
+        argv, bad, _ = self._mine(cli_dir, tmp_path, lambda r: r.pop("report_id"))
+        self._assert_fails(
+            argv, f"{bad}: malformed relation prediction on line 3: KeyError: 'report_id'\n",
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(labels=["FOO"]), "unknown relation labels ['FOO']"),
+            (lambda r: r.update(labels=[]), "empty label set"),
+            (lambda r: r.update(labels=[NULL, BEFORE]), "NULL must be the sole label"),
+            (
+                lambda r: r["probabilities"].pop(NULL),
+                "probabilities ['BEFORE', 'CONCURRENT', 'SIMULTANEOUS_OVERLAP'] are not "
+                "keyed by ['BEFORE', 'CONCURRENT', 'NULL', 'SIMULTANEOUS_OVERLAP']",
+            ),
+        ],
+        ids=["unknown-label", "no-label", "null-and-before", "no-null-probability"],
+    )
+    def test_prediction_with_bad_labels(self, cli_dir, tmp_path, capsys, edit, message):
+        argv, bad, r = self._mine(cli_dir, tmp_path, edit)
+        self._assert_fails(
+            argv,
+            f"{bad}: malformed relation prediction on line 3: ValueError: report "
+            f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): {message}\n",
+            capsys,
+        )
+
+    def test_predictions_without_meta_line(self, cli_dir, tmp_path, capsys):
+        lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "predictions.jsonl"
+        bad.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+        argv = ["mine", "--predictions", str(bad), "--out", str(tmp_path / "p.csv")]
+        self._assert_fails(argv, f'{bad}: line 1 is not the {{"meta": ...}} line\n', capsys)
 
 
 
@@ -988,11 +1056,11 @@ class TestFeaturesFromClassifyOutput:
 
     def test_malformed_record_names_file(self, cli_dir, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"report_id": "r01", "threshold": 0.95}\n')
+        bad.write_text('{"meta": {}}\n{"report_id": "r01", "threshold": 0.95}\n')
         argv = _features_argv(cli_dir, tmp_path / "f.csv", "--predictions", str(bad))
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert f"ttpmine features: error: {bad}: malformed report prediction" in err
+        assert f"ttpmine features: error: {bad}: malformed report prediction on line 2" in err
 
     def test_load_report_predictions_skips_meta_line(self, cli_dir):
         loaded = load_report_predictions(str(cli_dir / "classify.jsonl"))
@@ -1116,6 +1184,13 @@ class TestBadConfigFiles:
 
     def _config(self, tmp_path, **changes) -> str:
         return json.dumps({**e2e_config_dict(tmp_path / "out"), **changes})
+
+    @pytest.mark.parametrize("key", ["stix", "reports", "annotations"])
+    def test_run_missing_input_writes_nothing(self, tmp_path, capsys, key):
+        missing = tmp_path / "missing"
+        assert self._run(tmp_path, capsys, self._config(tmp_path, **{key: str(missing)})) == (
+            f"ttpmine run: error: run: {key} not found: {missing}"
+        )
 
     def test_run_config_json_syntax(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, '{"stix": "x" "y"}') == (

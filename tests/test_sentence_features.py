@@ -11,8 +11,7 @@ from oracles import coref_links_oracle, sentence_features_oracle
 from ttpmine.corpus import make_report
 from ttpmine.embeddings import WordVectors
 from ttpmine.features.discourse import coref_links
-from ttpmine.features.layout import FeatureLayout
-from ttpmine.features.sentence import ADJACENCY_GAPS, F2_SIZE
+from ttpmine.features.layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
 
 LAYOUT = FeatureLayout(bins=10)
 F2 = LAYOUT.group_slices["f2"]
