@@ -31,11 +31,16 @@ def test_exported_names_resolve(package):
         ("ttpmine.features", "adjacency_gap"),
         ("ttpmine.features", "discourse_features"),
         ("ttpmine.features.markers", "marker_features"),
+        ("ttpmine.features.sentence", "sentence_features"),
+        ("ttpmine.features.sentence", "adjacency_gap"),
         ("ttpmine.features.discourse", "discourse_features"),
         ("ttpmine.features.apriori", "bin_index"),
     ],
 )
 def test_retired_names_gone(module, name):
+    # A retired module takes its names with it.
+    if importlib.util.find_spec(module) is None:
+        return
     assert not hasattr(importlib.import_module(module), name)
 
 
