@@ -38,7 +38,7 @@ from .features import FeatureLayout, FeatureRows
 from .gbdt import GbdtEnsemble, RelationPrediction, TrainConfig, cross_validate
 from .labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from .metrics import MetricReport, cohen_kappa, lrap, macro_prf, ndcg, precision_at_k
-from .mining import CategoryMap, TemporalPattern, categorize, load_category_map, mine
+from .mining import CategoryMap, TemporalPattern, categorize, mine
 
 __all__ = [
     "__version__",
@@ -86,6 +86,5 @@ __all__ = [
     "CategoryMap",
     "TemporalPattern",
     "categorize",
-    "load_category_map",
     "mine",
 ]

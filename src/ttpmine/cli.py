@@ -23,6 +23,7 @@ from .gbdt import TrainConfig
 from .gbdt.ensemble import GbdtTrainingError, predict_batch
 from .labels import NULL
 from .metrics import evaluate_relations
+from .mining import PACKAGED_CATEGORIES
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -70,18 +71,13 @@ _ERRORS = (
 
 
 def _version_string() -> str:
-    from importlib import resources
-
-    data = json.loads(
-        resources.files("ttpmine")
-        .joinpath("data/pattern_categories.json")
-        .read_text(encoding="utf-8")
+    categories = read_json(
+        PACKAGED_CATEGORIES, "category map", lambda data: data["format_version"]
     )
-    layout = FeatureLayout()
     return (
         f"ttpmine {__version__} "
-        f"(feature layout {layout.version}, stopwords {STOPWORDS_VERSION}, "
-        f"categories {data['format_version']})"
+        f"(feature layout {FeatureLayout().version}, stopwords {STOPWORDS_VERSION}, "
+        f"categories {categories})"
     )
 
 
@@ -199,7 +195,7 @@ def cmd_features(args) -> int:
         model, predictions = None, load_report_predictions(args.predictions)
         source = {"predictions": args.predictions}
     else:
-        model_path = args.model or os.path.join(args.kb, "ctfidf.json")
+        model_path = os.path.join(args.kb, "ctfidf.json")
         model = load_ctfidf_model(model_path)
         source = {"model": model_path}
     usage = load_kb_usage(args.kb)
@@ -330,17 +326,12 @@ def cmd_predict(args) -> int:
 
 def cmd_mine(args) -> int:
     predictions = load_relation_predictions(args.predictions)
-    category_map = load_categories(args.categories) if args.categories else None
-    formats = _split_csv(args.format) or ["csv", "json", "dot"]
-    unknown = sorted(set(formats) - {"csv", "json", "dot"})
-    if unknown:
-        raise PipelineError(f"unknown export formats: {', '.join(unknown)}")
+    category_map = load_categories(args.categories or PACKAGED_CATEGORIES)
     chash = provenance_hash(
         {
             "predictions": args.predictions,
             "min_support": args.min_support,
             "categories": args.categories,
-            "format": formats,
         }
     )
     patterns = stage_mine(
@@ -348,7 +339,6 @@ def cmd_mine(args) -> int:
         args.out,
         min_support=args.min_support,
         category_map=category_map,
-        formats=formats,
         config_hash=chash,
     )
     print(
@@ -358,16 +348,7 @@ def cmd_mine(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        key: value
-        for key, value in (
-            ("out_dir", args.out_dir),
-            ("threshold", args.threshold),
-            ("bins", args.bins),
-            ("min_support", args.min_support),
-        )
-        if value is not None
-    }
+    overrides = {} if args.out_dir is None else {"out_dir": args.out_dir}
     config = read_json(
         args.config,
         "pipeline config",
@@ -434,13 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="pair feature extraction")
     p.add_argument("--reports", required=True, help="directory of report .txt files")
     p.add_argument("--kb", required=True, help="kb directory from `kb build`")
-    detections = p.add_mutually_exclusive_group()
-    detections.add_argument(
-        "--model", help="ctfidf model JSON (default <kb>/ctfidf.json)"
-    )
-    detections.add_argument(
+    p.add_argument(
         "--predictions",
-        help="classify.jsonl from `classify`, used instead of classifying again",
+        help="classify.jsonl from `classify`, used instead of classifying again "
+        "with <kb>/ctfidf.json",
     )
     p.add_argument("--vectors", help="word vector text file for similarity features")
     p.add_argument(
@@ -498,20 +476,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--categories", help="category map JSON (default: packaged map)"
     )
     p.add_argument(
-        "--format",
-        help="comma list of export formats: csv,json,dot (default all)",
+        "--out",
+        required=True,
+        help="patterns path; the .csv, .json and .dot exports share its stem",
     )
-    p.add_argument("--out", required=True, help="primary output path")
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out-dir", help="override config out_dir")
-    p.add_argument("--threshold", type=_threshold, help="override config threshold")
-    p.add_argument("--bins", type=_positive_int, help="override config bins")
-    p.add_argument(
-        "--min-support", type=_positive_int, help="override config min_support"
-    )
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -27,9 +27,9 @@ class WordVectors:
 def load_word_vectors(path: str | Path) -> WordVectors:
     """Read "V D" header then V rows of "token v1 .. vD".
 
-    Duplicate tokens keep the first occurrence. Any arity mismatch
-    (header, row width, row count) raises with the 1-based line number,
-    and a file that is not UTF-8 with its path.
+    Duplicate tokens keep the first occurrence. An arity mismatch (header,
+    row width, row count) or a non-finite value raises with the 1-based
+    line number, and a file that is not UTF-8 with its path.
     """
     path = Path(path)
     try:
@@ -76,11 +76,14 @@ def _read_word_vectors(path: Path) -> WordVectors:
             if token in table:
                 continue
             try:
-                table[token] = np.array(fields[1:], dtype=np.float64)
+                vector = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingParseError(
                     f"{path.name} line {lineno}: non-numeric vector value"
                 ) from exc
+            if not np.isfinite(vector).all():
+                raise EmbeddingParseError(f"{path.name} line {lineno}: non-finite vector value")
+            table[token] = vector
         if rows != vocab_size:
             raise EmbeddingParseError(
                 f"{path.name}: header declares {vocab_size} rows, file has {rows}"

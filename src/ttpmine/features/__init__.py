@@ -5,8 +5,6 @@ from .builder import (
     FeatureRows,
     PairKey,
     build_report_features,
-    features_from_csv,
-    features_to_csv,
     read_features_csv,
     write_features_csv,
 )
@@ -30,8 +28,6 @@ __all__ = [
     "FeatureRows",
     "PairKey",
     "build_report_features",
-    "features_from_csv",
-    "features_to_csv",
     "read_features_csv",
     "write_features_csv",
     "DiscourseRelation",

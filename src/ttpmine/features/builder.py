@@ -333,13 +333,6 @@ def _write_csv(rows: FeatureRows, out) -> None:
             )
 
 
-def features_to_csv(rows: FeatureRows) -> str:
-    """The features CSV of `rows` as text (see `_write_csv`)."""
-    buf = io.StringIO()
-    _write_csv(rows, buf)
-    return buf.getvalue()
-
-
 def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
     """Write the features CSV of `rows` to `path` as it is formatted, so
     the whole text is never held in memory: holding it raised the
@@ -348,12 +341,15 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
         _write_csv(rows, fh)
 
 
-def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> FeatureRows:
-    """The rows of a features CSV. Each bad row raises one ValueError
-    naming `source:line`: a wrong column count, an f4_missing flag other
-    than 0 or 1, a slot value that is not a float, or an f4_missing flag
-    that disagrees with the row's f4 bin slots (see
-    `FeatureRows.f4_missing`)."""
+def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
+    """The rows of the features CSV at `path`. Each bad row raises one
+    ValueError naming `path:line`: a wrong column count, an f4_missing
+    flag other than 0 or 1, a slot value that is not a float or not
+    finite, or an f4_missing flag that disagrees with the row's f4 bin
+    slots (see `FeatureRows.f4_missing`)."""
+    # newline="" keeps a quoted "\r" in an id as it was written.
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
     # Lines end at "\n" alone, as in the file. Split lines keep one byte a
     # character, where a StringIO of the text would hold four.
     reader = csv.reader(line + "\n" for line in text.split("\n"))
@@ -361,7 +357,7 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
     expected = [*_META_COLUMNS, *layout.names]
     if header != expected:
         raise ValueError(
-            f"{source}: feature CSV header does not match the layout "
+            f"{path}: feature CSV header does not match the layout "
             f"(expected {len(expected)} columns, got {0 if header is None else len(header)}); "
             "re-run the features stage with the same configuration"
         )
@@ -369,11 +365,12 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
     # at most this many rows; the unused tail of the block is never touched.
     values = np.empty((text.count("\n"), layout.total), dtype=np.float64)
     keys = []
+    lines = []
     f4_bins = _f4_bin_slots(layout)
     for row in reader:
         if not row:
             continue
-        where = f"{source}:{reader.line_num}"
+        where = f"{path}:{reader.line_num}"
         if len(row) != len(expected):
             raise ValueError(f"{where}: {len(row)} columns, expected {len(expected)}")
         report_id, tx, ty, missing = row[:4]
@@ -390,14 +387,11 @@ def _parse_features_csv(text: str, layout: FeatureLayout, source: str) -> Featur
             )
         values[len(keys)] = slots
         keys.append(PairKey(report_id, tx, ty))
-    return FeatureRows(keys, values[: len(keys)], layout)
-
-
-def features_from_csv(text: str, layout: FeatureLayout) -> FeatureRows:
-    return _parse_features_csv(text, layout, "<text>")
-
-
-def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
-    # newline="" keeps a quoted "\r" in an id as it was written.
-    with open(path, encoding="utf-8", newline="") as fh:
-        return _parse_features_csv(fh.read(), layout, str(path))
+        lines.append(reader.line_num)
+    values = values[: len(keys)]
+    # One pass over the whole matrix: float() parses "nan" and "inf".
+    if not np.isfinite(values).all():
+        row, slot = np.argwhere(~np.isfinite(values))[0]
+        where, name = f"{path}:{lines[row]}", layout.names[slot]
+        raise ValueError(f"{where}: slot {name} is {values[row, slot]}, not a finite number")
+    return FeatureRows(keys, values, layout)

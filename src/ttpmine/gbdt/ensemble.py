@@ -11,6 +11,7 @@ non-increasing every round.
 from __future__ import annotations
 
 import logging
+import math
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
@@ -63,9 +64,10 @@ class TrainConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.negative_downsample_ratio <= 0:
+        if not 0.0 < self.negative_downsample_ratio < math.inf:
             raise ValueError(
-                f"negative_downsample_ratio must be > 0, got {self.negative_downsample_ratio}"
+                "negative_downsample_ratio must be a finite number > 0, "
+                f"got {self.negative_downsample_ratio}"
             )
         if not 0.0 < self.decision_threshold < 1.0:
             raise ValueError(
@@ -338,11 +340,14 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
 
 
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
-    """Rebuild an `ensemble_to_dict` model; ValueError for another format
-    or a tree that `check_tree` rejects over `n_features`."""
+    """Rebuild an `ensemble_to_dict` model; ValueError for another format,
+    label keys other than `ALL_LABELS`, a non-finite init score or a tree
+    that `check_tree` rejects over `n_features`."""
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
+    if set(data["labels"]) != set(ALL_LABELS):
+        raise ValueError(f"labels {sorted(data['labels'])} are not {sorted(ALL_LABELS)}")
     config = TrainConfig.from_dict(data["config"])
     models = {
         label: LabelModel(
@@ -355,6 +360,8 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     }
     n_features = int(data["n_features"])
     for lm in models.values():
+        if not math.isfinite(lm.init_score):
+            raise ValueError(f"label {lm.label}: init_score {lm.init_score} is not finite")
         for tree in lm.trees:
             check_tree(tree, n_features)
     return GbdtEnsemble(

@@ -71,25 +71,24 @@ def _binary_prf(truth, pred, label) -> dict[str, float]:
     }
 
 
-def macro_prf(truth, pred, labels=ALL_LABELS) -> MetricReport:
+def macro_prf(truth, pred) -> MetricReport:
     """Per-label binary P/R/F plus unweighted macro means over all four
     labels and over the positive (non-NULL) labels."""
     if len(truth) != len(pred):
         raise ValueError(f"length mismatch: {len(truth)} truth vs {len(pred)} pred")
-    per_label = {lab: _binary_prf(truth, pred, lab) for lab in labels}
+    per_label = {lab: _binary_prf(truth, pred, lab) for lab in ALL_LABELS}
 
     def mean_over(subset, key):
         return sum(per_label[lab][key] for lab in subset) / len(subset)
 
-    positive = [lab for lab in labels if lab in POSITIVE_LABELS] or list(labels)
     return MetricReport(
         per_label=per_label,
-        macro_precision=mean_over(labels, "precision"),
-        macro_recall=mean_over(labels, "recall"),
-        macro_f1=mean_over(labels, "f1"),
-        macro_positive_precision=mean_over(positive, "precision"),
-        macro_positive_recall=mean_over(positive, "recall"),
-        macro_positive_f1=mean_over(positive, "f1"),
+        macro_precision=mean_over(ALL_LABELS, "precision"),
+        macro_recall=mean_over(ALL_LABELS, "recall"),
+        macro_f1=mean_over(ALL_LABELS, "f1"),
+        macro_positive_precision=mean_over(POSITIVE_LABELS, "precision"),
+        macro_positive_recall=mean_over(POSITIVE_LABELS, "recall"),
+        macro_positive_f1=mean_over(POSITIVE_LABELS, "f1"),
     )
 
 
@@ -156,13 +155,11 @@ def ndcg(truth, prob) -> float:
     return total / len(truth)
 
 
-def macro_p_at_k(truth, prob, k: int, labels=ALL_LABELS) -> float:
+def macro_p_at_k(truth, prob, k: int) -> float:
     """Per-label pools: for each label, rank all rows by that label's
     probability and take P@K; report the unweighted mean over labels."""
-    pools = {
-        lab: [(p[lab], lab in t) for t, p in zip(truth, prob)] for lab in labels
-    }
-    return sum(precision_at_k(pools[lab], k) for lab in labels) / len(labels)
+    pools = [[(p[lab], lab in t) for t, p in zip(truth, prob)] for lab in ALL_LABELS]
+    return sum(precision_at_k(pool, k) for pool in pools) / len(pools)
 
 
 def cohen_kappa(a, b) -> float:
@@ -187,12 +184,12 @@ def cohen_kappa(a, b) -> float:
     return (po - pe) / (1 - pe)
 
 
-def evaluate_relations(truth, pred_sets, prob, ks=(50, 100), labels=ALL_LABELS) -> MetricReport:
+def evaluate_relations(truth, pred_sets, prob, ks=(50, 100)) -> MetricReport:
     """Full relation-classification metric report: macro P/R/F from the
     decided label sets plus ranking metrics from the probabilities."""
     return replace(
-        macro_prf(truth, pred_sets, labels=labels),
-        p_at_k={k: macro_p_at_k(truth, prob, k, labels=labels) for k in ks},
+        macro_prf(truth, pred_sets),
+        p_at_k={k: macro_p_at_k(truth, prob, k) for k in ks},
         lrap=lrap(truth, prob),
         ndcg=ndcg(truth, prob),
     )

@@ -6,12 +6,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, replace
-from importlib import resources
 
 from .labels import NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 UNCATEGORIZED = "uncategorized"
+# The category map shipped with the package; `pipeline.load_categories` reads it.
+PACKAGED_CATEGORIES = os.path.join(os.path.dirname(__file__), "data", "pattern_categories.json")
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,6 @@ def categorize(patterns, category_map: CategoryMap) -> list[TemporalPattern]:
         )
         for p in patterns
     ]
-
-
-def load_category_map() -> CategoryMap:
-    """The category map shipped with the package. A map file of one's
-    own is read with `ttpmine.pipeline.load_categories`."""
-    text = (
-        resources.files("ttpmine").joinpath("data/pattern_categories.json")
-    ).read_text(encoding="utf-8")
-    return category_map_from_dict(json.loads(text))
 
 
 def category_map_from_dict(data) -> CategoryMap:

@@ -75,17 +75,18 @@ from .gbdt.ensemble import (
 from .gbdt.ensemble import train as train_ensemble
 from .labels import ALL_LABELS, NULL, label_set_problem
 from .mining import (
+    PACKAGED_CATEGORIES,
     CategoryMap,
     categorize,
     category_map_from_dict,
     export,
-    load_category_map,
     mine,
 )
 
 logger = logging.getLogger(__name__)
 
-_JSON_KW = {"sort_keys": True, "separators": (",", ":")}
+# allow_nan=False: NaN and Infinity are not JSON, so no writer emits them.
+_JSON_KW = {"sort_keys": True, "separators": (",", ":"), "allow_nan": False}
 # `json.dumps(value, **_JSON_KW)` without building an encoder per call.
 _encode = json.JSONEncoder(**_JSON_KW).encode
 
@@ -159,8 +160,10 @@ def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -
 
 
 def write_json(path: str, payload: Mapping) -> None:
+    # Encoded first: a NaN or infinity raises before the file is created.
+    text = _encode(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_encode(payload) + "\n")
+        fh.write(text)
 
 
 def _decoded(decode: Callable, value, path: str, what: str):
@@ -270,8 +273,8 @@ def relation_prediction_to_dict(p: RelationPrediction) -> dict:
 
 def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
     """A `RelationPrediction` record. ValueError unless its probabilities
-    are keyed by exactly `ALL_LABELS` and its labels are a label set
-    (see `label_set_problem`); KeyError without a report id."""
+    are keyed by exactly `ALL_LABELS`, each in [0, 1], and its labels are
+    a label set (see `label_set_problem`); KeyError without a report id."""
     prediction = RelationPrediction(
         tx=data["tx"],
         ty=data["ty"],
@@ -285,6 +288,8 @@ def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
             f"{where}: probabilities {sorted(prediction.probabilities)} are not "
             f"keyed by {sorted(ALL_LABELS)}"
         )
+    if not all(0.0 <= p <= 1.0 for p in prediction.probabilities.values()):
+        raise ValueError(f"{where}: probabilities {prediction.probabilities} not all in [0, 1]")
     problem = label_set_problem(prediction.labels)
     if problem:
         raise ValueError(f"{where}: {problem}")
@@ -643,26 +648,21 @@ def stage_mine(
     predictions: Sequence[RelationPrediction],
     out_path: str,
     *,
+    category_map: CategoryMap,
     min_support: int = 2,
-    category_map: CategoryMap | None = None,
-    formats: Sequence[str] = ("csv", "json", "dot"),
     config_hash: str = "",
 ) -> list:
-    """Mine recurring patterns, attach categories, and export.
-
-    ``out_path`` names the primary artifact; sibling formats replace
-    its extension.
+    """Mine recurring patterns, attach categories, and export them as
+    csv, json and dot: ``out_path``'s stem with each extension.
     """
-    cmap = category_map if category_map is not None else load_category_map()
     by_report: dict[str, list[RelationPrediction]] = {}
     for pred in predictions:
         by_report.setdefault(pred.report_id, []).append(pred)
     patterns = mine(by_report, n=min_support)
-    patterns = categorize(patterns, cmap)
-    base, ext = os.path.splitext(out_path)
-    for fmt in formats:
-        path = out_path if ext == "." + fmt else base + "." + fmt
-        with open(path, "wb") as fh:
+    patterns = categorize(patterns, category_map)
+    base = os.path.splitext(out_path)[0]
+    for fmt in ("csv", "json", "dot"):
+        with open(f"{base}.{fmt}", "wb") as fh:
             fh.write(export(patterns, fmt))
     meta = make_meta("mine", config_hash)
     meta["min_support"] = min_support
@@ -699,9 +699,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     vectors = None
     if config.vectors is not None:
         vectors = load_word_vectors(config.vectors)
-    category_map = None
-    if config.categories is not None:
-        category_map = load_categories(config.categories)
+    category_map = load_categories(config.categories or PACKAGED_CATEGORIES)
     chash = config.config_hash()
     out_dir = config.out_dir
     os.makedirs(out_dir, exist_ok=True)

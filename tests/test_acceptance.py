@@ -76,9 +76,10 @@ from ttpmine.labels import (
     SIMULTANEOUS_OVERLAP,
 )
 from ttpmine.metrics import cohen_kappa, lrap, macro_p_at_k, ndcg
-from ttpmine.mining import load_category_map, mine
+from ttpmine.mining import PACKAGED_CATEGORIES, mine
 from ttpmine.pipeline import (
     PipelineConfig,
+    load_categories,
     load_relation_predictions,
     run_pipeline,
 )
@@ -237,7 +238,7 @@ def test_criterion_4_pattern_miner_matches_nested_loop():
                 assert keys <= previous
             previous = keys
 
-    cmap = load_category_map()
+    cmap = load_categories(PACKAGED_CATEGORIES)
     assert (
         cmap.lookup("T1566", "T1204", BEFORE)
         == "Baiting towards malicious execution"

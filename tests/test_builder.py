@@ -22,13 +22,25 @@ from ttpmine.ctfidf import ReportPrediction
 from ttpmine.features.builder import (
     build_report_features,
     f4_table,
-    features_from_csv,
-    features_to_csv,
     read_features_csv,
     write_features_csv,
 )
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.pipeline import stage_features
+
+
+def _csv_text(rows, tmp_path) -> str:
+    """The features CSV of `rows` as `write_features_csv` writes it."""
+    path = tmp_path / "written.csv"
+    write_features_csv(rows, path=path)
+    return path.read_bytes().decode("utf-8")
+
+
+def _read_text(text, layout, tmp_path):
+    """`read_features_csv` of a file holding exactly `text`."""
+    path = tmp_path / "features.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return read_features_csv(path, layout)
 
 
 def _prediction(report_id="r1", techniques=(), top=None, hits=None, threshold=0.95):
@@ -483,10 +495,10 @@ class TestCsvRoundTrip:
             layout=FeatureLayout(bins=10),
         )
 
-    def test_bit_exact_round_trip(self):
+    def test_bit_exact_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
         rows = self._rows()
-        back = features_from_csv(features_to_csv(rows), layout)
+        back = _read_text(_csv_text(rows, tmp_path), layout, tmp_path)
         assert back.keys == rows.keys
         assert back.f4_missing.tolist() == rows.f4_missing.tolist()
         assert back.values.tobytes() == rows.values.tobytes()
@@ -503,20 +515,18 @@ class TestCsvRoundTrip:
             ty=["T1204", "T1204", "T1204\r", "T1204", "\r\n"],
             layout=base.layout,
         )
-        text = features_to_csv(rows)
+        text = _csv_text(rows, tmp_path)
         lines = text.split("\n")
         assert lines[1].startswith('"cr\rid",T1566,T1204,')
         assert lines[2].startswith('r1,"T\r1566",T1204,')
         assert lines[3].startswith('r2,T1566,"T1204\r",')
-        assert lines[4] == features_to_csv(base).split("\n")[4]
-        path = tmp_path / "features.csv"
-        write_features_csv(rows, path=path)
-        for back in (features_from_csv(text, base.layout), read_features_csv(path, base.layout)):
-            assert back.keys == rows.keys
-            assert back.f4_missing.tolist() == rows.f4_missing.tolist()
-            assert back.values.tobytes() == rows.values.tobytes()
+        assert lines[4] == _csv_text(base, tmp_path).split("\n")[4]
+        back = _read_text(text, base.layout, tmp_path)
+        assert back.keys == rows.keys
+        assert back.f4_missing.tolist() == rows.f4_missing.tolist()
+        assert back.values.tobytes() == rows.values.tobytes()
 
-    def test_values_written_as_float_repr(self):
+    def test_values_written_as_float_repr(self, tmp_path):
         # Each value is written as `repr` of the Python float, as when it
         # was formatted one numpy scalar at a time.
         layout = FeatureLayout(bins=10)
@@ -530,14 +540,14 @@ class TestCsvRoundTrip:
             ty=[key.ty for key in rows] + ["T1566"],
             layout=layout,
         )
-        lines = features_to_csv(rows).splitlines()[1:]
+        lines = _csv_text(rows, tmp_path).splitlines()[1:]
         assert len(lines) == len(rows)
         for line, key, missing, values in zip(lines, rows, rows.f4_missing, rows.values):
             expected = [*key, str(int(missing))]
             expected += [repr(float(v)) for v in values]
             assert line == ",".join(expected)
 
-    def test_bytes_equal_per_cell_writer(self):
+    def test_bytes_equal_per_cell_writer(self, tmp_path):
         # Each distinct value is formatted once: values that compare equal
         # but differ in bits (-0.0 and 0.0, NaNs) must keep their own repr,
         # and report ids that need quoting are quoted as csv.writer does.
@@ -556,33 +566,32 @@ class TestCsvRoundTrip:
             ty=["T,1204"] * len(ids) + ["T1204"] * len(base),
             layout=layout,
         )
-        assert features_to_csv(rows) == features_to_csv_oracle(rows)
+        assert _csv_text(rows, tmp_path) == features_to_csv_oracle(rows)
         first = rows.take([0])
-        assert features_to_csv(first) == features_to_csv_oracle(first)
+        assert _csv_text(first, tmp_path) == features_to_csv_oracle(first)
         # More rows than one block of the writer.
         many = rows.take([k % len(rows) for k in range(150)])
-        assert features_to_csv(many) == features_to_csv_oracle(many)
+        assert _csv_text(many, tmp_path) == features_to_csv_oracle(many)
 
-    def test_header_names_layout(self):
+    def test_header_names_layout(self, tmp_path):
         layout = FeatureLayout(bins=10)
-        header = features_to_csv(_empty(layout)).splitlines()[0]
+        header = _csv_text(_empty(layout), tmp_path).splitlines()[0]
         cols = header.split(",")
         assert cols[:4] == ["report_id", "tx", "ty", "f4_missing"]
         assert cols[4] == "default.tx_top1"
         assert len(cols) == 4 + 152
 
-    def test_header_mismatch_rejected(self):
-        layout = FeatureLayout(bins=5)
-        text = features_to_csv(_empty(layout))
+    def test_header_mismatch_rejected(self, tmp_path):
+        text = _csv_text(_empty(FeatureLayout(bins=5)), tmp_path)
         with pytest.raises(ValueError, match="re-run the features stage"):
-            features_from_csv(text, FeatureLayout(bins=10))
+            _read_text(text, FeatureLayout(bins=10), tmp_path)
 
     def test_file_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
         rows = self._rows()
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
-        assert path.read_bytes() == features_to_csv(rows).encode("utf-8")
+        assert path.read_bytes() == features_to_csv_oracle(rows).encode("utf-8")
         back = read_features_csv(path, layout)
         assert back.keys == rows.keys
         assert back.values.tobytes() == rows.values.tobytes()
@@ -590,12 +599,12 @@ class TestCsvRoundTrip:
 
 class TestCsvBadRows:
     """A row that does not fit the layout fails with one error naming
-    the file (or `<text>`) and the line."""
+    the file and the line."""
 
     def _lines(self):
         layout = FeatureLayout(bins=10)
         rows = TestCsvRoundTrip()._rows()
-        return layout, features_to_csv(rows).splitlines(keepends=True)
+        return layout, features_to_csv_oracle(rows).splitlines(keepends=True)
 
     def _read(self, tmp_path, lines):
         path = tmp_path / "features.csv"
@@ -642,8 +651,23 @@ class TestCsvBadRows:
         lines[5] = ",".join(cells)
         with pytest.raises(ValueError, match=r"features\.csv:6: could not convert string to float: 'abc'$"):
             self._read(tmp_path, lines)
-        with pytest.raises(ValueError, match=r"^<text>:6: "):
-            features_from_csv("".join(lines), layout)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value(self, tmp_path, value):
+        # float() parses these; no writer writes them, and a NaN slot would
+        # reach the model as a feature.
+        layout, lines = self._lines()
+        cells = lines[5].split(",")
+        cells[4 + layout.index("f2.coref")] = value
+        lines[5] = ",".join(cells)
+        shown = str(float(value))
+        with pytest.raises(
+            ValueError, match=rf"features\.csv:6: slot f2\.coref is {shown}, not a finite number$"
+        ):
+            self._read(tmp_path, lines)
+        # The line is the file's, blank lines counted.
+        with pytest.raises(ValueError, match=r"features\.csv:8: slot f2\.coref is "):
+            self._read(tmp_path, [lines[0], "\n", *lines[1:4], "\n", *lines[4:]])
 
     def test_blank_lines_skipped(self, tmp_path):
         layout, lines = self._lines()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 
 import pytest
 
@@ -35,6 +36,12 @@ def test_exported_names_resolve(package):
         ("ttpmine.features.sentence", "adjacency_gap"),
         ("ttpmine.features.discourse", "discourse_features"),
         ("ttpmine.features.apriori", "bin_index"),
+        ("ttpmine", "load_category_map"),
+        ("ttpmine.mining", "load_category_map"),
+        ("ttpmine.features", "features_to_csv"),
+        ("ttpmine.features", "features_from_csv"),
+        ("ttpmine.features.builder", "features_to_csv"),
+        ("ttpmine.features.builder", "features_from_csv"),
     ],
 )
 def test_retired_names_gone(module, name):
@@ -42,6 +49,21 @@ def test_retired_names_gone(module, name):
     if importlib.util.find_spec(module) is None:
         return
     assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize(
+    "module, function, parameter",
+    [
+        ("ttpmine.pipeline", "stage_mine", "formats"),
+        ("ttpmine.metrics", "macro_prf", "labels"),
+        ("ttpmine.metrics", "macro_p_at_k", "labels"),
+        ("ttpmine.metrics", "evaluate_relations", "labels"),
+    ],
+)
+def test_retired_parameters_gone(module, function, parameter):
+    # Every caller passed one value; it is now fixed.
+    signature = inspect.signature(getattr(importlib.import_module(module), function))
+    assert parameter not in signature.parameters
 
 
 def test_retired_module_gone():

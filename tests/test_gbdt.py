@@ -309,6 +309,11 @@ class TestTrainConfig:
             TrainConfig(learning_rate=1.5)
         with pytest.raises(ValueError, match="negative_downsample_ratio"):
             TrainConfig(negative_downsample_ratio=0.0)
+        for ratio in (float("inf"), float("nan"), -float("inf")):
+            with pytest.raises(
+                ValueError, match="negative_downsample_ratio must be a finite number > 0"
+            ):
+                TrainConfig(negative_downsample_ratio=ratio)
         with pytest.raises(ValueError, match="decision_threshold"):
             TrainConfig(decision_threshold=1.0)
 
@@ -641,6 +646,24 @@ class TestPredictAndSerialize:
         data = ensemble_to_dict(model)
         data["labels"][BEFORE]["trees"] = [tree]
         with pytest.raises(ValueError, match=message):
+            ensemble_from_dict(data)
+
+    def test_label_keys_must_be_all_labels(self):
+        model, _ = self._model_and_features()
+        data = ensemble_to_dict(model)
+        data["labels"]["FOO"] = data["labels"].pop(NULL)
+        with pytest.raises(ValueError, match=r"labels \['BEFORE', 'CONCURRENT', 'FOO', "):
+            ensemble_from_dict(data)
+        del data["labels"]["FOO"]
+        with pytest.raises(ValueError, match="are not"):
+            ensemble_from_dict(data)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_init_score_rejected(self, score):
+        model, _ = self._model_and_features()
+        data = ensemble_to_dict(model)
+        data["labels"][BEFORE]["init_score"] = score
+        with pytest.raises(ValueError, match=f"label BEFORE: init_score {score} is not finite"):
             ensemble_from_dict(data)
 
 

@@ -4,10 +4,12 @@ distinct-report counting, category labeling, and export formats."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ttpmine
 from oracles import mine_oracle
 from ttpmine.gbdt.ensemble import RelationPrediction
 from ttpmine.labels import (
@@ -25,8 +27,8 @@ from ttpmine.mining import (
     TemporalPattern,
     canonical_key,
     categorize,
+    PACKAGED_CATEGORIES,
     export,
-    load_category_map,
     mine,
     patterns_from_csv,
 )
@@ -216,8 +218,12 @@ class TestCategorize:
 
 
 class TestPackagedCategoryMap:
+    def test_path_is_the_package_data_file(self):
+        package = Path(ttpmine.__file__).parent
+        assert Path(PACKAGED_CATEGORIES) == package / "data" / "pattern_categories.json"
+
     def test_load_and_size(self):
-        cmap = load_category_map()
+        cmap = load_categories(PACKAGED_CATEGORIES)
         assert len(cmap.entries) == 124
         assert len(cmap.categories) == len(set(cmap.categories))
         relations = {}
@@ -230,7 +236,7 @@ class TestPackagedCategoryMap:
         }
 
     def test_known_lookups(self):
-        cmap = load_category_map()
+        cmap = load_categories(PACKAGED_CATEGORIES)
         assert (
             cmap.lookup("T1566", "T1204", BEFORE)
             == "Baiting towards malicious execution"
@@ -241,7 +247,7 @@ class TestPackagedCategoryMap:
         )
 
     def test_every_entry_well_formed(self):
-        cmap = load_category_map()
+        cmap = load_categories(PACKAGED_CATEGORIES)
         for (tx, ty, relation), category in cmap.entries.items():
             assert relation in POSITIVE_LABELS
             assert canonical_key(tx, ty, relation) == (tx, ty, relation)

@@ -3,10 +3,12 @@ driven by the bundled miniature corpus."""
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 
@@ -345,14 +347,6 @@ class TestNumberArguments:
             (["mine", "--predictions", "p.jsonl", "--out", "{out}/m.csv",
               "--min-support", "-1"],
              "argument --min-support: must be >= 1, got -1"),
-            (["run", "--config", "{config}", "--out-dir", "{out}", "--bins", "0"],
-             "argument --bins: must be >= 1, got 0"),
-            (["run", "--config", "{config}", "--out-dir", "{out}",
-              "--min-support", "0"],
-             "argument --min-support: must be >= 1, got 0"),
-            (["run", "--config", "{config}", "--out-dir", "{out}",
-              "--threshold", "2"],
-             "argument --threshold: must be in (0, 1], got 2.0"),
         ],
     )
     def test_bad_number_is_usage_error(self, argv, message, tmp_path, capsys):
@@ -371,6 +365,43 @@ class TestNumberArguments:
     def test_bounds_are_accepted(self):
         assert cli._positive_int("1") == 1
         assert cli._threshold("1") == 1.0
+
+
+class TestRemovedOptions:
+    """Options that repeated another input are gone: `features` reads its
+    classifier from `<kb>/ctfidf.json`, `mine` writes csv, json and dot,
+    and `run` takes its threshold, bins and min_support from the config
+    file. Each is now a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["features", "--reports", REPORTS, "--kb", "kb", "--out", "f.csv",
+             "--model", "m.json"],
+            ["mine", "--predictions", "p.jsonl", "--out", "m.csv", "--format", "csv"],
+            ["run", "--config", "c.json", "--threshold", "0.5"],
+            ["run", "--config", "c.json", "--bins", "5"],
+            ["run", "--config", "c.json", "--min-support", "3"],
+        ],
+        ids=["features-model", "mine-format", "run-threshold", "run-bins", "run-min-support"],
+    )
+    def test_removed_option_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_option_count(self):
+        # Every option of every command, -h aside.
+        def options(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from options(sub)
+                elif not isinstance(action, argparse._HelpAction):
+                    yield action
+
+        assert len(list(options(cli.build_parser()))) == 39
 
 
 def test_provenance_hash_formula():
@@ -559,35 +590,6 @@ class TestCliChain:
             "tx,ty,relation,count,report_ids,category"
         ]
 
-    def test_mine_single_format(self, cli_dir, tmp_path):
-        out = tmp_path / "patterns.dot"
-        rc = main(
-            [
-                "mine",
-                "--predictions", str(cli_dir / "predictions.jsonl"),
-                "--format", "dot",
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        text = out.read_text()
-        assert text.count("->") == 1
-        assert '"T1566" -> "T1204"' in text
-        assert not (tmp_path / "patterns.json").exists()
-        assert (tmp_path / "patterns.meta.json").exists()
-
-    def test_mine_unknown_format(self, cli_dir, tmp_path, capsys):
-        rc = main(
-            [
-                "mine",
-                "--predictions", str(cli_dir / "predictions.jsonl"),
-                "--format", "xml",
-                "--out", str(tmp_path / "p.csv"),
-            ]
-        )
-        assert rc == 1
-        assert "unknown export formats: xml" in capsys.readouterr().err
-
     def test_bins_mismatch_fails_predict(self, cli_dir, tmp_path, capsys):
         coarse = tmp_path / "coarse.csv"
         rc = main(
@@ -645,16 +647,18 @@ class TestCliChain:
         assert not (tmp_path / "m.json").exists()
 
     def test_run_with_overrides(self, tmp_path, capsys):
+        # `--out-dir` is the one override; every other setting comes from
+        # the config file.
         config_path = tmp_path / "config.json"
         config_path.write_text(
-            json.dumps(e2e_config_dict(tmp_path / "ignored")), encoding="utf-8"
+            json.dumps({**e2e_config_dict(tmp_path / "ignored"), "min_support": 999}),
+            encoding="utf-8",
         )
         rc = main(
             [
                 "run",
                 "--config", str(config_path),
                 "--out-dir", str(tmp_path / "out"),
-                "--min-support", "999",
             ]
         )
         assert rc == 0
@@ -662,6 +666,7 @@ class TestCliChain:
         assert summary["n_reports"] == 5
         assert summary["n_patterns"] == 0
         assert (tmp_path / "out" / "patterns.csv").exists()
+        assert not (tmp_path / "ignored").exists()
 
     def test_console_script_smoke(self):
         # The entry point runs from the source tree, with no install step.
@@ -729,6 +734,16 @@ class TestBadFeaturesCsv:
         )
         self._assert_fails(
             cli_dir, tmp_path, path, "19: could not convert string to float: 'x1'", capsys
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, cli_dir, tmp_path, capsys, value):
+        path = self._corrupt(
+            cli_dir, tmp_path, 19, lambda cells: [*cells[:20], value, *cells[21:]]
+        )
+        slot = FeatureLayout().names[16]
+        self._assert_fails(
+            cli_dir, tmp_path, path, f"19: slot {slot} is {value}, not a finite number", capsys
         )
 
 
@@ -851,6 +866,34 @@ class TestMalformedArtifacts:
             capsys,
         )
 
+    def test_model_with_renamed_label(self, cli_dir, tmp_path, capsys):
+        payload = self._model(cli_dir)
+        payload["model"]["labels"]["FOO"] = payload["model"]["labels"].pop(NULL)
+        bad = tmp_path / "relations.json"
+        write_json(str(bad), payload)
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: ValueError: labels ['BEFORE', "
+            "'CONCURRENT', 'FOO', 'SIMULTANEOUS_OVERLAP'] are not ['BEFORE', "
+            "'CONCURRENT', 'NULL', 'SIMULTANEOUS_OVERLAP']\n",
+            capsys,
+        )
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf")])
+    def test_model_with_non_finite_init_score(self, cli_dir, tmp_path, capsys, score):
+        payload = self._model(cli_dir)
+        payload["model"]["labels"][BEFORE]["init_score"] = score
+        bad = tmp_path / "relations.json"
+        # json.dumps writes NaN and Infinity; no artifact writer does.
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        self._assert_fails(
+            self._predict(cli_dir, tmp_path, bad),
+            f"{bad}: malformed relation model: ValueError: label BEFORE: "
+            f"init_score {score} is not finite\n",
+            capsys,
+        )
+        assert not (tmp_path / "p.jsonl").exists()
+
     def _mine(self, cli_dir, tmp_path, edit) -> tuple[list, str, dict]:
         """`mine` over the chain's predictions with the record on line 3
         passed through `edit`: its argv, the file and the record."""
@@ -898,6 +941,20 @@ class TestMalformedArtifacts:
             f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): {message}\n",
             capsys,
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, -0.1])
+    def test_prediction_with_bad_probability(self, cli_dir, tmp_path, capsys, value):
+        argv, bad, r = self._mine(
+            cli_dir, tmp_path, lambda r: r["probabilities"].update({BEFORE: value})
+        )
+        self._assert_fails(
+            argv,
+            f"{bad}: malformed relation prediction on line 3: ValueError: report "
+            f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
+            f"{r['probabilities']} not all in [0, 1]\n",
+            capsys,
+        )
+        assert not (tmp_path / "p.csv").exists()
 
     def test_predictions_without_meta_line(self, cli_dir, tmp_path, capsys):
         lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
@@ -979,6 +1036,20 @@ class TestMalformedCategoryMap:
             f"ttpmine run: error: {bad}: malformed category map: KeyError: 'patterns'"
         )
 
+    def test_broken_packaged_map_names_its_file(self, cli_dir, tmp_path, capsys, monkeypatch):
+        # The packaged map is read like any other, so a broken one is named.
+        bad = tmp_path / "pattern_categories.json"
+        bad.write_text(json.dumps({"categories": ["c"]}), encoding="utf-8")
+        monkeypatch.setattr(cli, "PACKAGED_CATEGORIES", str(bad))
+        monkeypatch.setattr(pipeline, "PACKAGED_CATEGORIES", str(bad))
+        argv = ["mine", "--predictions", str(cli_dir / "predictions.jsonl"),
+                "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        message = f"{bad}: malformed category map: KeyError: 'patterns'"
+        assert capsys.readouterr().err == f"ttpmine mine: error: {message}\n"
+        assert not (tmp_path / "p.csv").exists()
+        assert self._run(tmp_path, capsys) == f"ttpmine run: error: {message}"
+
     def test_run_reads_the_vectors_before_any_stage(self, tmp_path, capsys):
         bad = tmp_path / "vectors.txt"
         bad.write_bytes(b"1 2\n\xff 1 0\n")
@@ -988,6 +1059,16 @@ class TestMalformedCategoryMap:
         assert self._run(tmp_path, capsys, vectors=str(bad)) == (
             "ttpmine run: error: vectors.txt: header declares 2 rows, file has 1"
         )
+
+    def test_non_finite_vectors_stop_features_and_run(self, cli_dir, tmp_path, capsys):
+        bad = tmp_path / "vectors.txt"
+        bad.write_text("2 2\na 1 0\nb nan inf\n", encoding="utf-8")
+        message = "vectors.txt line 3: non-finite vector value"
+        argv = _features_argv(cli_dir, tmp_path / "f.csv", "--vectors", str(bad))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"ttpmine features: error: {message}\n"
+        assert not (tmp_path / "f.csv").exists()
+        assert self._run(tmp_path, capsys, vectors=str(bad)) == f"ttpmine run: error: {message}"
 
 
 def _features_argv(cli_dir, out, *extra):
@@ -1066,16 +1147,6 @@ class TestFeaturesFromClassifyOutput:
         loaded = load_report_predictions(str(cli_dir / "classify.jsonl"))
         assert [p.report_id for p in loaded] == ["r01", "r02", "r03", "r04", "r05"]
 
-    def test_model_and_predictions_are_exclusive(self, cli_dir, tmp_path, capsys):
-        argv = _features_argv(
-            cli_dir, tmp_path / "f.csv",
-            "--predictions", str(cli_dir / "classify.jsonl"),
-            "--model", str(cli_dir / "kb" / "ctfidf.json"),
-        )
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestMalformedClassifyOutput:
@@ -1256,6 +1327,21 @@ class TestBadConfigFiles:
             "ValueError: unknown train config keys: tress"
         )
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_downsample_ratio(self, cli_dir, tmp_path, capsys, value):
+        message = (
+            "ValueError: negative_downsample_ratio must be a finite number > 0, "
+            f"got {float(value)}"
+        )
+        text = f'{{"negative_downsample_ratio": {value}}}'
+        assert self._train(cli_dir, tmp_path, capsys, text) == (
+            f"ttpmine train-relations: error: <file>: malformed train config: {message}"
+        )
+        train = {**e2e_config_dict(tmp_path)["train"], "negative_downsample_ratio": float(value)}
+        assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
+            f"ttpmine run: error: <file>: malformed pipeline config: {message}"
+        )
+
     def test_bools_and_floats_for_ints_rejected(self):
         with pytest.raises(ValueError, match="^min_support must be int, got True$"):
             PipelineConfig(min_support=True)
@@ -1360,3 +1446,29 @@ class TestCoreferenceSentenceCount:
         ]
         assert len(lines) == 1
         assert lines[0].endswith("; coreference over 9 hit sentences of 20")
+
+
+def _readme_stage_commands() -> list[list[str]]:
+    """The arguments of each `ttpmine` command in README's "Stage by
+    stage" sh block, continuation lines joined."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Stage by stage\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ttpmine ")]
+
+
+def test_readme_stage_by_stage(tmp_path, monkeypatch):
+    # The README's commands, run as written from a directory where
+    # tests/data/e2e resolves, mine the planted pattern.
+    commands = _readme_stage_commands()
+    assert [argv[0] for argv in commands] == [
+        "kb", "corpus", "classify", "features", "train-relations", "eval", "predict", "mine",
+    ]
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    (tmp_path / "tests" / "data" / "e2e").symlink_to(E2E_DIR, target_is_directory=True)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    rows = (tmp_path / "out" / "patterns.csv").read_text(encoding="utf-8").splitlines()
+    assert [row for row in rows if row.startswith("T1566,T1204,BEFORE,")] == [PLANTED]

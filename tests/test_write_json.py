@@ -1,7 +1,8 @@
 """`write_json` encodes an artifact in one call of the module's reusable
 encoder; its bytes must be those of one `json.dump` with the artifact
 settings. `write_jsonl` reuses the same encoder; each of its lines must
-be the `json.dumps` of its value."""
+be the `json.dumps` of its value. NaN and Infinity are not JSON, so
+neither writer writes them."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ _SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**70), max_value=2**70)
-    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(allow_nan=False, allow_infinity=False)
     | st.text()
 )
 _VALUES = st.recursive(
@@ -51,7 +52,7 @@ class TestWriteJson:
 
     def test_edge_values(self, tmp_path):
         payload = {
-            "b": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300],
+            "b": [5e-324, -0.0, 1e300, -1e300],
             "a": {"zeta": "\u00e9\u4e2d\U0001f600", "\u00e9": [], "": {}},
             "c": (1, (2, [3, {"k": ()}]), {}),
             "d": {3: "x", 1: ["y", {"z": None}]},
@@ -63,6 +64,16 @@ class TestWriteJson:
         assert path.read_bytes() == (
             json.dumps(payload, **pipeline._JSON_KW) + "\n"
         ).encode("utf-8")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_float_rejected(tmp_path, value):
+    path = tmp_path / "artifact.json"
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_json(str(path), {"meta": {}, "model": {"x": [1.0, value]}})
+    assert not path.exists()
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        write_jsonl(str(tmp_path / "records.jsonl"), {}, iter([{"p": value}]))
 
 
 class TestWriteJsonl:
