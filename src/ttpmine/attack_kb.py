@@ -20,7 +20,6 @@ from .corpus import split_sentences
 
 logger = logging.getLogger(__name__)
 
-CATALOG_FORMAT_VERSION = "1"
 # "2": `usage.json` lists each actor's technique columns ("uses"); "1"
 # stored every cell of the dense matrix and is no longer read.
 USAGE_FORMAT_VERSION = "2"
@@ -48,22 +47,6 @@ class TechniqueRecord:
 class TechniqueCatalog:
     techniques: tuple[TechniqueRecord, ...]
     version: str
-
-    def __contains__(self, technique_id: str) -> bool:
-        return technique_id in self._by_id()
-
-    def __len__(self) -> int:
-        return len(self.techniques)
-
-    def _by_id(self) -> dict[str, TechniqueRecord]:
-        cached = getattr(self, "_index", None)
-        if cached is None:
-            cached = {rec.id: rec for rec in self.techniques}
-            object.__setattr__(self, "_index", cached)
-        return cached
-
-    def get(self, technique_id: str) -> TechniqueRecord:
-        return self._by_id()[technique_id]
 
     @property
     def technique_ids(self) -> tuple[str, ...]:
@@ -291,37 +274,6 @@ def build_action_dataset(
         if labels & retained
     )
     return ActionDataset(examples=examples, techniques=tuple(sorted(retained)))
-
-
-def catalog_to_dict(catalog: TechniqueCatalog) -> dict:
-    return {
-        "format_version": CATALOG_FORMAT_VERSION,
-        "attack_version": catalog.version,
-        "techniques": [
-            {
-                "id": rec.id,
-                "name": rec.name,
-                "procedure_examples": list(rec.procedure_examples),
-            }
-            for rec in catalog.techniques
-        ],
-    }
-
-
-def catalog_from_dict(data: dict) -> TechniqueCatalog:
-    """Rebuild a `catalog_to_dict` catalog; ValueError for another format."""
-    version = data["format_version"]
-    if version != CATALOG_FORMAT_VERSION:
-        raise ValueError(f"catalog format {version!r} is not {CATALOG_FORMAT_VERSION!r}")
-    records = tuple(
-        TechniqueRecord(
-            id=t["id"],
-            name=t["name"],
-            procedure_examples=tuple(t["procedure_examples"]),
-        )
-        for t in data["techniques"]
-    )
-    return TechniqueCatalog(techniques=records, version=data["attack_version"])
 
 
 def usage_to_dict(matrix: UsageMatrix) -> dict:

@@ -14,13 +14,12 @@ import os
 import sys
 
 from . import __version__
-from .attack_kb import EmptyCatalogError, StixParseError
-from .corpus import AnnotationError, CorpusError, load_annotations, load_reports
-from .ctfidf import DEFAULT_THRESHOLD, TrainingError
-from .embeddings import EmbeddingParseError, load_word_vectors
+from .corpus import load_annotations, load_reports
+from .ctfidf import DEFAULT_THRESHOLD
+from .embeddings import load_word_vectors
 from .features.layout import FEATURE_GROUPS, FeatureLayout
 from .gbdt import TrainConfig
-from .gbdt.ensemble import GbdtTrainingError, predict_batch
+from .gbdt.ensemble import predict_batch
 from .labels import NULL
 from .metrics import evaluate_relations
 from .mining import PACKAGED_CATEGORIES
@@ -34,7 +33,6 @@ from .pipeline import (
     load_categories,
     load_ctfidf_model,
     load_features,
-    load_kb_catalog,
     load_kb_usage,
     load_relation_model,
     load_relation_predictions,
@@ -56,18 +54,8 @@ from .stopwords import STOPWORDS_VERSION
 
 logger = logging.getLogger(__name__)
 
-_ERRORS = (
-    PipelineError,
-    CorpusError,
-    AnnotationError,
-    StixParseError,
-    EmptyCatalogError,
-    TrainingError,
-    GbdtTrainingError,
-    EmbeddingParseError,
-    OSError,
-    ValueError,
-)
+# Every other error the package raises on bad input subclasses ValueError.
+_ERRORS = (PipelineError, OSError, ValueError)
 
 
 def _version_string() -> str:
@@ -86,7 +74,12 @@ class _VersionAction(argparse.Action):
         super().__init__(option_strings, dest, nargs=0, **kwargs)
 
     def __call__(self, parser, namespace, values, option_string=None):
-        print(_version_string())
+        # Runs inside parse_args, before `main` can catch anything.
+        try:
+            version = _version_string()
+        except _ERRORS as exc:
+            parser.exit(1, f"{parser.prog}: error: {exc}\n")
+        print(version)
         parser.exit()
 
 
@@ -138,9 +131,14 @@ def cmd_kb_build(args) -> int:
         f"kb: {len(model.class_ids)} classifier classes, "
         f"{counts['n_actors']} actors, {counts['n_uses']} uses "
         f"({counts['n_skipped_uses']} skipped: unknown technique); "
-        f"wrote catalog.json, usage.json, ctfidf.json to {args.out}"
+        f"wrote usage.json, ctfidf.json to {args.out}"
     )
     return 0
+
+
+def _kb_techniques(kb: str | None) -> tuple[str, ...] | None:
+    """The technique ids of the kb directory given to ``--kb``, if any."""
+    return load_kb_usage(kb).techniques if kb else None
 
 
 def cmd_corpus_validate(args) -> int:
@@ -148,8 +146,8 @@ def cmd_corpus_validate(args) -> int:
     n_sentences = sum(len(r.sentences) for r in reports)
     print(f"reports: {len(reports)} files, {n_sentences} sentences")
     if args.annotations:
-        catalog = load_kb_catalog(args.kb) if args.kb else None
-        annotations = load_annotations(args.annotations, catalog=catalog)
+        techniques = _kb_techniques(args.kb)
+        annotations = load_annotations(args.annotations, techniques=techniques)
         known = {r.report_id for r in reports}
         referenced = {a.report_id for a in annotations}
         missing = sorted(referenced - known)
@@ -238,8 +236,7 @@ def cmd_features(args) -> int:
 
 def _load_labeled_rows(features_path: str, annotations_path: str, kb: str | None):
     rows = load_features(features_path)
-    catalog = load_kb_catalog(kb) if kb else None
-    annotations = load_annotations(annotations_path, catalog=catalog)
+    annotations = load_annotations(annotations_path, techniques=_kb_techniques(kb))
     labels = labels_for_rows(rows, annotations)
     return rows, labels, count_unrowed_annotations(rows, annotations)
 

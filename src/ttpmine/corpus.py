@@ -259,18 +259,19 @@ def _check_labels(labels: frozenset[str], where: str) -> None:
         raise AnnotationError(f"{where}: {problem}")
 
 
-def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]:
+def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotation]:
     """Load JSON-Lines relation annotations.
 
     Each line is an object with report_id, tx, ty and a labels list.
-    Validation errors name the 1-based line number. When a technique
-    catalog is supplied, technique ids must resolve in it. Duplicate
-    (report, tx, ty) lines are merged by label union. Symmetric labels
-    (CONCURRENT, SIMULTANEOUS_OVERLAP) are closed under pair mirroring:
-    missing mirrors are added; a mirror already pinned to NULL is a
-    contradiction and rejected.
+    Validation errors name the 1-based line number. When the kb's
+    technique ids are given as ``techniques``, each tx and ty must be
+    one of them. Duplicate (report, tx, ty) lines are merged by label
+    union. Symmetric labels (CONCURRENT, SIMULTANEOUS_OVERLAP) are
+    closed under pair mirroring: missing mirrors are added; a mirror
+    already pinned to NULL is a contradiction and rejected.
     """
     path = Path(path)
+    known = None if techniques is None else frozenset(techniques)
     merged: dict[tuple[str, str, str], set[str]] = {}
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -299,9 +300,9 @@ def load_annotations(path: str | Path, catalog=None) -> list[RelationAnnotation]
         if tx == ty:
             raise AnnotationError(f"{where}: self-pair ({tx}, {ty}) is invalid")
         _check_labels(labels, where)
-        if catalog is not None:
+        if known is not None:
             for tid in (tx, ty):
-                if tid not in catalog:
+                if tid not in known:
                     raise AnnotationError(
                         f"{where}: unknown technique id {tid}"
                     )

@@ -55,7 +55,8 @@ class FeatureRows:
         the pair is not in the usage matrix (or the matrix has no actors).
         A measured pair has one hot bin per measure, so these are exactly
         the rows whose f4 bin slots are all zero."""
-        return ~self.values[:, _f4_bin_slots(self.layout)].any(axis=1)
+        f4 = self.layout.group_slices["f4"]
+        return ~self.values[:, f4.start + len(METRIC_NAMES) : f4.stop].any(axis=1)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -71,13 +72,6 @@ class FeatureRows:
             values=self.values[idx],
             layout=self.layout,
         )
-
-
-def _f4_bin_slots(layout: FeatureLayout) -> slice:
-    """The f4 one-hot bin slots of `layout`: every f4 slot after the raw
-    measures."""
-    f4 = layout.group_slices["f4"]
-    return slice(f4.start + len(METRIC_NAMES), f4.stop)
 
 
 def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndarray]:
@@ -286,7 +280,7 @@ def build_report_features(
     return FeatureRows(keys, values, layout)
 
 
-_META_COLUMNS = ("report_id", "tx", "ty", "f4_missing")
+_META_COLUMNS = ("report_id", "tx", "ty")
 # `_write_csv` formats this many rows at a time. Formatting all 480
 # rows of an `apply-long` run at once raised the process's peak RSS by
 # about 3 MiB; blocks of 64 rows leave it where the per-cell writer had it.
@@ -314,7 +308,6 @@ def _write_csv(rows: FeatureRows, out) -> None:
     csv.writer(out, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
     names = {name for key in rows for name in key}
     quoted = dict(zip(names, map(_csv_field, names)))
-    f4_missing = rows.f4_missing.tolist()
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
         block = slice(start, start + _CSV_BLOCK_ROWS)
         values = rows.values[block]
@@ -322,15 +315,10 @@ def _write_csv(rows: FeatureRows, out) -> None:
         # imports numpy.ma, which alone adds about 1.4 MiB of RSS.
         distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
         table = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-        for (report_id, tx, ty), missing, row in zip(
-            rows.keys[block],
-            f4_missing[block],
-            table[inverse.reshape(values.shape)].tolist(),
+        for (report_id, tx, ty), row in zip(
+            rows.keys[block], table[inverse.reshape(values.shape)].tolist()
         ):
-            out.write(
-                f"{quoted[report_id]},{quoted[tx]},{quoted[ty]},"
-                f"{int(missing)},{','.join(row)}\n"
-            )
+            out.write(f"{quoted[report_id]},{quoted[tx]},{quoted[ty]},{','.join(row)}\n")
 
 
 def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
@@ -343,10 +331,8 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
 
 def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
     """The rows of the features CSV at `path`. Each bad row raises one
-    ValueError naming `path:line`: a wrong column count, an f4_missing
-    flag other than 0 or 1, a slot value that is not a float or not
-    finite, or an f4_missing flag that disagrees with the row's f4 bin
-    slots (see `FeatureRows.f4_missing`)."""
+    ValueError naming `path:line`: a wrong column count, or a slot value
+    that is not a float or not finite."""
     # newline="" keeps a quoted "\r" in an id as it was written.
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -366,27 +352,17 @@ def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
     values = np.empty((text.count("\n"), layout.total), dtype=np.float64)
     keys = []
     lines = []
-    f4_bins = _f4_bin_slots(layout)
     for row in reader:
         if not row:
             continue
         where = f"{path}:{reader.line_num}"
         if len(row) != len(expected):
             raise ValueError(f"{where}: {len(row)} columns, expected {len(expected)}")
-        report_id, tx, ty, missing = row[:4]
-        if missing not in ("0", "1"):
-            raise ValueError(f"{where}: f4_missing is {missing!r}, not 0 or 1")
         try:
-            slots = list(map(float, row[4:]))
+            values[len(keys)] = list(map(float, row[3:]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        if (missing == "1") == any(slots[f4_bins]):
-            raise ValueError(
-                f"{where}: f4_missing is {missing}, but the f4 bin slots "
-                + ("hold a hot bin" if missing == "1" else "are all zero")
-            )
-        values[len(keys)] = slots
-        keys.append(PairKey(report_id, tx, ty))
+        keys.append(PairKey(*row[:3]))
         lines.append(reader.line_num)
     values = values[: len(keys)]
     # One pass over the whole matrix: float() parses "nan" and "inf".

@@ -1,4 +1,4 @@
-"""Fixed feature-vector layout descriptor.
+"""Fixed feature-vector layout.
 
 One layout version covers every pair of every report under a given
 configuration; the version string changes exactly when the slot list
@@ -142,19 +142,3 @@ class FeatureLayout:
         covered = {s for pair in swap for s in pair} | set(equal)
         excluded = [k for k in range(self.total) if k not in covered]
         return {"swap": swap, "equal": equal, "excluded": excluded}
-
-    def descriptor(self) -> dict:
-        return {
-            "layout_version": self.version,
-            "bins": self.bins,
-            "total": self.total,
-            "slots": list(self.names),
-            "groups": {
-                g: [s.start, s.stop] for g, s in self.group_slices.items()
-            },
-            "mirror": {
-                "swap": [list(p) for p in self.mirror_spec["swap"]],
-                "equal": list(self.mirror_spec["equal"]),
-                "excluded": list(self.mirror_spec["excluded"]),
-            },
-        }

@@ -163,28 +163,3 @@ def export(patterns, fmt: str) -> bytes:
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown export format {fmt!r} (expected csv, json, or dot)")
-
-
-def patterns_from_csv(data: bytes | str) -> list[TemporalPattern]:
-    """Inverse of the csv export; round-trips the pattern list exactly."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _CSV_HEADER:
-        raise ValueError(f"unexpected pattern CSV header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        tx, ty, relation, count, ids, category = row
-        out.append(
-            TemporalPattern(
-                tx=tx,
-                ty=ty,
-                relation=relation,
-                count=int(count),
-                report_ids=frozenset(ids.split(";")) if ids else frozenset(),
-                category=category or None,
-            )
-        )
-    return out

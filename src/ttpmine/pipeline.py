@@ -15,12 +15,12 @@ file (and, in a JSONL artifact, the line).
 Artifact formats:
 
 * JSON artifacts carry a top-level ``"meta"`` object beside their
-  payload: the kb catalog under ``"catalog"``, the usage matrix under
-  ``"usage"`` and each model under ``"model"``.
+  payload: the usage matrix under ``"usage"`` and each model under
+  ``"model"``.
 * JSONL artifacts start with a single meta line ``{"meta": {...}}``
   followed by one record per line; a file without it does not load.
 * The feature CSV has no inline meta; a sidecar ``<out>.layout.json``
-  carries the layout descriptor plus the meta block.
+  carries the layout's version and bins plus the meta block.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .attack_kb import (
     TechniqueCatalog,
     UsageMatrix,
     build_action_dataset,
-    catalog_from_dict,
-    catalog_to_dict,
     parse_stix,
     usage_from_dict,
     usage_to_dict,
@@ -192,10 +190,18 @@ def read_json(path: str, what: str, decode: Callable):
 
 
 def write_jsonl(path: str, meta: Mapping, records: Iterable[Mapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_encode({"meta": meta}) + "\n")
-        for record in records:
-            fh.write(_encode(record) + "\n")
+    """Stream the artifact into ``<path>.tmp``, then move it to ``path``:
+    a record that fails to encode (a NaN) leaves ``path`` as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(_encode({"meta": meta}) + "\n")
+            for record in records:
+                fh.write(_encode(record) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_jsonl(
@@ -310,9 +316,10 @@ def stage_kb(
 ) -> tuple[TechniqueCatalog, UsageMatrix, CtfidfModel]:
     """Parse a STIX bundle and train the sentence classifier.
 
-    Writes ``catalog.json``, ``usage.json``, and ``ctfidf.json`` into
-    ``out_dir`` and returns the catalog, the usage matrix and the
-    trained classifier. A bad ``min_examples`` fails before any of it.
+    Writes ``usage.json`` and ``ctfidf.json`` into ``out_dir``, their
+    meta naming the ATT&CK release (``attack_version``), and returns the
+    catalog, the usage matrix and the trained classifier. A bad
+    ``min_examples`` fails before any of it.
     """
     if min_examples < 1:
         raise ValueError(f"min_examples must be >= 1, got {min_examples}")
@@ -339,10 +346,7 @@ def stage_kb(
     )
     model = train_ctfidf(dataset)
     meta = make_meta("kb", config_hash)
-    write_json(
-        os.path.join(out_dir, "catalog.json"),
-        {"meta": meta, "catalog": catalog_to_dict(catalog)},
-    )
+    meta["attack_version"] = catalog.version
     write_json(
         os.path.join(out_dir, "usage.json"),
         {"meta": meta, "usage": usage_to_dict(usage)},
@@ -365,14 +369,6 @@ def usage_counts(usage: UsageMatrix) -> dict:
         "n_uses": int(np.count_nonzero(usage.cells)),
         "n_skipped_uses": usage.skipped_unknown,
     }
-
-
-def load_kb_catalog(kb_dir: str) -> TechniqueCatalog:
-    return read_json(
-        os.path.join(kb_dir, "catalog.json"),
-        "kb catalog",
-        lambda payload: catalog_from_dict(payload["catalog"]),
-    )
 
 
 def load_kb_usage(kb_dir: str) -> UsageMatrix:
@@ -455,8 +451,8 @@ def stage_features(
     per row. Each report's block of rows is copied
     into one corpus matrix as soon as it is built.
 
-    A sidecar ``<out>.layout.json`` records the layout descriptor so
-    later stages can validate compatibility.
+    A sidecar ``<out>.layout.json`` records the layout's version and
+    bins, which ``load_features`` reads the CSV under.
     """
     layout = FeatureLayout(bins=bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
@@ -491,7 +487,8 @@ def stage_features(
     write_features_csv(rows, path=out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
     meta["threshold"] = threshold
-    write_json(out_path + ".layout.json", {"meta": meta, "layout": layout.descriptor()})
+    sidecar = {"layout_version": layout.version, "bins": layout.bins}
+    write_json(out_path + ".layout.json", {"meta": meta, "layout": sidecar})
     logger.info(
         "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s; "
         "coreference over %d hit sentences of %d",
@@ -705,7 +702,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     kb_dir = os.path.join(out_dir, "kb")
 
-    catalog, usage, model = stage_kb(
+    _, usage, model = stage_kb(
         config.stix, kb_dir, min_examples=config.min_examples, config_hash=chash
     )
     reports = load_reports(config.reports)
@@ -733,7 +730,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         config_hash=chash,
     )
 
-    annotations = load_annotations(config.annotations, catalog=catalog)
+    annotations = load_annotations(config.annotations, techniques=usage.techniques)
     labels = labels_for_rows(rows, annotations)
     n_unrowed = count_unrowed_annotations(rows, annotations)
     if n_unrowed:

@@ -454,8 +454,8 @@ def features_to_csv_oracle(rows) -> str:
         return buf.getvalue()[:-2] + "\n"
 
     out = [line([*_META_COLUMNS, *rows.layout.names])]
-    for key, missing, values in zip(rows.keys, rows.f4_missing, rows.values):
-        out.append(line([*key, int(missing)] + [repr(float(v)) for v in values]))
+    for key, values in zip(rows.keys, rows.values):
+        out.append(line([*key] + [repr(float(v)) for v in values]))
     return "".join(out)
 
 
@@ -904,7 +904,7 @@ def dense_usage_oracle(bundle_bytes: bytes) -> UsageMatrix:
         if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
             continue
         target = patterns.get(obj.get("target_ref"))
-        if target is None or target[0] not in catalog:
+        if target is None or target[0] not in catalog.technique_ids:
             skipped += 1
             continue
         used.setdefault(actor_ids[obj["source_ref"]], set()).add(target[0])

@@ -474,7 +474,7 @@ def test_criterion_8_feature_layout_contract():
     assert production_pairs > 100
 
     print(
-        "PASS criterion 8: vector length equals the descriptor total for "
+        "PASS criterion 8: vector length equals the layout total for "
         "bins 5/10/20 (152 at 10); mirror invariants hold on 50 random "
         f"reports, per pair and on {production_pairs} built rows"
     )

@@ -542,10 +542,8 @@ class TestCsvRoundTrip:
         )
         lines = _csv_text(rows, tmp_path).splitlines()[1:]
         assert len(lines) == len(rows)
-        for line, key, missing, values in zip(lines, rows, rows.f4_missing, rows.values):
-            expected = [*key, str(int(missing))]
-            expected += [repr(float(v)) for v in values]
-            assert line == ",".join(expected)
+        for line, key, values in zip(lines, rows, rows.values):
+            assert line == ",".join([*key, *(repr(float(v)) for v in values)])
 
     def test_bytes_equal_per_cell_writer(self, tmp_path):
         # Each distinct value is formatted once: values that compare equal
@@ -577,9 +575,9 @@ class TestCsvRoundTrip:
         layout = FeatureLayout(bins=10)
         header = _csv_text(_empty(layout), tmp_path).splitlines()[0]
         cols = header.split(",")
-        assert cols[:4] == ["report_id", "tx", "ty", "f4_missing"]
-        assert cols[4] == "default.tx_top1"
-        assert len(cols) == 4 + 152
+        assert cols[:3] == ["report_id", "tx", "ty"]
+        assert cols[3] == "default.tx_top1"
+        assert len(cols) == 3 + 152
 
     def test_header_mismatch_rejected(self, tmp_path):
         text = _csv_text(_empty(FeatureLayout(bins=5)), tmp_path)
@@ -614,40 +612,16 @@ class TestCsvBadRows:
     def test_wrong_column_count(self, tmp_path):
         _, lines = self._lines()
         lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
-        with pytest.raises(ValueError, match=r"features\.csv:4: 155 columns, expected 156$"):
+        with pytest.raises(ValueError, match=r"features\.csv:4: 154 columns, expected 155$"):
             self._read(tmp_path, lines)
         lines[3] = lines[3][:-1] + ",0.0,0.0\n"
-        with pytest.raises(ValueError, match=r"features\.csv:4: 157 columns, expected 156$"):
+        with pytest.raises(ValueError, match=r"features\.csv:4: 156 columns, expected 155$"):
             self._read(tmp_path, lines)
-
-    def test_flag_other_than_0_or_1(self, tmp_path):
-        _, lines = self._lines()
-        for flag in ("7", "", "true", "01"):
-            cells = lines[2].split(",")
-            cells[3] = flag
-            bad = [*lines[:2], ",".join(cells), *lines[3:]]
-            with pytest.raises(ValueError, match=rf"features\.csv:3: f4_missing is '{flag}', not 0 or 1$"):
-                self._read(tmp_path, bad)
-
-    def test_flag_disagrees_with_f4_bins(self, tmp_path):
-        # Rows r0 (line 2) and r1 (line 3): a pair without and one with
-        # f4 measures.
-        _, lines = self._lines()
-        assert [line.split(",")[3] for line in lines[1:3]] == ["1", "0"]
-        for line, flag, why in ((1, "0", "are all zero"), (2, "1", "hold a hot bin")):
-            cells = lines[line].split(",")
-            cells[3] = flag
-            bad = [*lines[:line], ",".join(cells), *lines[line + 1 :]]
-            with pytest.raises(
-                ValueError,
-                match=rf"features\.csv:{line + 1}: f4_missing is {flag}, but the f4 bin slots {why}$",
-            ):
-                self._read(tmp_path, bad)
 
     def test_unparsable_value(self, tmp_path):
         layout, lines = self._lines()
         cells = lines[5].split(",")
-        cells[4 + layout.index("f2.coref")] = "abc"
+        cells[3 + layout.index("f2.coref")] = "abc"
         lines[5] = ",".join(cells)
         with pytest.raises(ValueError, match=r"features\.csv:6: could not convert string to float: 'abc'$"):
             self._read(tmp_path, lines)
@@ -658,7 +632,7 @@ class TestCsvBadRows:
         # reach the model as a feature.
         layout, lines = self._lines()
         cells = lines[5].split(",")
-        cells[4 + layout.index("f2.coref")] = value
+        cells[3 + layout.index("f2.coref")] = value
         lines[5] = ",".join(cells)
         shown = str(float(value))
         with pytest.raises(

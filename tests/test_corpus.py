@@ -589,7 +589,7 @@ class TestAnnotations:
             ['{"report_id": "r1", "tx": "T1566", "ty": "T9999", "labels": ["BEFORE"]}'],
         )
         with pytest.raises(AnnotationError, match="T9999"):
-            load_annotations(path, catalog=catalog)
+            load_annotations(path, techniques=catalog.technique_ids)
 
     def test_symmetric_closure_adds_mirror(self, tmp_path):
         path = _write_lines(

@@ -1,4 +1,4 @@
-"""Feature-vector layout descriptor: totals, slot names, group slices,
+"""Feature-vector layout: totals, slot names, group slices,
 masks, and the mirror specification frozen slot-by-slot."""
 
 from __future__ import annotations
@@ -145,22 +145,3 @@ class TestMirrorSpec:
         # backward partner, so mirroring cannot constrain it.
         assert self.layout.index("f2.adj_4") == 38
         assert 38 in self.layout.mirror_spec["excluded"]
-
-
-class TestDescriptor:
-    def test_descriptor_contents(self):
-        layout = FeatureLayout(bins=10)
-        d = layout.descriptor()
-        assert d["layout_version"] == "v1-bins10"
-        assert d["bins"] == 10
-        assert d["total"] == 152
-        assert d["slots"] == list(layout.names)
-        assert d["groups"]["f4"] == [53, 152]
-        assert d["mirror"]["swap"][0] == [0, 5]
-        assert d["mirror"]["equal"] == list(layout.mirror_spec["equal"])
-
-    def test_descriptor_json_safe(self):
-        import json
-
-        text = json.dumps(FeatureLayout(bins=5).descriptor(), sort_keys=True)
-        assert json.loads(text)["total"] == 107

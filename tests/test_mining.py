@@ -3,6 +3,8 @@ distinct-report counting, category labeling, and export formats."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -30,7 +32,6 @@ from ttpmine.mining import (
     PACKAGED_CATEGORIES,
     export,
     mine,
-    patterns_from_csv,
 )
 from ttpmine.pipeline import PipelineError, load_categories
 
@@ -333,12 +334,19 @@ class TestExport:
         assert lines[2].startswith("T1059,T1105,CONCURRENT,2,r1;r2,")
 
     def test_csv_round_trip(self):
-        back = patterns_from_csv(export(PATTERNS, "csv"))
+        rows = csv.DictReader(io.StringIO(export(PATTERNS, "csv").decode("utf-8")))
+        back = [
+            TemporalPattern(
+                tx=row["tx"],
+                ty=row["ty"],
+                relation=row["relation"],
+                count=int(row["count"]),
+                report_ids=frozenset(row["report_ids"].split(";")),
+                category=row["category"] or None,
+            )
+            for row in rows
+        ]
         assert back == PATTERNS
-
-    def test_csv_header_check(self):
-        with pytest.raises(ValueError, match="header"):
-            patterns_from_csv("a,b,c\n1,2,3\n")
 
     def test_json_layout(self):
         data = json.loads(export(PATTERNS, "json").decode("utf-8"))

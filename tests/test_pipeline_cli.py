@@ -30,7 +30,6 @@ from ttpmine.pipeline import (
     labels_for_rows,
     load_ctfidf_model,
     load_features,
-    load_kb_catalog,
     load_kb_usage,
     load_relation_model,
     load_relation_predictions,
@@ -72,7 +71,6 @@ class TestRunPipeline:
         _, out_dir, _ = pipeline_out
         names = sorted(p.name for p in out_dir.rglob("*") if p.is_file())
         assert names == [
-            "catalog.json",
             "classify.jsonl",
             "ctfidf.json",
             "features.csv",
@@ -107,15 +105,19 @@ class TestRunPipeline:
             (out_dir / "features.csv.layout.json").read_text()
         )
         assert sidecar["meta"]["layout_version"] == "v1-bins10"
-        assert sidecar["layout"]["total"] == 152
+        assert sidecar["layout"] == {"layout_version": "v1-bins10", "bins": 10}
+        for name in ("usage.json", "ctfidf.json"):
+            kb_meta = json.loads((out_dir / "kb" / name).read_text())["meta"]
+            assert kb_meta["stage"] == "kb"
+            assert kb_meta["attack_version"] == "fixture-1"
 
     def test_features_round_trip_and_labels(self, pipeline_out):
         _, out_dir, _ = pipeline_out
         rows = load_features(str(out_dir / "features.csv"))
         assert len(rows) == 18
         assert rows.layout.version == "v1-bins10"
-        catalog = load_kb_catalog(str(out_dir / "kb"))
-        annotations = load_annotations(ANNOTATIONS, catalog=catalog)
+        techniques = load_kb_usage(str(out_dir / "kb")).techniques
+        annotations = load_annotations(ANNOTATIONS, techniques=techniques)
         labels = labels_for_rows(rows, annotations)
         before_rows = [
             row.report_id
@@ -264,14 +266,11 @@ class TestKbOnce:
         monkeypatch.setattr(pipeline, "read_json", recording)
         run_pipeline(PipelineConfig.from_dict(e2e_config_dict(tmp_path)))
         assert len(calls) == 1
-        assert "catalog.json" not in read
         assert "usage.json" not in read
-        assert (tmp_path / "kb" / "catalog.json").exists()
-        assert (tmp_path / "kb" / "usage.json").exists()
+        assert sorted(os.listdir(tmp_path / "kb")) == ["ctfidf.json", "usage.json"]
 
     def test_in_memory_kb_equals_artifacts(self, tmp_path):
-        catalog, usage, model = stage_kb(STIX, str(tmp_path))
-        assert catalog == load_kb_catalog(str(tmp_path))
+        _, usage, model = stage_kb(STIX, str(tmp_path))
         again = load_kb_usage(str(tmp_path))
         assert usage.actors == again.actors
         assert usage.techniques == again.techniques
@@ -480,6 +479,23 @@ class TestCliChain:
             f"categories 1)"
         )
 
+    def test_version_with_truncated_packaged_map(self, tmp_path, capsys, monkeypatch):
+        # `--version` runs inside parse_args, yet a packaged map that does
+        # not decode still ends it with one error line naming the file.
+        bad = tmp_path / "pattern_categories.json"
+        text = (REPO_ROOT / "src" / "ttpmine" / "data" / "pattern_categories.json").read_text()
+        bad.write_text(text[: len(text) // 2], encoding="utf-8")
+        monkeypatch.setattr(cli, "PACKAGED_CATEGORIES", str(bad))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--version"])
+        assert excinfo.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"ttpmine: error: {bad}: malformed category map: JSONDecodeError: "
+        )
+        assert captured.err.count("\n") == 1
+
     def test_corpus_validate_ok(self, cli_dir, capsys):
         rc = main(
             [
@@ -539,6 +555,25 @@ class TestCliChain:
         )
         assert rc == 1
         assert "T9999" in capsys.readouterr().err
+
+    def test_kb_holds_usage_and_classifier_only(self, cli_dir):
+        # Every command of the chain ran on this kb directory.
+        assert sorted(os.listdir(cli_dir / "kb")) == ["ctfidf.json", "usage.json"]
+
+    @pytest.mark.parametrize("command", ["corpus", "train-relations", "eval"])
+    def test_unknown_technique_under_kb(self, cli_dir, tmp_path, capsys, command):
+        bad = tmp_path / "bad.jsonl"
+        record = {"report_id": "r01", "tx": "T9999", "ty": "T1204", "labels": ["BEFORE"]}
+        bad.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        features = ["--features", str(cli_dir / "features.csv")]
+        argv = {
+            "corpus": ["corpus", "validate", "--reports", REPORTS],
+            "train-relations": ["train-relations", *features, "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", "--model", str(cli_dir / "relations.json"), *features],
+        }[command]
+        assert main([*argv, "--annotations", str(bad), "--kb", str(cli_dir / "kb")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"ttpmine {command}: error: bad.jsonl line 1: unknown technique id T9999\n"
 
     def test_eval_to_stdout(self, cli_dir, capsys):
         rc = main(
@@ -718,19 +753,11 @@ class TestBadFeaturesCsv:
 
     def test_row_one_value_short(self, cli_dir, tmp_path, capsys):
         path = self._corrupt(cli_dir, tmp_path, 5, lambda cells: cells[:-1])
-        self._assert_fails(cli_dir, tmp_path, path, "5: 155 columns, expected 156", capsys)
-
-    def test_flag_other_than_0_or_1(self, cli_dir, tmp_path, capsys):
-        path = self._corrupt(
-            cli_dir, tmp_path, 2, lambda cells: [*cells[:3], "7", *cells[4:]]
-        )
-        self._assert_fails(
-            cli_dir, tmp_path, path, "2: f4_missing is '7', not 0 or 1", capsys
-        )
+        self._assert_fails(cli_dir, tmp_path, path, "5: 154 columns, expected 155", capsys)
 
     def test_non_numeric_value(self, cli_dir, tmp_path, capsys):
         path = self._corrupt(
-            cli_dir, tmp_path, 19, lambda cells: [*cells[:20], "x1", *cells[21:]]
+            cli_dir, tmp_path, 19, lambda cells: [*cells[:19], "x1", *cells[20:]]
         )
         self._assert_fails(
             cli_dir, tmp_path, path, "19: could not convert string to float: 'x1'", capsys
@@ -739,12 +766,41 @@ class TestBadFeaturesCsv:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value(self, cli_dir, tmp_path, capsys, value):
         path = self._corrupt(
-            cli_dir, tmp_path, 19, lambda cells: [*cells[:20], value, *cells[21:]]
+            cli_dir, tmp_path, 19, lambda cells: [*cells[:19], value, *cells[20:]]
         )
         slot = FeatureLayout().names[16]
         self._assert_fails(
             cli_dir, tmp_path, path, f"19: slot {slot} is {value}, not a finite number", capsys
         )
+
+
+    def test_csv_with_the_f4_missing_column(self, cli_dir, tmp_path, capsys):
+        # A features CSV that still carries the f4_missing flag column
+        # after `ty`, with a sidecar that carries the full slot list: the
+        # header no longer names the layout.
+        flags = load_features(str(cli_dir / "features.csv")).f4_missing.tolist()
+        lines = (cli_dir / "features.csv").read_text(encoding="utf-8").splitlines()
+        old = [lines[0].replace("ty,", "ty,f4_missing,", 1)]
+        for line, flag in zip(lines[1:], flags):
+            cells = line.split(",")
+            old.append(",".join([*cells[:3], str(int(flag)), *cells[3:]]))
+        path = tmp_path / "features.csv"
+        path.write_text("\n".join(old) + "\n", encoding="utf-8")
+        sidecar = json.loads((cli_dir / "features.csv.layout.json").read_text())
+        sidecar["layout"].update(total=152, slots=list(FeatureLayout().names))
+        write_json(str(tmp_path / "features.csv.layout.json"), sidecar)
+        message = (
+            f"{path}: feature CSV header does not match the layout (expected 155 "
+            "columns, got 156); re-run the features stage with the same configuration"
+        )
+        model = str(cli_dir / "relations.json")
+        for argv in (
+            ["predict", "--model", model, "--out", str(tmp_path / "p.jsonl")],
+            ["eval", "--model", model, "--annotations", ANNOTATIONS],
+            ["train-relations", "--annotations", ANNOTATIONS, "--out", str(tmp_path / "m.json")],
+        ):
+            assert main([*argv, "--features", str(path)]) == 1
+            assert capsys.readouterr().err == f"ttpmine {argv[0]}: error: {message}\n"
 
 
 class TestMalformedArtifacts:
@@ -829,19 +885,6 @@ class TestMalformedArtifacts:
         self._assert_fails(
             argv,
             f"{bad}: malformed classifier model: ValueError: classifier format '2' is not '1'\n",
-            capsys,
-        )
-
-    def test_catalog_of_another_format(self, cli_dir, tmp_path, capsys):
-        kb = tmp_path / "kb"
-        kb.mkdir()
-        bad = kb / "catalog.json"
-        self._format_2(cli_dir / "kb" / "catalog.json", bad, "catalog")
-        argv = ["corpus", "validate", "--reports", REPORTS,
-                "--annotations", ANNOTATIONS, "--kb", str(kb)]
-        self._assert_fails(
-            argv,
-            f"{bad}: malformed kb catalog: ValueError: catalog format '2' is not '1'\n",
             capsys,
         )
 
@@ -1387,6 +1430,7 @@ class TestSkipCounts:
         assert main(["kb", "build", "--stix", str(stix), "--out", str(tmp_path / "b")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert "3 actors, 7 uses (0 skipped: unknown technique)" in out[0]
+        assert out[0].endswith(f"; wrote usage.json, ctfidf.json to {tmp_path / 'a'}")
         assert "3 actors, 7 uses (1 skipped: unknown technique)" in out[1]
 
     def test_features_prints_f4_missing_rows(self, cli_dir, tmp_path, capsys):
@@ -1472,3 +1516,19 @@ def test_readme_stage_by_stage(tmp_path, monkeypatch):
         assert main(argv) == 0, argv
     rows = (tmp_path / "out" / "patterns.csv").read_text(encoding="utf-8").splitlines()
     assert [row for row in rows if row.startswith("T1566,T1204,BEFORE,")] == [PLANTED]
+
+
+def _readme_artifacts() -> list[str]:
+    """The file named in each row of README's "Artifacts" table."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    return [line.split("`")[1] for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_artifacts_table(tmp_path, monkeypatch):
+    # The table names, one a row, exactly the files `ttpmine run` writes.
+    monkeypatch.chdir(REPO_ROOT)
+    argv = ["run", "--config", "tests/data/e2e/config.json", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert sorted(_readme_artifacts()) == written

@@ -91,3 +91,38 @@ class TestWriteJsonl:
         assert len(lines) == len(expected) + 1
         for line, value in zip(lines, expected):
             assert line == json.dumps(value, **pipeline._JSON_KW).encode("utf-8")
+
+    @pytest.mark.parametrize("before", [None, b'{"meta":{"old":1}}\n{"r":0}\n'])
+    def test_failed_record_leaves_path_as_it_was(self, tmp_path, before):
+        # A NaN in the second record: the path holds no file, or the old
+        # one byte for byte, and no temporary file is left beside it.
+        path = tmp_path / "records.jsonl"
+        if before is not None:
+            path.write_bytes(before)
+        records = iter([{"r": 1}, {"r": float("nan")}, {"r": 3}])
+        with pytest.raises(ValueError, match="Out of range float values"):
+            write_jsonl(str(path), {"new": 1}, records)
+        if before is None:
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if before is None else ["records.jsonl"]
+        )
+
+    def test_records_stream_into_a_temporary_file(self, tmp_path):
+        # While the records are drawn they go to `<path>.tmp`, and the
+        # path keeps its old artifact until the new one is complete.
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b"old\n")
+        seen = []
+
+        def records():
+            yield {"r": 1}
+            seen.append(((tmp_path / "records.jsonl.tmp").exists(), path.read_bytes()))
+            yield {"r": 2}
+
+        write_jsonl(str(path), {}, records())
+        assert seen == [(True, b"old\n")]
+        assert path.read_bytes() == b'{"meta":{}}\n{"r":1}\n{"r":2}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
