@@ -24,6 +24,9 @@ logger = logging.getLogger(__name__)
 # stored every cell of the dense matrix and is no longer read.
 USAGE_FORMAT_VERSION = "2"
 
+# Procedure examples a technique needs to be a classifier class.
+DEFAULT_MIN_EXAMPLES = 20
+
 # STIX object id prefixes that count as actors in the usage matrix.
 _ACTOR_PREFIXES = ("intrusion-set--", "malware--", "tool--", "campaign--")
 
@@ -243,7 +246,7 @@ def _cells(uses: Sequence[Sequence[int]], n_techniques: int) -> np.ndarray:
 
 def build_action_dataset(
     catalog: TechniqueCatalog,
-    min_examples: int = 20,
+    min_examples: int = DEFAULT_MIN_EXAMPLES,
 ) -> ActionDataset:
     """The catalog's procedure examples, without the techniques that have
     fewer than min_examples examples.

@@ -14,15 +14,16 @@ import os
 import sys
 
 from . import __version__
+from .attack_kb import DEFAULT_MIN_EXAMPLES
 from .corpus import load_annotations, load_reports
 from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
-from .features.layout import FEATURE_GROUPS, FeatureLayout
+from .features.layout import DEFAULT_BINS, FEATURE_GROUPS, FeatureLayout
 from .gbdt import TrainConfig
 from .gbdt.ensemble import predict_batch
 from .labels import NULL
 from .metrics import evaluate_relations
-from .mining import PACKAGED_CATEGORIES
+from .mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -189,6 +190,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_features(args) -> int:
+    # Without --predictions the reports are classified at the default
+    # threshold; another threshold goes through `classify --threshold`.
     if args.predictions:
         model, predictions = None, load_report_predictions(args.predictions)
         source = {"predictions": args.predictions}
@@ -200,14 +203,13 @@ def cmd_features(args) -> int:
     vectors = load_word_vectors(args.vectors) if args.vectors else None
     reports = load_reports(args.reports)
     if model is not None:
-        predictions = _classify(model, reports, args.threshold)
+        predictions = _classify(model, reports, DEFAULT_THRESHOLD)
     chash = provenance_hash(
         {
             "reports": args.reports,
             "kb": args.kb,
             **source,
             "vectors": args.vectors,
-            "threshold": args.threshold,
             "bins": args.bins,
         }
     )
@@ -218,7 +220,6 @@ def cmd_features(args) -> int:
             predictions,
             args.out,
             vectors=vectors,
-            threshold=args.threshold,
             bins=args.bins,
             config_hash=chash,
         )
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("kb", help="knowledge base commands")
-    kb_sub = p.add_subparsers(dest="kb_command", required=True, metavar="action")
+    kb_sub = p.add_subparsers(dest="action", required=True, metavar="action")
     b = kb_sub.add_parser(
         "build", help="parse a STIX bundle and train the sentence classifier"
     )
@@ -384,13 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--min-examples",
         type=_positive_int,
-        default=20,
-        help="minimum procedure examples per technique class (default 20)",
+        default=DEFAULT_MIN_EXAMPLES,
+        help="minimum procedure examples per technique class "
+        f"(default {DEFAULT_MIN_EXAMPLES})",
     )
     b.set_defaults(func=cmd_kb_build)
 
     p = sub.add_parser("corpus", help="corpus commands")
-    corpus_sub = p.add_subparsers(dest="corpus_command", required=True, metavar="action")
+    corpus_sub = p.add_subparsers(dest="action", required=True, metavar="action")
     c = corpus_sub.add_parser("validate", help="validate reports and annotations")
     c.add_argument("--reports", required=True, help="directory of report .txt files")
     c.add_argument("--annotations", help="relation annotation JSONL")
@@ -414,21 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True, help="kb directory from `kb build`")
     p.add_argument(
         "--predictions",
-        help="classify.jsonl from `classify`, used instead of classifying again "
-        "with <kb>/ctfidf.json",
+        help="classify.jsonl from `classify`, whose detections are used as given; "
+        "without it the reports are classified with <kb>/ctfidf.json at the "
+        f"default threshold {DEFAULT_THRESHOLD}",
     )
     p.add_argument("--vectors", help="word vector text file for similarity features")
     p.add_argument(
-        "--threshold",
-        type=_threshold,
-        default=DEFAULT_THRESHOLD,
-        help=f"sentence detection threshold (default {DEFAULT_THRESHOLD})",
-    )
-    p.add_argument(
         "--bins",
         type=_positive_int,
-        default=10,
-        help="histogram bins per measure (default 10)",
+        default=DEFAULT_BINS,
+        help=f"histogram bins per measure (default {DEFAULT_BINS})",
     )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_features)
@@ -466,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-support",
         type=_positive_int,
-        default=2,
-        help="minimum distinct reports per pattern (default 2)",
+        default=DEFAULT_MIN_SUPPORT,
+        help=f"minimum distinct reports per pattern (default {DEFAULT_MIN_SUPPORT})",
     )
     p.add_argument(
         "--categories", help="category map JSON (default: packaged map)"
@@ -498,7 +495,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _ERRORS as exc:
-        print(f"ttpmine {args.command}: error: {exc}", file=sys.stderr)
+        # A nested command is named in full: `kb build`, `corpus validate`.
+        command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+        print(f"ttpmine {command}: error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -270,18 +270,17 @@ def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotati
     closed under pair mirroring: missing mirrors are added; a mirror
     already pinned to NULL is a contradiction and rejected.
     """
-    path = Path(path)
     known = None if techniques is None else frozenset(techniques)
     merged: dict[tuple[str, str, str], set[str]] = {}
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise AnnotationError(f"cannot read annotations file {path}: {exc}") from exc
 
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        where = f"{path.name} line {lineno}"
+        where = f"{path} line {lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -320,7 +319,7 @@ def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotati
             elif lab not in mirror:
                 if mirror == {NULL}:
                     raise AnnotationError(
-                        f"{path.name}: ({report_id}, {ty}, {tx}) is NULL but its "
+                        f"{path}: ({report_id}, {ty}, {tx}) is NULL but its "
                         f"mirror carries symmetric label {lab}"
                     )
                 mirror.add(lab)

@@ -41,14 +41,19 @@ class CtfidfModel:
 
 @dataclass(frozen=True)
 class ReportPrediction:
+    """One report's detections: the techniques with a sentence at or
+    above the threshold, and nothing the features stage does not read."""
+
     report_id: str
-    threshold: float
-    techniques: frozenset[str]
-    # Top-5 sentence scores per class, descending, zero-padded. Present
-    # for every class regardless of detection.
-    top_scores: dict[str, tuple[float, ...]]
     # Indices of sentences scoring >= threshold, per detected technique.
     hit_sentences: dict[str, tuple[int, ...]]
+    # Top-5 sentence scores per detected technique, descending,
+    # zero-padded.
+    top_scores: dict[str, tuple[float, ...]]
+
+    @property
+    def techniques(self) -> frozenset[str]:
+        return frozenset(self.hit_sentences)
 
 
 def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
@@ -146,21 +151,18 @@ def predict_report(
     matrix = _score_stream(
         model, report.tokens, report.token_sentences(), len(report.lines)
     )
-    top = np.zeros((TOP_K_SCORES, len(model.class_ids)), dtype=np.float64)
-    best = np.sort(matrix, axis=0)[::-1][:TOP_K_SCORES]
-    top[: best.shape[0]] = best
-    top_scores = {cid: tuple(col) for cid, col in zip(model.class_ids, top.T.tolist())}
     hit = matrix >= threshold
-    hit_sentences = {
-        model.class_ids[k]: tuple(np.flatnonzero(hit[:, k]).tolist())
-        for k in np.flatnonzero(hit.any(axis=0))
-    }
+    detected = np.flatnonzero(hit.any(axis=0))
+    top = np.zeros((TOP_K_SCORES, detected.size), dtype=np.float64)
+    best = np.sort(matrix[:, detected], axis=0)[::-1][:TOP_K_SCORES]
+    top[: best.shape[0]] = best
+    ids = [model.class_ids[k] for k in detected]
     return ReportPrediction(
         report_id=report.report_id,
-        threshold=threshold,
-        techniques=frozenset(hit_sentences),
-        top_scores=top_scores,
-        hit_sentences=hit_sentences,
+        hit_sentences={
+            cid: tuple(np.flatnonzero(hit[:, k]).tolist()) for cid, k in zip(ids, detected)
+        },
+        top_scores={cid: tuple(col) for cid, col in zip(ids, top.T.tolist())},
     )
 
 

@@ -31,30 +31,29 @@ def load_word_vectors(path: str | Path) -> WordVectors:
     row width, row count) or a non-finite value raises with the 1-based
     line number, and a file that is not UTF-8 with its path.
     """
-    path = Path(path)
     try:
         return _read_word_vectors(path)
     except UnicodeDecodeError as exc:
         raise EmbeddingParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_word_vectors(path: Path) -> WordVectors:
-    with path.open("r", encoding="utf-8") as fh:
+def _read_word_vectors(path: str | Path) -> WordVectors:
+    with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         parts = header.split()
         if len(parts) != 2:
             raise EmbeddingParseError(
-                f"{path.name} line 1: header must be 'V D', got {header.strip()!r}"
+                f"{path} line 1: header must be 'V D', got {header.strip()!r}"
             )
         try:
             vocab_size, dim = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise EmbeddingParseError(
-                f"{path.name} line 1: non-integer header {header.strip()!r}"
+                f"{path} line 1: non-integer header {header.strip()!r}"
             ) from exc
         if vocab_size < 0 or dim < 1:
             raise EmbeddingParseError(
-                f"{path.name} line 1: need V >= 0 and D >= 1, got V={vocab_size} D={dim}"
+                f"{path} line 1: need V >= 0 and D >= 1, got V={vocab_size} D={dim}"
             )
 
         table: dict[str, np.ndarray] = {}
@@ -65,12 +64,12 @@ def _read_word_vectors(path: Path) -> WordVectors:
             rows += 1
             if rows > vocab_size:
                 raise EmbeddingParseError(
-                    f"{path.name} line {lineno}: more rows than the declared {vocab_size}"
+                    f"{path} line {lineno}: more rows than the declared {vocab_size}"
                 )
             fields = line.split()
             if len(fields) != dim + 1:
                 raise EmbeddingParseError(
-                    f"{path.name} line {lineno}: expected {dim} values, got {len(fields) - 1}"
+                    f"{path} line {lineno}: expected {dim} values, got {len(fields) - 1}"
                 )
             token = fields[0]
             if token in table:
@@ -79,14 +78,14 @@ def _read_word_vectors(path: Path) -> WordVectors:
                 vector = np.array(fields[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingParseError(
-                    f"{path.name} line {lineno}: non-numeric vector value"
+                    f"{path} line {lineno}: non-numeric vector value"
                 ) from exc
             if not np.isfinite(vector).all():
-                raise EmbeddingParseError(f"{path.name} line {lineno}: non-finite vector value")
+                raise EmbeddingParseError(f"{path} line {lineno}: non-finite vector value")
             table[token] = vector
         if rows != vocab_size:
             raise EmbeddingParseError(
-                f"{path.name}: header declares {vocab_size} rows, file has {rows}"
+                f"{path}: header declares {vocab_size} rows, file has {rows}"
             )
     return WordVectors(dim=dim, table=table)
 

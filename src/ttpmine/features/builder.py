@@ -111,11 +111,10 @@ def coref_sentences(report_prediction: ReportPrediction) -> frozenset[int]:
     """The sentences `build_report_features` builds its tables over:
     every hit sentence of the report's detected techniques, or none when
     fewer than two were detected (the report has no rows)."""
-    techniques = report_prediction.techniques
-    if len(techniques) < 2:
-        return frozenset()
     hits = report_prediction.hit_sentences
-    return frozenset(i for tid in techniques for i in hits.get(tid, ()))
+    if len(hits) < 2:
+        return frozenset()
+    return frozenset(i for tid_hits in hits.values() for i in tid_hits)
 
 
 def _range_sums(prefix: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -247,7 +246,7 @@ def build_report_features(
     # float64 matmul of a process raises its peak RSS by about 0.25 MiB.
     hot = np.zeros((len(techniques), len(report.sentences)), dtype=np.int64)
     for row, tid in enumerate(techniques):
-        hot[row, list(report_prediction.hit_sentences.get(tid, ()))] = 1
+        hot[row, list(report_prediction.hit_sentences[tid])] = 1
     # Off-diagonal cells, row-major: the pairs in universe order.
     cells = ~np.eye(len(techniques), dtype=bool)
     tx, ty = np.nonzero(cells)

@@ -12,6 +12,8 @@ from dataclasses import dataclass, replace
 from .labels import NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
 
 UNCATEGORIZED = "uncategorized"
+# Distinct reports a pattern needs to be mined.
+DEFAULT_MIN_SUPPORT = 2
 # The category map shipped with the package; `pipeline.load_categories` reads it.
 PACKAGED_CATEGORIES = os.path.join(os.path.dirname(__file__), "data", "pattern_categories.json")
 
@@ -43,7 +45,7 @@ def canonical_key(tx: str, ty: str, relation: str) -> tuple[str, str, str]:
     return (tx, ty, relation)
 
 
-def mine(predictions, n: int = 2) -> list[TemporalPattern]:
+def mine(predictions, n: int = DEFAULT_MIN_SUPPORT) -> list[TemporalPattern]:
     """Count distinct reports per canonicalized (pair, relation) and keep
     tuples seen in at least n reports. NULL is never a pattern.
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import __version__
 from .attack_kb import (
+    DEFAULT_MIN_EXAMPLES,
     TechniqueCatalog,
     UsageMatrix,
     build_action_dataset,
@@ -56,6 +57,7 @@ from .ctfidf import (
 )
 from .embeddings import WordVectors, load_word_vectors
 from .features import FeatureLayout, FeatureRows
+from .features.layout import DEFAULT_BINS
 from .features.builder import (
     build_report_features,
     coref_sentences,
@@ -73,6 +75,7 @@ from .gbdt.ensemble import (
 from .gbdt.ensemble import train as train_ensemble
 from .labels import ALL_LABELS, NULL, label_set_problem
 from .mining import (
+    DEFAULT_MIN_SUPPORT,
     PACKAGED_CATEGORIES,
     CategoryMap,
     categorize,
@@ -108,9 +111,9 @@ class PipelineConfig:
     categories: str | None = None
     out_dir: str = "out"
     threshold: float = DEFAULT_THRESHOLD
-    min_examples: int = 20
-    bins: int = 10
-    min_support: int = 2
+    min_examples: int = DEFAULT_MIN_EXAMPLES
+    bins: int = DEFAULT_BINS
+    min_support: int = DEFAULT_MIN_SUPPORT
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -226,44 +229,49 @@ def read_jsonl(
     return head["meta"], records
 
 
+# The keys of a `classify.jsonl` record, exactly.
+_REPORT_PREDICTION_KEYS = ("hit_sentences", "report_id", "top_scores")
+
+
 def report_prediction_to_dict(p: ReportPrediction) -> dict:
     return {
         "report_id": p.report_id,
-        "threshold": p.threshold,
-        "techniques": sorted(p.techniques),
-        "top_scores": {cid: list(v) for cid, v in p.top_scores.items()},
         "hit_sentences": {cid: list(v) for cid, v in p.hit_sentences.items()},
+        "top_scores": {cid: list(v) for cid, v in p.top_scores.items()},
     }
 
 
 def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
-    """A `ReportPrediction` record. ValueError unless its detected
-    techniques are its `hit_sentences` keys, each with a hit (detection
-    needs one), its hits are integer sentence indices and each technique
-    has `TOP_K_SCORES` top scores."""
+    """A `ReportPrediction` record. ValueError unless it holds exactly
+    the keys `report_id`, `hit_sentences` and `top_scores`, each
+    detected technique (a `hit_sentences` key) has a hit, its hits are
+    integer sentence indices, it has `TOP_K_SCORES` top scores, and no
+    other technique has top scores."""
+    if sorted(data) != list(_REPORT_PREDICTION_KEYS):
+        raise ValueError(
+            f"record keys {sorted(data)} are not {list(_REPORT_PREDICTION_KEYS)}"
+        )
     prediction = ReportPrediction(
         report_id=data["report_id"],
-        threshold=float(data["threshold"]),
-        techniques=frozenset(data["techniques"]),
+        hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
         top_scores={
             cid: tuple(map(float, v)) for cid, v in data["top_scores"].items()
         },
-        hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
     )
-    techniques = prediction.techniques
     where = f"report {prediction.report_id!r}"
-    if techniques != set(prediction.hit_sentences):
-        raise ValueError(
-            f"{where}: techniques {sorted(techniques)} are not the "
-            f"hit_sentences keys {sorted(prediction.hit_sentences)}"
-        )
-    if not all(type(i) is int for hits in prediction.hit_sentences.values() for i in hits):
+    hits, top = prediction.hit_sentences, prediction.top_scores
+    if not all(type(i) is int for tid_hits in hits.values() for i in tid_hits):
         raise ValueError(f"{where}: hit_sentences must hold integer sentence indices")
-    for tid in sorted(techniques):
-        if not prediction.hit_sentences[tid]:
+    for tid in sorted(hits):
+        if not hits[tid]:
             raise ValueError(f"{where}: detected technique {tid} has no hit sentences")
-        if len(prediction.top_scores.get(tid, ())) != TOP_K_SCORES:
+        if len(top.get(tid, ())) != TOP_K_SCORES:
             raise ValueError(f"{where}: {tid} needs {TOP_K_SCORES} top_scores")
+    if set(top) != set(hits):
+        raise ValueError(
+            f"{where}: top_scores keys {sorted(top)} are not the "
+            f"hit_sentences keys {sorted(hits)}"
+        )
     return prediction
 
 
@@ -311,7 +319,7 @@ def stage_kb(
     stix_path: str,
     out_dir: str,
     *,
-    min_examples: int = 20,
+    min_examples: int = DEFAULT_MIN_EXAMPLES,
     config_hash: str = "",
 ) -> tuple[TechniqueCatalog, UsageMatrix, CtfidfModel]:
     """Parse a STIX bundle and train the sentence classifier.
@@ -435,8 +443,7 @@ def stage_features(
     out_path: str,
     *,
     vectors: WordVectors | None = None,
-    threshold: float = DEFAULT_THRESHOLD,
-    bins: int = 10,
+    bins: int = DEFAULT_BINS,
     config_hash: str = "",
 ) -> FeatureRows:
     """Extract the pair-feature rows of every report and write CSV.
@@ -445,11 +452,12 @@ def stage_features(
     prediction detected (see ``build_report_features``); a pair the
     classifier did not detect in a report gets no row there.
     ``predictions`` takes the classify stage's output, one per report,
-    made at ``threshold``; a hit sentence outside its report fails with
-    one PipelineError naming the report. The f4 slots are computed once
-    per pair of the universe (the union of the reports' pairs), not once
-    per row. Each report's block of rows is copied
-    into one corpus matrix as soon as it is built.
+    and uses its detections as given: the rows do not depend on the
+    threshold they were made at. A hit sentence outside its report fails
+    with one PipelineError naming the report. The f4 slots are computed
+    once per pair of the universe (the union of the reports' pairs), not
+    once per row. Each report's block of rows is copied into one corpus
+    matrix as soon as it is built.
 
     A sidecar ``<out>.layout.json`` records the layout's version and
     bins, which ``load_features`` reads the CSV under.
@@ -458,15 +466,9 @@ def stage_features(
     ordered = sorted(reports, key=lambda r: r.report_id)
     by_id = {p.report_id: p for p in predictions}
     for report in ordered:
-        prediction = by_id.get(report.report_id)
-        if prediction is None:
+        if report.report_id not in by_id:
             raise PipelineError(
                 f"features: no classifier prediction for {report.report_id!r}"
-            )
-        if prediction.threshold != threshold:
-            raise PipelineError(
-                f"features: prediction for report {report.report_id!r} used "
-                f"threshold {prediction.threshold}, not {threshold}"
             )
 
     universes = [pair_universe(by_id[r.report_id].techniques) for r in ordered]
@@ -486,7 +488,6 @@ def stage_features(
     rows = FeatureRows(keys, values, layout)
     write_features_csv(rows, path=out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
-    meta["threshold"] = threshold
     sidecar = {"layout_version": layout.version, "bins": layout.bins}
     write_json(out_path + ".layout.json", {"meta": meta, "layout": sidecar})
     logger.info(
@@ -646,7 +647,7 @@ def stage_mine(
     out_path: str,
     *,
     category_map: CategoryMap,
-    min_support: int = 2,
+    min_support: int = DEFAULT_MIN_SUPPORT,
     config_hash: str = "",
 ) -> list:
     """Mine recurring patterns, attach categories, and export them as
@@ -725,7 +726,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report_predictions,
         features_path,
         vectors=vectors,
-        threshold=config.threshold,
         bins=config.bins,
         config_hash=chash,
     )

@@ -161,10 +161,8 @@ def pair_row(report, tx_hits, ty_hits, wv=None) -> np.ndarray:
     by name through `FeatureLayout.index`."""
     prediction = ReportPrediction(
         report_id=report.report_id,
-        threshold=0.95,
-        techniques=frozenset({"TX", "TY"}),
-        top_scores={tid: (1.0,) + (0.0,) * (TOP_K_SCORES - 1) for tid in ("TX", "TY")},
         hit_sentences={"TX": tuple(tx_hits), "TY": tuple(ty_hits)},
+        top_scores={tid: (1.0,) + (0.0,) * (TOP_K_SCORES - 1) for tid in ("TX", "TY")},
     )
     rows = report_rows(report, prediction, wv=wv)
     assert rows.keys[0] == (report.report_id, "TX", "TY")
@@ -208,34 +206,29 @@ def random_report(rng: np.random.Generator, report_id: str,
 
 
 def random_prediction(rng: np.random.Generator, report, *tids: str,
-                      threshold: float = 0.95,
                       n_hits: tuple[int, int] = (1, 3)) -> ReportPrediction:
     """Random but well-formed technique detections for the given ids;
     each is detected with probability 0.85, in `n_hits` (lowest,
     highest) sentences, at most the report's."""
     n = len(report.sentences)
-    techniques = []
     top_scores = {}
     hit_sentences = {}
     for tid in tids:
-        scores = np.zeros(TOP_K_SCORES, dtype=np.float64)
         if rng.random() < 0.85 and n > 0:
             k = int(rng.integers(min(n_hits[0], n), min(n_hits[1], n) + 1))
             hits = sorted(
                 int(i) for i in rng.choice(n, size=k, replace=False)
             )
+            scores = np.zeros(TOP_K_SCORES, dtype=np.float64)
             raw = np.sort(rng.random(min(TOP_K_SCORES, n)))[::-1]
             raw[0] = 1.0
             scores[: raw.size] = raw
-            techniques.append(tid)
             hit_sentences[tid] = tuple(hits)
-        top_scores[tid] = tuple(float(v) for v in scores)
+            top_scores[tid] = tuple(float(v) for v in scores)
     return ReportPrediction(
         report_id=report.report_id,
-        threshold=threshold,
-        techniques=frozenset(techniques),
-        top_scores=top_scores,
         hit_sentences=hit_sentences,
+        top_scores=top_scores,
     )
 
 

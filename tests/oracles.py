@@ -534,17 +534,15 @@ def predict_report_oracle(model, report, threshold) -> tuple[np.ndarray, ReportP
     hit_sentences = {}
     for k, cid in enumerate(model.class_ids):
         col = matrix[:, k]
-        best = sorted(col.tolist(), reverse=True)[:TOP_K_SCORES]
-        top_scores[cid] = tuple(best + [0.0] * (TOP_K_SCORES - len(best)))
         hits = tuple(i for i, v in enumerate(col.tolist()) if v >= threshold)
         if hits:
             hit_sentences[cid] = hits
+            best = sorted(col.tolist(), reverse=True)[:TOP_K_SCORES]
+            top_scores[cid] = tuple(best + [0.0] * (TOP_K_SCORES - len(best)))
     prediction = ReportPrediction(
         report_id=report.report_id,
-        threshold=threshold,
-        techniques=frozenset(hit_sentences),
-        top_scores=top_scores,
         hit_sentences=hit_sentences,
+        top_scores=top_scores,
     )
     return matrix, prediction
 

@@ -39,6 +39,7 @@ from test_markers import (
     NEAR_MISSES,
 )
 from ttpmine.attack_kb import (
+    DEFAULT_MIN_EXAMPLES,
     TechniqueCatalog,
     TechniqueRecord,
     UsageMatrix,
@@ -52,7 +53,7 @@ from ttpmine.ctfidf import (
     train_ctfidf,
 )
 from ttpmine.features.builder import f4_table
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import DEFAULT_BINS, FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
@@ -76,12 +77,17 @@ from ttpmine.labels import (
     SIMULTANEOUS_OVERLAP,
 )
 from ttpmine.metrics import cohen_kappa, lrap, macro_p_at_k, ndcg
-from ttpmine.mining import PACKAGED_CATEGORIES, mine
+from ttpmine.mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES, mine
+from ttpmine.cli import build_parser
 from ttpmine.pipeline import (
     PipelineConfig,
     load_categories,
     load_relation_predictions,
     run_pipeline,
+    stage_classify,
+    stage_features,
+    stage_kb,
+    stage_mine,
 )
 
 
@@ -482,19 +488,38 @@ def test_criterion_8_feature_layout_contract():
 
 def test_criterion_9_pinned_defaults():
     assert DEFAULT_THRESHOLD == 0.95
-    assert (
-        inspect.signature(build_action_dataset).parameters["min_examples"].default
-        == 20
-    )
-    assert inspect.signature(mine).parameters["n"].default == 2
-    assert (
-        inspect.signature(predict_report).parameters["threshold"].default == 0.95
-    )
+    assert DEFAULT_MIN_EXAMPLES == 20
+    assert DEFAULT_BINS == 10
+    assert DEFAULT_MIN_SUPPORT == 2
+
+    # Every place that defaults a setting takes the one constant.
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert default(predict_report, "threshold") == DEFAULT_THRESHOLD
+    assert default(stage_classify, "threshold") == DEFAULT_THRESHOLD
+    assert default(build_action_dataset, "min_examples") == DEFAULT_MIN_EXAMPLES
+    assert default(stage_kb, "min_examples") == DEFAULT_MIN_EXAMPLES
+    assert default(stage_features, "bins") == DEFAULT_BINS
+    assert FeatureLayout().bins == DEFAULT_BINS
+    assert default(mine, "n") == DEFAULT_MIN_SUPPORT
+    assert default(stage_mine, "min_support") == DEFAULT_MIN_SUPPORT
 
     config = PipelineConfig()
-    assert config.threshold == 0.95
-    assert config.min_examples == 20
-    assert config.min_support == 2
+    assert config.threshold == DEFAULT_THRESHOLD
+    assert config.min_examples == DEFAULT_MIN_EXAMPLES
+    assert config.bins == DEFAULT_BINS
+    assert config.min_support == DEFAULT_MIN_SUPPORT
+
+    parser = build_parser()
+    for argv, name, value in (
+        (["kb", "build", "--stix", "s", "--out", "o"], "min_examples", DEFAULT_MIN_EXAMPLES),
+        (["classify", "--model", "m", "--reports", "r", "--out", "o"], "threshold",
+         DEFAULT_THRESHOLD),
+        (["features", "--reports", "r", "--kb", "k", "--out", "o"], "bins", DEFAULT_BINS),
+        (["mine", "--predictions", "p", "--out", "o"], "min_support", DEFAULT_MIN_SUPPORT),
+    ):
+        assert getattr(parser.parse_args(argv), name) == value, argv
 
     assert BEFORE_MARKERS == EXPECTED_BEFORE
     assert OVERLAP_MARKERS == EXPECTED_OVERLAP
@@ -503,5 +528,5 @@ def test_criterion_9_pinned_defaults():
 
     print(
         "PASS criterion 9: defaults pinned (threshold 0.95, min examples 20, "
-        "pattern support 2) and the 26-marker lexicon is frozen"
+        "bins 10, pattern support 2) and the 26-marker lexicon is frozen"
     )

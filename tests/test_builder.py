@@ -43,17 +43,14 @@ def _read_text(text, layout, tmp_path):
     return read_features_csv(path, layout)
 
 
-def _prediction(report_id="r1", techniques=(), top=None, hits=None, threshold=0.95):
-    techniques = frozenset(techniques)
-    top = dict(top or {})
-    for tid in techniques:
-        top.setdefault(tid, (1.0, 0.0, 0.0, 0.0, 0.0))
+def _prediction(report_id="r1", techniques=(), top=None, hits=None):
+    """`techniques` detected, in `hits` (none where not given), with
+    the `top` scores given and (1, 0, 0, 0, 0) for the rest."""
+    top, hits = top or {}, hits or {}
     return ReportPrediction(
         report_id=report_id,
-        threshold=threshold,
-        techniques=techniques,
-        top_scores=top,
-        hit_sentences=dict(hits or {}),
+        hit_sentences={tid: tuple(hits.get(tid, ())) for tid in techniques},
+        top_scores={tid: top.get(tid, (1.0, 0.0, 0.0, 0.0, 0.0)) for tid in techniques},
     )
 
 
@@ -221,14 +218,10 @@ class TestBuildReportFeatures:
         assert [(key.tx, key.ty) for key in rows] == universe
 
     def test_rows_only_for_detected_techniques(self):
-        # The universe is the prediction's detected techniques: an id
-        # with top scores but no detection gets no row, and fewer than
-        # two detections give none at all.
-        top = {"T1046": (0.9, 0.0, 0.0, 0.0, 0.0)}
+        # The universe is the prediction's detected techniques: fewer
+        # than two detections give no rows at all.
         rows = report_rows(
-            REPORT,
-            _prediction(techniques=("T1566", "T1204", "T1560"), top=top),
-            um=_um(),
+            REPORT, _prediction(techniques=("T1566", "T1204", "T1560")), um=_um()
         )
         assert [(key.tx, key.ty) for key in rows] == [
             ("T1204", "T1560"),
@@ -238,7 +231,7 @@ class TestBuildReportFeatures:
             ("T1566", "T1204"),
             ("T1566", "T1560"),
         ]
-        one = _prediction(techniques=("T1566",), top=top)
+        one = _prediction(techniques=("T1566",))
         empty = report_rows(REPORT, one, um=_um())
         assert len(empty) == 0
         assert empty.values.shape == (0, 152)

@@ -217,7 +217,7 @@ class TestReportPrediction:
         report = make_report("r1", "")
         prediction = predict_report(_hand_model(), report)
         assert prediction.techniques == frozenset()
-        assert prediction.top_scores["c1"] == (0.0,) * 5
+        assert prediction.top_scores == {}
 
 
 class TestSerialization:
@@ -252,12 +252,18 @@ class TestSerialization:
 
 def _assert_bit_equal(model, report, threshold=DEFAULT_THRESHOLD):
     """The batched scores equal the sentence-at-a-time oracle bit for bit,
-    and so does the prediction built from them."""
+    and so does the prediction built from them: the top scores of its
+    detected techniques, which sorts only their columns, included."""
     expected_matrix, expected = predict_report_oracle(model, report, threshold)
     matrix = score_sentences(model, [s.tokens for s in report.sentences])
     assert matrix.shape == expected_matrix.shape
     assert matrix.tobytes() == expected_matrix.tobytes(), report.report_id
-    assert predict_report(model, report, threshold) == expected
+    prediction = predict_report(model, report, threshold)
+    assert prediction == expected
+    assert list(prediction.top_scores) == list(expected.top_scores)
+    top = np.array(list(prediction.top_scores.values()), dtype=np.float64)
+    want = np.array(list(expected.top_scores.values()), dtype=np.float64)
+    assert top.tobytes() == want.tobytes(), report.report_id
     return expected
 
 
@@ -387,7 +393,7 @@ class TestBatchScoringOracle:
         assert matrix.shape == (2, 2) and not matrix.any()
         assert prediction.techniques == frozenset()
         assert prediction.hit_sentences == {}
-        assert set(prediction.top_scores.values()) == {(0.0,) * TOP_K_SCORES}
+        assert prediction.top_scores == {}
 
     def test_report_without_sentences(self):
         model = train_ctfidf(DISJOINT)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,10 +62,12 @@ class TestLoad:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         # float() parses these, and a NaN vector would reach the features.
+        path = _write(tmp_path, f"3 2\na 1 0\n\nb 0 {value}\nc 1 1\n")
         with pytest.raises(
-            EmbeddingParseError, match=r"^vectors\.txt line 4: non-finite vector value$"
+            EmbeddingParseError,
+            match=f"^{re.escape(str(path))} line 4: non-finite vector value$",
         ):
-            load_word_vectors(_write(tmp_path, f"3 2\na 1 0\n\nb 0 {value}\nc 1 1\n"))
+            load_word_vectors(path)
 
     def test_duplicate_token_keeps_first(self, tmp_path):
         wv = load_word_vectors(_write(tmp_path, "2 2\na 1 0\na 0 1\n"))

@@ -210,8 +210,8 @@ class TestMarkerFeatures:
         # The builder checks every hit sentence once, for all families.
         report = make_report("r1", "X ran.")
         prediction = random_prediction(np.random.default_rng(0), report, "T1", "T2")
-        bad = dataclasses.replace(prediction, techniques=frozenset({"T1", "T2"}),
-                                  hit_sentences={"T1": (0,), "T2": (5,)})
+        bad = dataclasses.replace(prediction, hit_sentences={"T1": (0,), "T2": (5,)},
+                                  top_scores={"T1": (1.0,) * 5, "T2": (1.0,) * 5})
         with pytest.raises(ValueError, match="^sentence index 5 outside report 'r1'"):
             report_rows(report, bad)
 

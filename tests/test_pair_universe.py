@@ -90,7 +90,7 @@ class TestManyClasses:
         out = tmp_path / "out"
         assert len(load_ctfidf_model(str(out / "kb" / "ctfidf.json")).class_ids) == 40
         _, classified = read_jsonl(out / "classify.jsonl")
-        detected = {r["report_id"]: set(r["techniques"]) for r in classified}
+        detected = {r["report_id"]: set(r["hit_sentences"]) for r in classified}
         patterns = json.loads((out / "patterns.json").read_text())
         assert summary["n_patterns"] == len(patterns) > 0
         for pattern in patterns:

@@ -20,7 +20,7 @@ from ttpmine import __version__, attack_kb, cli, pipeline
 from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
-from ttpmine.ctfidf import predict_report
+from ttpmine.ctfidf import DEFAULT_THRESHOLD, predict_report
 from ttpmine.features import FeatureLayout, FeatureRows
 from ttpmine.gbdt import TrainConfig
 from ttpmine.labels import BEFORE, NULL
@@ -97,6 +97,10 @@ class TestRunPipeline:
         assert meta["threshold"] == 0.95
         assert meta["config_hash"] == summary["config_hash"]
         assert len(records) == 5
+        # A record holds the report's detections and nothing else.
+        assert {tuple(sorted(r)) for r in records} == {
+            ("hit_sentences", "report_id", "top_scores")
+        }
         mine_meta = json.loads((out_dir / "patterns.meta.json").read_text())["meta"]
         assert mine_meta["stage"] == "mine"
         assert mine_meta["min_support"] == 2
@@ -105,6 +109,7 @@ class TestRunPipeline:
             (out_dir / "features.csv.layout.json").read_text()
         )
         assert sidecar["meta"]["layout_version"] == "v1-bins10"
+        assert "threshold" not in sidecar["meta"]
         assert sidecar["layout"] == {"layout_version": "v1-bins10", "bins": 10}
         for name in ("usage.json", "ctfidf.json"):
             kb_meta = json.loads((out_dir / "kb" / name).read_text())["meta"]
@@ -193,14 +198,14 @@ class TestClassifyOnce:
     ):
         # The features stage given the classify stage's predictions writes
         # the same bytes as the standalone `features` command, which
-        # classifies the reports itself.
+        # classifies the reports itself at the default threshold.
         _, out_dir, config = pipeline_out
+        assert config.threshold == DEFAULT_THRESHOLD
         out = tmp_path / "features.csv"
         argv = [
             "features",
             "--reports", REPORTS,
             "--kb", str(out_dir / "kb"),
-            "--threshold", repr(config.threshold),
             "--bins", str(config.bins),
             "--out", str(out),
         ]
@@ -222,8 +227,6 @@ class TestClassifyOnce:
         out = str(tmp_path / "features.csv")
         with pytest.raises(PipelineError, match="no classifier prediction for 'r01'"):
             stage_features(usage, reports, predictions[1:], out)
-        with pytest.raises(PipelineError, match="threshold 0.95, not 0.9"):
-            stage_features(usage, reports, predictions, out, threshold=0.9)
 
 
 class TestKbOnce:
@@ -337,11 +340,11 @@ class TestNumberArguments:
             (["features", "--reports", REPORTS, "--kb", "kb",
               "--out", "{out}/f.csv", "--bins", "0"],
              "argument --bins: must be >= 1, got 0"),
-            (["features", "--reports", REPORTS, "--kb", "kb",
-              "--out", "{out}/f.csv", "--threshold", "1.5"],
+            (["classify", "--model", "m.json", "--reports", REPORTS,
+              "--out", "{out}/c.jsonl", "--threshold", "1.5"],
              "argument --threshold: must be in (0, 1], got 1.5"),
-            (["features", "--reports", REPORTS, "--kb", "kb",
-              "--out", "{out}/f.csv", "--threshold", "nan"],
+            (["classify", "--model", "m.json", "--reports", REPORTS,
+              "--out", "{out}/c.jsonl", "--threshold", "nan"],
              "argument --threshold: must be in (0, 1], got nan"),
             (["mine", "--predictions", "p.jsonl", "--out", "{out}/m.csv",
               "--min-support", "-1"],
@@ -368,23 +371,27 @@ class TestNumberArguments:
 
 class TestRemovedOptions:
     """Options that repeated another input are gone: `features` reads its
-    classifier from `<kb>/ctfidf.json`, `mine` writes csv, json and dot,
-    and `run` takes its threshold, bins and min_support from the config
-    file. Each is now a usage error."""
+    classifier from `<kb>/ctfidf.json` and its detections' threshold from
+    `classify`, `mine` writes csv, json and dot, and `run` takes its
+    threshold, bins and min_support from the config file. Each is now a
+    usage error, raised before any file is read."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["features", "--reports", REPORTS, "--kb", "kb", "--out", "f.csv",
              "--model", "m.json"],
+            ["features", "--reports", REPORTS, "--kb", "kb", "--out", "f.csv",
+             "--threshold", "0.9"],
             ["mine", "--predictions", "p.jsonl", "--out", "m.csv", "--format", "csv"],
             ["run", "--config", "c.json", "--threshold", "0.5"],
             ["run", "--config", "c.json", "--bins", "5"],
             ["run", "--config", "c.json", "--min-support", "3"],
         ],
-        ids=["features-model", "mine-format", "run-threshold", "run-bins", "run-min-support"],
+        ids=["features-model", "features-threshold", "mine-format", "run-threshold", "run-bins", "run-min-support"],
     )
     def test_removed_option_is_usage_error(self, argv, capsys):
+        # The inputs do not exist: reading one would exit 1, not 2.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -400,7 +407,25 @@ class TestRemovedOptions:
                 elif not isinstance(action, argparse._HelpAction):
                     yield action
 
-        assert len(list(options(cli.build_parser()))) == 39
+        assert len(list(options(cli.build_parser()))) == 38
+
+
+class TestNestedCommandErrors:
+    """A nested command's error names the command in full."""
+
+    def test_kb_build(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["kb", "build", "--stix", str(missing), "--out", str(tmp_path / "kb")]) == 1
+        assert capsys.readouterr().err == (
+            f"ttpmine kb build: error: kb: STIX bundle not found: {missing}\n"
+        )
+
+    def test_corpus_validate(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["corpus", "validate", "--reports", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"ttpmine corpus validate: error: report directory not found: {missing}\n"
+        )
 
 
 def test_provenance_hash_formula():
@@ -573,7 +598,8 @@ class TestCliChain:
         }[command]
         assert main([*argv, "--annotations", str(bad), "--kb", str(cli_dir / "kb")]) == 1
         err = capsys.readouterr().err
-        assert err == f"ttpmine {command}: error: bad.jsonl line 1: unknown technique id T9999\n"
+        name = " ".join(argv[:2]) if command == "corpus" else command
+        assert err == f"ttpmine {name}: error: {bad} line 1: unknown technique id T9999\n"
 
     def test_eval_to_stdout(self, cli_dir, capsys):
         rc = main(
@@ -1100,13 +1126,13 @@ class TestMalformedCategoryMap:
         assert err.startswith(f"ttpmine run: error: {bad}: not UTF-8 text: "), err
         bad.write_text("2 2\na 1 0\n", encoding="utf-8")
         assert self._run(tmp_path, capsys, vectors=str(bad)) == (
-            "ttpmine run: error: vectors.txt: header declares 2 rows, file has 1"
+            f"ttpmine run: error: {bad}: header declares 2 rows, file has 1"
         )
 
     def test_non_finite_vectors_stop_features_and_run(self, cli_dir, tmp_path, capsys):
         bad = tmp_path / "vectors.txt"
         bad.write_text("2 2\na 1 0\nb nan inf\n", encoding="utf-8")
-        message = "vectors.txt line 3: non-finite vector value"
+        message = f"{bad} line 3: non-finite vector value"
         argv = _features_argv(cli_dir, tmp_path / "f.csv", "--vectors", str(bad))
         assert main(argv) == 1
         assert capsys.readouterr().err == f"ttpmine features: error: {message}\n"
@@ -1152,15 +1178,34 @@ class TestFeaturesFromClassifyOutput:
         del mine["meta"]["config_hash"], theirs["meta"]["config_hash"]
         assert mine == theirs
 
-    def test_wrong_threshold_names_file(self, cli_dir, tmp_path, capsys):
-        predictions = str(cli_dir / "classify.jsonl")
-        argv = _features_argv(
-            cli_dir, tmp_path / "f.csv", "--predictions", predictions, "--threshold", "0.9"
-        )
+    def test_other_threshold_goes_through_classify(self, cli_dir, tmp_path):
+        # `features --predictions` uses the detections as given: at 0.9
+        # it writes the bytes `run` writes with threshold 0.9.
+        classify = tmp_path / "c.jsonl"
+        assert main([
+            "classify", "--model", str(cli_dir / "kb" / "ctfidf.json"),
+            "--reports", REPORTS, "--threshold", "0.9", "--out", str(classify),
+        ]) == 0
+        out = tmp_path / "features.csv"
+        assert main(_features_argv(cli_dir, out, "--predictions", str(classify))) == 0
+        config = {**e2e_config_dict(tmp_path / "run"), "threshold": 0.9}
+        run_pipeline(PipelineConfig.from_dict(config))
+        assert out.read_bytes() == (tmp_path / "run" / "features.csv").read_bytes()
+        # At 0.9 r04's T1560 hits one sentence more than at the default.
+        assert out.read_bytes() != (cli_dir / "features.csv").read_bytes()
+
+    def test_old_format_record_names_file_and_line(self, cli_dir, tmp_path, capsys):
+        lines = (cli_dir / "classify.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record.update(techniques=sorted(record["hit_sentences"]), threshold=0.95)
+        bad = tmp_path / "old.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(record)]) + "\n", encoding="utf-8")
+        argv = _features_argv(cli_dir, tmp_path / "f.csv", "--predictions", str(bad))
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"ttpmine features: error: {predictions}: features: prediction for "
-            "report 'r01' used threshold 0.95, not 0.9"
+            f"ttpmine features: error: {bad}: malformed report prediction on line 2: "
+            "ValueError: record keys ['hit_sentences', 'report_id', 'techniques', "
+            "'threshold', 'top_scores'] are not ['hit_sentences', 'report_id', 'top_scores']"
         ]
         assert not (tmp_path / "f.csv").exists()
 
@@ -1200,7 +1245,7 @@ class TestMalformedClassifyOutput:
     def _fails(self, cli_dir, tmp_path, capsys, edit) -> str:
         lines = (cli_dir / "classify.jsonl").read_text(encoding="utf-8").splitlines()
         record = json.loads(lines[1])
-        assert record["report_id"] == "r01" and len(record["techniques"]) >= 2
+        assert record["report_id"] == "r01" and len(record["hit_sentences"]) >= 2
         edit(record)
         lines[1] = json.dumps(record)
         bad = tmp_path / "classify.jsonl"
@@ -1213,7 +1258,7 @@ class TestMalformedClassifyOutput:
 
     def test_technique_without_top_scores(self, cli_dir, tmp_path, capsys):
         def edit(record):
-            del record["top_scores"][record["techniques"][0]]
+            del record["top_scores"][sorted(record["hit_sentences"])[0]]
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err.startswith(
@@ -1223,7 +1268,7 @@ class TestMalformedClassifyOutput:
 
     def test_top_scores_of_two_values(self, cli_dir, tmp_path, capsys):
         def edit(record):
-            record["top_scores"][record["techniques"][-1]] = [1.0, 0.5]
+            record["top_scores"][sorted(record["hit_sentences"])[-1]] = [1.0, 0.5]
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err.startswith(
@@ -1231,19 +1276,20 @@ class TestMalformedClassifyOutput:
             "ValueError: report 'r01': T"
         ) and err.endswith(" needs 5 top_scores"), err
 
-    def test_techniques_not_the_hit_keys(self, cli_dir, tmp_path, capsys):
+    def test_top_scores_not_the_hit_keys(self, cli_dir, tmp_path, capsys):
+        # Top scores of a technique that was not detected.
         def edit(record):
-            del record["hit_sentences"][record["techniques"][0]]
+            del record["hit_sentences"][sorted(record["hit_sentences"])[0]]
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err.startswith(
             "ttpmine features: error: <file>: malformed report prediction on line 2: "
-            "ValueError: report 'r01': techniques ["
+            "ValueError: report 'r01': top_scores keys ["
         ) and " are not the hit_sentences keys " in err, err
 
     def test_detected_technique_without_hits(self, cli_dir, tmp_path, capsys):
         def edit(record):
-            record["hit_sentences"][record["techniques"][0]] = []
+            record["hit_sentences"][sorted(record["hit_sentences"])[0]] = []
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err.startswith(
@@ -1253,7 +1299,7 @@ class TestMalformedClassifyOutput:
 
     def test_hit_that_is_not_an_index(self, cli_dir, tmp_path, capsys):
         def edit(record):
-            record["hit_sentences"][record["techniques"][0]].append(1.5)
+            record["hit_sentences"][sorted(record["hit_sentences"])[0]].append(1.5)
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err == (
@@ -1263,7 +1309,7 @@ class TestMalformedClassifyOutput:
 
     def test_hit_past_the_report_end(self, cli_dir, tmp_path, capsys):
         def edit(record):
-            record["hit_sentences"][record["techniques"][0]].append(99)
+            record["hit_sentences"][sorted(record["hit_sentences"])[0]].append(99)
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
         assert err == (
