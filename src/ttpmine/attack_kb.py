@@ -42,7 +42,6 @@ class EmptyCatalogError(ValueError):
 @dataclass(frozen=True)
 class TechniqueRecord:
     id: str
-    name: str
     procedure_examples: tuple[str, ...]
 
 
@@ -101,18 +100,18 @@ def _external_id(obj: dict) -> str | None:
     return None
 
 
-def _pattern_map(objects: list[dict]) -> dict[str, tuple[str, str]]:
-    """Map attack-pattern STIX ids to (parent technique id, object name),
-    exclusions applied and sub-technique ids folded to their parent."""
-    out: dict[str, tuple[str, str]] = {}
+def _pattern_map(objects: list[dict]) -> dict[str, str]:
+    """Map attack-pattern STIX ids to their parent technique id,
+    exclusions applied and sub-technique ids folded to their parent. An
+    object counts only with an external id and a non-empty name."""
+    out: dict[str, str] = {}
     for obj in objects:
         if obj.get("type") != "attack-pattern" or _is_excluded(obj):
             continue
         ext = _external_id(obj)
-        name = (obj.get("name") or "").strip()
-        if ext is None or not name:
+        if ext is None or not (obj.get("name") or "").strip():
             continue
-        out[obj["id"]] = (ext.split(".")[0], name)
+        out[obj["id"]] = ext.split(".")[0]
     return out
 
 
@@ -120,14 +119,14 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     """Parse a STIX 2.x bundle into a technique catalog and its usage matrix.
 
     Revoked and deprecated objects are excluded; sub-techniques fold
-    into their parent (id prefix rule), with the parent keeping its own
-    name and inheriting the sub's procedure examples. Procedure-example
-    sentences come from the descriptions of `uses` relationships whose
-    source is an intrusion-set/malware/tool/campaign, split by the
-    corpus sentence splitter (`split_sentences`, no tokenizing), in
-    bundle order. The bundle is decoded once and its objects walked
-    once; the procedure examples and the usage matrix (`_usage_matrix`)
-    both come from the `uses` relationships that walk collects.
+    into their parent (id prefix rule), which inherits the sub's
+    procedure examples. Procedure-example sentences come from the
+    descriptions of `uses` relationships whose source is an
+    intrusion-set/malware/tool/campaign, split by the corpus sentence
+    splitter (`split_sentences`, no tokenizing), in bundle order. The
+    bundle is decoded once and its objects walked once; the procedure
+    examples and the usage matrix (`_usage_matrix`) both come from the
+    `uses` relationships that walk collects.
     """
     objects = _load_bundle(bundle_bytes)
     pattern_objects: list[dict] = []
@@ -157,27 +156,14 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     if not patterns:
         raise EmptyCatalogError("bundle contains no usable attack-pattern objects")
 
-    names: dict[str, str] = {}
-    for obj in pattern_objects:
-        if obj["id"] not in patterns:
-            continue
-        tid, name = patterns[obj["id"]]
-        is_parent = "." not in (_external_id(obj) or ".")
-        # A parent object's own name wins; otherwise first sub seen names it.
-        if is_parent or tid not in names:
-            names[tid] = name
-
-    examples: dict[str, list[str]] = {tid: [] for tid in names}
+    examples: dict[str, list[str]] = {tid: [] for tid in sorted(set(patterns.values()))}
     for obj in relationships:
         target = patterns.get(obj.get("target_ref"))
         if target is not None:
-            examples[target[0]].extend(split_sentences(obj.get("description") or ""))
+            examples[target].extend(split_sentences(obj.get("description") or ""))
 
     records = tuple(
-        TechniqueRecord(
-            id=tid, name=names[tid], procedure_examples=tuple(examples[tid])
-        )
-        for tid in sorted(names)
+        TechniqueRecord(id=tid, procedure_examples=tuple(v)) for tid, v in examples.items()
     )
     catalog = TechniqueCatalog(techniques=records, version=version or "unknown")
     return catalog, _usage_matrix(relationships, actor_objects, patterns, catalog)
@@ -186,7 +172,7 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
 def _usage_matrix(
     relationships: list[dict],
     actor_objects: list[dict],
-    patterns: dict[str, tuple[str, str]],
+    patterns: dict[str, str],
     catalog: TechniqueCatalog,
 ) -> UsageMatrix:
     """Binary actor-by-technique usage matrix from `uses` relationships.
@@ -219,7 +205,7 @@ def _usage_matrix(
         if target is None:
             skipped += 1
             continue
-        used.setdefault(actor_ids[source], set()).add(target[0])
+        used.setdefault(actor_ids[source], set()).add(target)
 
     actors = tuple(sorted(used))
     techniques = catalog.technique_ids

@@ -124,7 +124,7 @@ def cmd_kb_build(args) -> int:
     chash = provenance_hash(
         {"stix": args.stix, "out": args.out, "min_examples": args.min_examples}
     )
-    _, usage, model = stage_kb(
+    usage, model = stage_kb(
         args.stix, args.out, min_examples=args.min_examples, config_hash=chash
     )
     counts = usage_counts(usage)

@@ -32,7 +32,6 @@ class CtfidfModel:
     vocab: dict[str, int]
     class_ids: tuple[str, ...]
     class_vectors: np.ndarray  # (classes, vocab) c-TFIDF weights
-    avg_tokens_per_class: float
 
     def __post_init__(self):
         norms = np.linalg.norm(self.class_vectors, axis=1)
@@ -88,15 +87,9 @@ def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
         for tok, n in bucket.items():
             tf[k, vocab[tok]] = n
     freq = tf.sum(axis=0)
-    avg_tokens = float(totals.mean())
-    idf = np.log(1.0 + avg_tokens / freq)
+    idf = np.log(1.0 + float(totals.mean()) / freq)
     weights = (tf / totals[:, None]) * idf[None, :]
-    return CtfidfModel(
-        vocab=vocab,
-        class_ids=class_ids,
-        class_vectors=weights,
-        avg_tokens_per_class=avg_tokens,
-    )
+    return CtfidfModel(vocab=vocab, class_ids=class_ids, class_vectors=weights)
 
 
 def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
@@ -173,12 +166,13 @@ def model_to_dict(model: CtfidfModel) -> dict:
         "class_ids": list(model.class_ids),
         "vocab": ordered,
         "weights": model.class_vectors.ravel().tolist(),
-        "avg_tokens_per_class": model.avg_tokens_per_class,
     }
 
 
 def model_from_dict(data: dict) -> CtfidfModel:
-    """Rebuild a `model_to_dict` model; ValueError for another format."""
+    """Rebuild a `model_to_dict` model; ValueError for another format.
+    Keys it does not read, such as the `avg_tokens_per_class` of older
+    files, are ignored."""
     version = data["format_version"]
     if version != CTFIDF_FORMAT_VERSION:
         raise ValueError(f"classifier format {version!r} is not {CTFIDF_FORMAT_VERSION!r}")
@@ -187,9 +181,4 @@ def model_from_dict(data: dict) -> CtfidfModel:
     weights = np.asarray(data["weights"], dtype=np.float64).reshape(
         len(class_ids), len(vocab)
     )
-    return CtfidfModel(
-        vocab=vocab,
-        class_ids=class_ids,
-        class_vectors=weights,
-        avg_tokens_per_class=float(data["avg_tokens_per_class"]),
-    )
+    return CtfidfModel(vocab=vocab, class_ids=class_ids, class_vectors=weights)

@@ -280,6 +280,8 @@ def build_report_features(
 
 
 _META_COLUMNS = ("report_id", "tx", "ty")
+# The header's columns of the first measure's bins: one per bin.
+_BIN_PREFIX = f"f4.{METRIC_NAMES[0]}_bin"
 # `_write_csv` formats this many rows at a time. Formatting all 480
 # rows of an `apply-long` run at once raised the process's peak RSS by
 # about 3 MiB; blocks of 64 rows leave it where the per-cell writer had it.
@@ -328,22 +330,27 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
         _write_csv(rows, fh)
 
 
-def read_features_csv(path: str | Path, layout: FeatureLayout) -> FeatureRows:
-    """The rows of the features CSV at `path`. Each bad row raises one
-    ValueError naming `path:line`: a wrong column count, or a slot value
-    that is not a float or not finite."""
+def read_features_csv(path: str | Path) -> FeatureRows:
+    """The rows of the features CSV at `path`, under the layout its
+    header names: `report_id,tx,ty`, then the slot names of the layout
+    with one `f4.support_bin*` column per bin. A header that names no
+    layout, and each bad row, raises one ValueError naming `path` (and
+    the row's line): a wrong column count, or a slot value that is not a
+    float or not finite."""
     # newline="" keeps a quoted "\r" in an id as it was written.
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     # Lines end at "\n" alone, as in the file. Split lines keep one byte a
     # character, where a StringIO of the text would hold four.
     reader = csv.reader(line + "\n" for line in text.split("\n"))
-    header = next(reader, None)
+    header = next(reader, None) or []
+    bins = sum(name.startswith(_BIN_PREFIX) for name in header)
+    layout = FeatureLayout(bins=max(bins, 1))
     expected = [*_META_COLUMNS, *layout.names]
     if header != expected:
         raise ValueError(
             f"{path}: feature CSV header does not match the layout "
-            f"(expected {len(expected)} columns, got {0 if header is None else len(header)}); "
+            f"(expected {len(expected)} columns, got {len(header)}); "
             "re-run the features stage with the same configuration"
         )
     # Every row ends at a newline but perhaps the last, so the file has

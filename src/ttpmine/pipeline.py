@@ -5,12 +5,11 @@ next stage takes that as it is: ``run_pipeline`` passes each stage's
 objects on in memory and still writes every artifact, while the CLI
 commands read prior artifacts from disk, so any stage can be re-run
 standalone. Feature rows carry their layout, so no stage takes a layout
-beside them. Artifacts embed the tool version, the configuration hash,
-and (where applicable) the feature layout version. Two checks guard the
-layout: ``load_features`` checks a features CSV against its sidecar,
-and ``predict_batch`` refuses rows whose layout is not the model's.
-Every artifact reader fails with one ``PipelineError`` that names the
-file (and, in a JSONL artifact, the line).
+beside them: the features CSV's header names it, and ``predict_batch``
+refuses rows whose layout is not the model's. Artifacts embed the tool
+version, the configuration hash, and (where applicable) the feature
+layout version. Every artifact reader fails with one ``PipelineError``
+that names the file (and, in a JSONL artifact, the line).
 
 Artifact formats:
 
@@ -19,8 +18,9 @@ Artifact formats:
   ``"model"``.
 * JSONL artifacts start with a single meta line ``{"meta": {...}}``
   followed by one record per line; a file without it does not load.
-* The feature CSV has no inline meta; a sidecar ``<out>.layout.json``
-  carries the layout's version and bins plus the meta block.
+* The feature CSV has no inline meta: its header names its layout, and
+  ``<stem>.meta.json`` beside it holds only ``{"meta": ...}``, as the
+  mine stage's ``patterns.meta.json`` does.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .attack_kb import (
     DEFAULT_MIN_EXAMPLES,
-    TechniqueCatalog,
     UsageMatrix,
     build_action_dataset,
     parse_stix,
@@ -229,6 +228,13 @@ def read_jsonl(
     return head["meta"], records
 
 
+def _json_number(value):
+    """`value` as a float if it is a JSON number (an int or a float, not
+    a bool or a string), else `value` itself: a reader then requires
+    `type(...) is float`."""
+    return float(value) if type(value) in (int, float) else value
+
+
 # The keys of a `classify.jsonl` record, exactly.
 _REPORT_PREDICTION_KEYS = ("hit_sentences", "report_id", "top_scores")
 
@@ -245,8 +251,9 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
     """A `ReportPrediction` record. ValueError unless it holds exactly
     the keys `report_id`, `hit_sentences` and `top_scores`, each
     detected technique (a `hit_sentences` key) has a hit, its hits are
-    integer sentence indices, it has `TOP_K_SCORES` top scores, and no
-    other technique has top scores."""
+    integer sentence indices, it has `TOP_K_SCORES` top scores, numbers
+    in [0, 1] in descending order as `predict_report` writes them, and
+    no other technique has top scores."""
     if sorted(data) != list(_REPORT_PREDICTION_KEYS):
         raise ValueError(
             f"record keys {sorted(data)} are not {list(_REPORT_PREDICTION_KEYS)}"
@@ -255,7 +262,7 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
         report_id=data["report_id"],
         hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
         top_scores={
-            cid: tuple(map(float, v)) for cid, v in data["top_scores"].items()
+            cid: tuple(map(_json_number, v)) for cid, v in data["top_scores"].items()
         },
     )
     where = f"report {prediction.report_id!r}"
@@ -265,8 +272,15 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
     for tid in sorted(hits):
         if not hits[tid]:
             raise ValueError(f"{where}: detected technique {tid} has no hit sentences")
-        if len(top.get(tid, ())) != TOP_K_SCORES:
+        scores = top.get(tid, ())
+        if len(scores) != TOP_K_SCORES:
             raise ValueError(f"{where}: {tid} needs {TOP_K_SCORES} top_scores")
+        if not all(type(s) is float for s in scores):
+            raise ValueError(f"{where}: {tid} top_scores {list(scores)} are not all numbers")
+        if not all(0.0 <= s <= 1.0 for s in scores):
+            raise ValueError(f"{where}: {tid} top_scores {list(scores)} not all in [0, 1]")
+        if any(a < b for a, b in zip(scores, scores[1:])):
+            raise ValueError(f"{where}: {tid} top_scores {list(scores)} are not descending")
     if set(top) != set(hits):
         raise ValueError(
             f"{where}: top_scores keys {sorted(top)} are not the "
@@ -287,12 +301,13 @@ def relation_prediction_to_dict(p: RelationPrediction) -> dict:
 
 def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
     """A `RelationPrediction` record. ValueError unless its probabilities
-    are keyed by exactly `ALL_LABELS`, each in [0, 1], and its labels are
-    a label set (see `label_set_problem`); KeyError without a report id."""
+    are keyed by exactly `ALL_LABELS`, each a number in [0, 1], and its
+    labels are a label set (see `label_set_problem`); KeyError without a
+    report id."""
     prediction = RelationPrediction(
         tx=data["tx"],
         ty=data["ty"],
-        probabilities={k: float(v) for k, v in data["probabilities"].items()},
+        probabilities={k: _json_number(v) for k, v in data["probabilities"].items()},
         labels=frozenset(data["labels"]),
         report_id=data["report_id"],
     )
@@ -302,6 +317,8 @@ def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
             f"{where}: probabilities {sorted(prediction.probabilities)} are not "
             f"keyed by {sorted(ALL_LABELS)}"
         )
+    if not all(type(p) is float for p in prediction.probabilities.values()):
+        raise ValueError(f"{where}: probabilities {prediction.probabilities} are not all numbers")
     if not all(0.0 <= p <= 1.0 for p in prediction.probabilities.values()):
         raise ValueError(f"{where}: probabilities {prediction.probabilities} not all in [0, 1]")
     problem = label_set_problem(prediction.labels)
@@ -321,13 +338,13 @@ def stage_kb(
     *,
     min_examples: int = DEFAULT_MIN_EXAMPLES,
     config_hash: str = "",
-) -> tuple[TechniqueCatalog, UsageMatrix, CtfidfModel]:
+) -> tuple[UsageMatrix, CtfidfModel]:
     """Parse a STIX bundle and train the sentence classifier.
 
     Writes ``usage.json`` and ``ctfidf.json`` into ``out_dir``, their
     meta naming the ATT&CK release (``attack_version``), and returns the
-    catalog, the usage matrix and the trained classifier. A bad
-    ``min_examples`` fails before any of it.
+    usage matrix and the trained classifier. A bad ``min_examples``
+    fails before any of it.
     """
     if min_examples < 1:
         raise ValueError(f"min_examples must be >= 1, got {min_examples}")
@@ -363,7 +380,7 @@ def stage_kb(
         os.path.join(out_dir, "ctfidf.json"),
         {"meta": meta, "model": model_to_dict(model)},
     )
-    return catalog, usage, model
+    return usage, model
 
 
 def usage_counts(usage: UsageMatrix) -> dict:
@@ -457,10 +474,8 @@ def stage_features(
     with one PipelineError naming the report. The f4 slots are computed
     once per pair of the universe (the union of the reports' pairs), not
     once per row. Each report's block of rows is copied into one corpus
-    matrix as soon as it is built.
-
-    A sidecar ``<out>.layout.json`` records the layout's version and
-    bins, which ``load_features`` reads the CSV under.
+    matrix as soon as it is built. The meta block goes to
+    ``<stem>.meta.json`` beside the CSV.
     """
     layout = FeatureLayout(bins=bins)
     ordered = sorted(reports, key=lambda r: r.report_id)
@@ -488,8 +503,7 @@ def stage_features(
     rows = FeatureRows(keys, values, layout)
     write_features_csv(rows, path=out_path)
     meta = make_meta("features", config_hash, layout_version=layout.version)
-    sidecar = {"layout_version": layout.version, "bins": layout.bins}
-    write_json(out_path + ".layout.json", {"meta": meta, "layout": sidecar})
+    write_json(os.path.splitext(out_path)[0] + ".meta.json", {"meta": meta})
     logger.info(
         "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s; "
         "coreference over %d hit sentences of %d",
@@ -515,26 +529,14 @@ def count_f4_missing(rows: FeatureRows) -> int:
     return int(np.count_nonzero(rows.f4_missing))
 
 
-def _sidecar_layout(sidecar: Mapping) -> FeatureLayout:
-    """The layout a features sidecar describes."""
-    descriptor = sidecar["layout"]
-    layout = FeatureLayout(bins=int(descriptor["bins"]))
-    if layout.version != descriptor["layout_version"]:
-        raise ValueError(
-            f"layout version {descriptor['layout_version']!r} does not match "
-            f"its bins ({layout.version!r})"
-        )
-    return layout
-
-
 def load_features(path: str) -> FeatureRows:
-    """Load a feature CSV under the layout its sidecar describes. A CSV
-    that does not fit that layout fails with its path and line."""
+    """Load a feature CSV under the layout its header names. A CSV
+    whose header names no layout, or a row that does not fit it, fails
+    with its path (and line)."""
     if not os.path.exists(path):
         raise PipelineError(f"features artifact not found: {path}")
-    layout = read_json(path + ".layout.json", "features sidecar", _sidecar_layout)
     try:
-        return read_features_csv(path, layout)
+        return read_features_csv(path)
     except ValueError as exc:
         raise PipelineError(str(exc)) from exc
 
@@ -703,7 +705,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     kb_dir = os.path.join(out_dir, "kb")
 
-    _, usage, model = stage_kb(
+    usage, model = stage_kb(
         config.stix, kb_dir, min_examples=config.min_examples, config_hash=chash
     )
     reports = load_reports(config.reports)

@@ -902,10 +902,10 @@ def dense_usage_oracle(bundle_bytes: bytes) -> UsageMatrix:
         if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
             continue
         target = patterns.get(obj.get("target_ref"))
-        if target is None or target[0] not in catalog.technique_ids:
+        if target is None or target not in catalog.technique_ids:
             skipped += 1
             continue
-        used.setdefault(actor_ids[obj["source_ref"]], set()).add(target[0])
+        used.setdefault(actor_ids[obj["source_ref"]], set()).add(target)
     actors = tuple(sorted(used))
     techniques = catalog.technique_ids
     cells = np.zeros((len(actors), len(techniques)), dtype=np.int8)

@@ -275,9 +275,7 @@ def test_criterion_5_sentence_classifier_learnability():
 
     catalog = TechniqueCatalog(
         techniques=tuple(
-            TechniqueRecord(
-                id=cid, name=f"synthetic {cid}", procedure_examples=tuple(train_sents[cid])
-            )
+            TechniqueRecord(id=cid, procedure_examples=tuple(train_sents[cid]))
             for cid in class_ids
         ),
         version="synthetic",

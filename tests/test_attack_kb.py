@@ -39,7 +39,6 @@ class TestParseStix:
             )
         )
         assert catalog.technique_ids == ("T1046", "T1204")
-        assert _record(catalog, "T1204").name == "User Execution"
         assert catalog.version == "17.1"
 
     def test_version_unknown_without_collection_object(self):
@@ -61,14 +60,23 @@ class TestParseStix:
         )
         assert catalog.technique_ids == ("T1566",)
         record = _record(catalog, "T1566")
-        assert record.name == "Phishing"
         assert "The group sent spearphishing links." in record.procedure_examples
         assert "The group sent malicious mail." in record.procedure_examples
-
-    def test_orphan_subtechnique_names_parent_id(self):
+        # A sub-technique without its parent in the bundle still folds.
         catalog, _ = parse_stix(bundle(attack_pattern("T1566.002", "Spearphishing Link")))
         assert catalog.technique_ids == ("T1566",)
-        assert _record(catalog, "T1566").name == "Spearphishing Link"
+
+    def test_pattern_needs_external_id_and_name(self):
+        # Techniques carry no name, but a pattern still needs a non-empty
+        # one, and a mitre-attack external id, to count.
+        blank, spaces, no_id = (
+            attack_pattern("T1001", ""), attack_pattern("T1002", "  "), attack_pattern("T1003", "x")
+        )
+        no_id["external_references"] = [{"source_name": "other", "external_id": "T1003"}]
+        catalog, _ = parse_stix(bundle(blank, spaces, no_id, attack_pattern("T1004", "Kept")))
+        assert catalog.technique_ids == ("T1004",)
+        with pytest.raises(EmptyCatalogError):
+            parse_stix(bundle(blank, spaces, no_id))
 
     def test_revoked_and_deprecated_excluded(self):
         catalog, _ = parse_stix(

@@ -36,11 +36,11 @@ def _csv_text(rows, tmp_path) -> str:
     return path.read_bytes().decode("utf-8")
 
 
-def _read_text(text, layout, tmp_path):
+def _read_text(text, tmp_path):
     """`read_features_csv` of a file holding exactly `text`."""
     path = tmp_path / "features.csv"
     path.write_bytes(text.encode("utf-8"))
-    return read_features_csv(path, layout)
+    return read_features_csv(path)
 
 
 def _prediction(report_id="r1", techniques=(), top=None, hits=None):
@@ -491,7 +491,7 @@ class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
         rows = self._rows()
-        back = _read_text(_csv_text(rows, tmp_path), layout, tmp_path)
+        back = _read_text(_csv_text(rows, tmp_path), tmp_path)
         assert back.keys == rows.keys
         assert back.f4_missing.tolist() == rows.f4_missing.tolist()
         assert back.values.tobytes() == rows.values.tobytes()
@@ -514,7 +514,7 @@ class TestCsvRoundTrip:
         assert lines[2].startswith('r1,"T\r1566",T1204,')
         assert lines[3].startswith('r2,T1566,"T1204\r",')
         assert lines[4] == _csv_text(base, tmp_path).split("\n")[4]
-        back = _read_text(text, base.layout, tmp_path)
+        back = _read_text(text, tmp_path)
         assert back.keys == rows.keys
         assert back.f4_missing.tolist() == rows.f4_missing.tolist()
         assert back.values.tobytes() == rows.values.tobytes()
@@ -572,10 +572,34 @@ class TestCsvRoundTrip:
         assert cols[3] == "default.tx_top1"
         assert len(cols) == 3 + 152
 
-    def test_header_mismatch_rejected(self, tmp_path):
-        text = _csv_text(_empty(FeatureLayout(bins=5)), tmp_path)
-        with pytest.raises(ValueError, match="re-run the features stage"):
-            _read_text(text, FeatureLayout(bins=10), tmp_path)
+    def test_bins5_csv_reads_back_under_its_header(self, tmp_path):
+        # The header alone names the layout: no file beside the CSV.
+        layout = FeatureLayout(bins=5)
+        values = np.random.default_rng(5).random((3, layout.total))
+        rows = make_rows(values, report_ids=["a", "b", "c"], layout=layout)
+        back = _read_text(_csv_text(rows, tmp_path), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "written.csv"]
+        assert back.layout == layout and back.layout.version == "v1-bins5"
+        assert back.keys == rows.keys
+        assert back.values.tobytes() == rows.values.tobytes()
+
+    def test_header_that_fits_no_layout(self, tmp_path):
+        header = _csv_text(_empty(FeatureLayout(bins=10)), tmp_path).split("\n")[0].split(",")
+        # Five support bins, but ten of every other measure.
+        mixed = [c for c in header if c not in {f"f4.support_bin{b}" for b in range(5, 10)}]
+        renamed = [c.replace("f2.coref", "f2.corefs") for c in header]
+        for text, expected, got in (
+            (",".join(mixed) + "\n", 3 + FeatureLayout(bins=5).total, 150),
+            (",".join(renamed) + "\n", 155, 155),
+            ("", 3 + FeatureLayout(bins=1).total, 0),
+        ):
+            with pytest.raises(ValueError) as info:
+                _read_text(text, tmp_path)
+            assert str(info.value) == (
+                f"{tmp_path / 'features.csv'}: feature CSV header does not match the "
+                f"layout (expected {expected} columns, got {got}); re-run the features "
+                "stage with the same configuration"
+            )
 
     def test_file_round_trip(self, tmp_path):
         layout = FeatureLayout(bins=10)
@@ -583,7 +607,8 @@ class TestCsvRoundTrip:
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
         assert path.read_bytes() == features_to_csv_oracle(rows).encode("utf-8")
-        back = read_features_csv(path, layout)
+        back = read_features_csv(path)
+        assert back.layout == layout
         assert back.keys == rows.keys
         assert back.values.tobytes() == rows.values.tobytes()
 
@@ -600,7 +625,7 @@ class TestCsvBadRows:
     def _read(self, tmp_path, lines):
         path = tmp_path / "features.csv"
         path.write_text("".join(lines), encoding="utf-8")
-        return path, read_features_csv(path, FeatureLayout(bins=10))
+        return path, read_features_csv(path)
 
     def test_wrong_column_count(self, tmp_path):
         _, lines = self._lines()

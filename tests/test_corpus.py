@@ -353,7 +353,6 @@ def _stream_model(reports, n_classes: int = 5) -> CtfidfModel:
         vocab=vocab,
         class_ids=tuple(f"T{k}" for k in range(n_classes)),
         class_vectors=weights,
-        avg_tokens_per_class=4.0,
     )
 
 

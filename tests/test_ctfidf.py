@@ -12,7 +12,7 @@ import pytest
 from helpers import E2E_DIR
 from oracles import predict_report_oracle
 from ttpmine.attack_kb import ActionDataset
-from ttpmine.corpus import load_reports, make_report
+from ttpmine.corpus import load_reports, make_report, tokenize
 from ttpmine.ctfidf import (
     DEFAULT_THRESHOLD,
     TOP_K_SCORES,
@@ -58,7 +58,6 @@ class TestTraining:
         assert model.class_vectors[0, col_n] == pytest.approx(
             (1 / 3) * math.log(1 + 3 / 1), abs=1e-12
         )
-        assert model.avg_tokens_per_class == 3.0
 
     def test_disjoint_classes_are_orthogonal(self):
         model = train_ctfidf(DISJOINT)
@@ -153,7 +152,6 @@ def _hand_model():
         vocab={"alpha": 0, "beta": 1},
         class_ids=("c1", "c2"),
         class_vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
-        avg_tokens_per_class=2.0,
     )
 
 
@@ -247,7 +245,20 @@ class TestSerialization:
         model = train_ctfidf(DISJOINT)
         again = model_from_dict(model_to_dict(model))
         assert np.array_equal(again.class_vectors, model.class_vectors)
-        assert again.avg_tokens_per_class == model.avg_tokens_per_class
+
+    def test_file_with_avg_tokens_per_class_still_loads(self):
+        # Files written before the key was dropped carry it; the idf is
+        # folded into the weights, so the key is ignored and the model
+        # scores bit for bit as the file's weights give.
+        model = train_ctfidf(DISJOINT)
+        data = {**model_to_dict(model), "avg_tokens_per_class": 3.0}
+        again = model_from_dict(data)
+        assert "avg_tokens_per_class" not in model_to_dict(again)
+        assert again.vocab == model.vocab and again.class_ids == model.class_ids
+        tokens = [tokenize("a lure attachment"), tokenize("subnet ports and a lure")]
+        scores = score_sentences(again, tokens)
+        assert scores.any()
+        assert scores.tobytes() == score_sentences(model, tokens).tobytes()
 
 
 def _assert_bit_equal(model, report, threshold=DEFAULT_THRESHOLD):
@@ -283,7 +294,6 @@ def _dyadic_model(rng, n_classes=6):
         vocab={w: j for j, w in enumerate(_SMALL_WORDS)},
         class_ids=tuple(f"T{k:02d}" for k in range(n_classes)),
         class_vectors=weights,
-        avg_tokens_per_class=4.0,
     )
 
 
@@ -330,7 +340,7 @@ class TestBatchScoringOracle:
     one sentence at a time from a dense vocabulary-length vector."""
 
     def test_e2e_fixture_bit_equal(self, tmp_path):
-        _, _, model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(tmp_path))
+        _, model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(tmp_path))
         reports = load_reports(E2E_DIR / "reports")
         detected = set()
         for report in reports:
@@ -374,7 +384,6 @@ class TestBatchScoringOracle:
             vocab={f"t{j}": j for j in range(n_terms)},
             class_ids=tuple(f"T{k:03d}" for k in range(n_classes)),
             class_vectors=weights,
-            avg_tokens_per_class=10.0,
         )
         words = tuple(model.vocab)
         compared = sum(

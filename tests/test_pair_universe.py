@@ -40,7 +40,7 @@ UNROWED = {"report_id": "r05", "tx": "T1560", "ty": "T1046", "labels": ["BEFORE"
 @pytest.fixture(scope="module")
 def e2e_kb(tmp_path_factory):
     out = tmp_path_factory.mktemp("kb")
-    _, usage, model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(out))
+    usage, model = stage_kb(str(E2E_DIR / "stix_bundle.json"), str(out))
     return model, usage
 
 

@@ -74,7 +74,7 @@ class TestRunPipeline:
             "classify.jsonl",
             "ctfidf.json",
             "features.csv",
-            "features.csv.layout.json",
+            "features.meta.json",
             "patterns.csv",
             "patterns.dot",
             "patterns.json",
@@ -105,12 +105,14 @@ class TestRunPipeline:
         assert mine_meta["stage"] == "mine"
         assert mine_meta["min_support"] == 2
         assert mine_meta["patterns"] == 1
-        sidecar = json.loads(
-            (out_dir / "features.csv.layout.json").read_text()
-        )
-        assert sidecar["meta"]["layout_version"] == "v1-bins10"
-        assert "threshold" not in sidecar["meta"]
-        assert sidecar["layout"] == {"layout_version": "v1-bins10", "bins": 10}
+        # Like patterns.meta.json, features.meta.json holds the meta alone:
+        # the CSV's header names its layout.
+        features = json.loads((out_dir / "features.meta.json").read_text())
+        assert list(features) == ["meta"]
+        assert features["meta"]["stage"] == "features"
+        assert features["meta"]["layout_version"] == "v1-bins10"
+        assert features["meta"]["config_hash"] == summary["config_hash"]
+        assert "threshold" not in features["meta"]
         for name in ("usage.json", "ctfidf.json"):
             kb_meta = json.loads((out_dir / "kb" / name).read_text())["meta"]
             assert kb_meta["stage"] == "kb"
@@ -211,8 +213,8 @@ class TestClassifyOnce:
         ]
         assert main(argv) == 0
         assert out.read_bytes() == (out_dir / "features.csv").read_bytes()
-        mine = json.loads((tmp_path / "features.csv.layout.json").read_text())
-        theirs = json.loads((out_dir / "features.csv.layout.json").read_text())
+        mine = json.loads((tmp_path / "features.meta.json").read_text())
+        theirs = json.loads((out_dir / "features.meta.json").read_text())
         # Only the provenance differs: the command hashes its own arguments.
         del mine["meta"]["config_hash"], theirs["meta"]["config_hash"]
         assert mine == theirs
@@ -273,7 +275,7 @@ class TestKbOnce:
         assert sorted(os.listdir(tmp_path / "kb")) == ["ctfidf.json", "usage.json"]
 
     def test_in_memory_kb_equals_artifacts(self, tmp_path):
-        _, usage, model = stage_kb(STIX, str(tmp_path))
+        usage, model = stage_kb(STIX, str(tmp_path))
         again = load_kb_usage(str(tmp_path))
         assert usage.actors == again.actors
         assert usage.techniques == again.techniques
@@ -759,8 +761,6 @@ class TestBadFeaturesCsv:
         cells = lines[line - 1].rstrip("\n").split(",")
         lines[line - 1] = ",".join(edit(cells)) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        sidecar = (cli_dir / "features.csv.layout.json").read_bytes()
-        (tmp_path / "features.csv.layout.json").write_bytes(sidecar)
         return path
 
     def _assert_fails(self, cli_dir, tmp_path, path, message, capsys):
@@ -802,8 +802,7 @@ class TestBadFeaturesCsv:
 
     def test_csv_with_the_f4_missing_column(self, cli_dir, tmp_path, capsys):
         # A features CSV that still carries the f4_missing flag column
-        # after `ty`, with a sidecar that carries the full slot list: the
-        # header no longer names the layout.
+        # after `ty`: the header no longer names the layout.
         flags = load_features(str(cli_dir / "features.csv")).f4_missing.tolist()
         lines = (cli_dir / "features.csv").read_text(encoding="utf-8").splitlines()
         old = [lines[0].replace("ty,", "ty,f4_missing,", 1)]
@@ -812,9 +811,6 @@ class TestBadFeaturesCsv:
             old.append(",".join([*cells[:3], str(int(flag)), *cells[3:]]))
         path = tmp_path / "features.csv"
         path.write_text("\n".join(old) + "\n", encoding="utf-8")
-        sidecar = json.loads((cli_dir / "features.csv.layout.json").read_text())
-        sidecar["layout"].update(total=152, slots=list(FeatureLayout().names))
-        write_json(str(tmp_path / "features.csv.layout.json"), sidecar)
         message = (
             f"{path}: feature CSV header does not match the layout (expected 155 "
             "columns, got 156); re-run the features stage with the same configuration"
@@ -827,6 +823,52 @@ class TestBadFeaturesCsv:
         ):
             assert main([*argv, "--features", str(path)]) == 1
             assert capsys.readouterr().err == f"ttpmine {argv[0]}: error: {message}\n"
+
+
+class TestFeaturesLayoutFromHeader:
+    """`load_features` reads the layout off the CSV's header, with no
+    file beside it; `predict_batch` still refuses rows of another layout
+    than the model's."""
+
+    def test_bins5_csv_loads_and_bins10_model_refuses_it(self, cli_dir, tmp_path, capsys):
+        out = tmp_path / "features.csv"
+        argv = _features_argv(
+            cli_dir, out, "--predictions", str(cli_dir / "classify.jsonl"), "--bins", "5"
+        )
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert sorted(os.listdir(tmp_path)) == ["features.csv", "features.meta.json"]
+        meta = json.loads((tmp_path / "features.meta.json").read_text())["meta"]
+        assert meta["layout_version"] == "v1-bins5"
+        (tmp_path / "features.meta.json").unlink()
+        rows = load_features(str(out))
+        assert rows.layout == FeatureLayout(bins=5)
+        assert rows.keys == load_features(str(cli_dir / "features.csv")).keys
+        predictions = tmp_path / "p.jsonl"
+        argv = ["predict", "--model", str(cli_dir / "relations.json"),
+                "--features", str(out), "--out", str(predictions)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "ttpmine predict: error: feature layout v1-bins5 (107 slots) does not "
+            "match the model (v1-bins10, 152 features); re-extract features or retrain\n"
+        )
+        assert not predictions.exists()
+
+    def test_stale_layout_sidecar_is_ignored(self, cli_dir, tmp_path):
+        # A `.layout.json` left by an older version is not read, whatever
+        # it holds.
+        path = tmp_path / "features.csv"
+        path.write_bytes((cli_dir / "features.csv").read_bytes())
+        (tmp_path / "features.csv.layout.json").write_text("[garbage", encoding="utf-8")
+        rows = load_features(str(path))
+        assert rows.layout.version == "v1-bins10"
+        argv = ["predict", "--model", str(cli_dir / "relations.json"),
+                "--features", str(path), "--out", str(tmp_path / "p.jsonl")]
+        assert main(argv) == 0
+        # The same records; the meta line's hash names the other path.
+        mine = (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()
+        theirs = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        assert mine[1:] == theirs[1:] and len(mine) > 1
 
 
 class TestMalformedArtifacts:
@@ -875,17 +917,6 @@ class TestMalformedArtifacts:
             self._predict(cli_dir, tmp_path, bad),
             f"{bad}: malformed relation model: TypeError: ",
             capsys,
-        )
-
-    def test_sidecar_is_a_list(self, cli_dir, tmp_path, capsys):
-        features = tmp_path / "features.csv"
-        features.write_bytes((cli_dir / "features.csv").read_bytes())
-        sidecar = tmp_path / "features.csv.layout.json"
-        sidecar.write_text("[]", encoding="utf-8")
-        argv = ["predict", "--model", str(cli_dir / "relations.json"),
-                "--features", str(features), "--out", str(tmp_path / "p.jsonl")]
-        self._assert_fails(
-            argv, f"{sidecar}: malformed features sidecar: TypeError: ", capsys
         )
 
     def _format_2(self, source, dest, wrapper):
@@ -1021,6 +1052,21 @@ class TestMalformedArtifacts:
             f"{bad}: malformed relation prediction on line 3: ValueError: report "
             f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
             f"{r['probabilities']} not all in [0, 1]\n",
+            capsys,
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_prediction_with_probability_not_a_number(self, cli_dir, tmp_path, capsys, value):
+        # float() would parse "0.5" and take True as 1.0.
+        argv, bad, r = self._mine(
+            cli_dir, tmp_path, lambda r: r["probabilities"].update({BEFORE: value})
+        )
+        self._assert_fails(
+            argv,
+            f"{bad}: malformed relation prediction on line 3: ValueError: report "
+            f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
+            f"{r['probabilities']} are not all numbers\n",
             capsys,
         )
         assert not (tmp_path / "p.csv").exists()
@@ -1170,9 +1216,8 @@ class TestFeaturesFromClassifyOutput:
         predictions = str(cli_dir / "classify.jsonl")
         assert main(_features_argv(cli_dir, out, "--predictions", predictions)) == 0
         assert out.read_bytes() == (cli_dir / "features.csv").read_bytes()
-        mine = json.loads((tmp_path / "features.csv.layout.json").read_text())
-        theirs = json.loads((cli_dir / "features.csv.layout.json").read_text())
-        assert mine["layout"] == theirs["layout"]
+        mine = json.loads((tmp_path / "features.meta.json").read_text())
+        theirs = json.loads((cli_dir / "features.meta.json").read_text())
         # Only the provenance differs: the detections came from a file.
         assert mine["meta"]["config_hash"] != theirs["meta"]["config_hash"]
         del mine["meta"]["config_hash"], theirs["meta"]["config_hash"]
@@ -1296,6 +1341,38 @@ class TestMalformedClassifyOutput:
             "ttpmine features: error: <file>: malformed report prediction on line 2: "
             "ValueError: report 'r01': detected technique T"
         ) and err.endswith(" has no hit sentences"), err
+
+    @pytest.mark.parametrize(
+        "scores, problem",
+        [
+            ([float("nan"), 0.0, 0.0, 0.0, 0.0], "[nan, 0.0, 0.0, 0.0, 0.0] not all in [0, 1]"),
+            ([7.0, 0.0, 0.0, 0.0, 0.0], "[7.0, 0.0, 0.0, 0.0, 0.0] not all in [0, 1]"),
+            ([1.0, "0.5", 0.0, 0.0, 0.0], "[1.0, '0.5', 0.0, 0.0, 0.0] are not all numbers"),
+            ([True, 0.0, 0.0, 0.0, 0.0], "[True, 0.0, 0.0, 0.0, 0.0] are not all numbers"),
+            ([0.0, 0.0, 0.0, 0.5, 1.0], "[0.0, 0.0, 0.0, 0.5, 1.0] are not descending"),
+        ],
+        ids=["nan", "above-one", "string", "bool", "ascending"],
+    )
+    def test_top_scores_that_predict_report_never_writes(
+        self, cli_dir, tmp_path, capsys, scores, problem
+    ):
+        # Each would reach the `default.*_top*` slots of the features CSV.
+        def edit(record):
+            record["top_scores"][sorted(record["hit_sentences"])[0]] = scores
+
+        err = self._fails(cli_dir, tmp_path, capsys, edit)
+        assert err == (
+            "ttpmine features: error: <file>: malformed report prediction on line 2: "
+            f"ValueError: report 'r01': T1204 top_scores {problem}"
+        )
+
+    def test_integer_top_scores_load_as_floats(self, cli_dir):
+        # 1 and 0 are JSON numbers too.
+        record = json.loads((cli_dir / "classify.jsonl").read_text().splitlines()[1])
+        record["top_scores"]["T1204"] = [1, 0, 0, 0, 0]
+        scores = report_prediction_from_dict(record).top_scores["T1204"]
+        assert scores == (1.0, 0.0, 0.0, 0.0, 0.0)
+        assert {type(s) for s in scores} == {float}
 
     def test_hit_that_is_not_an_index(self, cli_dir, tmp_path, capsys):
         def edit(record):
