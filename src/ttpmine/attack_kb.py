@@ -8,6 +8,7 @@ action dataset used to train the sentence classifier.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 from dataclasses import dataclass
@@ -127,30 +128,39 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     bundle is decoded once and its objects walked once; the procedure
     examples and the usage matrix (`_usage_matrix`) both come from the
     `uses` relationships that walk collects.
+
+    The cyclic garbage collector is paused for the decode and the walk
+    (and restored as it was): decoded JSON holds no cycles, so its
+    collections there would only traverse the new containers.
     """
-    objects = _load_bundle(bundle_bytes)
     pattern_objects: list[dict] = []
     actor_objects: list[dict] = []
     relationships: list[dict] = []
     version = None
-    for obj in objects:
-        kind = obj.get("type")
-        if kind == "x-mitre-collection" and version is None:
-            if obj.get("x_mitre_version"):
-                version = str(obj["x_mitre_version"])
-        if kind == "attack-pattern":
-            # Excluded ones too: `_pattern_map` drops them.
-            pattern_objects.append(obj)
-        if _is_excluded(obj):
-            continue
-        if str(obj.get("id", "")).startswith(_ACTOR_PREFIXES):
-            actor_objects.append(obj)
-        if (
-            kind == "relationship"
-            and obj.get("relationship_type") == "uses"
-            and str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES)
-        ):
-            relationships.append(obj)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for obj in _load_bundle(bundle_bytes):
+            kind = obj.get("type")
+            if kind == "x-mitre-collection" and version is None:
+                if obj.get("x_mitre_version"):
+                    version = str(obj["x_mitre_version"])
+            if kind == "attack-pattern":
+                # Excluded ones too: `_pattern_map` drops them.
+                pattern_objects.append(obj)
+            if _is_excluded(obj):
+                continue
+            if str(obj.get("id", "")).startswith(_ACTOR_PREFIXES):
+                actor_objects.append(obj)
+            if (
+                kind == "relationship"
+                and obj.get("relationship_type") == "uses"
+                and str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES)
+            ):
+                relationships.append(obj)
+    finally:
+        if collecting:
+            gc.enable()
 
     patterns = _pattern_map(pattern_objects)
     if not patterns:

@@ -333,17 +333,19 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
 def read_features_csv(path: str | Path) -> FeatureRows:
     """The rows of the features CSV at `path`, under the layout its
     header names: `report_id,tx,ty`, then the slot names of the layout
-    with one `f4.support_bin*` column per bin. A header that names no
-    layout, and each bad row, raises one ValueError naming `path` (and
-    the row's line): a wrong column count, or a slot value that is not a
-    float or not finite."""
+    with one `f4.support_bin*` column per bin. An empty first line, a
+    header that names no layout, and each bad row, raises one ValueError
+    naming `path` (and the row's line): a wrong column count, or a slot
+    value that is not a float or not finite."""
     # newline="" keeps a quoted "\r" in an id as it was written.
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     # Lines end at "\n" alone, as in the file. Split lines keep one byte a
     # character, where a StringIO of the text would hold four.
     reader = csv.reader(line + "\n" for line in text.split("\n"))
-    header = next(reader, None) or []
+    header = next(reader)
+    if not header:
+        raise ValueError(f"{path}: feature CSV has no header line")
     bins = sum(name.startswith(_BIN_PREFIX) for name in header)
     layout = FeatureLayout(bins=max(bins, 1))
     expected = [*_META_COLUMNS, *layout.names]

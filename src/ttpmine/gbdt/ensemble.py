@@ -3,9 +3,13 @@
 Per relation label, a binary GBDT with logistic loss: initial score is
 the log-odds of the label's (post-downsampling) base rate, each round
 fits a regression tree to residuals y - p with Newton-step leaves.
-Rows labeled only NULL are downsampled per positive label; training is
-deterministic under a fixed seed, and training loss is checked to be
-non-increasing every round.
+Rows labeled only NULL are downsampled per positive label: that label's
+model keeps the NULL-only rows with the lowest 64-bit keys, each key a
+splitmix64 mix of (seed, label index, row index) computed in wrapping
+uint64 array arithmetic, so the sample is the same on every platform and
+numpy release and needs no random generator. Training is deterministic
+under a fixed seed, and training loss is checked to be non-increasing
+every round.
 """
 
 from __future__ import annotations
@@ -152,24 +156,39 @@ def _validate_features(X: np.ndarray) -> None:
         raise GbdtTrainingError(f"NaN feature value at row {row}, slot {slot}")
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, elementwise on a uint64 array; the
+    arithmetic wraps mod 2**64. A bijection, so distinct inputs get
+    distinct outputs."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def _downsample_rows(
     label_index: int,
     null_only: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
 ) -> np.ndarray:
-    """Row indices for one positive label's model: every row that is not
-    NULL-only (`null_only` False), plus a deterministic sample of the
-    NULL-only rows capped at ratio * positive count of `y`."""
+    """Sorted row indices for one positive label's model: every row that
+    is not NULL-only (`null_only` False), plus the NULL-only rows when
+    they number at most `cap = int(ratio * positive count of y)`, else
+    the `cap` of them with the lowest key. A row's key mixes
+    `(seed mod 2**64, label_index, row index)`, and the stable sort
+    gives a tie to the lower row."""
     null_rows = np.flatnonzero(null_only)
     cap = int(config.negative_downsample_ratio * int(y.sum()))
     if null_rows.size <= cap:
-        keep_null = null_rows
-    else:
-        rng = np.random.default_rng((config.seed, label_index))
-        picked = rng.permutation(null_rows.size)[:cap]
-        keep_null = null_rows[np.sort(picked)]
-    return np.sort(np.concatenate([np.flatnonzero(~null_only), keep_null]))
+        return np.arange(null_only.size)
+    # One-element arrays, not numpy scalars: scalar arithmetic warns on
+    # the wrap that the mix relies on.
+    salt = _mix64(np.array([config.seed % 2**64], dtype=np.uint64))
+    salt = _mix64(salt ^ np.uint64(label_index))
+    keys = _mix64(salt ^ null_rows.astype(np.uint64))
+    keep = ~null_only
+    keep[null_rows[np.argsort(keys, kind="stable")[:cap]]] = True
+    return np.flatnonzero(keep)
 
 
 def train(

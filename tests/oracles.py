@@ -805,6 +805,31 @@ def _remap_tree(node: dict, mapping) -> dict:
     }
 
 
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64_finalizer(z: int) -> int:
+    """splitmix64's output mix on a Python int in [0, 2**64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def downsample_oracle(label_index, null_only, y, config) -> list[int]:
+    """`_downsample_rows` one row at a time in Python ints: each NULL-only
+    row's key is the finalizer chained over the seed mod 2**64, then the
+    label index, then the row index (each xor-ed in before the next mix);
+    the `cap` rows lowest by (key, row) join every other row."""
+    null_rows = [i for i, flag in enumerate(null_only) if flag]
+    cap = int(config.negative_downsample_ratio * int(sum(y)))
+    salt = _splitmix64_finalizer(
+        _splitmix64_finalizer(config.seed % 2**64) ^ label_index
+    )
+    ranked = sorted(null_rows, key=lambda row: (_splitmix64_finalizer(salt ^ row), row))
+    kept = set(ranked[:cap]) | {i for i, flag in enumerate(null_only) if not flag}
+    return sorted(kept)
+
+
 def per_label_train_oracle(features, labels, config, feature_groups=None) -> GbdtEnsemble:
     """The four label models trained one label at a time: each label
     slices its downsampled rows and active columns out of the stacked

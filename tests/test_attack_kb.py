@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 
@@ -10,6 +11,7 @@ import pytest
 from helpers import E2E_DIR, actor, attack_pattern, bundle, usage_bundle, uses
 from oracles import dense_usage_oracle, dense_usage_to_dict
 
+from ttpmine import attack_kb
 from ttpmine.attack_kb import (
     USAGE_FORMAT_VERSION,
     ActionDataset,
@@ -168,6 +170,50 @@ class TestParseStix:
     def test_missing_objects_list_raises(self):
         with pytest.raises(StixParseError, match="objects"):
             parse_stix(b'{"type": "bundle"}')
+
+
+class TestCollectorPause:
+    """`parse_stix` pauses the cyclic collector for the decode and the
+    object walk and leaves it as it found it, also on a bad bundle."""
+
+    GOOD = bundle(attack_pattern("T1566", "Phishing"))
+
+    @pytest.fixture
+    def collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_decode_runs_with_collector_paused(self, monkeypatch, collector):
+        seen = []
+
+        def load(data):
+            seen.append(gc.isenabled())
+            return real(data)
+
+        real = attack_kb._load_bundle
+        monkeypatch.setattr(attack_kb, "_load_bundle", load)
+        gc.enable()
+        parse_stix(self.GOOD)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, monkeypatch, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        parse_stix(self.GOOD)
+        assert gc.isenabled() is enabled
+        with pytest.raises(StixParseError):
+            parse_stix(b"{not json")
+        assert gc.isenabled() is enabled
+
+        def fail(obj):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(attack_kb, "_is_excluded", fail)
+        with pytest.raises(RuntimeError, match="walk failed"):
+            parse_stix(self.GOOD)
+        assert gc.isenabled() is enabled
 
 
 class TestUsageMatrix:

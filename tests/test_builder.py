@@ -591,7 +591,6 @@ class TestCsvRoundTrip:
         for text, expected, got in (
             (",".join(mixed) + "\n", 3 + FeatureLayout(bins=5).total, 150),
             (",".join(renamed) + "\n", 155, 155),
-            ("", 3 + FeatureLayout(bins=1).total, 0),
         ):
             with pytest.raises(ValueError) as info:
                 _read_text(text, tmp_path)
@@ -599,6 +598,12 @@ class TestCsvRoundTrip:
                 f"{tmp_path / 'features.csv'}: feature CSV header does not match the "
                 f"layout (expected {expected} columns, got {got}); re-run the features "
                 "stage with the same configuration"
+            )
+        for text in ("", "\n", "\n" + ",".join(header) + "\n"):
+            with pytest.raises(ValueError) as info:
+                _read_text(text, tmp_path)
+            assert str(info.value) == (
+                f"{tmp_path / 'features.csv'}: feature CSV has no header line"
             )
 
     def test_file_round_trip(self, tmp_path):

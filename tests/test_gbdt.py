@@ -8,13 +8,23 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_rows, tree_features
-from oracles import exact_split_oracle, exact_tree_oracle, per_label_train_oracle
+from helpers import REPO_ROOT, e2e_config_dict, make_rows, tree_features
+from oracles import (
+    downsample_oracle,
+    exact_split_oracle,
+    exact_tree_oracle,
+    per_label_train_oracle,
+)
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
@@ -389,6 +399,107 @@ class TestDownsampling:
         rows = _downsample_rows(0, _null_only(labels), y, TrainConfig(negative_downsample_ratio=1.0))
         assert 30 in rows.tolist()
         assert len(rows) == 2
+
+
+class TestKeyedSample:
+    """The NULL-only rows a downsampled label keeps are those with the
+    lowest splitmix64 keys of (seed mod 2**64, label index, row index),
+    computed in wrapping uint64 array arithmetic."""
+
+    @staticmethod
+    def _case(n_null, positives, ratio, seed):
+        null_only = np.ones(n_null + len(positives), dtype=bool)
+        null_only[list(positives)] = False
+        y = (~null_only).astype(np.float64)
+        return null_only, y, TrainConfig(negative_downsample_ratio=ratio, seed=seed)
+
+    def test_golden_sample(self):
+        # Pinned: a numpy release or platform that moves the sample fails.
+        null_only, y, config = self._case(28, (5, 17), 3.0, 12345)
+        rows = _downsample_rows(2, null_only, y, config)
+        assert rows.tolist() == [5, 8, 11, 14, 16, 17, 23, 25]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, -5, 2**63 + 1, 2**64 + 7])
+    @pytest.mark.parametrize("label_index", [0, 1, 2])
+    def test_matches_python_int_oracle(self, seed, label_index):
+        null_only, y, config = self._case(60, (3, 30, 59), 4.0, seed)
+        rows = _downsample_rows(label_index, null_only, y, config)
+        assert rows.tolist() == downsample_oracle(label_index, null_only, y, config)
+
+    @pytest.mark.parametrize("ratio, cap", [(1.0, 2), (2.5, 5), (9.9, 19)])
+    def test_keeps_exactly_cap_null_rows(self, ratio, cap):
+        null_only, y, config = self._case(40, (0, 20), ratio, 3)
+        rows = _downsample_rows(0, null_only, y, config)
+        assert int(null_only[rows].sum()) == cap
+        assert {0, 20} <= set(rows.tolist())
+
+    def test_seed_changes_sample(self):
+        # The label's part is `TestDownsampling.test_label_index_changes_sample`.
+        samples = {
+            tuple(_downsample_rows(0, *self._case(40, (40,), 5.0, seed)))
+            for seed in (0, 1, 2**64 - 1)
+        }
+        assert len(samples) == 3
+
+    def test_inclusion_rate_near_cap_over_n(self):
+        # 40 NULL-only rows, cap 10: each row's inclusion count over 200
+        # seeds is Binomial(200, 0.25) for a uniform sampler, whose
+        # standard deviation in rate is 0.031; allow four of them.
+        n, cap, runs = 40, 10, 200
+        counts = np.zeros(n + 1)
+        for seed in range(runs):
+            null_only, y, config = self._case(n, (n,), 10.0, seed)
+            counts[_downsample_rows(0, null_only, y, config)] += 1
+        rate = counts[:n] / runs
+        tolerance = 4 * math.sqrt(cap / n * (1 - cap / n) / runs)
+        assert np.abs(rate - cap / n).max() <= tolerance
+        assert counts[n] == runs
+
+    @pytest.mark.parametrize("seed", [-5, 2**63 + 1])
+    def test_extreme_seeds_raise_no_warning(self, seed):
+        null_only, y, config = self._case(50, (7,), 3.0, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _downsample_rows(1, null_only, y, config)
+        assert rows.size == 4
+
+
+def test_training_does_not_import_numpy_random(tmp_path):
+    # A fresh interpreter: nothing else in this process has loaded
+    # numpy.random before `train` runs.
+    script = textwrap.dedent("""
+        import sys
+
+        import numpy as np
+
+        from ttpmine.features.builder import FeatureRows, PairKey
+        from ttpmine.features.layout import FeatureLayout
+        from ttpmine.gbdt.ensemble import TrainConfig, train
+        from ttpmine.labels import BEFORE, NULL
+
+        layout = FeatureLayout(bins=1)
+        n = 60
+        values = np.zeros((n, layout.total))
+        values[:, 0] = np.arange(n) % 7
+        values[:, 1] = np.arange(n) % 3
+        labels = [frozenset({BEFORE}) if k % 10 == 0 else frozenset({NULL}) for k in range(n)]
+        keys = [PairKey(f"r{k}", "TA", "TB") for k in range(n)]
+        assert "numpy.random" not in sys.modules
+        model = train(
+            FeatureRows(keys, values, layout), labels,
+            TrainConfig(trees=3, negative_downsample_ratio=2.0),
+        )
+        assert model.models[BEFORE].n_rows == 18, model.models[BEFORE].n_rows
+        print("numpy.random" in sys.modules)
+    """)
+    path = os.environ.get("PYTHONPATH")
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 @pytest.fixture(scope="module")
