@@ -71,12 +71,18 @@ class ActionDataset:
 
 
 def _load_bundle(bundle_bytes: bytes) -> list[dict]:
+    """The bundle's ``objects``, each a JSON object.
+
+    The bytes are dropped once decoded: when this call holds the only
+    reference to them, they are freed before the objects are built.
+    """
     try:
         text = bundle_bytes.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StixParseError(
             f"bundle is not UTF-8 at byte offset {exc.start}"
         ) from exc
+    del bundle_bytes
     try:
         bundle = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,7 +91,11 @@ def _load_bundle(bundle_bytes: bytes) -> list[dict]:
         ) from exc
     if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
         raise StixParseError("bundle JSON has no 'objects' list")
-    return bundle["objects"]
+    objects = bundle["objects"]
+    if not set(map(type, objects)) <= {dict}:
+        index = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
+        raise StixParseError(f"bundle 'objects' entry {index} is not a JSON object")
+    return objects
 
 
 def _is_excluded(obj: dict) -> bool:
@@ -132,7 +142,13 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     The cyclic garbage collector is paused for the decode and the walk
     (and restored as it was): decoded JSON holds no cycles, so its
     collections there would only traverse the new containers.
+
+    The bytes are handed on to `_load_bundle` without a reference kept
+    here, so a caller that keeps none either (``parse_stix(f.read())``)
+    has them freed before the objects are built.
     """
+    held = [bundle_bytes]
+    del bundle_bytes
     pattern_objects: list[dict] = []
     actor_objects: list[dict] = []
     relationships: list[dict] = []
@@ -140,7 +156,7 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for obj in _load_bundle(bundle_bytes):
+        for obj in _load_bundle(held.pop()):
             kind = obj.get("type")
             if kind == "x-mitre-collection" and version is None:
                 if obj.get("x_mitre_version"):

@@ -8,6 +8,7 @@ identical inputs yields byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -484,9 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: each one built is about 100 KiB of cyclic
+# garbage once dropped, which several in-process calls would leave behind.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

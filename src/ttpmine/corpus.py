@@ -133,6 +133,9 @@ _BLANK_ASCII = str.maketrans(
 # str.split does not split on it, and it cannot come from the text,
 # because _BLANK_ASCII blanks every "\x00" first.
 _LINE_END = "\x00"
+# Each stopword maps to "", which `filter(None, ...)` drops along with
+# the empty tokens. `_token_stream` probes a copy of it once per token.
+_STOPWORD_TABLE = dict.fromkeys(STOPWORDS, "")
 
 
 def _token_stream(lines: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -149,6 +152,12 @@ def _token_stream(lines: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...
     Each line end is then found with one C-level `list.index` scan from
     the one before, and one `compress` drops them all, so the work grows
     linearly with the tokens however many lines there are.
+
+    Equal tokens are one shared string, the first of their copies: a long
+    report repeats a few hundred values tens of thousands of times. The
+    table of shared strings is made per call, not with `sys.intern`,
+    whose strings can outlive every report that held them, and the one
+    dict probe per token that fills it also drops the stopwords.
     """
     if not lines:
         return (), (0,)
@@ -156,11 +165,9 @@ def _token_stream(lines: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...
     if not text.isascii():
         text = _NON_ASCII.sub(" ", text)
     words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
-    kept = list(
-        filterfalse(
-            STOPWORDS.__contains__, filter(None, map(str.strip, words, repeat("._-")))
-        )
-    )
+    words = list(map(str.strip, words, repeat("._-")))
+    shared = _STOPWORD_TABLE.copy()
+    kept = list(filter(None, map(shared.setdefault, words, words)))
     keep = [True] * len(kept)
     bounds, at = [0], -1
     for ended in range(len(lines) - 1):

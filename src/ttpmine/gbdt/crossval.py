@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-import statistics
-
 from ..metrics import evaluate_relations
 from .ensemble import GbdtTrainingError, TrainConfig, predict_batch, train
+
+
+def _median(values) -> float:
+    """The median as `statistics.median` takes it: the middle value, or
+    the mean of the two middle values. `statistics` imports `decimal` and
+    `fractions`, which nothing else here needs."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def assign_folds(report_ids, folds: int) -> dict[str, int]:
@@ -65,14 +74,14 @@ def cross_validate(
         fold_reports.append(report)
 
     aggregate = {
-        "macro_precision": statistics.median(r.macro_precision for r in fold_reports),
-        "macro_recall": statistics.median(r.macro_recall for r in fold_reports),
-        "macro_f1": statistics.median(r.macro_f1 for r in fold_reports),
-        "lrap": statistics.median(r.lrap for r in fold_reports),
-        "ndcg": statistics.median(r.ndcg for r in fold_reports),
+        "macro_precision": _median(r.macro_precision for r in fold_reports),
+        "macro_recall": _median(r.macro_recall for r in fold_reports),
+        "macro_f1": _median(r.macro_f1 for r in fold_reports),
+        "lrap": _median(r.lrap for r in fold_reports),
+        "ndcg": _median(r.ndcg for r in fold_reports),
     }
     for k in ks:
-        aggregate[f"p_at_{k}"] = statistics.median(r.p_at_k[k] for r in fold_reports)
+        aggregate[f"p_at_{k}"] = _median(r.p_at_k[k] for r in fold_reports)
     return {
         "folds": [r.to_dict() for r in fold_reports],
         "aggregate": aggregate,

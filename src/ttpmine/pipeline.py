@@ -25,11 +25,11 @@ Artifact formats:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,6 +37,8 @@ import numpy as np
 from . import __version__
 from .attack_kb import (
     DEFAULT_MIN_EXAMPLES,
+    EmptyCatalogError,
+    StixParseError,
     UsageMatrix,
     build_action_dataset,
     parse_stix,
@@ -82,6 +84,17 @@ from .mining import (
     export,
     mine,
 )
+
+# SHA-256 from the interpreter's builtin module, the code `hashlib` falls
+# back to, so the digests are the same; importing `hashlib` loads OpenSSL
+# (about 3.5 MiB resident) for one 16-hex-digit hash per artifact.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 logger = logging.getLogger(__name__)
 
@@ -143,7 +156,7 @@ class PipelineConfig:
 def provenance_hash(payload: Mapping) -> str:
     """The ``config_hash`` of an artifact's meta block: sha256 of the
     payload's sorted, compact JSON, cut to 16 hex digits."""
-    return hashlib.sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
+    return _sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
 def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -> dict:
@@ -344,16 +357,20 @@ def stage_kb(
     Writes ``usage.json`` and ``ctfidf.json`` into ``out_dir``, their
     meta naming the ATT&CK release (``attack_version``), and returns the
     usage matrix and the trained classifier. A bad ``min_examples``
-    fails before any of it.
+    fails before any of it, and a bundle that does not parse fails, with
+    its path, before ``out_dir`` is made.
     """
     if min_examples < 1:
         raise ValueError(f"min_examples must be >= 1, got {min_examples}")
     if not os.path.exists(stix_path):
         raise PipelineError(f"kb: STIX bundle not found: {stix_path}")
-    with open(stix_path, "rb") as fh:
-        bundle_bytes = fh.read()
+    try:
+        # No name here holds the bytes, so `parse_stix` can free them
+        # once they are decoded.
+        catalog, usage = parse_stix(Path(stix_path).read_bytes())
+    except (StixParseError, EmptyCatalogError) as exc:
+        raise PipelineError(f"kb: {stix_path}: {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
-    catalog, usage = parse_stix(bundle_bytes)
     counts = usage_counts(usage)
     logger.info(
         "kb: %d techniques, %d actors, %d uses (%d skipped: unknown technique)",

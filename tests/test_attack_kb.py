@@ -171,6 +171,21 @@ class TestParseStix:
         with pytest.raises(StixParseError, match="objects"):
             parse_stix(b'{"type": "bundle"}')
 
+    @pytest.mark.parametrize(
+        "data, index",
+        [
+            (b'{"objects": [1]}', 0),
+            (b'{"objects": [{"type": "attack-pattern"}, "x"]}', 1),
+            (b'{"objects": [{}, {}, null]}', 2),
+            (b'{"objects": [{}, [{}]]}', 1),
+        ],
+    )
+    def test_non_object_entry_raises(self, data, index):
+        with pytest.raises(
+            StixParseError, match=f"^bundle 'objects' entry {index} is not a JSON object$"
+        ):
+            parse_stix(data)
+
 
 class TestCollectorPause:
     """`parse_stix` pauses the cyclic collector for the decode and the

@@ -382,6 +382,16 @@ class TestTokenStream:
             if expected:
                 assert report.sentences[-1] == expected[-1]
 
+    def test_equal_tokens_are_one_string(self, texts):
+        repeated = 0
+        for text in texts:
+            report = make_report("r", text)
+            expected = [t for _, _, tokens in report_sentences_oracle(text) for t in tokens]
+            assert list(report.tokens) == expected
+            assert len(set(map(id, report.tokens))) == len(set(report.tokens))
+            repeated += len(report.tokens) - len(set(report.tokens))
+        assert repeated
+
     def test_sentence_index_out_of_range(self):
         report = make_report("r", "One ran. Two ran.")
         with pytest.raises(IndexError):

@@ -3,12 +3,14 @@ and aggregate learnability on a separable corpus."""
 
 from __future__ import annotations
 
+import statistics
+
 import numpy as np
 import pytest
 
 from helpers import e2e_config_dict, make_rows
 from ttpmine.corpus import load_annotations
-from ttpmine.gbdt.crossval import assign_folds, cross_validate
+from ttpmine.gbdt.crossval import _median, assign_folds, cross_validate
 from ttpmine.gbdt.ensemble import GbdtTrainingError, TrainConfig
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import PipelineConfig, labels_for_rows, load_features, run_pipeline
@@ -34,6 +36,16 @@ class TestAssignFolds:
     def test_too_few_reports(self):
         with pytest.raises(GbdtTrainingError, match="cannot fill"):
             assign_folds(["r1", "r2", "r3", "r4"], folds=5)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.5], [0.3, 0.1], [0.9, 0.1, 0.5], [0.1, 0.2, 0.4, 0.7], [1e-17, 1.0, 1.0, 0.3, 1 / 3, 2 / 3]],
+)
+def test_median_equals_statistics(values):
+    # Exactly `statistics.median`, float for float, in either order.
+    for ordered in (values, values[::-1]):
+        assert _median(iter(ordered)) == statistics.median(ordered)
 
 
 def _learnable_corpus(n_reports=12, noise=0.01, seed=6):

@@ -4,6 +4,7 @@ driven by the bundled miniature corpus."""
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import logging
@@ -11,6 +12,9 @@ import os
 import shlex
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +235,18 @@ class TestClassifyOnce:
             stage_features(usage, reports, predictions[1:], out)
 
 
+class _LoggedBytes(bytes):
+    """Bytes that append "bytes freed" to `log` when they are freed."""
+
+    def __new__(cls, data: bytes, log: list):
+        self = super().__new__(cls, data)
+        self.log = log
+        return self
+
+    def __del__(self):
+        self.log.append("bytes freed")
+
+
 class TestKbOnce:
     """The kb stage decodes the bundle once and hands on what it built;
     `run_pipeline` reads none of the kb artifacts back."""
@@ -258,6 +274,47 @@ class TestKbOnce:
             stage_kb(STIX, str(out), min_examples=0)
         assert not out.exists()
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"objects": [1]}', "bundle 'objects' entry 0 is not a JSON object"),
+            ('{"objects": [', "malformed bundle JSON at offset 13: Expecting value"),
+            ('{"objects": []}', "bundle contains no usable attack-pattern objects"),
+        ],
+        ids=["non-object", "truncated", "no-patterns"],
+    )
+    def test_stage_kb_parses_bundle_before_out_dir(self, tmp_path, text, problem):
+        stix = tmp_path / "bundle.json"
+        stix.write_text(text, encoding="utf-8")
+        out = tmp_path / "kb"
+        with pytest.raises(PipelineError) as excinfo:
+            stage_kb(str(stix), str(out))
+        assert str(excinfo.value) == f"kb: {stix}: {problem}"
+        assert not out.exists()
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller's argument lives until the call returns",
+    )
+    def test_stage_kb_keeps_no_bundle_bytes(self, tmp_path, monkeypatch):
+        # Neither `stage_kb` nor `parse_stix` keeps a reference to the
+        # bytes read, so they are freed before the JSON objects are built.
+        log = []
+
+        def read(path):
+            return SimpleNamespace(read_bytes=lambda: _LoggedBytes(Path(path).read_bytes(), log))
+
+        def loads(text):
+            log.append("objects built")
+            return json.loads(text)
+
+        monkeypatch.setattr(pipeline, "Path", read)
+        monkeypatch.setattr(
+            attack_kb, "json", SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
+        )
+        stage_kb(STIX, str(tmp_path))
+        assert log == ["bytes freed", "objects built"]
 
     def test_run_pipeline_reads_no_kb_artifact(self, tmp_path, monkeypatch):
         calls = self._count_bundle_loads(monkeypatch)
@@ -422,12 +479,87 @@ class TestNestedCommandErrors:
             f"ttpmine kb build: error: kb: STIX bundle not found: {missing}\n"
         )
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"objects": [1]}', "bundle 'objects' entry 0 is not a JSON object"),
+            ('{"objects": [{"type": "attack-pattern"',
+             "malformed bundle JSON at offset 38: Expecting ',' delimiter"),
+        ],
+        ids=["non-object", "truncated"],
+    )
+    def test_kb_build_bad_bundle(self, tmp_path, capsys, text, problem):
+        stix = tmp_path / "bundle.json"
+        stix.write_text(text, encoding="utf-8")
+        out = tmp_path / "kb"
+        assert main(["kb", "build", "--stix", str(stix), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ttpmine kb build: error: kb: {stix}: {problem}\n"
+        assert not out.exists()
+
     def test_corpus_validate(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["corpus", "validate", "--reports", str(missing)]) == 1
         assert capsys.readouterr().err == (
             f"ttpmine corpus validate: error: report directory not found: {missing}\n"
         )
+
+
+def test_main_leaves_no_argparse_garbage(capsys):
+    # The parser is built once per process, by the first call; later
+    # calls leave none of it to the cyclic collector.
+    argv = ["corpus", "validate", "--reports", REPORTS]
+    assert main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        assert main(argv) == 0
+        gc.collect()
+        left = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == []
+    assert capsys.readouterr().out.count("corpus: OK\n") == 3
+
+
+def test_cli_chain_loads_no_openssl_or_statistics(tmp_path):
+    # A fresh interpreter: nothing else has imported these. The config
+    # hash takes SHA-256 from the interpreter's builtin module, and the
+    # cross-validation median is computed without `statistics`.
+    train_json = tmp_path / "train.json"
+    train_json.write_text(json.dumps(e2e_config_dict(tmp_path)["train"]), encoding="utf-8")
+    steps = [
+        ["kb", "build", "--stix", STIX, "--out", "kb"],
+        ["classify", "--model", "kb/ctfidf.json", "--reports", REPORTS, "--out", "classify.jsonl"],
+        ["features", "--reports", REPORTS, "--kb", "kb", "--predictions", "classify.jsonl",
+         "--out", "features.csv"],
+        ["train-relations", "--features", "features.csv", "--annotations", ANNOTATIONS,
+         "--train-config", str(train_json), "--out", "relations.json"],
+        ["predict", "--model", "relations.json", "--features", "features.csv",
+         "--out", "predictions.jsonl"],
+        ["mine", "--predictions", "predictions.jsonl", "--out", "patterns.csv"],
+    ]
+    script = textwrap.dedent(f"""
+        import sys
+
+        from ttpmine.cli import main
+        from ttpmine.gbdt.crossval import cross_validate
+
+        for argv in {steps!r}:
+            assert main(argv) == 0, argv
+        print(sorted({{"_hashlib", "hashlib", "statistics", "decimal"}} & set(sys.modules)))
+    """)
+    path = os.environ.get("PYTHONPATH")
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "patterns.csv").read_text(encoding="utf-8").count(PLANTED) == 1
 
 
 def test_provenance_hash_formula():
