@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,12 @@ DEFAULT_MIN_EXAMPLES = 20
 
 # STIX object id prefixes that count as actors in the usage matrix.
 _ACTOR_PREFIXES = ("intrusion-set--", "malware--", "tool--", "campaign--")
+
+# The tags of the records `_record` reduces a bundle object to.
+_VERSION, _PATTERN, _ACTOR, _USE, _ROLES = "version", "pattern", "actor", "use", "roles"
+
+# Skips JSON whitespace from a position, as the decoder does.
+_whitespace = json.decoder.WHITESPACE.match
 
 
 class StixParseError(ValueError):
@@ -70,11 +76,14 @@ class ActionDataset:
     techniques: tuple[str, ...]
 
 
-def _load_bundle(bundle_bytes: bytes) -> list[dict]:
-    """The bundle's ``objects``, each a JSON object.
+def _load_bundle(bundle_bytes: bytes) -> list[tuple | None]:
+    """One `_record` per entry of the bundle's ``objects``, in order.
 
-    The bytes are dropped once decoded: when this call holds the only
-    reference to them, they are freed before the objects are built.
+    The top-level JSON object is walked by `_walk_bundle`, which reduces
+    each entry of ``objects`` to its record before it decodes the next,
+    so the text and the records are the most held at once. The bytes
+    are dropped once decoded: when this call holds the only reference
+    to them, they are freed before the walk.
     """
     try:
         text = bundle_bytes.decode("utf-8")
@@ -84,46 +93,207 @@ def _load_bundle(bundle_bytes: bytes) -> list[dict]:
         ) from exc
     del bundle_bytes
     try:
-        bundle = json.loads(text)
+        objects = _walk_bundle(text)
     except json.JSONDecodeError as exc:
         raise StixParseError(
             f"malformed bundle JSON at offset {exc.pos}: {exc.msg}"
         ) from exc
-    if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
+    if type(objects) is not list:
         raise StixParseError("bundle JSON has no 'objects' list")
-    objects = bundle["objects"]
-    if not set(map(type, objects)) <= {dict}:
-        index = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
-        raise StixParseError(f"bundle 'objects' entry {index} is not a JSON object")
     return objects
+
+
+def _walk_bundle(text: str) -> object:
+    """The value of the last "objects" key of the JSON object `text`, a
+    list's entries each reduced to its `_record`; None without one.
+
+    Keys are read with the decoder's `scanstring` and every other value
+    is decoded by one `scan_once` call, so the walk accepts what
+    `json.loads` accepts. Errors come in document order: an entry of
+    ``objects`` that is not a JSON object, or whose fields `_record`
+    rejects, fails before a syntax error later in the text. Where the
+    walk finds the text malformed, `_decoder_error` gives the error
+    `json.loads` raises.
+    """
+    end = _whitespace(text, 0).end()
+    if not text.startswith("{", end):
+        json.loads(text)  # raises, or returns a value that has no objects
+        return None
+    scan_once = json.JSONDecoder().scan_once
+    refs: dict[str, str] = {}
+    objects = None
+    end = _whitespace(text, end + 1).end()
+    if not text.startswith("}", end):
+        while True:
+            if not text.startswith('"', end):
+                raise _decoder_error(text)
+            key, end = json.decoder.scanstring(text, end + 1)
+            end = _whitespace(text, end).end()
+            if not text.startswith(":", end):
+                raise _decoder_error(text)
+            end = _whitespace(text, end + 1).end()
+            if key == "objects" and text.startswith("[", end):
+                objects, end = _walk_objects(text, end + 1, scan_once, refs)
+            else:
+                value, end = _decode_value(text, end, scan_once)
+                if key == "objects":
+                    objects = value
+            end = _whitespace(text, end).end()
+            if text.startswith("}", end):
+                break
+            if not text.startswith(",", end):
+                raise _decoder_error(text)
+            end = _whitespace(text, end + 1).end()
+    if _whitespace(text, end + 1).end() != len(text):
+        raise _decoder_error(text)
+    return objects
+
+
+def _walk_objects(
+    text: str, end: int, scan_once, refs: dict[str, str]
+) -> tuple[list[tuple | None], int]:
+    """The records of the JSON array whose "[" is just before `end`, and
+    the index after its "]"."""
+    records: list[tuple | None] = []
+    end = _whitespace(text, end).end()
+    if text.startswith("]", end):
+        return records, end + 1
+    while True:
+        obj, end = _decode_value(text, end, scan_once)
+        if type(obj) is not dict:
+            raise StixParseError(
+                f"bundle 'objects' entry {len(records)} is not a JSON object"
+            )
+        records.append(_record(obj, len(records), refs))
+        end = _whitespace(text, end).end()
+        if text.startswith("]", end):
+            return records, end + 1
+        if not text.startswith(",", end):
+            raise _decoder_error(text)
+        end = _whitespace(text, end + 1).end()
+
+
+def _decode_value(text: str, end: int, scan_once) -> tuple[object, int]:
+    try:
+        return scan_once(text, end)
+    except StopIteration:
+        raise _decoder_error(text) from None
+
+
+def _decoder_error(text: str) -> json.JSONDecodeError:
+    """The error `json.loads` raises on `text`. The walk calls this
+    where it finds the text malformed, which is where `json.loads` fails
+    too: everything before it was read by the same rules."""
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return exc
+    raise AssertionError("json.loads decoded a bundle that the walk found malformed")
+
+
+def _record(obj: dict, index: int, refs: dict[str, str]) -> tuple | None:
+    """What `parse_stix` reads of `obj`, entry `index` of ``objects``, or
+    None when it reads nothing:
+
+    * ``(_VERSION, version)``: an ``x-mitre-collection`` with a version;
+    * ``(_PATTERN, stix_id, technique_id)``: an attack pattern with a
+      mitre-attack external id and a non-empty name, a sub-technique's
+      id folded to its parent's;
+    * ``(_USE, source, target, description)``: a ``uses`` relationship
+      whose source has an actor prefix (target None when it has none);
+    * ``(_ACTOR, stix_id, actor_id)``: an object whose id has an actor
+      prefix, its actor id the external id or else the STIX id;
+    * ``(_ROLES, role, actor)``: an actor that is one of the others too.
+
+    Revoked and deprecated objects give only a version. A field that is
+    read must have its JSON type, or StixParseError names the entry and
+    the field; a missing or null one is absent. Equal ids share one
+    string, the first one met, through `refs`.
+    """
+    kind = obj.get("type")
+    role = None
+    if kind == "x-mitre-collection" and obj.get("x_mitre_version"):
+        role = (_VERSION, str(obj["x_mitre_version"]))
+    if _is_excluded(obj):
+        return role
+    if kind == "attack-pattern":
+        role = _pattern_role(obj, index, refs)
+    elif kind == "relationship" and obj.get("relationship_type") == "uses":
+        role = _use_role(obj, index, refs)
+    stix_id = obj.get("id")
+    if type(stix_id) is str and stix_id.startswith(_ACTOR_PREFIXES):
+        actor = (_ACTOR, refs.setdefault(stix_id, stix_id), _external_id(obj, index) or stix_id)
+        return actor if role is None else (_ROLES, role, actor)
+    return role
+
+
+def _pattern_role(obj: dict, index: int, refs: dict[str, str]) -> tuple | None:
+    ext = _external_id(obj, index)
+    name = _string(obj, "name", index)
+    if ext is None or not (name or "").strip():
+        return None
+    stix_id = _string(obj, "id", index)
+    if stix_id is None:
+        raise _field_error(index, "id", "a string")
+    technique = ext.split(".")[0]
+    return (_PATTERN, refs.setdefault(stix_id, stix_id), refs.setdefault(technique, technique))
+
+
+def _use_role(obj: dict, index: int, refs: dict[str, str]) -> tuple | None:
+    source = _string(obj, "source_ref", index)
+    if source is None or not source.startswith(_ACTOR_PREFIXES):
+        return None
+    target = _string(obj, "target_ref", index)
+    return (
+        _USE,
+        refs.setdefault(source, source),
+        refs.setdefault(target, target),
+        _string(obj, "description", index) or "",
+    )
 
 
 def _is_excluded(obj: dict) -> bool:
     return bool(obj.get("revoked")) or bool(obj.get("x_mitre_deprecated"))
 
 
-def _external_id(obj: dict) -> str | None:
-    for ref in obj.get("external_references", ()):
+def _external_id(obj: dict, index: int) -> str | None:
+    """The first non-empty mitre-attack external id of `obj`, entry
+    `index` of ``objects``."""
+    references = obj.get("external_references")
+    if references is None:
+        return None
+    if type(references) is not list or not set(map(type, references)) <= {dict}:
+        raise _field_error(index, "external_references", "a list of objects")
+    for ref in references:
         if ref.get("source_name") == "mitre-attack":
-            ext = ref.get("external_id")
+            ext = _string(ref, "external_id", index)
             if ext:
                 return ext
     return None
 
 
-def _pattern_map(objects: list[dict]) -> dict[str, str]:
-    """Map attack-pattern STIX ids to their parent technique id,
-    exclusions applied and sub-technique ids folded to their parent. An
-    object counts only with an external id and a non-empty name."""
-    out: dict[str, str] = {}
-    for obj in objects:
-        if obj.get("type") != "attack-pattern" or _is_excluded(obj):
+def _string(obj: dict, field: str, index: int) -> str | None:
+    """`obj[field]`, None when missing or null; anything but a string
+    fails naming entry `index` of ``objects``."""
+    value = obj.get(field)
+    if value is None or type(value) is str:
+        return value
+    raise _field_error(index, field, "a string")
+
+
+def _field_error(index: int, field: str, kind: str) -> StixParseError:
+    return StixParseError(f"bundle 'objects' entry {index}: '{field}' is not {kind}")
+
+
+def _roles(records: list[tuple | None]) -> Iterator[tuple]:
+    """Each record's roles, in bundle order."""
+    for record in records:
+        if record is None:
             continue
-        ext = _external_id(obj)
-        if ext is None or not (obj.get("name") or "").strip():
-            continue
-        out[obj["id"]] = ext.split(".")[0]
-    return out
+        if record[0] is _ROLES:
+            yield from record[1:]
+        else:
+            yield record
 
 
 def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
@@ -134,10 +304,11 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
     procedure examples. Procedure-example sentences come from the
     descriptions of `uses` relationships whose source is an
     intrusion-set/malware/tool/campaign, split by the corpus sentence
-    splitter (`split_sentences`, no tokenizing), in bundle order. The
-    bundle is decoded once and its objects walked once; the procedure
-    examples and the usage matrix (`_usage_matrix`) both come from the
-    `uses` relationships that walk collects.
+    splitter (`split_sentences`, no tokenizing), in bundle order: one
+    split per technique of its descriptions joined by "\n", a hard
+    boundary. The bundle is decoded once, each object reduced to its
+    `_record` as it is decoded; the procedure examples and the usage
+    matrix (`_usage_matrix`) both come from the `uses` records.
 
     The cyclic garbage collector is paused for the decode and the walk
     (and restored as it was): decoded JSON holds no cycles, so its
@@ -145,93 +316,78 @@ def parse_stix(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
 
     The bytes are handed on to `_load_bundle` without a reference kept
     here, so a caller that keeps none either (``parse_stix(f.read())``)
-    has them freed before the objects are built.
+    has them freed before the objects are decoded.
     """
     held = [bundle_bytes]
     del bundle_bytes
-    pattern_objects: list[dict] = []
-    actor_objects: list[dict] = []
-    relationships: list[dict] = []
+    patterns: dict[str, str] = {}
+    actor_ids: dict[str, str] = {}
+    uses: list[tuple] = []
     version = None
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for obj in _load_bundle(held.pop()):
-            kind = obj.get("type")
-            if kind == "x-mitre-collection" and version is None:
-                if obj.get("x_mitre_version"):
-                    version = str(obj["x_mitre_version"])
-            if kind == "attack-pattern":
-                # Excluded ones too: `_pattern_map` drops them.
-                pattern_objects.append(obj)
-            if _is_excluded(obj):
-                continue
-            if str(obj.get("id", "")).startswith(_ACTOR_PREFIXES):
-                actor_objects.append(obj)
-            if (
-                kind == "relationship"
-                and obj.get("relationship_type") == "uses"
-                and str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES)
-            ):
-                relationships.append(obj)
+        for role in _roles(_load_bundle(held.pop())):
+            tag = role[0]
+            if tag is _USE:
+                uses.append(role)
+            elif tag is _PATTERN:
+                patterns[role[1]] = role[2]
+            elif tag is _ACTOR:
+                actor_ids[role[1]] = role[2]
+            elif version is None:
+                version = role[1]
     finally:
         if collecting:
             gc.enable()
 
-    patterns = _pattern_map(pattern_objects)
     if not patterns:
         raise EmptyCatalogError("bundle contains no usable attack-pattern objects")
 
-    examples: dict[str, list[str]] = {tid: [] for tid in sorted(set(patterns.values()))}
-    for obj in relationships:
-        target = patterns.get(obj.get("target_ref"))
-        if target is not None:
-            examples[target].extend(split_sentences(obj.get("description") or ""))
+    descriptions: dict[str, list[str]] = {tid: [] for tid in sorted(set(patterns.values()))}
+    for _, _, target, description in uses:
+        technique = patterns.get(target)
+        if technique is not None:
+            descriptions[technique].append(description)
 
     records = tuple(
-        TechniqueRecord(id=tid, procedure_examples=tuple(v)) for tid, v in examples.items()
+        TechniqueRecord(id=tid, procedure_examples=tuple(split_sentences("\n".join(texts))))
+        for tid, texts in descriptions.items()
     )
     catalog = TechniqueCatalog(techniques=records, version=version or "unknown")
-    return catalog, _usage_matrix(relationships, actor_objects, patterns, catalog)
+    return catalog, _usage_matrix(uses, actor_ids, patterns, catalog)
 
 
 def _usage_matrix(
-    relationships: list[dict],
-    actor_objects: list[dict],
+    uses: list[tuple],
+    actor_ids: dict[str, str],
     patterns: dict[str, str],
     catalog: TechniqueCatalog,
 ) -> UsageMatrix:
     """Binary actor-by-technique usage matrix from `uses` relationships.
 
-    `relationships` are the bundle's unexcluded `uses` relationships
-    from an actor-prefixed source and `actor_objects` its unexcluded
-    objects with an actor-prefixed id, both in bundle order. A
-    relationship counts when its source is one of those actors and its
-    target an attack pattern.
+    `uses` are the bundle's `_USE` records in bundle order, `actor_ids`
+    maps each actor's STIX id to its actor id and `patterns` each
+    attack pattern's STIX id to its technique id. A relationship counts
+    when its source is one of those actors and its target an attack
+    pattern.
     Rows are actors (groups, software, campaigns) with at least one
     resolvable technique, in lexicographic actor-id order; columns are
     catalog techniques. Relationships whose target is missing from
     `patterns` are skipped and counted, not fatal; the catalog is built
     from every entry of `patterns`, so any other target resolves in it.
     """
-    actor_ids: dict[str, str] = {}
-    for obj in actor_objects:
-        stix_id = str(obj.get("id", ""))
-        actor_ids[stix_id] = _external_id(obj) or stix_id
-
     used: dict[str, set[str]] = {}
     skipped = 0
-    for obj in relationships:
-        source = obj.get("source_ref")
-        if source not in actor_ids:
+    for _, source, target, _ in uses:
+        actor = actor_ids.get(source)
+        if actor is None or target is None or not target.startswith("attack-pattern--"):
             continue
-        if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
-            continue
-        target = patterns.get(obj.get("target_ref"))
-        if target is None:
+        technique = patterns.get(target)
+        if technique is None:
             skipped += 1
             continue
-        used.setdefault(actor_ids[source], set()).add(target)
+        used.setdefault(actor, set()).add(technique)
 
     actors = tuple(sorted(used))
     techniques = catalog.technique_ids

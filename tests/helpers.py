@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,132 @@ def usage_bundle(seed: int, actors: int = 150, techniques: int = 60) -> bytes:
     rels += [uses(techs[0], techs[1]), uses(people[2], people[3])]
     order = rng.permutation(len(rels))
     return bundle(*techs, *subs, *dropped, *people, *(rels[k] for k in order))
+
+
+# Descriptions whose sentences split the same alone as joined by "\n".
+_DESCRIPTIONS = (
+    "First act. Second act.",
+    "Ends on a space. ",
+    "Closes a sentence.",
+    "Lower after a dot. then more",
+    "Line one\nLine two",
+    "Windows line\r\nNext line",
+    "Asked? Answered! Done.",
+    "\u00dcber alles. \u00c4rger folgt.",
+    "v1.2 of tool.exe ran.",
+    "",
+    "   ",
+    None,
+)
+
+
+def random_bundle(seed: int) -> bytes:
+    """A seeded ATT&CK-like bundle the walk and `parse_stix_oracle` must
+    read alike, in one of four layouts (indented, compact, CRLF, one
+    line), some with a decoy ``objects`` list before the real one (the
+    last wins, as in `json.loads`). The objects are shuffled, so
+    relationships come before their endpoints, and include revoked and
+    deprecated objects, sub-techniques, targets missing from the bundle,
+    blank or missing names and ids, several collections, and objects
+    whose id prefix disagrees with their type."""
+    rng = random.Random(seed)
+    kinds = ("intrusion-set", "malware", "tool", "campaign")
+    techs = [attack_pattern(f"T{4000 + k}", f"Technique {k}") for k in range(rng.randint(3, 12))]
+    subs = [attack_pattern(f"{t['external_references'][0]['external_id']}.00{k + 1}", f"Sub {k}")
+            for k, t in enumerate(rng.sample(techs, 2))]
+    dropped = [attack_pattern(f"T{4500 + k}", "Gone", revoked=k % 2 == 0, deprecated=k % 2 == 1)
+               for k in range(rng.randint(0, 3))]
+    odd = [attack_pattern("T4900", ""), attack_pattern("T4901", "x")]
+    odd[1]["external_references"] = [
+        {"source_name": "mitre-attack", "external_id": ""},
+        {"source_name": "capec", "external_id": "CAPEC-1"},
+        {"source_name": "mitre-attack", "external_id": "T4901"},
+    ]
+    people = [actor(f"A{2000 + k}", kind=rng.choice(kinds)) for k in range(rng.randint(2, 10))]
+    people[0]["external_references"] = []
+    people[1].pop("external_references")
+    for person in rng.sample(people, 1):
+        person["revoked" if rng.random() < 0.5 else "x_mitre_deprecated"] = True
+    # An attack pattern and a relationship whose ids are actor ids.
+    mixed = attack_pattern("T4950", "Mixed")
+    mixed["id"] = "malware--mixed"
+    ghosts = [{"id": f"attack-pattern--ghost-{k}"} for k in range(2)]
+    sources = people + [mixed, techs[0]]
+    targets = techs + subs + dropped + odd + ghosts + [mixed, people[-1]]
+    rels = []
+    for _ in range(rng.randint(5, 40)):
+        rel = uses(rng.choice(sources), rng.choice(targets), "")
+        description = rng.choice(_DESCRIPTIONS)
+        if description is None:
+            del rel["description"]
+        else:
+            rel["description"] = description
+        rel["revoked"] = rng.random() < 0.1
+        if rng.random() < 0.1:
+            rel["relationship_type"] = "mitigates"
+        rels.append(rel)
+    rels[0].pop("target_ref")
+    rels[1]["id"] = "tool--relationship"
+    collections = [
+        {"type": "x-mitre-collection", "id": f"x-mitre-collection--{k}", "x_mitre_version": v}
+        for k, v in enumerate(rng.sample(["", "17.1", 15, "16.0"], 2))
+    ]
+    objects = techs + subs + dropped + odd + people + [mixed] + rels + collections
+    rng.shuffle(objects)
+    layout = rng.choice([
+        {"indent": 2}, {"separators": (",", ":")}, {"indent": "\t"}, {},
+    ])
+    text = json.dumps({"type": "bundle", "objects": objects}, **layout)
+    if "indent" in layout and layout["indent"] == "\t":
+        text = text.replace("\n", "\r\n") + "\r\n"
+    if rng.random() < 0.3:
+        decoy = json.dumps(rng.sample(objects, len(objects) // 2), **layout)
+        text = '{"objects": ' + decoy + ", " + text[1:]
+    return text.encode("utf-8")
+
+
+def pad_bundle(data: bytes, citations: int) -> bytes:
+    """`data` with the fields ATT&CK objects carry but the kb does not
+    read added to every object: creation and modification dates, a
+    creator, marking refs, spec versions and `citations` citation
+    references, and kill-chain phases on attack patterns."""
+    payload = json.loads(data)
+    for k, obj in enumerate(payload["objects"]):
+        obj.update({
+            "created": "2017-05-31T21:30:19.735Z",
+            "modified": "2024-04-10T22:38:21.259Z",
+            "created_by_ref": "identity--c78cb6e5-0c4b-4611-8297-d1b8b55e40b5",
+            "object_marking_refs": ["marking-definition--fa42a846-8d90-4e51-bc29-71d5b4802168"],
+            "spec_version": "2.1",
+            "x_mitre_attack_spec_version": "3.2.0",
+            "x_mitre_domains": ["enterprise-attack"],
+        })
+        obj["external_references"] = obj.get("external_references", []) + [
+            {
+                "source_name": f"Vendor Report {k}-{n}",
+                "url": f"https://example.com/research/{k}/{n}/report.html",
+                "description": f"Vendor. (2023, March {n % 28 + 1}). Report {k}-{n}.",
+            }
+            for n in range(citations)
+        ]
+        if obj.get("type") == "attack-pattern":
+            obj["kill_chain_phases"] = [
+                {"kill_chain_name": "mitre-attack", "phase_name": "initial-access"},
+                {"kill_chain_name": "mitre-attack", "phase_name": "execution"},
+            ]
+    return json.dumps(payload, indent=4).encode("utf-8")
+
+
+def workload_bundle(name: str, seed: int = 1) -> bytes:
+    """The STIX bundle pipebench writes for workload `name` at `seed`."""
+    sys.path.insert(0, str(REPO_ROOT / "pipebench"))
+    try:
+        from gen import World
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(REPO_ROOT / "pipebench"))
+    world = World(WORKLOADS[name].bundle, seed)
+    return (json.dumps(world.bundle(), sort_keys=True) + "\n").encode("utf-8")
 
 
 def make_rows(values, report_ids="r1", tx="TA", ty="TB",

@@ -8,8 +8,10 @@ formulations so agreement between the two is meaningful.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
+import logging
 import math
 import re
 
@@ -17,13 +19,14 @@ import numpy as np
 
 from ttpmine.attack_kb import (
     _ACTOR_PREFIXES,
+    EmptyCatalogError,
+    StixParseError,
+    TechniqueCatalog,
+    TechniqueRecord,
     UsageMatrix,
-    _external_id,
-    _is_excluded,
-    _load_bundle,
-    _pattern_map,
-    parse_stix,
+    _cells,
 )
+from ttpmine.corpus import split_sentences
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.stopwords import STOPWORDS
 from ttpmine.embeddings import cosine, sentence_vector
@@ -60,6 +63,8 @@ from ttpmine.gbdt.ensemble import (
 )
 from ttpmine.gbdt.tree import MIN_GAIN, _leaf, grid_residuals
 from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
+
+logger = logging.getLogger(__name__)
 
 
 def apriori_oracle(x, y) -> list[float]:
@@ -909,9 +914,9 @@ def dense_usage_oracle(bundle_bytes: bytes) -> UsageMatrix:
     actor-id order; a `uses` relationship whose attack-pattern target is
     not in the catalog is skipped and counted.
     """
-    objects = _load_bundle(bundle_bytes)
+    objects = json.loads(bundle_bytes)["objects"]
     patterns = _pattern_map(objects)
-    catalog, _ = parse_stix(bundle_bytes)
+    catalog, _ = parse_stix_oracle(bundle_bytes)
     actor_ids = {}
     for obj in objects:
         stix_id = str(obj.get("id", ""))
@@ -941,3 +946,186 @@ def dense_usage_oracle(bundle_bytes: bytes) -> UsageMatrix:
         actors=actors, techniques=techniques, cells=cells, skipped_unknown=skipped
     )
     return dense_usage_from_dict(json.loads(json.dumps(dense_usage_to_dict(matrix))))
+
+
+# `parse_stix` as it was when the bundle was decoded by one `json.loads`
+# and its objects walked after, kept verbatim: the package's walk, which
+# reduces each object to a record as it is decoded, must give the same
+# catalog and usage matrix.
+
+def _load_bundle(bundle_bytes: bytes) -> list[dict]:
+    """The bundle's ``objects``, each a JSON object.
+
+    The bytes are dropped once decoded: when this call holds the only
+    reference to them, they are freed before the objects are built.
+    """
+    try:
+        text = bundle_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StixParseError(
+            f"bundle is not UTF-8 at byte offset {exc.start}"
+        ) from exc
+    del bundle_bytes
+    try:
+        bundle = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StixParseError(
+            f"malformed bundle JSON at offset {exc.pos}: {exc.msg}"
+        ) from exc
+    if not isinstance(bundle, dict) or not isinstance(bundle.get("objects"), list):
+        raise StixParseError("bundle JSON has no 'objects' list")
+    objects = bundle["objects"]
+    if not set(map(type, objects)) <= {dict}:
+        index = next(i for i, obj in enumerate(objects) if type(obj) is not dict)
+        raise StixParseError(f"bundle 'objects' entry {index} is not a JSON object")
+    return objects
+
+
+def _is_excluded(obj: dict) -> bool:
+    return bool(obj.get("revoked")) or bool(obj.get("x_mitre_deprecated"))
+
+
+def _external_id(obj: dict) -> str | None:
+    for ref in obj.get("external_references", ()):
+        if ref.get("source_name") == "mitre-attack":
+            ext = ref.get("external_id")
+            if ext:
+                return ext
+    return None
+
+
+def _pattern_map(objects: list[dict]) -> dict[str, str]:
+    """Map attack-pattern STIX ids to their parent technique id,
+    exclusions applied and sub-technique ids folded to their parent. An
+    object counts only with an external id and a non-empty name."""
+    out: dict[str, str] = {}
+    for obj in objects:
+        if obj.get("type") != "attack-pattern" or _is_excluded(obj):
+            continue
+        ext = _external_id(obj)
+        if ext is None or not (obj.get("name") or "").strip():
+            continue
+        out[obj["id"]] = ext.split(".")[0]
+    return out
+
+
+def parse_stix_oracle(bundle_bytes: bytes) -> tuple[TechniqueCatalog, UsageMatrix]:
+    """`parse_stix` as it was before the walk: a STIX 2.x bundle parsed
+    into a technique catalog and its usage matrix by one `json.loads`,
+    then walks over the decoded objects.
+
+    Revoked and deprecated objects are excluded; sub-techniques fold
+    into their parent (id prefix rule), which inherits the sub's
+    procedure examples. Procedure-example sentences come from the
+    descriptions of `uses` relationships whose source is an
+    intrusion-set/malware/tool/campaign, split by the corpus sentence
+    splitter (`split_sentences`, no tokenizing), in bundle order. The
+    bundle is decoded once and its objects walked once; the procedure
+    examples and the usage matrix (`_usage_matrix`) both come from the
+    `uses` relationships that walk collects.
+
+    The cyclic garbage collector is paused for the decode and the walk
+    (and restored as it was): decoded JSON holds no cycles, so its
+    collections there would only traverse the new containers.
+
+    The bytes are handed on to `_load_bundle` without a reference kept
+    here, so a caller that keeps none either (``parse_stix(f.read())``)
+    has them freed before the objects are built.
+    """
+    held = [bundle_bytes]
+    del bundle_bytes
+    pattern_objects: list[dict] = []
+    actor_objects: list[dict] = []
+    relationships: list[dict] = []
+    version = None
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for obj in _load_bundle(held.pop()):
+            kind = obj.get("type")
+            if kind == "x-mitre-collection" and version is None:
+                if obj.get("x_mitre_version"):
+                    version = str(obj["x_mitre_version"])
+            if kind == "attack-pattern":
+                # Excluded ones too: `_pattern_map` drops them.
+                pattern_objects.append(obj)
+            if _is_excluded(obj):
+                continue
+            if str(obj.get("id", "")).startswith(_ACTOR_PREFIXES):
+                actor_objects.append(obj)
+            if (
+                kind == "relationship"
+                and obj.get("relationship_type") == "uses"
+                and str(obj.get("source_ref", "")).startswith(_ACTOR_PREFIXES)
+            ):
+                relationships.append(obj)
+    finally:
+        if collecting:
+            gc.enable()
+
+    patterns = _pattern_map(pattern_objects)
+    if not patterns:
+        raise EmptyCatalogError("bundle contains no usable attack-pattern objects")
+
+    examples: dict[str, list[str]] = {tid: [] for tid in sorted(set(patterns.values()))}
+    for obj in relationships:
+        target = patterns.get(obj.get("target_ref"))
+        if target is not None:
+            examples[target].extend(split_sentences(obj.get("description") or ""))
+
+    records = tuple(
+        TechniqueRecord(id=tid, procedure_examples=tuple(v)) for tid, v in examples.items()
+    )
+    catalog = TechniqueCatalog(techniques=records, version=version or "unknown")
+    return catalog, _usage_matrix(relationships, actor_objects, patterns, catalog)
+
+
+def _usage_matrix(
+    relationships: list[dict],
+    actor_objects: list[dict],
+    patterns: dict[str, str],
+    catalog: TechniqueCatalog,
+) -> UsageMatrix:
+    """Binary actor-by-technique usage matrix from `uses` relationships.
+
+    `relationships` are the bundle's unexcluded `uses` relationships
+    from an actor-prefixed source and `actor_objects` its unexcluded
+    objects with an actor-prefixed id, both in bundle order. A
+    relationship counts when its source is one of those actors and its
+    target an attack pattern.
+    Rows are actors (groups, software, campaigns) with at least one
+    resolvable technique, in lexicographic actor-id order; columns are
+    catalog techniques. Relationships whose target is missing from
+    `patterns` are skipped and counted, not fatal; the catalog is built
+    from every entry of `patterns`, so any other target resolves in it.
+    """
+    actor_ids: dict[str, str] = {}
+    for obj in actor_objects:
+        stix_id = str(obj.get("id", ""))
+        actor_ids[stix_id] = _external_id(obj) or stix_id
+
+    used: dict[str, set[str]] = {}
+    skipped = 0
+    for obj in relationships:
+        source = obj.get("source_ref")
+        if source not in actor_ids:
+            continue
+        if not str(obj.get("target_ref", "")).startswith("attack-pattern--"):
+            continue
+        target = patterns.get(obj.get("target_ref"))
+        if target is None:
+            skipped += 1
+            continue
+        used.setdefault(actor_ids[source], set()).add(target)
+
+    actors = tuple(sorted(used))
+    techniques = catalog.technique_ids
+    col = {tid: k for k, tid in enumerate(techniques)}
+    cells = _cells(
+        [[col[tid] for tid in used[actor]] for actor in actors], len(techniques)
+    )
+    if skipped:
+        logger.warning("usage matrix: skipped %d relationships with unknown techniques", skipped)
+    return UsageMatrix(
+        actors=actors, techniques=techniques, cells=cells, skipped_unknown=skipped
+    )

@@ -5,11 +5,23 @@ from __future__ import annotations
 import gc
 import json
 import re
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from helpers import E2E_DIR, actor, attack_pattern, bundle, usage_bundle, uses
-from oracles import dense_usage_oracle, dense_usage_to_dict
+from helpers import (
+    E2E_DIR,
+    actor,
+    attack_pattern,
+    bundle,
+    pad_bundle,
+    random_bundle,
+    usage_bundle,
+    uses,
+    workload_bundle,
+)
+from oracles import dense_usage_oracle, dense_usage_to_dict, parse_stix_oracle
 
 from ttpmine import attack_kb
 from ttpmine.attack_kb import (
@@ -185,6 +197,171 @@ class TestParseStix:
             StixParseError, match=f"^bundle 'objects' entry {index} is not a JSON object$"
         ):
             parse_stix(data)
+
+
+def _typed(obj: dict, **fields) -> dict:
+    """`obj` with `fields` set; a field given as None is removed."""
+    obj = {**obj, **fields}
+    return {key: value for key, value in obj.items() if value is not None}
+
+
+_TECH, _GROUP = attack_pattern("T1566", "Phishing"), actor("G0001")
+
+
+class TestFieldTypes:
+    """Each field `parse_stix` reads must have its JSON type, or it
+    fails with one StixParseError naming the entry and the field."""
+
+    @pytest.mark.parametrize(
+        "objects, problem",
+        [
+            ((_TECH, _GROUP, _typed(uses(_GROUP, _TECH), description=5)),
+             "entry 2: 'description' is not a string"),
+            ((_TECH, _typed(_GROUP, external_references={"source_name": "mitre-attack"})),
+             "entry 1: 'external_references' is not a list of objects"),
+            ((_typed(_TECH, external_references=["mitre-attack"]),),
+             "entry 0: 'external_references' is not a list of objects"),
+            ((_TECH, _GROUP, _typed(uses(_GROUP, _TECH), target_ref=[_TECH["id"]])),
+             "entry 2: 'target_ref' is not a string"),
+            ((_typed(_TECH, name=["Phishing"]),), "entry 0: 'name' is not a string"),
+            ((_typed(_TECH, id=None),), "entry 0: 'id' is not a string"),
+            ((_typed(_TECH, external_references=[
+                {"source_name": "mitre-attack", "external_id": 1566}]),),
+             "entry 0: 'external_id' is not a string"),
+        ],
+        ids=["description", "references-object", "references-entry", "target-list",
+             "name", "pattern-id", "external-id"],
+    )
+    def test_wrong_type_raises(self, objects, problem):
+        with pytest.raises(StixParseError) as excinfo:
+            parse_stix(bundle(*objects))
+        assert str(excinfo.value) == f"bundle 'objects' {problem}"
+
+    @pytest.mark.parametrize("null", [True, False], ids=["null", "missing"])
+    def test_missing_or_null_description_is_empty(self, null):
+        rel = _typed(uses(_GROUP, _TECH), description=None)
+        if null:
+            rel["description"] = None
+        catalog, um = parse_stix(bundle(_TECH, _GROUP, rel))
+        assert _record(catalog, "T1566").procedure_examples == ()
+        assert um.cells.tolist() == [[1]]
+
+    def test_unread_fields_are_not_checked(self):
+        # Revoked objects and relationships of another kind are not read.
+        revoked = _typed(uses(_GROUP, _TECH), description=5, revoked=True)
+        other = _typed(uses(_GROUP, _TECH), description=5, relationship_type="mitigates")
+        catalog, _ = parse_stix(bundle(_TECH, _GROUP, revoked, other))
+        assert catalog.technique_ids == ("T1566",)
+
+    def test_errors_come_in_document_order(self):
+        # An entry is checked as it is decoded, before a syntax error
+        # later in the text.
+        with pytest.raises(StixParseError, match="^bundle 'objects' entry 0 is not a JSON"):
+            parse_stix(b'{"objects": [1, {')
+        bad = json.dumps(_typed(_TECH, name=5))
+        with pytest.raises(StixParseError, match="^bundle 'objects' entry 0: 'name' is not"):
+            parse_stix(f'{{"objects": [{bad}, ]'.encode())
+
+
+def _json_loads_problem(text: bytes) -> str:
+    """The StixParseError text of the error `json.loads` raises on `text`."""
+    with pytest.raises(json.JSONDecodeError) as excinfo:
+        json.loads(text.decode("utf-8"))
+    return f"malformed bundle JSON at offset {excinfo.value.pos}: {excinfo.value.msg}"
+
+
+_SMALL = bundle(_TECH, _GROUP, uses(_GROUP, _TECH, "Sent mail."), collection_version="1")
+
+
+class TestSyntaxErrors:
+    """A bundle that is not JSON fails with the error `json.loads` gives."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"", b"  ", b"{", b"{ ", b"}", b'{"objects"', b'{"objects" []}', b'{"objects": }',
+            b"{'objects': []}", b'{"objects": [], }', b'{"objects": [{}] "x": 1}',
+            b'{"objects": [{},]}', b'{"objects": [{} {}]}', b'{"objects": [{}]]',
+            b'{"objects": []} x', b'{"objects": []}{}', b'\xef\xbb\xbf{"objects": []}',
+            b'{"a": tru, "objects": []}', b'{"objects": ["\x01"]}', b'{"objects": [{"a": 1,}]}',
+            b'{"objects": [{"a": NaN', b'{"objects": [{"a": "\\x"}]}',
+        ],
+    )
+    def test_message_is_json_loads(self, text):
+        with pytest.raises(StixParseError) as excinfo:
+            parse_stix(text)
+        assert str(excinfo.value) == _json_loads_problem(text)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_every_truncation(self, indent):
+        text = json.dumps(json.loads(_SMALL), indent=indent).encode()
+        for end in range(len(text)):
+            with pytest.raises(StixParseError) as excinfo:
+                parse_stix(text[:end])
+            assert str(excinfo.value) == _json_loads_problem(text[:end]), end
+
+    @pytest.mark.parametrize(
+        "text", [b"[]", b'"objects"', b"{}", b'{"objects": {}}', b'{"objects": [], "objects": 5}']
+    )
+    def test_no_objects_list(self, text):
+        with pytest.raises(StixParseError, match="^bundle JSON has no 'objects' list$"):
+            parse_stix(text)
+
+    def test_last_objects_key_wins(self):
+        text = b'{"objects": 5, "objects": []}'
+        with pytest.raises(EmptyCatalogError):
+            parse_stix(text)
+        decoy = bundle(attack_pattern("T1001", "Decoy"))[:-1]
+        objects = json.dumps(json.loads(_SMALL)["objects"]).encode()
+        catalog, _ = parse_stix(decoy + b', "objects": ' + objects + b"}")
+        assert catalog.technique_ids == ("T1566",)
+        assert catalog.version == "1"
+
+
+ORACLE_BUNDLES = {
+    "e2e": lambda: (E2E_DIR / "stix_bundle.json").read_bytes(),
+    **{name: partial(workload_bundle, name) for name in ("run-train", "apply-long", "train-csv")},
+    **{f"random-{seed:02d}": partial(random_bundle, seed) for seed in range(24)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BUNDLES))
+def test_parse_matches_json_loads_oracle(name):
+    # The walk equals one `json.loads` and walks over the decoded
+    # objects, with a split per relationship.
+    data = ORACLE_BUNDLES[name]()
+    catalog, um = parse_stix(data)
+    want_catalog, want_um = parse_stix_oracle(data)
+    assert catalog == want_catalog
+    assert catalog.techniques
+    _assert_same_usage(um, want_um)
+    _assert_same_usage(um, dense_usage_oracle(data))
+
+
+def test_random_bundles_cover_their_layouts():
+    texts = [random_bundle(seed) for seed in range(24)]
+    assert any(b"\r\n" in t for t in texts)
+    assert any(b'":[' in t for t in texts)
+    assert any(b'\n  "' in t for t in texts)
+    assert any(t.count(b'"objects"') == 2 for t in texts)
+    assert all(b"malware--mixed" in t for t in texts)
+
+
+def test_parse_peak_stays_near_the_text():
+    # Each object is reduced to its record as it is decoded: with the
+    # unread fields ATT&CK objects carry, the traced peak is the text and
+    # little else, where one `json.loads` holds every object at once.
+    data = pad_bundle(usage_bundle(0), citations=2)
+    size = len(data)
+    held = [data]
+    del data
+    tracemalloc.start()
+    try:
+        parse_stix(held.pop())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * size
 
 
 class TestCollectorPause:

@@ -280,9 +280,10 @@ class TestKbOnce:
         [
             ('{"objects": [1]}', "bundle 'objects' entry 0 is not a JSON object"),
             ('{"objects": [', "malformed bundle JSON at offset 13: Expecting value"),
+            ('{"objects": []} x', "malformed bundle JSON at offset 16: Extra data"),
             ('{"objects": []}', "bundle contains no usable attack-pattern objects"),
         ],
-        ids=["non-object", "truncated", "no-patterns"],
+        ids=["non-object", "truncated", "extra-data", "no-patterns"],
     )
     def test_stage_kb_parses_bundle_before_out_dir(self, tmp_path, text, problem):
         stix = tmp_path / "bundle.json"
@@ -299,22 +300,21 @@ class TestKbOnce:
     )
     def test_stage_kb_keeps_no_bundle_bytes(self, tmp_path, monkeypatch):
         # Neither `stage_kb` nor `parse_stix` keeps a reference to the
-        # bytes read, so they are freed before the JSON objects are built.
+        # bytes read, so they are freed before the walk decodes the text.
         log = []
 
         def read(path):
             return SimpleNamespace(read_bytes=lambda: _LoggedBytes(Path(path).read_bytes(), log))
 
-        def loads(text):
-            log.append("objects built")
-            return json.loads(text)
+        def walk(text):
+            log.append("walk started")
+            return real_walk(text)
 
+        real_walk = attack_kb._walk_bundle
         monkeypatch.setattr(pipeline, "Path", read)
-        monkeypatch.setattr(
-            attack_kb, "json", SimpleNamespace(loads=loads, JSONDecodeError=json.JSONDecodeError)
-        )
+        monkeypatch.setattr(attack_kb, "_walk_bundle", walk)
         stage_kb(STIX, str(tmp_path))
-        assert log == ["bytes freed", "objects built"]
+        assert log == ["bytes freed", "walk started"]
 
     def test_run_pipeline_reads_no_kb_artifact(self, tmp_path, monkeypatch):
         calls = self._count_bundle_loads(monkeypatch)
@@ -485,8 +485,11 @@ class TestNestedCommandErrors:
             ('{"objects": [1]}', "bundle 'objects' entry 0 is not a JSON object"),
             ('{"objects": [{"type": "attack-pattern"',
              "malformed bundle JSON at offset 38: Expecting ',' delimiter"),
+            ('{"objects": [{"type": "relationship", "relationship_type": "uses", '
+             '"source_ref": "intrusion-set--g1", "description": 5}]}',
+             "bundle 'objects' entry 0: 'description' is not a string"),
         ],
-        ids=["non-object", "truncated"],
+        ids=["non-object", "truncated", "wrong-type"],
     )
     def test_kb_build_bad_bundle(self, tmp_path, capsys, text, problem):
         stix = tmp_path / "bundle.json"
