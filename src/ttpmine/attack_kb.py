@@ -11,6 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
@@ -195,7 +196,8 @@ def _record(obj: dict, index: int, refs: dict[str, str]) -> tuple | None:
     """What `parse_stix` reads of `obj`, entry `index` of ``objects``, or
     None when it reads nothing:
 
-    * ``(_VERSION, version)``: an ``x-mitre-collection`` with a version;
+    * ``(_VERSION, version)``: an ``x-mitre-collection`` with a version,
+      a string or a JSON number's text;
     * ``(_PATTERN, stix_id, technique_id)``: an attack pattern with a
       mitre-attack external id and a non-empty name, a sub-technique's
       id folded to its parent's;
@@ -212,8 +214,15 @@ def _record(obj: dict, index: int, refs: dict[str, str]) -> tuple | None:
     """
     kind = obj.get("type")
     role = None
-    if kind == "x-mitre-collection" and obj.get("x_mitre_version"):
-        role = (_VERSION, str(obj["x_mitre_version"]))
+    if kind == "x-mitre-collection":
+        version = obj.get("x_mitre_version")
+        # NaN and Infinity decode as floats but are not JSON numbers.
+        if version is not None and not (
+            type(version) in (str, int) or (type(version) is float and math.isfinite(version))
+        ):
+            raise _field_error(index, "x_mitre_version", "a string or number")
+        if version:
+            role = (_VERSION, str(version))
     if _is_excluded(obj):
         return role
     if kind == "attack-pattern":

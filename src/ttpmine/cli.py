@@ -20,8 +20,7 @@ from .corpus import load_annotations, load_reports
 from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
 from .features.layout import DEFAULT_BINS, FEATURE_GROUPS, FeatureLayout
-from .gbdt import TrainConfig
-from .gbdt.ensemble import predict_batch
+from .gbdt.ensemble import TrainConfig, predict_batch
 from .labels import NULL
 from .metrics import evaluate_relations
 from .mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES

@@ -125,10 +125,6 @@ class RelationPrediction:
     labels: frozenset[str]
     report_id: str = ""
 
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.tx, self.ty)
-
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)

@@ -1,5 +1,5 @@
 """Evaluation primitives: macro P/R/F over relation label sets, P@K,
-LRAP, NDCG, and Cohen's kappa.
+LRAP and NDCG.
 
 Tie handling is pinned for reproducibility: LRAP gives tied
 probabilities the shared best (minimum) rank; NDCG breaks ties by the
@@ -160,28 +160,6 @@ def macro_p_at_k(truth, prob, k: int) -> float:
     probability and take P@K; report the unweighted mean over labels."""
     pools = [[(p[lab], lab in t) for t, p in zip(truth, prob)] for lab in ALL_LABELS]
     return sum(precision_at_k(pool, k) for pool in pools) / len(pools)
-
-
-def cohen_kappa(a, b) -> float:
-    """Chance-corrected agreement; 1.0 on full agreement over a single
-    category (po = pe = 1)."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    if not a:
-        raise ValueError("cohen_kappa needs at least one item")
-    n = len(a)
-    po = sum(1 for x, y in zip(a, b) if x == y) / n
-    cats = set(a) | set(b)
-    counts_a = {c: 0 for c in cats}
-    counts_b = {c: 0 for c in cats}
-    for x in a:
-        counts_a[x] += 1
-    for y in b:
-        counts_b[y] += 1
-    pe = sum(counts_a[c] * counts_b[c] for c in cats) / (n * n)
-    if pe == 1.0:
-        return 1.0
-    return (po - pe) / (1 - pe)
 
 
 def evaluate_relations(truth, pred_sets, prob, ks=(50, 100)) -> MetricReport:

@@ -57,17 +57,19 @@ from .ctfidf import (
     train_ctfidf,
 )
 from .embeddings import WordVectors, load_word_vectors
-from .features import FeatureLayout, FeatureRows
-from .features.layout import DEFAULT_BINS
 from .features.builder import (
+    FeatureRows,
     build_report_features,
     coref_sentences,
     f4_table,
     read_features_csv,
     write_features_csv,
 )
-from .gbdt import GbdtEnsemble, RelationPrediction, TrainConfig
+from .features.layout import DEFAULT_BINS, FeatureLayout
 from .gbdt.ensemble import (
+    GbdtEnsemble,
+    RelationPrediction,
+    TrainConfig,
     check_field_types,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -357,8 +359,9 @@ def stage_kb(
     Writes ``usage.json`` and ``ctfidf.json`` into ``out_dir``, their
     meta naming the ATT&CK release (``attack_version``), and returns the
     usage matrix and the trained classifier. A bad ``min_examples``
-    fails before any of it, and a bundle that does not parse fails, with
-    its path, before ``out_dir`` is made.
+    fails before any of it. A bundle that does not parse, or that leaves
+    no technique with ``min_examples`` procedure examples, fails with
+    its path before ``out_dir`` is made.
     """
     if min_examples < 1:
         raise ValueError(f"min_examples must be >= 1, got {min_examples}")
@@ -370,7 +373,6 @@ def stage_kb(
         catalog, usage = parse_stix(Path(stix_path).read_bytes())
     except (StixParseError, EmptyCatalogError) as exc:
         raise PipelineError(f"kb: {stix_path}: {exc}") from exc
-    os.makedirs(out_dir, exist_ok=True)
     counts = usage_counts(usage)
     logger.info(
         "kb: %d techniques, %d actors, %d uses (%d skipped: unknown technique)",
@@ -386,7 +388,13 @@ def stage_kb(
         len(catalog.techniques),
         min_examples,
     )
+    if not dataset.techniques:
+        raise PipelineError(
+            f"kb: {stix_path}: no technique has at least {min_examples} "
+            "procedure examples (min_examples)"
+        )
     model = train_ctfidf(dataset)
+    os.makedirs(out_dir, exist_ok=True)
     meta = make_meta("kb", config_hash)
     meta["attack_version"] = catalog.version
     write_json(

@@ -192,19 +192,6 @@ def macro_p_at_k_oracle(truth, prob, k: int, labels) -> float:
     return sum(per_label) / len(per_label)
 
 
-def kappa_oracle(a, b) -> float:
-    n = len(a)
-    po = sum(1 for x, y in zip(a, b) if x == y) / n
-    cats = sorted(set(a) | set(b))
-    pe = sum(
-        (sum(1 for x in a if x == c) * sum(1 for y in b if y == c))
-        for c in cats
-    ) / (n * n)
-    if pe == 1.0:
-        return 1.0
-    return (po - pe) / (1 - pe)
-
-
 def prf_oracle(truth, pred, label) -> tuple[float, float, float]:
     """Binary precision/recall/F1 for one label via explicit counting."""
     tp = fp = fn = 0

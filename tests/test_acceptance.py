@@ -76,7 +76,7 @@ from ttpmine.labels import (
     POSITIVE_LABELS,
     SIMULTANEOUS_OVERLAP,
 )
-from ttpmine.metrics import cohen_kappa, lrap, macro_p_at_k, ndcg
+from ttpmine.metrics import lrap, macro_p_at_k, ndcg
 from ttpmine.mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES, mine
 from ttpmine.cli import build_parser
 from ttpmine.pipeline import (
@@ -151,7 +151,7 @@ def test_criterion_2_ranking_metrics_match_brute_force():
                 macro_p_at_k_oracle(truth, prob, k, ALL_LABELS), abs=1e-9
             )
 
-    # Three hand-computed fixtures, exact.
+    # Two hand-computed fixtures, exact.
     lrap_fixture = lrap(
         [frozenset({SIMULTANEOUS_OVERLAP})],
         [{BEFORE: 0.9, SIMULTANEOUS_OVERLAP: 0.8, CONCURRENT: 0.1, NULL: 0.05}],
@@ -161,12 +161,9 @@ def test_criterion_2_ranking_metrics_match_brute_force():
     ndcg_fixture = ndcg([frozenset({BEFORE})], [{BEFORE: 0.2, NULL: 0.9}])
     assert ndcg_fixture == 1.0 / math.log2(3.0)  # relevant at rank 2
 
-    kappa_fixture = cohen_kappa(["x", "x", "x", "y"], ["x", "x", "y", "y"])
-    assert kappa_fixture == 0.5  # po=3/4, pe=(3*2+1*2)/16=1/2
-
     print(
         "PASS criterion 2: LRAP/NDCG/P@K match brute force on 100 random "
-        "instances within 1e-9; 3 hand fixtures exact"
+        "instances within 1e-9; 2 hand fixtures exact"
     )
 
 

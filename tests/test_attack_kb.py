@@ -206,6 +206,7 @@ def _typed(obj: dict, **fields) -> dict:
 
 
 _TECH, _GROUP = attack_pattern("T1566", "Phishing"), actor("G0001")
+_COLLECTION = {"type": "x-mitre-collection", "id": "x-mitre-collection--c"}
 
 
 class TestFieldTypes:
@@ -228,9 +229,20 @@ class TestFieldTypes:
             ((_typed(_TECH, external_references=[
                 {"source_name": "mitre-attack", "external_id": 1566}]),),
              "entry 0: 'external_id' is not a string"),
+            ((_TECH, _typed(_COLLECTION, x_mitre_version=["17.1"])),
+             "entry 1: 'x_mitre_version' is not a string or number"),
+            ((_TECH, _typed(_COLLECTION, x_mitre_version={"major": 17})),
+             "entry 1: 'x_mitre_version' is not a string or number"),
+            ((_TECH, _typed(_COLLECTION, x_mitre_version=True)),
+             "entry 1: 'x_mitre_version' is not a string or number"),
+            ((_TECH, _typed(_COLLECTION, x_mitre_version=False)),
+             "entry 1: 'x_mitre_version' is not a string or number"),
+            ((_TECH, _typed(_COLLECTION, x_mitre_version=float("nan"))),
+             "entry 1: 'x_mitre_version' is not a string or number"),
         ],
         ids=["description", "references-object", "references-entry", "target-list",
-             "name", "pattern-id", "external-id"],
+             "name", "pattern-id", "external-id", "version-list", "version-object",
+             "version-true", "version-false", "version-nan"],
     )
     def test_wrong_type_raises(self, objects, problem):
         with pytest.raises(StixParseError) as excinfo:

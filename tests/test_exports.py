@@ -5,6 +5,10 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +46,12 @@ def test_exported_names_resolve(package):
         ("ttpmine.features", "features_from_csv"),
         ("ttpmine.features.builder", "features_to_csv"),
         ("ttpmine.features.builder", "features_from_csv"),
+        ("ttpmine", "cross_validate"),
+        ("ttpmine", "assign_folds"),
+        ("ttpmine.gbdt", "cross_validate"),
+        ("ttpmine.gbdt", "assign_folds"),
+        ("ttpmine", "cohen_kappa"),
+        ("ttpmine.metrics", "cohen_kappa"),
     ],
 )
 def test_retired_names_gone(module, name):
@@ -49,6 +59,12 @@ def test_retired_names_gone(module, name):
     if importlib.util.find_spec(module) is None:
         return
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_relation_prediction_has_no_pair():
+    # Nothing read it; `RelationAnnotation.pair` stays.
+    ensemble = importlib.import_module("ttpmine.gbdt.ensemble")
+    assert not hasattr(ensemble.RelationPrediction, "pair")
 
 
 @pytest.mark.parametrize(
@@ -69,10 +85,22 @@ def test_retired_parameters_gone(module, function, parameter):
 def test_retired_module_gone():
     # Its F2 constants live in ttpmine.features.layout.
     assert importlib.util.find_spec("ttpmine.features.sentence") is None
+    # `eval` on a held-out features file is the one evaluation path.
+    assert importlib.util.find_spec("ttpmine.gbdt.crossval") is None
 
 
-def test_sentence_still_exported():
+def test_top_level_exports_only_the_version():
+    # The entry points are the CLI and `ttpmine.pipeline`; importing the
+    # package itself loads no submodule and no numpy.
     ttpmine = importlib.import_module("ttpmine")
-    corpus = importlib.import_module("ttpmine.corpus")
-    assert "Sentence" in ttpmine.__all__
-    assert ttpmine.Sentence is corpus.Sentence
+    assert ttpmine.__all__ == ["__version__"]
+    script = (
+        "import sys, ttpmine; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ttpmine.')))"
+    )
+    # The same package the test imported, in a fresh interpreter.
+    env = dict(os.environ, PYTHONPATH=str(Path(ttpmine.__file__).parent.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -1,5 +1,5 @@
 """Hand-computed metric fixtures plus brute-force oracle comparison for
-the ranking metrics (LRAP, NDCG, P@K) and agreement (kappa)."""
+the ranking metrics (LRAP, NDCG, P@K)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from oracles import (
-    kappa_oracle,
     lrap_oracle,
     macro_p_at_k_oracle,
     ndcg_oracle,
@@ -19,7 +18,6 @@ from oracles import (
 )
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.metrics import (
-    cohen_kappa,
     evaluate_relations,
     lrap,
     macro_p_at_k,
@@ -245,36 +243,6 @@ class TestMacroPAtK:
             assert macro_p_at_k(truth, prob, k) == pytest.approx(
                 macro_p_at_k_oracle(truth, prob, k, ALL_LABELS), abs=1e-9
             )
-
-
-class TestCohenKappa:
-    def test_chance_level_agreement(self):
-        assert cohen_kappa(["x", "x", "y", "y"], ["x", "y", "x", "y"]) == 0.0
-
-    def test_partial_agreement(self):
-        # po = 3/4; pe = (3*2 + 1*2)/16 = 1/2; kappa = (3/4 - 1/2)/(1/2).
-        assert cohen_kappa(["x", "x", "x", "y"], ["x", "x", "y", "y"]) == pytest.approx(0.5)
-
-    def test_single_category_full_agreement(self):
-        assert cohen_kappa(["x", "x"], ["x", "x"]) == 1.0
-
-    def test_total_disagreement(self):
-        assert cohen_kappa(["x", "y"], ["y", "x"]) == pytest.approx(-1.0)
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            cohen_kappa(["x"], [])
-        with pytest.raises(ValueError, match="at least one"):
-            cohen_kappa([], [])
-
-    def test_matches_oracle(self):
-        rng = np.random.default_rng(16)
-        cats = ["a", "b", "c"]
-        for _ in range(100):
-            n = int(rng.integers(1, 30))
-            a = [cats[int(rng.integers(0, 3))] for _ in range(n)]
-            b = [cats[int(rng.integers(0, 3))] for _ in range(n)]
-            assert cohen_kappa(a, b) == pytest.approx(kappa_oracle(a, b), abs=1e-9)
 
 
 class TestEvaluateRelations:

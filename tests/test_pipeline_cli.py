@@ -25,8 +25,9 @@ from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import DEFAULT_THRESHOLD, predict_report
-from ttpmine.features import FeatureLayout, FeatureRows
-from ttpmine.gbdt import TrainConfig
+from ttpmine.features.builder import FeatureRows
+from ttpmine.features.layout import FeatureLayout
+from ttpmine.gbdt.ensemble import TrainConfig
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
@@ -499,6 +500,31 @@ class TestNestedCommandErrors:
         assert capsys.readouterr().err == f"ttpmine kb build: error: kb: {stix}: {problem}\n"
         assert not out.exists()
 
+    def test_kb_build_keeps_no_technique(self, tmp_path, capsys):
+        # No e2e technique has 1000 procedure examples: the classifier has
+        # no class, and the error names the bundle and the setting.
+        out = tmp_path / "kb"
+        argv = ["kb", "build", "--stix", STIX, "--out", str(out), "--min-examples", "1000"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"ttpmine kb build: error: kb: {STIX}: no technique has at least 1000 "
+            "procedure examples (min_examples)\n"
+        )
+        assert not out.exists()
+
+    def test_run_keeps_no_technique(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**e2e_config_dict(tmp_path / "out"), "min_examples": 1000}),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"ttpmine run: error: kb: {STIX}: no technique has at least 1000 "
+            "procedure examples (min_examples)\n"
+        )
+        assert not (tmp_path / "out" / "kb").exists()
+
     def test_corpus_validate(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         assert main(["corpus", "validate", "--reports", str(missing)]) == 1
@@ -529,8 +555,7 @@ def test_main_leaves_no_argparse_garbage(capsys):
 
 def test_cli_chain_loads_no_openssl_or_statistics(tmp_path):
     # A fresh interpreter: nothing else has imported these. The config
-    # hash takes SHA-256 from the interpreter's builtin module, and the
-    # cross-validation median is computed without `statistics`.
+    # hash takes SHA-256 from the interpreter's builtin module.
     train_json = tmp_path / "train.json"
     train_json.write_text(json.dumps(e2e_config_dict(tmp_path)["train"]), encoding="utf-8")
     steps = [
@@ -543,12 +568,13 @@ def test_cli_chain_loads_no_openssl_or_statistics(tmp_path):
         ["predict", "--model", "relations.json", "--features", "features.csv",
          "--out", "predictions.jsonl"],
         ["mine", "--predictions", "predictions.jsonl", "--out", "patterns.csv"],
+        ["eval", "--model", "relations.json", "--features", "features.csv",
+         "--annotations", ANNOTATIONS, "--out", "metrics.json"],
     ]
     script = textwrap.dedent(f"""
         import sys
 
         from ttpmine.cli import main
-        from ttpmine.gbdt.crossval import cross_validate
 
         for argv in {steps!r}:
             assert main(argv) == 0, argv
