@@ -20,8 +20,8 @@ from .corpus import load_annotations, load_reports
 from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
 from .features.layout import DEFAULT_BINS, FEATURE_GROUPS, FeatureLayout
-from .gbdt.ensemble import TrainConfig, predict_batch
-from .labels import NULL
+from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
+from .labels import ALL_LABELS, NULL
 from .metrics import evaluate_relations
 from .mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
 from .pipeline import (
@@ -278,11 +278,11 @@ def cmd_eval(args) -> int:
     rows, truth, n_unrowed = _load_labeled_rows(
         args.features, args.annotations, args.kb
     )
-    predictions = predict_batch(model, rows)
+    probabilities = predict_batch(model, rows)
     report = evaluate_relations(
         truth,
-        [p.labels for p in predictions],
-        [p.probabilities for p in predictions],
+        decided_labels(probabilities, model.config.decision_threshold),
+        [dict(zip(ALL_LABELS, row)) for row in probabilities.tolist()],
     )
     chash = provenance_hash(
         {
@@ -313,17 +313,17 @@ def cmd_predict(args) -> int:
     model = load_relation_model(args.model)
     rows = load_features(args.features)
     chash = provenance_hash({"model": args.model, "features": args.features})
-    predictions = stage_predict(model, rows, args.out, config_hash=chash)
-    positive = sum(1 for p in predictions if p.labels != frozenset({NULL}))
+    labels = stage_predict(model, rows, args.out, config_hash=chash)
+    positive = sum(1 for decided in labels if NULL not in decided)
     print(
-        f"predict: {len(predictions)} pairs, {positive} with a temporal relation "
+        f"predict: {len(labels)} pairs, {positive} with a temporal relation "
         f"-> {args.out}"
     )
     return 0
 
 
 def cmd_mine(args) -> int:
-    predictions = load_relation_predictions(args.predictions)
+    keys, labels = load_relation_predictions(args.predictions)
     category_map = load_categories(args.categories or PACKAGED_CATEGORIES)
     chash = provenance_hash(
         {
@@ -333,7 +333,8 @@ def cmd_mine(args) -> int:
         }
     )
     patterns = stage_mine(
-        predictions,
+        keys,
+        labels,
         args.out,
         min_support=args.min_support,
         category_map=category_map,

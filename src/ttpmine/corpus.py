@@ -101,10 +101,6 @@ class RelationAnnotation:
     ty: str
     labels: frozenset[str]
 
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.tx, self.ty)
-
 
 # Sentence boundaries inside a line, one pattern per terminal mark: the
 # mark, then a run of whitespace other than "\n", then an uppercase
@@ -226,12 +222,6 @@ def make_report(report_id: str, text: str) -> Report:
     return Report(report_id, lines, tokens, bounds)
 
 
-def segment_sentences(text: str) -> tuple[Sentence, ...]:
-    """The `Sentence`s of `text`, with document-order indices: the
-    sentences of `make_report`, all built."""
-    return tuple(make_report("", text).sentences)
-
-
 def load_reports(directory: str | Path) -> list[Report]:
     """Load one report per ``*.txt`` file (filename stem = report id),
     sorted by id. Files are read as UTF-8; a byte order mark at the start
@@ -269,7 +259,8 @@ def _check_labels(labels: frozenset[str], where: str) -> None:
 def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotation]:
     """Load JSON-Lines relation annotations.
 
-    Each line is an object with report_id, tx, ty and a labels list.
+    Each line is an object with report_id, tx and ty strings and a list
+    of label strings.
     Validation errors name the 1-based line number. When the kb's
     technique ids are given as ``techniques``, each tx and ty must be
     one of them. Duplicate (report, tx, ty) lines are merged by label
@@ -295,14 +286,19 @@ def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotati
         if not isinstance(obj, dict):
             raise AnnotationError(f"{where}: expected a JSON object")
         try:
-            report_id = obj["report_id"]
-            tx = obj["tx"]
-            ty = obj["ty"]
-            labels = frozenset(obj["labels"])
-        except (KeyError, TypeError) as exc:
+            report_id, tx, ty, labels = (obj[k] for k in ("report_id", "tx", "ty", "labels"))
+        except KeyError as exc:
             raise AnnotationError(
                 f"{where}: each line needs report_id, tx, ty, labels"
             ) from exc
+        for name, value in (("report_id", report_id), ("tx", tx), ("ty", ty)):
+            if type(value) is not str:
+                raise AnnotationError(f"{where}: {name} must be a string, got {value!r}")
+        if type(labels) is not list or not all(type(lab) is str for lab in labels):
+            raise AnnotationError(
+                f"{where}: labels must be a list of strings, got {labels!r}"
+            )
+        labels = frozenset(labels)
         if tx == ty:
             raise AnnotationError(f"{where}: self-pair ({tx}, {ty}) is invalid")
         _check_labels(labels, where)

@@ -17,12 +17,6 @@ class WordVectors:
     dim: int
     table: dict[str, np.ndarray]
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
 
 def load_word_vectors(path: str | Path) -> WordVectors:
     """Read "V D" header then V rows of "token v1 .. vD".

@@ -64,15 +64,6 @@ class FeatureRows:
     def __iter__(self):
         return iter(self.keys)
 
-    def take(self, idx) -> "FeatureRows":
-        """The rows at the positions `idx`, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return FeatureRows(
-            keys=[self.keys[i] for i in idx.tolist()],
-            values=self.values[idx],
-            layout=self.layout,
-        )
-
 
 def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndarray]:
     """Each distinct pair's f4 slots.

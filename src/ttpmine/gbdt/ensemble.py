@@ -117,15 +117,6 @@ class GbdtEnsemble:
         return score
 
 
-@dataclass(frozen=True)
-class RelationPrediction:
-    tx: str
-    ty: str
-    probabilities: dict[str, float]
-    labels: frozenset[str]
-    report_id: str = ""
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -296,10 +287,9 @@ def train(
     )
 
 
-def predict_batch(model: GbdtEnsemble, features) -> list[RelationPrediction]:
-    """Per-label probabilities plus the decided label set (positives at
-    the decision threshold, NULL as fallback) for every row of a
-    `FeatureRows`.
+def predict_batch(model: GbdtEnsemble, features) -> np.ndarray:
+    """The `(n, 4)` float64 matrix of every `FeatureRows` row's label
+    probabilities, its columns in `ALL_LABELS` order.
 
     Each label's trees walk the whole matrix, so a row scores exactly as
     it would alone. Rows of another layout than the model's are refused,
@@ -312,29 +302,30 @@ def predict_batch(model: GbdtEnsemble, features) -> list[RelationPrediction]:
             f"match the model ({model.layout_version}, {model.n_features} "
             "features); re-extract features or retrain"
         )
-    if not len(features):
-        return []
     X = features.values
-    columns = {
-        label: _sigmoid(model.raw_score(label, X)).tolist() for label in ALL_LABELS
-    }
-    threshold = model.config.decision_threshold
-    predictions = []
-    for index, (report_id, tx, ty) in enumerate(features.keys):
-        probabilities = {label: columns[label][index] for label in ALL_LABELS}
-        decided = frozenset(
-            lab for lab in POSITIVE_LABELS if probabilities[lab] >= threshold
-        )
-        predictions.append(
-            RelationPrediction(
-                tx=tx,
-                ty=ty,
-                probabilities=probabilities,
-                labels=decided or frozenset({NULL}),
-                report_id=report_id,
-            )
-        )
-    return predictions
+    return np.stack(
+        [_sigmoid(model.raw_score(label, X)) for label in ALL_LABELS], axis=1
+    )
+
+
+# The decided label set of each bitmask of the positive labels at or
+# above the threshold (bit i: `POSITIVE_LABELS[i]`); none gives NULL.
+# Rows share these eight sets, so a label set costs no memory per row.
+_DECIDED = tuple(
+    frozenset(lab for i, lab in enumerate(POSITIVE_LABELS) if code >> i & 1)
+    or frozenset({NULL})
+    for code in range(1 << len(POSITIVE_LABELS))
+)
+
+
+def decided_labels(probabilities: np.ndarray, threshold: float) -> list[frozenset[str]]:
+    """The label set decided for each row of a `predict_batch` matrix:
+    every positive label whose probability is at or above `threshold`,
+    or `{NULL}` when there is none. `ALL_LABELS` puts the positive
+    labels first, so they are the matrix's first columns."""
+    positive = probabilities[:, : len(POSITIVE_LABELS)] >= threshold
+    codes = positive @ (1 << np.arange(len(POSITIVE_LABELS)))
+    return [_DECIDED[code] for code in codes.tolist()]
 
 
 def ensemble_to_dict(model: GbdtEnsemble) -> dict:

@@ -1,5 +1,7 @@
-"""Corpus-level aggregation of per-report relation predictions into
-recurring temporal attack patterns, category labeling, and export."""
+"""Corpus-level aggregation of each pair's decided relations into
+recurring temporal attack patterns, category labeling, and export, and
+the `predictions.jsonl` record the predict stage writes and `mine`
+reads back."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .labels import NULL, POSITIVE_LABELS, SYMMETRIC_LABELS
+from .labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS, label_set_problem
 
 UNCATEGORIZED = "uncategorized"
 # Distinct reports a pattern needs to be mined.
@@ -45,23 +47,21 @@ def canonical_key(tx: str, ty: str, relation: str) -> tuple[str, str, str]:
     return (tx, ty, relation)
 
 
-def mine(predictions, n: int = DEFAULT_MIN_SUPPORT) -> list[TemporalPattern]:
+def mine(keys, labels, n: int = DEFAULT_MIN_SUPPORT) -> list[TemporalPattern]:
     """Count distinct reports per canonicalized (pair, relation) and keep
     tuples seen in at least n reports. NULL is never a pattern.
 
-    `predictions` maps report id to that report's RelationPredictions.
+    `keys` holds one `(report_id, tx, ty)` per row and `labels` the
+    row's decided label set, aligned; ValueError if their lengths differ.
     Output is sorted by (count desc, relation, tx, ty).
     """
     if n < 1:
         raise ValueError(f"mining threshold must be >= 1, got {n}")
     seen: dict[tuple[str, str, str], set[str]] = {}
-    for report_id, preds in predictions.items():
-        for pred in preds:
-            for relation in pred.labels:
-                if relation == NULL:
-                    continue
-                key = canonical_key(pred.tx, pred.ty, relation)
-                seen.setdefault(key, set()).add(report_id)
+    for (report_id, tx, ty), relations in zip(keys, labels, strict=True):
+        for relation in relations:
+            if relation != NULL:
+                seen.setdefault(canonical_key(tx, ty, relation), set()).add(report_id)
 
     patterns = [
         TemporalPattern(
@@ -117,6 +117,57 @@ def category_map_from_dict(data) -> CategoryMap:
             raise ValueError(f"duplicate category entry for {key}")
         entries[key] = category
     return CategoryMap(categories=categories, entries=entries)
+
+
+# The keys of a `predictions.jsonl` record, exactly.
+_RECORD_KEYS = ("labels", "probabilities", "report_id", "tx", "ty")
+
+
+def relation_prediction_records(keys, probabilities, labels):
+    """One `predictions.jsonl` record per row: its `(report_id, tx, ty)`
+    key, its row of the `predict_batch` probability matrix keyed by
+    label, and its decided label set as a sorted list."""
+    for (report_id, tx, ty), row, decided in zip(keys, probabilities.tolist(), labels):
+        yield {
+            "report_id": report_id,
+            "tx": tx,
+            "ty": ty,
+            "probabilities": dict(zip(ALL_LABELS, row)),
+            "labels": sorted(decided),
+        }
+
+
+def relation_prediction_from_dict(data) -> tuple[tuple, frozenset[str]]:
+    """The key and the decided label set of a `predictions.jsonl` record.
+    KeyError for a missing key; ValueError unless it holds exactly the
+    keys of `relation_prediction_records`, the ids are strings, the
+    probabilities are keyed by exactly `ALL_LABELS`, each a JSON number
+    in [0, 1], and the labels are a list of strings that form a label
+    set (see `label_set_problem`)."""
+    for name in ("report_id", "tx", "ty"):
+        if type(data[name]) is not str:
+            raise ValueError(f"{name} must be a string, got {data[name]!r}")
+    key = (data["report_id"], data["tx"], data["ty"])
+    probabilities, labels = data["probabilities"], data["labels"]
+    if len(data) != len(_RECORD_KEYS):
+        raise ValueError(f"record keys {sorted(data)} are not {list(_RECORD_KEYS)}")
+    where = f"report {key[0]!r} pair ({key[1]}, {key[2]})"
+    if set(probabilities) != set(ALL_LABELS):
+        raise ValueError(
+            f"{where}: probabilities {sorted(probabilities)} are not "
+            f"keyed by {sorted(ALL_LABELS)}"
+        )
+    # A bool is not a JSON number.
+    if not all(type(p) in (int, float) for p in probabilities.values()):
+        raise ValueError(f"{where}: probabilities {probabilities} are not all numbers")
+    if not all(0.0 <= p <= 1.0 for p in probabilities.values()):
+        raise ValueError(f"{where}: probabilities {probabilities} not all in [0, 1]")
+    if type(labels) is not list or not all(type(lab) is str for lab in labels):
+        raise ValueError(f"{where}: labels must be a list of strings, got {labels!r}")
+    problem = label_set_problem(frozenset(labels))
+    if problem:
+        raise ValueError(f"{where}: {problem}")
+    return key, frozenset(labels)
 
 
 def _pattern_row(p: TemporalPattern) -> list[str]:

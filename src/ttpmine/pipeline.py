@@ -68,15 +68,15 @@ from .features.builder import (
 from .features.layout import DEFAULT_BINS, FeatureLayout
 from .gbdt.ensemble import (
     GbdtEnsemble,
-    RelationPrediction,
     TrainConfig,
     check_field_types,
+    decided_labels,
     ensemble_from_dict,
     ensemble_to_dict,
     predict_batch,
 )
 from .gbdt.ensemble import train as train_ensemble
-from .labels import ALL_LABELS, NULL, label_set_problem
+from .labels import NULL
 from .mining import (
     DEFAULT_MIN_SUPPORT,
     PACKAGED_CATEGORIES,
@@ -85,6 +85,8 @@ from .mining import (
     category_map_from_dict,
     export,
     mine,
+    relation_prediction_from_dict,
+    relation_prediction_records,
 )
 
 # SHA-256 from the interpreter's builtin module, the code `hashlib` falls
@@ -264,15 +266,18 @@ def report_prediction_to_dict(p: ReportPrediction) -> dict:
 
 def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
     """A `ReportPrediction` record. ValueError unless it holds exactly
-    the keys `report_id`, `hit_sentences` and `top_scores`, each
-    detected technique (a `hit_sentences` key) has a hit, its hits are
-    integer sentence indices, it has `TOP_K_SCORES` top scores, numbers
-    in [0, 1] in descending order as `predict_report` writes them, and
-    no other technique has top scores."""
+    the keys `report_id`, `hit_sentences` and `top_scores`, the report id
+    is a string, each detected technique (a `hit_sentences` key) has a
+    hit, its hits are integer sentence indices, it has `TOP_K_SCORES`
+    top scores, numbers in [0, 1] in descending order as
+    `predict_report` writes them, and no other technique has top
+    scores."""
     if sorted(data) != list(_REPORT_PREDICTION_KEYS):
         raise ValueError(
             f"record keys {sorted(data)} are not {list(_REPORT_PREDICTION_KEYS)}"
         )
+    if type(data["report_id"]) is not str:
+        raise ValueError(f"report_id must be a string, got {data['report_id']!r}")
     prediction = ReportPrediction(
         report_id=data["report_id"],
         hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
@@ -301,44 +306,6 @@ def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
             f"{where}: top_scores keys {sorted(top)} are not the "
             f"hit_sentences keys {sorted(hits)}"
         )
-    return prediction
-
-
-def relation_prediction_to_dict(p: RelationPrediction) -> dict:
-    return {
-        "report_id": p.report_id,
-        "tx": p.tx,
-        "ty": p.ty,
-        "probabilities": p.probabilities,
-        "labels": sorted(p.labels),
-    }
-
-
-def relation_prediction_from_dict(data: Mapping) -> RelationPrediction:
-    """A `RelationPrediction` record. ValueError unless its probabilities
-    are keyed by exactly `ALL_LABELS`, each a number in [0, 1], and its
-    labels are a label set (see `label_set_problem`); KeyError without a
-    report id."""
-    prediction = RelationPrediction(
-        tx=data["tx"],
-        ty=data["ty"],
-        probabilities={k: _json_number(v) for k, v in data["probabilities"].items()},
-        labels=frozenset(data["labels"]),
-        report_id=data["report_id"],
-    )
-    where = f"report {prediction.report_id!r} pair ({prediction.tx}, {prediction.ty})"
-    if set(prediction.probabilities) != set(ALL_LABELS):
-        raise ValueError(
-            f"{where}: probabilities {sorted(prediction.probabilities)} are not "
-            f"keyed by {sorted(ALL_LABELS)}"
-        )
-    if not all(type(p) is float for p in prediction.probabilities.values()):
-        raise ValueError(f"{where}: probabilities {prediction.probabilities} are not all numbers")
-    if not all(0.0 <= p <= 1.0 for p in prediction.probabilities.values()):
-        raise ValueError(f"{where}: probabilities {prediction.probabilities} not all in [0, 1]")
-    problem = label_set_problem(prediction.labels)
-    if problem:
-        raise ValueError(f"{where}: {problem}")
     return prediction
 
 
@@ -645,17 +612,23 @@ def stage_predict(
     out_path: str,
     *,
     config_hash: str = "",
-) -> list[RelationPrediction]:
-    """Predict temporal relations for every feature row and write JSONL."""
-    predictions = predict_batch(ensemble, rows)
+) -> list[frozenset[str]]:
+    """Predict temporal relations for every feature row, write one JSONL
+    record per row (its key, its probability of each label and its
+    decided labels), and return the decided label sets."""
+    probabilities = predict_batch(ensemble, rows)
+    labels = decided_labels(probabilities, ensemble.config.decision_threshold)
     meta = make_meta("predict", config_hash, layout_version=rows.layout.version)
-    write_jsonl(out_path, meta, (relation_prediction_to_dict(p) for p in predictions))
-    logger.info("predict: wrote %d pair predictions to %s", len(predictions), out_path)
-    return predictions
+    write_jsonl(out_path, meta, relation_prediction_records(rows.keys, probabilities, labels))
+    logger.info("predict: wrote %d pair predictions to %s", len(labels), out_path)
+    return labels
 
 
-def load_relation_predictions(path: str) -> list[RelationPrediction]:
-    return read_jsonl(path, "relation prediction", relation_prediction_from_dict)[1]
+def load_relation_predictions(path: str) -> tuple[list, list[frozenset[str]]]:
+    """The pair keys ``(report_id, tx, ty)`` of a ``predictions.jsonl``
+    and their decided label sets, aligned."""
+    records = read_jsonl(path, "relation prediction", relation_prediction_from_dict)[1]
+    return [key for key, _ in records], [labels for _, labels in records]
 
 
 # ---------------------------------------------------------------------------
@@ -670,20 +643,19 @@ def load_categories(path: str) -> CategoryMap:
 
 
 def stage_mine(
-    predictions: Sequence[RelationPrediction],
+    keys: Sequence[tuple[str, str, str]],
+    labels: Sequence[frozenset[str]],
     out_path: str,
     *,
     category_map: CategoryMap,
     min_support: int = DEFAULT_MIN_SUPPORT,
     config_hash: str = "",
 ) -> list:
-    """Mine recurring patterns, attach categories, and export them as
-    csv, json and dot: ``out_path``'s stem with each extension.
+    """Mine recurring patterns from the pair keys ``(report_id, tx, ty)``
+    and their aligned decided label sets, attach categories, and export
+    them as csv, json and dot: ``out_path``'s stem with each extension.
     """
-    by_report: dict[str, list[RelationPrediction]] = {}
-    for pred in predictions:
-        by_report.setdefault(pred.report_id, []).append(pred)
-    patterns = mine(by_report, n=min_support)
+    patterns = mine(keys, labels, n=min_support)
     patterns = categorize(patterns, category_map)
     base = os.path.splitext(out_path)[0]
     for fmt in ("csv", "json", "dot"):
@@ -777,11 +749,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     )
 
     predictions_path = os.path.join(out_dir, "predictions.jsonl")
-    predictions = stage_predict(ensemble, rows, predictions_path, config_hash=chash)
+    predicted = stage_predict(ensemble, rows, predictions_path, config_hash=chash)
 
     patterns_path = os.path.join(out_dir, "patterns.csv")
     patterns = stage_mine(
-        predictions,
+        rows.keys,
+        predicted,
         patterns_path,
         min_support=config.min_support,
         category_map=category_map,

@@ -212,19 +212,19 @@ def prf_oracle(truth, pred, label) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def mine_oracle(predictions: dict, n: int) -> dict[tuple[str, str, str], set[str]]:
-    """Nested-loop pattern counting: distinct reports per canonicalized
-    (tx, ty, relation), symmetric relations sorted, NULL skipped."""
+def mine_oracle(keys, labels, n: int) -> dict[tuple[str, str, str], set[str]]:
+    """Nested-loop pattern counting over `(report_id, tx, ty)` rows and
+    their label sets: distinct reports per canonicalized (tx, ty,
+    relation), symmetric relations sorted, NULL skipped."""
     reports_of: dict[tuple[str, str, str], set[str]] = {}
-    for report_id, preds in predictions.items():
-        for pred in preds:
-            for relation in pred.labels:
-                if relation == NULL:
-                    continue
-                tx, ty = pred.tx, pred.ty
-                if relation in SYMMETRIC_LABELS and ty < tx:
-                    tx, ty = ty, tx
-                reports_of.setdefault((tx, ty, relation), set()).add(report_id)
+    for index in range(len(keys)):
+        for relation in labels[index]:
+            if relation == NULL:
+                continue
+            report_id, tx, ty = keys[index]
+            if relation in SYMMETRIC_LABELS and ty < tx:
+                tx, ty = ty, tx
+            reports_of.setdefault((tx, ty, relation), set()).add(report_id)
     return {key: ids for key, ids in reports_of.items() if len(ids) >= n}
 
 

@@ -62,8 +62,8 @@ from ttpmine.features.markers import (
     marker_table,
 )
 from ttpmine.gbdt.ensemble import (
-    RelationPrediction,
     TrainConfig,
+    decided_labels,
     ensemble_to_dict,
     predict_batch,
     train,
@@ -199,47 +199,41 @@ def test_criterion_3_marker_lexicon_exact():
     )
 
 
-def _random_prediction_sets(rng):
+def _random_prediction_rows(rng):
+    """Aligned `(report_id, tx, ty)` keys and label sets, as `mine` takes
+    them."""
     techniques = [f"T{1000 + k}" for k in range(6)]
-    predictions = {}
+    keys, labels = [], []
     for r in range(int(rng.integers(2, 8))):
-        preds = []
         for _ in range(int(rng.integers(0, 12))):
             tx, ty = rng.choice(techniques, size=2, replace=False)
-            labels = frozenset(
-                lab for lab in POSITIVE_LABELS if rng.random() < 0.35
-            ) or frozenset({NULL})
-            preds.append(
-                RelationPrediction(
-                    tx=str(tx),
-                    ty=str(ty),
-                    probabilities={lab: 0.0 for lab in ALL_LABELS},
-                    labels=labels,
-                )
+            keys.append((f"r{r:02d}", str(tx), str(ty)))
+            labels.append(
+                frozenset(lab for lab in POSITIVE_LABELS if rng.random() < 0.35)
+                or frozenset({NULL})
             )
-        predictions[f"r{r:02d}"] = preds
-    return predictions
+    return keys, labels
 
 
 def test_criterion_4_pattern_miner_matches_nested_loop():
     rng = np.random.default_rng(104)
     for _ in range(100):
-        predictions = _random_prediction_sets(rng)
+        keys, labels = _random_prediction_rows(rng)
         n = int(rng.integers(1, 4))
         got = {
             (p.tx, p.ty, p.relation): set(p.report_ids)
-            for p in mine(predictions, n)
+            for p in mine(keys, labels, n)
         }
-        assert got == mine_oracle(predictions, n)
+        assert got == mine_oracle(keys, labels, n)
 
     for _ in range(20):
-        predictions = _random_prediction_sets(rng)
+        keys, labels = _random_prediction_rows(rng)
         previous = None
         for n in range(1, 6):
-            keys = {(p.tx, p.ty, p.relation) for p in mine(predictions, n)}
+            found = {(p.tx, p.ty, p.relation) for p in mine(keys, labels, n)}
             if previous is not None:
-                assert keys <= previous
-            previous = keys
+                assert found <= previous
+            previous = found
 
     cmap = load_categories(PACKAGED_CATEGORIES)
     assert (
@@ -359,16 +353,10 @@ def test_criterion_6_gbdt_training_contract():
 
     features, labels = _separable_gbdt_data()
     model = train(features, labels, TrainConfig(trees=200, max_depth=2))
-    predictions = predict_batch(model, features)
-    tp = sum(
-        1 for p, t in zip(predictions, labels) if BEFORE in p.labels and BEFORE in t
-    )
-    fp = sum(
-        1 for p, t in zip(predictions, labels) if BEFORE in p.labels and BEFORE not in t
-    )
-    fn = sum(
-        1 for p, t in zip(predictions, labels) if BEFORE not in p.labels and BEFORE in t
-    )
+    decided = decided_labels(predict_batch(model, features), model.config.decision_threshold)
+    tp = sum(1 for p, t in zip(decided, labels) if BEFORE in p and BEFORE in t)
+    fp = sum(1 for p, t in zip(decided, labels) if BEFORE in p and BEFORE not in t)
+    fn = sum(1 for p, t in zip(decided, labels) if BEFORE not in p and BEFORE in t)
     f1 = 2 * tp / (2 * tp + fp + fn)
     assert f1 == 1.0
 
@@ -415,14 +403,11 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         "T1566,T1204,BEFORE,3,r01;r02;r03,Baiting towards malicious execution"
     ]
 
-    predictions = load_relation_predictions(str(out_dir / "predictions.jsonl"))
-    by_report = {}
-    for pred in predictions:
-        by_report.setdefault(pred.report_id, []).append(pred)
+    keys, labels = load_relation_predictions(str(out_dir / "predictions.jsonl"))
     assert [
-        (p.tx, p.ty, p.relation) for p in mine(by_report, n=2)
+        (p.tx, p.ty, p.relation) for p in mine(keys, labels, n=2)
     ] == [("T1566", "T1204", BEFORE)]
-    assert mine(by_report, n=4) == []
+    assert mine(keys, labels, n=4) == []
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -20,6 +20,7 @@ from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
 from ttpmine.features.builder import (
+    FeatureRows,
     build_report_features,
     f4_table,
     read_features_csv,
@@ -558,10 +559,11 @@ class TestCsvRoundTrip:
             layout=layout,
         )
         assert _csv_text(rows, tmp_path) == features_to_csv_oracle(rows)
-        first = rows.take([0])
+        first = FeatureRows(rows.keys[:1], rows.values[:1], layout)
         assert _csv_text(first, tmp_path) == features_to_csv_oracle(first)
         # More rows than one block of the writer.
-        many = rows.take([k % len(rows) for k in range(150)])
+        picks = [k % len(rows) for k in range(150)]
+        many = FeatureRows([rows.keys[k] for k in picks], rows.values[picks], layout)
         assert _csv_text(many, tmp_path) == features_to_csv_oracle(many)
 
     def test_header_names_layout(self, tmp_path):

@@ -25,7 +25,6 @@ from ttpmine.corpus import (
     load_reports,
     make_report,
     pair_universe,
-    segment_sentences,
     split_sentences,
     tokenize,
     tokenize_texts,
@@ -185,16 +184,16 @@ class TestTokenizeReports:
 class TestSegmentation:
     def test_dotted_filenames_do_not_split(self):
         text = "The attacker dropped Updater.vbs quietly. Later cmd.exe launched it."
-        sentences = segment_sentences(text)
+        sentences = make_report("", text).sentences
         assert len(sentences) == 2
         assert "Updater.vbs" in sentences[0].text
         assert "cmd.exe" in sentences[1].text
 
     def test_split_needs_uppercase_after_punctuation(self):
-        assert len(segment_sentences("It ran e.g. the usual loader.")) == 1
+        assert len(make_report("", "It ran e.g. the usual loader.").sentences) == 1
 
     def test_newlines_are_hard_boundaries(self):
-        sentences = segment_sentences("first item\nsecond item\n\nthird item")
+        sentences = make_report("", "first item\nsecond item\n\nthird item").sentences
         assert [s.text for s in sentences] == [
             "first item",
             "second item",
@@ -202,27 +201,27 @@ class TestSegmentation:
         ]
 
     def test_indices_are_document_order(self):
-        sentences = segment_sentences("One ran. Two ran. Three ran.")
+        sentences = make_report("", "One ran. Two ran. Three ran.").sentences
         assert [s.index for s in sentences] == [0, 1, 2]
 
     def test_interior_whitespace_collapsed(self):
-        sentences = segment_sentences("A  very   spaced    line.")
+        sentences = make_report("", "A  very   spaced    line.").sentences
         assert sentences[0].text == "A very spaced line."
 
     def test_tokens_attached(self):
-        sentences = segment_sentences("The loader started. Then it stopped.")
+        sentences = make_report("", "The loader started. Then it stopped.").sentences
         assert sentences[0].tokens == ("loader", "started")
         assert sentences[1].tokens == ("then", "it", "stopped")
 
     def test_question_and_exclamation_terminate(self):
-        assert len(segment_sentences("Did it run? It did! It kept going.")) == 3
+        assert len(make_report("", "Did it run? It did! It kept going.").sentences) == 3
 
     def test_split_sentences_is_segmentation_without_tokens(self):
         text = (
             "The attacker dropped Updater.vbs quietly. Later cmd.exe ran.\n"
             "\n  first   item  \nDid it run? It did! it e.g. kept going."
         )
-        assert split_sentences(text) == [s.text for s in segment_sentences(text)]
+        assert split_sentences(text) == [s.text for s in make_report("", text).sentences]
         assert split_sentences("") == split_sentences(" \n\n ") == []
 
 
@@ -521,7 +520,7 @@ class TestAnnotations:
         )
         rows = load_annotations(path)
         assert len(rows) == 1
-        assert rows[0].pair == ("T1", "T2")
+        assert (rows[0].tx, rows[0].ty) == ("T1", "T2")
         assert rows[0].labels == frozenset({BEFORE})
 
     def test_duplicate_lines_merge_labels(self, tmp_path):
@@ -533,7 +532,7 @@ class TestAnnotations:
             ],
         )
         rows = load_annotations(path)
-        before_rows = [r for r in rows if r.pair == ("T1", "T2")]
+        before_rows = [r for r in rows if (r.tx, r.ty) == ("T1", "T2")]
         assert before_rows[0].labels == frozenset({BEFORE, CONCURRENT})
 
     def test_unknown_label_names_line(self, tmp_path):
@@ -605,7 +604,7 @@ class TestAnnotations:
             tmp_path / "ann.jsonl",
             ['{"report_id": "r1", "tx": "T1", "ty": "T2", "labels": ["CONCURRENT"]}'],
         )
-        rows = {r.pair: r for r in load_annotations(path)}
+        rows = {(r.tx, r.ty): r for r in load_annotations(path)}
         assert rows[("T2", "T1")].labels == frozenset({CONCURRENT})
 
     def test_symmetric_label_joins_existing_mirror(self, tmp_path):
@@ -616,7 +615,7 @@ class TestAnnotations:
                 '{"report_id": "r1", "tx": "T2", "ty": "T1", "labels": ["BEFORE"]}',
             ],
         )
-        rows = {r.pair: r for r in load_annotations(path)}
+        rows = {(r.tx, r.ty): r for r in load_annotations(path)}
         assert rows[("T2", "T1")].labels == frozenset(
             {BEFORE, SIMULTANEOUS_OVERLAP}
         )

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import E2E_DIR, pair_row
 from oracles import coref_links_oracle, discourse_features_oracle, plural_match_oracle
-from ttpmine.corpus import load_reports, make_report, segment_sentences
+from ttpmine.corpus import load_reports, make_report
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -29,7 +29,7 @@ def _f3(report, tx, ty) -> np.ndarray:
 
 
 def _pair(text):
-    sentences = segment_sentences(text)
+    sentences = make_report("", text).sentences
     assert len(sentences) == 2, sentences
     return sentences[0], sentences[1]
 
@@ -64,7 +64,7 @@ class TestCascade:
 
     def test_bullet_pair_is_list(self):
         s1, s2 = [
-            segment_sentences(line)[0]
+            make_report("", line).sentences[0]
             for line in ("- scan every host", "- copy stolen files")
         ]
         assert classify_discourse(s1, s2, False) is DiscourseRelation.LIST

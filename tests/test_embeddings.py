@@ -26,10 +26,10 @@ class TestLoad:
     def test_small_file(self, tmp_path):
         wv = load_word_vectors(_write(tmp_path, "2 3\na 1 0 0\nb 0 1 0\n"))
         assert wv.dim == 3
-        assert len(wv) == 2
+        assert len(wv.table) == 2
         assert np.array_equal(wv.table["a"], [1.0, 0.0, 0.0])
         assert np.array_equal(wv.table["b"], [0.0, 1.0, 0.0])
-        assert "a" in wv and "zzz" not in wv
+        assert "a" in wv.table and "zzz" not in wv.table
 
     def test_row_arity_error_names_line(self, tmp_path):
         with pytest.raises(EmbeddingParseError, match="line 2"):
@@ -71,12 +71,12 @@ class TestLoad:
 
     def test_duplicate_token_keeps_first(self, tmp_path):
         wv = load_word_vectors(_write(tmp_path, "2 2\na 1 0\na 0 1\n"))
-        assert len(wv) == 1
+        assert len(wv.table) == 1
         assert np.array_equal(wv.table["a"], [1.0, 0.0])
 
     def test_blank_lines_ignored(self, tmp_path):
         wv = load_word_vectors(_write(tmp_path, "1 2\n\na 1 0\n\n"))
-        assert len(wv) == 1
+        assert len(wv.table) == 1
 
     def test_large_file_round_trips_sampled_vectors(self, tmp_path):
         vocab_size, dim = 50_000, 300
@@ -91,7 +91,7 @@ class TestLoad:
                 )
         wv = load_word_vectors(path)
         assert wv.dim == dim
-        assert len(wv) == vocab_size
+        assert len(wv.table) == vocab_size
         for row in rng.integers(0, vocab_size, size=25):
             assert np.array_equal(wv.table[f"tok{row:05d}"], values[row])
 

@@ -52,6 +52,11 @@ def test_exported_names_resolve(package):
         ("ttpmine.gbdt", "assign_folds"),
         ("ttpmine", "cohen_kappa"),
         ("ttpmine.metrics", "cohen_kappa"),
+        # Predictions are a probability matrix and its decided label sets.
+        ("ttpmine.gbdt.ensemble", "RelationPrediction"),
+        ("ttpmine.pipeline", "relation_prediction_to_dict"),
+        # Tests use `make_report("", text).sentences`.
+        ("ttpmine.corpus", "segment_sentences"),
     ],
 )
 def test_retired_names_gone(module, name):
@@ -61,16 +66,26 @@ def test_retired_names_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
 
 
-def test_relation_prediction_has_no_pair():
-    # Nothing read it; `RelationAnnotation.pair` stays.
-    ensemble = importlib.import_module("ttpmine.gbdt.ensemble")
-    assert not hasattr(ensemble.RelationPrediction, "pair")
+@pytest.mark.parametrize(
+    "module, cls, name",
+    [
+        ("ttpmine.features.builder", "FeatureRows", "take"),
+        ("ttpmine.corpus", "RelationAnnotation", "pair"),
+        ("ttpmine.embeddings", "WordVectors", "__len__"),
+        ("ttpmine.embeddings", "WordVectors", "__contains__"),
+    ],
+)
+def test_retired_attributes_gone(module, cls, name):
+    # Only tests called them; tests now build or read the fields.
+    assert not hasattr(getattr(importlib.import_module(module), cls), name)
 
 
 @pytest.mark.parametrize(
     "module, function, parameter",
     [
         ("ttpmine.pipeline", "stage_mine", "formats"),
+        ("ttpmine.pipeline", "stage_mine", "predictions"),
+        ("ttpmine.mining", "mine", "predictions"),
         ("ttpmine.metrics", "macro_prf", "labels"),
         ("ttpmine.metrics", "macro_p_at_k", "labels"),
         ("ttpmine.metrics", "evaluate_relations", "labels"),

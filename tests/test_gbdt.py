@@ -25,12 +25,14 @@ from oracles import (
     exact_tree_oracle,
     per_label_train_oracle,
 )
+from ttpmine.features.builder import FeatureRows
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
     GbdtTrainingError,
     TrainConfig,
     _downsample_rows,
+    decided_labels,
     ensemble_from_dict,
     ensemble_to_dict,
     predict_batch,
@@ -556,15 +558,15 @@ class TestTraining:
     def test_separable_fixture_perfect_f1(self):
         features, labels = _separable_data()
         model = train(features, labels, TrainConfig(trees=60, max_depth=2))
-        predictions = predict_batch(model, features)
+        probabilities = predict_batch(model, features)
+        decided = decided_labels(probabilities, model.config.decision_threshold)
         assert all(
-            (BEFORE in pred.labels) == (BEFORE in truth)
-            for pred, truth in zip(predictions, labels)
+            (BEFORE in labs) == (BEFORE in truth) for labs, truth in zip(decided, labels)
         )
         # Positive probabilities end far from the boundary.
         assert all(
-            pred.probabilities[BEFORE] > 0.9
-            for pred, truth in zip(predictions, labels)
+            p > 0.9
+            for p, truth in zip(probabilities[:, ALL_LABELS.index(BEFORE)].tolist(), labels)
             if BEFORE in truth
         )
 
@@ -587,9 +589,9 @@ class TestTraining:
         assert lm.trees == []
         assert lm.init_score == pytest.approx(np.log(1e-6 / (1 - 1e-6)))
         assert any("no positives" in r.message for r in caplog.records)
-        pred = predict_batch(model, features.take([0]))[0]
-        assert pred.probabilities[CONCURRENT] == pytest.approx(1e-6, rel=1e-3)
-        assert CONCURRENT not in pred.labels
+        probabilities = predict_batch(model, features)
+        assert probabilities[0, ALL_LABELS.index(CONCURRENT)] == pytest.approx(1e-6, rel=1e-3)
+        assert CONCURRENT not in decided_labels(probabilities, 0.5)[0]
 
     def test_single_stump_monotone_in_signal(self):
         values = np.zeros((10, 4))
@@ -597,7 +599,7 @@ class TestTraining:
         features = make_rows(values, report_ids=[f"r{x0}" for x0 in range(10)])
         labels = [frozenset({BEFORE}) if x0 >= 5 else frozenset({NULL}) for x0 in range(10)]
         model = train(features, labels, TrainConfig(trees=1, max_depth=1))
-        probs = [p.probabilities[BEFORE] for p in predict_batch(model, features)]
+        probs = predict_batch(model, features)[:, ALL_LABELS.index(BEFORE)].tolist()
         assert all(b >= a for a, b in zip(probs, probs[1:]))
         assert probs[-1] > probs[0]
 
@@ -659,16 +661,19 @@ class TestPredictAndSerialize:
         return model, features
 
     def test_predict_metadata(self):
+        # One row per feature row, one column per label, each row as it
+        # scores alone.
         model, features = self._model_and_features()
-        pred = predict_batch(model, features.take([0]))[0]
-        assert (pred.report_id, pred.tx, pred.ty) == features.keys[0]
-        assert set(pred.probabilities) == set(ALL_LABELS)
-        assert all(0.0 <= p <= 1.0 for p in pred.probabilities.values())
+        probabilities = predict_batch(model, features)
+        assert probabilities.shape == (len(features), len(ALL_LABELS))
+        assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
+        first = FeatureRows(features.keys[:1], features.values[:1], features.layout)
+        assert np.array_equal(predict_batch(model, first), probabilities[:1])
 
     def test_null_fallback_when_nothing_decided(self):
         model, features = self._model_and_features()
-        pred = predict_batch(model, features.take([-1]))[0]  # a NULL-side row
-        assert pred.labels == frozenset({NULL})
+        decided = decided_labels(predict_batch(model, features), 0.5)
+        assert decided[-1] == frozenset({NULL})  # a NULL-side row
 
     def test_layout_mismatch_rejected(self):
         model, _ = self._model_and_features()
@@ -686,11 +691,8 @@ class TestPredictAndSerialize:
         assert isinstance(loaded, GbdtEnsemble)
         assert loaded.layout_version == model.layout_version
         assert loaded.config == model.config
-        first = features.take(range(6))
-        for a, b in zip(predict_batch(model, first), predict_batch(loaded, first)):
-            assert a.labels == b.labels
-            for lab in ALL_LABELS:
-                assert a.probabilities[lab] == b.probabilities[lab]
+        first = FeatureRows(features.keys[:6], features.values[:6], features.layout)
+        assert np.array_equal(predict_batch(model, first), predict_batch(loaded, first))
 
     def test_bare_model_names_file(self, tmp_path):
         # A model dict without the pipeline's meta wrapper does not load.

@@ -1,4 +1,4 @@
-"""Pattern mining over per-report relation predictions: canonical keys,
+"""Pattern mining over (pair, decided label set) rows: canonical keys,
 distinct-report counting, category labeling, and export formats."""
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import pytest
 
 import ttpmine
 from oracles import mine_oracle
-from ttpmine.gbdt.ensemble import RelationPrediction
 from ttpmine.labels import (
-    ALL_LABELS,
     BEFORE,
     CONCURRENT,
     NULL,
@@ -36,14 +34,10 @@ from ttpmine.mining import (
 from ttpmine.pipeline import PipelineError, load_categories
 
 
-def _pred(tx, ty, labels, report_id=""):
-    return RelationPrediction(
-        tx=tx,
-        ty=ty,
-        probabilities={lab: 0.0 for lab in ALL_LABELS},
-        labels=frozenset(labels),
-        report_id=report_id,
-    )
+def _rows(*rows):
+    """`mine`'s aligned pair keys and label sets, from
+    `(report_id, tx, ty, labels)` rows."""
+    return [row[:3] for row in rows], [frozenset(row[3]) for row in rows]
 
 
 class TestCanonicalKey:
@@ -70,12 +64,13 @@ class TestCanonicalKey:
 
 class TestMine:
     def test_distinct_report_counting(self):
-        predictions = {
-            "r1": [_pred("T1566", "T1204", {BEFORE}), _pred("T1566", "T1204", {BEFORE})],
-            "r2": [_pred("T1566", "T1204", {BEFORE})],
-            "r3": [_pred("T1003", "T1078", {BEFORE})],
-        }
-        patterns = mine(predictions, n=2)
+        keys, labels = _rows(
+            ("r1", "T1566", "T1204", {BEFORE}),
+            ("r1", "T1566", "T1204", {BEFORE}),
+            ("r2", "T1566", "T1204", {BEFORE}),
+            ("r3", "T1003", "T1078", {BEFORE}),
+        )
+        patterns = mine(keys, labels, n=2)
         assert len(patterns) == 1
         p = patterns[0]
         assert (p.tx, p.ty, p.relation) == ("T1566", "T1204", BEFORE)
@@ -83,55 +78,53 @@ class TestMine:
         assert p.report_ids == frozenset({"r1", "r2"})
 
     def test_null_never_mined(self):
-        predictions = {
-            "r1": [_pred("T1566", "T1204", {NULL})],
-            "r2": [_pred("T1566", "T1204", {NULL})],
-        }
-        assert mine(predictions, n=1) == []
+        keys, labels = _rows(
+            ("r1", "T1566", "T1204", {NULL}),
+            ("r2", "T1566", "T1204", {NULL}),
+        )
+        assert mine(keys, labels, n=1) == []
 
     def test_multilabel_prediction_feeds_each_relation(self):
-        predictions = {
-            "r1": [_pred("T1566", "T1204", {BEFORE, CONCURRENT})],
-            "r2": [_pred("T1566", "T1204", {BEFORE, CONCURRENT})],
-        }
-        relations = {p.relation for p in mine(predictions, n=2)}
+        keys, labels = _rows(
+            ("r1", "T1566", "T1204", {BEFORE, CONCURRENT}),
+            ("r2", "T1566", "T1204", {BEFORE, CONCURRENT}),
+        )
+        relations = {p.relation for p in mine(keys, labels, n=2)}
         assert relations == {BEFORE, CONCURRENT}
 
     def test_symmetric_mirrors_count_as_one_pattern(self):
-        predictions = {
-            "r1": [_pred("T1566", "T1204", {CONCURRENT})],
-            "r2": [_pred("T1204", "T1566", {CONCURRENT})],
-        }
-        patterns = mine(predictions, n=2)
+        keys, labels = _rows(
+            ("r1", "T1566", "T1204", {CONCURRENT}),
+            ("r2", "T1204", "T1566", {CONCURRENT}),
+        )
+        patterns = mine(keys, labels, n=2)
         assert len(patterns) == 1
         assert (patterns[0].tx, patterns[0].ty) == ("T1204", "T1566")
         assert patterns[0].count == 2
 
     def test_before_mirrors_stay_distinct(self):
-        predictions = {
-            "r1": [_pred("T1566", "T1204", {BEFORE})],
-            "r2": [_pred("T1204", "T1566", {BEFORE})],
-        }
-        assert mine(predictions, n=2) == []
-        assert len(mine(predictions, n=1)) == 2
+        keys, labels = _rows(
+            ("r1", "T1566", "T1204", {BEFORE}),
+            ("r2", "T1204", "T1566", {BEFORE}),
+        )
+        assert mine(keys, labels, n=2) == []
+        assert len(mine(keys, labels, n=1)) == 2
 
     def test_sort_order(self):
-        predictions = {
-            "r1": [
-                _pred("T1566", "T1204", {BEFORE}),
-                _pred("T1003", "T1078", {BEFORE}),
-                _pred("T1059", "T1105", {CONCURRENT}),
-            ],
-            "r2": [
-                _pred("T1566", "T1204", {BEFORE}),
-                _pred("T1003", "T1078", {BEFORE}),
-                _pred("T1059", "T1105", {CONCURRENT}),
-            ],
-            "r3": [_pred("T1566", "T1204", {BEFORE})],
-        }
-        patterns = mine(predictions, n=2)
-        keys = [(p.tx, p.ty, p.relation, p.count) for p in patterns]
-        assert keys == [
+        keys, labels = _rows(
+            *(
+                (rid, tx, ty, {relation})
+                for rid in ("r1", "r2")
+                for tx, ty, relation in (
+                    ("T1566", "T1204", BEFORE),
+                    ("T1003", "T1078", BEFORE),
+                    ("T1059", "T1105", CONCURRENT),
+                )
+            ),
+            ("r3", "T1566", "T1204", {BEFORE}),
+        )
+        patterns = mine(keys, labels, n=2)
+        assert [(p.tx, p.ty, p.relation, p.count) for p in patterns] == [
             ("T1566", "T1204", BEFORE, 3),
             ("T1003", "T1078", BEFORE, 2),
             ("T1059", "T1105", CONCURRENT, 2),
@@ -139,52 +132,65 @@ class TestMine:
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
-            mine({}, n=0)
+            mine([], [], n=0)
 
     def test_empty_predictions(self):
-        assert mine({}, n=1) == []
+        assert mine([], [], n=1) == []
 
-    def _random_predictions(self, rng):
+    def test_rows_must_align(self):
+        keys, labels = _rows(("r1", "T1566", "T1204", {BEFORE}))
+        with pytest.raises(ValueError):
+            mine(keys, labels + labels, n=1)
+
+    def _random_rows(self, rng):
+        """Seeded rows over six techniques; about a third of the rows
+        with a symmetric label also get their reversed pair in another
+        report."""
         techniques = [f"T{1000 + k}" for k in range(6)]
-        predictions = {}
-        for r in range(int(rng.integers(2, 8))):
-            rid = f"r{r:02d}"
-            preds = []
+        rows = []
+        n_reports = int(rng.integers(2, 8))
+        for r in range(n_reports):
             for _ in range(int(rng.integers(0, 10))):
-                tx, ty = rng.choice(techniques, size=2, replace=False)
+                tx, ty = (str(t) for t in rng.choice(techniques, size=2, replace=False))
                 labels = frozenset(
                     lab for lab in POSITIVE_LABELS if rng.random() < 0.35
                 ) or frozenset({NULL})
-                preds.append(_pred(str(tx), str(ty), labels))
-            predictions[rid] = preds
-        return predictions
+                rows.append((f"r{r:02d}", tx, ty, labels))
+                if labels & SYMMETRIC_LABELS and rng.random() < 0.35:
+                    other = f"r{int(rng.integers(0, n_reports)):02d}"
+                    rows.append((other, ty, tx, labels & SYMMETRIC_LABELS))
+        return _rows(*rows)
 
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(20260822)
+        reversed_symmetric = 0
         for _ in range(100):
-            predictions = self._random_predictions(rng)
+            keys, labels = self._random_rows(rng)
             n = int(rng.integers(1, 4))
-            got = {
-                (p.tx, p.ty, p.relation): p.report_ids for p in mine(predictions, n)
-            }
+            patterns = mine(keys, labels, n)
+            got = {(p.tx, p.ty, p.relation): p.report_ids for p in patterns}
             want = {
-                key: frozenset(ids)
-                for key, ids in mine_oracle(predictions, n).items()
+                key: frozenset(ids) for key, ids in mine_oracle(keys, labels, n).items()
             }
             assert got == want
-            counts = [p.count for p in mine(predictions, n)]
+            counts = [p.count for p in patterns]
             assert counts == sorted(counts, reverse=True)
+            reversed_symmetric += sum(
+                1 for (_, tx, ty), labs in zip(keys, labels)
+                if ty < tx and labs & SYMMETRIC_LABELS
+            )
+        assert reversed_symmetric > 50
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            predictions = self._random_predictions(rng)
+            keys, labels = self._random_rows(rng)
             previous = None
             for n in range(1, 6):
-                keys = {(p.tx, p.ty, p.relation) for p in mine(predictions, n)}
+                found = {(p.tx, p.ty, p.relation) for p in mine(keys, labels, n)}
                 if previous is not None:
-                    assert keys <= previous
-                previous = keys
+                    assert found <= previous
+                previous = found
 
 
 class TestCategorize:

@@ -23,6 +23,7 @@ from helpers import (
 from oracles import full_universe_rows_oracle
 from ttpmine.cli import main
 from ttpmine.corpus import load_reports
+from ttpmine.features.builder import FeatureRows
 from ttpmine.pipeline import (
     PipelineConfig,
     load_ctfidf_model,
@@ -46,9 +47,8 @@ def e2e_kb(tmp_path_factory):
 
 def _assert_detected_rows_of_oracle(rows, oracle, predictions):
     found = {p.report_id: p.techniques for p in predictions}
-    expected = oracle.take(
-        [k for k, key in enumerate(oracle) if {key.tx, key.ty} <= found[key.report_id]]
-    )
+    picks = [k for k, key in enumerate(oracle) if {key.tx, key.ty} <= found[key.report_id]]
+    expected = FeatureRows([oracle.keys[k] for k in picks], oracle.values[picks], oracle.layout)
     assert rows.keys == expected.keys
     assert rows.f4_missing.tolist() == expected.f4_missing.tolist()
     for key, got, want in zip(rows, rows.values, expected.values):

@@ -141,11 +141,9 @@ class TestRunPipeline:
 
     def test_predictions_artifact(self, pipeline_out):
         _, out_dir, _ = pipeline_out
-        predictions = load_relation_predictions(str(out_dir / "predictions.jsonl"))
-        assert len(predictions) == 18
-        positives = {
-            (p.report_id, p.tx, p.ty) for p in predictions if BEFORE in p.labels
-        }
+        keys, labels = load_relation_predictions(str(out_dir / "predictions.jsonl"))
+        assert len(keys) == len(labels) == 18
+        positives = {key for key, labs in zip(keys, labels) if BEFORE in labs}
         assert positives == {
             ("r01", "T1566", "T1204"),
             ("r02", "T1566", "T1204"),
@@ -1441,6 +1439,104 @@ class TestFeaturesFromClassifyOutput:
         loaded = load_report_predictions(str(cli_dir / "classify.jsonl"))
         assert [p.report_id for p in loaded] == ["r01", "r02", "r03", "r04", "r05"]
 
+
+
+# JSON values that are not strings: a list, a number and an object.
+_NOT_STRINGS = pytest.mark.parametrize(
+    "value", [["T1566"], 5, {"id": "T1566"}], ids=["list", "number", "object"]
+)
+
+
+class TestIdsMustBeStrings:
+    """Every reader requires `report_id`, `tx` and `ty` to be JSON
+    strings and `labels` a JSON list of strings. A wrong type fails with
+    the reader's one error line naming the file and the line, and
+    nothing is written."""
+
+    def _fails(self, argv, capsys) -> str:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    def _annotations(self, tmp_path, **changes):
+        record = {"report_id": "r01", "tx": "T1566", "ty": "T1204", "labels": ["BEFORE"]}
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(json.dumps({**record, **changes}) + "\n", encoding="utf-8")
+        return path, ["corpus", "validate", "--reports", REPORTS, "--annotations", str(path)]
+
+    @pytest.mark.parametrize("field", ["report_id", "tx", "ty"])
+    @_NOT_STRINGS
+    def test_annotation_id(self, tmp_path, capsys, field, value):
+        path, argv = self._annotations(tmp_path, **{field: value})
+        assert self._fails(argv, capsys) == (
+            f"ttpmine corpus validate: error: {path} line 1: "
+            f"{field} must be a string, got {value!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value", [{"BEFORE": 1}, "BEFORE", [1], None], ids=["object", "string", "number", "null"]
+    )
+    def test_annotation_labels(self, tmp_path, capsys, value):
+        path, argv = self._annotations(tmp_path, labels=value)
+        assert self._fails(argv, capsys) == (
+            f"ttpmine corpus validate: error: {path} line 1: "
+            f"labels must be a list of strings, got {value!r}\n"
+        )
+
+    def _mine(self, cli_dir, tmp_path, **changes):
+        """`mine` over the chain's predictions with the record on line 2
+        changed: its argv, the file and the record."""
+        lines = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        record = {**json.loads(lines[1]), **changes}
+        lines[1] = json.dumps(record)
+        path = tmp_path / "predictions.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["mine", "--predictions", str(path), "--out", str(tmp_path / "p.csv")]
+        return argv, path, record
+
+    @pytest.mark.parametrize("field", ["report_id", "tx", "ty"])
+    @_NOT_STRINGS
+    def test_prediction_id(self, cli_dir, tmp_path, capsys, field, value):
+        argv, path, _ = self._mine(cli_dir, tmp_path, **{field: value})
+        assert self._fails(argv, capsys) == (
+            f"ttpmine mine: error: {path}: malformed relation prediction on line 2: "
+            f"ValueError: {field} must be a string, got {value!r}\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_prediction_labels_object(self, cli_dir, tmp_path, capsys):
+        argv, path, r = self._mine(cli_dir, tmp_path, labels={"BEFORE": 1})
+        assert self._fails(argv, capsys) == (
+            f"ttpmine mine: error: {path}: malformed relation prediction on line 2: "
+            f"ValueError: report {r['report_id']!r} pair ({r['tx']}, {r['ty']}): "
+            "labels must be a list of strings, got {'BEFORE': 1}\n"
+        )
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_prediction_extra_key(self, cli_dir, tmp_path, capsys):
+        # A record holds exactly its five keys, as a classify record does.
+        argv, path, _ = self._mine(cli_dir, tmp_path, threshold=0.5)
+        assert self._fails(argv, capsys) == (
+            f"ttpmine mine: error: {path}: malformed relation prediction on line 2: "
+            "ValueError: record keys ['labels', 'probabilities', 'report_id', "
+            "'threshold', 'tx', 'ty'] are not ['labels', 'probabilities', "
+            "'report_id', 'tx', 'ty']\n"
+        )
+
+    @_NOT_STRINGS
+    def test_classify_report_id(self, cli_dir, tmp_path, capsys, value):
+        lines = (cli_dir / "classify.jsonl").read_text(encoding="utf-8").splitlines()
+        lines[1] = json.dumps({**json.loads(lines[1]), "report_id": value})
+        path = tmp_path / "classify.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "f.csv"
+        argv = _features_argv(cli_dir, out, "--predictions", str(path))
+        assert self._fails(argv, capsys) == (
+            f"ttpmine features: error: {path}: malformed report prediction on line 2: "
+            f"ValueError: report_id must be a string, got {value!r}\n"
+        )
+        assert not out.exists()
 
 
 class TestMalformedClassifyOutput:

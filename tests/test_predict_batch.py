@@ -1,6 +1,7 @@
-"""Batch relation prediction: bit-equal agreement with row-at-a-time
-scoring, empty input, and one clear error for a matrix that does not
-fit the model."""
+"""Batch relation prediction: the probability matrix and its decided
+label sets agree bit for bit with row-at-a-time scoring, the threshold
+rule, empty input, and one clear error for a matrix that does not fit
+the model."""
 
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ import pytest
 
 from helpers import e2e_config_dict, make_rows
 from oracles import predict_rows_oracle
+from ttpmine.features.builder import FeatureRows
 from ttpmine.features.layout import FeatureLayout
-from ttpmine.gbdt.ensemble import TrainConfig, predict_batch, train
+from ttpmine.gbdt.ensemble import TrainConfig, decided_labels, predict_batch, train
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import (
     PipelineConfig,
@@ -65,33 +67,37 @@ def _splits(node):
     )
 
 
+def _empty(features):
+    return FeatureRows([], np.empty((0, features.layout.total)), features.layout)
+
+
 def _assert_matches_oracle(model, features):
-    batch = predict_batch(model, features)
+    """The matrix and its decided label sets equal the row-at-a-time
+    oracle bit for bit; returns the label sets."""
+    matrix = predict_batch(model, features)
+    labels = decided_labels(matrix, model.config.decision_threshold)
     oracle = predict_rows_oracle(model, features)
-    assert len(batch) == len(oracle) == len(features)
-    for pred, key, (probabilities, labels) in zip(batch, features, oracle):
-        assert (pred.report_id, pred.tx, pred.ty) == key
-        assert pred.labels == labels
-        assert list(pred.probabilities) == list(ALL_LABELS)
-        assert {k: v.hex() for k, v in pred.probabilities.items()} == {
-            k: v.hex() for k, v in probabilities.items()
-        }
-    return batch
+    assert matrix.shape == (len(features), len(ALL_LABELS))
+    assert matrix.dtype == np.float64
+    assert len(labels) == len(oracle)
+    for row, decided, (probabilities, want) in zip(matrix.tolist(), labels, oracle):
+        assert decided == want
+        assert [p.hex() for p in row] == [probabilities[lab].hex() for lab in ALL_LABELS]
+    return labels
 
 
 class TestOracle:
     def test_e2e_fixture_rows(self, e2e_model):
         model, rows = e2e_model
         assert len(rows) == 18
-        batch = _assert_matches_oracle(model, rows)
-        assert any(BEFORE in p.labels for p in batch)
+        labels = _assert_matches_oracle(model, rows)
+        assert any(BEFORE in labs for labs in labels)
 
     def test_multi_report_set_with_degenerate_label(self, multi_report_model):
         model, features = multi_report_model
         assert model.models[CONCURRENT].degenerate
         assert model.models[CONCURRENT].trees == []
-        batch = _assert_matches_oracle(model, features)
-        decided = {p.labels for p in batch}
+        decided = set(_assert_matches_oracle(model, features))
         assert frozenset({NULL}) in decided
         assert any(NULL not in labs for labs in decided)
 
@@ -112,15 +118,49 @@ class TestOracle:
         _assert_matches_oracle(model, make_rows(probes, report_ids=ids))
 
 
+class TestDecidedLabels:
+    def test_probability_at_threshold_is_positive(self):
+        probabilities = np.array(
+            [
+                [0.5, 0.5, 0.5, 0.0],
+                [0.5, np.nextafter(0.5, 0.0), 0.9, 1.0],
+                [np.nextafter(0.5, 0.0), 0.0, 0.0, 0.0],
+            ]
+        )
+        assert decided_labels(probabilities, 0.5) == [
+            frozenset({BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT}),
+            frozenset({BEFORE, CONCURRENT}),
+            frozenset({NULL}),
+        ]
+
+    def test_null_probability_decides_nothing(self):
+        # NULL is the fallback when every positive label is below the
+        # threshold, whatever NULL's own probability.
+        probabilities = np.array([[0.49, 0.2, 0.1, 0.0], [0.49, 0.2, 0.1, 1.0]])
+        assert decided_labels(probabilities, 0.5) == [frozenset({NULL})] * 2
+
+    def test_every_positive_combination(self):
+        for code in range(8):
+            row = [0.9 if code >> i & 1 else 0.1 for i in range(3)] + [0.5]
+            want = frozenset(
+                lab for i, lab in enumerate((BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT))
+                if code >> i & 1
+            ) or frozenset({NULL})
+            assert decided_labels(np.array([row]), 0.5) == [want]
+
+
 class TestEmptyInput:
     def test_empty_batch(self, multi_report_model):
         model, features = multi_report_model
-        assert predict_batch(model, features.take([])) == []
+        matrix = predict_batch(model, _empty(features))
+        assert matrix.shape == (0, len(ALL_LABELS))
+        assert matrix.dtype == np.float64
+        assert decided_labels(matrix, 0.5) == []
 
     def test_stage_predict_zero_rows_writes_meta_only(self, e2e_model, tmp_path):
         model, rows = e2e_model
         path = tmp_path / "predictions.jsonl"
-        assert stage_predict(model, rows.take([]), str(path)) == []
+        assert stage_predict(model, _empty(rows), str(path)) == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"
@@ -131,7 +171,7 @@ class TestBadRows:
     def test_layout_mismatch_rejected(self, multi_report_model):
         model, features = multi_report_model
         stray = make_rows(features.values, layout=FeatureLayout(bins=5))
-        for rows in (stray, stray.take([])):
+        for rows in (stray, _empty(stray)):
             with pytest.raises(ValueError) as err:
                 predict_batch(model, rows)
             assert str(err.value) == (
