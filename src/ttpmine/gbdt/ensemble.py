@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from .tree import bin_columns, check_tree, fit_tree, predict_tree
+from .tree import _finite, bin_columns, check_tree, fit_tree, predict_tree
 
 logger = logging.getLogger(__name__)
 
@@ -345,34 +345,43 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
     }
 
 
+def _typed(value, kind: type, name: str):
+    """`value` when its type is exactly `kind`, so a bool is no int;
+    ValueError otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} {value!r:.40} is not of type {kind.__name__}")
+    return value
+
+
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     """Rebuild an `ensemble_to_dict` model; ValueError for another format,
-    label keys other than `ALL_LABELS`, a non-finite init score or a tree
-    that `check_tree` rejects over `n_features`."""
+    label keys other than `ALL_LABELS`, a field of another JSON type, a
+    non-finite init score or a tree that `check_tree` rejects over
+    `n_features`."""
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
     if set(data["labels"]) != set(ALL_LABELS):
         raise ValueError(f"labels {sorted(data['labels'])} are not {sorted(ALL_LABELS)}")
     config = TrainConfig.from_dict(data["config"])
-    models = {
-        label: LabelModel(
-            label=label,
-            init_score=float(entry["init_score"]),
-            trees=list(entry["trees"]),
-            degenerate=bool(entry["degenerate"]),
-        )
-        for label, entry in data["labels"].items()
-    }
-    n_features = int(data["n_features"])
-    for lm in models.values():
-        if not math.isfinite(lm.init_score):
-            raise ValueError(f"label {lm.label}: init_score {lm.init_score} is not finite")
-        for tree in lm.trees:
+    n_features = _typed(data["n_features"], int, "n_features")
+    models = {}
+    for label, entry in data["labels"].items():
+        score = entry["init_score"]
+        if not _finite(score):
+            raise ValueError(f"label {label}: init_score {score!r:.40} is not finite")
+        trees = _typed(entry["trees"], list, f"label {label}: trees")
+        for tree in trees:
             check_tree(tree, n_features)
+        models[label] = LabelModel(
+            label=label,
+            init_score=float(score),
+            trees=trees,
+            degenerate=_typed(entry["degenerate"], bool, f"label {label}: degenerate"),
+        )
     return GbdtEnsemble(
         models=models,
-        layout_version=data["layout_version"],
+        layout_version=_typed(data["layout_version"], str, "layout_version"),
         config=config,
         n_features=n_features,
     )

@@ -5,10 +5,14 @@ distinct value of every column its own bin, once per training matrix,
 and each node sums counts and residuals per bin, so a split between two
 adjacent bins with rows is a split between two adjacent distinct values
 of the node. A label model fits on a row subset of that binning; bins
-its rows never use stay empty and never split. Only the smaller child of
-a split is histogrammed: the larger child's histograms are the parent's
-minus the smaller's, exact because both are integers. Leaves take
-clipped Newton-step values (sum of residuals over sum of hessians).
+its rows never use stay empty and never split. Only a node that can
+split is searched and histogrammed: one below the depth limit, with two
+or more rows and grid residuals that are not all equal. The root's row
+counts are counted once per binning. When both children of a split are
+searched, only the smaller is histogrammed: the larger child's
+histograms are the parent's minus the smaller's, exact because both are
+integers. Leaves take clipped Newton-step values (sum of residuals over
+sum of hessians).
 Nodes are plain dicts so trees serialize to JSON as-is: a split is
 {"feature", "threshold", "left", "right"}, a leaf is {"value"}.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +53,11 @@ class BinnedColumns:
     @property
     def n_rows(self) -> int:
         return self.codes.shape[0]
+
+    @cached_property
+    def root_count(self) -> np.ndarray:
+        """Row count per bin over all rows: every tree's root histogram."""
+        return np.bincount(self.codes.ravel(), minlength=self.values.size)
 
     def take(self, rows: np.ndarray) -> "BinnedColumns":
         """The same bins over a subset of rows, in the given order."""
@@ -117,6 +127,13 @@ def fit_tree(
     Those sums are exact, so partitions that put the same rows on either
     side get bit-equal gains, and the first maximum wins: lowest feature,
     then lowest value. A split needs an unscaled gain above MIN_GAIN.
+
+    Only a node shallower than `max_depth`, with at least 2 rows, some
+    bins and grid residuals that are not all equal, is searched; any
+    other node is a leaf and gets no histogram (on a pure node every
+    split's exact gain is 0). The root's count histogram is
+    `BinnedColumns.root_count`, shared by every tree fitted on the same
+    binning.
     """
     residuals = np.asarray(residuals, dtype=np.float64)
     hessians = np.asarray(hessians, dtype=np.float64)
@@ -132,21 +149,30 @@ def fit_tree(
         out[idx] = node["value"]
         return node
 
+    def searched(idx: np.ndarray, depth: int) -> bool:
+        """Whether the node of rows `idx` at `depth` is searched."""
+        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+            return False
+        g = grads[idx]
+        return bool((g != g[0]).any())
+
+    def grad_sums(flat: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Grid-residual sum per bin of rows whose codes are `flat`."""
+        return np.bincount(flat, weights=np.repeat(g, nf), minlength=n_bins).astype(np.int64)
+
     def histogram(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Row count and grid-residual sum per bin, both as integers."""
         flat = codes[idx].ravel()
-        count = np.bincount(flat, minlength=n_bins)
-        grad = np.bincount(
-            flat, weights=np.repeat(grads[idx], nf), minlength=n_bins
-        ).astype(np.int64)
-        return count, grad
+        return np.bincount(flat, minlength=n_bins), grad_sums(flat, grads[idx])
 
     def build(
         idx: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None
     ) -> dict:
-        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+        """The subtree of rows `idx`: a leaf unless `hist`, their
+        histograms, is given."""
+        if hist is None:
             return leaf(idx)
-        count, grad = hist if hist is not None else histogram(idx)
+        count, grad = hist
         # Segmented cumsum: running totals restart at each column's first
         # bin. Integer arithmetic keeps it exact even when the running
         # total over all columns wraps around.
@@ -156,18 +182,17 @@ def fit_tree(
         gl = (grad_cum - (grad_cum - grad)[bin_start]).astype(np.float64)
         n = idx.size
         gt = gl[binned.start[1] - 1]
-        nr = n - nl
         # A bin with rows has nl > 0 too.
-        valid = (count > 0) & (nr > 0)
-        if not valid.any():
+        candidates = np.flatnonzero((count > 0) & (nl < n))
+        if not candidates.size:
             return leaf(idx)
-        gain = np.full(n_bins, -np.inf)
-        gl_v, nl_v = gl[valid], nl[valid]
-        gr_v = gt - gl_v
-        gain[valid] = gl_v * gl_v / nl_v + gr_v * gr_v / nr[valid] - gt * gt / float(n)
-        best = int(np.argmax(gain))
-        if np.ldexp(gain[best], -2 * shift) <= MIN_GAIN:
+        gl_c, nl_c = gl[candidates], nl[candidates]
+        gr_c = gt - gl_c
+        gain = gl_c * gl_c / nl_c + gr_c * gr_c / (n - nl_c) - gt * gt / float(n)
+        k = int(np.argmax(gain))
+        if np.ldexp(gain[k], -2 * shift) <= MIN_GAIN:
             return leaf(idx)
+        best = int(candidates[k])
         feat = int(binned.feature[best])
         end = binned.start[feat + 1]
         upper = best + 1 + int(np.flatnonzero(count[best + 1 : end])[0])
@@ -181,13 +206,18 @@ def fit_tree(
         mask = codes[idx, feat] <= best
         left, right = idx[mask], idx[~mask]
         hist_left = hist_right = None
-        if depth + 1 < max_depth:
-            # The children split further: histogram the smaller one and
-            # take the larger as the parent minus it.
-            small_is_left = left.size <= right.size
-            small = histogram(left if small_is_left else right)
-            large = (count - small[0], grad - small[1])
-            hist_left, hist_right = (small, large) if small_is_left else (large, small)
+        if searched(left, depth + 1):
+            if searched(right, depth + 1):
+                # Histogram the smaller child and take the larger as the
+                # parent minus it.
+                small_is_left = left.size <= right.size
+                small = histogram(left if small_is_left else right)
+                large = (count - small[0], grad - small[1])
+                hist_left, hist_right = (small, large) if small_is_left else (large, small)
+            else:
+                hist_left = histogram(left)
+        elif searched(right, depth + 1):
+            hist_right = histogram(right)
         return {
             "feature": int(binned.slots[feat]),
             "threshold": threshold,
@@ -195,8 +225,9 @@ def fit_tree(
             "right": build(right, depth + 1, hist_right),
         }
 
-    tree = build(np.arange(binned.n_rows), 0, None)
-    return tree, out
+    root = np.arange(binned.n_rows)
+    hist = (binned.root_count, grad_sums(codes.ravel(), grads)) if searched(root, 0) else None
+    return build(root, 0, hist), out
 
 
 def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:

@@ -563,6 +563,11 @@ def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
     )
 
 
+def _n_splits(node: dict) -> int:
+    """The split nodes of a serialized tree."""
+    return 0 if "value" in node else 1 + _n_splits(node["left"]) + _n_splits(node["right"])
+
+
 def stage_train(
     rows: FeatureRows,
     labels: Sequence[frozenset[str]],
@@ -578,10 +583,11 @@ def stage_train(
     for label, lm in ensemble.models.items():
         curve = lm.loss_curve
         logger.info(
-            "train-relations: label %s: %d trees, %d rows (%d positive), "
+            "train-relations: label %s: %d trees (%d splits), %d rows (%d positive), "
             "degenerate=%s, loss %s",
             label,
             len(lm.trees),
+            sum(map(_n_splits, lm.trees)),
             lm.n_rows,
             lm.n_positives,
             lm.degenerate,

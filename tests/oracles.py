@@ -287,14 +287,15 @@ def exact_tree_oracle(X, residuals, hessians, max_depth: int) -> dict:
     """Depth-first tree from `exact_split_oracle` at every node.
 
     Residuals go on the grid once for the whole tree; a node splits only
-    when its unscaled gain exceeds MIN_GAIN. Leaves use the package's
-    leaf rule on the unrounded residuals and hessians, over ascending
-    row indices.
+    when its unscaled gain exceeds MIN_GAIN. A node whose grid residuals
+    are all equal is a leaf: every split's exact gain is 0. Leaves use
+    the package's leaf rule on the unrounded residuals and hessians, over
+    ascending row indices.
     """
     grads, shift = grid_residuals(residuals)
 
     def build(rows: list[int], depth: int) -> dict:
-        if depth >= max_depth or len(rows) < 2:
+        if depth >= max_depth or len({float(grads[i]) for i in rows}) < 2:
             return _leaf(residuals, hessians, np.array(rows, dtype=np.intp))
         found = exact_split_oracle(X[rows], grads[rows])
         if found is None or math.ldexp(found[3], -2 * shift) <= MIN_GAIN:
@@ -723,8 +724,9 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
 def _per_label_tree(X, residuals, hessians, max_depth: int):
     """One histogram tree on X binned on its own: every column gets one
     bin per distinct value from `np.unique`, and every node builds its
-    count and residual histograms from its own rows. Returns the tree and
-    each row's leaf value."""
+    count and residual histograms from its own rows. A node whose grid
+    residuals are all equal is a leaf: every split's exact gain is 0.
+    Returns the tree and each row's leaf value."""
     m, nf = X.shape
     codes = np.empty((m, nf), dtype=np.intp)
     values, feature, start = [], [], [0]
@@ -745,7 +747,7 @@ def _per_label_tree(X, residuals, hessians, max_depth: int):
         return node
 
     def build(idx, depth):
-        if depth >= max_depth or idx.size < 2 or n_bins == 0:
+        if depth >= max_depth or np.unique(grads[idx]).size < 2 or n_bins == 0:
             return leaf(idx)
         flat = codes[idx].ravel()
         count = np.bincount(flat, minlength=n_bins)

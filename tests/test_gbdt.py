@@ -86,6 +86,10 @@ def _oracle_case(kind, rng):
     if kind == "exact_tie":
         X = np.hstack([X[:, :3], X[:, :1], 1.0 - X[:, 1:2]])
         r = rng.choice([-0.5, 0.5], size=m)
+    elif kind == "two_value":
+        # Two residuals that are not powers of two: pure nodes occur
+        # below the root, and their sums round.
+        r = rng.choice([0.3, -0.7], size=m)
     elif kind == "large_residual":
         # Mostly one sign, so running totals across all columns' bins go
         # far past 2**53 and only exact arithmetic keeps each column's sums.
@@ -102,6 +106,7 @@ ORACLE_CASES = (
     "duplicate",
     "mirror",
     "exact_tie",
+    "two_value",
     "large_residual",
 )
 
@@ -148,6 +153,14 @@ class TestHistogramSplit:
         # Gain 2 * r**2: 2e-14 is below MIN_GAIN, 2e-10 is above it.
         assert "value" in _fit(X, np.array([-1e-7, 1e-7]), np.ones(2), 1)
         assert "feature" in _fit(X, np.array([-1e-5, 1e-5]), np.ones(2), 1)
+
+    def test_large_pure_node_is_leaf(self):
+        # Every residual is equal, so every split's exact gain is 0; the
+        # rounded gain over 12,000 rows is not, and must not split.
+        n = 12_000
+        X = (np.arange(n) % 50).astype(np.float64)[:, None]
+        tree = _fit(X, np.full(n, 0.99), np.full(n, 0.0099), 3)
+        assert tree == {"value": LEAF_VALUE_CAP}
 
     def test_grid_sums_are_exact_integers(self):
         rng = np.random.default_rng(11)
@@ -779,6 +792,29 @@ class TestPredictAndSerialize:
         with pytest.raises(ValueError, match=f"label BEFORE: init_score {score} is not finite"):
             ensemble_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("init_score", "0.25", "label BEFORE: init_score '0.25' is not finite"),
+            ("init_score", True, "label BEFORE: init_score True is not finite"),
+            ("degenerate", "false", "label BEFORE: degenerate 'false' is not of type bool"),
+            ("trees", {}, r"label BEFORE: trees \{\} is not of type list"),
+            ("n_features", 152.9, "n_features 152.9 is not of type int"),
+            ("n_features", "152", "n_features '152' is not of type int"),
+            ("n_features", True, "n_features True is not of type int"),
+            ("layout_version", 3, "layout_version 3 is not of type str"),
+        ],
+    )
+    def test_field_of_wrong_json_type_rejected(self, field, value, message):
+        model, _ = self._model_and_features()
+        data = ensemble_to_dict(model)
+        if field in ("n_features", "layout_version"):
+            data[field] = value
+        else:
+            data["labels"][BEFORE][field] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ensemble_from_dict(data)
+
 
 def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
     """Rows shaped like the `run-train` workload's: 120 pair vectors of
@@ -933,14 +969,15 @@ def test_stage_train_logs_each_label_model(e2e_run, tmp_path, caplog):
     assert len(lines) == len(ALL_LABELS)
     before = model.models[BEFORE]
     curve = before.loss_curve
+    splits = sum(json.dumps(t).count('"threshold"') for t in before.trees)
     assert (
-        f"train-relations: label BEFORE: {train_config.trees} trees, "
-        f"{before.n_rows} rows ({before.n_positives} positive), degenerate=False, "
+        f"train-relations: label BEFORE: {train_config.trees} trees "
+        f"({splits} splits), {before.n_rows} rows ({before.n_positives} positive), degenerate=False, "
         f"loss {curve[0]:.6g} -> {curve[-1]:.6g}"
     ) in lines
     assert (before.n_rows, before.n_positives) == (18, 3)
     assert (
-        "train-relations: label CONCURRENT: 0 trees, 3 rows (0 positive), "
+        "train-relations: label CONCURRENT: 0 trees (0 splits), 3 rows (0 positive), "
         "degenerate=True, loss n/a"
     ) in lines
     # The counts are log-only: the model file is the one `run` wrote.
