@@ -115,7 +115,6 @@ CONFIG = {
     "out_dir": "out/e2e",
     "threshold": 0.95,
     "min_examples": 20,
-    "bins": 10,
     "min_support": 2,
     "train": {
         "trees": 60,

@@ -19,7 +19,7 @@ from .attack_kb import DEFAULT_MIN_EXAMPLES
 from .corpus import load_annotations, load_reports
 from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
-from .features.layout import DEFAULT_BINS, FEATURE_GROUPS, FeatureLayout
+from .features.layout import FEATURE_GROUPS, FeatureLayout
 from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
 from .labels import ALL_LABELS, NULL
 from .metrics import evaluate_relations
@@ -210,7 +210,6 @@ def cmd_features(args) -> int:
             "kb": args.kb,
             **source,
             "vectors": args.vectors,
-            "bins": args.bins,
         }
     )
     try:
@@ -220,7 +219,6 @@ def cmd_features(args) -> int:
             predictions,
             args.out,
             vectors=vectors,
-            bins=args.bins,
             config_hash=chash,
         )
     except PipelineError as exc:
@@ -422,12 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"default threshold {DEFAULT_THRESHOLD}",
     )
     p.add_argument("--vectors", help="word vector text file for similarity features")
-    p.add_argument(
-        "--bins",
-        type=_positive_int,
-        default=DEFAULT_BINS,
-        help=f"histogram bins per measure (default {DEFAULT_BINS})",
-    )
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_features)
 

@@ -2,8 +2,11 @@
 
 Nine measures per ordered technique pair, computed from the pair's
 actor counts, each with a pinned value for its degenerate cases so tree
-learners always see finite numbers, plus a per-measure one-hot embedding
-over equal-width bins of the clamped range (see `features.builder.f4_table`).
+learners always see finite numbers. They are the f4 slots as they are:
+the trees search every threshold between distinct values of a column,
+so a binned copy of a measure would add no split (see README, "How it
+works"). No measured pair has all nine at 0, so all-zero f4 slots mark
+a pair that was not measured (`features.builder.FeatureRows.f4_missing`).
 """
 
 from __future__ import annotations
@@ -25,21 +28,7 @@ METRIC_NAMES: tuple[str, ...] = (
 )
 
 PMI_FLOOR = -20.0
-PMI_CEIL = 20.0
 CONVICTION_CAP = 100.0
-
-# Clamp ranges for the equal-width one-hot binning.
-METRIC_RANGES: dict[str, tuple[float, float]] = {
-    "support": (0.0, 1.0),
-    "confidence": (0.0, 1.0),
-    "pmi": (PMI_FLOOR, PMI_CEIL),
-    "phi": (-1.0, 1.0),
-    "causal_support": (0.0, 1.0),
-    "jaccard": (0.0, 1.0),
-    "causal_confidence": (0.0, 1.0),
-    "conviction": (0.0, CONVICTION_CAP),
-    "added_value": (-1.0, 1.0),
-}
 
 
 def pair_measures(n: int, cx: int, cy: int, cxy: int) -> np.ndarray:
@@ -103,13 +92,3 @@ def pair_measures(n: int, cx: int, cy: int, cxy: int) -> np.ndarray:
         dtype=np.float64,
     )
 
-
-def bin_measures(raw: np.ndarray, bins: int) -> np.ndarray:
-    """The equal-width bin, 0 to `bins - 1`, of each value of a
-    `(pairs, 9)` array of measures (`METRIC_NAMES` order) over its
-    clamped range. The bin is clamped too: a value at or just below the
-    range's end can scale to `bins` (phi 0.9999999999999999 plus 1
-    rounds to 2.0), and would else spill into the next measure."""
-    lo, hi = np.array([METRIC_RANGES[name] for name in METRIC_NAMES], dtype=np.float64).T
-    v = np.minimum(np.maximum(raw, lo), hi)
-    return np.minimum(((v - lo) / (hi - lo) * bins).astype(np.intp), bins - 1)

@@ -15,7 +15,7 @@ from ..attack_kb import UsageMatrix
 from ..corpus import Report, pair_universe
 from ..ctfidf import ReportPrediction
 from ..embeddings import WordVectors, cosine, sentence_vector
-from .apriori import METRIC_NAMES, bin_measures, pair_measures
+from .apriori import METRIC_NAMES, pair_measures
 from .discourse import DISCOURSE_ORDER, F3_SIZE, classify_discourse, coref_links
 from .layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
 from .markers import F1_SIZE, marker_table
@@ -53,10 +53,10 @@ class FeatureRows:
     def f4_missing(self) -> np.ndarray:
         """Per row, True when its f4 slots are zero because a technique of
         the pair is not in the usage matrix (or the matrix has no actors).
-        A measured pair has one hot bin per measure, so these are exactly
-        the rows whose f4 bin slots are all zero."""
-        f4 = self.layout.group_slices["f4"]
-        return ~self.values[:, f4.start + len(METRIC_NAMES) : f4.stop].any(axis=1)
+        A measured pair never has all nine measures at 0 (see
+        `features.apriori`), so these are exactly the rows whose f4 slots
+        are all zero."""
+        return ~self.values[:, self.layout.group_slices["f4"]].any(axis=1)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -65,7 +65,7 @@ class FeatureRows:
         return iter(self.keys)
 
 
-def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndarray]:
+def f4_table(um: UsageMatrix, pairs) -> dict[tuple[str, str], np.ndarray]:
     """Each distinct pair's f4 slots.
 
     A pair with a technique absent from the usage matrix (or any pair,
@@ -73,8 +73,7 @@ def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndar
     F4 depends on the pair and the usage matrix only, never on the
     report, so one table serves every report in a corpus. Every actor
     count comes from one integer product of the pairs' known technique
-    columns; the measures are exact functions of those counts, and all
-    measured pairs are binned at once.
+    columns; the measures are exact functions of those counts.
     """
     pairs = dict.fromkeys(pairs)
     # Without actors there is nothing to measure: every technique is unknown.
@@ -85,16 +84,11 @@ def f4_table(um: UsageMatrix, pairs, bins: int) -> dict[tuple[str, str], np.ndar
     cells = um.cells[:, [column[tid] for tid in known]].astype(np.int64)
     # counts[i][j]: actors using both techniques i and j; counts[i][i]: using i.
     counts = (cells.T @ cells).tolist()
-    measured = [pair for pair in pairs if pair[0] in at and pair[1] in at]
-    raw = np.empty((len(measured), len(METRIC_NAMES)), dtype=np.float64)
-    for row, (i, j) in enumerate((at[tx], at[ty]) for tx, ty in measured):
-        raw[row] = pair_measures(cells.shape[0], counts[i][i], counts[j][j], counts[i][j])
-    slots = np.zeros((len(measured), len(METRIC_NAMES) * (1 + bins)), dtype=np.float64)
-    slots[:, : len(METRIC_NAMES)] = raw
-    slots[np.arange(len(measured))[:, None],
-          len(METRIC_NAMES) + bins * np.arange(len(METRIC_NAMES)) + bin_measures(raw, bins)] = 1.0
-    table = dict.fromkeys(pairs, np.zeros(slots.shape[1], dtype=np.float64))
-    table.update(zip(measured, slots))
+    table = dict.fromkeys(pairs, np.zeros(len(METRIC_NAMES), dtype=np.float64))
+    for tx, ty in pairs:
+        if tx in at and ty in at:
+            i, j = at[tx], at[ty]
+            table[tx, ty] = pair_measures(cells.shape[0], counts[i][i], counts[j][j], counts[i][j])
     return table
 
 
@@ -271,8 +265,6 @@ def build_report_features(
 
 
 _META_COLUMNS = ("report_id", "tx", "ty")
-# The header's columns of the first measure's bins: one per bin.
-_BIN_PREFIX = f"f4.{METRIC_NAMES[0]}_bin"
 # `_write_csv` formats this many rows at a time. Formatting all 480
 # rows of an `apply-long` run at once raised the process's peak RSS by
 # about 3 MiB; blocks of 64 rows leave it where the per-cell writer had it.
@@ -322,12 +314,12 @@ def write_features_csv(rows: FeatureRows, path: str | Path) -> None:
 
 
 def read_features_csv(path: str | Path) -> FeatureRows:
-    """The rows of the features CSV at `path`, under the layout its
-    header names: `report_id,tx,ty`, then the slot names of the layout
-    with one `f4.support_bin*` column per bin. An empty first line, a
-    header that names no layout, and each bad row, raises one ValueError
-    naming `path` (and the row's line): a wrong column count, or a slot
-    value that is not a float or not finite."""
+    """The rows of the features CSV at `path`, whose header must be
+    `report_id,tx,ty`, then the slot names of the layout. An empty first
+    line, another header (such as a `v1-bins*` file's), and each bad
+    row, raises one ValueError naming `path` (and the row's line): a
+    wrong column count, or a slot value that is not a float or not
+    finite."""
     # newline="" keeps a quoted "\r" in an id as it was written.
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -337,14 +329,13 @@ def read_features_csv(path: str | Path) -> FeatureRows:
     header = next(reader)
     if not header:
         raise ValueError(f"{path}: feature CSV has no header line")
-    bins = sum(name.startswith(_BIN_PREFIX) for name in header)
-    layout = FeatureLayout(bins=max(bins, 1))
+    layout = FeatureLayout()
     expected = [*_META_COLUMNS, *layout.names]
     if header != expected:
         raise ValueError(
-            f"{path}: feature CSV header does not match the layout "
+            f"{path}: feature CSV header does not match layout {layout.version} "
             f"(expected {len(expected)} columns, got {len(header)}); "
-            "re-run the features stage with the same configuration"
+            "re-run `ttpmine features`"
         )
     # Every row ends at a newline but perhaps the last, so the file has
     # at most this many rows; the unused tail of the block is never touched.

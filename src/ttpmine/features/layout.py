@@ -1,22 +1,17 @@
 """Fixed feature-vector layout.
 
-One layout version covers every pair of every report under a given
-configuration; the version string changes exactly when the slot list
-does (the bin count is part of it). Slot order:
+One layout, version "v2", covers every pair of every report; the
+version string changes exactly when the slot list does. Slot order:
 
   default (10)  top-5 sentence scores for tx, then for ty (a row's two
                 techniques are always detected in its report)
   f1 (20)       time-signal features, see features.markers
   f2 (13)       adjacency/same-sentence/similarity/coref, see F2_SIZE
   f3 (10)       discourse-relation counts, see features.discourse
-  f4 (9+9*B)    association measures and their one-hot bins
+  f4 (9)        association measures, see features.apriori
 
-The mirror specification records how a (tx,ty) vector relates to the
-(ty,tx) vector for the same report: "swap" slot pairs exchange values,
-"equal" slots are unchanged. The adjacency window is lopsided (forward
-gaps 0..4 cover spans 1..5, backward -1..-4 cover spans 1..4), so slot
-f2.adj_4 has no mirror image and is excluded, as is all of f4 (its
-conditional measures are direction-dependent by definition).
+Version "v1-bins<B>" added a one-hot bin of each f4 measure, 9*B slots
+after the nine measures; its files and models no longer load.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from .discourse import DISCOURSE_ORDER, F3_SIZE
 from .markers import F1_SIZE
 
 DEFAULT_SIZE = 10
-DEFAULT_BINS = 10
 
 # F2, the sentence-level family. Slots: 0-8 (tx, ty) sentence pairs per
 # gap of ADJACENCY_GAPS; 9 shared sentences; 10-11 mean and max cosine
@@ -53,15 +47,7 @@ FEATURE_GROUPS = ("default", "f1", "f2", "f3", "f4")
 
 @dataclass(frozen=True)
 class FeatureLayout:
-    bins: int = DEFAULT_BINS
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-
-    @property
-    def version(self) -> str:
-        return f"v1-bins{self.bins}"
+    version = "v2"
 
     @cached_property
     def names(self) -> tuple[str, ...]:
@@ -79,8 +65,6 @@ class FeatureLayout:
         out += [f"f3.adj_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
         out += [f"f3.coref_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
         out += [f"f4.{name}" for name in METRIC_NAMES]
-        for name in METRIC_NAMES:
-            out += [f"f4.{name}_bin{b}" for b in range(self.bins)]
         return tuple(out)
 
     @property
@@ -89,7 +73,7 @@ class FeatureLayout:
 
     @cached_property
     def group_slices(self) -> dict[str, slice]:
-        sizes = (DEFAULT_SIZE, F1_SIZE, F2_SIZE, F3_SIZE, 9 + 9 * self.bins)
+        sizes = (DEFAULT_SIZE, F1_SIZE, F2_SIZE, F3_SIZE, len(METRIC_NAMES))
         bounds = zip(FEATURE_GROUPS, sizes, accumulate(sizes))
         return {group: slice(stop - size, stop) for group, size, stop in bounds}
 
@@ -110,35 +94,3 @@ class FeatureLayout:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
-
-    @cached_property
-    def mirror_spec(self) -> dict[str, list]:
-        """Slot relations between (tx,ty) and (ty,tx) vectors."""
-        swap: list[tuple[int, int]] = []
-        idx = self.index
-        for k in range(1, 6):
-            swap.append((idx(f"default.tx_top{k}"), idx(f"default.ty_top{k}")))
-        for rel in _RELATION_SHORT:
-            swap.append((idx(f"f1.tx_{rel}"), idx(f"f1.ty_{rel}")))
-            swap.append(
-                (idx(f"f1.dir_{rel}_tx_first"), idx(f"f1.dir_{rel}_ty_first"))
-            )
-        swap.append((idx("f1.density_tx"), idx("f1.density_ty")))
-        # Swapping tx/ty negates the gap convention off by one:
-        # d maps to -(d+1), pairing 0<->-1, 1<->-2, 2<->-3, 3<->-4.
-        for d in range(0, 4):
-            swap.append((idx(f"f2.adj_{d}"), idx(f"f2.adj_{-(d + 1)}")))
-
-        equal = [idx(f"f1.span_{rel}") for rel in _RELATION_SHORT]
-        equal += [idx(f"f1.extent_{rel}") for rel in _RELATION_SHORT]
-        equal += [
-            idx("f2.same_sentence"),
-            idx("f2.sim_mean"),
-            idx("f2.sim_max"),
-            idx("f2.coref"),
-        ]
-        equal += list(range(*self.group_slices["f3"].indices(self.total)))
-
-        covered = {s for pair in swap for s in pair} | set(equal)
-        excluded = [k for k in range(self.total) if k not in covered]
-        return {"swap": swap, "equal": equal, "excluded": excluded}

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from ..features.layout import FeatureLayout
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
 from .tree import _finite, bin_columns, check_tree, fit_tree, predict_tree
 
@@ -292,16 +293,9 @@ def predict_batch(model: GbdtEnsemble, features) -> np.ndarray:
     probabilities, its columns in `ALL_LABELS` order.
 
     Each label's trees walk the whole matrix, so a row scores exactly as
-    it would alone. Rows of another layout than the model's are refused,
-    as is a model whose feature count is not its layout's.
+    it would alone. Rows and models have the one layout: the CSV reader
+    and `ensemble_from_dict` refuse any other.
     """
-    layout = features.layout
-    if (layout.version, layout.total) != (model.layout_version, model.n_features):
-        raise ValueError(
-            f"feature layout {layout.version} ({layout.total} slots) does not "
-            f"match the model ({model.layout_version}, {model.n_features} "
-            "features); re-extract features or retrain"
-        )
     X = features.values
     return np.stack(
         [_sigmoid(model.raw_score(label, X)) for label in ALL_LABELS], axis=1
@@ -326,6 +320,11 @@ def decided_labels(probabilities: np.ndarray, threshold: float) -> list[frozense
     positive = probabilities[:, : len(POSITIVE_LABELS)] >= threshold
     codes = positive @ (1 << np.arange(len(POSITIVE_LABELS)))
     return [_DECIDED[code] for code in codes.tolist()]
+
+
+# The keys `ensemble_to_dict` writes, at model level and in each label entry.
+_MODEL_KEYS = ("format_version", "layout_version", "n_features", "config", "labels")
+_LABEL_KEYS = ("init_score", "degenerate", "trees")
 
 
 def ensemble_to_dict(model: GbdtEnsemble) -> dict:
@@ -353,20 +352,38 @@ def _typed(value, kind: type, name: str):
     return value
 
 
+def _known_keys(record: dict, keys: tuple[str, ...], where: str = "") -> None:
+    """ValueError naming the keys of `record` that are not in `keys`."""
+    unknown = sorted(set(record) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}unknown keys: {', '.join(unknown)}")
+
+
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     """Rebuild an `ensemble_to_dict` model; ValueError for another format,
+    a key it does not read, a layout other than `FeatureLayout()`'s,
     label keys other than `ALL_LABELS`, a field of another JSON type, a
     non-finite init score or a tree that `check_tree` rejects over
     `n_features`."""
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
+    _known_keys(data, _MODEL_KEYS)
+    layout = FeatureLayout()
+    layout_version = _typed(data["layout_version"], str, "layout_version")
+    n_features = _typed(data["n_features"], int, "n_features")
+    if (layout_version, n_features) != (layout.version, layout.total):
+        raise ValueError(
+            f"feature layout {layout_version} ({n_features} features) is not "
+            f"{layout.version} ({layout.total} features); retrain on features "
+            "from `ttpmine features`"
+        )
     if set(data["labels"]) != set(ALL_LABELS):
         raise ValueError(f"labels {sorted(data['labels'])} are not {sorted(ALL_LABELS)}")
     config = TrainConfig.from_dict(data["config"])
-    n_features = _typed(data["n_features"], int, "n_features")
     models = {}
     for label, entry in data["labels"].items():
+        _known_keys(_typed(entry, dict, f"label {label}"), _LABEL_KEYS, f"label {label}: ")
         score = entry["init_score"]
         if not _finite(score):
             raise ValueError(f"label {label}: init_score {score!r:.40} is not finite")
@@ -381,7 +398,7 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
         )
     return GbdtEnsemble(
         models=models,
-        layout_version=_typed(data["layout_version"], str, "layout_version"),
+        layout_version=layout_version,
         config=config,
         n_features=n_features,
     )

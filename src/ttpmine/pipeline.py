@@ -4,9 +4,9 @@ Every stage writes its artifacts and returns what it built, and the
 next stage takes that as it is: ``run_pipeline`` passes each stage's
 objects on in memory and still writes every artifact, while the CLI
 commands read prior artifacts from disk, so any stage can be re-run
-standalone. Feature rows carry their layout, so no stage takes a layout
-beside them: the features CSV's header names it, and ``predict_batch``
-refuses rows whose layout is not the model's. Artifacts embed the tool
+standalone. There is one feature layout: the features CSV's header and
+a model's ``layout_version`` are checked against it as they are read,
+so rows and models always agree. Artifacts embed the tool
 version, the configuration hash, and (where applicable) the feature
 layout version. Every artifact reader fails with one ``PipelineError``
 that names the file (and, in a JSONL artifact, the line).
@@ -18,7 +18,7 @@ Artifact formats:
   ``"model"``.
 * JSONL artifacts start with a single meta line ``{"meta": {...}}``
   followed by one record per line; a file without it does not load.
-* The feature CSV has no inline meta: its header names its layout, and
+* The feature CSV has no inline meta: its header is the layout's, and
   ``<stem>.meta.json`` beside it holds only ``{"meta": ...}``, as the
   mine stage's ``patterns.meta.json`` does.
 """
@@ -65,7 +65,7 @@ from .features.builder import (
     read_features_csv,
     write_features_csv,
 )
-from .features.layout import DEFAULT_BINS, FeatureLayout
+from .features.layout import FeatureLayout
 from .gbdt.ensemble import (
     GbdtEnsemble,
     TrainConfig,
@@ -128,7 +128,6 @@ class PipelineConfig:
     out_dir: str = "out"
     threshold: float = DEFAULT_THRESHOLD
     min_examples: int = DEFAULT_MIN_EXAMPLES
-    bins: int = DEFAULT_BINS
     min_support: int = DEFAULT_MIN_SUPPORT
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -136,7 +135,7 @@ class PipelineConfig:
         check_field_types(self)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        for name in ("min_examples", "bins", "min_support"):
+        for name in ("min_examples", "min_support"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -452,7 +451,6 @@ def stage_features(
     out_path: str,
     *,
     vectors: WordVectors | None = None,
-    bins: int = DEFAULT_BINS,
     config_hash: str = "",
 ) -> FeatureRows:
     """Extract the pair-feature rows of every report and write CSV.
@@ -469,7 +467,7 @@ def stage_features(
     matrix as soon as it is built. The meta block goes to
     ``<stem>.meta.json`` beside the CSV.
     """
-    layout = FeatureLayout(bins=bins)
+    layout = FeatureLayout()
     ordered = sorted(reports, key=lambda r: r.report_id)
     by_id = {p.report_id: p for p in predictions}
     for report in ordered:
@@ -479,7 +477,7 @@ def stage_features(
             )
 
     universes = [pair_universe(by_id[r.report_id].techniques) for r in ordered]
-    f4 = f4_table(usage, (pair for u in universes for pair in u), bins)
+    f4 = f4_table(usage, (pair for u in universes for pair in u))
     n_rows = sum(map(len, universes))
     values = np.empty((n_rows, layout.total), dtype=np.float64)
     keys = []
@@ -522,8 +520,8 @@ def count_f4_missing(rows: FeatureRows) -> int:
 
 
 def load_features(path: str) -> FeatureRows:
-    """Load a feature CSV under the layout its header names. A CSV
-    whose header names no layout, or a row that does not fit it, fails
+    """Load a feature CSV of the one layout. A CSV whose header is not
+    the layout's, or a row that does not fit it, fails
     with its path (and line)."""
     if not os.path.exists(path):
         raise PipelineError(f"features artifact not found: {path}")
@@ -731,7 +729,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report_predictions,
         features_path,
         vectors=vectors,
-        bins=config.bins,
         config_hash=chash,
     )
 

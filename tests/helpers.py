@@ -15,6 +15,7 @@ from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.embeddings import WordVectors
+from ttpmine.features.apriori import METRIC_NAMES
 from ttpmine.features.builder import FeatureRows, PairKey, build_report_features, f4_table
 from ttpmine.features.layout import FeatureLayout
 
@@ -249,7 +250,7 @@ def workload_bundle(name: str, seed: int = 1) -> bytes:
 
 
 def make_rows(values, report_ids="r1", tx="TA", ty="TB",
-              layout: FeatureLayout = FeatureLayout(bins=1)) -> FeatureRows:
+              layout: FeatureLayout = FeatureLayout()) -> FeatureRows:
     """A `FeatureRows` of `layout` from a (rows, slots) array. Rows with
     fewer slots than the layout are padded with zeros on the right; a
     column constant over every row never splits, so a model trains on
@@ -270,15 +271,24 @@ def make_rows(values, report_ids="r1", tx="TA", ty="TB",
     )
 
 
-def report_rows(report, prediction, um=EMPTY_USAGE, wv=None, bins: int = 10) -> FeatureRows:
-    """`build_report_features` on one report, with the layout of `bins`
-    and the f4 table of the report's own pairs."""
+def v1_bins_header(bins: int) -> list[str]:
+    """The header of a features CSV of the retired layout `v1-bins<bins>`:
+    today's columns, then a one-hot bin column per f4 measure and bin."""
+    return [
+        "report_id", "tx", "ty", *FeatureLayout().names,
+        *(f"f4.{name}_bin{b}" for name in METRIC_NAMES for b in range(bins)),
+    ]
+
+
+def report_rows(report, prediction, um=EMPTY_USAGE, wv=None) -> FeatureRows:
+    """`build_report_features` on one report, with the f4 table of the
+    report's own pairs."""
     return build_report_features(
         report,
         prediction,
         wv=wv,
-        layout=FeatureLayout(bins=bins),
-        f4=f4_table(um, pair_universe(prediction.techniques), bins),
+        layout=FeatureLayout(),
+        f4=f4_table(um, pair_universe(prediction.techniques)),
     )
 
 

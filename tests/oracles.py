@@ -30,12 +30,7 @@ from ttpmine.corpus import split_sentences
 from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.stopwords import STOPWORDS
 from ttpmine.embeddings import cosine, sentence_vector
-from ttpmine.features.apriori import (
-    CONVICTION_CAP,
-    METRIC_NAMES,
-    METRIC_RANGES,
-    PMI_FLOOR,
-)
+from ttpmine.features.apriori import CONVICTION_CAP, PMI_FLOOR
 from ttpmine.features.discourse import (
     COREF_WINDOW,
     DISCOURSE_ORDER,
@@ -46,7 +41,7 @@ from ttpmine.features.discourse import (
     classify_discourse,
 )
 from ttpmine.features.builder import _META_COLUMNS, FeatureRows, PairKey
-from ttpmine.features.layout import F2_SIZE, FeatureLayout
+from ttpmine.features.layout import _RELATION_SHORT, F2_SIZE, FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
@@ -600,27 +595,13 @@ def column_measures_oracle(x_col, y_col) -> np.ndarray:
     )
 
 
-def bin_oracle(value: float, name: str, bins: int) -> int:
-    """The equal-width bin of one measure's value over its clamped range,
-    scalar by scalar: the last bin takes the range's end and anything
-    that scales to `bins` once rounded."""
-    lo, hi = METRIC_RANGES[name]
-    v = min(max(value, lo), hi)
-    return min(int((v - lo) / (hi - lo) * bins), bins - 1)
-
-
-def f4_oracle(um, pair, bins: int = 10) -> np.ndarray:
+def f4_oracle(um, pair) -> np.ndarray:
     """One known pair's f4 slots from its two usage columns: the nine
-    `column_measures_oracle` values, then one hot slot per measure."""
+    `column_measures_oracle` values."""
     tx, ty = pair
-    raw = column_measures_oracle(
+    return column_measures_oracle(
         um.cells[:, um.techniques.index(tx)], um.cells[:, um.techniques.index(ty)]
     )
-    out = np.zeros(9 + 9 * bins, dtype=np.float64)
-    out[:9] = raw
-    for m, name in enumerate(METRIC_NAMES):
-        out[9 + m * bins + bin_oracle(float(raw[m]), name, bins)] = 1.0
-    return out
 
 
 def sentence_features_oracle(report, tx_sentences, ty_sentences, links, wv=None) -> np.ndarray:
@@ -656,8 +637,37 @@ def sentence_features_oracle(report, tx_sentences, ty_sentences, links, wv=None)
     return out
 
 
-def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
-                       bins: int = 10) -> tuple[np.ndarray, bool]:
+def mirror_spec(layout: FeatureLayout) -> dict[str, list]:
+    """How the (tx,ty) vector of a report relates to its (ty,tx) vector
+    under `layout`: "swap" slot pairs exchange values, "equal" slots are
+    unchanged. The adjacency window is lopsided (forward gaps 0..4 cover
+    spans 1..5, backward -1..-4 cover spans 1..4), so slot f2.adj_4 has
+    no mirror image and is "excluded", as is all of f4 (its conditional
+    measures are direction-dependent by definition)."""
+    swap: list[tuple[int, int]] = []
+    idx = layout.index
+    for k in range(1, 6):
+        swap.append((idx(f"default.tx_top{k}"), idx(f"default.ty_top{k}")))
+    for rel in _RELATION_SHORT:
+        swap.append((idx(f"f1.tx_{rel}"), idx(f"f1.ty_{rel}")))
+        swap.append((idx(f"f1.dir_{rel}_tx_first"), idx(f"f1.dir_{rel}_ty_first")))
+    swap.append((idx("f1.density_tx"), idx("f1.density_ty")))
+    # Swapping tx/ty negates the gap convention off by one:
+    # d maps to -(d+1), pairing 0<->-1, 1<->-2, 2<->-3, 3<->-4.
+    for d in range(0, 4):
+        swap.append((idx(f"f2.adj_{d}"), idx(f"f2.adj_{-(d + 1)}")))
+
+    equal = [idx(f"f1.span_{rel}") for rel in _RELATION_SHORT]
+    equal += [idx(f"f1.extent_{rel}") for rel in _RELATION_SHORT]
+    equal += [idx("f2.same_sentence"), idx("f2.sim_mean"), idx("f2.sim_max"), idx("f2.coref")]
+    equal += list(range(*layout.group_slices["f3"].indices(layout.total)))
+
+    covered = {s for pair in swap for s in pair} | set(equal)
+    excluded = [k for k in range(layout.total) if k not in covered]
+    return {"swap": swap, "equal": equal, "excluded": excluded}
+
+
+def pair_vector_oracle(report, pair, report_prediction, um, wv=None) -> tuple[np.ndarray, bool]:
     """One ordered pair's vector [default ++ f1 ++ f2 ++ f3 ++ f4] and
     its f4_missing flag, built on its own from nothing shared with other
     pairs and from no production feature family: the whole report's
@@ -688,7 +698,7 @@ def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
         or tx not in um.techniques
         or ty not in um.techniques
     )
-    f4 = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
+    f4 = np.zeros(9) if missing else f4_oracle(um, pair)
     values = np.concatenate([
         default,
         marker_features_oracle(report, tx_sent, ty_sent),
@@ -699,22 +709,21 @@ def pair_vector_oracle(report, pair, report_prediction, um, wv=None,
     return values, missing
 
 
-def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=None,
-                              bins: int = 10) -> FeatureRows:
+def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=None) -> FeatureRows:
     """Feature rows over the all-class pair universe: every ordered pair
     of classifier classes in every report, detected or not. Reports go in
     id order and pairs in lexicographic order; each row is built on its
     own by `pair_vector_oracle`."""
     by_id = {p.report_id: p for p in predictions}
     ids = sorted(set(class_ids))
-    layout = FeatureLayout(bins=bins)
+    layout = FeatureLayout()
     keys, values = [], []
     for report in sorted(reports, key=lambda r: r.report_id):
         for tx in ids:
             for ty in ids:
                 if tx != ty:
                     row, _ = pair_vector_oracle(
-                        report, (tx, ty), by_id[report.report_id], usage, vectors, bins=bins
+                        report, (tx, ty), by_id[report.report_id], usage, vectors
                     )
                     keys.append(PairKey(report.report_id, tx, ty))
                     values.append(row)

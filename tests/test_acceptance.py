@@ -29,6 +29,7 @@ from oracles import (
     lrap_oracle,
     macro_p_at_k_oracle,
     mine_oracle,
+    mirror_spec,
     ndcg_oracle,
     pair_vector_oracle,
 )
@@ -53,7 +54,7 @@ from ttpmine.ctfidf import (
     train_ctfidf,
 )
 from ttpmine.features.builder import f4_table
-from ttpmine.features.layout import DEFAULT_BINS, FeatureLayout
+from ttpmine.features.layout import FeatureLayout
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
@@ -85,7 +86,6 @@ from ttpmine.pipeline import (
     load_relation_predictions,
     run_pipeline,
     stage_classify,
-    stage_features,
     stage_kb,
     stage_mine,
 )
@@ -133,7 +133,7 @@ def _f4_measures(x, y) -> np.ndarray:
     cells = np.column_stack([x, y]).astype(np.int8)
     um = UsageMatrix(actors=tuple(f"G{k}" for k in range(len(cells))),
                      techniques=("TX", "TY"), cells=cells)
-    return f4_table(um, [("TX", "TY")], 10)[("TX", "TY")][:9]
+    return f4_table(um, [("TX", "TY")])[("TX", "TY")]
 
 
 def test_criterion_2_ranking_metrics_match_brute_force():
@@ -422,24 +422,17 @@ def test_criterion_8_feature_layout_contract():
     prediction = random_prediction(
         np.random.default_rng(0), report, "T1566", "T1204"
     )
-    totals = {5: 107, 10: 152, 20: 242}
-    for bins, expected_total in totals.items():
-        layout = FeatureLayout(bins=bins)
-        assert layout.total == expected_total
-        assert len(layout.names) == expected_total
-        rows = report_rows(report, prediction, um=EMPTY_USAGE, bins=bins)
-        assert rows.values.shape == (len(rows), expected_total)
-        values, _ = pair_vector_oracle(
-            report, ("T1566", "T1204"), prediction, um=EMPTY_USAGE, bins=bins
-        )
-        assert values.shape == (expected_total,)
-    assert FeatureLayout(bins=10).total == 152
+    layout = FeatureLayout()
+    assert layout.total == len(layout.names) == 62
+    rows = report_rows(report, prediction, um=EMPTY_USAGE)
+    assert rows.values.shape == (len(rows), 62)
+    values, _ = pair_vector_oracle(report, ("T1566", "T1204"), prediction, um=EMPTY_USAGE)
+    assert values.shape == (62,)
 
     # On the oracle's vectors for both directions of a pair, and on the
     # rows `build_report_features` builds for every detected pair.
     rng = np.random.default_rng(108)
-    layout = FeatureLayout(bins=10)
-    spec = layout.mirror_spec
+    spec = mirror_spec(layout)
     production_pairs = 0
     for case in range(50):
         rand_report = random_report(rng, f"r{case:02d}")
@@ -460,8 +453,8 @@ def test_criterion_8_feature_layout_contract():
     assert production_pairs > 100
 
     print(
-        "PASS criterion 8: vector length equals the layout total for "
-        "bins 5/10/20 (152 at 10); mirror invariants hold on 50 random "
+        "PASS criterion 8: vector length equals the layout total (62); "
+        "mirror invariants hold on 50 random "
         f"reports, per pair and on {production_pairs} built rows"
     )
 
@@ -469,7 +462,6 @@ def test_criterion_8_feature_layout_contract():
 def test_criterion_9_pinned_defaults():
     assert DEFAULT_THRESHOLD == 0.95
     assert DEFAULT_MIN_EXAMPLES == 20
-    assert DEFAULT_BINS == 10
     assert DEFAULT_MIN_SUPPORT == 2
 
     # Every place that defaults a setting takes the one constant.
@@ -480,15 +472,12 @@ def test_criterion_9_pinned_defaults():
     assert default(stage_classify, "threshold") == DEFAULT_THRESHOLD
     assert default(build_action_dataset, "min_examples") == DEFAULT_MIN_EXAMPLES
     assert default(stage_kb, "min_examples") == DEFAULT_MIN_EXAMPLES
-    assert default(stage_features, "bins") == DEFAULT_BINS
-    assert FeatureLayout().bins == DEFAULT_BINS
     assert default(mine, "n") == DEFAULT_MIN_SUPPORT
     assert default(stage_mine, "min_support") == DEFAULT_MIN_SUPPORT
 
     config = PipelineConfig()
     assert config.threshold == DEFAULT_THRESHOLD
     assert config.min_examples == DEFAULT_MIN_EXAMPLES
-    assert config.bins == DEFAULT_BINS
     assert config.min_support == DEFAULT_MIN_SUPPORT
 
     parser = build_parser()
@@ -496,7 +485,6 @@ def test_criterion_9_pinned_defaults():
         (["kb", "build", "--stix", "s", "--out", "o"], "min_examples", DEFAULT_MIN_EXAMPLES),
         (["classify", "--model", "m", "--reports", "r", "--out", "o"], "threshold",
          DEFAULT_THRESHOLD),
-        (["features", "--reports", "r", "--kb", "k", "--out", "o"], "bins", DEFAULT_BINS),
         (["mine", "--predictions", "p", "--out", "o"], "min_support", DEFAULT_MIN_SUPPORT),
     ):
         assert getattr(parser.parse_args(argv), name) == value, argv
@@ -508,5 +496,5 @@ def test_criterion_9_pinned_defaults():
 
     print(
         "PASS criterion 9: defaults pinned (threshold 0.95, min examples 20, "
-        "bins 10, pattern support 2) and the 26-marker lexicon is frozen"
+        "pattern support 2) and the 26-marker lexicon is frozen"
     )

@@ -1,5 +1,5 @@
-"""Association-measure values, degenerate pinning, binning, and the F4
-table, checked against an independent counting oracle and against the
+"""Association-measure values, degenerate pinning, and the F4 table,
+checked against an independent counting oracle and against the
 column-sum reference bit for bit."""
 
 from __future__ import annotations
@@ -9,16 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import apriori_oracle, bin_oracle, f4_oracle
+from oracles import apriori_oracle, f4_oracle
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import pair_universe
 from ttpmine.features.apriori import (
     CONVICTION_CAP,
     METRIC_NAMES,
-    METRIC_RANGES,
-    PMI_CEIL,
     PMI_FLOOR,
-    bin_measures,
     pair_measures,
 )
 from ttpmine.features.builder import f4_table
@@ -45,9 +42,7 @@ class TestPairMeasures:
             "added_value",
         )
         assert PMI_FLOOR == -20.0
-        assert PMI_CEIL == 20.0
         assert CONVICTION_CAP == 100.0
-        assert set(METRIC_RANGES) == set(METRIC_NAMES)
 
     def test_balanced_fixture(self):
         # n=4, nx=ny=2, nxy=1, n_neither=1: every measure lands on a
@@ -120,84 +115,25 @@ class TestPairMeasures:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_values_inside_clamp_ranges(self):
+        # Each measure's range; PMI's upper end is log2(n) < 20 here.
+        ranges = {
+            "support": (0.0, 1.0),
+            "confidence": (0.0, 1.0),
+            "pmi": (PMI_FLOOR, 20.0),
+            "phi": (-1.0, 1.0),
+            "causal_support": (0.0, 1.0),
+            "jaccard": (0.0, 1.0),
+            "causal_confidence": (0.0, 1.0),
+            "conviction": (0.0, CONVICTION_CAP),
+            "added_value": (-1.0, 1.0),
+        }
         rng = np.random.default_rng(7)
         for _ in range(40):
             n = int(rng.integers(1, 30))
             got = _measures(rng.integers(0, 2, size=n), rng.integers(0, 2, size=n))
             for k, name in enumerate(METRIC_NAMES):
-                lo, hi = METRIC_RANGES[name]
+                lo, hi = ranges[name]
                 assert lo <= got[k] <= hi, name
-
-
-def bin_index(value: float, name: str, bins: int) -> int:
-    """The bin `bin_measures` gives one measure's value."""
-    raw = np.zeros((1, len(METRIC_NAMES)))
-    m = METRIC_NAMES.index(name)
-    raw[0, m] = value
-    return int(bin_measures(raw, bins)[0, m])
-
-
-class TestBinIndex:
-    def test_unit_range_midpoint(self):
-        assert bin_index(0.5, "support", 10) == 5
-
-    def test_upper_edge_maps_to_last_bin(self):
-        assert bin_index(1.0, "support", 10) == 9
-        assert bin_index(100.0, "conviction", 10) == 9
-
-    def test_lower_edge(self):
-        assert bin_index(0.0, "support", 10) == 0
-        assert bin_index(-1.0, "phi", 10) == 0
-
-    def test_signed_ranges_center(self):
-        assert bin_index(0.0, "pmi", 10) == 5
-        assert bin_index(0.0, "phi", 10) == 5
-        assert bin_index(0.0, "added_value", 10) == 5
-
-    def test_out_of_range_values_clamp(self):
-        assert bin_index(250.0, "conviction", 10) == 9
-        assert bin_index(-99.0, "pmi", 10) == 0
-
-    def test_conviction_of_one_is_low_bin(self):
-        assert bin_index(1.0, "conviction", 10) == 0
-
-    def test_single_bin(self):
-        for name in METRIC_NAMES:
-            lo, hi = METRIC_RANGES[name]
-            assert bin_index(lo, name, 1) == 0
-            assert bin_index(hi, name, 1) == 0
-
-    def test_five_bins(self):
-        assert bin_index(0.5, "support", 5) == 2
-        assert bin_index(0.99, "support", 5) == 4
-
-    def test_value_rounding_up_to_range_end_is_last_bin(self):
-        # phi of two techniques used by exactly the same actors: adding 1
-        # rounds to 2.0, so the value scales to 10.
-        phi = 0.9999999999999999
-        assert phi < 1.0 and (phi + 1.0) / 2.0 * 10 == 10.0
-        assert bin_index(phi, "phi", 10) == 9
-        assert bin_oracle(phi, "phi", 10) == 9
-
-    @pytest.mark.parametrize("bins", [1, 3, 7, 10, 20])
-    def test_matches_scalar_oracle(self, bins):
-        rng = np.random.default_rng(bins)
-        low = np.array([METRIC_RANGES[name][0] for name in METRIC_NAMES])
-        high = np.array([METRIC_RANGES[name][1] for name in METRIC_NAMES])
-        # Every bin edge and its neighbours, values inside and outside
-        # the ranges, and -0.0.
-        edges = low + (high - low) * np.arange(bins + 1)[:, None] / bins
-        raw = np.vstack([
-            edges,
-            np.nextafter(edges, -np.inf),
-            np.nextafter(edges, np.inf),
-            low + (high - low) * rng.uniform(-0.5, 1.5, size=(200, len(METRIC_NAMES))),
-            np.full((1, len(METRIC_NAMES)), -0.0),
-        ])
-        got = bin_measures(raw, bins)
-        assert ((got >= 0) & (got < bins)).all()
-        for row, bins_row in zip(raw.tolist(), got.tolist()):
-            assert bins_row == [bin_oracle(v, name, bins) for v, name in zip(row, METRIC_NAMES)]
 
 
 def _matrix():
@@ -208,30 +144,17 @@ def _matrix():
     )
 
 
-def _f4(um, pair, bins=10):
+def _f4(um, pair):
     """One measured pair's f4 slots from `f4_table`."""
-    slots = f4_table(um, [pair], bins)[pair]
-    assert np.count_nonzero(slots[9:]) == 9
+    slots = f4_table(um, [pair])[pair]
+    assert slots.shape == (9,) and slots.any()
     return slots
 
 
 class TestAprioriFeatures:
-    def test_layout_and_one_hot(self):
-        for bins in (5, 10, 20):
-            out = _f4(_matrix(), ("T1003", "T1078"), bins=bins)
-            assert out.shape == (9 + 9 * bins,)
-            raw = _measures([1, 1, 0, 0], [0, 1, 1, 0])
-            np.testing.assert_array_equal(out[:9], raw)
-            for m in range(9):
-                block = out[9 + m * bins : 9 + (m + 1) * bins]
-                assert block.sum() == 1.0
-
-    def test_hot_slot_positions(self):
-        out = _f4(_matrix(), ("T1003", "T1078"), bins=10)
-        # support 0.25 -> bin 2, confidence 0.5 -> bin 5, pmi 0 -> bin 5.
-        assert out[9 + 2] == 1.0
-        assert out[9 + 10 + 5] == 1.0
-        assert out[9 + 20 + 5] == 1.0
+    def test_slots_are_the_nine_measures(self):
+        out = _f4(_matrix(), ("T1003", "T1078"))
+        assert out.tobytes() == _measures([1, 1, 0, 0], [0, 1, 1, 0]).tobytes()
 
     def test_direction_matters(self):
         um = UsageMatrix(
@@ -239,8 +162,8 @@ class TestAprioriFeatures:
             techniques=("T1003", "T1078"),
             cells=np.array([[1, 1], [0, 1], [0, 0]], dtype=np.int8),
         )
-        fwd = _f4(um, ("T1003", "T1078"), bins=10)
-        rev = _f4(um, ("T1078", "T1003"), bins=10)
+        fwd = _f4(um, ("T1003", "T1078"))
+        rev = _f4(um, ("T1078", "T1003"))
         assert fwd[1] == 1.0  # conf(T1003 -> T1078)
         assert rev[1] == 0.5  # conf(T1078 -> T1003)
         assert fwd[0] == rev[0]  # support is symmetric
@@ -251,9 +174,9 @@ class TestF4TableReference:
     `tests/oracles.py`, bit for bit."""
 
     @pytest.mark.parametrize("actors", [1, 2, 127, 128, 300, 805])
-    @pytest.mark.parametrize("bins", [1, 10])
-    def test_seeded_matrices(self, actors, bins):
-        rng = np.random.default_rng(actors * 31 + bins)
+    @pytest.mark.parametrize("seed", [1, 10])
+    def test_seeded_matrices(self, actors, seed):
+        rng = np.random.default_rng(actors * 31 + seed)
         k = 12
         cells = (rng.random((actors, k)) < rng.uniform(0.05, 0.95, size=k)).astype(np.int8)
         cells[:, 0] = 0  # used by no actor
@@ -265,37 +188,33 @@ class TestF4TableReference:
         # Half of the matrix's techniques, two unknown ids, pairs in any order.
         ids = [*rng.permutation(techniques)[: k // 2 + 3].tolist(), "T9998", "T9999"]
         pairs = pair_universe(ids)
-        table = f4_table(um, [pairs[i] for i in rng.permutation(len(pairs))], bins)
+        table = f4_table(um, [pairs[i] for i in rng.permutation(len(pairs))])
         assert set(table) == set(pairs)
         for pair, slots in table.items():
             missing = "T9998" in pair or "T9999" in pair
-            # One hot bin per measure, or none: what `FeatureRows.f4_missing` reads.
-            assert np.count_nonzero(slots[9:]) == (0 if missing else 9), pair
-            want = np.zeros(9 + 9 * bins) if missing else f4_oracle(um, pair, bins)
+            # All zero exactly when unmeasured: what `FeatureRows.f4_missing` reads.
+            assert slots.any() != missing, pair
+            want = np.zeros(9) if missing else f4_oracle(um, pair)
             assert slots.tobytes() == want.tobytes(), pair
 
-    def test_one_hot_bin_per_measure_for_all_counts(self):
-        # Every (n <= 60, cx, cy, cxy): column X<c> is used by actors
-        # 0..c-1 and column Y<s>_<c> by actors s..s+c-1, so the pair
-        # (X<cx>, Y<cx-cxy>_<cy>) has those counts.
-        bins = 10
-        for n in range(1, 61):
-            actor = np.arange(n)
-            spans = {f"X{c}": (0, c) for c in range(n + 1)}
-            spans.update({f"Y{s}_{c}": (s, c) for s in range(n + 1) for c in range(n + 1 - s)})
-            cells = np.array([(s <= actor) & (actor < s + c) for s, c in spans.values()])
-            um = UsageMatrix(actors=tuple(f"G{a}" for a in range(n)), techniques=tuple(spans),
-                             cells=cells.T.astype(np.int8))
-            pairs = [
-                (f"X{cx}", f"Y{cx - cxy}_{cy}")
-                for cx in range(n + 1)
-                for cy in range(n + 1)
-                for cxy in range(max(0, cx + cy - n), min(cx, cy) + 1)
-            ]
-            table = f4_table(um, pairs, bins)
-            hot = np.array(list(map(table.__getitem__, pairs)))[:, 9:]
-            per_measure = hot.reshape(len(pairs), 9, bins).sum(axis=2)
-            assert (per_measure == 1.0).all(), n
+    def test_measured_pair_is_never_all_zero(self):
+        # Every valid (n <= 12, cx, cy, cxy): the nine measures are finite
+        # and not all 0, so all-zero f4 slots mark an unmeasured pair
+        # (`FeatureRows.f4_missing`). At cx = 0 and cy = n every other
+        # measure is 0 but added value is -1; at cx = n and cy = 0,
+        # conviction is 1.
+        cases = 0
+        for n in range(1, 13):
+            for cx in range(n + 1):
+                for cy in range(n + 1):
+                    for cxy in range(max(0, cx + cy - n), min(cx, cy) + 1):
+                        got = pair_measures(n, cx, cy, cxy)
+                        assert np.isfinite(got).all(), (n, cx, cy, cxy)
+                        assert got.any(), (n, cx, cy, cxy)
+                        cases += 1
+        assert cases == 1819
+        # The rule is tight: here added value alone is not 0.
+        assert pair_measures(4, 0, 4, 0).tolist() == [0.0] * 8 + [-1.0]
 
     def test_counts_past_int8(self):
         # 200 actors all use both techniques: an int8 product would wrap.

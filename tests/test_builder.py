@@ -14,8 +14,15 @@ from helpers import (
     random_report,
     random_word_vectors,
     report_rows,
+    v1_bins_header,
 )
-from oracles import coref_links_oracle, f4_oracle, features_to_csv_oracle, pair_vector_oracle
+from oracles import (
+    coref_links_oracle,
+    f4_oracle,
+    features_to_csv_oracle,
+    mirror_spec,
+    pair_vector_oracle,
+)
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
@@ -27,7 +34,7 @@ from ttpmine.features.builder import (
     write_features_csv,
 )
 from ttpmine.features.layout import FeatureLayout
-from ttpmine.pipeline import stage_features
+from ttpmine.pipeline import count_f4_missing, stage_features
 
 
 def _csv_text(rows, tmp_path) -> str:
@@ -93,7 +100,7 @@ def _assert_rows_match_oracle(rows, reports, predictions, um, wv=None):
 def _assert_mirror_invariants(rows, layout):
     """Each (tx,ty) row and the (ty,tx) row of the same report relate as
     the layout's mirror specification says. Returns the pairs checked."""
-    spec = layout.mirror_spec
+    spec = mirror_spec(layout)
     index = {key: k for k, key in enumerate(rows)}
     checked = 0
     for (rid, tx, ty), k in index.items():
@@ -114,8 +121,8 @@ class TestBuildFeatureVector:
         rows = report_rows(
             REPORT, _prediction(techniques=("T1566", "T1204")), um=EMPTY_USAGE
         )
-        assert rows.values.shape == (2, 152)
-        assert rows.layout == FeatureLayout(bins=10)
+        assert rows.values.shape == (2, 62)
+        assert rows.layout == FeatureLayout()
         assert [key.report_id for key in rows] == ["r1", "r1"]
         assert len(rows) == 2
 
@@ -148,7 +155,7 @@ class TestBuildFeatureVector:
         np.testing.assert_array_equal(values[5:10], np.zeros(5))
 
     def test_f1_f2_from_hit_sentences(self):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         pred = _prediction(
             techniques=("T1566", "T1204"),
             hits={"T1566": (0,), "T1204": (1,)},
@@ -165,7 +172,7 @@ class TestBuildFeatureVector:
         values, missing = _row(rows, "T1566", "T1204")
         assert missing is False
         np.testing.assert_array_equal(
-            values[53:], f4_oracle(_um(), ("T1566", "T1204"), bins=10)
+            values[53:], f4_oracle(_um(), ("T1566", "T1204"))
         )
 
     def test_f4_missing_without_matrix(self):
@@ -185,6 +192,20 @@ class TestBuildFeatureVector:
             assert missing is ("T9999" in (tx, ty)), (tx, ty)
             assert (values[53:].sum() == 0.0) == missing
 
+    def test_f4_missing_reads_every_f4_slot(self):
+        # T1204 is used by no actor and T1566 by every actor: the pair
+        # (T1204, T1566) is measured, with eight measures at 0 and added
+        # value -1.
+        um = UsageMatrix(
+            actors=("G0001", "G0002"),
+            techniques=("T1204", "T1566"),
+            cells=np.array([[0, 1], [0, 1]], dtype=np.int8),
+        )
+        rows = report_rows(REPORT, _prediction(techniques=("T1566", "T1204")), um=um)
+        values, missing = _row(rows, "T1204", "T1566")
+        assert values[53:].tolist() == [0.0] * 8 + [-1.0]
+        assert missing is False
+
     def test_f4_missing_empty_matrix(self):
         um = UsageMatrix(
             actors=(),
@@ -203,11 +224,6 @@ class TestBuildFeatureVector:
         )
         assert len(rows) == 6
         assert all(key.tx != key.ty for key in rows)
-
-    def test_custom_bins(self):
-        rows = report_rows(REPORT, _prediction(techniques=("T1566", "T1204")), um=_um(), bins=5)
-        assert rows.values.shape == (2, 107)
-        assert rows.layout == FeatureLayout(bins=5)
 
 
 class TestBuildReportFeatures:
@@ -235,15 +251,15 @@ class TestBuildReportFeatures:
         one = _prediction(techniques=("T1566",))
         empty = report_rows(REPORT, one, um=_um())
         assert len(empty) == 0
-        assert empty.values.shape == (0, 152)
+        assert empty.values.shape == (0, 62)
 
     def test_shared_tables_match_per_pair_vectors(self):
         # One coref pass, marker table, pooled-vector table and f4 table
         # per report (or f4 per corpus) must give the vectors each pair
         # gets on its own.
         rng = np.random.default_rng(20261018)
-        layout = FeatureLayout(bins=10)
-        corpus_f4 = f4_table(_um(), pair_universe(["T1204", "T1566", "T9999"]), bins=10)
+        layout = FeatureLayout()
+        corpus_f4 = f4_table(_um(), pair_universe(["T1204", "T1566", "T9999"]))
         for case in range(12):
             report = random_report(rng, f"r{case}", n_sentences=(3, 60))
             pred = random_prediction(rng, report, "T1566", "T1204", "T9999")
@@ -258,7 +274,7 @@ class TestBuildReportFeatures:
     def test_rows_equal_rows_from_whole_report_links(self):
         # Links among the hit sentences only must give the rows that the
         # whole report's links give, coref-reading slots included.
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         coref_slots = [
             k for k, name in enumerate(layout.names)
             if name == "f2.coref" or name.startswith("f3.coref_")
@@ -298,7 +314,7 @@ class TestPlantedCoreference:
     `pair_vector_oracle` bit for bit."""
 
     def test_coref_slots_match_oracle(self):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         f2_coref = layout.index("f2.coref")
         f3_coref = [k for k, name in enumerate(layout.names) if name.startswith("f3.coref_")]
         rng = np.random.default_rng(20261019)
@@ -383,7 +399,7 @@ class TestWorkPerReport:
         report = random_report(rng, "m", n_sentences=(n, n))
         hits = {f"T{1000 + a}": tuple(int(i) for i in rng.choice(n, size=25)) for a in range(k)}
         pred = _prediction(report_id="m", techniques=hits, hits=hits)
-        f4 = f4_table(EMPTY_USAGE, pair_universe(hits), 10)
+        f4 = f4_table(EMPTY_USAGE, pair_universe(hits))
         tracemalloc.start()
         try:
             rows = build_report_features(report, pred, wv=None, layout=FeatureLayout(), f4=f4)
@@ -403,7 +419,7 @@ class TestStageFeaturesOracle:
 
     @pytest.mark.parametrize("with_usage", [True, False])
     def test_long_reports(self, tmp_path, with_usage):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rng = np.random.default_rng(20261030)
         tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
         reports = [
@@ -417,6 +433,9 @@ class TestStageFeaturesOracle:
         assert all(coref_links_oracle(r) for r in reports)
         assert len(rows) > 40
         _assert_rows_match_oracle(rows, reports, predictions, um)
+        unmeasured = [key for key in rows if not {key.tx, key.ty} <= set(um.techniques)]
+        assert 0 < len(unmeasured) < len(rows) or not with_usage
+        assert count_f4_missing(rows) == len(unmeasured)
         coref = [
             k for k, name in enumerate(layout.names)
             if name == "f2.coref" or name.startswith("f3.coref_")
@@ -429,7 +448,7 @@ class TestStageFeaturesOracle:
     def test_long_reports_with_word_vectors(self, tmp_path):
         # The matrix path's cosine slots read each hit sentence's pooled
         # vector, built once per report; the oracle pools again per pair.
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rng = np.random.default_rng(20261031)
         tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
         reports = [
@@ -450,7 +469,7 @@ class TestStageFeaturesOracle:
 class TestMirrorInvariants:
     def test_random_reports(self):
         rng = np.random.default_rng(20260822)
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         um = _um()
         checked = 0
         for case in range(50):
@@ -486,11 +505,11 @@ class TestCsvRoundTrip:
         values.append(noisy)
         return make_rows(
             values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204",
-            layout=FeatureLayout(bins=10),
+            layout=FeatureLayout(),
         )
 
     def test_bit_exact_round_trip(self, tmp_path):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rows = self._rows()
         back = _read_text(_csv_text(rows, tmp_path), tmp_path)
         assert back.keys == rows.keys
@@ -523,7 +542,7 @@ class TestCsvRoundTrip:
     def test_values_written_as_float_repr(self, tmp_path):
         # Each value is written as `repr` of the Python float, as when it
         # was formatted one numpy scalar at a time.
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rows = self._rows()
         edge = rows.values[-1].copy()
         edge[:6] = (-0.0, 5e-324, 1e300, 2.0**53 + 2, np.nextafter(1.0, 2.0), -1 / 3)
@@ -543,7 +562,7 @@ class TestCsvRoundTrip:
         # Each distinct value is formatted once: values that compare equal
         # but differ in bits (-0.0 and 0.0, NaNs) must keep their own repr,
         # and report ids that need quoting are quoted as csv.writer does.
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         base = self._rows()
         awkward = np.array(
             [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -567,39 +586,26 @@ class TestCsvRoundTrip:
         assert _csv_text(many, tmp_path) == features_to_csv_oracle(many)
 
     def test_header_names_layout(self, tmp_path):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         header = _csv_text(_empty(layout), tmp_path).splitlines()[0]
         cols = header.split(",")
         assert cols[:3] == ["report_id", "tx", "ty"]
         assert cols[3] == "default.tx_top1"
-        assert len(cols) == 3 + 152
-
-    def test_bins5_csv_reads_back_under_its_header(self, tmp_path):
-        # The header alone names the layout: no file beside the CSV.
-        layout = FeatureLayout(bins=5)
-        values = np.random.default_rng(5).random((3, layout.total))
-        rows = make_rows(values, report_ids=["a", "b", "c"], layout=layout)
-        back = _read_text(_csv_text(rows, tmp_path), tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.csv", "written.csv"]
-        assert back.layout == layout and back.layout.version == "v1-bins5"
-        assert back.keys == rows.keys
-        assert back.values.tobytes() == rows.values.tobytes()
+        assert len(cols) == 3 + 62
 
     def test_header_that_fits_no_layout(self, tmp_path):
-        header = _csv_text(_empty(FeatureLayout(bins=10)), tmp_path).split("\n")[0].split(",")
-        # Five support bins, but ten of every other measure.
-        mixed = [c for c in header if c not in {f"f4.support_bin{b}" for b in range(5, 10)}]
+        header = _csv_text(_empty(FeatureLayout()), tmp_path).split("\n")[0].split(",")
         renamed = [c.replace("f2.coref", "f2.corefs") for c in header]
-        for text, expected, got in (
-            (",".join(mixed) + "\n", 3 + FeatureLayout(bins=5).total, 150),
-            (",".join(renamed) + "\n", 155, 155),
+        for text, got in (
+            (",".join(v1_bins_header(10)) + "\n", 155),
+            (",".join(v1_bins_header(1)) + "\n", 74),
+            (",".join(renamed) + "\n", 65),
         ):
             with pytest.raises(ValueError) as info:
                 _read_text(text, tmp_path)
             assert str(info.value) == (
-                f"{tmp_path / 'features.csv'}: feature CSV header does not match the "
-                f"layout (expected {expected} columns, got {got}); re-run the features "
-                "stage with the same configuration"
+                f"{tmp_path / 'features.csv'}: feature CSV header does not match "
+                f"layout v2 (expected 65 columns, got {got}); re-run `ttpmine features`"
             )
         for text in ("", "\n", "\n" + ",".join(header) + "\n"):
             with pytest.raises(ValueError) as info:
@@ -609,7 +615,7 @@ class TestCsvRoundTrip:
             )
 
     def test_file_round_trip(self, tmp_path):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rows = self._rows()
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
@@ -625,7 +631,7 @@ class TestCsvBadRows:
     the file and the line."""
 
     def _lines(self):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         rows = TestCsvRoundTrip()._rows()
         return layout, features_to_csv_oracle(rows).splitlines(keepends=True)
 
@@ -637,10 +643,10 @@ class TestCsvBadRows:
     def test_wrong_column_count(self, tmp_path):
         _, lines = self._lines()
         lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
-        with pytest.raises(ValueError, match=r"features\.csv:4: 154 columns, expected 155$"):
+        with pytest.raises(ValueError, match=r"features\.csv:4: 64 columns, expected 65$"):
             self._read(tmp_path, lines)
         lines[3] = lines[3][:-1] + ",0.0,0.0\n"
-        with pytest.raises(ValueError, match=r"features\.csv:4: 156 columns, expected 155$"):
+        with pytest.raises(ValueError, match=r"features\.csv:4: 66 columns, expected 65$"):
             self._read(tmp_path, lines)
 
     def test_unparsable_value(self, tmp_path):

@@ -19,7 +19,7 @@ from ttpmine.features.discourse import (
 )
 from ttpmine.features.layout import FeatureLayout
 
-F3 = FeatureLayout(bins=10).group_slices["f3"]
+F3 = FeatureLayout().group_slices["f3"]
 
 
 def _f3(report, tx, ty) -> np.ndarray:
@@ -326,7 +326,7 @@ class TestDiscourseFeatures:
             "r1", "The implant collected files. Then it sent everything."
         )
         assert (0, 1) in _every_link(report)
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         row = pair_row(report, [0], [1])
         assert row[F3].shape == (F3_SIZE,)
         # Adjacent straddling pair classifies NEXT; the same pair is also
@@ -359,7 +359,7 @@ class TestDiscourseFeatures:
             "The mirror host answered slowly.",
         )
         assert (0, 2) in _every_link(report)
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         row = pair_row(report, [0], [2])
         adjacent = [layout.index(f"f3.adj_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
         coref = [layout.index(f"f3.coref_{rel.value.lower()}") for rel in DISCOURSE_ORDER]

@@ -57,6 +57,12 @@ def test_exported_names_resolve(package):
         ("ttpmine.pipeline", "relation_prediction_to_dict"),
         # Tests use `make_report("", text).sentences`.
         ("ttpmine.corpus", "segment_sentences"),
+        # F4 is the nine measures alone: its one-hot bins are retired.
+        ("ttpmine.features.apriori", "bin_measures"),
+        ("ttpmine.features.apriori", "METRIC_RANGES"),
+        ("ttpmine.features.apriori", "PMI_CEIL"),
+        ("ttpmine.features.layout", "DEFAULT_BINS"),
+        ("ttpmine.features.builder", "_BIN_PREFIX"),
     ],
 )
 def test_retired_names_gone(module, name):
@@ -73,6 +79,10 @@ def test_retired_names_gone(module, name):
         ("ttpmine.corpus", "RelationAnnotation", "pair"),
         ("ttpmine.embeddings", "WordVectors", "__len__"),
         ("ttpmine.embeddings", "WordVectors", "__contains__"),
+        # F4 has no bin count, and the mirror spec is a test oracle.
+        ("ttpmine.features.layout", "FeatureLayout", "bins"),
+        ("ttpmine.features.layout", "FeatureLayout", "mirror_spec"),
+        ("ttpmine.pipeline", "PipelineConfig", "bins"),
     ],
 )
 def test_retired_attributes_gone(module, cls, name):
@@ -89,6 +99,8 @@ def test_retired_attributes_gone(module, cls, name):
         ("ttpmine.metrics", "macro_prf", "labels"),
         ("ttpmine.metrics", "macro_p_at_k", "labels"),
         ("ttpmine.metrics", "evaluate_relations", "labels"),
+        ("ttpmine.features.builder", "f4_table", "bins"),
+        ("ttpmine.pipeline", "stage_features", "bins"),
     ],
 )
 def test_retired_parameters_gone(module, function, parameter):

@@ -492,7 +492,7 @@ def test_training_does_not_import_numpy_random(tmp_path):
         from ttpmine.gbdt.ensemble import TrainConfig, train
         from ttpmine.labels import BEFORE, NULL
 
-        layout = FeatureLayout(bins=1)
+        layout = FeatureLayout()
         n = 60
         values = np.zeros((n, layout.total))
         values[:, 0] = np.arange(n) % 7
@@ -632,7 +632,7 @@ class TestTraining:
 
 class TestFeatureGroups:
     def _grouped_data(self, rng):
-        layout = FeatureLayout(bins=10)
+        layout = FeatureLayout()
         values, labels = [], []
         for k in range(24):
             row = rng.normal(scale=0.01, size=layout.total)
@@ -689,10 +689,13 @@ class TestPredictAndSerialize:
         assert decided[-1] == frozenset({NULL})  # a NULL-side row
 
     def test_layout_mismatch_rejected(self):
+        # Rows always have the one layout, so the model reader is where a
+        # model of another layout is refused.
         model, _ = self._model_and_features()
-        stray = make_rows(np.zeros(8), layout=FeatureLayout(bins=5))
-        with pytest.raises(ValueError, match="re-extract features or retrain"):
-            predict_batch(model, stray)
+        data = ensemble_to_dict(model)
+        data.update(layout_version="v1-bins5", n_features=107)
+        with pytest.raises(ValueError, match="retrain on features from `ttpmine features`"):
+            ensemble_from_dict(data)
 
     def test_round_trip_preserves_predictions(self, tmp_path):
         model, features = self._model_and_features()
@@ -719,8 +722,8 @@ class TestPredictAndSerialize:
         model, _ = self._model_and_features()
         data = ensemble_to_dict(model)
         assert data["format_version"] == "1"
-        assert data["layout_version"] == "v1-bins1"
-        assert data["n_features"] == 71
+        assert data["layout_version"] == "v2"
+        assert data["n_features"] == 62
         assert set(data["labels"]) == set(ALL_LABELS)
 
     def test_tree_beyond_layout_rejected(self):
@@ -734,7 +737,7 @@ class TestPredictAndSerialize:
                 "right": {"value": 0.0},
             }
         ]
-        with pytest.raises(ValueError, match=r"feature 99 is not an int in \[0, 71\)"):
+        with pytest.raises(ValueError, match=r"feature 99 is not an int in \[0, 62\)"):
             ensemble_from_dict(data)
 
     @pytest.mark.parametrize(
@@ -751,7 +754,7 @@ class TestPredictAndSerialize:
             ),
             (
                 {"feature": 1.0, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
-                r"split feature 1.0 is not an int in \[0, 71\)",
+                r"split feature 1.0 is not an int in \[0, 62\)",
             ),
             (
                 {"feature": -1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
@@ -793,6 +796,38 @@ class TestPredictAndSerialize:
             ensemble_from_dict(data)
 
     @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.update(extra=1), "unknown keys: extra"),
+            (
+                lambda data: data["labels"][BEFORE].update(learning_rate=5.0),
+                "label BEFORE: unknown keys: learning_rate",
+            ),
+            (
+                lambda data: data["labels"].update(BEFORE="abc"),
+                "label BEFORE 'abc' is not of type dict",
+            ),
+            (
+                lambda data: data.update(layout_version="v1-bins10", n_features=152),
+                r"feature layout v1-bins10 \(152 features\) is not v2 \(62 features\); "
+                "retrain on features from `ttpmine features`",
+            ),
+            (
+                lambda data: data.update(n_features=71),
+                r"feature layout v2 \(71 features\) is not v2 \(62 features\); ",
+            ),
+        ],
+        ids=["model-key", "label-key", "label-entry", "v1-bins10", "n_features"],
+    )
+    def test_unread_key_or_other_layout_rejected(self, edit, message):
+        # The reader takes the keys the writer writes, of the one layout.
+        model, _ = self._model_and_features()
+        data = ensemble_to_dict(model)
+        edit(data)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ensemble_from_dict(data)
+
+    @pytest.mark.parametrize(
         "field, value, message",
         [
             ("init_score", "0.25", "label BEFORE: init_score '0.25' is not finite"),
@@ -818,11 +853,11 @@ class TestPredictAndSerialize:
 
 def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
     """Rows shaped like the `run-train` workload's: 120 pair vectors of
-    the 152-slot layout, about a third of the slots constant and the rest
+    the 62-slot layout, about a third of the slots constant and the rest
     small counts, flags or tied scores, mostly NULL-only rows, and a few
     rows of each given relation (some carrying two)."""
     rng = np.random.default_rng(seed)
-    layout = FeatureLayout(bins=10)
+    layout = FeatureLayout()
     n_rows, n_slots = 120, layout.total
     X = np.empty((n_rows, n_slots))
     kinds = rng.integers(1, 4, size=n_slots)
@@ -842,7 +877,7 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
             picked = {labels[int(rng.integers(len(labels)))]}
             if rng.random() < 0.15:
                 picked.add(labels[int(rng.integers(len(labels)))])
-            X[k, int(rng.integers(1, 40)) * 3 + 1] += 1.0
+            X[k, int(rng.integers(1, 20)) * 3 + 1] += 1.0
             label_sets.append(frozenset(picked))
         else:
             label_sets.append(frozenset({NULL}))
@@ -896,7 +931,7 @@ class TestPerLabelOracle:
     def test_all_constant_matrix(self):
         features, labels = _run_train_shaped(6)
         constant = make_rows(
-            np.tile(np.arange(152.0), (len(features), 1)),
+            np.tile(np.arange(float(features.layout.total)), (len(features), 1)),
             layout=features.layout,
         )
         model = _assert_matches_per_label_oracle(constant, labels, self.RUN_TRAIN)
@@ -936,9 +971,11 @@ class TestTrainedModelPin:
     before the single binning and histogram subtraction went in (numpy
     2.4, Python 3.11, x86-64). A change that moves any tree, leaf or
     probability fails here; such a change must update the pin on
-    purpose and say why."""
+    purpose and say why. The model pin was retaken when F4 dropped its
+    one-hot bins: only `layout_version` (v1-bins10 to v2) and
+    `n_features` (152 to 62) moved, every tree is the same."""
 
-    MODEL_SHA256 = "e4ee6bcc953173ca40ca872a0862b98a1efd83e9ad74b04fcaefa13268ea885b"
+    MODEL_SHA256 = "c4be4756188554b6f38d7b7ea6841231933a167d5bfd470cca0de348bc3bd6c4"
     PREDICTIONS_SHA256 = "2b96c4d7c262329ef599c7aa2e37ef8bea6d6d1f7abc56bfe84e344518cb6802"
 
     def test_model_digest(self, e2e_run):

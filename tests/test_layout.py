@@ -6,33 +6,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ttpmine.features.layout import DEFAULT_BINS, FEATURE_GROUPS, FeatureLayout
+from oracles import mirror_spec
+from ttpmine.features.layout import FEATURE_GROUPS, FeatureLayout
 
 
 class TestTotals:
-    def test_totals_per_bin_count(self):
-        # 10 + 20 + 13 + 10 + 9 + 9*bins
-        assert FeatureLayout(bins=5).total == 107
-        assert FeatureLayout(bins=10).total == 152
-        assert FeatureLayout(bins=20).total == 242
-
     def test_names_cover_every_slot(self):
-        for bins in (1, 5, 10, 20):
-            layout = FeatureLayout(bins=bins)
-            assert len(layout.names) == layout.total
-            assert len(set(layout.names)) == layout.total
-
-    def test_default_bins(self):
-        assert DEFAULT_BINS == 10
-        assert FeatureLayout().bins == 10
+        # 10 + 20 + 13 + 10 + 9
+        layout = FeatureLayout()
+        assert layout.total == 62
+        assert len(layout.names) == layout.total
+        assert len(set(layout.names)) == layout.total
 
     def test_invalid_bins(self):
-        with pytest.raises(ValueError, match="bins"):
-            FeatureLayout(bins=0)
+        # The layout has no bin count: f4 is the nine measures alone.
+        with pytest.raises(TypeError, match="bins"):
+            FeatureLayout(bins=10)
 
 
 class TestNamesAndGroups:
-    layout = FeatureLayout(bins=10)
+    layout = FeatureLayout()
 
     def test_name_spot_checks(self):
         names = self.layout.names
@@ -46,8 +39,7 @@ class TestNamesAndGroups:
         assert names[43] == "f3.adj_next"
         assert names[53] == "f4.support"
         assert names[61] == "f4.added_value"
-        assert names[62] == "f4.support_bin0"
-        assert names[151] == "f4.added_value_bin9"
+        assert len(names) == 62
 
     def test_index_lookup(self):
         assert self.layout.index("f2.adj_0") == 34
@@ -61,23 +53,20 @@ class TestNamesAndGroups:
         assert slices["f1"] == slice(10, 30)
         assert slices["f2"] == slice(30, 43)
         assert slices["f3"] == slice(43, 53)
-        assert slices["f4"] == slice(53, 152)
+        assert slices["f4"] == slice(53, 62)
 
     def test_group_slices_partition(self):
-        for bins in (5, 10, 20):
-            layout = FeatureLayout(bins=bins)
-            covered = np.zeros(layout.total, dtype=int)
-            for s in layout.group_slices.values():
-                covered[s] += 1
-            assert (covered == 1).all()
+        covered = np.zeros(self.layout.total, dtype=int)
+        for s in self.layout.group_slices.values():
+            covered[s] += 1
+        assert (covered == 1).all()
 
     def test_version_string(self):
-        assert FeatureLayout(bins=10).version == "v1-bins10"
-        assert FeatureLayout(bins=5).version == "v1-bins5"
+        assert FeatureLayout().version == "v2"
 
 
 class TestMask:
-    layout = FeatureLayout(bins=10)
+    layout = FeatureLayout()
 
     def test_default_always_kept(self):
         mask = self.layout.mask([])
@@ -100,10 +89,10 @@ class TestMask:
 
 
 class TestMirrorSpec:
-    layout = FeatureLayout(bins=10)
+    layout = FeatureLayout()
 
     def test_swap_pairs_exact(self):
-        assert self.layout.mirror_spec["swap"] == [
+        assert mirror_spec(self.layout)["swap"] == [
             (0, 5),
             (1, 6),
             (2, 7),
@@ -124,24 +113,22 @@ class TestMirrorSpec:
 
     def test_equal_slots_exact(self):
         expected = [16, 17, 18, 27, 28, 29, 39, 40, 41, 42] + list(range(43, 53))
-        assert self.layout.mirror_spec["equal"] == expected
+        assert mirror_spec(self.layout)["equal"] == expected
 
     def test_excluded_slots_exact(self):
-        expected = [38] + list(range(53, 152))
-        assert self.layout.mirror_spec["excluded"] == expected
+        expected = [38] + list(range(53, 62))
+        assert mirror_spec(self.layout)["excluded"] == expected
 
     def test_partition_of_all_slots(self):
-        for bins in (5, 10, 20):
-            layout = FeatureLayout(bins=bins)
-            spec = layout.mirror_spec
-            seen: list[int] = []
-            for a, b in spec["swap"]:
-                seen += [a, b]
-            seen += spec["equal"] + spec["excluded"]
-            assert sorted(seen) == list(range(layout.total))
+        spec = mirror_spec(self.layout)
+        seen: list[int] = []
+        for a, b in spec["swap"]:
+            seen += [a, b]
+        seen += spec["equal"] + spec["excluded"]
+        assert sorted(seen) == list(range(self.layout.total))
 
     def test_forward_only_adjacency_slot_excluded(self):
         # The gap window is lopsided: adj_4 (span 5 forward) has no
         # backward partner, so mirroring cannot constrain it.
         assert self.layout.index("f2.adj_4") == 38
-        assert 38 in self.layout.mirror_spec["excluded"]
+        assert 38 in mirror_spec(self.layout)["excluded"]

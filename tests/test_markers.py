@@ -126,7 +126,7 @@ class TestCountMarkers:
         assert _one_sentence_counts("Payload ran.") == [0.0, 0.0, 0.0]
 
 
-LAYOUT = FeatureLayout(bins=10)
+LAYOUT = FeatureLayout()
 F1 = LAYOUT.group_slices["f1"]
 
 

@@ -9,6 +9,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,13 +20,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict
+from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict, v1_bins_header
 from ttpmine import __version__, attack_kb, cli, pipeline
 from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import DEFAULT_THRESHOLD, predict_report
-from ttpmine.features.builder import FeatureRows
 from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import TrainConfig
 from ttpmine.labels import BEFORE, NULL
@@ -46,7 +46,6 @@ from ttpmine.pipeline import (
     run_pipeline,
     stage_features,
     stage_kb,
-    stage_predict,
     write_json,
 )
 
@@ -115,7 +114,7 @@ class TestRunPipeline:
         features = json.loads((out_dir / "features.meta.json").read_text())
         assert list(features) == ["meta"]
         assert features["meta"]["stage"] == "features"
-        assert features["meta"]["layout_version"] == "v1-bins10"
+        assert features["meta"]["layout_version"] == "v2"
         assert features["meta"]["config_hash"] == summary["config_hash"]
         assert "threshold" not in features["meta"]
         for name in ("usage.json", "ctfidf.json"):
@@ -127,7 +126,7 @@ class TestRunPipeline:
         _, out_dir, _ = pipeline_out
         rows = load_features(str(out_dir / "features.csv"))
         assert len(rows) == 18
-        assert rows.layout.version == "v1-bins10"
+        assert rows.layout.version == "v2"
         techniques = load_kb_usage(str(out_dir / "kb")).techniques
         annotations = load_annotations(ANNOTATIONS, techniques=techniques)
         labels = labels_for_rows(rows, annotations)
@@ -151,17 +150,15 @@ class TestRunPipeline:
         }
 
     def test_predict_layout_guard(self, pipeline_out, tmp_path):
-        # `predict_batch` refuses rows of another layout than the model's,
-        # so the predict stage writes nothing.
+        # Rows have the one layout, so the guard is the model reader: a
+        # model of another layout does not load, and nothing is predicted.
         _, out_dir, _ = pipeline_out
-        rows = load_features(str(out_dir / "features.csv"))
-        coarse = FeatureRows(
-            rows.keys, np.zeros((len(rows), 107)), FeatureLayout(bins=5)
-        )
-        model = load_relation_model(str(out_dir / "relations.json"))
-        with pytest.raises(ValueError, match="v1-bins5 .* does not match the model"):
-            stage_predict(model, coarse, str(tmp_path / "x.jsonl"))
-        assert not (tmp_path / "x.jsonl").exists()
+        payload = json.loads((out_dir / "relations.json").read_text())
+        payload["model"].update(layout_version="v1-bins5", n_features=107)
+        path = tmp_path / "relations.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: .*v1-bins5 "):
+            load_relation_model(str(path))
 
     def test_config_validation(self):
         with pytest.raises(PipelineError, match="unknown config keys"):
@@ -174,8 +171,8 @@ class TestRunPipeline:
         # config is turned into a dict would move it.
         data = json.loads((E2E_DIR / "config.json").read_text(encoding="utf-8"))
         config = PipelineConfig.from_dict(data)
-        assert config.config_hash() == "e812b53bec5eda02"
-        assert PipelineConfig().config_hash() == "50f936c5e91cc479"
+        assert config.config_hash() == "eae58b60ac7afd27"
+        assert PipelineConfig().config_hash() == "dd029eeb7f3d6f82"
 
     def test_config_hash_sensitivity(self, pipeline_out):
         _, _, config = pipeline_out
@@ -211,7 +208,6 @@ class TestClassifyOnce:
             "features",
             "--reports", REPORTS,
             "--kb", str(out_dir / "kb"),
-            "--bins", str(config.bins),
             "--out", str(out),
         ]
         assert main(argv) == 0
@@ -395,9 +391,9 @@ class TestNumberArguments:
             (["classify", "--model", "m.json", "--reports", REPORTS,
               "--out", "{out}/c.jsonl", "--threshold", "0"],
              "argument --threshold: must be in (0, 1], got 0.0"),
-            (["features", "--reports", REPORTS, "--kb", "kb",
-              "--out", "{out}/f.csv", "--bins", "0"],
-             "argument --bins: must be >= 1, got 0"),
+            (["mine", "--predictions", "p.jsonl", "--out", "{out}/m.csv",
+              "--min-support", "x"],
+             "argument --min-support: invalid int value: 'x'"),
             (["classify", "--model", "m.json", "--reports", REPORTS,
               "--out", "{out}/c.jsonl", "--threshold", "1.5"],
              "argument --threshold: must be in (0, 1], got 1.5"),
@@ -431,8 +427,9 @@ class TestRemovedOptions:
     """Options that repeated another input are gone: `features` reads its
     classifier from `<kb>/ctfidf.json` and its detections' threshold from
     `classify`, `mine` writes csv, json and dot, and `run` takes its
-    threshold, bins and min_support from the config file. Each is now a
-    usage error, raised before any file is read."""
+    threshold, bins and min_support from the config file. F4 has no bins,
+    so `features --bins` is gone too. Each is now a usage error, raised
+    before any file is read."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -441,12 +438,14 @@ class TestRemovedOptions:
              "--model", "m.json"],
             ["features", "--reports", REPORTS, "--kb", "kb", "--out", "f.csv",
              "--threshold", "0.9"],
+            ["features", "--reports", REPORTS, "--kb", "kb", "--out", "f.csv",
+             "--bins", "10"],
             ["mine", "--predictions", "p.jsonl", "--out", "m.csv", "--format", "csv"],
             ["run", "--config", "c.json", "--threshold", "0.5"],
             ["run", "--config", "c.json", "--bins", "5"],
             ["run", "--config", "c.json", "--min-support", "3"],
         ],
-        ids=["features-model", "features-threshold", "mine-format", "run-threshold", "run-bins", "run-min-support"],
+        ids=["features-model", "features-threshold", "features-bins", "mine-format", "run-threshold", "run-bins", "run-min-support"],
     )
     def test_removed_option_is_usage_error(self, argv, capsys):
         # The inputs do not exist: reading one would exit 1, not 2.
@@ -465,7 +464,7 @@ class TestRemovedOptions:
                 elif not isinstance(action, argparse._HelpAction):
                     yield action
 
-        assert len(list(options(cli.build_parser()))) == 38
+        assert len(list(options(cli.build_parser()))) == 37
 
 
 class TestNestedCommandErrors:
@@ -600,7 +599,7 @@ def test_provenance_hash_formula():
     assert provenance_hash(payload) == oracle(payload)
     config = PipelineConfig(stix="s.json", reports="r")
     assert config.config_hash() == oracle(config.to_dict())
-    assert len(config.to_dict()) == 11
+    assert len(config.to_dict()) == 10
 
 
 @pytest.fixture(scope="module")
@@ -661,7 +660,7 @@ class TestCliChain:
         assert excinfo.value.code == 0
         out = capsys.readouterr().out.strip()
         assert out == (
-            f"ttpmine {__version__} (feature layout v1-bins10, stopwords 1, "
+            f"ttpmine {__version__} (feature layout v2, stopwords 1, "
             f"categories 1)"
         )
 
@@ -813,29 +812,31 @@ class TestCliChain:
         ]
 
     def test_bins_mismatch_fails_predict(self, cli_dir, tmp_path, capsys):
-        coarse = tmp_path / "coarse.csv"
-        rc = main(
-            [
-                "features",
-                "--reports", REPORTS,
-                "--kb", str(cli_dir / "kb"),
-                "--bins", "5",
-                "--out", str(coarse),
-            ]
+        # A model and a features CSV of the retired layout v1-bins10 each
+        # stop `predict` with one line naming their file.
+        payload = json.loads((cli_dir / "relations.json").read_text())
+        payload["model"].update(layout_version="v1-bins10", n_features=152)
+        model = tmp_path / "relations.json"
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        features = tmp_path / "features.csv"
+        header = v1_bins_header(10)
+        features.write_text(
+            ",".join(header) + "\n" + ",".join(["r01", "T1566", "T1204"] + ["0.0"] * 152) + "\n",
+            encoding="utf-8",
         )
-        assert rc == 0
-        rc = main(
-            [
-                "predict",
-                "--model", str(cli_dir / "relations.json"),
-                "--features", str(coarse),
-                "--out", str(tmp_path / "p.jsonl"),
-            ]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "ttpmine predict: error:" in err
-        assert "v1-bins5" in err and "v1-bins10" in err
+        out = tmp_path / "p.jsonl"
+        for argv, message in (
+            (["--model", str(model), "--features", str(cli_dir / "features.csv")],
+             f"{model}: malformed relation model: ValueError: feature layout v1-bins10 "
+             "(152 features) is not v2 (62 features); retrain on features from "
+             "`ttpmine features`"),
+            (["--model", str(cli_dir / "relations.json"), "--features", str(features)],
+             f"{features}: feature CSV header does not match layout v2 (expected 65 "
+             "columns, got 155); re-run `ttpmine features`"),
+        ):
+            assert main(["predict", *argv, "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"ttpmine predict: error: {message}\n"
+            assert not out.exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(
@@ -938,7 +939,7 @@ class TestBadFeaturesCsv:
 
     def test_row_one_value_short(self, cli_dir, tmp_path, capsys):
         path = self._corrupt(cli_dir, tmp_path, 5, lambda cells: cells[:-1])
-        self._assert_fails(cli_dir, tmp_path, path, "5: 154 columns, expected 155", capsys)
+        self._assert_fails(cli_dir, tmp_path, path, "5: 64 columns, expected 65", capsys)
 
     def test_non_numeric_value(self, cli_dir, tmp_path, capsys):
         path = self._corrupt(
@@ -971,8 +972,8 @@ class TestBadFeaturesCsv:
         path = tmp_path / "features.csv"
         path.write_text("\n".join(old) + "\n", encoding="utf-8")
         message = (
-            f"{path}: feature CSV header does not match the layout (expected 155 "
-            "columns, got 156); re-run the features stage with the same configuration"
+            f"{path}: feature CSV header does not match layout v2 (expected 65 "
+            "columns, got 66); re-run `ttpmine features`"
         )
         model = str(cli_dir / "relations.json")
         for argv in (
@@ -985,33 +986,8 @@ class TestBadFeaturesCsv:
 
 
 class TestFeaturesLayoutFromHeader:
-    """`load_features` reads the layout off the CSV's header, with no
-    file beside it; `predict_batch` still refuses rows of another layout
-    than the model's."""
-
-    def test_bins5_csv_loads_and_bins10_model_refuses_it(self, cli_dir, tmp_path, capsys):
-        out = tmp_path / "features.csv"
-        argv = _features_argv(
-            cli_dir, out, "--predictions", str(cli_dir / "classify.jsonl"), "--bins", "5"
-        )
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert sorted(os.listdir(tmp_path)) == ["features.csv", "features.meta.json"]
-        meta = json.loads((tmp_path / "features.meta.json").read_text())["meta"]
-        assert meta["layout_version"] == "v1-bins5"
-        (tmp_path / "features.meta.json").unlink()
-        rows = load_features(str(out))
-        assert rows.layout == FeatureLayout(bins=5)
-        assert rows.keys == load_features(str(cli_dir / "features.csv")).keys
-        predictions = tmp_path / "p.jsonl"
-        argv = ["predict", "--model", str(cli_dir / "relations.json"),
-                "--features", str(out), "--out", str(predictions)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == (
-            "ttpmine predict: error: feature layout v1-bins5 (107 slots) does not "
-            "match the model (v1-bins10, 152 features); re-extract features or retrain\n"
-        )
-        assert not predictions.exists()
+    """`load_features` checks the CSV's header against the one layout,
+    with no file beside it."""
 
     def test_stale_layout_sidecar_is_ignored(self, cli_dir, tmp_path):
         # A `.layout.json` left by an older version is not read, whatever
@@ -1020,7 +996,7 @@ class TestFeaturesLayoutFromHeader:
         path.write_bytes((cli_dir / "features.csv").read_bytes())
         (tmp_path / "features.csv.layout.json").write_text("[garbage", encoding="utf-8")
         rows = load_features(str(path))
-        assert rows.layout.version == "v1-bins10"
+        assert rows.layout.version == "v2"
         argv = ["predict", "--model", str(cli_dir / "relations.json"),
                 "--features", str(path), "--out", str(tmp_path / "p.jsonl")]
         assert main(argv) == 0
@@ -1711,9 +1687,9 @@ class TestBadConfigFiles:
         )
 
     def test_run_config_wrong_type(self, tmp_path, capsys):
-        assert self._run(tmp_path, capsys, self._config(tmp_path, bins="a")) == (
+        assert self._run(tmp_path, capsys, self._config(tmp_path, min_examples="a")) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "ValueError: bins must be int, got 'a'"
+            "ValueError: min_examples must be int, got 'a'"
         )
         train = {**e2e_config_dict(tmp_path)["train"], "trees": "a"}
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
@@ -1727,7 +1703,6 @@ class TestBadConfigFiles:
             ("threshold", 0, "threshold must be in (0, 1], got 0"),
             ("threshold", 1.5, "threshold must be in (0, 1], got 1.5"),
             ("min_examples", 0, "min_examples must be >= 1, got 0"),
-            ("bins", 0, "bins must be >= 1, got 0"),
             ("min_support", -1, "min_support must be >= 1, got -1"),
         ],
     )
@@ -1735,6 +1710,13 @@ class TestBadConfigFiles:
         # Refused before any stage runs: `_run` checks no output exists.
         assert self._run(tmp_path, capsys, self._config(tmp_path, **{field: value})) == (
             f"ttpmine run: error: <file>: malformed pipeline config: ValueError: {message}"
+        )
+
+    def test_run_config_with_bins(self, tmp_path, capsys):
+        # F4 has no bin count: an older config's `bins` is an unknown key.
+        assert self._run(tmp_path, capsys, self._config(tmp_path, bins=10)) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            "PipelineError: unknown config keys: bins"
         )
 
     def test_run_config_train_not_an_object(self, tmp_path, capsys):

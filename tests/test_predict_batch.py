@@ -1,11 +1,9 @@
 """Batch relation prediction: the probability matrix and its decided
 label sets agree bit for bit with row-at-a-time scoring, the threshold
-rule, empty input, and one clear error for a matrix that does not fit
-the model."""
+rule, and empty input."""
 
 from __future__ import annotations
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -13,7 +11,6 @@ import pytest
 from helpers import e2e_config_dict, make_rows
 from oracles import predict_rows_oracle
 from ttpmine.features.builder import FeatureRows
-from ttpmine.features.layout import FeatureLayout
 from ttpmine.gbdt.ensemble import TrainConfig, decided_labels, predict_batch, train
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import (
@@ -165,27 +162,3 @@ class TestEmptyInput:
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"
         assert records == []
-
-
-class TestBadRows:
-    def test_layout_mismatch_rejected(self, multi_report_model):
-        model, features = multi_report_model
-        stray = make_rows(features.values, layout=FeatureLayout(bins=5))
-        for rows in (stray, _empty(stray)):
-            with pytest.raises(ValueError) as err:
-                predict_batch(model, rows)
-            assert str(err.value) == (
-                "feature layout v1-bins5 (107 slots) does not match the model "
-                "(v1-bins1, 71 features); re-extract features or retrain"
-            )
-
-    def test_wrong_width_rejected(self, multi_report_model):
-        # Rows carry their layout, so only a model whose feature count is
-        # not its layout's can differ from them in width.
-        model, features = multi_report_model
-        with pytest.raises(ValueError) as err:
-            predict_batch(dataclasses.replace(model, n_features=10), features)
-        assert str(err.value) == (
-            "feature layout v1-bins1 (71 slots) does not match the model "
-            "(v1-bins1, 10 features); re-extract features or retrain"
-        )

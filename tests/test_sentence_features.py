@@ -13,7 +13,7 @@ from ttpmine.embeddings import WordVectors
 from ttpmine.features.discourse import coref_links
 from ttpmine.features.layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
 
-LAYOUT = FeatureLayout(bins=10)
+LAYOUT = FeatureLayout()
 F2 = LAYOUT.group_slices["f2"]
 
 
