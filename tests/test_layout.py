@@ -11,10 +11,15 @@ from ttpmine.features.layout import FEATURE_GROUPS, FeatureLayout
 
 
 class TestTotals:
-    def test_names_cover_every_slot(self):
-        # 10 + 20 + 13 + 10 + 9
+    def test_totals_per_bin_count(self):
+        # 10 + 20 + 13 + 10 + 9: f4 adds its nine measures and no bins.
         layout = FeatureLayout()
-        assert layout.total == 62
+        widths = [s.stop - s.start for s in layout.group_slices.values()]
+        assert widths == [10, 20, 13, 10, 9]
+        assert layout.total == sum(widths) == 62
+
+    def test_names_cover_every_slot(self):
+        layout = FeatureLayout()
         assert len(layout.names) == layout.total
         assert len(set(layout.names)) == layout.total
 
