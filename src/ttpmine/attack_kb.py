@@ -19,6 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import split_sentences
+from .records import INT, STRING, STRINGS, check_record, list_of
 
 logger = logging.getLogger(__name__)
 
@@ -468,37 +469,35 @@ def usage_to_dict(matrix: UsageMatrix) -> dict:
     }
 
 
+# The shape `usage_to_dict` writes.
+_USAGE_SHAPE = dict(
+    format_version=STRING, actors=STRINGS, techniques=STRINGS, uses=list_of(list_of(INT)),
+    skipped_unknown=INT,
+)
+
+
 def usage_from_dict(data: Mapping) -> UsageMatrix:
     """Rebuild a `usage_to_dict` matrix.
 
-    Raises ValueError for the dense format "1", another format, or uses
-    that do not fit the actors and techniques: a list count other than
-    one per actor, an index that is not an integer or is out of range,
-    or an index listed twice for one actor.
+    Raises ValueError for the dense format "1", a record of another shape
+    (see `check_record`) or format, or uses that do not fit: a list count
+    other than one per actor, or an index out of range or listed twice.
     """
-    version = data.get("format_version")
-    if version == "1":
+    if data.get("format_version") == "1":
         raise ValueError(
             "usage format 1 (the dense matrix) is no longer read; "
             "rerun `ttpmine kb build`"
         )
+    check_record(data, _USAGE_SHAPE)
+    version = data["format_version"]
     if version != USAGE_FORMAT_VERSION:
         raise ValueError(
             f"usage format {version!r} is not {USAGE_FORMAT_VERSION!r}"
         )
-    try:
-        actors, techniques, uses = data["actors"], data["techniques"], data["uses"]
-    except KeyError as exc:
-        raise ValueError(f"usage has no {exc} key") from None
-    if (
-        not isinstance(uses, list)
-        or len(uses) != len(actors)
-        or not all(isinstance(u, list) for u in uses)
-    ):
+    actors, techniques, uses = data["actors"], data["techniques"], data["uses"]
+    if len(uses) != len(actors):
         raise ValueError(f"'uses' must hold one list per actor ({len(actors)})")
     flat = list(chain.from_iterable(uses))
-    if not set(map(type, flat)) <= {int}:
-        raise ValueError("'uses' holds a technique index that is not an integer")
     if flat and not (min(flat) >= 0 and max(flat) < len(techniques)):
         raise ValueError(
             f"'uses' holds a technique index outside 0..{len(techniques) - 1}"
@@ -510,5 +509,5 @@ def usage_from_dict(data: Mapping) -> UsageMatrix:
         actors=tuple(actors),
         techniques=tuple(techniques),
         cells=cells,
-        skipped_unknown=int(data.get("skipped_unknown", 0)),
+        skipped_unknown=data["skipped_unknown"],
     )

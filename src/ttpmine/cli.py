@@ -23,7 +23,7 @@ from .features.layout import FEATURE_GROUPS, FeatureLayout
 from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
 from .labels import ALL_LABELS, NULL
 from .metrics import evaluate_relations
-from .mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
+from .mining import CATEGORY_FORMAT_VERSION, DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -60,13 +60,12 @@ _ERRORS = (PipelineError, OSError, ValueError)
 
 
 def _version_string() -> str:
-    categories = read_json(
-        PACKAGED_CATEGORIES, "category map", lambda data: data["format_version"]
-    )
+    # The version printed is the one the map reader accepted.
+    load_categories(PACKAGED_CATEGORIES)
     return (
         f"ttpmine {__version__} "
         f"(feature layout {FeatureLayout().version}, stopwords {STOPWORDS_VERSION}, "
-        f"categories {categories})"
+        f"categories {CATEGORY_FORMAT_VERSION})"
     )
 
 

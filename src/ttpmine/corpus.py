@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .labels import NULL, SYMMETRIC_LABELS, label_set_problem
+from .records import STRING, STRINGS, check_record
 from .stopwords import STOPWORDS
 
 
@@ -256,11 +257,15 @@ def _check_labels(labels: frozenset[str], where: str) -> None:
         raise AnnotationError(f"{where}: {problem}")
 
 
+# The shape of an annotation line.
+_ANNOTATION_SHAPE = dict(report_id=STRING, tx=STRING, ty=STRING, labels=STRINGS)
+
+
 def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotation]:
     """Load JSON-Lines relation annotations.
 
     Each line is an object with report_id, tx and ty strings and a list
-    of label strings.
+    of label strings, and no other key (see `check_record`).
     Validation errors name the 1-based line number. When the kb's
     technique ids are given as ``techniques``, each tx and ty must be
     one of them. Duplicate (report, tx, ty) lines are merged by label
@@ -281,24 +286,11 @@ def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotati
         where = f"{path} line {lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AnnotationError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise AnnotationError(f"{where}: expected a JSON object")
-        try:
-            report_id, tx, ty, labels = (obj[k] for k in ("report_id", "tx", "ty", "labels"))
-        except KeyError as exc:
-            raise AnnotationError(
-                f"{where}: each line needs report_id, tx, ty, labels"
-            ) from exc
-        for name, value in (("report_id", report_id), ("tx", tx), ("ty", ty)):
-            if type(value) is not str:
-                raise AnnotationError(f"{where}: {name} must be a string, got {value!r}")
-        if type(labels) is not list or not all(type(lab) is str for lab in labels):
-            raise AnnotationError(
-                f"{where}: labels must be a list of strings, got {labels!r}"
-            )
-        labels = frozenset(labels)
+            check_record(obj, _ANNOTATION_SHAPE)
+        except ValueError as exc:  # a JSONDecodeError too
+            raise AnnotationError(f"{where}: {exc}") from exc
+        report_id, tx, ty = obj["report_id"], obj["tx"], obj["ty"]
+        labels = frozenset(obj["labels"])
         if tx == ty:
             raise AnnotationError(f"{where}: self-pair ({tx}, {ty}) is invalid")
         _check_labels(labels, where)

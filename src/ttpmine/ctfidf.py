@@ -16,6 +16,7 @@ import numpy as np
 
 from .attack_kb import ActionDataset
 from .corpus import Report, tokenize_texts
+from .records import NUMBER, STRING, STRINGS, check_record, list_of
 
 CTFIDF_FORMAT_VERSION = "1"
 
@@ -169,10 +170,18 @@ def model_to_dict(model: CtfidfModel) -> dict:
     }
 
 
+# The shape `model_to_dict` writes.
+_MODEL_SHAPE = dict(
+    format_version=STRING, class_ids=STRINGS, vocab=STRINGS, weights=list_of(NUMBER)
+)
+
+
 def model_from_dict(data: dict) -> CtfidfModel:
-    """Rebuild a `model_to_dict` model; ValueError for another format.
-    Keys it does not read, such as the `avg_tokens_per_class` of older
-    files, are ignored."""
+    """Rebuild a `model_to_dict` model; ValueError for a record of another
+    shape (see `check_record`) or format. An older file's key
+    `avg_tokens_per_class`, whose idf the weights hold, is dropped."""
+    data = {key: value for key, value in data.items() if key != "avg_tokens_per_class"}
+    check_record(data, _MODEL_SHAPE)
     version = data["format_version"]
     if version != CTFIDF_FORMAT_VERSION:
         raise ValueError(f"classifier format {version!r} is not {CTFIDF_FORMAT_VERSION!r}")

@@ -15,15 +15,14 @@ every round.
 from __future__ import annotations
 
 import logging
-import math
-import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..features.layout import FeatureLayout
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from .tree import _finite, bin_columns, check_tree, fit_tree, predict_tree
+from ..records import BOOL, INT, LIST, NUMBER, OBJECT, STRING, check_record
+from .tree import bin_columns, check_tree, fit_tree, predict_tree
 
 logger = logging.getLogger(__name__)
 
@@ -37,21 +36,6 @@ class GbdtTrainingError(ValueError):
     """Raised for invalid training inputs or a broken loss contract."""
 
 
-def check_field_types(config) -> None:
-    """Raise ValueError for a field of the dataclass instance `config`
-    whose value is not of the field's annotated type. An int passes for
-    a float; a bool passes for no field."""
-    hints = typing.get_type_hints(type(config))
-    for f in fields(config):
-        allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
-        if float in allowed:
-            allowed += (int,)
-        value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            names = " or ".join(t.__name__ for t in allowed)
-            raise ValueError(f"{f.name} must be {names}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     trees: int = 200
@@ -62,14 +46,14 @@ class TrainConfig:
     decision_threshold: float = 0.5
 
     def __post_init__(self):
-        check_field_types(self)
+        check_record(vars(self), TRAIN_CONFIG_SHAPE)
         if self.trees < 1:
             raise ValueError(f"trees must be >= 1, got {self.trees}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0.0 < self.negative_downsample_ratio < math.inf:
+        if not self.negative_downsample_ratio > 0.0:
             raise ValueError(
                 "negative_downsample_ratio must be a finite number > 0, "
                 f"got {self.negative_downsample_ratio}"
@@ -83,11 +67,17 @@ class TrainConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown train config keys: {', '.join(unknown)}")
-        return cls(**data)
+    def from_dict(cls, data: dict, where: str = "") -> "TrainConfig":
+        """A train config file's config: a key left out keeps its default."""
+        record = {**vars(cls()), **data}
+        check_record(record, TRAIN_CONFIG_SHAPE, where)
+        return cls(**record)
+
+
+TRAIN_CONFIG_SHAPE = dict(
+    trees=INT, max_depth=INT, learning_rate=NUMBER, negative_downsample_ratio=NUMBER,
+    seed=INT, decision_threshold=NUMBER,
+)
 
 
 @dataclass
@@ -322,9 +312,11 @@ def decided_labels(probabilities: np.ndarray, threshold: float) -> list[frozense
     return [_DECIDED[code] for code in codes.tolist()]
 
 
-# The keys `ensemble_to_dict` writes, at model level and in each label entry.
-_MODEL_KEYS = ("format_version", "layout_version", "n_features", "config", "labels")
-_LABEL_KEYS = ("init_score", "degenerate", "trees")
+# The shapes `ensemble_to_dict` writes, at model level and in each label entry.
+_MODEL_SHAPE = dict(
+    format_version=STRING, layout_version=STRING, n_features=INT, config=OBJECT, labels=OBJECT
+)
+_LABEL_SHAPE = dict(init_score=NUMBER, degenerate=BOOL, trees=LIST)
 
 
 def ensemble_to_dict(model: GbdtEnsemble) -> dict:
@@ -344,34 +336,17 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
     }
 
 
-def _typed(value, kind: type, name: str):
-    """`value` when its type is exactly `kind`, so a bool is no int;
-    ValueError otherwise."""
-    if type(value) is not kind:
-        raise ValueError(f"{name} {value!r:.40} is not of type {kind.__name__}")
-    return value
-
-
-def _known_keys(record: dict, keys: tuple[str, ...], where: str = "") -> None:
-    """ValueError naming the keys of `record` that are not in `keys`."""
-    unknown = sorted(set(record) - set(keys))
-    if unknown:
-        raise ValueError(f"{where}unknown keys: {', '.join(unknown)}")
-
-
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
-    """Rebuild an `ensemble_to_dict` model; ValueError for another format,
-    a key it does not read, a layout other than `FeatureLayout()`'s,
-    label keys other than `ALL_LABELS`, a field of another JSON type, a
-    non-finite init score or a tree that `check_tree` rejects over
-    `n_features`."""
+    """Rebuild an `ensemble_to_dict` model; ValueError for a record of
+    another shape (see `check_record`) or format, a layout other than
+    `FeatureLayout()`'s, label keys other than `ALL_LABELS`, a config
+    `TrainConfig` rejects or a tree `check_tree` rejects."""
+    check_record(data, _MODEL_SHAPE)
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
-    _known_keys(data, _MODEL_KEYS)
     layout = FeatureLayout()
-    layout_version = _typed(data["layout_version"], str, "layout_version")
-    n_features = _typed(data["n_features"], int, "n_features")
+    layout_version, n_features = data["layout_version"], data["n_features"]
     if (layout_version, n_features) != (layout.version, layout.total):
         raise ValueError(
             f"feature layout {layout_version} ({n_features} features) is not "
@@ -380,21 +355,18 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
         )
     if set(data["labels"]) != set(ALL_LABELS):
         raise ValueError(f"labels {sorted(data['labels'])} are not {sorted(ALL_LABELS)}")
-    config = TrainConfig.from_dict(data["config"])
+    check_record(data["config"], TRAIN_CONFIG_SHAPE, "config: ")
+    config = TrainConfig(**data["config"])
     models = {}
     for label, entry in data["labels"].items():
-        _known_keys(_typed(entry, dict, f"label {label}"), _LABEL_KEYS, f"label {label}: ")
-        score = entry["init_score"]
-        if not _finite(score):
-            raise ValueError(f"label {label}: init_score {score!r:.40} is not finite")
-        trees = _typed(entry["trees"], list, f"label {label}: trees")
-        for tree in trees:
+        check_record(entry, _LABEL_SHAPE, f"label {label}: ")
+        for tree in entry["trees"]:
             check_tree(tree, n_features)
         models[label] = LabelModel(
             label=label,
-            init_score=float(score),
-            trees=trees,
-            degenerate=_typed(entry["degenerate"], bool, f"label {label}: degenerate"),
+            init_score=float(entry["init_score"]),
+            trees=entry["trees"],
+            degenerate=entry["degenerate"],
         )
     return GbdtEnsemble(
         models=models,

@@ -12,12 +12,14 @@ import os
 from dataclasses import dataclass, replace
 
 from .labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS, label_set_problem
+from .records import LIST, NUMBER, STRING, STRINGS, check_record, object_of
 
 UNCATEGORIZED = "uncategorized"
 # Distinct reports a pattern needs to be mined.
 DEFAULT_MIN_SUPPORT = 2
 # The category map shipped with the package; `pipeline.load_categories` reads it.
 PACKAGED_CATEGORIES = os.path.join(os.path.dirname(__file__), "data", "pattern_categories.json")
+CATEGORY_FORMAT_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -90,18 +92,25 @@ def categorize(patterns, category_map: CategoryMap) -> list[TemporalPattern]:
     ]
 
 
+# The shapes of a category map file and of each of its `patterns` rows.
+_CATEGORY_MAP_SHAPE = dict(format_version=STRING, categories=STRINGS, patterns=LIST)
+_CATEGORY_ROW_SHAPE = dict(tx=STRING, ty=STRING, relation=STRING, category=STRING)
+
+
 def category_map_from_dict(data) -> CategoryMap:
     """The `CategoryMap` of a decoded category map file: ``categories``,
     the closed list, and ``patterns``, rows of tx, ty, relation and
-    category. ValueError for an entry that breaks the map's rules;
-    KeyError or TypeError for one of the wrong shape."""
-    categories = data["categories"]
-    if not isinstance(categories, list) or not all(isinstance(c, str) for c in categories):
-        raise ValueError(f"categories must be a list of strings, got {categories!r}")
-    categories = tuple(categories)
+    category. ValueError for a record of another shape (see
+    `check_record`), another format or an entry that breaks the rules."""
+    check_record(data, _CATEGORY_MAP_SHAPE)
+    version = data["format_version"]
+    if version != CATEGORY_FORMAT_VERSION:
+        raise ValueError(f"category map format {version!r} is not {CATEGORY_FORMAT_VERSION!r}")
+    categories = tuple(data["categories"])
     closed = set(categories)
     entries: dict[tuple[str, str, str], str] = {}
-    for row in data["patterns"]:
+    for i, row in enumerate(data["patterns"]):
+        check_record(row, _CATEGORY_ROW_SHAPE, f"'patterns' entry {i}: ")
         tx, ty, relation = row["tx"], row["ty"], row["relation"]
         if relation not in POSITIVE_LABELS:
             raise ValueError(f"category map has invalid relation {relation!r}")
@@ -119,8 +128,11 @@ def category_map_from_dict(data) -> CategoryMap:
     return CategoryMap(categories=categories, entries=entries)
 
 
-# The keys of a `predictions.jsonl` record, exactly.
-_RECORD_KEYS = ("labels", "probabilities", "report_id", "tx", "ty")
+_LABEL_SET = frozenset(ALL_LABELS)
+# The shape of a `predictions.jsonl` record.
+_RECORD_SHAPE = dict(
+    report_id=STRING, tx=STRING, ty=STRING, probabilities=object_of(NUMBER), labels=STRINGS
+)
 
 
 def relation_prediction_records(keys, probabilities, labels):
@@ -139,35 +151,24 @@ def relation_prediction_records(keys, probabilities, labels):
 
 def relation_prediction_from_dict(data) -> tuple[tuple, frozenset[str]]:
     """The key and the decided label set of a `predictions.jsonl` record.
-    KeyError for a missing key; ValueError unless it holds exactly the
-    keys of `relation_prediction_records`, the ids are strings, the
-    probabilities are keyed by exactly `ALL_LABELS`, each a JSON number
-    in [0, 1], and the labels are a list of strings that form a label
-    set (see `label_set_problem`)."""
-    for name in ("report_id", "tx", "ty"):
-        if type(data[name]) is not str:
-            raise ValueError(f"{name} must be a string, got {data[name]!r}")
+    ValueError for a record of another shape (see `check_record`), or
+    unless the probabilities are keyed by exactly `ALL_LABELS`, each in
+    [0, 1], and the labels form a label set (see `label_set_problem`)."""
+    check_record(data, _RECORD_SHAPE)
     key = (data["report_id"], data["tx"], data["ty"])
-    probabilities, labels = data["probabilities"], data["labels"]
-    if len(data) != len(_RECORD_KEYS):
-        raise ValueError(f"record keys {sorted(data)} are not {list(_RECORD_KEYS)}")
+    probabilities, labels = data["probabilities"], frozenset(data["labels"])
     where = f"report {key[0]!r} pair ({key[1]}, {key[2]})"
-    if set(probabilities) != set(ALL_LABELS):
+    if probabilities.keys() != _LABEL_SET:
         raise ValueError(
             f"{where}: probabilities {sorted(probabilities)} are not "
             f"keyed by {sorted(ALL_LABELS)}"
         )
-    # A bool is not a JSON number.
-    if not all(type(p) in (int, float) for p in probabilities.values()):
-        raise ValueError(f"{where}: probabilities {probabilities} are not all numbers")
-    if not all(0.0 <= p <= 1.0 for p in probabilities.values()):
+    if not (min(probabilities.values()) >= 0.0 and max(probabilities.values()) <= 1.0):
         raise ValueError(f"{where}: probabilities {probabilities} not all in [0, 1]")
-    if type(labels) is not list or not all(type(lab) is str for lab in labels):
-        raise ValueError(f"{where}: labels must be a list of strings, got {labels!r}")
-    problem = label_set_problem(frozenset(labels))
+    problem = label_set_problem(labels)
     if problem:
         raise ValueError(f"{where}: {problem}")
-    return key, frozenset(labels)
+    return key, labels
 
 
 def _pattern_row(p: TemporalPattern) -> list[str]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -69,7 +69,6 @@ from .features.layout import FeatureLayout
 from .gbdt.ensemble import (
     GbdtEnsemble,
     TrainConfig,
-    check_field_types,
     decided_labels,
     ensemble_from_dict,
     ensemble_to_dict,
@@ -87,6 +86,9 @@ from .mining import (
     mine,
     relation_prediction_from_dict,
     relation_prediction_records,
+)
+from .records import (
+    INT, NUMBER, OBJECT, STRING, STRING_OR_NULL, Kind, check_record, list_of, object_of
 )
 
 # SHA-256 from the interpreter's builtin module, the code `hashlib` falls
@@ -132,7 +134,7 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        check_field_types(self)
+        check_record(vars(self), _FIELD_SHAPE)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
         for name in ("min_examples", "min_support"):
@@ -144,16 +146,21 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise PipelineError(f"unknown config keys: {', '.join(unknown)}")
-        kwargs = dict(data)
-        if isinstance(kwargs.get("train"), Mapping):
-            kwargs["train"] = TrainConfig.from_dict(kwargs["train"])
-        return cls(**kwargs)
+        """A `run` config file's config: a key left out keeps its default."""
+        record = {**cls().to_dict(), **data}
+        check_record(record, _CONFIG_SHAPE)
+        return cls(**{**record, "train": TrainConfig.from_dict(record["train"], "train: ")})
 
     def config_hash(self) -> str:
         return provenance_hash(self.to_dict())
+
+
+# A `run` config file's shape; a `PipelineConfig` holds a `TrainConfig` as `train`.
+_CONFIG_SHAPE = dict(
+    {key: STRING_OR_NULL for key in ("stix", "reports", "annotations", "vectors", "categories")},
+    out_dir=STRING, threshold=NUMBER, min_examples=INT, min_support=INT, train=OBJECT,
+)
+_FIELD_SHAPE = {**_CONFIG_SHAPE, "train": Kind("a TrainConfig", frozenset({TrainConfig}))}
 
 
 def provenance_hash(payload: Mapping) -> str:
@@ -191,7 +198,7 @@ def _decoded(decode: Callable, value, path: str, what: str):
     """
     try:
         return decode(value)
-    except (KeyError, TypeError, ValueError, AttributeError, PipelineError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, PipelineError) as exc:
         raise PipelineError(
             f"{path}: malformed {what}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -222,6 +229,17 @@ def write_jsonl(path: str, meta: Mapping, records: Iterable[Mapping]) -> None:
             os.remove(tmp)
 
 
+def _payload(document, *keys: str) -> dict:
+    """``document[keys[0]]``, once ``document`` holds an object under each key."""
+    check_record(document, dict.fromkeys(keys, OBJECT))
+    return document[keys[0]]
+
+
+def _read_artifact(path: str, what: str, key: str, decode: Callable):
+    """``decode`` of the JSON artifact's payload: its object beside ``meta``."""
+    return read_json(path, what, lambda document: decode(_payload(document, key, "meta")))
+
+
 def read_jsonl(
     path: str, what: str = "record", decode: Callable | None = None
 ) -> tuple[dict, list]:
@@ -232,8 +250,7 @@ def read_jsonl(
     records: list = []
     with open(path, "r", encoding="utf-8") as fh:
         head = _decoded(json.loads, fh.readline(), path, "meta on line 1")
-        if not (isinstance(head, dict) and set(head) == {"meta"}):
-            raise PipelineError(f'{path}: line 1 is not the {{"meta": ...}} line')
+        meta = _decoded(lambda obj: _payload(obj, "meta"), head, path, "meta on line 1")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -241,18 +258,13 @@ def read_jsonl(
             where = f"{what} on line {lineno}"
             obj = _decoded(json.loads, line, path, where)
             records.append(obj if decode is None else _decoded(decode, obj, path, where))
-    return head["meta"], records
+    return meta, records
 
 
-def _json_number(value):
-    """`value` as a float if it is a JSON number (an int or a float, not
-    a bool or a string), else `value` itself: a reader then requires
-    `type(...) is float`."""
-    return float(value) if type(value) in (int, float) else value
-
-
-# The keys of a `classify.jsonl` record, exactly.
-_REPORT_PREDICTION_KEYS = ("hit_sentences", "report_id", "top_scores")
+# The shape of a `classify.jsonl` record.
+_REPORT_PREDICTION_SHAPE = dict(
+    report_id=STRING, hit_sentences=object_of(list_of(INT)), top_scores=object_of(list_of(NUMBER))
+)
 
 
 def report_prediction_to_dict(p: ReportPrediction) -> dict:
@@ -264,38 +276,24 @@ def report_prediction_to_dict(p: ReportPrediction) -> dict:
 
 
 def report_prediction_from_dict(data: Mapping) -> ReportPrediction:
-    """A `ReportPrediction` record. ValueError unless it holds exactly
-    the keys `report_id`, `hit_sentences` and `top_scores`, the report id
-    is a string, each detected technique (a `hit_sentences` key) has a
-    hit, its hits are integer sentence indices, it has `TOP_K_SCORES`
-    top scores, numbers in [0, 1] in descending order as
-    `predict_report` writes them, and no other technique has top
-    scores."""
-    if sorted(data) != list(_REPORT_PREDICTION_KEYS):
-        raise ValueError(
-            f"record keys {sorted(data)} are not {list(_REPORT_PREDICTION_KEYS)}"
-        )
-    if type(data["report_id"]) is not str:
-        raise ValueError(f"report_id must be a string, got {data['report_id']!r}")
+    """A `ReportPrediction` record. ValueError for a record of another
+    shape (see `check_record`), or unless exactly the detected techniques
+    (the `hit_sentences` keys) have top scores, and each has a hit and
+    `TOP_K_SCORES` scores in [0, 1], descending, as `predict_report` writes."""
+    check_record(data, _REPORT_PREDICTION_SHAPE)
     prediction = ReportPrediction(
         report_id=data["report_id"],
         hit_sentences={cid: tuple(v) for cid, v in data["hit_sentences"].items()},
-        top_scores={
-            cid: tuple(map(_json_number, v)) for cid, v in data["top_scores"].items()
-        },
+        top_scores={cid: tuple(map(float, v)) for cid, v in data["top_scores"].items()},
     )
     where = f"report {prediction.report_id!r}"
     hits, top = prediction.hit_sentences, prediction.top_scores
-    if not all(type(i) is int for tid_hits in hits.values() for i in tid_hits):
-        raise ValueError(f"{where}: hit_sentences must hold integer sentence indices")
     for tid in sorted(hits):
         if not hits[tid]:
             raise ValueError(f"{where}: detected technique {tid} has no hit sentences")
         scores = top.get(tid, ())
         if len(scores) != TOP_K_SCORES:
             raise ValueError(f"{where}: {tid} needs {TOP_K_SCORES} top_scores")
-        if not all(type(s) is float for s in scores):
-            raise ValueError(f"{where}: {tid} top_scores {list(scores)} are not all numbers")
         if not all(0.0 <= s <= 1.0 for s in scores):
             raise ValueError(f"{where}: {tid} top_scores {list(scores)} not all in [0, 1]")
         if any(a < b for a, b in zip(scores, scores[1:])):
@@ -388,19 +386,11 @@ def usage_counts(usage: UsageMatrix) -> dict:
 
 
 def load_kb_usage(kb_dir: str) -> UsageMatrix:
-    return read_json(
-        os.path.join(kb_dir, "usage.json"),
-        "kb usage",
-        lambda payload: usage_from_dict(payload["usage"]),
-    )
+    return _read_artifact(os.path.join(kb_dir, "usage.json"), "kb usage", "usage", usage_from_dict)
 
 
 def load_ctfidf_model(path: str) -> CtfidfModel:
-    return read_json(
-        path,
-        "classifier model",
-        lambda payload: model_from_dict(payload["model"]),
-    )
+    return _read_artifact(path, "classifier model", "model", model_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -598,11 +588,7 @@ def stage_train(
 
 
 def load_relation_model(path: str) -> GbdtEnsemble:
-    return read_json(
-        path,
-        "relation model",
-        lambda payload: ensemble_from_dict(payload["model"]),
-    )
+    return _read_artifact(path, "relation model", "model", ensemble_from_dict)
 
 
 # ---------------------------------------------------------------------------

@@ -690,30 +690,43 @@ class TestUsageFileRejections:
         self._fails(tmp_path, re.escape("format 1 (the dense matrix) is no longer read; "
                                         "rerun `ttpmine kb build`"))
 
-    @pytest.mark.parametrize("version", ["3", None, 2])
-    def test_other_format_rejected(self, tmp_path, version):
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            ("3", "usage format '3' is not '2'"),
+            (None, "format_version must be a string, got None"),
+            (2, "format_version must be a string, got 2"),
+        ],
+        ids=["3", "None", "2"],
+    )
+    def test_other_format_rejected(self, tmp_path, version, message):
         data = self._valid()
         data["format_version"] = version
         self._write(tmp_path, data)
-        self._fails(tmp_path, "usage format .* is not '2'")
+        self._fails(tmp_path, message)
 
     @pytest.mark.parametrize("key", ["actors", "techniques", "uses"])
     def test_missing_key_rejected(self, tmp_path, key):
         data = self._valid()
         del data[key]
         self._write(tmp_path, data)
-        self._fails(tmp_path, f"usage has no '{key}' key")
+        self._fails(tmp_path, f"missing key '{key}'")
 
     @pytest.mark.parametrize(
-        "uses",
-        [[[2], [0]], [[2], [0], [1], []], {"G0001": [2]}, [[2], [0], 1]],
+        "uses, message",
+        [
+            ([[2], [0]], "'uses' must hold one list per actor (3)"),
+            ([[2], [0], [1], []], "'uses' must hold one list per actor (3)"),
+            ({"G0001": [2]}, "uses must be a list of lists of integers, got {'G0001': [2]}"),
+            ([[2], [0], 1], "uses must be a list of lists of integers, got [[2], [0], 1]"),
+        ],
         ids=["too-few", "too-many", "not-a-list", "entry-not-a-list"],
     )
-    def test_length_mismatch_rejected(self, tmp_path, uses):
+    def test_length_mismatch_rejected(self, tmp_path, uses, message):
         data = self._valid()
         data["uses"] = uses
         self._write(tmp_path, data)
-        self._fails(tmp_path, re.escape("'uses' must hold one list per actor (3)"))
+        self._fails(tmp_path, re.escape(message))
 
     @pytest.mark.parametrize("bad", [3, -1, 99])
     def test_out_of_range_index_rejected(self, tmp_path, bad):
@@ -727,7 +740,8 @@ class TestUsageFileRejections:
         data = self._valid()
         data["uses"][1] = [0, bad]
         self._write(tmp_path, data)
-        self._fails(tmp_path, "technique index that is not an integer")
+        message = f"uses must be a list of lists of integers, got {data['uses']!r:.40}"
+        self._fails(tmp_path, re.escape(message))
 
     def test_duplicate_index_rejected(self, tmp_path):
         data = self._valid()

@@ -572,7 +572,7 @@ class TestAnnotations:
             tmp_path / "ann.jsonl",
             ['{"report_id": "r1", "tx": "T1", "labels": ["BEFORE"]}'],
         )
-        with pytest.raises(AnnotationError, match="needs"):
+        with pytest.raises(AnnotationError, match="line 1: missing key 'ty'$"):
             load_annotations(path)
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -238,7 +238,9 @@ class TestSerialization:
         # A model dict without the pipeline's meta wrapper does not load.
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(train_ctfidf(DISJOINT))), encoding="utf-8")
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: malformed .*KeyError: 'model'"):
+        with pytest.raises(
+            PipelineError, match=f"^{re.escape(str(path))}: malformed .*: missing key 'model'"
+        ):
             load_ctfidf_model(str(path))
 
     def test_dict_round_trip_exact_weights(self):
@@ -259,6 +261,13 @@ class TestSerialization:
         scores = score_sentences(again, tokens)
         assert scores.any()
         assert scores.tobytes() == score_sentences(model, tokens).tobytes()
+
+    def test_other_unknown_key_rejected(self):
+        # Only the one legacy key is dropped: any other key the writer
+        # never wrote fails, in a file that also holds the legacy key.
+        data = {**model_to_dict(train_ctfidf(DISJOINT)), "avg_tokens_per_class": 3.0}
+        with pytest.raises(ValueError, match="^unknown key 'idf'$"):
+            model_from_dict({**data, "idf": [1.0]})
 
 
 def _assert_bit_equal(model, report, threshold=DEFAULT_THRESHOLD):

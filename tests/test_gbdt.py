@@ -334,9 +334,11 @@ class TestTrainConfig:
             TrainConfig(learning_rate=1.5)
         with pytest.raises(ValueError, match="negative_downsample_ratio"):
             TrainConfig(negative_downsample_ratio=0.0)
+        with pytest.raises(ValueError, match="^negative_downsample_ratio must be a finite number > 0"):
+            TrainConfig(negative_downsample_ratio=-1.0)
         for ratio in (float("inf"), float("nan"), -float("inf")):
             with pytest.raises(
-                ValueError, match="negative_downsample_ratio must be a finite number > 0"
+                ValueError, match=f"^negative_downsample_ratio must be a finite number, got {ratio}$"
             ):
                 TrainConfig(negative_downsample_ratio=ratio)
         with pytest.raises(ValueError, match="decision_threshold"):
@@ -345,7 +347,7 @@ class TestTrainConfig:
     def test_dict_round_trip(self):
         config = TrainConfig(trees=30, max_depth=2, seed=7)
         assert TrainConfig.from_dict(config.to_dict()) == config
-        with pytest.raises(ValueError, match="^unknown train config keys: extra$"):
+        with pytest.raises(ValueError, match="^unknown key 'extra'$"):
             TrainConfig.from_dict({**config.to_dict(), "extra": 1})
 
 
@@ -715,7 +717,9 @@ class TestPredictAndSerialize:
         model, _ = self._model_and_features()
         path = tmp_path / "model.json"
         path.write_text(json.dumps(ensemble_to_dict(model)), encoding="utf-8")
-        with pytest.raises(PipelineError, match=f"^{re.escape(str(path))}: malformed .*KeyError: 'model'"):
+        with pytest.raises(
+            PipelineError, match=f"^{re.escape(str(path))}: malformed .*: missing key 'model'"
+        ):
             load_relation_model(str(path))
 
     def test_serialized_format_fields(self):
@@ -792,20 +796,22 @@ class TestPredictAndSerialize:
         model, _ = self._model_and_features()
         data = ensemble_to_dict(model)
         data["labels"][BEFORE]["init_score"] = score
-        with pytest.raises(ValueError, match=f"label BEFORE: init_score {score} is not finite"):
+        with pytest.raises(
+            ValueError, match=f"^label BEFORE: init_score must be a finite number, got {score}$"
+        ):
             ensemble_from_dict(data)
 
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda data: data.update(extra=1), "unknown keys: extra"),
+            (lambda data: data.update(extra=1), "unknown key 'extra'"),
             (
                 lambda data: data["labels"][BEFORE].update(learning_rate=5.0),
-                "label BEFORE: unknown keys: learning_rate",
+                "label BEFORE: unknown key 'learning_rate'",
             ),
             (
                 lambda data: data["labels"].update(BEFORE="abc"),
-                "label BEFORE 'abc' is not of type dict",
+                "label BEFORE: expected an object, got 'abc'",
             ),
             (
                 lambda data: data.update(layout_version="v1-bins10", n_features=152),
@@ -830,14 +836,14 @@ class TestPredictAndSerialize:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("init_score", "0.25", "label BEFORE: init_score '0.25' is not finite"),
-            ("init_score", True, "label BEFORE: init_score True is not finite"),
-            ("degenerate", "false", "label BEFORE: degenerate 'false' is not of type bool"),
-            ("trees", {}, r"label BEFORE: trees \{\} is not of type list"),
-            ("n_features", 152.9, "n_features 152.9 is not of type int"),
-            ("n_features", "152", "n_features '152' is not of type int"),
-            ("n_features", True, "n_features True is not of type int"),
-            ("layout_version", 3, "layout_version 3 is not of type str"),
+            ("init_score", "0.25", "label BEFORE: init_score must be a finite number, got '0.25'"),
+            ("init_score", True, "label BEFORE: init_score must be a finite number, got True"),
+            ("degenerate", "false", "label BEFORE: degenerate must be a boolean, got 'false'"),
+            ("trees", {}, r"label BEFORE: trees must be a list, got \{\}"),
+            ("n_features", 152.9, "n_features must be an integer, got 152.9"),
+            ("n_features", "152", "n_features must be an integer, got '152'"),
+            ("n_features", True, "n_features must be an integer, got True"),
+            ("layout_version", 3, "layout_version must be a string, got 3"),
         ],
     )
     def test_field_of_wrong_json_type_rejected(self, field, value, message):

@@ -272,6 +272,7 @@ class TestCategoryMapValidation:
         path = self._write(
             tmp_path,
             {
+                "format_version": "1",
                 "categories": ["c"],
                 "patterns": [
                     {"tx": "T1", "ty": "T2", "relation": "NULL", "category": "c"}
@@ -285,6 +286,7 @@ class TestCategoryMapValidation:
         path = self._write(
             tmp_path,
             {
+                "format_version": "1",
                 "categories": ["c"],
                 "patterns": [
                     {
@@ -303,6 +305,7 @@ class TestCategoryMapValidation:
         path = self._write(
             tmp_path,
             {
+                "format_version": "1",
                 "categories": ["c"],
                 "patterns": [
                     {"tx": "T1", "ty": "T2", "relation": BEFORE, "category": "z"}
@@ -315,7 +318,7 @@ class TestCategoryMapValidation:
     def test_duplicate_entry(self, tmp_path):
         row = {"tx": "T1", "ty": "T2", "relation": BEFORE, "category": "c"}
         path = self._write(
-            tmp_path, {"categories": ["c"], "patterns": [row, dict(row)]}
+            tmp_path, {"format_version": "1", "categories": ["c"], "patterns": [row, dict(row)]}
         )
         with pytest.raises(PipelineError, match="duplicate"):
             load_categories(str(path))

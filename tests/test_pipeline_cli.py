@@ -8,6 +8,7 @@ import gc
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import shlex
@@ -161,7 +162,7 @@ class TestRunPipeline:
             load_relation_model(str(path))
 
     def test_config_validation(self):
-        with pytest.raises(PipelineError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="^unknown key 'min_count'$"):
             PipelineConfig.from_dict({"min_count": 2})
         with pytest.raises(PipelineError, match="config.stix is required"):
             run_pipeline(PipelineConfig(reports="x", annotations="y"))
@@ -345,7 +346,7 @@ class TestNoWorkersKnob:
 
     def test_config_key_rejected(self, tmp_path):
         data = dict(e2e_config_dict(tmp_path), workers=2)
-        with pytest.raises(PipelineError, match="^unknown config keys: workers$"):
+        with pytest.raises(ValueError, match="^unknown key 'workers'$"):
             PipelineConfig.from_dict(data)
 
     def test_run_with_workers_config_exits_1(self, tmp_path, capsys):
@@ -356,7 +357,7 @@ class TestNoWorkersKnob:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"ttpmine run: error: {config_path}: malformed pipeline config: "
-            "PipelineError: unknown config keys: workers"
+            "ValueError: unknown key 'workers'"
         ]
         assert not (tmp_path / "out").exists()
 
@@ -1041,7 +1042,7 @@ class TestMalformedArtifacts:
         write_json(str(bad), payload)
         self._assert_fails(
             self._predict(cli_dir, tmp_path, bad),
-            f"{bad}: malformed relation model: KeyError: 'config'",
+            f"{bad}: malformed relation model: ValueError: missing key 'config'",
             capsys,
         )
 
@@ -1050,7 +1051,7 @@ class TestMalformedArtifacts:
         bad.write_text(json.dumps([self._model(cli_dir)["model"]]), encoding="utf-8")
         self._assert_fails(
             self._predict(cli_dir, tmp_path, bad),
-            f"{bad}: malformed relation model: TypeError: ",
+            f"{bad}: malformed relation model: ValueError: expected an object, got [",
             capsys,
         )
 
@@ -1124,7 +1125,7 @@ class TestMalformedArtifacts:
         self._assert_fails(
             self._predict(cli_dir, tmp_path, bad),
             f"{bad}: malformed relation model: ValueError: label BEFORE: "
-            f"init_score {score} is not finite\n",
+            f"init_score must be a finite number, got {score}\n",
             capsys,
         )
         assert not (tmp_path / "p.jsonl").exists()
@@ -1143,14 +1144,16 @@ class TestMalformedArtifacts:
     def test_prediction_without_ty(self, cli_dir, tmp_path, capsys):
         argv, bad, _ = self._mine(cli_dir, tmp_path, lambda r: r.pop("ty"))
         self._assert_fails(
-            argv, f"{bad}: malformed relation prediction on line 3: KeyError: 'ty'", capsys
+            argv, f"{bad}: malformed relation prediction on line 3: ValueError: missing key 'ty'",
+            capsys,
         )
 
     def test_prediction_without_report_id(self, cli_dir, tmp_path, capsys):
         # Without a report id, every such record would count as one report.
         argv, bad, _ = self._mine(cli_dir, tmp_path, lambda r: r.pop("report_id"))
         self._assert_fails(
-            argv, f"{bad}: malformed relation prediction on line 3: KeyError: 'report_id'\n",
+            argv,
+            f"{bad}: malformed relation prediction on line 3: ValueError: missing key 'report_id'\n",
             capsys,
         )
 
@@ -1179,14 +1182,20 @@ class TestMalformedArtifacts:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, -0.1])
     def test_prediction_with_bad_probability(self, cli_dir, tmp_path, capsys, value):
+        # NaN and infinity are no finite numbers: the record's shape
+        # rejects them before the range is checked.
         argv, bad, r = self._mine(
             cli_dir, tmp_path, lambda r: r["probabilities"].update({BEFORE: value})
         )
+        problem = (
+            f"report {r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
+            f"{r['probabilities']} not all in [0, 1]"
+            if math.isfinite(value)
+            else f"probabilities must be an object of finite numbers, got {r['probabilities']!r:.40}"
+        )
         self._assert_fails(
             argv,
-            f"{bad}: malformed relation prediction on line 3: ValueError: report "
-            f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
-            f"{r['probabilities']} not all in [0, 1]\n",
+            f"{bad}: malformed relation prediction on line 3: ValueError: {problem}\n",
             capsys,
         )
         assert not (tmp_path / "p.csv").exists()
@@ -1199,9 +1208,8 @@ class TestMalformedArtifacts:
         )
         self._assert_fails(
             argv,
-            f"{bad}: malformed relation prediction on line 3: ValueError: report "
-            f"{r['report_id']!r} pair ({r['tx']}, {r['ty']}): probabilities "
-            f"{r['probabilities']} are not all numbers\n",
+            f"{bad}: malformed relation prediction on line 3: ValueError: probabilities "
+            f"must be an object of finite numbers, got {r['probabilities']!r:.40}\n",
             capsys,
         )
         assert not (tmp_path / "p.csv").exists()
@@ -1211,7 +1219,9 @@ class TestMalformedArtifacts:
         bad = tmp_path / "predictions.jsonl"
         bad.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
         argv = ["mine", "--predictions", str(bad), "--out", str(tmp_path / "p.csv")]
-        self._assert_fails(argv, f'{bad}: line 1 is not the {{"meta": ...}} line\n', capsys)
+        self._assert_fails(
+            argv, f"{bad}: malformed meta on line 1: ValueError: missing key 'meta'\n", capsys
+        )
 
 
 
@@ -1235,22 +1245,30 @@ class TestMalformedCategoryMap:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"categories": ["c"]}, "KeyError: 'patterns'"),
-            ({"categories": ["c"], "patterns": [
+            ({"format_version": "1", "categories": ["c"]}, "missing key 'patterns'"),
+            ({"format_version": "1", "categories": ["c"], "patterns": [
                 {k: v for k, v in ROW.items() if k != "category"}]},
-             "KeyError: 'category'"),
-            ([ROW], "TypeError: list indices must be integers or slices, not str"),
-            ({"categories": "c", "patterns": [ROW]},
-             "ValueError: categories must be a list of strings, got 'c'"),
-            ({"categories": ["c"], "patterns": [{**ROW, "category": "z"}]},
-             "ValueError: category 'z' not in the closed list"),
-            ({"categories": ["c"], "patterns": [{**ROW, "relation": "NULL"}]},
-             "ValueError: category map has invalid relation 'NULL'"),
+             "'patterns' entry 0: missing key 'category'"),
+            ([ROW], f"expected an object, got {[ROW]!r:.40}"),
+            ({"format_version": "1", "categories": "c", "patterns": [ROW]},
+             "categories must be a list of strings, got 'c'"),
+            ({"format_version": "1", "categories": ["c"], "patterns": [{**ROW, "category": "z"}]},
+             "category 'z' not in the closed list"),
+            ({"format_version": "1", "categories": ["c"], "patterns": [{**ROW, "relation": "NULL"}]},
+             "category map has invalid relation 'NULL'"),
+            ({"format_version": 7, "categories": ["c"], "patterns": [ROW]},
+             "format_version must be a string, got 7"),
+            ({"format_version": "7", "categories": ["c"], "patterns": [ROW]},
+             "category map format '7' is not '1'"),
+        ],
+        ids=[
+            "no-patterns", "row-without-category", "not-an-object", "categories-not-strings",
+            "unknown-category", "invalid-relation", "version-not-a-string", "other-version",
         ],
     )
     def test_mine_names_the_file(self, cli_dir, tmp_path, capsys, data, message):
         assert self._mine(cli_dir, tmp_path, capsys, json.dumps(data)) == (
-            f"ttpmine mine: error: <file>: malformed category map: {message}"
+            f"ttpmine mine: error: <file>: malformed category map: ValueError: {message}"
         )
 
     def test_mine_json_syntax(self, cli_dir, tmp_path, capsys):
@@ -1283,7 +1301,8 @@ class TestMalformedCategoryMap:
         bad = tmp_path / "categories.json"
         bad.write_text(json.dumps({"categories": ["c"]}), encoding="utf-8")
         assert self._run(tmp_path, capsys, categories=str(bad)) == (
-            f"ttpmine run: error: {bad}: malformed category map: KeyError: 'patterns'"
+            f"ttpmine run: error: {bad}: malformed category map: ValueError: "
+            "missing key 'format_version'"
         )
 
     def test_broken_packaged_map_names_its_file(self, cli_dir, tmp_path, capsys, monkeypatch):
@@ -1295,7 +1314,7 @@ class TestMalformedCategoryMap:
         argv = ["mine", "--predictions", str(cli_dir / "predictions.jsonl"),
                 "--out", str(tmp_path / "p.csv")]
         assert main(argv) == 1
-        message = f"{bad}: malformed category map: KeyError: 'patterns'"
+        message = f"{bad}: malformed category map: ValueError: missing key 'format_version'"
         assert capsys.readouterr().err == f"ttpmine mine: error: {message}\n"
         assert not (tmp_path / "p.csv").exists()
         assert self._run(tmp_path, capsys) == f"ttpmine run: error: {message}"
@@ -1384,8 +1403,7 @@ class TestFeaturesFromClassifyOutput:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"ttpmine features: error: {bad}: malformed report prediction on line 2: "
-            "ValueError: record keys ['hit_sentences', 'report_id', 'techniques', "
-            "'threshold', 'top_scores'] are not ['hit_sentences', 'report_id', 'top_scores']"
+            "ValueError: unknown key 'techniques'"
         ]
         assert not (tmp_path / "f.csv").exists()
 
@@ -1485,8 +1503,7 @@ class TestIdsMustBeStrings:
         argv, path, r = self._mine(cli_dir, tmp_path, labels={"BEFORE": 1})
         assert self._fails(argv, capsys) == (
             f"ttpmine mine: error: {path}: malformed relation prediction on line 2: "
-            f"ValueError: report {r['report_id']!r} pair ({r['tx']}, {r['ty']}): "
-            "labels must be a list of strings, got {'BEFORE': 1}\n"
+            "ValueError: labels must be a list of strings, got {'BEFORE': 1}\n"
         )
         assert not (tmp_path / "p.csv").exists()
 
@@ -1495,9 +1512,7 @@ class TestIdsMustBeStrings:
         argv, path, _ = self._mine(cli_dir, tmp_path, threshold=0.5)
         assert self._fails(argv, capsys) == (
             f"ttpmine mine: error: {path}: malformed relation prediction on line 2: "
-            "ValueError: record keys ['labels', 'probabilities', 'report_id', "
-            "'threshold', 'tx', 'ty'] are not ['labels', 'probabilities', "
-            "'report_id', 'tx', 'ty']\n"
+            "ValueError: unknown key 'threshold'\n"
         )
 
     @_NOT_STRINGS
@@ -1578,10 +1593,10 @@ class TestMalformedClassifyOutput:
     @pytest.mark.parametrize(
         "scores, problem",
         [
-            ([float("nan"), 0.0, 0.0, 0.0, 0.0], "[nan, 0.0, 0.0, 0.0, 0.0] not all in [0, 1]"),
+            ([float("nan"), 0.0, 0.0, 0.0, 0.0], None),
             ([7.0, 0.0, 0.0, 0.0, 0.0], "[7.0, 0.0, 0.0, 0.0, 0.0] not all in [0, 1]"),
-            ([1.0, "0.5", 0.0, 0.0, 0.0], "[1.0, '0.5', 0.0, 0.0, 0.0] are not all numbers"),
-            ([True, 0.0, 0.0, 0.0, 0.0], "[True, 0.0, 0.0, 0.0, 0.0] are not all numbers"),
+            ([1.0, "0.5", 0.0, 0.0, 0.0], None),
+            ([True, 0.0, 0.0, 0.0, 0.0], None),
             ([0.0, 0.0, 0.0, 0.5, 1.0], "[0.0, 0.0, 0.0, 0.5, 1.0] are not descending"),
         ],
         ids=["nan", "above-one", "string", "bool", "ascending"],
@@ -1590,13 +1605,21 @@ class TestMalformedClassifyOutput:
         self, cli_dir, tmp_path, capsys, scores, problem
     ):
         # Each would reach the `default.*_top*` slots of the features CSV.
+        # A score that is no finite number (problem None) breaks the
+        # record's shape; the others break what `predict_report` writes.
         def edit(record):
             record["top_scores"][sorted(record["hit_sentences"])[0]] = scores
+            edited.update(record["top_scores"])
 
+        edited = {}
         err = self._fails(cli_dir, tmp_path, capsys, edit)
+        if problem is None:
+            message = f"top_scores must be an object of lists of finite numbers, got {edited!r:.40}"
+        else:
+            message = f"report 'r01': T1204 top_scores {problem}"
         assert err == (
             "ttpmine features: error: <file>: malformed report prediction on line 2: "
-            f"ValueError: report 'r01': T1204 top_scores {problem}"
+            f"ValueError: {message}"
         )
 
     def test_integer_top_scores_load_as_floats(self, cli_dir):
@@ -1612,10 +1635,10 @@ class TestMalformedClassifyOutput:
             record["hit_sentences"][sorted(record["hit_sentences"])[0]].append(1.5)
 
         err = self._fails(cli_dir, tmp_path, capsys, edit)
-        assert err == (
+        assert err.startswith(
             "ttpmine features: error: <file>: malformed report prediction on line 2: "
-            "ValueError: report 'r01': hit_sentences must hold integer sentence indices"
-        )
+            "ValueError: hit_sentences must be an object of lists of integers, got {'T1204': "
+        ), err
 
     def test_hit_past_the_report_end(self, cli_dir, tmp_path, capsys):
         def edit(record):
@@ -1677,24 +1700,24 @@ class TestBadConfigFiles:
     def test_train_config_wrong_type(self, cli_dir, tmp_path, capsys):
         assert self._train(cli_dir, tmp_path, capsys, '{"trees": "a"}') == (
             "ttpmine train-relations: error: <file>: malformed train config: "
-            "ValueError: trees must be int, got 'a'"
+            "ValueError: trees must be an integer, got 'a'"
         )
 
     def test_train_config_unknown_key(self, cli_dir, tmp_path, capsys):
         assert self._train(cli_dir, tmp_path, capsys, '{"tress": 5}') == (
             "ttpmine train-relations: error: <file>: malformed train config: "
-            "ValueError: unknown train config keys: tress"
+            "ValueError: unknown key 'tress'"
         )
 
     def test_run_config_wrong_type(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, self._config(tmp_path, min_examples="a")) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "ValueError: min_examples must be int, got 'a'"
+            "ValueError: min_examples must be an integer, got 'a'"
         )
         train = {**e2e_config_dict(tmp_path)["train"], "trees": "a"}
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "ValueError: trees must be int, got 'a'"
+            "ValueError: train: trees must be an integer, got 'a'"
         )
 
     @pytest.mark.parametrize(
@@ -1716,42 +1739,41 @@ class TestBadConfigFiles:
         # F4 has no bin count: an older config's `bins` is an unknown key.
         assert self._run(tmp_path, capsys, self._config(tmp_path, bins=10)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "PipelineError: unknown config keys: bins"
+            "ValueError: unknown key 'bins'"
         )
 
     def test_run_config_train_not_an_object(self, tmp_path, capsys):
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=5)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "ValueError: train must be TrainConfig, got 5"
+            "ValueError: train must be an object, got 5"
         )
 
     def test_run_config_unknown_train_key(self, tmp_path, capsys):
         train = {**e2e_config_dict(tmp_path)["train"], "tress": 5}
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
-            "ValueError: unknown train config keys: tress"
+            "ValueError: train: unknown key 'tress'"
         )
 
     @pytest.mark.parametrize("value", ["Infinity", "NaN"])
     def test_non_finite_downsample_ratio(self, cli_dir, tmp_path, capsys, value):
-        message = (
-            "ValueError: negative_downsample_ratio must be a finite number > 0, "
-            f"got {float(value)}"
-        )
+        message = f"negative_downsample_ratio must be a finite number, got {float(value)}"
         text = f'{{"negative_downsample_ratio": {value}}}'
         assert self._train(cli_dir, tmp_path, capsys, text) == (
-            f"ttpmine train-relations: error: <file>: malformed train config: {message}"
+            f"ttpmine train-relations: error: <file>: malformed train config: ValueError: {message}"
         )
         train = {**e2e_config_dict(tmp_path)["train"], "negative_downsample_ratio": float(value)}
         assert self._run(tmp_path, capsys, self._config(tmp_path, train=train)) == (
-            f"ttpmine run: error: <file>: malformed pipeline config: {message}"
+            f"ttpmine run: error: <file>: malformed pipeline config: ValueError: train: {message}"
         )
 
     def test_bools_and_floats_for_ints_rejected(self):
-        with pytest.raises(ValueError, match="^min_support must be int, got True$"):
+        with pytest.raises(ValueError, match="^min_support must be an integer, got True$"):
             PipelineConfig(min_support=True)
-        with pytest.raises(ValueError, match="^max_depth must be int, got 2.5$"):
+        with pytest.raises(ValueError, match="^max_depth must be an integer, got 2.5$"):
             TrainConfig(max_depth=2.5)
+        with pytest.raises(ValueError, match="^train must be a TrainConfig, got {'trees': 5}$"):
+            PipelineConfig(train={"trees": 5})
         assert TrainConfig(learning_rate=1).learning_rate == 1
 
 
@@ -1808,7 +1830,7 @@ class TestSkipCounts:
             techniques=tuple(usage.techniques[k] for k in keep),
             cells=usage.cells[:, keep],
         )
-        write_json(str(kb / "usage.json"), {"usage": usage_to_dict(narrowed)})
+        write_json(str(kb / "usage.json"), {"meta": {}, "usage": usage_to_dict(narrowed)})
         argv = ["features", "--reports", REPORTS, "--kb", str(kb),
                 "--out", str(tmp_path / "narrow.csv")]
         assert main(argv) == 0
