@@ -13,13 +13,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .attack_kb import DEFAULT_MIN_EXAMPLES
 from .corpus import load_annotations, load_reports
 from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
-from .features.layout import FEATURE_GROUPS, FeatureLayout
+from .features.layout import FEATURE_GROUPS, LAYOUT_VERSION, N_SLOTS
 from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
 from .labels import ALL_LABELS, NULL
 from .metrics import evaluate_relations
@@ -64,7 +65,7 @@ def _version_string() -> str:
     load_categories(PACKAGED_CATEGORIES)
     return (
         f"ttpmine {__version__} "
-        f"(feature layout {FeatureLayout().version}, stopwords {STOPWORDS_VERSION}, "
+        f"(feature layout {LAYOUT_VERSION}, stopwords {STOPWORDS_VERSION}, "
         f"categories {CATEGORY_FORMAT_VERSION})"
     )
 
@@ -225,8 +226,8 @@ def cmd_features(args) -> int:
             raise
         raise PipelineError(f"{args.predictions}: {exc}") from exc
     print(
-        f"features: {len(rows)} pair vectors x {rows.layout.total} slots "
-        f"({rows.layout.version}), {count_f4_missing(rows)} with f4_missing "
+        f"features: {len(rows)} pair vectors x {N_SLOTS} slots "
+        f"({LAYOUT_VERSION}), {count_f4_missing(rows)} with f4_missing "
         f"-> {args.out}"
     )
     return 0
@@ -264,7 +265,7 @@ def cmd_train_relations(args) -> int:
         config_hash=chash,
     )
     print(
-        f"train-relations: {len(rows)} rows ({rows.layout.version}), {n_unrowed} "
+        f"train-relations: {len(rows)} rows ({LAYOUT_VERSION}), {n_unrowed} "
         f"annotated relations without a row -> {args.out}"
     )
     return 0
@@ -289,7 +290,7 @@ def cmd_eval(args) -> int:
         }
     )
     payload = {
-        "meta": make_meta("eval", chash, layout_version=rows.layout.version),
+        "meta": make_meta("eval", chash, layout=True),
         "metrics": report.to_dict(),
         # Annotated relations with no feature row are not scored as
         # misses: there is no row to score. They are counted here.
@@ -344,12 +345,9 @@ def cmd_mine(args) -> int:
 
 
 def cmd_run(args) -> int:
-    overrides = {} if args.out_dir is None else {"out_dir": args.out_dir}
-    config = read_json(
-        args.config,
-        "pipeline config",
-        lambda data: PipelineConfig.from_dict({**data, **overrides}),
-    )
+    config = read_json(args.config, "pipeline config", PipelineConfig.from_dict)
+    if args.out_dir is not None:
+        config = replace(config, out_dir=args.out_dir)
     summary = run_pipeline(config)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0

@@ -17,7 +17,7 @@ from ..ctfidf import ReportPrediction
 from ..embeddings import WordVectors, cosine, sentence_vector
 from .apriori import METRIC_NAMES, pair_measures
 from .discourse import DISCOURSE_ORDER, F3_SIZE, classify_discourse, coref_links
-from .layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
+from .layout import ADJACENCY_GAPS, F2_SIZE, GROUP_SLICES, LAYOUT_VERSION, N_SLOTS, SLOT_NAMES
 from .markers import F1_SIZE, marker_table
 
 
@@ -32,21 +32,20 @@ class FeatureRows:
     """Pair-feature rows, held as one matrix.
 
     Row i is the ordered pair `keys[i]` of report `keys[i].report_id`;
-    `values[i]` holds its slots under `layout`. `len()` is the row count
-    and iterating yields the keys.
+    `values[i]` holds its `N_SLOTS` slots in `SLOT_NAMES` order. `len()`
+    is the row count and iterating yields the keys.
     """
 
     keys: list[PairKey]
     values: np.ndarray
-    layout: FeatureLayout
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         n = len(self.keys)
-        if self.values.shape != (n, self.layout.total):
+        if self.values.shape != (n, N_SLOTS):
             raise ValueError(
-                f"{n} keys of layout {self.layout.version} do not fit values of "
-                f"shape {self.values.shape}"
+                f"{n} keys do not fit values of shape {self.values.shape}: "
+                f"expected ({n}, {N_SLOTS})"
             )
 
     @property
@@ -56,7 +55,7 @@ class FeatureRows:
         A measured pair never has all nine measures at 0 (see
         `features.apriori`), so these are exactly the rows whose f4 slots
         are all zero."""
-        return ~self.values[:, self.layout.group_slices["f4"]].any(axis=1)
+        return ~self.values[:, GROUP_SLICES["f4"]].any(axis=1)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -202,7 +201,6 @@ def build_report_features(
     report_prediction: ReportPrediction,
     *,
     wv: WordVectors | None,
-    layout: FeatureLayout,
     f4: dict[tuple[str, str], np.ndarray],
 ) -> FeatureRows:
     """Rows for every ordered pair of the report's detected techniques:
@@ -221,9 +219,9 @@ def build_report_features(
     """
     pairs = pair_universe(report_prediction.techniques)
     keys = [PairKey(report.report_id, tx, ty) for tx, ty in pairs]
-    values = np.empty((len(pairs), layout.total), dtype=np.float64)
+    values = np.empty((len(pairs), N_SLOTS), dtype=np.float64)
     if not pairs:
-        return FeatureRows(keys, values, layout)
+        return FeatureRows(keys, values)
     among = coref_sentences(report_prediction)
     links = sorted(coref_links(report, among))
     techniques = sorted(report_prediction.techniques)
@@ -238,14 +236,13 @@ def build_report_features(
     top = np.array([report_prediction.top_scores[tid] for tid in techniques], dtype=np.float64)
     f3 = _f3(hot, report, among, links)
 
-    group = layout.group_slices
-    values[:, group["default"]] = np.hstack([top[tx], top[ty]])
-    values[:, group["f1"]] = _f1(hot, marker_table(report))[cells]
+    values[:, GROUP_SLICES["default"]] = np.hstack([top[tx], top[ty]])
+    values[:, GROUP_SLICES["f1"]] = _f1(hot, marker_table(report))[cells]
     # Each link has one relation, so f3's coref block sums to the
     # pair's straddling links.
-    values[:, group["f2"]] = _f2(hot, f3[..., len(DISCOURSE_ORDER):].sum(axis=-1))[cells]
-    values[:, group["f3"]] = f3[cells]
-    values[:, group["f4"]] = list(map(f4.__getitem__, pairs))
+    values[:, GROUP_SLICES["f2"]] = _f2(hot, f3[..., len(DISCOURSE_ORDER):].sum(axis=-1))[cells]
+    values[:, GROUP_SLICES["f3"]] = f3[cells]
+    values[:, GROUP_SLICES["f4"]] = list(map(f4.__getitem__, pairs))
     if wv is not None:
         order = np.flatnonzero(hot.any(axis=0))
         vectors = [sentence_vector(wv, report.sentences[i].tokens) for i in order.tolist()]
@@ -255,13 +252,13 @@ def build_report_features(
         counts = used.sum(axis=0)
         for i, j in np.argwhere(np.triu(np.outer(counts, counts) > used.T @ used)).tolist():
             cosines[i, j] = cosines[j, i] = cosine(vectors[i], vectors[j])
-        f2 = values[:, group["f2"]]
+        f2 = values[:, GROUP_SLICES["f2"]]
         for row, (a, b) in enumerate(zip(tx.tolist(), ty.tolist())):
             sims = cosines[np.ix_(used[a] > 0, used[b] > 0)].ravel()
             if sims.size:
                 f2[row, 10] = float(np.mean(sims))
                 f2[row, 11] = float(np.max(sims))
-    return FeatureRows(keys, values, layout)
+    return FeatureRows(keys, values)
 
 
 _META_COLUMNS = ("report_id", "tx", "ty")
@@ -282,14 +279,14 @@ def _csv_field(value: str) -> str:
 
 def _write_csv(rows: FeatureRows, out) -> None:
     """Write to the text stream `out` the CSV of `rows`, with one header
-    row naming every slot of `rows.layout`; floats via repr so a
-    read-back is bit-exact.
+    row naming every slot of the layout; floats via repr so a read-back
+    is bit-exact.
 
     Rows share few distinct values, so each block of rows formats each
     of its distinct values once. Values are told apart by their bits:
     -0.0 and 0.0 keep their own repr. Report and technique ids are
     quoted as `_csv_field` quotes them."""
-    csv.writer(out, lineterminator="\n").writerow([*_META_COLUMNS, *rows.layout.names])
+    csv.writer(out, lineterminator="\n").writerow([*_META_COLUMNS, *SLOT_NAMES])
     names = {name for key in rows for name in key}
     quoted = dict(zip(names, map(_csv_field, names)))
     for start in range(0, len(rows), _CSV_BLOCK_ROWS):
@@ -329,17 +326,16 @@ def read_features_csv(path: str | Path) -> FeatureRows:
     header = next(reader)
     if not header:
         raise ValueError(f"{path}: feature CSV has no header line")
-    layout = FeatureLayout()
-    expected = [*_META_COLUMNS, *layout.names]
+    expected = [*_META_COLUMNS, *SLOT_NAMES]
     if header != expected:
         raise ValueError(
-            f"{path}: feature CSV header does not match layout {layout.version} "
+            f"{path}: feature CSV header does not match layout {LAYOUT_VERSION} "
             f"(expected {len(expected)} columns, got {len(header)}); "
             "re-run `ttpmine features`"
         )
     # Every row ends at a newline but perhaps the last, so the file has
     # at most this many rows; the unused tail of the block is never touched.
-    values = np.empty((text.count("\n"), layout.total), dtype=np.float64)
+    values = np.empty((text.count("\n"), N_SLOTS), dtype=np.float64)
     keys = []
     lines = []
     for row in reader:
@@ -358,6 +354,6 @@ def read_features_csv(path: str | Path) -> FeatureRows:
     # One pass over the whole matrix: float() parses "nan" and "inf".
     if not np.isfinite(values).all():
         row, slot = np.argwhere(~np.isfinite(values))[0]
-        where, name = f"{path}:{lines[row]}", layout.names[slot]
+        where, name = f"{path}:{lines[row]}", SLOT_NAMES[slot]
         raise ValueError(f"{where}: slot {name} is {values[row, slot]}, not a finite number")
-    return FeatureRows(keys, values, layout)
+    return FeatureRows(keys, values)

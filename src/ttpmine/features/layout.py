@@ -1,7 +1,9 @@
 """Fixed feature-vector layout.
 
-One layout, version "v2", covers every pair of every report; the
-version string changes exactly when the slot list does. Slot order:
+One layout, version `LAYOUT_VERSION`, covers every pair of every
+report; the version string changes exactly when the slot list does.
+It is stated here once: the rows, the features CSV and the relation
+model are checked against these constants. Slot order:
 
   default (10)  top-5 sentence scores for tx, then for ty (a row's two
                 techniques are always detected in its report)
@@ -16,8 +18,6 @@ after the nine measures; its files and models no longer load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -45,52 +45,45 @@ _RELATION_SHORT = ("before", "overlap", "concurrent")
 FEATURE_GROUPS = ("default", "f1", "f2", "f3", "f4")
 
 
-@dataclass(frozen=True)
-class FeatureLayout:
-    version = "v2"
+def _slot_names() -> tuple[str, ...]:
+    out: list[str] = []
+    out += [f"default.tx_top{k}" for k in range(1, 6)]
+    out += [f"default.ty_top{k}" for k in range(1, 6)]
+    for side in ("tx", "ty", "span"):
+        out += [f"f1.{side}_{rel}" for rel in _RELATION_SHORT]
+    for rel in _RELATION_SHORT:
+        out += [f"f1.dir_{rel}_tx_first", f"f1.dir_{rel}_ty_first"]
+    out += ["f1.density_tx", "f1.density_ty"]
+    out += [f"f1.extent_{rel}" for rel in _RELATION_SHORT]
+    out += [f"f2.adj_{d}" for d in ADJACENCY_GAPS]
+    out += ["f2.same_sentence", "f2.sim_mean", "f2.sim_max", "f2.coref"]
+    out += [f"f3.adj_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
+    out += [f"f3.coref_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
+    out += [f"f4.{name}" for name in METRIC_NAMES]
+    return tuple(out)
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        out: list[str] = []
-        out += [f"default.tx_top{k}" for k in range(1, 6)]
-        out += [f"default.ty_top{k}" for k in range(1, 6)]
-        for side in ("tx", "ty", "span"):
-            out += [f"f1.{side}_{rel}" for rel in _RELATION_SHORT]
-        for rel in _RELATION_SHORT:
-            out += [f"f1.dir_{rel}_tx_first", f"f1.dir_{rel}_ty_first"]
-        out += ["f1.density_tx", "f1.density_ty"]
-        out += [f"f1.extent_{rel}" for rel in _RELATION_SHORT]
-        out += [f"f2.adj_{d}" for d in ADJACENCY_GAPS]
-        out += ["f2.same_sentence", "f2.sim_mean", "f2.sim_max", "f2.coref"]
-        out += [f"f3.adj_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
-        out += [f"f3.coref_{rel.value.lower()}" for rel in DISCOURSE_ORDER]
-        out += [f"f4.{name}" for name in METRIC_NAMES]
-        return tuple(out)
 
-    @property
-    def total(self) -> int:
-        return self.group_slices["f4"].stop
+LAYOUT_VERSION = "v2"
+SLOT_NAMES = _slot_names()
+_SIZES = (DEFAULT_SIZE, F1_SIZE, F2_SIZE, F3_SIZE, len(METRIC_NAMES))
+GROUP_SLICES = {
+    group: slice(stop - size, stop)
+    for group, size, stop in zip(FEATURE_GROUPS, _SIZES, accumulate(_SIZES))
+}
+N_SLOTS = len(SLOT_NAMES)
 
-    @cached_property
-    def group_slices(self) -> dict[str, slice]:
-        sizes = (DEFAULT_SIZE, F1_SIZE, F2_SIZE, F3_SIZE, len(METRIC_NAMES))
-        bounds = zip(FEATURE_GROUPS, sizes, accumulate(sizes))
-        return {group: slice(stop - size, stop) for group, size, stop in bounds}
 
-    def mask(self, groups) -> np.ndarray:
-        """Boolean slot mask for a feature-subset configuration; the
-        default slots are always included."""
-        unknown = sorted(set(groups) - set(FEATURE_GROUPS))
-        if unknown:
-            raise ValueError(
-                f"unknown feature groups: {', '.join(unknown)} "
-                f"(expected subset of {', '.join(FEATURE_GROUPS)})"
-            )
-        keep = np.zeros(self.total, dtype=bool)
-        keep[self.group_slices["default"]] = True
-        for group in groups:
-            keep[self.group_slices[group]] = True
-        return keep
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
+def group_mask(groups) -> np.ndarray:
+    """Boolean slot mask for a feature-subset configuration; the
+    default slots are always included."""
+    unknown = sorted(set(groups) - set(FEATURE_GROUPS))
+    if unknown:
+        raise ValueError(
+            f"unknown feature groups: {', '.join(unknown)} "
+            f"(expected subset of {', '.join(FEATURE_GROUPS)})"
+        )
+    keep = np.zeros(N_SLOTS, dtype=bool)
+    keep[GROUP_SLICES["default"]] = True
+    for group in groups:
+        keep[GROUP_SLICES[group]] = True
+    return keep

@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..features.layout import FeatureLayout
+from ..features.layout import LAYOUT_VERSION, N_SLOTS, group_mask
 from ..labels import ALL_LABELS, NULL, POSITIVE_LABELS
-from ..records import BOOL, INT, LIST, NUMBER, OBJECT, STRING, check_record
+from ..records import BOOL, INT, LIST, NUMBER, OBJECT, STRING, check_object, check_record
 from .tree import bin_columns, check_tree, fit_tree, predict_tree
 
 logger = logging.getLogger(__name__)
@@ -69,6 +69,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict, where: str = "") -> "TrainConfig":
         """A train config file's config: a key left out keeps its default."""
+        check_object(data, where)
         record = {**vars(cls()), **data}
         check_record(record, TRAIN_CONFIG_SHAPE, where)
         return cls(**record)
@@ -96,9 +97,7 @@ class LabelModel:
 @dataclass
 class GbdtEnsemble:
     models: dict[str, LabelModel]
-    layout_version: str
     config: TrainConfig
-    n_features: int
 
     def raw_score(self, label: str, X: np.ndarray) -> np.ndarray:
         model = self.models[label]
@@ -179,7 +178,7 @@ def train(
 
     `features` is a `FeatureRows`; `labels` the aligned label sets.
     `feature_groups` restricts split candidates to those groups of the
-    rows' layout (default slots always active); trees store global slot
+    layout (default slots always active); trees store global slot
     indices either way. The matrix is binned once, and each label model
     fits on its rows of that binning.
     """
@@ -193,7 +192,7 @@ def train(
     _validate_features(X)
 
     if feature_groups is not None:
-        active = np.flatnonzero(features.layout.mask(feature_groups))
+        active = np.flatnonzero(group_mask(feature_groups))
     else:
         active = np.arange(X.shape[1])
 
@@ -270,12 +269,7 @@ def train(
             n_positives=n_pos,
         )
 
-    return GbdtEnsemble(
-        models=models,
-        layout_version=features.layout.version,
-        config=config,
-        n_features=X.shape[1],
-    )
+    return GbdtEnsemble(models=models, config=config)
 
 
 def predict_batch(model: GbdtEnsemble, features) -> np.ndarray:
@@ -322,8 +316,8 @@ _LABEL_SHAPE = dict(init_score=NUMBER, degenerate=BOOL, trees=LIST)
 def ensemble_to_dict(model: GbdtEnsemble) -> dict:
     return {
         "format_version": ENSEMBLE_FORMAT_VERSION,
-        "layout_version": model.layout_version,
-        "n_features": model.n_features,
+        "layout_version": LAYOUT_VERSION,
+        "n_features": N_SLOTS,
         "config": model.config.to_dict(),
         "labels": {
             label: {
@@ -339,18 +333,17 @@ def ensemble_to_dict(model: GbdtEnsemble) -> dict:
 def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     """Rebuild an `ensemble_to_dict` model; ValueError for a record of
     another shape (see `check_record`) or format, a layout other than
-    `FeatureLayout()`'s, label keys other than `ALL_LABELS`, a config
+    `LAYOUT_VERSION` of `N_SLOTS` slots, label keys other than `ALL_LABELS`, a config
     `TrainConfig` rejects or a tree `check_tree` rejects."""
     check_record(data, _MODEL_SHAPE)
     version = data["format_version"]
     if version != ENSEMBLE_FORMAT_VERSION:
         raise ValueError(f"ensemble format {version!r} is not {ENSEMBLE_FORMAT_VERSION!r}")
-    layout = FeatureLayout()
     layout_version, n_features = data["layout_version"], data["n_features"]
-    if (layout_version, n_features) != (layout.version, layout.total):
+    if (layout_version, n_features) != (LAYOUT_VERSION, N_SLOTS):
         raise ValueError(
             f"feature layout {layout_version} ({n_features} features) is not "
-            f"{layout.version} ({layout.total} features); retrain on features "
+            f"{LAYOUT_VERSION} ({N_SLOTS} features); retrain on features "
             "from `ttpmine features`"
         )
     if set(data["labels"]) != set(ALL_LABELS):
@@ -361,16 +354,11 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     for label, entry in data["labels"].items():
         check_record(entry, _LABEL_SHAPE, f"label {label}: ")
         for tree in entry["trees"]:
-            check_tree(tree, n_features)
+            check_tree(tree, N_SLOTS)
         models[label] = LabelModel(
             label=label,
             init_score=float(entry["init_score"]),
             trees=entry["trees"],
             degenerate=entry["degenerate"],
         )
-    return GbdtEnsemble(
-        models=models,
-        layout_version=layout_version,
-        config=config,
-        n_features=n_features,
-    )
+    return GbdtEnsemble(models=models, config=config)

@@ -25,6 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ..records import INT, NUMBER, OBJECT, check_object, check_record
+
 MIN_GAIN = 1e-12
 LEAF_VALUE_CAP = 10.0
 _HESSIAN_EPS = 1e-16
@@ -247,32 +249,25 @@ def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+_LEAF_SHAPE = {"value": NUMBER}
+_SPLIT_SHAPE = {"feature": INT, "threshold": NUMBER, "left": OBJECT, "right": OBJECT}
 
 
 def check_tree(node, n_features: int) -> None:
     """ValueError unless ``node`` is a tree over ``n_features`` columns:
-    each leaf exactly ``{"value": v}`` and each split exactly
-    ``{"feature": f, "threshold": t, "left": ..., "right": ...}``, with
-    ``v`` and ``t`` finite numbers and ``f`` an int in [0, n_features)."""
+    each node holding ``"value"`` a leaf of ``_LEAF_SHAPE``, every other
+    node a split of ``_SPLIT_SHAPE`` (see `check_record`) whose feature
+    is in [0, n_features)."""
     stack = [node]
     while stack:
         node = stack.pop()
-        keys = node.keys() if isinstance(node, dict) else None
-        if keys == {"value"}:
-            if not _finite(node["value"]):
-                raise ValueError(f"leaf value {node['value']!r} is not a finite number")
-        elif keys == {"feature", "threshold", "left", "right"}:
-            feature = node["feature"]
-            if type(feature) is not int or not 0 <= feature < n_features:
-                raise ValueError(
-                    f"split feature {feature!r} is not an int in [0, {n_features})"
-                )
-            if not _finite(node["threshold"]):
-                raise ValueError(
-                    f"split threshold {node['threshold']!r} is not a finite number"
-                )
-            stack += (node["left"], node["right"])
-        else:
-            raise ValueError(f"tree node {node!r:.80} is neither a leaf nor a split")
+        check_object(node, "tree node: ")
+        if "value" in node:
+            check_record(node, _LEAF_SHAPE, "tree leaf: ")
+            continue
+        check_record(node, _SPLIT_SHAPE, "tree split: ")
+        if not 0 <= node["feature"] < n_features:
+            raise ValueError(
+                f"tree split: feature {node['feature']} is not in [0, {n_features})"
+            )
+        stack += (node["left"], node["right"])

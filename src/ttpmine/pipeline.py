@@ -4,11 +4,11 @@ Every stage writes its artifacts and returns what it built, and the
 next stage takes that as it is: ``run_pipeline`` passes each stage's
 objects on in memory and still writes every artifact, while the CLI
 commands read prior artifacts from disk, so any stage can be re-run
-standalone. There is one feature layout: the features CSV's header and
-a model's ``layout_version`` are checked against it as they are read,
-so rows and models always agree. Artifacts embed the tool
-version, the configuration hash, and (where applicable) the feature
-layout version. Every artifact reader fails with one ``PipelineError``
+standalone. There is one feature layout, the constants of
+``features.layout``: the features CSV's header and a model's
+``layout_version`` are checked against it as they are read, so rows and
+models always agree. Artifacts embed the tool version, the
+configuration hash, and (where applicable) the feature layout version. Every artifact reader fails with one ``PipelineError``
 that names the file (and, in a JSONL artifact, the line).
 
 Artifact formats:
@@ -65,7 +65,7 @@ from .features.builder import (
     read_features_csv,
     write_features_csv,
 )
-from .features.layout import FeatureLayout
+from .features.layout import LAYOUT_VERSION, N_SLOTS
 from .gbdt.ensemble import (
     GbdtEnsemble,
     TrainConfig,
@@ -88,7 +88,8 @@ from .mining import (
     relation_prediction_records,
 )
 from .records import (
-    INT, NUMBER, OBJECT, STRING, STRING_OR_NULL, Kind, check_record, list_of, object_of
+    INT, NUMBER, OBJECT, STRING, STRING_OR_NULL, Kind, check_object, check_record, list_of,
+    object_of,
 )
 
 # SHA-256 from the interpreter's builtin module, the code `hashlib` falls
@@ -147,6 +148,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PipelineConfig":
         """A `run` config file's config: a key left out keeps its default."""
+        check_object(data)
         record = {**cls().to_dict(), **data}
         check_record(record, _CONFIG_SHAPE)
         return cls(**{**record, "train": TrainConfig.from_dict(record["train"], "train: ")})
@@ -169,16 +171,17 @@ def provenance_hash(payload: Mapping) -> str:
     return _sha256(_encode(payload).encode("utf-8")).hexdigest()[:16]
 
 
-def make_meta(stage: str, config_hash: str, layout_version: str | None = None) -> dict:
-    """Provenance block embedded in every artifact."""
+def make_meta(stage: str, config_hash: str, *, layout: bool = False) -> dict:
+    """Provenance block embedded in every artifact; with ``layout``, it
+    names the feature layout its rows or model are of."""
     meta = {
         "tool": "ttpmine",
         "tool_version": __version__,
         "stage": stage,
         "config_hash": config_hash,
     }
-    if layout_version is not None:
-        meta["layout_version"] = layout_version
+    if layout:
+        meta["layout_version"] = LAYOUT_VERSION
     return meta
 
 
@@ -457,7 +460,6 @@ def stage_features(
     matrix as soon as it is built. The meta block goes to
     ``<stem>.meta.json`` beside the CSV.
     """
-    layout = FeatureLayout()
     ordered = sorted(reports, key=lambda r: r.report_id)
     by_id = {p.report_id: p for p in predictions}
     for report in ordered:
@@ -469,26 +471,24 @@ def stage_features(
     universes = [pair_universe(by_id[r.report_id].techniques) for r in ordered]
     f4 = f4_table(usage, (pair for u in universes for pair in u))
     n_rows = sum(map(len, universes))
-    values = np.empty((n_rows, layout.total), dtype=np.float64)
+    values = np.empty((n_rows, N_SLOTS), dtype=np.float64)
     keys = []
     for report in ordered:
         try:
-            block = build_report_features(
-                report, by_id[report.report_id], wv=vectors, layout=layout, f4=f4
-            )
+            block = build_report_features(report, by_id[report.report_id], wv=vectors, f4=f4)
         except ValueError as exc:  # a hit sentence outside the report
             raise PipelineError(f"features: {exc}") from exc
         values[len(keys) : len(keys) + len(block)] = block.values
         keys += block.keys
-    rows = FeatureRows(keys, values, layout)
+    rows = FeatureRows(keys, values)
     write_features_csv(rows, path=out_path)
-    meta = make_meta("features", config_hash, layout_version=layout.version)
+    meta = make_meta("features", config_hash, layout=True)
     write_json(os.path.splitext(out_path)[0] + ".meta.json", {"meta": meta})
     logger.info(
         "features: wrote %d pair vectors (%d slots, %d with f4_missing) to %s; "
         "coreference over %d hit sentences of %d",
         len(rows),
-        layout.total,
+        N_SLOTS,
         count_f4_missing(rows),
         out_path,
         count_hit_sentences(by_id[report.report_id] for report in ordered),
@@ -581,7 +581,7 @@ def stage_train(
             lm.degenerate,
             f"{curve[0]:.6g} -> {curve[-1]:.6g}" if curve else "n/a",
         )
-    meta = make_meta("train-relations", config_hash, layout_version=rows.layout.version)
+    meta = make_meta("train-relations", config_hash, layout=True)
     write_json(out_path, {"meta": meta, "model": ensemble_to_dict(ensemble)})
     logger.info("train-relations: wrote model to %s", out_path)
     return ensemble
@@ -608,7 +608,7 @@ def stage_predict(
     decided labels), and return the decided label sets."""
     probabilities = predict_batch(ensemble, rows)
     labels = decided_labels(probabilities, ensemble.config.decision_threshold)
-    meta = make_meta("predict", config_hash, layout_version=rows.layout.version)
+    meta = make_meta("predict", config_hash, layout=True)
     write_jsonl(out_path, meta, relation_prediction_records(rows.keys, probabilities, labels))
     logger.info("predict: wrote %d pair predictions to %s", len(labels), out_path)
     return labels

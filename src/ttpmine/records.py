@@ -48,12 +48,17 @@ OBJECT = Kind("an object", frozenset({dict}))
 STRINGS = list_of(STRING)
 
 
+def check_object(record, where: str = "") -> None:
+    """ValueError, prefixed with `where`, unless `record` is a JSON object."""
+    if type(record) is not dict:
+        raise ValueError(f"{where}expected an object, got {record!r:.40}")
+
+
 def check_record(record, shape: Mapping[str, Kind], where: str = "") -> None:
     """ValueError, prefixed with `where`, unless `record` is a JSON object
     with exactly the keys of `shape`, each value of its key's kind. It
     names the first key missing, else unknown (sorted), else mistyped."""
-    if type(record) is not dict:
-        raise ValueError(f"{where}expected an object, got {record!r:.40}")
+    check_object(record, where)
     if record.keys() != shape.keys():
         missing = [key for key in shape if key not in record]
         key = missing[0] if missing else min(record.keys() - shape.keys())

@@ -17,7 +17,7 @@ from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
 from ttpmine.embeddings import WordVectors
 from ttpmine.features.apriori import METRIC_NAMES
 from ttpmine.features.builder import FeatureRows, PairKey, build_report_features, f4_table
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import N_SLOTS, SLOT_NAMES
 
 E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
@@ -249,16 +249,15 @@ def workload_bundle(name: str, seed: int = 1) -> bytes:
     return (json.dumps(world.bundle(), sort_keys=True) + "\n").encode("utf-8")
 
 
-def make_rows(values, report_ids="r1", tx="TA", ty="TB",
-              layout: FeatureLayout = FeatureLayout()) -> FeatureRows:
-    """A `FeatureRows` of `layout` from a (rows, slots) array. Rows with
-    fewer slots than the layout are padded with zeros on the right; a
+def make_rows(values, report_ids="r1", tx="TA", ty="TB") -> FeatureRows:
+    """A `FeatureRows` from a (rows, slots) array. Rows with fewer slots
+    than the layout's `N_SLOTS` are padded with zeros on the right; a
     column constant over every row never splits, so a model trains on
     the padded rows as on the narrow ones. `report_ids`, `tx` and `ty`
     each take one value for every row or a sequence with one per row."""
     narrow = np.atleast_2d(np.asarray(values, dtype=np.float64))
     n = narrow.shape[0]
-    values = np.zeros((n, layout.total))
+    values = np.zeros((n, N_SLOTS))
     values[:, : narrow.shape[1]] = narrow
 
     def per_row(v):
@@ -267,7 +266,6 @@ def make_rows(values, report_ids="r1", tx="TA", ty="TB",
     return FeatureRows(
         keys=[PairKey(*key) for key in zip(per_row(report_ids), per_row(tx), per_row(ty))],
         values=values,
-        layout=layout,
     )
 
 
@@ -275,7 +273,7 @@ def v1_bins_header(bins: int) -> list[str]:
     """The header of a features CSV of the retired layout `v1-bins<bins>`:
     today's columns, then a one-hot bin column per f4 measure and bin."""
     return [
-        "report_id", "tx", "ty", *FeatureLayout().names,
+        "report_id", "tx", "ty", *SLOT_NAMES,
         *(f"f4.{name}_bin{b}" for name in METRIC_NAMES for b in range(bins)),
     ]
 
@@ -287,7 +285,6 @@ def report_rows(report, prediction, um=EMPTY_USAGE, wv=None) -> FeatureRows:
         report,
         prediction,
         wv=wv,
-        layout=FeatureLayout(),
         f4=f4_table(um, pair_universe(prediction.techniques)),
     )
 
@@ -296,7 +293,7 @@ def pair_row(report, tx_hits, ty_hits, wv=None) -> np.ndarray:
     """The (TX, TY) row that `build_report_features` builds for `report`
     when TX is detected in the sentences `tx_hits` and TY in `ty_hits`
     (either may be empty, and may repeat or be unsorted); read its slots
-    by name through `FeatureLayout.index`."""
+    by name through `SLOT_NAMES.index`."""
     prediction = ReportPrediction(
         report_id=report.report_id,
         hit_sentences={"TX": tuple(tx_hits), "TY": tuple(ty_hits)},

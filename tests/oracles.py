@@ -41,7 +41,9 @@ from ttpmine.features.discourse import (
     classify_discourse,
 )
 from ttpmine.features.builder import _META_COLUMNS, FeatureRows, PairKey
-from ttpmine.features.layout import _RELATION_SHORT, F2_SIZE, FeatureLayout
+from ttpmine.features.layout import (
+    _RELATION_SHORT, F2_SIZE, GROUP_SLICES, N_SLOTS, SLOT_NAMES, group_mask
+)
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
@@ -441,7 +443,7 @@ def features_to_csv_oracle(rows) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow(fields)
         return buf.getvalue()[:-2] + "\n"
 
-    out = [line([*_META_COLUMNS, *rows.layout.names])]
+    out = [line([*_META_COLUMNS, *SLOT_NAMES])]
     for key, values in zip(rows.keys, rows.values):
         out.append(line([*key] + [repr(float(v)) for v in values]))
     return "".join(out)
@@ -637,15 +639,15 @@ def sentence_features_oracle(report, tx_sentences, ty_sentences, links, wv=None)
     return out
 
 
-def mirror_spec(layout: FeatureLayout) -> dict[str, list]:
-    """How the (tx,ty) vector of a report relates to its (ty,tx) vector
-    under `layout`: "swap" slot pairs exchange values, "equal" slots are
+def mirror_spec() -> dict[str, list]:
+    """How the (tx,ty) vector of a report relates to its (ty,tx) vector,
+    slot by slot: "swap" slot pairs exchange values, "equal" slots are
     unchanged. The adjacency window is lopsided (forward gaps 0..4 cover
     spans 1..5, backward -1..-4 cover spans 1..4), so slot f2.adj_4 has
     no mirror image and is "excluded", as is all of f4 (its conditional
     measures are direction-dependent by definition)."""
     swap: list[tuple[int, int]] = []
-    idx = layout.index
+    idx = SLOT_NAMES.index
     for k in range(1, 6):
         swap.append((idx(f"default.tx_top{k}"), idx(f"default.ty_top{k}")))
     for rel in _RELATION_SHORT:
@@ -660,10 +662,10 @@ def mirror_spec(layout: FeatureLayout) -> dict[str, list]:
     equal = [idx(f"f1.span_{rel}") for rel in _RELATION_SHORT]
     equal += [idx(f"f1.extent_{rel}") for rel in _RELATION_SHORT]
     equal += [idx("f2.same_sentence"), idx("f2.sim_mean"), idx("f2.sim_max"), idx("f2.coref")]
-    equal += list(range(*layout.group_slices["f3"].indices(layout.total)))
+    equal += list(range(*GROUP_SLICES["f3"].indices(N_SLOTS)))
 
     covered = {s for pair in swap for s in pair} | set(equal)
-    excluded = [k for k in range(layout.total) if k not in covered]
+    excluded = [k for k in range(N_SLOTS) if k not in covered]
     return {"swap": swap, "equal": equal, "excluded": excluded}
 
 
@@ -716,7 +718,6 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
     own by `pair_vector_oracle`."""
     by_id = {p.report_id: p for p in predictions}
     ids = sorted(set(class_ids))
-    layout = FeatureLayout()
     keys, values = [], []
     for report in sorted(reports, key=lambda r: r.report_id):
         for tx in ids:
@@ -727,7 +728,7 @@ def full_universe_rows_oracle(reports, predictions, class_ids, usage, vectors=No
                     )
                     keys.append(PairKey(report.report_id, tx, ty))
                     values.append(row)
-    return FeatureRows(keys, np.reshape(values, (len(keys), layout.total)), layout)
+    return FeatureRows(keys, np.reshape(values, (len(keys), N_SLOTS)))
 
 
 def _per_label_tree(X, residuals, hessians, max_depth: int):
@@ -843,7 +844,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None) -> Gbd
     if feature_groups is None:
         active = np.arange(X.shape[1])
     else:
-        active = np.flatnonzero(features.layout.mask(feature_groups))
+        active = np.flatnonzero(group_mask(feature_groups))
     models = {}
     for label_index, label in enumerate(ALL_LABELS):
         y = np.array([1.0 if label in labs else 0.0 for labs in labels])
@@ -876,12 +877,7 @@ def per_label_train_oracle(features, labels, config, feature_groups=None) -> Gbd
         models[label] = LabelModel(
             label=label, init_score=init, trees=trees, loss_curve=losses
         )
-    return GbdtEnsemble(
-        models=models,
-        layout_version=features.layout.version,
-        config=config,
-        n_features=X.shape[1],
-    )
+    return GbdtEnsemble(models=models, config=config)
 
 
 def dense_usage_to_dict(matrix: UsageMatrix) -> dict:

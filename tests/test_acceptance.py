@@ -54,7 +54,7 @@ from ttpmine.ctfidf import (
     train_ctfidf,
 )
 from ttpmine.features.builder import f4_table
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import N_SLOTS, SLOT_NAMES
 from ttpmine.features.markers import (
     BEFORE_MARKERS,
     CONCURRENT_MARKERS,
@@ -422,8 +422,7 @@ def test_criterion_8_feature_layout_contract():
     prediction = random_prediction(
         np.random.default_rng(0), report, "T1566", "T1204"
     )
-    layout = FeatureLayout()
-    assert layout.total == len(layout.names) == 62
+    assert N_SLOTS == len(SLOT_NAMES) == 62
     rows = report_rows(report, prediction, um=EMPTY_USAGE)
     assert rows.values.shape == (len(rows), 62)
     values, _ = pair_vector_oracle(report, ("T1566", "T1204"), prediction, um=EMPTY_USAGE)
@@ -432,7 +431,7 @@ def test_criterion_8_feature_layout_contract():
     # On the oracle's vectors for both directions of a pair, and on the
     # rows `build_report_features` builds for every detected pair.
     rng = np.random.default_rng(108)
-    spec = mirror_spec(layout)
+    spec = mirror_spec()
     production_pairs = 0
     for case in range(50):
         rand_report = random_report(rng, f"r{case:02d}")

@@ -28,12 +28,13 @@ from ttpmine.corpus import make_report, pair_universe
 from ttpmine.ctfidf import ReportPrediction
 from ttpmine.features.builder import (
     FeatureRows,
+    PairKey,
     build_report_features,
     f4_table,
     read_features_csv,
     write_features_csv,
 )
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import GROUP_SLICES, N_SLOTS, SLOT_NAMES
 from ttpmine.pipeline import count_f4_missing, stage_features
 
 
@@ -97,21 +98,30 @@ def _assert_rows_match_oracle(rows, reports, predictions, um, wv=None):
         assert values.tobytes() == want.tobytes(), key
 
 
-def _assert_mirror_invariants(rows, layout):
+def _assert_mirror_invariants(rows):
     """Each (tx,ty) row and the (ty,tx) row of the same report relate as
     the layout's mirror specification says. Returns the pairs checked."""
-    spec = mirror_spec(layout)
+    spec = mirror_spec()
     index = {key: k for k, key in enumerate(rows)}
     checked = 0
     for (rid, tx, ty), k in index.items():
         fwd, rev = rows.values[k], rows.values[index[(rid, ty, tx)]]
         for a, b in spec["swap"]:
-            assert rev[a] == fwd[b], (rid, tx, ty, layout.names[a])
-            assert rev[b] == fwd[a], (rid, tx, ty, layout.names[a])
+            assert rev[a] == fwd[b], (rid, tx, ty, SLOT_NAMES[a])
+            assert rev[b] == fwd[a], (rid, tx, ty, SLOT_NAMES[a])
         for e in spec["equal"]:
-            assert rev[e] == fwd[e], (rid, tx, ty, layout.names[e])
+            assert rev[e] == fwd[e], (rid, tx, ty, SLOT_NAMES[e])
         checked += 1
     return checked
+
+
+@pytest.mark.parametrize("shape", [(2, 61), (2, 63), (1, 62), (3, 62)])
+def test_rows_that_do_not_fit_their_keys(shape):
+    # Two keys take a (2, 62) matrix: one row per key, one column per slot.
+    keys = [PairKey("r1", "TA", "TB"), PairKey("r1", "TB", "TA")]
+    with pytest.raises(ValueError) as info:
+        FeatureRows(keys, np.zeros(shape))
+    assert str(info.value) == f"2 keys do not fit values of shape {shape}: expected (2, 62)"
 
 
 class TestBuildFeatureVector:
@@ -122,7 +132,6 @@ class TestBuildFeatureVector:
             REPORT, _prediction(techniques=("T1566", "T1204")), um=EMPTY_USAGE
         )
         assert rows.values.shape == (2, 62)
-        assert rows.layout == FeatureLayout()
         assert [key.report_id for key in rows] == ["r1", "r1"]
         assert len(rows) == 2
 
@@ -155,15 +164,14 @@ class TestBuildFeatureVector:
         np.testing.assert_array_equal(values[5:10], np.zeros(5))
 
     def test_f1_f2_from_hit_sentences(self):
-        layout = FeatureLayout()
         pred = _prediction(
             techniques=("T1566", "T1204"),
             hits={"T1566": (0,), "T1204": (1,)},
         )
         values, _ = _row(report_rows(REPORT, pred, um=EMPTY_USAGE), "T1566", "T1204")
         # "then" opens sentence 1: a before-marker on the ty side.
-        assert values[layout.index("f1.ty_before")] == 1.0
-        assert values[layout.index("f2.adj_0")] == 1.0
+        assert values[SLOT_NAMES.index("f1.ty_before")] == 1.0
+        assert values[SLOT_NAMES.index("f2.adj_0")] == 1.0
 
     def test_f4_slots_and_flag(self):
         rows = report_rows(
@@ -258,7 +266,6 @@ class TestBuildReportFeatures:
         # per report (or f4 per corpus) must give the vectors each pair
         # gets on its own.
         rng = np.random.default_rng(20261018)
-        layout = FeatureLayout()
         corpus_f4 = f4_table(_um(), pair_universe(["T1204", "T1566", "T9999"]))
         for case in range(12):
             report = random_report(rng, f"r{case}", n_sentences=(3, 60))
@@ -266,7 +273,7 @@ class TestBuildReportFeatures:
             um = _um() if case % 3 else EMPTY_USAGE
             wv = random_word_vectors(rng) if case % 4 else None
             if case % 3 and case % 2:
-                rows = build_report_features(report, pred, wv=wv, layout=layout, f4=corpus_f4)
+                rows = build_report_features(report, pred, wv=wv, f4=corpus_f4)
             else:
                 rows = report_rows(report, pred, um=um, wv=wv)
             _assert_rows_match_oracle(rows, [report], [pred], um, wv)
@@ -274,9 +281,8 @@ class TestBuildReportFeatures:
     def test_rows_equal_rows_from_whole_report_links(self):
         # Links among the hit sentences only must give the rows that the
         # whole report's links give, coref-reading slots included.
-        layout = FeatureLayout()
         coref_slots = [
-            k for k, name in enumerate(layout.names)
+            k for k, name in enumerate(SLOT_NAMES)
             if name == "f2.coref" or name.startswith("f3.coref_")
         ]
         rng = np.random.default_rng(20261022)
@@ -314,9 +320,8 @@ class TestPlantedCoreference:
     `pair_vector_oracle` bit for bit."""
 
     def test_coref_slots_match_oracle(self):
-        layout = FeatureLayout()
-        f2_coref = layout.index("f2.coref")
-        f3_coref = [k for k, name in enumerate(layout.names) if name.startswith("f3.coref_")]
+        f2_coref = SLOT_NAMES.index("f2.coref")
+        f3_coref = [k for k, name in enumerate(SLOT_NAMES) if name.startswith("f3.coref_")]
         rng = np.random.default_rng(20261019)
         tids = ("T1204", "T1560", "T1566")
         read = np.zeros(len(f3_coref))
@@ -373,7 +378,7 @@ class TestWorkPerReport:
             for a in hits for b in hits if a != b for i in hits[a] for j in hits[b]
         }
         assert len(calls) == len(read) == 14
-        assert rows.values[:, FeatureLayout().index("f2.sim_max")].all()
+        assert rows.values[:, SLOT_NAMES.index("f2.sim_max")].all()
 
     def test_only_straddled_sentence_pairs_classified(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -402,7 +407,7 @@ class TestWorkPerReport:
         f4 = f4_table(EMPTY_USAGE, pair_universe(hits))
         tracemalloc.start()
         try:
-            rows = build_report_features(report, pred, wv=None, layout=FeatureLayout(), f4=f4)
+            rows = build_report_features(report, pred, wv=None, f4=f4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -419,7 +424,6 @@ class TestStageFeaturesOracle:
 
     @pytest.mark.parametrize("with_usage", [True, False])
     def test_long_reports(self, tmp_path, with_usage):
-        layout = FeatureLayout()
         rng = np.random.default_rng(20261030)
         tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
         reports = [
@@ -437,18 +441,17 @@ class TestStageFeaturesOracle:
         assert 0 < len(unmeasured) < len(rows) or not with_usage
         assert count_f4_missing(rows) == len(unmeasured)
         coref = [
-            k for k, name in enumerate(layout.names)
+            k for k, name in enumerate(SLOT_NAMES)
             if name == "f2.coref" or name.startswith("f3.coref_")
         ]
         assert rows.values[:, coref].sum() > 0
-        assert rows.values[:, layout.group_slices["f1"]].sum() > 0
-        assert _assert_mirror_invariants(rows, layout) == len(rows)
+        assert rows.values[:, GROUP_SLICES["f1"]].sum() > 0
+        assert _assert_mirror_invariants(rows) == len(rows)
 
 
     def test_long_reports_with_word_vectors(self, tmp_path):
         # The matrix path's cosine slots read each hit sentence's pooled
         # vector, built once per report; the oracle pools again per pair.
-        layout = FeatureLayout()
         rng = np.random.default_rng(20261031)
         tids = ("T1204", "T1566", "T1560", "T1046", "T9999")
         reports = [
@@ -462,28 +465,25 @@ class TestStageFeaturesOracle:
                               vectors=wv)
         assert len(rows) > 20
         _assert_rows_match_oracle(rows, reports, predictions, _um(), wv)
-        sims = rows.values[:, [layout.index("f2.sim_mean"), layout.index("f2.sim_max")]]
+        sims = rows.values[:, [SLOT_NAMES.index("f2.sim_mean"), SLOT_NAMES.index("f2.sim_max")]]
         assert np.count_nonzero(sims) > len(rows)
 
 
 class TestMirrorInvariants:
     def test_random_reports(self):
         rng = np.random.default_rng(20260822)
-        layout = FeatureLayout()
         um = _um()
         checked = 0
         for case in range(50):
             report = random_report(rng, f"r{case:02d}")
             pred = random_prediction(rng, report, "T1566", "T1204")
             use_um = um if case % 2 == 0 else EMPTY_USAGE
-            checked += _assert_mirror_invariants(
-                report_rows(report, pred, um=use_um), layout
-            )
+            checked += _assert_mirror_invariants(report_rows(report, pred, um=use_um))
         assert checked > 40
 
 
-def _empty(layout):
-    return make_rows(np.empty((0, layout.total)), layout=layout)
+def _empty():
+    return make_rows(np.empty((0, N_SLOTS)))
 
 
 class TestCsvRoundTrip:
@@ -504,18 +504,15 @@ class TestCsvRoundTrip:
         noisy[12] = 123456.789012345
         values.append(noisy)
         return make_rows(
-            values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204",
-            layout=FeatureLayout(),
+            values, report_ids=["r0", "r1", "r2", "r3", "rx"], tx="T1566", ty="T1204"
         )
 
     def test_bit_exact_round_trip(self, tmp_path):
-        layout = FeatureLayout()
         rows = self._rows()
         back = _read_text(_csv_text(rows, tmp_path), tmp_path)
         assert back.keys == rows.keys
         assert back.f4_missing.tolist() == rows.f4_missing.tolist()
         assert back.values.tobytes() == rows.values.tobytes()
-        assert back.layout == layout
 
     def test_carriage_return_in_ids_round_trips(self, tmp_path):
         # The reader ends an unquoted field at a "\r", so the writer
@@ -526,7 +523,6 @@ class TestCsvRoundTrip:
             report_ids=["cr\rid", "r1", "r2", "r3", "rx"],
             tx=["T1566", "T\r1566", "T1566", "T1566", "\r"],
             ty=["T1204", "T1204", "T1204\r", "T1204", "\r\n"],
-            layout=base.layout,
         )
         text = _csv_text(rows, tmp_path)
         lines = text.split("\n")
@@ -542,7 +538,6 @@ class TestCsvRoundTrip:
     def test_values_written_as_float_repr(self, tmp_path):
         # Each value is written as `repr` of the Python float, as when it
         # was formatted one numpy scalar at a time.
-        layout = FeatureLayout()
         rows = self._rows()
         edge = rows.values[-1].copy()
         edge[:6] = (-0.0, 5e-324, 1e300, 2.0**53 + 2, np.nextafter(1.0, 2.0), -1 / 3)
@@ -551,7 +546,6 @@ class TestCsvRoundTrip:
             report_ids=[key.report_id for key in rows] + ["ry"],
             tx=[key.tx for key in rows] + ["T1204"],
             ty=[key.ty for key in rows] + ["T1566"],
-            layout=layout,
         )
         lines = _csv_text(rows, tmp_path).splitlines()[1:]
         assert len(lines) == len(rows)
@@ -562,39 +556,36 @@ class TestCsvRoundTrip:
         # Each distinct value is formatted once: values that compare equal
         # but differ in bits (-0.0 and 0.0, NaNs) must keep their own repr,
         # and report ids that need quoting are quoted as csv.writer does.
-        layout = FeatureLayout()
         base = self._rows()
         awkward = np.array(
             [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
              1e16, 0.1 + 0.2, 0.3, 1e-17, 2.0**53 + 2, -1 / 3],
         )
         ids = ("r,1", 'say "hi"', "multi\nline", "cr\rid", "", " lead", "plain")
-        rolled = [np.roll(np.resize(awkward, layout.total), k) for k in range(len(ids))]
+        rolled = [np.roll(np.resize(awkward, N_SLOTS), k) for k in range(len(ids))]
         rows = make_rows(
             np.vstack([*rolled, base.values]),
             report_ids=[*ids, *(key.report_id for key in base)],
             tx="T1566",
             ty=["T,1204"] * len(ids) + ["T1204"] * len(base),
-            layout=layout,
         )
         assert _csv_text(rows, tmp_path) == features_to_csv_oracle(rows)
-        first = FeatureRows(rows.keys[:1], rows.values[:1], layout)
+        first = FeatureRows(rows.keys[:1], rows.values[:1])
         assert _csv_text(first, tmp_path) == features_to_csv_oracle(first)
         # More rows than one block of the writer.
         picks = [k % len(rows) for k in range(150)]
-        many = FeatureRows([rows.keys[k] for k in picks], rows.values[picks], layout)
+        many = FeatureRows([rows.keys[k] for k in picks], rows.values[picks])
         assert _csv_text(many, tmp_path) == features_to_csv_oracle(many)
 
     def test_header_names_layout(self, tmp_path):
-        layout = FeatureLayout()
-        header = _csv_text(_empty(layout), tmp_path).splitlines()[0]
+        header = _csv_text(_empty(), tmp_path).splitlines()[0]
         cols = header.split(",")
         assert cols[:3] == ["report_id", "tx", "ty"]
         assert cols[3] == "default.tx_top1"
         assert len(cols) == 3 + 62
 
     def test_header_that_fits_no_layout(self, tmp_path):
-        header = _csv_text(_empty(FeatureLayout()), tmp_path).split("\n")[0].split(",")
+        header = _csv_text(_empty(), tmp_path).split("\n")[0].split(",")
         renamed = [c.replace("f2.coref", "f2.corefs") for c in header]
         for text, got in (
             (",".join(v1_bins_header(10)) + "\n", 155),
@@ -615,13 +606,11 @@ class TestCsvRoundTrip:
             )
 
     def test_file_round_trip(self, tmp_path):
-        layout = FeatureLayout()
         rows = self._rows()
         path = tmp_path / "features.csv"
         write_features_csv(rows, path)
         assert path.read_bytes() == features_to_csv_oracle(rows).encode("utf-8")
         back = read_features_csv(path)
-        assert back.layout == layout
         assert back.keys == rows.keys
         assert back.values.tobytes() == rows.values.tobytes()
 
@@ -631,9 +620,8 @@ class TestCsvBadRows:
     the file and the line."""
 
     def _lines(self):
-        layout = FeatureLayout()
         rows = TestCsvRoundTrip()._rows()
-        return layout, features_to_csv_oracle(rows).splitlines(keepends=True)
+        return features_to_csv_oracle(rows).splitlines(keepends=True)
 
     def _read(self, tmp_path, lines):
         path = tmp_path / "features.csv"
@@ -641,7 +629,7 @@ class TestCsvBadRows:
         return path, read_features_csv(path)
 
     def test_wrong_column_count(self, tmp_path):
-        _, lines = self._lines()
+        lines = self._lines()
         lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
         with pytest.raises(ValueError, match=r"features\.csv:4: 64 columns, expected 65$"):
             self._read(tmp_path, lines)
@@ -650,9 +638,9 @@ class TestCsvBadRows:
             self._read(tmp_path, lines)
 
     def test_unparsable_value(self, tmp_path):
-        layout, lines = self._lines()
+        lines = self._lines()
         cells = lines[5].split(",")
-        cells[3 + layout.index("f2.coref")] = "abc"
+        cells[3 + SLOT_NAMES.index("f2.coref")] = "abc"
         lines[5] = ",".join(cells)
         with pytest.raises(ValueError, match=r"features\.csv:6: could not convert string to float: 'abc'$"):
             self._read(tmp_path, lines)
@@ -661,9 +649,9 @@ class TestCsvBadRows:
     def test_non_finite_value(self, tmp_path, value):
         # float() parses these; no writer writes them, and a NaN slot would
         # reach the model as a feature.
-        layout, lines = self._lines()
+        lines = self._lines()
         cells = lines[5].split(",")
-        cells[3 + layout.index("f2.coref")] = value
+        cells[3 + SLOT_NAMES.index("f2.coref")] = value
         lines[5] = ",".join(cells)
         shown = str(float(value))
         with pytest.raises(
@@ -675,6 +663,6 @@ class TestCsvBadRows:
             self._read(tmp_path, [lines[0], "\n", *lines[1:4], "\n", *lines[4:]])
 
     def test_blank_lines_skipped(self, tmp_path):
-        layout, lines = self._lines()
+        lines = self._lines()
         path, rows = self._read(tmp_path, [lines[0], "\n", *lines[1:], "\n"])
         assert rows.values.tobytes() == TestCsvRoundTrip()._rows().values.tobytes()

@@ -17,9 +17,9 @@ from ttpmine.features.discourse import (
     classify_discourse,
     coref_links,
 )
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import GROUP_SLICES, SLOT_NAMES
 
-F3 = FeatureLayout().group_slices["f3"]
+F3 = GROUP_SLICES["f3"]
 
 
 def _f3(report, tx, ty) -> np.ndarray:
@@ -326,13 +326,12 @@ class TestDiscourseFeatures:
             "r1", "The implant collected files. Then it sent everything."
         )
         assert (0, 1) in _every_link(report)
-        layout = FeatureLayout()
         row = pair_row(report, [0], [1])
         assert row[F3].shape == (F3_SIZE,)
         # Adjacent straddling pair classifies NEXT; the same pair is also
         # a coref link, classified NEXT again in the coref block.
-        assert row[layout.index("f3.adj_next")] == 1.0
-        assert row[layout.index("f3.coref_next")] == 1.0
+        assert row[SLOT_NAMES.index("f3.adj_next")] == 1.0
+        assert row[SLOT_NAMES.index("f3.coref_next")] == 1.0
         assert row[F3].sum() == 2.0
 
     def test_non_straddling_pairs_ignored(self):
@@ -359,10 +358,9 @@ class TestDiscourseFeatures:
             "The mirror host answered slowly.",
         )
         assert (0, 2) in _every_link(report)
-        layout = FeatureLayout()
         row = pair_row(report, [0], [2])
-        adjacent = [layout.index(f"f3.adj_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
-        coref = [layout.index(f"f3.coref_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
+        adjacent = [SLOT_NAMES.index(f"f3.adj_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
+        coref = [SLOT_NAMES.index(f"f3.coref_{rel.value.lower()}") for rel in DISCOURSE_ORDER]
         assert row[adjacent].sum() == 0.0  # not adjacent
         assert row[coref].sum() == 1.0
 

@@ -62,6 +62,8 @@ def test_exported_names_resolve(package):
         ("ttpmine.features.apriori", "METRIC_RANGES"),
         ("ttpmine.features.apriori", "PMI_CEIL"),
         ("ttpmine.features.layout", "DEFAULT_BINS"),
+        # The one layout is the module's constants, not a class.
+        ("ttpmine.features.layout", "FeatureLayout"),
         ("ttpmine.features.builder", "_BIN_PREFIX"),
     ],
 )
@@ -79,9 +81,6 @@ def test_retired_names_gone(module, name):
         ("ttpmine.corpus", "RelationAnnotation", "pair"),
         ("ttpmine.embeddings", "WordVectors", "__len__"),
         ("ttpmine.embeddings", "WordVectors", "__contains__"),
-        # F4 has no bin count, and the mirror spec is a test oracle.
-        ("ttpmine.features.layout", "FeatureLayout", "bins"),
-        ("ttpmine.features.layout", "FeatureLayout", "mirror_spec"),
         ("ttpmine.pipeline", "PipelineConfig", "bins"),
     ],
 )
@@ -101,6 +100,7 @@ def test_retired_attributes_gone(module, cls, name):
         ("ttpmine.metrics", "evaluate_relations", "labels"),
         ("ttpmine.features.builder", "f4_table", "bins"),
         ("ttpmine.pipeline", "stage_features", "bins"),
+        ("ttpmine.features.builder", "build_report_features", "layout"),
     ],
 )
 def test_retired_parameters_gone(module, function, parameter):

@@ -26,7 +26,7 @@ from oracles import (
     per_label_train_oracle,
 )
 from ttpmine.features.builder import FeatureRows
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import N_SLOTS, group_mask
 from ttpmine.gbdt.ensemble import (
     GbdtEnsemble,
     GbdtTrainingError,
@@ -490,20 +490,19 @@ def test_training_does_not_import_numpy_random(tmp_path):
         import numpy as np
 
         from ttpmine.features.builder import FeatureRows, PairKey
-        from ttpmine.features.layout import FeatureLayout
+        from ttpmine.features.layout import N_SLOTS
         from ttpmine.gbdt.ensemble import TrainConfig, train
         from ttpmine.labels import BEFORE, NULL
 
-        layout = FeatureLayout()
         n = 60
-        values = np.zeros((n, layout.total))
+        values = np.zeros((n, N_SLOTS))
         values[:, 0] = np.arange(n) % 7
         values[:, 1] = np.arange(n) % 3
         labels = [frozenset({BEFORE}) if k % 10 == 0 else frozenset({NULL}) for k in range(n)]
         keys = [PairKey(f"r{k}", "TA", "TB") for k in range(n)]
         assert "numpy.random" not in sys.modules
         model = train(
-            FeatureRows(keys, values, layout), labels,
+            FeatureRows(keys, values), labels,
             TrainConfig(trees=3, negative_downsample_ratio=2.0),
         )
         assert model.models[BEFORE].n_rows == 18, model.models[BEFORE].n_rows
@@ -634,10 +633,9 @@ class TestTraining:
 
 class TestFeatureGroups:
     def _grouped_data(self, rng):
-        layout = FeatureLayout()
         values, labels = [], []
         for k in range(24):
-            row = rng.normal(scale=0.01, size=layout.total)
+            row = rng.normal(scale=0.01, size=N_SLOTS)
             positive = k % 2 == 0
             signal = 1.0 if positive else 0.0
             row[60] = signal  # an f4 slot
@@ -645,7 +643,7 @@ class TestFeatureGroups:
             values.append(row)
             labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
         ids = [f"r{k:02d}" for k in range(24)]
-        return make_rows(values, report_ids=ids, layout=layout), labels
+        return make_rows(values, report_ids=ids), labels
 
     def test_split_candidates_restricted_to_mask(self):
         rng = np.random.default_rng(2)
@@ -656,7 +654,7 @@ class TestFeatureGroups:
             TrainConfig(trees=8, max_depth=2),
             feature_groups=("f4",),
         )
-        allowed = set(np.flatnonzero(features.layout.mask(["f4"])).tolist())
+        allowed = set(np.flatnonzero(group_mask(["f4"])).tolist())
         used = set()
         for lm in model.models.values():
             for tree in lm.trees:
@@ -682,7 +680,7 @@ class TestPredictAndSerialize:
         probabilities = predict_batch(model, features)
         assert probabilities.shape == (len(features), len(ALL_LABELS))
         assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
-        first = FeatureRows(features.keys[:1], features.values[:1], features.layout)
+        first = FeatureRows(features.keys[:1], features.values[:1])
         assert np.array_equal(predict_batch(model, first), probabilities[:1])
 
     def test_null_fallback_when_nothing_decided(self):
@@ -707,9 +705,8 @@ class TestPredictAndSerialize:
         )
         loaded = load_relation_model(str(path))
         assert isinstance(loaded, GbdtEnsemble)
-        assert loaded.layout_version == model.layout_version
         assert loaded.config == model.config
-        first = FeatureRows(features.keys[:6], features.values[:6], features.layout)
+        first = FeatureRows(features.keys[:6], features.values[:6])
         assert np.array_equal(predict_batch(model, first), predict_batch(loaded, first))
 
     def test_bare_model_names_file(self, tmp_path):
@@ -741,36 +738,36 @@ class TestPredictAndSerialize:
                 "right": {"value": 0.0},
             }
         ]
-        with pytest.raises(ValueError, match=r"feature 99 is not an int in \[0, 62\)"):
+        with pytest.raises(ValueError, match=r"^tree split: feature 99 is not in \[0, 62\)$"):
             ensemble_from_dict(data)
 
     @pytest.mark.parametrize(
         "tree, message",
         [
-            ({"value": "x"}, "leaf value 'x' is not a finite number"),
-            ({"value": float("nan")}, "leaf value nan is not a finite number"),
-            ({"value": True}, "leaf value True is not a finite number"),
-            ({"value": 0.0, "feature": 1}, "neither a leaf nor a split"),
-            ([0.0], "neither a leaf nor a split"),
+            ({"value": "x"}, "tree leaf: value must be a finite number, got 'x'"),
+            ({"value": float("nan")}, "tree leaf: value must be a finite number, got nan"),
+            ({"value": True}, "tree leaf: value must be a finite number, got True"),
+            ({"value": 0.0, "feature": 1}, "tree leaf: unknown key 'feature'"),
+            ([0.0], r"tree node: expected an object, got \[0\.0\]"),
             (
                 {"feature": 1, "threshold": None, "left": {"value": 0.0}, "right": {"value": 0.0}},
-                "split threshold None is not a finite number",
+                "tree split: threshold must be a finite number, got None",
             ),
             (
                 {"feature": 1.0, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
-                r"split feature 1.0 is not an int in \[0, 62\)",
+                "tree split: feature must be an integer, got 1.0",
             ),
             (
                 {"feature": -1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": 0.0}},
-                r"split feature -1 is not an int",
+                r"tree split: feature -1 is not in \[0, 62\)",
             ),
             (
                 {"feature": 1, "threshold": 0.5, "left": {"value": 0.0}, "right": {"value": "x"}},
-                "leaf value 'x' is not a finite number",
+                "tree leaf: value must be a finite number, got 'x'",
             ),
             (
                 {"feature": 1, "threshold": 0.5, "left": {"value": 0.0}},
-                "neither a leaf nor a split",
+                "tree split: missing key 'right'",
             ),
         ],
     )
@@ -778,7 +775,7 @@ class TestPredictAndSerialize:
         model, _ = self._model_and_features()
         data = ensemble_to_dict(model)
         data["labels"][BEFORE]["trees"] = [tree]
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ensemble_from_dict(data)
 
     def test_label_keys_must_be_all_labels(self):
@@ -863,8 +860,7 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
     small counts, flags or tied scores, mostly NULL-only rows, and a few
     rows of each given relation (some carrying two)."""
     rng = np.random.default_rng(seed)
-    layout = FeatureLayout()
-    n_rows, n_slots = 120, layout.total
+    n_rows, n_slots = 120, N_SLOTS
     X = np.empty((n_rows, n_slots))
     kinds = rng.integers(1, 4, size=n_slots)
     for slot, kind in enumerate(kinds):
@@ -888,7 +884,7 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
         else:
             label_sets.append(frozenset({NULL}))
     ids = [f"r{k // 20}" for k in range(n_rows)]
-    return make_rows(X, report_ids=ids, layout=layout), label_sets
+    return make_rows(X, report_ids=ids), label_sets
 
 
 def _assert_matches_per_label_oracle(features, labels, config, **groups):
@@ -937,8 +933,7 @@ class TestPerLabelOracle:
     def test_all_constant_matrix(self):
         features, labels = _run_train_shaped(6)
         constant = make_rows(
-            np.tile(np.arange(float(features.layout.total)), (len(features), 1)),
-            layout=features.layout,
+            np.tile(np.arange(float(N_SLOTS)), (len(features), 1))
         )
         model = _assert_matches_per_label_oracle(constant, labels, self.RUN_TRAIN)
         trees = [t for lm in model.models.values() for t in lm.trees]

@@ -7,33 +7,30 @@ import numpy as np
 import pytest
 
 from oracles import mirror_spec
-from ttpmine.features.layout import FEATURE_GROUPS, FeatureLayout
+from ttpmine.features.layout import (
+    FEATURE_GROUPS, GROUP_SLICES, LAYOUT_VERSION, N_SLOTS, SLOT_NAMES, group_mask
+)
 
 
 class TestTotals:
     def test_totals_per_bin_count(self):
         # 10 + 20 + 13 + 10 + 9: f4 adds its nine measures and no bins.
-        layout = FeatureLayout()
-        widths = [s.stop - s.start for s in layout.group_slices.values()]
+        widths = [s.stop - s.start for s in GROUP_SLICES.values()]
         assert widths == [10, 20, 13, 10, 9]
-        assert layout.total == sum(widths) == 62
+        assert N_SLOTS == sum(widths) == 62
 
     def test_names_cover_every_slot(self):
-        layout = FeatureLayout()
-        assert len(layout.names) == layout.total
-        assert len(set(layout.names)) == layout.total
+        assert len(SLOT_NAMES) == N_SLOTS
+        assert len(set(SLOT_NAMES)) == N_SLOTS
 
     def test_invalid_bins(self):
         # The layout has no bin count: f4 is the nine measures alone.
-        with pytest.raises(TypeError, match="bins"):
-            FeatureLayout(bins=10)
+        assert not [name for name in SLOT_NAMES if "_bin" in name]
 
 
 class TestNamesAndGroups:
-    layout = FeatureLayout()
-
     def test_name_spot_checks(self):
-        names = self.layout.names
+        names = SLOT_NAMES
         assert names[0] == "default.tx_top1"
         assert names[5] == "default.ty_top1"
         assert names[10] == "f1.tx_before"
@@ -47,12 +44,10 @@ class TestNamesAndGroups:
         assert len(names) == 62
 
     def test_index_lookup(self):
-        assert self.layout.index("f2.adj_0") == 34
-        with pytest.raises(ValueError):
-            self.layout.index("no.such_slot")
+        assert SLOT_NAMES.index("f2.adj_0") == 34
 
     def test_group_slices(self):
-        slices = self.layout.group_slices
+        slices = GROUP_SLICES
         assert FEATURE_GROUPS == ("default", "f1", "f2", "f3", "f4")
         assert slices["default"] == slice(0, 10)
         assert slices["f1"] == slice(10, 30)
@@ -61,43 +56,39 @@ class TestNamesAndGroups:
         assert slices["f4"] == slice(53, 62)
 
     def test_group_slices_partition(self):
-        covered = np.zeros(self.layout.total, dtype=int)
-        for s in self.layout.group_slices.values():
+        covered = np.zeros(N_SLOTS, dtype=int)
+        for s in GROUP_SLICES.values():
             covered[s] += 1
         assert (covered == 1).all()
 
     def test_version_string(self):
-        assert FeatureLayout().version == "v2"
+        assert LAYOUT_VERSION == "v2"
 
 
 class TestMask:
-    layout = FeatureLayout()
-
     def test_default_always_kept(self):
-        mask = self.layout.mask([])
+        mask = group_mask([])
         assert mask[:10].all()
         assert not mask[10:].any()
 
     def test_single_group(self):
-        mask = self.layout.mask(["f2"])
+        mask = group_mask(["f2"])
         assert mask[:10].all()
         assert mask[30:43].all()
         assert not mask[10:30].any()
         assert not mask[43:].any()
 
     def test_all_groups(self):
-        assert self.layout.mask(FEATURE_GROUPS).all()
+        assert group_mask(FEATURE_GROUPS).all()
 
     def test_unknown_group(self):
         with pytest.raises(ValueError, match="unknown feature groups"):
-            self.layout.mask(["f9"])
+            group_mask(["f9"])
 
 
 class TestMirrorSpec:
-    layout = FeatureLayout()
-
     def test_swap_pairs_exact(self):
-        assert mirror_spec(self.layout)["swap"] == [
+        assert mirror_spec()["swap"] == [
             (0, 5),
             (1, 6),
             (2, 7),
@@ -118,22 +109,22 @@ class TestMirrorSpec:
 
     def test_equal_slots_exact(self):
         expected = [16, 17, 18, 27, 28, 29, 39, 40, 41, 42] + list(range(43, 53))
-        assert mirror_spec(self.layout)["equal"] == expected
+        assert mirror_spec()["equal"] == expected
 
     def test_excluded_slots_exact(self):
         expected = [38] + list(range(53, 62))
-        assert mirror_spec(self.layout)["excluded"] == expected
+        assert mirror_spec()["excluded"] == expected
 
     def test_partition_of_all_slots(self):
-        spec = mirror_spec(self.layout)
+        spec = mirror_spec()
         seen: list[int] = []
         for a, b in spec["swap"]:
             seen += [a, b]
         seen += spec["equal"] + spec["excluded"]
-        assert sorted(seen) == list(range(self.layout.total))
+        assert sorted(seen) == list(range(N_SLOTS))
 
     def test_forward_only_adjacency_slot_excluded(self):
         # The gap window is lopsided: adj_4 (span 5 forward) has no
         # backward partner, so mirroring cannot constrain it.
-        assert self.layout.index("f2.adj_4") == 38
-        assert 38 in mirror_spec(self.layout)["excluded"]
+        assert SLOT_NAMES.index("f2.adj_4") == 38
+        assert 38 in mirror_spec()["excluded"]

@@ -20,7 +20,7 @@ from ttpmine.features.markers import (
     OVERLAP_MARKERS,
     marker_table,
 )
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import GROUP_SLICES, SLOT_NAMES
 from ttpmine.stopwords import STOPWORDS
 
 EXPECTED_BEFORE = frozenset(
@@ -126,14 +126,13 @@ class TestCountMarkers:
         assert _one_sentence_counts("Payload ran.") == [0.0, 0.0, 0.0]
 
 
-LAYOUT = FeatureLayout()
-F1 = LAYOUT.group_slices["f1"]
+F1 = GROUP_SLICES["f1"]
 
 
 def _f1(report, tx, ty) -> dict[str, float]:
     """The F1 slots of the (tx, ty) row, by name without the "f1." prefix."""
     row = pair_row(report, tx, ty)
-    return {name[3:]: row[LAYOUT.index(name)] for name in LAYOUT.names[F1]}
+    return {name[3:]: value for name, value in zip(SLOT_NAMES[F1], row[F1])}
 
 
 def _counts(out, prefix) -> list[float]:

@@ -48,7 +48,7 @@ def e2e_kb(tmp_path_factory):
 def _assert_detected_rows_of_oracle(rows, oracle, predictions):
     found = {p.report_id: p.techniques for p in predictions}
     picks = [k for k, key in enumerate(oracle) if {key.tx, key.ty} <= found[key.report_id]]
-    expected = FeatureRows([oracle.keys[k] for k in picks], oracle.values[picks], oracle.layout)
+    expected = FeatureRows([oracle.keys[k] for k in picks], oracle.values[picks])
     assert rows.keys == expected.keys
     assert rows.f4_missing.tolist() == expected.f4_missing.tolist()
     for key, got, want in zip(rows, rows.values, expected.values):

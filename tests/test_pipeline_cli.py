@@ -27,7 +27,7 @@ from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
 from ttpmine.cli import main
 from ttpmine.ctfidf import DEFAULT_THRESHOLD, predict_report
-from ttpmine.features.layout import FeatureLayout
+from ttpmine.features.layout import SLOT_NAMES
 from ttpmine.gbdt.ensemble import TrainConfig
 from ttpmine.labels import BEFORE, NULL
 from ttpmine.pipeline import (
@@ -127,7 +127,6 @@ class TestRunPipeline:
         _, out_dir, _ = pipeline_out
         rows = load_features(str(out_dir / "features.csv"))
         assert len(rows) == 18
-        assert rows.layout.version == "v2"
         techniques = load_kb_usage(str(out_dir / "kb")).techniques
         annotations = load_annotations(ANNOTATIONS, techniques=techniques)
         labels = labels_for_rows(rows, annotations)
@@ -955,7 +954,7 @@ class TestBadFeaturesCsv:
         path = self._corrupt(
             cli_dir, tmp_path, 19, lambda cells: [*cells[:19], value, *cells[20:]]
         )
-        slot = FeatureLayout().names[16]
+        slot = SLOT_NAMES[16]
         self._assert_fails(
             cli_dir, tmp_path, path, f"19: slot {slot} is {value}, not a finite number", capsys
         )
@@ -996,8 +995,7 @@ class TestFeaturesLayoutFromHeader:
         path = tmp_path / "features.csv"
         path.write_bytes((cli_dir / "features.csv").read_bytes())
         (tmp_path / "features.csv.layout.json").write_text("[garbage", encoding="utf-8")
-        rows = load_features(str(path))
-        assert rows.layout.version == "v2"
+        load_features(str(path))
         argv = ["predict", "--model", str(cli_dir / "relations.json"),
                 "--features", str(path), "--out", str(tmp_path / "p.jsonl")]
         assert main(argv) == 0
@@ -1084,10 +1082,10 @@ class TestMalformedArtifacts:
     @pytest.mark.parametrize(
         "tree, message",
         [
-            ({"value": "x"}, "leaf value 'x' is not a finite number"),
+            ({"value": "x"}, "tree leaf: value must be a finite number, got 'x'"),
             (
                 {"feature": 0, "threshold": None, "left": {"value": 0.0}, "right": {"value": 0.0}},
-                "split threshold None is not a finite number",
+                "tree split: threshold must be a finite number, got None",
             ),
         ],
     )
@@ -1740,6 +1738,18 @@ class TestBadConfigFiles:
         assert self._run(tmp_path, capsys, self._config(tmp_path, bins=10)) == (
             "ttpmine run: error: <file>: malformed pipeline config: "
             "ValueError: unknown key 'bins'"
+        )
+
+    @pytest.mark.parametrize("text", ["5", "[1]"])
+    def test_config_not_an_object(self, cli_dir, tmp_path, capsys, text):
+        # Checked as an object before any key is read or defaulted.
+        assert self._run(tmp_path, capsys, text) == (
+            "ttpmine run: error: <file>: malformed pipeline config: "
+            f"ValueError: expected an object, got {text}"
+        )
+        assert self._train(cli_dir, tmp_path, capsys, text) == (
+            "ttpmine train-relations: error: <file>: malformed train config: "
+            f"ValueError: expected an object, got {text}"
         )
 
     def test_run_config_train_not_an_object(self, tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 from helpers import e2e_config_dict, make_rows
 from oracles import predict_rows_oracle
 from ttpmine.features.builder import FeatureRows
+from ttpmine.features.layout import N_SLOTS
 from ttpmine.gbdt.ensemble import TrainConfig, decided_labels, predict_batch, train
 from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
 from ttpmine.pipeline import (
@@ -64,8 +65,8 @@ def _splits(node):
     )
 
 
-def _empty(features):
-    return FeatureRows([], np.empty((0, features.layout.total)), features.layout)
+def _empty():
+    return FeatureRows([], np.empty((0, N_SLOTS)))
 
 
 def _assert_matches_oracle(model, features):
@@ -148,16 +149,16 @@ class TestDecidedLabels:
 
 class TestEmptyInput:
     def test_empty_batch(self, multi_report_model):
-        model, features = multi_report_model
-        matrix = predict_batch(model, _empty(features))
+        model, _ = multi_report_model
+        matrix = predict_batch(model, _empty())
         assert matrix.shape == (0, len(ALL_LABELS))
         assert matrix.dtype == np.float64
         assert decided_labels(matrix, 0.5) == []
 
     def test_stage_predict_zero_rows_writes_meta_only(self, e2e_model, tmp_path):
-        model, rows = e2e_model
+        model, _ = e2e_model
         path = tmp_path / "predictions.jsonl"
-        assert stage_predict(model, _empty(rows), str(path)) == []
+        assert stage_predict(model, _empty(), str(path)) == []
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"

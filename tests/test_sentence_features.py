@@ -11,16 +11,15 @@ from oracles import coref_links_oracle, sentence_features_oracle
 from ttpmine.corpus import make_report
 from ttpmine.embeddings import WordVectors
 from ttpmine.features.discourse import coref_links
-from ttpmine.features.layout import ADJACENCY_GAPS, F2_SIZE, FeatureLayout
+from ttpmine.features.layout import ADJACENCY_GAPS, F2_SIZE, GROUP_SLICES, SLOT_NAMES
 
-LAYOUT = FeatureLayout()
-F2 = LAYOUT.group_slices["f2"]
+F2 = GROUP_SLICES["f2"]
 
 
 def _f2(report, tx, ty, wv=None) -> dict[str, float]:
     """The F2 slots of the (tx, ty) row, by name without the "f2." prefix."""
     row = pair_row(report, tx, ty, wv)
-    return {name[3:]: row[LAYOUT.index(name)] for name in LAYOUT.names[F2]}
+    return {name[3:]: value for name, value in zip(SLOT_NAMES[F2], row[F2])}
 
 
 def _blank_report(n):
@@ -61,7 +60,7 @@ class TestAdjacencyGap:
 
     def test_slot_order(self):
         assert ADJACENCY_GAPS == (-4, -3, -2, -1, 0, 1, 2, 3, 4)
-        assert LAYOUT.names[F2][:9] == tuple(f"f2.adj_{d}" for d in ADJACENCY_GAPS)
+        assert SLOT_NAMES[F2][:9] == tuple(f"f2.adj_{d}" for d in ADJACENCY_GAPS)
 
 
 # Planted links (0, 1), (0, 2) and (1, 2): sentence 1 opens with a
