@@ -4,16 +4,17 @@ is the ordered pairs of the techniques detected in it; pairs outside it
 get no feature row.
 
 Reports are immutable after load; distinct reports can be processed
-concurrently with no shared mutable state.
+concurrently. The reports of one load share one read-only vocabulary,
+and the only other state they share is a `VocabLookup`'s last array.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,21 +47,25 @@ class Sentence(NamedTuple):
     tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Report:
-    """A loaded report: its sentence lines and one token stream.
+    """A loaded report: its sentence lines and one stream of token codes.
 
     ``lines`` holds each sentence as it was split from the text, its
-    whitespace not yet collapsed. ``tokens`` holds every kept token of the
-    report in order, and sentence ``i``'s tokens are
-    ``tokens[bounds[i]:bounds[i + 1]]``. Whole-report passes (scoring,
-    marker counts) read the stream; ``sentences`` gives the sentences one
-    at a time.
+    whitespace not yet collapsed. ``codes`` is a read-only int32 array
+    holding every kept token of the report in order, each as its index
+    in ``vocab``; sentence ``i``'s tokens are
+    ``codes[bounds[i]:bounds[i + 1]]``. Every report of one
+    `load_reports` call shares one ``vocab`` tuple, so a whole-corpus
+    pass (scoring, marker counts) can look each distinct token up once
+    (`VocabLookup`) and gather over ``codes``. ``sentences`` gives the
+    sentences one at a time, their tokens as strings.
     """
 
     report_id: str
     lines: tuple[str, ...]
-    tokens: tuple[str, ...]
+    vocab: tuple[str, ...]
+    codes: np.ndarray
     bounds: tuple[int, ...]
 
     @property
@@ -68,7 +73,7 @@ class Report:
         return ReportSentences(self)
 
     def token_sentences(self) -> np.ndarray:
-        """The sentence index of each token of ``tokens``."""
+        """The sentence index of each token of ``codes``."""
         return np.repeat(np.arange(len(self.lines)), np.diff(self.bounds))
 
 
@@ -76,8 +81,8 @@ class ReportSentences(Sequence):
     """A report's sentences as a read-only sequence of `Sentence`.
 
     ``len()`` builds nothing. Each item is built when it is read: its text
-    is the line with whitespace collapsed, its tokens the line's span of
-    the report's token stream.
+    is the line with whitespace collapsed, its tokens the strings of the
+    line's span of the report's codes.
     """
 
     __slots__ = ("_report",)
@@ -91,8 +96,37 @@ class ReportSentences(Sequence):
     def __getitem__(self, index: int) -> Sentence:
         report = self._report
         i = range(len(report.lines))[index]
-        tokens = report.tokens[report.bounds[i] : report.bounds[i + 1]]
+        codes = report.codes[report.bounds[i] : report.bounds[i + 1]].tolist()
+        tokens = tuple(map(report.vocab.__getitem__, codes))
         return Sentence(i, " ".join(report.lines[i].split()), tokens)
+
+
+class VocabLookup:
+    """The value in ``table`` of each word of a corpus vocabulary, or -1
+    for a word outside it, as an int array that a report's ``codes``
+    index: ``lookup(report.vocab)[report.codes]`` is the value of each of
+    its tokens.
+
+    The array of the last vocabulary asked is kept, so the reports of one
+    load, which share their vocabulary, cost one lookup per distinct
+    token together. The vocabulary itself is kept, until another is
+    asked, and compared with ``is``, never by its ``id()``, which a freed
+    object hands on. The pair is replaced in one assignment, so
+    concurrent callers at worst look a vocabulary up twice.
+    """
+
+    __slots__ = ("_table", "_last")
+
+    def __init__(self, table: Mapping[str, int]):
+        self._table = table
+        self._last: tuple[tuple[str, ...], np.ndarray] | None = None
+
+    def __call__(self, vocab: tuple[str, ...]) -> np.ndarray:
+        last = self._last
+        if last is None or last[0] is not vocab:
+            values = map(self._table.get, vocab, repeat(-1))
+            last = self._last = (vocab, np.fromiter(values, dtype=np.intp, count=len(vocab)))
+        return last[1]
 
 
 @dataclass(frozen=True)
@@ -126,55 +160,74 @@ _BLANK_ASCII = str.maketrans(
         if chr(c) not in "abcdefghijklmnopqrstuvwxyz0123456789._-\n"
     }
 )
-# Marks a line end in the token stream. It is a token of its own, because
+# Marks a line end in the word stream. It is a word of its own, because
 # str.split does not split on it, and it cannot come from the text,
 # because _BLANK_ASCII blanks every "\x00" first.
 _LINE_END = "\x00"
-# Each stopword maps to "", which `filter(None, ...)` drops along with
-# the empty tokens. `_token_stream` probes a copy of it once per token.
-_STOPWORD_TABLE = dict.fromkeys(STOPWORDS, "")
+# The codes of a word that is no token (empty once its edges are
+# stripped, or a stopword) and of the line-end word. A token's code is
+# its index in the vocabulary, so never negative.
+_DROPPED = -1
+_LINE_END_CODE = -2
 
 
-def _token_stream(lines: Sequence[str]) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    """The kept tokens of all `lines` (none holding "\n") as one stream,
-    and the bounds of each line's tokens in it: line ``i`` has
-    ``tokens[bounds[i]:bounds[i + 1]]``.
+class _Coder(dict):
+    """Raw word -> code, over every text of one load: a token's index in
+    ``words``, `_DROPPED` or `_LINE_END_CODE`.
 
-    The lines are joined with "\n" and lowercased once, before anything
-    is blanked, because lowercasing turns some non-ASCII characters into
-    ASCII ones (the Kelvin sign becomes "k"). Non-ASCII characters left
-    after that become spaces, then so does every ASCII character outside
-    [a-z0-9._-], and each "\n" becomes a line-end token. The edge strip
-    and the empty and stopword filters run once over the whole stream.
-    Each line end is then found with one C-level `list.index` scan from
-    the one before, and one `compress` drops them all, so the work grows
-    linearly with the tokens however many lines there are.
-
-    Equal tokens are one shared string, the first of their copies: a long
-    report repeats a few hundred values tens of thousands of times. The
-    table of shared strings is made per call, not with `sys.intern`,
-    whose strings can outlive every report that held them, and the one
-    dict probe per token that fills it also drops the stopwords.
+    A raw word is a piece of the blanked text between spaces. The first
+    time one is read, `__missing__` strips its edge ``._-`` and checks it
+    against the stopwords; every later read of it is one dict probe. A
+    new token is appended to ``words``, so codes follow the order in
+    which tokens first appear in the texts, never a set's hash order.
     """
-    if not lines:
-        return (), (0,)
-    text = "\n".join(lines).lower()
-    if not text.isascii():
-        text = _NON_ASCII.sub(" ", text)
-    words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
-    words = list(map(str.strip, words, repeat("._-")))
-    shared = _STOPWORD_TABLE.copy()
-    kept = list(filter(None, map(shared.setdefault, words, words)))
-    keep = [True] * len(kept)
-    bounds, at = [0], -1
-    for ended in range(len(lines) - 1):
-        at = kept.index(_LINE_END, at + 1)
-        keep[at] = False
-        # The next line starts where its line end stood, less the line
-        # ends dropped before it.
-        bounds.append(at - ended)
-    bounds.append(len(kept) - len(lines) + 1)
-    return tuple(compress(kept, keep)), tuple(bounds)
+
+    def __init__(self):
+        super().__init__({_LINE_END: _LINE_END_CODE})
+        self.words: list[str] = []
+
+    def __missing__(self, word: str) -> int:
+        token = word.strip("._-")
+        if token != word:
+            # A stripped word is its own raw word, so equal tokens share
+            # one code (and "-The-" is dropped as "the" is).
+            code = self[token]
+        elif not token or token in STOPWORDS:
+            code = _DROPPED
+        else:
+            code = len(self.words)
+            self.words.append(token)
+        self[word] = code
+        return code
+
+    def encode(self, lines: Sequence[str]) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The codes of the kept tokens of all `lines` (none holding
+        "\n") as one read-only int32 array, and the bounds of each line's
+        tokens in it: line ``i`` has ``codes[bounds[i]:bounds[i + 1]]``.
+
+        The lines are joined with "\n" and lowercased once, before
+        anything is blanked, because lowercasing turns some non-ASCII
+        characters into ASCII ones (the Kelvin sign becomes "k").
+        Non-ASCII characters left after that become spaces, then so does
+        every ASCII character outside [a-z0-9._-], and each "\n" becomes
+        a line-end word. Each raw word is one dict probe; the line ends
+        and the dropped words then leave the array in one mask, and the
+        kept tokens before each line end are its line's bound.
+        """
+        if not lines:
+            codes = np.empty(0, dtype=np.int32)
+            codes.flags.writeable = False
+            return codes, (0,)
+        text = "\n".join(lines).lower()
+        if not text.isascii():
+            text = _NON_ASCII.sub(" ", text)
+        words = text.translate(_BLANK_ASCII).replace("\n", f" {_LINE_END} ").split()
+        raw = np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=len(words))
+        keep = raw >= 0
+        ends = np.cumsum(keep)[raw == _LINE_END_CODE]
+        codes = raw[keep]
+        codes.flags.writeable = False
+        return codes, (0, *ends.tolist(), codes.size)
 
 
 def tokenize(text: str) -> list[str]:
@@ -188,9 +241,11 @@ def tokenize(text: str) -> list[str]:
 
 
 def tokenize_texts(texts: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """`tokenize` of each text, in order, from one token stream over all
+    """`tokenize` of each text, in order, from one code stream over all
     of them (a "\n" inside a text only separates tokens)."""
-    tokens, bounds = _token_stream(list(map(str.replace, texts, repeat("\n"), repeat(" "))))
+    coder = _Coder()
+    codes, bounds = coder.encode(list(map(str.replace, texts, repeat("\n"), repeat(" "))))
+    tokens = tuple(map(coder.words.__getitem__, codes.tolist()))
     return map(tokens.__getitem__, map(slice, bounds, bounds[1:]))
 
 
@@ -215,29 +270,43 @@ def split_sentences(text: str) -> list[str]:
     return list(filter(None, map(" ".join, map(str.split, _pieces(text)))))
 
 
+def _lines(text: str) -> tuple[str, ...]:
+    """The sentence lines of `text`, their whitespace not yet collapsed."""
+    return tuple(filterfalse(str.isspace, filter(None, _pieces(text))))
+
+
 def make_report(report_id: str, text: str) -> Report:
-    """The report of `text`: its sentence lines and their tokens, from
-    one token stream over the whole report. No `Sentence` is built."""
-    lines = tuple(filterfalse(str.isspace, filter(None, _pieces(text))))
-    tokens, bounds = _token_stream(lines)
-    return Report(report_id, lines, tokens, bounds)
+    """The report of `text` alone, over a vocabulary of its own tokens:
+    its sentence lines and their codes, from one code stream over the
+    whole report. No `Sentence` is built."""
+    coder = _Coder()
+    lines = _lines(text)
+    codes, bounds = coder.encode(lines)
+    return Report(report_id, lines, tuple(coder.words), codes, bounds)
 
 
 def load_reports(directory: str | Path) -> list[Report]:
     """Load one report per ``*.txt`` file (filename stem = report id),
     sorted by id. Files are read as UTF-8; a byte order mark at the start
-    is dropped, so it never reaches the first sentence."""
+    is dropped, so it never reaches the first sentence.
+
+    Every report is coded against one raw-word table, and all of them
+    share its vocabulary; each report's sentences and tokens are those
+    `make_report` gives its text alone."""
     root = Path(directory)
     if not root.is_dir():
         raise CorpusError(f"report directory not found: {root}")
-    reports = []
+    coder = _Coder()
+    coded = []
     for path in sorted(root.glob("*.txt"), key=lambda path: path.stem):
         try:
             text = path.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"cannot read report file {path}: {exc}") from exc
-        reports.append(make_report(path.stem, text))
-    return reports
+        lines = _lines(text)
+        coded.append((path.stem, lines, *coder.encode(lines)))
+    vocab = tuple(coder.words)
+    return [Report(rid, lines, vocab, codes, bounds) for rid, lines, codes, bounds in coded]
 
 
 def pair_universe(techniques) -> tuple[tuple[str, str], ...]:

@@ -10,12 +10,11 @@ downstream; this is the built-in provider.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from .attack_kb import ActionDataset
-from .corpus import Report, tokenize_texts
+from .corpus import Report, VocabLookup, tokenize_texts
 from .records import NUMBER, STRING, STRINGS, check_record, list_of
 
 CTFIDF_FORMAT_VERSION = "1"
@@ -37,6 +36,7 @@ class CtfidfModel:
     def __post_init__(self):
         norms = np.linalg.norm(self.class_vectors, axis=1)
         self._row_norms = norms
+        self._vocab_ids = VocabLookup(self.vocab)
 
 
 @dataclass(frozen=True)
@@ -93,32 +93,21 @@ def train_ctfidf(dataset: ActionDataset) -> CtfidfModel:
     return CtfidfModel(vocab=vocab, class_ids=class_ids, class_vectors=weights)
 
 
-def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
-    """Max-normalized cosine scores of each token sequence against each
-    class, as a ``(len(token_lists), classes)`` matrix: `_score_stream`
-    of the sequences chained into one stream."""
-    n_rows = len(token_lists)
-    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_rows)
-    rows = np.repeat(np.arange(n_rows), lengths)
-    return _score_stream(model, list(chain.from_iterable(token_lists)), rows, n_rows)
-
-
-def _score_stream(model: CtfidfModel, tokens, rows: np.ndarray, n_rows: int) -> np.ndarray:
+def _score_stream(
+    model: CtfidfModel, ids: np.ndarray, rows: np.ndarray, n_rows: int
+) -> np.ndarray:
     """Max-normalized cosine scores of each of `n_rows` sentences against
-    each class, as a ``(n_rows, classes)`` matrix, from the token stream
-    `tokens` and the sentence of each token, `rows`.
+    each class, as a ``(n_rows, classes)`` matrix, from the vocabulary id
+    of each token of a stream, `ids` (-1 for a token outside the
+    vocabulary), and the sentence of each token, `rows`.
 
-    Every token is looked up in the vocabulary in one pass. The term
-    counts only span the columns of the vocabulary that occur in the
-    stream, in vocabulary order, so one matrix product scores every
+    The term counts only span the columns of the vocabulary that occur in
+    the stream, in vocabulary order, so one matrix product scores every
     sentence. Counts are integers, so each row's sum of squares, and
     hence its norm, is exact. A row with no in-vocabulary token, or whose
     maximum cosine is not positive, is all zeros.
     """
     scores = np.zeros((n_rows, len(model.class_ids)), dtype=np.float64)
-    ids = np.fromiter(
-        map(model.vocab.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
-    )
     known = ids >= 0
     if not known.any() or not model.class_ids:
         return scores
@@ -138,13 +127,14 @@ def predict_report(
 ) -> ReportPrediction:
     """Report-level aggregation: a technique is present iff at least one
     sentence scores >= threshold for it. The sentences are scored from
-    the report's token stream; no `Sentence` is built."""
+    the report's codes, gathered through the vocabulary ids of its
+    load's vocabulary, which the model looks up once per load; no
+    `Sentence` is built."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
 
-    matrix = _score_stream(
-        model, report.tokens, report.token_sentences(), len(report.lines)
-    )
+    ids = model._vocab_ids(report.vocab)[report.codes]
+    matrix = _score_stream(model, ids, report.token_sentences(), len(report.lines))
     hit = matrix >= threshold
     detected = np.flatnonzero(hit.any(axis=0))
     top = np.zeros((TOP_K_SCORES, detected.size), dtype=np.float64)

@@ -15,11 +15,9 @@ Slot enumeration (F1, offsets within the family):
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
-from ..corpus import Report
+from ..corpus import Report, VocabLookup
 
 BEFORE_MARKERS: frozenset[str] = frozenset(
     {
@@ -50,17 +48,20 @@ MARKER_RELATION: dict[str, int] = {
 F1_SIZE = 20
 
 
+# The relation class of each token of a load's vocabulary, -1 for a
+# token that is no marker.
+_vocab_relations = VocabLookup(MARKER_RELATION)
+
+
 def marker_table(report: Report) -> np.ndarray:
     """``(n_sentences, 3)`` integer marker counts, one row per sentence
-    index, from one pass over the report's token stream and one
-    `bincount` over its marker tokens.
+    index, from one gather of the vocabulary's relation classes over the
+    report's codes and one `bincount` over its marker tokens. The
+    lexicon is looked up once per load's vocabulary, not per report.
 
     Built once per report and read by every pair's F1 slots.
     """
-    tokens = report.tokens
-    relation = np.fromiter(
-        map(MARKER_RELATION.get, tokens, repeat(-1)), dtype=np.intp, count=len(tokens)
-    )
+    relation = _vocab_relations(report.vocab)[report.codes]
     found = relation >= 0
     n = len(report.lines)
     cells = 3 * report.token_sentences()[found] + relation[found]

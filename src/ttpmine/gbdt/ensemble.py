@@ -353,8 +353,8 @@ def ensemble_from_dict(data: dict) -> GbdtEnsemble:
     models = {}
     for label, entry in data["labels"].items():
         check_record(entry, _LABEL_SHAPE, f"label {label}: ")
-        for tree in entry["trees"]:
-            check_tree(tree, N_SLOTS)
+        for k, tree in enumerate(entry["trees"]):
+            check_tree(tree, N_SLOTS, f"label {label}: tree {k}: ")
         models[label] = LabelModel(
             label=label,
             init_score=float(entry["init_score"]),

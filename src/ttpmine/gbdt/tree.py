@@ -253,21 +253,21 @@ _LEAF_SHAPE = {"value": NUMBER}
 _SPLIT_SHAPE = {"feature": INT, "threshold": NUMBER, "left": OBJECT, "right": OBJECT}
 
 
-def check_tree(node, n_features: int) -> None:
-    """ValueError unless ``node`` is a tree over ``n_features`` columns:
-    each node holding ``"value"`` a leaf of ``_LEAF_SHAPE``, every other
-    node a split of ``_SPLIT_SHAPE`` (see `check_record`) whose feature
-    is in [0, n_features)."""
+def check_tree(node, n_features: int, where: str = "") -> None:
+    """ValueError, prefixed with `where`, unless ``node`` is a tree over
+    ``n_features`` columns: each node holding ``"value"`` a leaf of
+    ``_LEAF_SHAPE``, every other node a split of ``_SPLIT_SHAPE`` (see
+    `check_record`) whose feature is in [0, n_features)."""
     stack = [node]
     while stack:
         node = stack.pop()
-        check_object(node, "tree node: ")
+        check_object(node, f"{where}tree node: ")
         if "value" in node:
-            check_record(node, _LEAF_SHAPE, "tree leaf: ")
+            check_record(node, _LEAF_SHAPE, f"{where}tree leaf: ")
             continue
-        check_record(node, _SPLIT_SHAPE, "tree split: ")
+        check_record(node, _SPLIT_SHAPE, f"{where}tree split: ")
         if not 0 <= node["feature"] < n_features:
             raise ValueError(
-                f"tree split: feature {node['feature']} is not in [0, {n_features})"
+                f"{where}tree split: feature {node['feature']} is not in [0, {n_features})"
             )
         stack += (node["left"], node["right"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from ttpmine.attack_kb import UsageMatrix
 from ttpmine.corpus import make_report, pair_universe
-from ttpmine.ctfidf import TOP_K_SCORES, ReportPrediction
+from ttpmine.ctfidf import TOP_K_SCORES, CtfidfModel, ReportPrediction, _score_stream
 from ttpmine.embeddings import WordVectors
 from ttpmine.features.apriori import METRIC_NAMES
 from ttpmine.features.builder import FeatureRows, PairKey, build_report_features, f4_table
@@ -23,6 +23,22 @@ E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
 
 _rel_ids = itertools.count()
+
+
+def score_sentences(model: CtfidfModel, token_lists) -> np.ndarray:
+    """Max-normalized cosine scores of each token sequence against each
+    class, as a ``(len(token_lists), classes)`` matrix: `_score_stream`
+    of the sequences chained into one stream, each token given as its
+    vocabulary id."""
+    n_rows = len(token_lists)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n_rows)
+    rows = np.repeat(np.arange(n_rows), lengths)
+    tokens = list(itertools.chain.from_iterable(token_lists))
+    ids = np.fromiter(
+        map(model.vocab.get, tokens, itertools.repeat(-1)), dtype=np.intp, count=len(tokens)
+    )
+    return _score_stream(model, ids, rows, n_rows)
+
 
 # A usage matrix without actors or techniques: every pair's f4 slots are zero.
 EMPTY_USAGE = UsageMatrix(actors=(), techniques=(), cells=np.zeros((0, 0), dtype=np.int8))

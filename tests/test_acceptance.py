@@ -23,6 +23,7 @@ from helpers import (
     random_prediction,
     random_report,
     report_rows,
+    score_sentences,
 )
 from oracles import (
     apriori_oracle,
@@ -50,7 +51,6 @@ from ttpmine.corpus import make_report, tokenize
 from ttpmine.ctfidf import (
     DEFAULT_THRESHOLD,
     predict_report,
-    score_sentences,
     train_ctfidf,
 )
 from ttpmine.features.builder import f4_table

@@ -21,6 +21,7 @@ from ttpmine.corpus import (
     AnnotationError,
     CorpusError,
     Sentence,
+    VocabLookup,
     load_annotations,
     load_reports,
     make_report,
@@ -30,6 +31,7 @@ from ttpmine.corpus import (
     tokenize_texts,
 )
 from ttpmine.ctfidf import CtfidfModel, predict_report
+from ttpmine.features import markers
 from ttpmine.features.discourse import _BULLET
 from ttpmine.features.markers import marker_table
 from ttpmine.labels import BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
@@ -180,6 +182,10 @@ class TestTokenizeReports:
         assert list(tokenize_texts([])) == []
         assert list(tokenize_texts(["", "a\nb", ""])) == [(), ("b",), ()]
 
+    def test_tokenize_texts_seeded(self):
+        texts = _multiline_texts(20261113, n=2000)
+        assert list(tokenize_texts(texts)) == [tuple(tokenize_oracle(text)) for text in texts]
+
 
 class TestSegmentation:
     def test_dotted_filenames_do_not_split(self):
@@ -276,10 +282,7 @@ class TestSegmentationOracle:
         assert split_sentences(text) == split_sentences_oracle(text)
 
     def test_seeded_random_texts(self):
-        rng = np.random.default_rng(20261105)
-        for case in range(2000):
-            size = int(rng.integers(0, 60))
-            text = "".join(rng.choice(_SPLIT_ALPHABET, size=size))
+        for case, text in enumerate(_split_texts(20261105, n=2000)):
             assert split_sentences(text) == split_sentences_oracle(text), (case, text)
 
     @staticmethod
@@ -339,12 +342,17 @@ def _oracle_report(report_id: str, text: str):
     return SimpleNamespace(report_id=report_id, sentences=sentences)
 
 
+def _tokens(report) -> list[str]:
+    """Every token of `report` in order, read through its vocabulary."""
+    return [report.vocab[code] for code in report.codes.tolist()]
+
+
 def _stream_model(reports, n_classes: int = 5) -> CtfidfModel:
     """Dyadic class weights (every product and partial sum is exact, so
     any summation order gives the same bits) over most of the reports'
     tokens; the rest stay out of the vocabulary."""
     rng = np.random.default_rng(7)
-    words = sorted({t for report in reports for t in report.tokens})
+    words = sorted({t for report in reports for t in report.vocab})
     vocab = {w: j for j, w in enumerate(w for w in words if rng.random() < 0.8)}
     weights = rng.integers(1, 32, size=(n_classes, len(vocab))) / 8.0
     weights[rng.random(weights.shape) < 0.6] = 0.0
@@ -377,7 +385,7 @@ class TestTokenStream:
             assert len(report.sentences) == len(report.lines) == len(expected)
             assert list(report.sentences) == expected, case
             assert tuple(report.sentences) == tuple(expected)
-            assert report.tokens == tuple(t for s in expected for t in s.tokens)
+            assert _tokens(report) == [t for s in expected for t in s.tokens]
             if expected:
                 assert report.sentences[-1] == expected[-1]
 
@@ -386,9 +394,10 @@ class TestTokenStream:
         for text in texts:
             report = make_report("r", text)
             expected = [t for _, _, tokens in report_sentences_oracle(text) for t in tokens]
-            assert list(report.tokens) == expected
-            assert len(set(map(id, report.tokens))) == len(set(report.tokens))
-            repeated += len(report.tokens) - len(set(report.tokens))
+            tokens = [t for sentence in report.sentences for t in sentence.tokens]
+            assert _tokens(report) == tokens == expected
+            assert len(set(map(id, tokens))) == len(set(tokens)) == len(report.vocab)
+            repeated += len(tokens) - len(set(tokens))
         assert repeated
 
     def test_sentence_index_out_of_range(self):
@@ -443,6 +452,133 @@ class TestTokenStream:
         # Reading a sentence builds it, and only it.
         assert reports[0].sentences[0].index == 0
         assert built == [0]
+
+
+def _split_texts(seed: int, n: int) -> list[str]:
+    """Texts of the segmentation tests' alphabet, as
+    `TestSegmentationOracle.test_seeded_random_texts` draws them."""
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(_SPLIT_ALPHABET, size=int(rng.integers(0, 60)))) for _ in range(n)]
+
+
+class _CountingTable(dict):
+    """A lookup table that counts the words looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+class TestCodedCorpus:
+    """The reports of one load are coded over one shared vocabulary; each
+    equals the report of its text alone, and a whole-load pass looks
+    each distinct token up once."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("coded")
+        e2e = sorted((E2E_DIR / "reports").glob("*.txt"))
+        texts = (
+            [path.read_text(encoding="utf-8") for path in e2e]
+            + _split_texts(20261111, n=150)
+            + _stream_texts(20261112, n=150)
+        )
+        for k, text in enumerate(texts):
+            (directory / f"r{k:03d}.txt").write_text(text, encoding="utf-8", newline="")
+        return directory
+
+    @pytest.fixture(scope="class")
+    def loaded(self, directory):
+        return load_reports(directory)
+
+    def test_reports_share_one_vocabulary(self, loaded):
+        vocab = loaded[0].vocab
+        assert all(report.vocab is vocab for report in loaded)
+        assert len(set(vocab)) == len(vocab)
+        # Codes follow the order in which tokens first appear in the load,
+        # never a set's hash order.
+        assert list(vocab) == list(dict.fromkeys(t for r in loaded for t in _tokens(r)))
+
+    def test_report_equals_its_text_alone(self, directory, loaded):
+        paths = sorted(directory.glob("*.txt"))
+        alone = [make_report(p.stem, p.read_text(encoding="utf-8-sig")) for p in paths]
+        model = _stream_model(alone)
+        detected = 0
+        for report, single in zip(loaded, alone, strict=True):
+            assert report.report_id == single.report_id
+            assert report.lines == single.lines
+            assert report.bounds == single.bounds
+            assert _tokens(report) == _tokens(single)
+            assert list(report.sentences) == list(single.sentences)
+            for threshold in (0.5, 1.0):
+                prediction = predict_report(model, report, threshold)
+                assert prediction == predict_report(model, single, threshold)
+                detected += len(prediction.techniques)
+            assert marker_table(report).tolist() == marker_table(single).tolist()
+        assert detected
+
+    def test_codes_are_read_only(self, loaded):
+        for report in (loaded[0], make_report("r", "Loader ran."), make_report("r", "")):
+            assert report.codes.dtype == np.int32
+            with pytest.raises(ValueError, match="read-only"):
+                report.codes[:1] = 0
+
+    def test_reports_with_no_token(self, tmp_path):
+        texts = {
+            "a": "Loader ran. Then it stopped.",
+            "b": "._- -The- the (and) -_\n._-\n_of_. -A- is.",
+            "c": "",
+            "d": "  \n\t\n \u3000 \n\r\n",
+            "e": "Later loader stopped.",
+        }
+        for name, text in texts.items():
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8", newline="")
+        reports = {r.report_id: r for r in load_reports(tmp_path)}
+        assert [len(reports[k].sentences) for k in "abcde"] == [2, 3, 0, 0, 1]
+        assert [s.tokens for s in reports["b"].sentences] == [(), (), ()]
+        assert reports["b"].bounds == (0, 0, 0, 0)
+        assert reports["c"].bounds == reports["d"].bounds == (0,)
+        assert _tokens(reports["e"]) == ["later", "loader", "stopped"]
+        model = _stream_model(reports.values())
+        for key in "bcd":
+            report = reports[key]
+            assert report.codes.size == 0
+            assert predict_report(model, report, 0.5).techniques == frozenset()
+            assert marker_table(report).tolist() == [[0, 0, 0]] * len(report.lines)
+        for key, text in texts.items():
+            single = make_report(key, text)
+            assert list(reports[key].sentences) == list(single.sentences)
+
+    def test_one_lookup_per_vocabulary(self, loaded, monkeypatch):
+        model = _stream_model(loaded)
+        model = CtfidfModel(
+            vocab=_CountingTable(model.vocab),
+            class_ids=model.class_ids,
+            class_vectors=model.class_vectors,
+        )
+        relations = _CountingTable(markers.MARKER_RELATION)
+        monkeypatch.setattr(markers, "_vocab_relations", VocabLookup(relations))
+        for report in loaded:
+            predict_report(model, report, 0.5)
+            marker_table(report)
+        vocab = loaded[0].vocab
+        assert model.vocab.probes == relations.probes == len(vocab)
+        # A vocabulary equal to the last but not the same object is
+        # looked up again: the last one is held and compared with `is`.
+        other = make_report("r", " ".join(vocab))
+        assert other.vocab == vocab and other.vocab is not vocab
+        predict_report(model, other, 0.5)
+        assert model.vocab.probes == 2 * len(vocab)
+
+    def test_lookup_values(self):
+        lookup = VocabLookup({"loader": 3, "then": 0})
+        assert lookup(("then", "ran", "loader")).tolist() == [0, -1, 3]
+        assert lookup(("ran",)).tolist() == [-1]
+        assert lookup(()).tolist() == []
 
 
 class TestSentence:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import E2E_DIR
+from helpers import E2E_DIR, score_sentences
 from oracles import predict_report_oracle
 from ttpmine.attack_kb import ActionDataset
 from ttpmine.corpus import load_reports, make_report, tokenize
@@ -21,7 +21,6 @@ from ttpmine.ctfidf import (
     model_from_dict,
     model_to_dict,
     predict_report,
-    score_sentences,
     train_ctfidf,
 )
 from ttpmine.pipeline import PipelineError, load_ctfidf_model, stage_kb

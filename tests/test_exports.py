@@ -65,6 +65,10 @@ def test_exported_names_resolve(package):
         # The one layout is the module's constants, not a class.
         ("ttpmine.features.layout", "FeatureLayout"),
         ("ttpmine.features.builder", "_BIN_PREFIX"),
+        # Tests score token strings through `helpers.score_sentences`.
+        ("ttpmine.ctfidf", "score_sentences"),
+        # Reports hold codes over one vocabulary, from `corpus._Coder`.
+        ("ttpmine.corpus", "_token_stream"),
     ],
 )
 def test_retired_names_gone(module, name):
@@ -82,6 +86,7 @@ def test_retired_names_gone(module, name):
         ("ttpmine.embeddings", "WordVectors", "__len__"),
         ("ttpmine.embeddings", "WordVectors", "__contains__"),
         ("ttpmine.pipeline", "PipelineConfig", "bins"),
+        ("ttpmine.corpus", "Report", "tokens"),
     ],
 )
 def test_retired_attributes_gone(module, cls, name):

@@ -738,7 +738,9 @@ class TestPredictAndSerialize:
                 "right": {"value": 0.0},
             }
         ]
-        with pytest.raises(ValueError, match=r"^tree split: feature 99 is not in \[0, 62\)$"):
+        with pytest.raises(
+            ValueError, match=r"^label BEFORE: tree 0: tree split: feature 99 is not in \[0, 62\)$"
+        ):
             ensemble_from_dict(data)
 
     @pytest.mark.parametrize(
@@ -774,8 +776,8 @@ class TestPredictAndSerialize:
     def test_malformed_tree_rejected(self, tree, message):
         model, _ = self._model_and_features()
         data = ensemble_to_dict(model)
-        data["labels"][BEFORE]["trees"] = [tree]
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        data["labels"][BEFORE]["trees"] = [{"value": 0.0}, tree]
+        with pytest.raises(ValueError, match=f"^label BEFORE: tree 1: {message}$"):
             ensemble_from_dict(data)
 
     def test_label_keys_must_be_all_labels(self):

@@ -1096,7 +1096,7 @@ class TestMalformedArtifacts:
         write_json(str(bad), payload)
         self._assert_fails(
             self._predict(cli_dir, tmp_path, bad),
-            f"{bad}: malformed relation model: ValueError: {message}\n",
+            f"{bad}: malformed relation model: ValueError: label BEFORE: tree 0: {message}\n",
             capsys,
         )
 
