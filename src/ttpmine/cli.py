@@ -22,7 +22,7 @@ from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
 from .features.layout import FEATURE_GROUPS, LAYOUT_VERSION, N_SLOTS
 from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
-from .labels import ALL_LABELS, NULL
+from .labels import NULL
 from .metrics import evaluate_relations
 from .mining import CATEGORY_FORMAT_VERSION, DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
 from .pipeline import (
@@ -280,7 +280,7 @@ def cmd_eval(args) -> int:
     report = evaluate_relations(
         truth,
         decided_labels(probabilities, model.config.decision_threshold),
-        [dict(zip(ALL_LABELS, row)) for row in probabilities.tolist()],
+        probabilities,
     )
     chash = provenance_hash(
         {

@@ -105,8 +105,7 @@ def _range_sums(prefix: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.n
     """Per cell, the table rows `start..stop-1` summed, from the table's
     prefix sums (a zero row, then running totals); zero where `stop <=
     start`, whatever the bounds are there."""
-    last = len(prefix) - 1
-    sums = prefix[np.clip(stop, 0, last)] - prefix[np.clip(start, 0, last)]
+    sums = prefix.take(stop, axis=0, mode="clip") - prefix.take(start, axis=0, mode="clip")
     sums[stop <= start] = 0
     return sums
 

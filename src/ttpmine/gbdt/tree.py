@@ -151,21 +151,21 @@ def fit_tree(
         out[idx] = node["value"]
         return node
 
-    def searched(idx: np.ndarray, depth: int) -> bool:
-        """Whether the node of rows `idx` at `depth` is searched."""
+    def searched(idx: np.ndarray, depth: int) -> np.ndarray | None:
+        """Rows `idx`'s grid residuals if their node at `depth` is searched, else None."""
         if depth >= max_depth or idx.size < 2 or n_bins == 0:
-            return False
+            return None
         g = grads[idx]
-        return bool((g != g[0]).any())
+        return g if (g != g[0]).any() else None
 
     def grad_sums(flat: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Grid-residual sum per bin of rows whose codes are `flat`."""
         return np.bincount(flat, weights=np.repeat(g, nf), minlength=n_bins).astype(np.int64)
 
-    def histogram(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row count and grid-residual sum per bin, both as integers."""
+    def histogram(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row count and sum of grid residuals `g` per bin of rows `idx`, as integers."""
         flat = codes[idx].ravel()
-        return np.bincount(flat, minlength=n_bins), grad_sums(flat, grads[idx])
+        return np.bincount(flat, minlength=n_bins), grad_sums(flat, g)
 
     def build(
         idx: np.ndarray, depth: int, hist: tuple[np.ndarray, np.ndarray] | None
@@ -207,19 +207,17 @@ def fit_tree(
             threshold = a
         mask = codes[idx, feat] <= best
         left, right = idx[mask], idx[~mask]
-        hist_left = hist_right = None
-        if searched(left, depth + 1):
-            if searched(right, depth + 1):
-                # Histogram the smaller child and take the larger as the
-                # parent minus it.
-                small_is_left = left.size <= right.size
-                small = histogram(left if small_is_left else right)
-                large = (count - small[0], grad - small[1])
-                hist_left, hist_right = (small, large) if small_is_left else (large, small)
-            else:
-                hist_left = histogram(left)
-        elif searched(right, depth + 1):
-            hist_right = histogram(right)
+        g_left, g_right = searched(left, depth + 1), searched(right, depth + 1)
+        if g_left is None or g_right is None:
+            hist_left = None if g_left is None else histogram(left, g_left)
+            hist_right = None if g_right is None else histogram(right, g_right)
+        else:
+            # Histogram the smaller child and take the larger as the
+            # parent minus it.
+            small_is_left = left.size <= right.size
+            small = histogram(left, g_left) if small_is_left else histogram(right, g_right)
+            large = (count - small[0], grad - small[1])
+            hist_left, hist_right = (small, large) if small_is_left else (large, small)
         return {
             "feature": int(binned.slots[feat]),
             "threshold": threshold,
@@ -228,7 +226,8 @@ def fit_tree(
         }
 
     root = np.arange(binned.n_rows)
-    hist = (binned.root_count, grad_sums(codes.ravel(), grads)) if searched(root, 0) else None
+    g = searched(root, 0)
+    hist = None if g is None else (binned.root_count, grad_sums(codes.ravel(), g))
     return build(root, 0, hist), out
 
 
@@ -247,6 +246,11 @@ def predict_tree(node: dict, X: np.ndarray) -> np.ndarray:
 
     walk(node, np.arange(X.shape[0]))
     return out
+
+
+def n_splits(node: dict) -> int:
+    """The split nodes of a tree."""
+    return 0 if "value" in node else 1 + n_splits(node["left"]) + n_splits(node["right"])
 
 
 _LEAF_SHAPE = {"value": NUMBER}

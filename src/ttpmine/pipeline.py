@@ -75,6 +75,7 @@ from .gbdt.ensemble import (
     predict_batch,
 )
 from .gbdt.ensemble import train as train_ensemble
+from .gbdt.tree import n_splits
 from .labels import NULL
 from .mining import (
     DEFAULT_MIN_SUPPORT,
@@ -551,11 +552,6 @@ def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
     )
 
 
-def _n_splits(node: dict) -> int:
-    """The split nodes of a serialized tree."""
-    return 0 if "value" in node else 1 + _n_splits(node["left"]) + _n_splits(node["right"])
-
-
 def stage_train(
     rows: FeatureRows,
     labels: Sequence[frozenset[str]],
@@ -575,7 +571,7 @@ def stage_train(
             "degenerate=%s, loss %s",
             label,
             len(lm.trees),
-            sum(map(_n_splits, lm.trees)),
+            sum(map(n_splits, lm.trees)),
             lm.n_rows,
             lm.n_positives,
             lm.degenerate,

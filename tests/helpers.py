@@ -18,6 +18,7 @@ from ttpmine.embeddings import WordVectors
 from ttpmine.features.apriori import METRIC_NAMES
 from ttpmine.features.builder import FeatureRows, PairKey, build_report_features, f4_table
 from ttpmine.features.layout import N_SLOTS, SLOT_NAMES
+from ttpmine.labels import ALL_LABELS, NULL, POSITIVE_LABELS
 
 E2E_DIR = Path(__file__).parent / "data" / "e2e"
 REPO_ROOT = Path(__file__).parent.parent
@@ -498,3 +499,30 @@ def write_many_class_corpus(root: Path, seed: int, techniques: int = 40) -> dict
         "train": {"trees": 30, "max_depth": 3, "seed": 0,
                   "negative_downsample_ratio": 20.0},
     }
+
+
+def random_label_matrices(rng: np.random.Generator, n: int, grid: bool = True):
+    """A boolean truth matrix and an `(n, 4)` probability matrix, columns
+    in `ALL_LABELS` order. Each truth row is empty, NULL alone or one to
+    three positive labels. With `grid`, probabilities take one of five
+    values, so rows and columns hold ties."""
+    truth = np.zeros((n, len(ALL_LABELS)), dtype=bool)
+    for row, kind in zip(truth, rng.integers(0, 5, size=n).tolist()):
+        if kind == 1:
+            row[ALL_LABELS.index(NULL)] = True
+        elif kind > 1:
+            row[rng.choice(len(POSITIVE_LABELS), size=kind - 1, replace=False)] = True
+    if grid:
+        prob = rng.integers(0, 5, size=truth.shape) / 4
+    else:
+        prob = rng.random(truth.shape)
+    return truth, prob
+
+
+def label_rows(truth: np.ndarray, prob: np.ndarray) -> tuple[list, list]:
+    """The label sets and `{label: probability}` rows of a truth and a
+    probability matrix: the form the metric oracles take."""
+    return (
+        [frozenset(lab for lab, t in zip(ALL_LABELS, row) if t) for row in truth.tolist()],
+        [dict(zip(ALL_LABELS, row)) for row in prob.tolist()],
+    )

@@ -19,7 +19,9 @@ import pytest
 from helpers import (
     EMPTY_USAGE,
     e2e_config_dict,
+    label_rows,
     make_rows,
+    random_label_matrices,
     random_prediction,
     random_report,
     report_rows,
@@ -77,7 +79,7 @@ from ttpmine.labels import (
     POSITIVE_LABELS,
     SIMULTANEOUS_OVERLAP,
 )
-from ttpmine.metrics import lrap, macro_p_at_k, ndcg
+from ttpmine.metrics import label_matrix, lrap, macro_p_at_k, ndcg
 from ttpmine.mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES, mine
 from ttpmine.cli import build_parser
 from ttpmine.pipeline import (
@@ -139,31 +141,26 @@ def _f4_measures(x, y) -> np.ndarray:
 def test_criterion_2_ranking_metrics_match_brute_force():
     rng = np.random.default_rng(102)
     for _ in range(100):
-        n = int(rng.integers(1, 21))
-        truth, prob = [], []
-        for _ in range(n):
-            truth.append(frozenset(lab for lab in ALL_LABELS if rng.random() < 0.4))
-            prob.append({lab: float(rng.random()) for lab in ALL_LABELS})
-        assert lrap(truth, prob) == pytest.approx(lrap_oracle(truth, prob), abs=1e-9)
-        assert ndcg(truth, prob) == pytest.approx(ndcg_oracle(truth, prob), abs=1e-9)
+        truth, prob = random_label_matrices(rng, int(rng.integers(1, 21)), grid=False)
+        sets, dicts = label_rows(truth, prob)
+        assert lrap(truth, prob) == lrap_oracle(sets, dicts)
+        assert ndcg(truth, prob) == ndcg_oracle(sets, dicts)
         for k in (1, 3, 5):
-            assert macro_p_at_k(truth, prob, k) == pytest.approx(
-                macro_p_at_k_oracle(truth, prob, k, ALL_LABELS), abs=1e-9
-            )
+            assert macro_p_at_k(truth, prob, k) == macro_p_at_k_oracle(sets, dicts, k, ALL_LABELS)
 
-    # Two hand-computed fixtures, exact.
+    # Two hand-computed fixtures, exact; columns in ALL_LABELS order.
+    assert ALL_LABELS == (BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT, NULL)
     lrap_fixture = lrap(
-        [frozenset({SIMULTANEOUS_OVERLAP})],
-        [{BEFORE: 0.9, SIMULTANEOUS_OVERLAP: 0.8, CONCURRENT: 0.1, NULL: 0.05}],
+        label_matrix([{SIMULTANEOUS_OVERLAP}]), np.array([[0.9, 0.8, 0.1, 0.05]])
     )
     assert lrap_fixture == 0.5  # 1 true at rank 2 -> 1/(1+1)
 
-    ndcg_fixture = ndcg([frozenset({BEFORE})], [{BEFORE: 0.2, NULL: 0.9}])
+    ndcg_fixture = ndcg(label_matrix([{BEFORE}]), np.array([[0.2, 0.0, 0.0, 0.9]]))
     assert ndcg_fixture == 1.0 / math.log2(3.0)  # relevant at rank 2
 
     print(
-        "PASS criterion 2: LRAP/NDCG/P@K match brute force on 100 random "
-        "instances within 1e-9; 2 hand fixtures exact"
+        "PASS criterion 2: LRAP/NDCG/P@K equal brute force on 100 random "
+        "instances; 2 hand fixtures exact"
     )
 
 

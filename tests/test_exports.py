@@ -52,6 +52,10 @@ def test_exported_names_resolve(package):
         ("ttpmine.gbdt", "assign_folds"),
         ("ttpmine", "cohen_kappa"),
         ("ttpmine.metrics", "cohen_kappa"),
+        # P@K is `macro_p_at_k` over the label columns of a matrix.
+        ("ttpmine.metrics", "precision_at_k"),
+        # A tree's split count is `gbdt.tree.n_splits`.
+        ("ttpmine.pipeline", "_n_splits"),
         # Predictions are a probability matrix and its decided label sets.
         ("ttpmine.gbdt.ensemble", "RelationPrediction"),
         ("ttpmine.pipeline", "relation_prediction_to_dict"),
