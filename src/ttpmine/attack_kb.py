@@ -100,6 +100,8 @@ def _load_bundle(bundle_bytes: bytes) -> list[tuple | None]:
         raise StixParseError(
             f"malformed bundle JSON at offset {exc.pos}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise StixParseError(f"malformed bundle JSON: {exc}") from exc
     if type(objects) is not list:
         raise StixParseError("bundle JSON has no 'objects' list")
     return objects

@@ -22,7 +22,7 @@ from .ctfidf import DEFAULT_THRESHOLD
 from .embeddings import load_word_vectors
 from .features.layout import FEATURE_GROUPS, LAYOUT_VERSION, N_SLOTS
 from .gbdt.ensemble import TrainConfig, decided_labels, predict_batch
-from .labels import NULL
+from .labels import ALL_LABELS, NULL
 from .metrics import evaluate_relations
 from .mining import CATEGORY_FORMAT_VERSION, DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES
 from .pipeline import (
@@ -312,7 +312,7 @@ def cmd_predict(args) -> int:
     rows = load_features(args.features)
     chash = provenance_hash({"model": args.model, "features": args.features})
     labels = stage_predict(model, rows, args.out, config_hash=chash)
-    positive = sum(1 for decided in labels if NULL not in decided)
+    positive = int((~labels[:, ALL_LABELS.index(NULL)]).sum())
     print(
         f"predict: {len(labels)} pairs, {positive} with a temporal relation "
         f"-> {args.out}"

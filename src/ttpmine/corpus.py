@@ -356,7 +356,7 @@ def load_annotations(path: str | Path, techniques=None) -> list[RelationAnnotati
         try:
             obj = json.loads(line)
             check_record(obj, _ANNOTATION_SHAPE)
-        except ValueError as exc:  # a JSONDecodeError too
+        except (ValueError, RecursionError) as exc:  # a JSONDecodeError too
             raise AnnotationError(f"{where}: {exc}") from exc
         report_id, tx, ty = obj["report_id"], obj["tx"], obj["ty"]
         labels = frozenset(obj["labels"])

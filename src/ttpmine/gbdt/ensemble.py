@@ -176,17 +176,18 @@ def train(
 ) -> GbdtEnsemble:
     """Fit the four one-vs-rest label models.
 
-    `features` is a `FeatureRows`; `labels` the aligned label sets.
-    `feature_groups` restricts split candidates to those groups of the
-    layout (default slots always active); trees store global slot
-    indices either way. The matrix is binned once, and each label model
-    fits on its rows of that binning.
+    `features` is a `FeatureRows`; `labels` the aligned boolean label
+    matrix, of shape `(len(features), 4)`. `feature_groups` restricts
+    split candidates to those groups of the layout (default slots always
+    active); trees store global slot indices either way. The matrix is
+    binned once, and each label model fits on its rows of that binning.
     """
     if not len(features):
         raise GbdtTrainingError("no training vectors")
-    if len(features) != len(labels):
+    labels = np.asarray(labels, dtype=bool)
+    if labels.shape != (len(features), len(ALL_LABELS)):
         raise GbdtTrainingError(
-            f"{len(features)} vectors vs {len(labels)} label sets"
+            f"{len(features)} vectors vs a label matrix of shape {labels.shape}"
         )
     X = features.values
     _validate_features(X)
@@ -202,17 +203,13 @@ def train(
     # holds.
     X_active = X[:, active]
     binned = bin_columns(X, active[(X_active != X_active[:1]).any(axis=0)])
-    # Each row's label set is read once: whether it holds each label, and
-    # whether it is NULL alone (the rows a positive label downsamples).
-    flags = np.array(
-        [[label in labs for label in ALL_LABELS] + [set(labs) == {NULL}] for labs in labels],
-        dtype=bool,
-    ).reshape(len(labels), len(ALL_LABELS) + 1)
-    null_only = flags[:, -1]
+    # The rows a positive label downsamples: NULL with no positive label.
+    positive = labels[:, : len(POSITIVE_LABELS)].any(axis=1)
+    null_only = labels[:, ALL_LABELS.index(NULL)] & ~positive
 
     models: dict[str, LabelModel] = {}
     for label_index, label in enumerate(ALL_LABELS):
-        y = flags[:, label_index].astype(np.float64)
+        y = labels[:, label_index].astype(np.float64)
         if label in POSITIVE_LABELS:
             rows = _downsample_rows(label_index, null_only, y, config)
         else:
@@ -286,24 +283,13 @@ def predict_batch(model: GbdtEnsemble, features) -> np.ndarray:
     )
 
 
-# The decided label set of each bitmask of the positive labels at or
-# above the threshold (bit i: `POSITIVE_LABELS[i]`); none gives NULL.
-# Rows share these eight sets, so a label set costs no memory per row.
-_DECIDED = tuple(
-    frozenset(lab for i, lab in enumerate(POSITIVE_LABELS) if code >> i & 1)
-    or frozenset({NULL})
-    for code in range(1 << len(POSITIVE_LABELS))
-)
-
-
-def decided_labels(probabilities: np.ndarray, threshold: float) -> list[frozenset[str]]:
-    """The label set decided for each row of a `predict_batch` matrix:
-    every positive label whose probability is at or above `threshold`,
-    or `{NULL}` when there is none. `ALL_LABELS` puts the positive
-    labels first, so they are the matrix's first columns."""
+def decided_labels(probabilities: np.ndarray, threshold: float) -> np.ndarray:
+    """The boolean label matrix decided for a `predict_batch` matrix:
+    each row holds every positive label whose probability is at or above
+    `threshold`, or NULL alone when there is none. `ALL_LABELS` puts the
+    positive labels first and NULL last, so the columns line up."""
     positive = probabilities[:, : len(POSITIVE_LABELS)] >= threshold
-    codes = positive @ (1 << np.arange(len(POSITIVE_LABELS)))
-    return [_DECIDED[code] for code in codes.tolist()]
+    return np.column_stack([positive, ~positive.any(axis=1)])
 
 
 # The shapes `ensemble_to_dict` writes, at model level and in each label entry.

@@ -1,14 +1,16 @@
-"""Temporal relation label constants shared across the package, and the
-rule every label set follows."""
+"""Temporal relation label constants shared across the package, the
+label-set rule, and the boolean label matrix the stages pass on."""
 
 from __future__ import annotations
+
+import numpy as np
 
 BEFORE = "BEFORE"
 SIMULTANEOUS_OVERLAP = "SIMULTANEOUS_OVERLAP"
 CONCURRENT = "CONCURRENT"
 NULL = "NULL"
 
-# Canonical order: positive relations first, NULL last.
+# Canonical order, a label matrix's columns: positive relations first, NULL last.
 ALL_LABELS: tuple[str, ...] = (BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT, NULL)
 POSITIVE_LABELS: tuple[str, ...] = (BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)
 
@@ -28,3 +30,11 @@ def label_set_problem(labels: frozenset[str]) -> str | None:
     if NULL in labels and len(labels) > 1:
         return "NULL must be the sole label"
     return None
+
+
+def label_matrix(label_sets) -> np.ndarray:
+    """Boolean `(n, 4)` matrix of a sequence of label sets: row i, column
+    j is whether `ALL_LABELS[j]` is in the i-th set."""
+    return np.fromiter(
+        (lab in labels for labels in label_sets for lab in ALL_LABELS), dtype=bool
+    ).reshape(-1, len(ALL_LABELS))

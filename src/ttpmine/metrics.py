@@ -1,6 +1,6 @@
-"""Evaluation primitives: macro P/R/F over relation label sets, and
-P@K, LRAP and NDCG over a boolean truth matrix and an `(n, 4)`
-probability matrix, columns in `ALL_LABELS` order.
+"""Evaluation primitives over a boolean truth label matrix, columns in
+`ALL_LABELS` order: macro P/R/F against a decided label matrix, and
+P@K, LRAP and NDCG against an `(n, 4)` probability matrix.
 
 Tie handling is pinned for reproducibility: LRAP gives tied
 probabilities the shared best (minimum) rank; NDCG breaks ties by
@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .labels import ALL_LABELS, POSITIVE_LABELS
+from .labels import ALL_LABELS, POSITIVE_LABELS, label_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -65,14 +65,6 @@ class MetricReport:
         if self.ndcg is not None:
             out["NDCG"] = self.ndcg
         return out
-
-
-def label_matrix(label_sets) -> np.ndarray:
-    """Boolean `(n, 4)` matrix of a sequence of label sets: row i, column
-    j is whether `ALL_LABELS[j]` is in the i-th set."""
-    return np.array(
-        [[lab in labels for lab in ALL_LABELS] for labels in label_sets], dtype=bool
-    ).reshape(-1, len(ALL_LABELS))
 
 
 def _check_lengths(truth, other, name: str) -> None:
@@ -162,13 +154,14 @@ def macro_p_at_k(truth: np.ndarray, prob: np.ndarray, k: int) -> float:
     return sum(precision.tolist()) / len(ALL_LABELS)
 
 
-def evaluate_relations(truth, decided, probabilities, ks=(50, 100)) -> MetricReport:
+def evaluate_relations(
+    truth: np.ndarray, decided: np.ndarray, probabilities: np.ndarray, ks=(50, 100)
+) -> MetricReport:
     """Full relation-classification metric report: macro P/R/F from the
-    true and decided label sets, plus ranking metrics from the
+    true and decided label matrices, plus ranking metrics from the
     `predict_batch` probability matrix."""
-    truth = label_matrix(truth)
     return replace(
-        _prf_report(truth, label_matrix(decided)),
+        _prf_report(truth, decided),
         p_at_k={k: macro_p_at_k(truth, probabilities, k) for k in ks},
         lrap=lrap(truth, probabilities),
         ndcg=ndcg(truth, probabilities),

@@ -11,7 +11,9 @@ import json
 import os
 from dataclasses import dataclass, replace
 
-from .labels import ALL_LABELS, NULL, POSITIVE_LABELS, SYMMETRIC_LABELS, label_set_problem
+import numpy as np
+
+from .labels import ALL_LABELS, POSITIVE_LABELS, SYMMETRIC_LABELS, label_set_problem
 from .records import LIST, NUMBER, STRING, STRINGS, check_record, object_of
 
 UNCATEGORIZED = "uncategorized"
@@ -53,17 +55,19 @@ def mine(keys, labels, n: int = DEFAULT_MIN_SUPPORT) -> list[TemporalPattern]:
     """Count distinct reports per canonicalized (pair, relation) and keep
     tuples seen in at least n reports. NULL is never a pattern.
 
-    `keys` holds one `(report_id, tx, ty)` per row and `labels` the
-    row's decided label set, aligned; ValueError if their lengths differ.
-    Output is sorted by (count desc, relation, tx, ty).
+    `keys` holds one `(report_id, tx, ty)` per row and `labels` is the
+    aligned boolean decided label matrix; ValueError if their lengths
+    differ. Output is sorted by (count desc, relation, tx, ty).
     """
     if n < 1:
         raise ValueError(f"mining threshold must be >= 1, got {n}")
+    if len(keys) != len(labels):
+        raise ValueError(f"{len(keys)} keys vs {len(labels)} label rows")
     seen: dict[tuple[str, str, str], set[str]] = {}
-    for (report_id, tx, ty), relations in zip(keys, labels, strict=True):
-        for relation in relations:
-            if relation != NULL:
-                seen.setdefault(canonical_key(tx, ty, relation), set()).add(report_id)
+    for column, relation in enumerate(POSITIVE_LABELS):
+        for row in np.flatnonzero(labels[:, column]).tolist():
+            report_id, tx, ty = keys[row]
+            seen.setdefault(canonical_key(tx, ty, relation), set()).add(report_id)
 
     patterns = [
         TemporalPattern(
@@ -138,14 +142,14 @@ _RECORD_SHAPE = dict(
 def relation_prediction_records(keys, probabilities, labels):
     """One `predictions.jsonl` record per row: its `(report_id, tx, ty)`
     key, its row of the `predict_batch` probability matrix keyed by
-    label, and its decided label set as a sorted list."""
-    for (report_id, tx, ty), row, decided in zip(keys, probabilities.tolist(), labels):
+    label, and the names of its row of the decided label matrix, sorted."""
+    for (report_id, tx, ty), row, decided in zip(keys, probabilities.tolist(), labels.tolist()):
         yield {
             "report_id": report_id,
             "tx": tx,
             "ty": ty,
             "probabilities": dict(zip(ALL_LABELS, row)),
-            "labels": sorted(decided),
+            "labels": sorted(lab for lab, on in zip(ALL_LABELS, decided) if on),
         }
 
 

@@ -7,9 +7,10 @@ commands read prior artifacts from disk, so any stage can be re-run
 standalone. There is one feature layout, the constants of
 ``features.layout``: the features CSV's header and a model's
 ``layout_version`` are checked against it as they are read, so rows and
-models always agree. Artifacts embed the tool version, the
-configuration hash, and (where applicable) the feature layout version. Every artifact reader fails with one ``PipelineError``
-that names the file (and, in a JSONL artifact, the line).
+models always agree. Artifacts embed the tool version, the configuration
+hash, and (where applicable) the feature layout version. Every artifact
+reader fails with one ``PipelineError`` that names the file (and, in a
+JSONL artifact, the line).
 
 Artifact formats:
 
@@ -76,7 +77,7 @@ from .gbdt.ensemble import (
 )
 from .gbdt.ensemble import train as train_ensemble
 from .gbdt.tree import n_splits
-from .labels import NULL
+from .labels import NULL, label_matrix
 from .mining import (
     DEFAULT_MIN_SUPPORT,
     PACKAGED_CATEGORIES,
@@ -196,13 +197,14 @@ def write_json(path: str, payload: Mapping) -> None:
 def _decoded(decode: Callable, value, path: str, what: str):
     """``decode(value)``, for a ``value`` read from the artifact at ``path``.
 
-    Whatever decoding a malformed artifact or config file raises (bad
-    JSON, a wrong type, a missing key, a bad value) becomes one
-    PipelineError that names the file and ``what`` was being read.
+    Whatever decoding a malformed artifact or config file raises (bad JSON,
+    JSON nested too deep, a wrong type, a missing key, a bad value) becomes
+    one PipelineError that names the file and ``what`` was being read.
     """
     try:
         return decode(value)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, PipelineError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError,
+            PipelineError) as exc:
         raise PipelineError(
             f"{path}: malformed {what}: {type(exc).__name__}: {exc}"
         ) from exc
@@ -527,16 +529,12 @@ def load_features(path: str) -> FeatureRows:
 # ---------------------------------------------------------------------------
 
 
-def labels_for_rows(rows: FeatureRows, annotations) -> list[frozenset[str]]:
-    """Resolve the label set for each feature row.
-
-    Pairs without an explicit annotation are implicit ``{NULL}``.
-    """
-    explicit: dict[tuple[str, str, str], frozenset[str]] = {}
-    for ann in annotations:
-        explicit[(ann.report_id, ann.tx, ann.ty)] = ann.labels
-    null_only = frozenset({NULL})
-    return [explicit.get(key, null_only) for key in rows]
+def labels_for_rows(rows: FeatureRows, annotations) -> np.ndarray:
+    """The boolean label matrix of the feature rows: each row's annotated
+    labels, or NULL alone (row 0 of ``annotated``) for a pair without."""
+    annotated = label_matrix([{NULL}] + [ann.labels for ann in annotations])
+    index = {(ann.report_id, ann.tx, ann.ty): i for i, ann in enumerate(annotations, 1)}
+    return annotated[[index.get(key, 0) for key in rows]]
 
 
 def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
@@ -554,7 +552,7 @@ def count_unrowed_annotations(rows: FeatureRows, annotations) -> int:
 
 def stage_train(
     rows: FeatureRows,
-    labels: Sequence[frozenset[str]],
+    labels: np.ndarray,
     out_path: str,
     *,
     train_config: TrainConfig | None = None,
@@ -598,10 +596,10 @@ def stage_predict(
     out_path: str,
     *,
     config_hash: str = "",
-) -> list[frozenset[str]]:
+) -> np.ndarray:
     """Predict temporal relations for every feature row, write one JSONL
     record per row (its key, its probability of each label and its
-    decided labels), and return the decided label sets."""
+    decided labels), and return the decided label matrix."""
     probabilities = predict_batch(ensemble, rows)
     labels = decided_labels(probabilities, ensemble.config.decision_threshold)
     meta = make_meta("predict", config_hash, layout=True)
@@ -610,11 +608,11 @@ def stage_predict(
     return labels
 
 
-def load_relation_predictions(path: str) -> tuple[list, list[frozenset[str]]]:
+def load_relation_predictions(path: str) -> tuple[list, np.ndarray]:
     """The pair keys ``(report_id, tx, ty)`` of a ``predictions.jsonl``
-    and their decided label sets, aligned."""
+    and their decided label matrix, aligned."""
     records = read_jsonl(path, "relation prediction", relation_prediction_from_dict)[1]
-    return [key for key, _ in records], [labels for _, labels in records]
+    return [key for key, _ in records], label_matrix(labels for _, labels in records)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +628,7 @@ def load_categories(path: str) -> CategoryMap:
 
 def stage_mine(
     keys: Sequence[tuple[str, str, str]],
-    labels: Sequence[frozenset[str]],
+    labels: np.ndarray,
     out_path: str,
     *,
     category_map: CategoryMap,
@@ -638,7 +636,7 @@ def stage_mine(
     config_hash: str = "",
 ) -> list:
     """Mine recurring patterns from the pair keys ``(report_id, tx, ty)``
-    and their aligned decided label sets, attach categories, and export
+    and their aligned decided label matrix, attach categories, and export
     them as csv, json and dot: ``out_path``'s stem with each extension.
     """
     patterns = mine(keys, labels, n=min_support)

@@ -519,10 +519,13 @@ def random_label_matrices(rng: np.random.Generator, n: int, grid: bool = True):
     return truth, prob
 
 
+def label_sets(matrix: np.ndarray) -> list[frozenset[str]]:
+    """The label set of each row of a boolean label matrix: the form the
+    oracles take."""
+    return [frozenset(lab for lab, t in zip(ALL_LABELS, row) if t) for row in matrix.tolist()]
+
+
 def label_rows(truth: np.ndarray, prob: np.ndarray) -> tuple[list, list]:
     """The label sets and `{label: probability}` rows of a truth and a
     probability matrix: the form the metric oracles take."""
-    return (
-        [frozenset(lab for lab, t in zip(ALL_LABELS, row) if t) for row in truth.tolist()],
-        [dict(zip(ALL_LABELS, row)) for row in prob.tolist()],
-    )
+    return label_sets(truth), [dict(zip(ALL_LABELS, row)) for row in prob.tolist()]

@@ -20,6 +20,7 @@ from helpers import (
     EMPTY_USAGE,
     e2e_config_dict,
     label_rows,
+    label_sets,
     make_rows,
     random_label_matrices,
     random_prediction,
@@ -78,8 +79,9 @@ from ttpmine.labels import (
     NULL,
     POSITIVE_LABELS,
     SIMULTANEOUS_OVERLAP,
+    label_matrix,
 )
-from ttpmine.metrics import label_matrix, lrap, macro_p_at_k, ndcg
+from ttpmine.metrics import lrap, macro_p_at_k, ndcg
 from ttpmine.mining import DEFAULT_MIN_SUPPORT, PACKAGED_CATEGORIES, mine
 from ttpmine.cli import build_parser
 from ttpmine.pipeline import (
@@ -197,8 +199,8 @@ def test_criterion_3_marker_lexicon_exact():
 
 
 def _random_prediction_rows(rng):
-    """Aligned `(report_id, tx, ty)` keys and label sets, as `mine` takes
-    them."""
+    """`(report_id, tx, ty)` keys and their aligned label matrix, as
+    `mine` takes them."""
     techniques = [f"T{1000 + k}" for k in range(6)]
     keys, labels = [], []
     for r in range(int(rng.integers(2, 8))):
@@ -209,7 +211,7 @@ def _random_prediction_rows(rng):
                 frozenset(lab for lab in POSITIVE_LABELS if rng.random() < 0.35)
                 or frozenset({NULL})
             )
-    return keys, labels
+    return keys, label_matrix(labels)
 
 
 def test_criterion_4_pattern_miner_matches_nested_loop():
@@ -221,7 +223,7 @@ def test_criterion_4_pattern_miner_matches_nested_loop():
             (p.tx, p.ty, p.relation): set(p.report_ids)
             for p in mine(keys, labels, n)
         }
-        assert got == mine_oracle(keys, labels, n)
+        assert got == mine_oracle(keys, label_sets(labels), n)
 
     for _ in range(20):
         keys, labels = _random_prediction_rows(rng)
@@ -322,7 +324,8 @@ def _random_gbdt_data(rng, n_rows, n_features=12):
         values.append(rng.normal(size=n_features))
         positives = frozenset(lab for lab in POSITIVE_LABELS if rng.random() < 0.3)
         labels.append(positives or frozenset({NULL}))
-    return make_rows(values, report_ids=[f"r{k:02d}" for k in range(n_rows)]), labels
+    ids = [f"r{k:02d}" for k in range(n_rows)]
+    return make_rows(values, report_ids=ids), label_matrix(labels)
 
 
 def _separable_gbdt_data(n_per_side=16):
@@ -330,7 +333,7 @@ def _separable_gbdt_data(n_per_side=16):
     values[:n_per_side, 1] = 1.0
     labels = [frozenset({BEFORE})] * n_per_side + [frozenset({NULL})] * n_per_side
     ids = [f"r{k:02d}" for k in range(2 * n_per_side)]
-    return make_rows(values, report_ids=ids), labels
+    return make_rows(values, report_ids=ids), label_matrix(labels)
 
 
 def test_criterion_6_gbdt_training_contract():
@@ -351,9 +354,9 @@ def test_criterion_6_gbdt_training_contract():
     features, labels = _separable_gbdt_data()
     model = train(features, labels, TrainConfig(trees=200, max_depth=2))
     decided = decided_labels(predict_batch(model, features), model.config.decision_threshold)
-    tp = sum(1 for p, t in zip(decided, labels) if BEFORE in p and BEFORE in t)
-    fp = sum(1 for p, t in zip(decided, labels) if BEFORE in p and BEFORE not in t)
-    fn = sum(1 for p, t in zip(decided, labels) if BEFORE not in p and BEFORE in t)
+    before = ALL_LABELS.index(BEFORE)
+    p, t = decided[:, before], labels[:, before]
+    tp, fp, fn = int((p & t).sum()), int((p & ~t).sum()), int((~p & t).sum())
     f1 = 2 * tp / (2 * tp + fp + fn)
     assert f1 == 1.0
 

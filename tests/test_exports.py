@@ -56,8 +56,9 @@ def test_exported_names_resolve(package):
         ("ttpmine.metrics", "precision_at_k"),
         # A tree's split count is `gbdt.tree.n_splits`.
         ("ttpmine.pipeline", "_n_splits"),
-        # Predictions are a probability matrix and its decided label sets.
+        # Predictions are a probability matrix and its decided label matrix.
         ("ttpmine.gbdt.ensemble", "RelationPrediction"),
+        ("ttpmine.gbdt.ensemble", "_DECIDED"),
         ("ttpmine.pipeline", "relation_prediction_to_dict"),
         # Tests use `make_report("", text).sentences`.
         ("ttpmine.corpus", "segment_sentences"),

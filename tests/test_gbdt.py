@@ -18,7 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import REPO_ROOT, e2e_config_dict, make_rows, tree_features
+from helpers import REPO_ROOT, e2e_config_dict, label_sets, make_rows, tree_features
 from oracles import (
     downsample_oracle,
     exact_split_oracle,
@@ -47,7 +47,9 @@ from ttpmine.gbdt.tree import (
     predict_tree,
 )
 from ttpmine.corpus import load_annotations
-from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
+from ttpmine.labels import (
+    ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP, label_matrix
+)
 from ttpmine.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -356,7 +358,7 @@ def _separable_data(n_per_side=12, n_features=8, signal_slot=1):
     values[:n_per_side, signal_slot] = 1.0
     labels = [frozenset({BEFORE})] * n_per_side + [frozenset({NULL})] * n_per_side
     ids = [f"r{k:02d}" for k in range(2 * n_per_side)]
-    return make_rows(values, report_ids=ids), labels
+    return make_rows(values, report_ids=ids), label_matrix(labels)
 
 
 def _random_training_data(rng, n_rows, n_features):
@@ -365,7 +367,8 @@ def _random_training_data(rng, n_rows, n_features):
         values.append(rng.normal(size=n_features))
         positives = frozenset(lab for lab in ALL_LABELS[:3] if rng.random() < 0.3)
         labels.append(positives or frozenset({NULL}))
-    return make_rows(values, report_ids=[f"r{k:02d}" for k in range(n_rows)]), labels
+    ids = [f"r{k:02d}" for k in range(n_rows)]
+    return make_rows(values, report_ids=ids), label_matrix(labels)
 
 
 def _null_only(labels) -> np.ndarray:
@@ -492,13 +495,15 @@ def test_training_does_not_import_numpy_random(tmp_path):
         from ttpmine.features.builder import FeatureRows, PairKey
         from ttpmine.features.layout import N_SLOTS
         from ttpmine.gbdt.ensemble import TrainConfig, train
-        from ttpmine.labels import BEFORE, NULL
+        from ttpmine.labels import BEFORE, NULL, label_matrix
 
         n = 60
         values = np.zeros((n, N_SLOTS))
         values[:, 0] = np.arange(n) % 7
         values[:, 1] = np.arange(n) % 3
-        labels = [frozenset({BEFORE}) if k % 10 == 0 else frozenset({NULL}) for k in range(n)]
+        labels = label_matrix(
+            [frozenset({BEFORE}) if k % 10 == 0 else frozenset({NULL}) for k in range(n)]
+        )
         keys = [PairKey(f"r{k}", "TA", "TB") for k in range(n)]
         assert "numpy.random" not in sys.modules
         model = train(
@@ -551,7 +556,7 @@ class TestTraining:
     def test_e2e_fixture_leaf_values_match_predict_tree(self, e2e_training_data):
         rows, labels, _ = e2e_training_data
         X = rows.values
-        y = np.array([1.0 if BEFORE in labs else 0.0 for labs in labels])
+        y = labels[:, ALL_LABELS.index(BEFORE)].astype(np.float64)
         for depth in (1, 3, 6):
             _fit(X, y - y.mean(), np.full(y.size, 0.25), depth)
 
@@ -574,15 +579,10 @@ class TestTraining:
         model = train(features, labels, TrainConfig(trees=60, max_depth=2))
         probabilities = predict_batch(model, features)
         decided = decided_labels(probabilities, model.config.decision_threshold)
-        assert all(
-            (BEFORE in labs) == (BEFORE in truth) for labs, truth in zip(decided, labels)
-        )
+        before = ALL_LABELS.index(BEFORE)
+        assert np.array_equal(decided[:, before], labels[:, before])
         # Positive probabilities end far from the boundary.
-        assert all(
-            p > 0.9
-            for p, truth in zip(probabilities[:, ALL_LABELS.index(BEFORE)].tolist(), labels)
-            if BEFORE in truth
-        )
+        assert (probabilities[labels[:, before], before] > 0.9).all()
 
     def test_same_seed_bit_identical_model(self):
         rng = np.random.default_rng(4)
@@ -605,13 +605,15 @@ class TestTraining:
         assert any("no positives" in r.message for r in caplog.records)
         probabilities = predict_batch(model, features)
         assert probabilities[0, ALL_LABELS.index(CONCURRENT)] == pytest.approx(1e-6, rel=1e-3)
-        assert CONCURRENT not in decided_labels(probabilities, 0.5)[0]
+        assert not decided_labels(probabilities, 0.5)[0, ALL_LABELS.index(CONCURRENT)]
 
     def test_single_stump_monotone_in_signal(self):
         values = np.zeros((10, 4))
         values[:, 0] = np.arange(10.0)
         features = make_rows(values, report_ids=[f"r{x0}" for x0 in range(10)])
-        labels = [frozenset({BEFORE}) if x0 >= 5 else frozenset({NULL}) for x0 in range(10)]
+        labels = label_matrix(
+            [frozenset({BEFORE}) if x0 >= 5 else frozenset({NULL}) for x0 in range(10)]
+        )
         model = train(features, labels, TrainConfig(trees=1, max_depth=1))
         probs = predict_batch(model, features)[:, ALL_LABELS.index(BEFORE)].tolist()
         assert all(b >= a for a, b in zip(probs, probs[1:]))
@@ -623,6 +625,23 @@ class TestTraining:
             train([], [], TrainConfig(trees=2))
         with pytest.raises(GbdtTrainingError, match="vectors vs"):
             train(features, labels[:-1], TrainConfig(trees=2))
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda m: m[:, :-1],
+            lambda m: m.T,
+            lambda m: m[:, 0],
+            lambda m: np.hstack([m, m]),
+            lambda m: label_sets(m),
+        ],
+        ids=["three-columns", "transposed", "one-column", "eight-columns", "label-sets"],
+    )
+    def test_label_matrix_shape(self, reshape):
+        # Only an (n, 4) matrix, columns in ALL_LABELS order, trains.
+        features, labels = _separable_data(n_per_side=3)
+        with pytest.raises(GbdtTrainingError, match=r"^6 vectors vs a label matrix of shape \("):
+            train(features, reshape(labels), TrainConfig(trees=2))
 
     def test_nan_feature_named_by_position(self):
         features, labels = _separable_data(n_per_side=3)
@@ -643,7 +662,7 @@ class TestFeatureGroups:
             values.append(row)
             labels.append(frozenset({BEFORE}) if positive else frozenset({NULL}))
         ids = [f"r{k:02d}" for k in range(24)]
-        return make_rows(values, report_ids=ids), labels
+        return make_rows(values, report_ids=ids), label_matrix(labels)
 
     def test_split_candidates_restricted_to_mask(self):
         rng = np.random.default_rng(2)
@@ -686,7 +705,7 @@ class TestPredictAndSerialize:
     def test_null_fallback_when_nothing_decided(self):
         model, features = self._model_and_features()
         decided = decided_labels(predict_batch(model, features), 0.5)
-        assert decided[-1] == frozenset({NULL})  # a NULL-side row
+        assert label_sets(decided[-1:]) == [frozenset({NULL})]  # a NULL-side row
 
     def test_layout_mismatch_rejected(self):
         # Rows always have the one layout, so the model reader is where a
@@ -874,7 +893,7 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
             X[:, slot] = rng.random(n_rows) < rng.uniform(0.05, 0.5)
         else:
             X[:, slot] = np.round(rng.random(n_rows), 1)
-    label_sets = []
+    row_labels = []
     for k in range(n_rows):
         draw = rng.random()
         if draw < 0.3 and labels:
@@ -882,16 +901,16 @@ def _run_train_shaped(seed, labels=(BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT)):
             if rng.random() < 0.15:
                 picked.add(labels[int(rng.integers(len(labels)))])
             X[k, int(rng.integers(1, 20)) * 3 + 1] += 1.0
-            label_sets.append(frozenset(picked))
+            row_labels.append(frozenset(picked))
         else:
-            label_sets.append(frozenset({NULL}))
+            row_labels.append(frozenset({NULL}))
     ids = [f"r{k // 20}" for k in range(n_rows)]
-    return make_rows(X, report_ids=ids), label_sets
+    return make_rows(X, report_ids=ids), label_matrix(row_labels)
 
 
 def _assert_matches_per_label_oracle(features, labels, config, **groups):
     model = train(features, labels, config, **groups)
-    oracle = per_label_train_oracle(features, labels, config, **groups)
+    oracle = per_label_train_oracle(features, label_sets(labels), config, **groups)
     assert json.dumps(ensemble_to_dict(model), sort_keys=True) == json.dumps(
         ensemble_to_dict(oracle), sort_keys=True
     )
@@ -941,10 +960,23 @@ class TestPerLabelOracle:
         trees = [t for lm in model.models.values() for t in lm.trees]
         assert trees and all("value" in t for t in trees)
 
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_seeded_label_matrices(self, seed):
+        # Any boolean matrix: rows with no label, and NULL beside a
+        # positive label, which is not NULL-only and so never downsampled.
+        features, _ = _run_train_shaped(seed)
+        rng = np.random.default_rng(seed)
+        labels = rng.random((len(features), len(ALL_LABELS))) < [0.1, 0.1, 0.1, 0.8]
+        null = ALL_LABELS.index(NULL)
+        assert (labels[:, null] & labels[:, :null].any(axis=1)).any()
+        assert (~labels.any(axis=1)).any()
+        config = TrainConfig(trees=10, max_depth=3, negative_downsample_ratio=1.5, seed=seed)
+        _assert_matches_per_label_oracle(features, labels, config)
+
     def test_single_row(self):
         features = make_rows(np.arange(6.0))
         model = _assert_matches_per_label_oracle(
-            features, [frozenset({BEFORE})], self.RUN_TRAIN
+            features, label_matrix([frozenset({BEFORE})]), self.RUN_TRAIN
         )
         assert all(lm.degenerate for lm in model.models.values())
 
@@ -964,7 +996,7 @@ class TestPerLabelOracle:
         X[outside[: outside.size // 2], 0] = 0.0
         assert np.unique(X[rows, 0]).size == 1 < np.unique(X[:, 0]).size
         features = make_rows(X)
-        model = _assert_matches_per_label_oracle(features, labels, config)
+        model = _assert_matches_per_label_oracle(features, label_matrix(labels), config)
         assert any(0 in tree_features(t) for t in model.models[NULL].trees)
         assert all(0 not in tree_features(t) for t in model.models[BEFORE].trees)
 

@@ -21,10 +21,11 @@ from oracles import (
     p_at_k_oracle,
     prf_oracle,
 )
-from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
+from ttpmine.labels import (
+    ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP, label_matrix
+)
 from ttpmine.metrics import (
     evaluate_relations,
-    label_matrix,
     lrap,
     macro_p_at_k,
     macro_prf,
@@ -329,7 +330,9 @@ class TestEvaluateRelations:
             or frozenset({NULL})
             for p in prob
         ]
-        rep = evaluate_relations(truth, pred, _prob(*prob), ks=(2, 5))
+        rep = evaluate_relations(
+            label_matrix(truth), label_matrix(pred), _prob(*prob), ks=(2, 5)
+        )
         d = rep.to_dict()
         assert set(d) >= {"per_label", "macro_avg", "macro_avg_positive", "P@2", "P@5", "LRAP", "NDCG"}
         assert d["macro_avg"]["f1"] == rep.macro_f1
@@ -344,7 +347,7 @@ class TestEvaluateRelations:
             {BEFORE: 0.9, NULL: 0.1, CONCURRENT: 0.0, SIMULTANEOUS_OVERLAP: 0.0},
             {BEFORE: 0.2, NULL: 0.8, CONCURRENT: 0.0, SIMULTANEOUS_OVERLAP: 0.0},
         )
-        rep = evaluate_relations(truth, pred, prob, ks=(1,))
+        rep = evaluate_relations(label_matrix(truth), label_matrix(pred), prob, ks=(1,))
         assert rep.macro_f1 == macro_prf(truth, pred).macro_f1
         assert rep.lrap == lrap(label_matrix(truth), prob)
         assert rep.ndcg == ndcg(label_matrix(truth), prob)
@@ -352,6 +355,6 @@ class TestEvaluateRelations:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            evaluate_relations([frozenset({NULL})], [], _prob({NULL: 1.0}))
+            evaluate_relations(label_matrix([{NULL}]), label_matrix([]), _prob({NULL: 1.0}))
         with pytest.raises(ValueError, match="length mismatch"):
-            evaluate_relations([frozenset({NULL})], [frozenset({NULL})], _prob())
+            evaluate_relations(label_matrix([{NULL}]), label_matrix([{NULL}]), _prob())

@@ -1,5 +1,6 @@
-"""Pattern mining over (pair, decided label set) rows: canonical keys,
-distinct-report counting, category labeling, and export formats."""
+"""Pattern mining over pair keys and their decided label matrix:
+canonical keys, distinct-report counting, category labeling, and export
+formats."""
 
 from __future__ import annotations
 
@@ -12,14 +13,17 @@ import numpy as np
 import pytest
 
 import ttpmine
+from helpers import label_sets
 from oracles import mine_oracle
 from ttpmine.labels import (
+    ALL_LABELS,
     BEFORE,
     CONCURRENT,
     NULL,
     POSITIVE_LABELS,
     SIMULTANEOUS_OVERLAP,
     SYMMETRIC_LABELS,
+    label_matrix,
 )
 from ttpmine.mining import (
     UNCATEGORIZED,
@@ -35,9 +39,9 @@ from ttpmine.pipeline import PipelineError, load_categories
 
 
 def _rows(*rows):
-    """`mine`'s aligned pair keys and label sets, from
+    """`mine`'s pair keys and aligned label matrix, from
     `(report_id, tx, ty, labels)` rows."""
-    return [row[:3] for row in rows], [frozenset(row[3]) for row in rows]
+    return [row[:3] for row in rows], label_matrix(row[3] for row in rows)
 
 
 class TestCanonicalKey:
@@ -135,12 +139,14 @@ class TestMine:
             mine([], [], n=0)
 
     def test_empty_predictions(self):
-        assert mine([], [], n=1) == []
+        assert mine([], label_matrix([]), n=1) == []
 
     def test_rows_must_align(self):
         keys, labels = _rows(("r1", "T1566", "T1204", {BEFORE}))
-        with pytest.raises(ValueError):
-            mine(keys, labels + labels, n=1)
+        with pytest.raises(ValueError, match="^1 keys vs 2 label rows$"):
+            mine(keys, np.vstack([labels, labels]), n=1)
+        with pytest.raises(ValueError, match="^2 keys vs 1 label rows$"):
+            mine(keys + keys, labels, n=1)
 
     def _random_rows(self, rng):
         """Seeded rows over six techniques; about a third of the rows
@@ -170,16 +176,37 @@ class TestMine:
             patterns = mine(keys, labels, n)
             got = {(p.tx, p.ty, p.relation): p.report_ids for p in patterns}
             want = {
-                key: frozenset(ids) for key, ids in mine_oracle(keys, labels, n).items()
+                key: frozenset(ids)
+                for key, ids in mine_oracle(keys, label_sets(labels), n).items()
             }
             assert got == want
             counts = [p.count for p in patterns]
             assert counts == sorted(counts, reverse=True)
             reversed_symmetric += sum(
-                1 for (_, tx, ty), labs in zip(keys, labels)
+                1 for (_, tx, ty), labs in zip(keys, label_sets(labels))
                 if ty < tx and labs & SYMMETRIC_LABELS
             )
         assert reversed_symmetric > 50
+
+    def test_seeded_matrices_match_oracle(self):
+        # Any boolean matrix, NULL beside positive labels too: `mine`
+        # reads only the positive columns, as the oracle skips NULL.
+        rng = np.random.default_rng(37)
+        techniques = [f"T{1000 + k}" for k in range(5)]
+        mined = 0
+        for _ in range(200):
+            n_rows = int(rng.integers(0, 40))
+            keys = []
+            for _ in range(n_rows):
+                tx, ty = map(str, rng.choice(techniques, size=2, replace=False))
+                keys.append((f"r{int(rng.integers(0, 6))}", tx, ty))
+            labels = rng.random((n_rows, len(ALL_LABELS))) < rng.uniform(0.1, 0.6)
+            n = int(rng.integers(1, 4))
+            got = {(p.tx, p.ty, p.relation): p.report_ids for p in mine(keys, labels, n)}
+            want = mine_oracle(keys, label_sets(labels), n)
+            assert got == {key: frozenset(ids) for key, ids in want.items()}
+            mined += len(got)
+        assert mined > 1000
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(31)

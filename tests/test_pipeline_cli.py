@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict, v1_bins_header
+from helpers import E2E_DIR, REPO_ROOT, e2e_config_dict, label_sets, v1_bins_header
 from ttpmine import __version__, attack_kb, cli, pipeline
 from ttpmine.attack_kb import UsageMatrix, usage_to_dict
 from ttpmine.corpus import load_annotations, load_reports
@@ -29,7 +29,7 @@ from ttpmine.cli import main
 from ttpmine.ctfidf import DEFAULT_THRESHOLD, predict_report
 from ttpmine.features.layout import SLOT_NAMES
 from ttpmine.gbdt.ensemble import TrainConfig
-from ttpmine.labels import BEFORE, NULL
+from ttpmine.labels import ALL_LABELS, BEFORE, NULL
 from ttpmine.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -130,19 +130,23 @@ class TestRunPipeline:
         techniques = load_kb_usage(str(out_dir / "kb")).techniques
         annotations = load_annotations(ANNOTATIONS, techniques=techniques)
         labels = labels_for_rows(rows, annotations)
+        assert labels.dtype == bool
+        assert labels.shape == (18, len(ALL_LABELS))
+        sets = label_sets(labels)
         before_rows = [
             row.report_id
-            for row, labs in zip(rows, labels)
+            for row, labs in zip(rows, sets)
             if labs == frozenset({BEFORE})
         ]
         assert sorted(before_rows) == ["r01", "r02", "r03"]
-        assert labels.count(frozenset({NULL})) == 15
+        assert sets.count(frozenset({NULL})) == 15
 
     def test_predictions_artifact(self, pipeline_out):
         _, out_dir, _ = pipeline_out
         keys, labels = load_relation_predictions(str(out_dir / "predictions.jsonl"))
         assert len(keys) == len(labels) == 18
-        positives = {key for key, labs in zip(keys, labels) if BEFORE in labs}
+        assert labels.dtype == bool
+        positives = {key for key, labs in zip(keys, label_sets(labels)) if BEFORE in labs}
         assert positives == {
             ("r01", "T1566", "T1204"),
             ("r02", "T1566", "T1204"),
@@ -1003,6 +1007,41 @@ class TestFeaturesLayoutFromHeader:
         mine = (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()
         theirs = (cli_dir / "predictions.jsonl").read_text(encoding="utf-8").splitlines()
         assert mine[1:] == theirs[1:] and len(mine) > 1
+
+
+# JSON nested far deeper than the interpreter's recursion limit.
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, argv, jsonl",
+    [
+        ("predict", ["predict", "--model", "{deep}", "--features", "{chain}/features.csv",
+                     "--out", "{out}"], False),
+        ("mine", ["mine", "--predictions", "{deep}", "--out", "{out}/patterns.csv"], True),
+        ("mine", ["mine", "--predictions", "{chain}/predictions.jsonl", "--categories", "{deep}",
+                  "--out", "{out}/patterns.csv"], False),
+        ("run", ["run", "--config", "{deep}", "--out-dir", "{out}"], False),
+        ("corpus validate", ["corpus", "validate", "--reports", REPORTS,
+                             "--annotations", "{deep}"], False),
+        ("kb build", ["kb", "build", "--stix", "{deep}", "--out", "{out}"], False),
+    ],
+    ids=["predict-model", "mine-predictions", "mine-categories", "run-config",
+         "corpus-annotations", "kb-stix"],
+)
+def test_deeply_nested_json_names_file(cli_dir, tmp_path, capsys, command, argv, jsonl):
+    # Too deep to decode is malformed input: exit 1, one error line that
+    # names the file, and nothing written. A JSONL reader gets a good
+    # meta line and the deep value on line 2.
+    deep = tmp_path / "deep.json"
+    deep.write_text(('{"meta": {}}\n' if jsonl else "") + _DEEP + "\n", encoding="utf-8")
+    paths = dict(deep=deep, out=tmp_path / "out", chain=cli_dir)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"ttpmine {command}: error: "), err
+    assert str(deep) in err and "recursion" in err, err
+    assert os.listdir(tmp_path) == ["deep.json"]
 
 
 class TestMalformedArtifacts:

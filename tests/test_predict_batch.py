@@ -1,5 +1,5 @@
 """Batch relation prediction: the probability matrix and its decided
-label sets agree bit for bit with row-at-a-time scoring, the threshold
+label matrix agree bit for bit with row-at-a-time scoring, the threshold
 rule, and empty input."""
 
 from __future__ import annotations
@@ -8,12 +8,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import e2e_config_dict, make_rows
+from helpers import e2e_config_dict, label_sets, make_rows
 from oracles import predict_rows_oracle
 from ttpmine.features.builder import FeatureRows
 from ttpmine.features.layout import N_SLOTS
 from ttpmine.gbdt.ensemble import TrainConfig, decided_labels, predict_batch, train
-from ttpmine.labels import ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP
+from ttpmine.labels import (
+    ALL_LABELS, BEFORE, CONCURRENT, NULL, SIMULTANEOUS_OVERLAP, label_matrix, label_set_problem
+)
 from ttpmine.pipeline import (
     PipelineConfig,
     load_features,
@@ -51,7 +53,7 @@ def multi_report_model():
         tx=[f"T{k}" for _ in range(8) for k in range(6)],
         ty=[f"T{(k + 1) % 6}" for _ in range(8) for k in range(6)],
     )
-    model = train(features, labels, TrainConfig(trees=15, max_depth=3, seed=3))
+    model = train(features, label_matrix(labels), TrainConfig(trees=15, max_depth=3, seed=3))
     return model, features
 
 
@@ -70,13 +72,15 @@ def _empty():
 
 
 def _assert_matches_oracle(model, features):
-    """The matrix and its decided label sets equal the row-at-a-time
-    oracle bit for bit; returns the label sets."""
+    """The matrix and its decided label matrix equal the row-at-a-time
+    oracle bit for bit; returns the decided label sets."""
     matrix = predict_batch(model, features)
-    labels = decided_labels(matrix, model.config.decision_threshold)
+    decided_matrix = decided_labels(matrix, model.config.decision_threshold)
     oracle = predict_rows_oracle(model, features)
-    assert matrix.shape == (len(features), len(ALL_LABELS))
+    assert matrix.shape == decided_matrix.shape == (len(features), len(ALL_LABELS))
     assert matrix.dtype == np.float64
+    assert decided_matrix.dtype == bool
+    labels = label_sets(decided_matrix)
     assert len(labels) == len(oracle)
     for row, decided, (probabilities, want) in zip(matrix.tolist(), labels, oracle):
         assert decided == want
@@ -125,7 +129,7 @@ class TestDecidedLabels:
                 [np.nextafter(0.5, 0.0), 0.0, 0.0, 0.0],
             ]
         )
-        assert decided_labels(probabilities, 0.5) == [
+        assert label_sets(decided_labels(probabilities, 0.5)) == [
             frozenset({BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT}),
             frozenset({BEFORE, CONCURRENT}),
             frozenset({NULL}),
@@ -135,16 +139,24 @@ class TestDecidedLabels:
         # NULL is the fallback when every positive label is below the
         # threshold, whatever NULL's own probability.
         probabilities = np.array([[0.49, 0.2, 0.1, 0.0], [0.49, 0.2, 0.1, 1.0]])
-        assert decided_labels(probabilities, 0.5) == [frozenset({NULL})] * 2
+        assert label_sets(decided_labels(probabilities, 0.5)) == [frozenset({NULL})] * 2
 
     def test_every_positive_combination(self):
+        # Each row of the decided matrix names a label set that passes the
+        # rule every label set follows.
+        rows, wants = [], []
         for code in range(8):
-            row = [0.9 if code >> i & 1 else 0.1 for i in range(3)] + [0.5]
-            want = frozenset(
+            rows.append([0.9 if code >> i & 1 else 0.1 for i in range(3)] + [0.5])
+            positives = frozenset(
                 lab for i, lab in enumerate((BEFORE, SIMULTANEOUS_OVERLAP, CONCURRENT))
                 if code >> i & 1
-            ) or frozenset({NULL})
-            assert decided_labels(np.array([row]), 0.5) == [want]
+            )
+            wants.append(positives or frozenset({NULL}))
+        decided = decided_labels(np.array(rows), 0.5)
+        assert decided.dtype == bool
+        assert decided.shape == (8, len(ALL_LABELS))
+        assert label_sets(decided) == wants
+        assert [label_set_problem(labels) for labels in label_sets(decided)] == [None] * 8
 
 
 class TestEmptyInput:
@@ -153,12 +165,12 @@ class TestEmptyInput:
         matrix = predict_batch(model, _empty())
         assert matrix.shape == (0, len(ALL_LABELS))
         assert matrix.dtype == np.float64
-        assert decided_labels(matrix, 0.5) == []
+        assert decided_labels(matrix, 0.5).shape == (0, len(ALL_LABELS))
 
     def test_stage_predict_zero_rows_writes_meta_only(self, e2e_model, tmp_path):
         model, _ = e2e_model
         path = tmp_path / "predictions.jsonl"
-        assert stage_predict(model, _empty(), str(path)) == []
+        assert stage_predict(model, _empty(), str(path)).shape == (0, len(ALL_LABELS))
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1
         meta, records = read_jsonl(str(path))
         assert meta["stage"] == "predict"
